@@ -25,9 +25,11 @@
 //! assert_eq!(t.value(g).data(), &[2.0, 4.0]);
 //! ```
 
+pub(crate) mod fused;
 pub(crate) mod simd;
 pub mod tape;
 pub mod tensor;
 
-pub use tape::{Tape, TapeAllocStats, Unary, Var};
+pub use fused::{PairList, PairSet};
+pub use tape::{Pooled, Tape, TapeAllocStats, Unary, Var};
 pub use tensor::{Shape, Tensor};

@@ -26,6 +26,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::Arc;
 
+use crate::fused::{self, PairList};
 use crate::tensor::{Shape, Tensor};
 
 /// Handle to a value recorded on a [`Tape`].
@@ -103,63 +104,35 @@ impl Unary {
         }
     }
 
-    /// Apply the nonlinearity across a slice in place. `Tanh` — the inner
-    /// loop of every training step — gets a branch-free polynomial `exp`
-    /// the compiler can auto-vectorize; absolute error vs libm `tanh` stays
-    /// below 5e-16 (covered by `bulk_tanh_matches_libm`). Other variants
-    /// fall back to the scalar path.
-    fn eval_slice(self, out: &mut [f64]) {
+    /// Apply the nonlinearity across a slice in place. `Tanh` runs as a
+    /// branch-free polynomial lane kernel ([`crate::simd::tanh_slice`],
+    /// absolute error vs libm below 5e-16, pinned by
+    /// `bulk_tanh_matches_libm`); the clamps and the squares are hoisted
+    /// loops; the rest — sigmoid, softplus and `exp` through libm — fall
+    /// back to the scalar path.
+    pub(crate) fn eval_slice(self, out: &mut [f64]) {
         match self {
-            Unary::Tanh => {
-                const LOG2_E: f64 = std::f64::consts::LOG2_E;
-                // ln 2 split hi/lo so `t - k·ln2` stays exact in the hi part.
-                const LN2_HI: f64 = 6.931_471_803_691_238e-1;
-                const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
-                // Full lane blocks go through the interleaved kernel, which
-                // runs several independent Horner chains at once instead of
-                // serialising on one chain's multiply–add latency. Identical
-                // per-element arithmetic; the scalar tail below matches it
-                // bit for bit.
-                let mut blocks = out.chunks_exact_mut(crate::simd::TANH_LANES);
-                for block in &mut blocks {
-                    crate::simd::tanh_block(block.try_into().unwrap());
+            Unary::Tanh => crate::simd::tanh_slice(out),
+            // The match is hoisted so these loops vectorize; per-element
+            // arithmetic is `eval`'s.
+            Unary::Relu => {
+                for o in out.iter_mut() {
+                    *o = o.max(0.0);
                 }
-                for o in blocks.into_remainder() {
-                    // tanh(x) = (e^t - 1)/(e^t + 1) with t = 2x. Beyond
-                    // |t| = 40 the quotient rounds to ±1 exactly, so the
-                    // clamp matches the unclamped result (and lets the
-                    // 2^k scale below stay in range). NaN passes through.
-                    let t = (2.0 * *o).clamp(-40.0, 40.0);
-                    let kf = (t * LOG2_E).round();
-                    let r = (t - kf * LN2_HI) - kf * LN2_LO;
-                    // exp(r) for |r| ≤ ln2/2 via degree-12 Taylor; the
-                    // truncation error r¹³/13! is below 2e-16 relative.
-                    let mut p = 1.0 / 479_001_600.0;
-                    p = p * r + 1.0 / 39_916_800.0;
-                    p = p * r + 1.0 / 3_628_800.0;
-                    p = p * r + 1.0 / 362_880.0;
-                    p = p * r + 1.0 / 40_320.0;
-                    p = p * r + 1.0 / 5_040.0;
-                    p = p * r + 1.0 / 720.0;
-                    p = p * r + 1.0 / 120.0;
-                    p = p * r + 1.0 / 24.0;
-                    p = p * r + 1.0 / 6.0;
-                    p = p * r + 0.5;
-                    p = p * r + 1.0;
-                    p = p * r + 1.0;
-                    // e^t = 2^k · e^r. The 2^k scale avoids a float→int
-                    // cast (Rust's saturating cast branches and defeats
-                    // vectorization): adding 2^52 + 2^51 parks kf in the
-                    // low mantissa bits, and shifting those into the
-                    // exponent field yields the biased exponent 1023 + kf
-                    // (k ∈ [-58, 58], so it never overflows). NaN input
-                    // propagates through r and the polynomial.
-                    let u = kf + 6_755_399_441_055_744.0;
-                    let e = p
-                        * f64::from_bits(
-                            (u.to_bits() << 52).wrapping_add(1023u64 << 52),
-                        );
-                    *o = (e - 1.0) / (e + 1.0);
+            }
+            Unary::Relu6 => {
+                for o in out.iter_mut() {
+                    *o = o.clamp(0.0, 6.0);
+                }
+            }
+            Unary::Square => {
+                for o in out.iter_mut() {
+                    *o = *o * *o;
+                }
+            }
+            Unary::OneMinusSquare => {
+                for o in out.iter_mut() {
+                    *o = -(*o * *o) + 1.0;
                 }
             }
             _ => {
@@ -168,6 +141,113 @@ impl Unary {
                 }
             }
         }
+    }
+
+    /// `out = act'(a)` expressed from the activation *output* `y = act(a)`
+    /// (the pre-activation is never stored). Every MLP activation admits
+    /// such a form: tanh' = 1−y², σ' = y(1−y), softplus' = 1−e^{−y} (= σ of
+    /// the input), relu' = step(y), relu6' = step(y)·step(6−y). The variant
+    /// match is hoisted out of the element loop so each arm is a
+    /// straight-line loop the autovectorizer handles.
+    pub(crate) fn deriv_slice(self, y: &[f64], out: &mut [f64]) {
+        macro_rules! sweep {
+            (|$y:ident| $d:expr) => {{
+                for (o, &$y) in out.iter_mut().zip(y) {
+                    *o = $d;
+                }
+            }};
+        }
+        match self {
+            Unary::Tanh => sweep!(|y| -(y * y) + 1.0),
+            Unary::Sigmoid => sweep!(|y| y * (-y + 1.0)),
+            // Negate-then-exp, like the taped `exp(neg(y))` chain.
+            Unary::Softplus => sweep!(|y| (-((-y).exp())) + 1.0),
+            Unary::Relu => sweep!(|y| if y > 0.0 { 1.0 } else { 0.0 }),
+            Unary::Relu6 => sweep!(|y| {
+                let s1 = if y > 0.0 { 1.0 } else { 0.0 };
+                let s2 = if -y + 6.0 > 0.0 { 1.0 } else { 0.0 };
+                s1 * s2
+            }),
+            _ => panic!("affine fusion only supports MLP activations, got {self:?}"),
+        }
+    }
+
+    /// One layer of the fused reverse sweep ([`crate::fused::embed_back`]),
+    /// elementwise: `r = tb ∘ d` and `a = hb ∘ d + (tb ∘ t) ∘ φ'`, where
+    /// `d = act' = φ(y)` is the stashed derivative and `φ'` its derivative
+    /// **along the output** `y` (so `act'' = φ'·act'`), each spelled as
+    /// [`Unary::back_y_slice`] spells it: tanh `−2y`, sigmoid `1 − 2y` (the
+    /// product-rule pair), softplus `e^{−y}` (`φ = 1 − e^{−y}`), zero for
+    /// the step-derivative activations.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn sweep_slice(
+        self,
+        hb: &[f64],
+        tb: &[f64],
+        t: &[f64],
+        y: &[f64],
+        d: &[f64],
+        a: &mut [f64],
+        r: &mut [f64],
+    ) {
+        macro_rules! sweep {
+            (|$c:ident, $y:ident, $d:ident| $e:expr) => {{
+                for ((((((a, r), &hv), &tv), &tl), &$y), &$d) in
+                    a.iter_mut().zip(r.iter_mut()).zip(hb).zip(tb).zip(t).zip(y).zip(d)
+                {
+                    *r = tv * $d;
+                    let $c = tv * tl;
+                    *a = hv * $d + $e;
+                }
+            }};
+        }
+        match self {
+            Unary::Tanh => sweep!(|c, y, d| c * (y * -2.0)),
+            Unary::Sigmoid => sweep!(|c, y, d| (c * ((-y) + 1.0)) + (-(c * y))),
+            Unary::Softplus => sweep!(|c, y, d| -((-c) * (-y).exp())),
+            Unary::Relu | Unary::Relu6 => {
+                for ((((a, r), &hv), &tv), &dv) in
+                    a.iter_mut().zip(r.iter_mut()).zip(hb).zip(tb).zip(d)
+                {
+                    *r = tv * dv;
+                    *a = hv * dv;
+                }
+            }
+            _ => panic!("affine fusion only supports MLP activations, got {self:?}"),
+        }
+    }
+
+    /// `out = g ∘ act'(y)`, the derivative again taken from the output
+    /// ([`Unary::deriv_slice`]) — bitwise the taped
+    /// `mul(g, activation_derivative_from_output(y))` chain.
+    pub(crate) fn back_slice(self, g: &[f64], y: &[f64], out: &mut [f64]) {
+        self.deriv_slice(y, out);
+        for (o, &gv) in out.iter_mut().zip(g) {
+            *o *= gv;
+        }
+    }
+
+    /// `out = (g ∘ gg) ∘ d(act')/dy`, the curvature companion of
+    /// [`Unary::back_slice`], again from the saved output `y`. Returns
+    /// `false` (leaving `out` untouched) for the step-derivative
+    /// activations, whose second derivative is zero almost everywhere.
+    pub(crate) fn back_y_slice(self, g: &[f64], gg: &[f64], y: &[f64], out: &mut [f64]) -> bool {
+        macro_rules! sweep {
+            (|$t:ident, $y:ident| $e:expr) => {{
+                for (((o, &gv), &hv), &$y) in out.iter_mut().zip(g).zip(gg).zip(y) {
+                    let $t = gv * hv;
+                    *o = $e;
+                }
+            }};
+        }
+        match self {
+            Unary::Tanh => sweep!(|t, y| t * (y * -2.0)),
+            Unary::Sigmoid => sweep!(|t, y| (t * ((-y) + 1.0)) + (-(t * y))),
+            Unary::Softplus => sweep!(|t, y| -((-t) * (-y).exp())),
+            Unary::Relu | Unary::Relu6 => return false,
+            _ => panic!("affine fusion only supports MLP activations, got {self:?}"),
+        }
+        true
     }
 }
 
@@ -215,6 +295,62 @@ enum Op {
     /// from the saved layer *output* `y`. One node replaces the
     /// derivative-chain / multiply nodes the affine backward used to emit.
     ActBack { g: Var, y: Var, act: Unary },
+    /// Fused embedding → pool over a pair stream ([`Tape::embed_pool`]);
+    /// `pairs` is the leaf standing for the stream's switching values and
+    /// `rec` indexes the tape's embed table (list, layers, stash).
+    EmbedPool { pairs: Var, rec: RecId },
+    /// Per-pair sensitivity `∂E/∂s` of an [`Op::EmbedPool`] node `pool`
+    /// given `g = ∂E/∂pool` — the gradient op [`Tape::grad`] emits.
+    EmbedPoolGrad { g: Var, pool: Var },
+    /// Forces from per-pair sensitivities ([`Tape::force_assemble`]);
+    /// `rec` indexes the tape's force table.
+    ForceAssemble { rec: RecId },
+}
+
+/// Handle into the tape's embed / force tables (see [`IdxId`]).
+type RecId = u32;
+
+/// One `(sensitivity, pair stream)` input of [`Tape::force_assemble`].
+type ForcePart = (Var, Rc<PairList>);
+
+/// What an [`Op::EmbedPool`] node ran over, kept for its gradient ops.
+struct EmbedRecord {
+    list: Rc<PairList>,
+    /// `(w, b)` per layer.
+    layers: Vec<(Var, Var)>,
+    act: Unary,
+    inv_dstd: f64,
+    inv_avg: f64,
+    /// Blocked inputs, `h_l` and `act'` of every lane block, written by the
+    /// forward pass.
+    stash: Tensor,
+    /// Centre row of every lane, blocked like the stash.
+    rows: Vec<usize>,
+    /// Tangents `∂h_l/∂z` of every lane block, written by the first
+    /// sensitivity pass (they depend on the record alone, not on `g`).
+    tangent: Option<Tensor>,
+    /// Sensitivity nodes met by a running [`Tape::grad_values`] whose
+    /// parameter adjoints wait for this node's reverse sweep: `(ū, g)`.
+    pending: Vec<(Tensor, Var)>,
+}
+
+impl EmbedRecord {
+    /// True when any layer parameter is a gradient target (or leads to one).
+    fn wants_layers(&self, useful: &[bool]) -> bool {
+        self.layers.iter().any(|&(w, b)| useful[w.idx] || useful[b.idx])
+    }
+}
+
+/// The two variables [`Tape::embed_pool`] records.
+#[derive(Clone, Copy, Debug)]
+pub struct Pooled {
+    /// The pooled descriptor block `[n_rows, M]`.
+    pub out: Var,
+    /// Leaf standing for the stream's per-pair switching values `s` (its
+    /// tensor is empty: the values live in the [`PairList`]). Differentiate
+    /// with respect to it to get the per-pair sensitivity
+    /// `∂E/∂s + (∂E/∂z)/dstd`, shape `[n_pairs]`.
+    pub pairs: Var,
 }
 
 struct Node {
@@ -265,6 +401,9 @@ fn op_name(op: &Op) -> &'static str {
         Op::SliceCols(..) => "slice_cols",
         Op::PadCols(..) => "pad_cols",
         Op::ActBack { .. } => "act_back",
+        Op::EmbedPool { .. } => "embed_pool",
+        Op::EmbedPoolGrad { .. } => "embed_pool_grad",
+        Op::ForceAssemble { .. } => "force_assemble",
     }
 }
 
@@ -276,6 +415,12 @@ pub struct Tape {
     nodes: RefCell<Vec<Node>>,
     /// Interned `Rc<[usize]>` lists referenced by gather/scatter ops.
     index_lists: RefCell<Vec<Rc<[usize]>>>,
+    /// One record per [`Op::EmbedPool`] node.
+    embeds: RefCell<Vec<EmbedRecord>>,
+    /// The parts of each [`Op::ForceAssemble`] node.
+    forces: RefCell<Vec<Vec<ForcePart>>>,
+    /// Recycled [`EmbedRecord::rows`] buffers.
+    row_pool: RefCell<Vec<Vec<usize>>>,
     /// Recycled value buffers in power-of-two size-class buckets. Buffers
     /// keep their `Arc` wrapper, so reuse skips both the data and the
     /// refcount allocation; the handful of classes makes a linear scan
@@ -369,6 +514,14 @@ impl Tape {
             self.recycle_arc(node.value);
         }
         self.index_lists.borrow_mut().clear();
+        for record in self.embeds.borrow_mut().drain(..) {
+            self.recycle_arc(record.stash);
+            if let Some(tangent) = record.tangent {
+                self.recycle_arc(tangent);
+            }
+            self.row_pool.borrow_mut().push(record.rows);
+        }
+        self.forces.borrow_mut().clear();
     }
 
     /// Return a tensor's buffer (Arc included) to the pool when this tensor
@@ -711,68 +864,164 @@ impl Tape {
         self.push(value, Op::Affine { x, w, b, act })
     }
 
-    /// Fused population sweep over one shared `[m, 1]` input: `G` affine
-    /// layers `act(x·wᵍ + bᵍ)` computed in a single kernel pass.
-    ///
-    /// Semantically this IS `G` calls to [`Tape::affine`] — each returned
-    /// node is an ordinary `Op::Affine` carrying that genome's own
-    /// operands, so gradients and double-backward follow the per-genome
-    /// path unchanged. Only the forward values come from one fused sweep:
-    /// the shared input element is loaded once per row and every genome's
-    /// `[m, nᵍ]` block is written directly. All weights must have one row
-    /// (`k = 1`, the descriptor first layer), where each output element is
-    /// the single product `act((0 + x·w) + b)` — spelled exactly like the
-    /// zero-initialised accumulator of the general kernel, so the fused
-    /// values are bit-identical to the per-genome ones.
-    pub fn affine_population(
-        &self,
-        x: Var,
+    /// Borrow `(w, b)` layer variables from the node list as a kernel net.
+    fn with_net<R>(
+        nodes: &[Node],
         layers: &[(Var, Var)],
-        act: Option<Unary>,
-    ) -> Vec<Var> {
-        // Cheap Arc clones so no node borrow is held across `alloc`/`push`.
-        let xv = self.nodes.borrow()[x.idx].value.clone();
-        assert_eq!(xv.shape().cols(), 1, "affine_population input must be [m, 1]");
-        let m = xv.shape().rows();
-        let wb: Vec<(Tensor, Tensor)> = {
-            let nodes = self.nodes.borrow();
-            layers
-                .iter()
-                .map(|&(w, b)| (nodes[w.idx].value.clone(), nodes[b.idx].value.clone()))
-                .collect()
-        };
-        for (w, b) in &wb {
-            assert_eq!(w.shape().rows(), 1, "affine_population weights must be [1, n]");
-            assert_eq!(b.len(), w.shape().cols(), "affine_population bias length");
-        }
-        let xd = xv.data();
-        let mut bufs: Vec<_> = wb.iter().map(|(w, _)| self.alloc(m * w.shape().cols())).collect();
-        for (p, &xp) in xd.iter().enumerate() {
-            for ((w, b), buf) in wb.iter().zip(bufs.iter_mut()) {
-                let n = w.shape().cols();
-                let (wd, bd) = (w.data(), b.data());
-                let orow = &mut buf[p * n..(p + 1) * n];
-                for j in 0..n {
-                    // `0.0 + x·w` mirrors the general kernel's accumulator
-                    // exactly (it differs from plain `x·w` when the product
-                    // is a negative zero).
-                    orow[j] = (0.0 + xp * wd[j]) + bd[j];
+        act: Unary,
+        f: impl FnOnce(&fused::Net<'_>) -> R,
+    ) -> R {
+        let layers: Vec<fused::Layer<'_>> = layers
+            .iter()
+            .map(|&(w, b)| {
+                let wv = &nodes[w.idx].value;
+                fused::Layer {
+                    w: wv.data(),
+                    b: nodes[b.idx].value.data(),
+                    k: wv.shape().rows(),
+                    n: wv.shape().cols(),
                 }
-            }
-        }
-        if let Some(k) = act {
-            for buf in &mut bufs {
-                k.eval_slice(buf);
-            }
-        }
-        wb.iter()
-            .zip(bufs)
-            .zip(layers)
-            .map(|(((w, _), buf), &(wv, bv))| {
-                let n = w.shape().cols();
-                self.push(buf.into_tensor(Shape::D2(m, n)), Op::Affine { x, w: wv, b: bv, act })
             })
-            .collect()
+            .collect();
+        f(&fused::Net { layers: &layers, act })
+    }
+
+    /// Fused embedding → pool over a pair stream, one node for the whole
+    /// per-species chain `z → act(affine)… → ·s → sum by centre → ·inv_avg`:
+    ///
+    /// ```text
+    /// out[i] = inv_avg · Σ_{p : centre(p) = i}  s_p · h_L(z_p)
+    /// h₀ = z,   h_l = act(h_{l−1}·W_l + b_l)
+    /// ```
+    ///
+    /// `layers` are the `(W_l, b_l)` variables (first layer `[1, n₁]`, any
+    /// depth ≥ 1); `inv_dstd` is `dz/ds`, used only by the gradient. The
+    /// returned [`Pooled::pairs`] leaf stands for the stream's `s` values:
+    /// `grad(e, &[pairs])` records one `embed_pool_grad` node holding
+    /// the per-pair total sensitivity `∂e/∂s + (∂e/∂z)·inv_dstd`, and
+    /// [`Tape::grad_values`] differentiates through both nodes down to the
+    /// layer parameters (kernels and summation orders: `fused.rs`).
+    pub fn embed_pool(
+        &self,
+        list: Rc<PairList>,
+        layers: &[(Var, Var)],
+        act: Unary,
+        inv_dstd: f64,
+        inv_avg: f64,
+    ) -> Pooled {
+        assert!(!layers.is_empty(), "embed_pool needs at least one layer");
+        let pairs = self.constant(Tensor::zeros(Shape::D1(0)));
+        let mut rows = self.row_pool.borrow_mut().pop().unwrap_or_default();
+        rows.resize(list.n_blocks() * fused::LANES, 0);
+        let (out, stash) = {
+            let nodes = self.nodes.borrow();
+            let mut width = 1;
+            for &(w, b) in layers {
+                let (ws, bl) = (nodes[w.idx].value.shape(), nodes[b.idx].value.len());
+                assert_eq!(ws.rows(), width, "embed_pool layer input width");
+                assert_eq!(bl, ws.cols(), "embed_pool bias length");
+                width = ws.cols();
+            }
+            Tape::with_net(&nodes, layers, act, |net| {
+                let mut out = self.alloc_zeroed(list.n_rows() * width);
+                let stash_len = list.n_blocks() * net.stash_stride();
+                let mut stash = self.alloc(stash_len);
+                fused::embed_pool(&list, net, inv_avg, &mut out, &mut stash, &mut rows);
+                (
+                    out.into_tensor(Shape::D2(list.n_rows(), width)),
+                    stash.into_tensor(Shape::D1(stash_len)),
+                )
+            })
+        };
+        let rec = {
+            let mut embeds = self.embeds.borrow_mut();
+            embeds.push(EmbedRecord {
+                list,
+                layers: layers.to_vec(),
+                act,
+                inv_dstd,
+                inv_avg,
+                stash,
+                rows,
+                tangent: None,
+                pending: Vec::new(),
+            });
+            (embeds.len() - 1) as RecId
+        };
+        Pooled { out: self.push(out, Op::EmbedPool { pairs, rec }), pairs }
+    }
+
+    /// The record behind an [`Op::EmbedPool`] node.
+    fn embed_rec(nodes: &[Node], pool: Var) -> usize {
+        match nodes[pool.idx].op {
+            Op::EmbedPool { rec, .. } => rec as usize,
+            _ => unreachable!("embed_pool_grad points at a non-pool node"),
+        }
+    }
+
+    /// Value of [`Op::EmbedPoolGrad`]: the per-pair sensitivity `[n_pairs]`
+    /// of embed record `rec` under the output adjoint `g`. Leaves the
+    /// record's tangents behind for the second-order pass.
+    fn val_embed_sens(&self, nodes: &[Node], rec: usize, g: &Tensor) -> Tensor {
+        let mut embeds = self.embeds.borrow_mut();
+        let record = &mut embeds[rec];
+        let n_pairs = record.list.n_pairs();
+        let mut u = self.alloc(n_pairs);
+        let mut tangent = record.tangent.take();
+        Tape::with_net(nodes, &record.layers, record.act, |net| {
+            let t_len = record.list.n_blocks() * net.tangent_stride();
+            let t = tangent.get_or_insert_with(|| self.alloc(t_len).into_tensor(Shape::D1(t_len)));
+            fused::embed_sens(
+                net,
+                record.stash.data(),
+                &record.rows,
+                g.data(),
+                record.inv_avg,
+                record.inv_dstd,
+                t.data_mut(),
+                &mut u,
+            );
+        });
+        record.tangent = tangent;
+        u.into_tensor(Shape::D1(n_pairs))
+    }
+
+    /// Record the gradient op of an embed-pool node (emitted by
+    /// [`Tape::grad`] for the node's `pairs` leaf).
+    fn embed_pool_grad(&self, g: Var, pool: Var) -> Var {
+        let value = {
+            let nodes = self.nodes.borrow();
+            self.val_embed_sens(&nodes, Tape::embed_rec(&nodes, pool), &nodes[g.idx].value)
+        };
+        self.push(value, Op::EmbedPoolGrad { g, pool })
+    }
+
+    /// Forces `F = −∂E/∂x` `[n_rows, 3]` from per-pair sensitivities, one
+    /// node for all parts: for every pair `p` of every `(u, list)` part,
+    /// `r = jac_p·u_p` is added to the centre atom's row and subtracted
+    /// from the neighbour's. Differentiable through
+    /// [`Tape::grad_values`].
+    pub fn force_assemble(&self, parts: &[ForcePart], n_rows: usize) -> Var {
+        let value = {
+            let nodes = self.nodes.borrow();
+            let views: Vec<(&[f64], &PairList)> = parts
+                .iter()
+                .map(|(u, list)| {
+                    assert_eq!(list.n_rows(), n_rows, "force_assemble row count");
+                    assert_eq!(nodes[u.idx].value.len(), list.n_pairs(), "force_assemble sensitivity length");
+                    (nodes[u.idx].value.data(), &**list)
+                })
+                .collect();
+            let mut out = self.alloc_zeroed(n_rows * 3);
+            fused::force_assemble(&views, &mut out);
+            out.into_tensor(Shape::D2(n_rows, 3))
+        };
+        let rec = {
+            let mut forces = self.forces.borrow_mut();
+            forces.push(parts.to_vec());
+            (forces.len() - 1) as RecId
+        };
+        self.push(value, Op::ForceAssemble { rec })
     }
 
     /// Apply an elementwise nonlinearity.
@@ -1167,28 +1416,7 @@ impl Tape {
     /// mirroring [`Tape::activation_derivative_from_output`] exactly.
     fn val_affine_gm(&self, k: Unary, g: &Tensor, yv: &Tensor) -> Tensor {
         let mut out = self.alloc(yv.len());
-        // Variant match hoisted out of the element loop (see
-        // `val_unary_backward`); per-element arithmetic unchanged.
-        macro_rules! sweep {
-            (|$y:ident| $d:expr) => {{
-                for ((o, &gv), &$y) in out.iter_mut().zip(g.data()).zip(yv.data()) {
-                    let d = $d;
-                    *o = gv * d;
-                }
-            }};
-        }
-        match k {
-            Unary::Tanh => sweep!(|y| -(y * y) + 1.0),
-            Unary::Sigmoid => sweep!(|y| y * (-y + 1.0)),
-            Unary::Softplus => sweep!(|y| (-((-y).exp())) + 1.0),
-            Unary::Relu => sweep!(|y| if y > 0.0 { 1.0 } else { 0.0 }),
-            Unary::Relu6 => sweep!(|y| {
-                let s1 = if y > 0.0 { 1.0 } else { 0.0 };
-                let s2 = if -y + 6.0 > 0.0 { 1.0 } else { 0.0 };
-                s1 * s2
-            }),
-            _ => panic!("affine fusion only supports MLP activations, got {k:?}"),
-        }
+        k.back_slice(g.data(), yv.data(), &mut out);
         out.into_tensor(yv.shape())
     }
 
@@ -1209,23 +1437,58 @@ impl Tape {
             return None;
         }
         let mut out = self.alloc(yv.len());
-        macro_rules! sweep {
-            (|$t:ident, $y:ident| $e:expr) => {{
-                for (((o, &gv), &hv), &$y) in
-                    out.iter_mut().zip(g.data()).zip(ggv.data()).zip(yv.data())
-                {
-                    let $t = gv * hv;
-                    *o = $e;
-                }
-            }};
-        }
-        match k {
-            Unary::Tanh => sweep!(|t, y| t * (y * -2.0)),
-            Unary::Sigmoid => sweep!(|t, y| (t * ((-y) + 1.0)) + (-(t * y))),
-            Unary::Softplus => sweep!(|t, y| -((-t) * (-y).exp())),
-            _ => panic!("affine fusion only supports MLP activations, got {k:?}"),
-        }
+        k.back_y_slice(g.data(), ggv.data(), yv.data(), &mut out);
         Some(out.into_tensor(yv.shape()))
+    }
+
+    /// Lease adjoint buffers for every layer of `record`, let `fill` run a
+    /// kernel that overwrites them, then accumulate the wanted ones.
+    fn embed_layer_adjoints(
+        &self,
+        nodes: &[Node],
+        record: &EmbedRecord,
+        useful: &[bool],
+        adjoint: &mut [Option<Tensor>],
+        fill: impl FnOnce(&fused::Net<'_>, &mut [fused::LayerGrad<'_>]),
+    ) {
+        let mut bufs: Vec<(TapeBuf, TapeBuf)> = record
+            .layers
+            .iter()
+            .map(|&(w, b)| {
+                (self.alloc(nodes[w.idx].value.len()), self.alloc(nodes[b.idx].value.len()))
+            })
+            .collect();
+        Tape::with_net(nodes, &record.layers, record.act, |net| {
+            let mut grads: Vec<fused::LayerGrad<'_>> =
+                bufs.iter_mut().map(|(w, b)| fused::LayerGrad { w, b }).collect();
+            fill(net, &mut grads);
+        });
+        for (&(w, b), (gw, gb)) in record.layers.iter().zip(bufs) {
+            for (var, buf) in [(w, gw), (b, gb)] {
+                let t = buf.into_tensor(nodes[var.idx].value.shape());
+                if useful[var.idx] {
+                    self.accumulate_value(var, t, adjoint);
+                } else {
+                    self.recycle(t);
+                }
+            }
+        }
+    }
+
+    /// In-place adjoint accumulation of [`Tape::grad_values`]:
+    /// `existing[j] += contribution[j]` is the same arithmetic as the taped
+    /// `add(existing, contribution)`.
+    fn accumulate_value(&self, slot: Var, contribution: Tensor, adjoint: &mut [Option<Tensor>]) {
+        match &mut adjoint[slot.idx] {
+            entry @ None => *entry = Some(contribution),
+            Some(existing) => {
+                let out = existing.data_mut();
+                for (o, &c) in out.iter_mut().zip(contribution.data()) {
+                    *o += c;
+                }
+                self.recycle(contribution);
+            }
+        }
     }
 
     /// Nodes from which at least one `wrt` target is reachable by walking
@@ -1235,7 +1498,9 @@ impl Tape {
     /// only ever receives contributions from useful consumers. In the
     /// force/double-backward pattern this skips every weight-gradient
     /// matmul of the inner `grad(energy, [z, s])` pass.
-    fn useful_mask(nodes: &[Node], limit: usize, wrt: &[Var]) -> Vec<bool> {
+    fn useful_mask(&self, nodes: &[Node], limit: usize, wrt: &[Var]) -> Vec<bool> {
+        let embeds = self.embeds.borrow();
+        let forces = self.forces.borrow();
         let mut useful = vec![false; limit];
         for v in wrt {
             if v.idx < limit {
@@ -1261,6 +1526,15 @@ impl Tape {
                     useful[x.idx] || useful[w.idx] || useful[b.idx]
                 }
                 Op::ActBack { g, y, .. } => useful[g.idx] || useful[y.idx],
+                Op::EmbedPool { pairs, rec } => {
+                    useful[pairs.idx] || embeds[rec as usize].wants_layers(&useful)
+                }
+                Op::EmbedPoolGrad { g, pool } => {
+                    useful[g.idx] || useful[pool.idx]
+                }
+                Op::ForceAssemble { rec } => {
+                    forces[rec as usize].iter().any(|(u, _)| useful[u.idx])
+                }
                 Op::Neg(a)
                 | Op::Scale(a, _)
                 | Op::AddScalar(a, _)
@@ -1297,26 +1571,15 @@ impl Tape {
             assert!(v.idx < limit, "grad target created after output variable");
             is_target[v.idx] = true;
         }
-        let useful = Tape::useful_mask(&nodes, limit, wrt);
+        let useful = self.useful_mask(&nodes, limit, wrt);
         let mut adjoint: Vec<Option<Tensor>> = vec![None; limit];
         adjoint[y.idx] = Some(Tensor::ones(nodes[y.idx].value.shape()));
 
         for i in (0..limit).rev() {
             let Some(g) = adjoint[i].take() else { continue };
             let op = nodes[i].op;
-            // In-place accumulation: `existing[j] += contribution[j]` is the
-            // same arithmetic as the taped `add(existing, contribution)`.
             let acc = |slot: Var, contribution: Tensor, adjoint: &mut Vec<Option<Tensor>>| {
-                match &mut adjoint[slot.idx] {
-                    entry @ None => *entry = Some(contribution),
-                    Some(existing) => {
-                        let out = existing.data_mut();
-                        for (o, &c) in out.iter_mut().zip(contribution.data()) {
-                            *o += c;
-                        }
-                        self.recycle(contribution);
-                    }
-                }
+                self.accumulate_value(slot, contribution, adjoint)
             };
             match op {
                 Op::Const => {}
@@ -1464,6 +1727,92 @@ impl Tape {
                         }
                     }
                 }
+                Op::EmbedPool { pairs, rec } => {
+                    // `g` is ∂L/∂out. One reverse sweep yields the layer
+                    // adjoints of this node and of every sensitivity node
+                    // that left its `ū` pending; the pair-leaf adjoint is
+                    // the kernel the taped gradient op runs.
+                    let mut embeds = self.embeds.borrow_mut();
+                    let record = &mut embeds[rec as usize];
+                    let pending = std::mem::take(&mut record.pending);
+                    if record.wants_layers(&useful) {
+                        let seeds: Vec<fused::SensSeed<'_>> = pending
+                            .iter()
+                            .map(|(ubar, gv)| fused::SensSeed {
+                                g: nodes[gv.idx].value.data(),
+                                ubar: ubar.data(),
+                            })
+                            .collect();
+                        let tangent = record.tangent.as_ref().map_or(&[][..], |t| t.data());
+                        self.embed_layer_adjoints(&nodes, record, &useful, &mut adjoint, |net, grads| {
+                            fused::embed_back(
+                                record.list.n_pairs(),
+                                net,
+                                record.stash.data(),
+                                &record.rows,
+                                tangent,
+                                g.data(),
+                                &seeds,
+                                record.inv_avg,
+                                record.inv_dstd,
+                                grads,
+                            );
+                        });
+                    }
+                    for (ubar, _) in pending {
+                        self.recycle(ubar);
+                    }
+                    drop(embeds);
+                    if useful[pairs.idx] {
+                        let u = self.val_embed_sens(&nodes, rec as usize, &g);
+                        acc(pairs, u, &mut adjoint);
+                    }
+                }
+                Op::EmbedPoolGrad { g: gv, pool } => {
+                    // `g` is ū = ∂L/∂u. The adjoint of the node's input is
+                    // a scatter; its parameter adjoints are folded into
+                    // the pool node's sweep (same layers, same stash), so
+                    // `ū` waits there and the pool node is made sure to be
+                    // visited.
+                    let mut embeds = self.embeds.borrow_mut();
+                    let record = &mut embeds[Tape::embed_rec(&nodes, pool)];
+                    if useful[gv.idx] {
+                        let gval = &nodes[gv.idx].value;
+                        let tangent = record.tangent.as_ref().expect("sensitivity pass left tangents");
+                        let mut gbar = self.alloc_zeroed(gval.len());
+                        Tape::with_net(&nodes, &record.layers, record.act, |net| {
+                            fused::embed_sens_gbar(
+                                net,
+                                record.stash.data(),
+                                &record.rows,
+                                tangent.data(),
+                                g.data(),
+                                record.inv_avg,
+                                record.inv_dstd,
+                                &mut gbar,
+                            );
+                        });
+                        acc(gv, gbar.into_tensor(gval.shape()), &mut adjoint);
+                    }
+                    if record.wants_layers(&useful) {
+                        record.pending.push((g.clone(), gv));
+                        if adjoint[pool.idx].is_none() {
+                            let shape = nodes[pool.idx].value.shape();
+                            adjoint[pool.idx] =
+                                Some(self.alloc_zeroed(shape.len()).into_tensor(shape));
+                        }
+                    }
+                }
+                Op::ForceAssemble { rec } => {
+                    let forces = self.forces.borrow();
+                    for (u, list) in &forces[rec as usize] {
+                        if useful[u.idx] {
+                            let mut ubar = self.alloc(list.n_pairs());
+                            fused::force_assemble_back(list, g.data(), &mut ubar);
+                            acc(*u, ubar.into_tensor(Shape::D1(list.n_pairs())), &mut adjoint);
+                        }
+                    }
+                }
                 Op::SliceCols(a, start, _) => {
                     if useful[a.idx] {
                         let ashape = nodes[a.idx].value.shape();
@@ -1607,7 +1956,7 @@ impl Tape {
         let limit = y.idx + 1;
         let useful = {
             let nodes = self.nodes.borrow();
-            Tape::useful_mask(&nodes, limit, wrt)
+            self.useful_mask(&nodes, limit, wrt)
         };
         let mut adjoint: Vec<Option<Var>> = vec![None; limit];
         let seed_shape = self.shape(y);
@@ -1789,6 +2138,33 @@ impl Tape {
                             _ => panic!("affine fusion only supports MLP activations, got {act:?}"),
                         }
                     }
+                }
+                Op::EmbedPool { pairs, rec } => {
+                    assert!(
+                        !self.embeds.borrow()[rec as usize].wants_layers(&useful),
+                        "Tape::grad cannot record the layer adjoints of embed_pool as taped \
+                         ops; use Tape::grad_values for parameter gradients"
+                    );
+                    if useful[pairs.idx] {
+                        let u = self.embed_pool_grad(g, Var { idx: i });
+                        accumulate(pairs, u, &mut adjoint);
+                    }
+                }
+                Op::EmbedPoolGrad { g: gv, pool } => {
+                    assert!(
+                        !(useful[gv.idx] || useful[pool.idx]),
+                        "Tape::grad through embed_pool_grad would be a third-order taped \
+                         derivative, which is not implemented; its adjoints exist only at \
+                         value level (Tape::grad_values)"
+                    );
+                }
+                Op::ForceAssemble { rec } => {
+                    let any = self.forces.borrow()[rec as usize].iter().any(|(u, _)| useful[u.idx]);
+                    assert!(
+                        !any,
+                        "Tape::grad cannot record the adjoint of force_assemble as a taped op; \
+                         use Tape::grad_values"
+                    );
                 }
                 Op::SliceCols(a, start, _) => {
                     if useful[a.idx] {
@@ -2219,45 +2595,6 @@ mod tests {
         let y = t.sum_all(t.square(g1));
         let g = t.grad(y, &[x]);
         assert_eq!(t.value(g[0]).data(), &[8.0, 0.0, -2.0]);
-    }
-
-    #[test]
-    fn affine_population_matches_per_genome_affine_bitwise() {
-        // Three genomes with different first-layer widths over one shared
-        // [m,1] input, including negative zeros produced by sign flips and
-        // biases that are themselves ±0.0 — the fused sweep must reproduce
-        // every per-genome bit, and gradients must flow as if each affine
-        // had been recorded individually.
-        let t = Tape::new();
-        let x = t.constant(Tensor::matrix(5, 1, vec![0.3, -1.2, 0.0, -0.0, 7.5]));
-        let specs: Vec<(Vec<f64>, Vec<f64>)> = vec![
-            (vec![0.5, -0.25, 3.0], vec![0.1, -0.2, 0.3]),
-            (vec![-0.0, 2.0], vec![-0.0, 0.0]),
-            (vec![1.0, 0.0, -1.0, 0.5, 4.0], vec![0.0, -0.0, 1.0, -1.0, 0.25]),
-        ];
-        let layers: Vec<(Var, Var)> = specs
-            .iter()
-            .map(|(w, b)| {
-                (t.constant(Tensor::matrix(1, w.len(), w.clone())), t.constant(Tensor::vector(b)))
-            })
-            .collect();
-        for act in [None, Some(Unary::Tanh)] {
-            let fused = t.affine_population(x, &layers, act);
-            for (&(w, b), f) in layers.iter().zip(&fused) {
-                let solo = t.affine(x, w, b, act);
-                let (fv, sv) = (t.value(*f), t.value(solo));
-                assert_eq!(fv.shape(), sv.shape());
-                for (a, r) in fv.data().iter().zip(sv.data()) {
-                    assert_eq!(a.to_bits(), r.to_bits(), "fused {a} vs solo {r}");
-                }
-                // The fused node is an ordinary affine: same gradients.
-                let gf = t.grad(t.sum_all(*f), &[x, w, b]);
-                let gs = t.grad(t.sum_all(solo), &[x, w, b]);
-                for (a, b) in gf.iter().zip(&gs) {
-                    assert_eq!(t.value(*a).data(), t.value(*b).data());
-                }
-            }
-        }
     }
 
     #[test]

@@ -306,100 +306,6 @@ proptest! {
     }
 
     #[test]
-    fn affine_population_matches_per_genome_affine(
-        x_data in prop::collection::vec(-1.5f64..1.5, 1..9),
-        genome_pools in prop::collection::vec(
-            prop::collection::vec(-1.5f64..1.5, 2..13), 0..5)
-    ) {
-        // The population-fused first layer must be bitwise indistinguishable
-        // from running each genome's affine alone — values, gradients, and
-        // the empty-population batch. Each genome's pool splits in half into
-        // (w, b), so widths 1..6 vary per genome (ragged batch).
-        let m = x_data.len();
-        let genomes: Vec<(Vec<f64>, Vec<f64>)> = genome_pools
-            .iter()
-            .map(|p| {
-                let n = p.len() / 2;
-                (p[..n].to_vec(), p[n..2 * n].to_vec())
-            })
-            .collect();
-        for act in [None, Some(Unary::Tanh)] {
-            let t = Tape::new();
-            let x = t.constant(Tensor::matrix(m, 1, x_data.clone()));
-            let layers: Vec<_> = genomes
-                .iter()
-                .map(|(w, b)| {
-                    (t.constant(Tensor::matrix(1, w.len(), w.clone())),
-                     t.constant(Tensor::vector(b)))
-                })
-                .collect();
-            let fused = t.affine_population(x, &layers, act);
-            prop_assert_eq!(fused.len(), genomes.len());
-            for (g, &(w, b)) in layers.iter().enumerate() {
-                let solo = t.affine(x, w, b, act);
-                let fv = t.value(fused[g]);
-                let sv = t.value(solo);
-                prop_assert_eq!(fv.shape(), sv.shape());
-                for (a, c) in fv.data().iter().zip(sv.data()) {
-                    prop_assert_eq!(a.to_bits(), c.to_bits(), "genome {} value", g);
-                }
-                let gf = t.grad(t.sum_all(t.square(fused[g])), &[x, w, b]);
-                let gs = t.grad(t.sum_all(t.square(solo)), &[x, w, b]);
-                for (vf, vs) in gf.iter().zip(gs.iter()) {
-                    for (a, c) in t.value(*vf).data().iter().zip(t.value(*vs).data()) {
-                        prop_assert_eq!(a.to_bits(), c.to_bits(), "genome {} grad", g);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn grad_values_matches_taped_grad_on_population_path(
-        x_data in prop::collection::vec(-1.5f64..1.5, 1..7),
-        genome_pools in prop::collection::vec(
-            prop::collection::vec(-1.5f64..1.5, 2..11), 1..5)
-    ) {
-        // Extends the grad_values-vs-taped-grad bit-identity contract to
-        // graphs containing population-fused affine nodes, including an
-        // inner taped gradient (the force path) so the value-level backward
-        // has to traverse adjoint nodes rooted at the fused layer.
-        let m = x_data.len();
-        let t = Tape::new();
-        let x = t.constant(Tensor::matrix(m, 1, x_data));
-        let layers: Vec<_> = genome_pools
-            .iter()
-            .map(|p| {
-                let n = p.len() / 2;
-                (t.constant(Tensor::matrix(1, n, p[..n].to_vec())),
-                 t.constant(Tensor::vector(&p[n..2 * n])))
-            })
-            .collect();
-        let fused = t.affine_population(x, &layers, Some(Unary::Tanh));
-        let mut e = t.sum_all(fused[0]);
-        for &h in &fused[1..] {
-            e = t.add(e, t.sum_all(h));
-        }
-        let fx = t.grad(e, &[x])[0];
-        let loss = t.add(t.sum_all(t.square(fx)), e);
-        let mut wrt = vec![x];
-        for &(w, b) in &layers {
-            wrt.push(w);
-            wrt.push(b);
-        }
-        let taped: Vec<Tensor> = t.grad(loss, &wrt).iter().map(|&g| t.value(g)).collect();
-        let before = t.len();
-        let values = t.grad_values(loss, &wrt);
-        prop_assert_eq!(t.len(), before, "grad_values must not record nodes");
-        for (a, b) in values.iter().zip(taped.iter()) {
-            prop_assert_eq!(a.shape(), b.shape());
-            for (va, vb) in a.data().iter().zip(b.data()) {
-                prop_assert_eq!(va.to_bits(), vb.to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn add_bias_and_sum_rows_are_adjoint(
         m in prop::collection::vec(-2.0f64..2.0, 6),
         bias in prop::collection::vec(-2.0f64..2.0, 3)

@@ -200,21 +200,9 @@ impl DescriptorStats {
 /// distances, switching function, and their double-backward inflation)
 /// from every training step — the forces are assembled as
 /// `F = Jᵀ·(∂E/∂s)` with the constant sparse Jacobian `J = ds/dx` stored
-/// here as per-pair vectors.
-#[derive(Clone, Debug)]
-pub struct CachedSpecies {
-    /// Standardised embedding inputs `(s − davg)/dstd`, shape `[Pt, 1]`.
-    pub z: Tensor,
-    /// Raw switching values `s(r)`, shape `[Pt]`.
-    pub s: Tensor,
-    /// Per-pair Jacobian rows `s'(r)·r̂` (`∂s_p/∂x_{j_p}`; the center atom
-    /// gets the negative), shape `[Pt, 3]`.
-    pub jac: Tensor,
-    /// Center atom per pair.
-    pub centers: Rc<[usize]>,
-    /// Neighbor atom per pair.
-    pub neighbors: Rc<[usize]>,
-}
+/// here as per-pair vectors. This is the pair set the fused tape ops run
+/// over, so a batch is a list of these, never a merged copy.
+pub use dphpo_autograd::PairSet as CachedSpecies;
 
 /// All cached descriptor data for one frame at one (rcut, rcut_smth).
 /// Per-species accumulation bucket while building a [`FrameCache`]:
@@ -272,119 +260,6 @@ impl FrameCache {
                 .collect(),
             n_atoms: species_idx.len(),
         }
-    }
-}
-
-/// Merge per-frame caches into one batch cache: pair rows are
-/// concatenated and atom indices offset by each frame's block, so a single
-/// tape evaluates the whole batch (one graph instead of B graphs — the
-/// training loop's main throughput lever on an allocation-bound workload).
-/// All frames must have the same atom count.
-///
-/// One-shot convenience over [`BatchCache`]; a caller that re-merges every
-/// step (e.g. the training loop's memo-miss path) should hold a
-/// [`BatchCache`] instead so the merge reuses its buffers.
-pub fn merge_frame_caches(caches: &[&FrameCache]) -> FrameCache {
-    BatchCache::new().merge(caches)
-}
-
-/// A reusable batch merger: the structure-of-arrays buffers behind the
-/// previous merge are reclaimed whenever the caller has dropped its handles
-/// (refcount back to one), so a training loop that re-merges a fresh batch
-/// composition every step runs the float columns allocation-free in steady
-/// state. Each column is filled with bulk block copies; the atom-index
-/// columns get one branch-free offset sweep per frame block instead of a
-/// per-element map.
-///
-/// The merged values are bit-identical to [`merge_frame_caches`] output —
-/// the merge only moves numbers, in the same frame-major order.
-#[derive(Default)]
-pub struct BatchCache {
-    /// The previous merge, kept so its buffers can be reclaimed.
-    prev: Option<FrameCache>,
-}
-
-impl BatchCache {
-    /// A merger with no reusable state yet.
-    pub fn new() -> Self {
-        BatchCache::default()
-    }
-
-    /// Take a float buffer back from `t` (no copy) when nothing else holds
-    /// it, cleared and with room for `cap` elements.
-    fn reclaim(t: Tensor, cap: usize) -> Vec<f64> {
-        let mut v = t.try_unique_data().unwrap_or_default();
-        v.clear();
-        v.reserve(cap);
-        v
-    }
-
-    /// Merge per-frame caches (see [`merge_frame_caches`] for semantics),
-    /// reusing the previous merge's buffers where possible.
-    pub fn merge(&mut self, caches: &[&FrameCache]) -> FrameCache {
-        assert!(!caches.is_empty(), "cannot merge zero caches");
-        let n_atoms = caches[0].n_atoms;
-        let n_species = caches[0].species.len();
-        assert!(
-            caches.iter().all(|c| c.n_atoms == n_atoms && c.species.len() == n_species),
-            "merge requires homogeneous frames"
-        );
-        let mut reclaimed: Vec<Option<CachedSpecies>> = match self.prev.take() {
-            Some(c) if c.species.len() == n_species => {
-                c.species.into_iter().map(Some).collect()
-            }
-            _ => (0..n_species).map(|_| None).collect(),
-        };
-        let species: Vec<CachedSpecies> = (0..n_species)
-            .map(|t| {
-                // Exact pair total first, so every buffer is sized once.
-                let pt: usize = caches.iter().map(|c| c.species[t].s.len()).sum();
-                let (mut z, mut s, mut jac) = match reclaimed[t].take() {
-                    Some(o) => (
-                        Self::reclaim(o.z, pt),
-                        Self::reclaim(o.s, pt),
-                        Self::reclaim(o.jac, pt * 3),
-                    ),
-                    None => (
-                        Vec::with_capacity(pt),
-                        Vec::with_capacity(pt),
-                        Vec::with_capacity(pt * 3),
-                    ),
-                };
-                let mut centers = Vec::with_capacity(pt);
-                let mut neighbors = Vec::with_capacity(pt);
-                for (b, cache) in caches.iter().enumerate() {
-                    let sp = &cache.species[t];
-                    z.extend_from_slice(sp.z.data());
-                    s.extend_from_slice(sp.s.data());
-                    jac.extend_from_slice(sp.jac.data());
-                    // Bulk copy, then one in-place offset sweep over the
-                    // new block (vectorises; no per-element closure).
-                    let offset = b * n_atoms;
-                    let c0 = centers.len();
-                    centers.extend_from_slice(&sp.centers);
-                    neighbors.extend_from_slice(&sp.neighbors);
-                    for v in &mut centers[c0..] {
-                        *v += offset;
-                    }
-                    for v in &mut neighbors[c0..] {
-                        *v += offset;
-                    }
-                }
-                CachedSpecies {
-                    z: Tensor::matrix(pt, 1, z),
-                    s: Tensor::new(dphpo_autograd::Shape::D1(pt), s),
-                    jac: Tensor::matrix(pt, 3, jac),
-                    centers: Rc::from(centers),
-                    neighbors: Rc::from(neighbors),
-                }
-            })
-            .collect();
-        let merged = FrameCache { species, n_atoms: n_atoms * caches.len() };
-        // Keep a shallow handle (Arc/Rc clones) so the next merge can
-        // reclaim the buffers once the caller drops this result.
-        self.prev = Some(merged.clone());
-        merged
     }
 }
 
@@ -587,61 +462,5 @@ mod tests {
         let small = FramePairs::build(&cell, &species_idx, &positions, 3.0, 3);
         let large = FramePairs::build(&cell, &species_idx, &positions, 8.0, 3);
         assert!(large.n_pairs > small.n_pairs);
-    }
-
-    fn toy_cache(shift: f64) -> FrameCache {
-        let (cell, species_idx, mut positions) = toy_frame();
-        for p in &mut positions {
-            p[0] = (p[0] + shift) % 10.0;
-        }
-        let frames: Vec<&[[f64; 3]]> = vec![&positions];
-        let stats = DescriptorStats::compute(&cell, &species_idx, &frames, 8.0, 2.0, 3);
-        FrameCache::build(&cell, &species_idx, &positions, 8.0, 2.0, &stats, 3)
-    }
-
-    fn assert_caches_bitwise_equal(a: &FrameCache, b: &FrameCache) {
-        assert_eq!(a.n_atoms, b.n_atoms);
-        assert_eq!(a.species.len(), b.species.len());
-        for (sa, sb) in a.species.iter().zip(&b.species) {
-            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&sa.z), bits(&sb.z));
-            assert_eq!(bits(&sa.s), bits(&sb.s));
-            assert_eq!(bits(&sa.jac), bits(&sb.jac));
-            assert_eq!(&*sa.centers, &*sb.centers);
-            assert_eq!(&*sa.neighbors, &*sb.neighbors);
-        }
-    }
-
-    #[test]
-    fn batch_cache_merge_is_bitwise_identical_to_one_shot_merge() {
-        let (c1, c2) = (toy_cache(0.0), toy_cache(0.3));
-        let batch = vec![&c1, &c2, &c1];
-        let one_shot = merge_frame_caches(&batch);
-        let mut merger = BatchCache::new();
-        // Warm the merger with a different composition first, so the
-        // compared merge runs through the reclaim path.
-        let _ = merger.merge(&[&c2, &c1]);
-        let reused = merger.merge(&batch);
-        assert_caches_bitwise_equal(&one_shot, &reused);
-    }
-
-    #[test]
-    fn batch_cache_reclaims_buffers_once_caller_drops_result() {
-        let (c1, c2) = (toy_cache(0.0), toy_cache(0.3));
-        let mut merger = BatchCache::new();
-        let first = merger.merge(&[&c1, &c2]);
-        let ptr = first.species[0].s.data().as_ptr();
-        drop(first); // refcount back to the merger's handle only
-        let second = merger.merge(&[&c2, &c1]);
-        assert_eq!(
-            second.species[0].s.data().as_ptr(),
-            ptr,
-            "same-size remerge should reuse the reclaimed buffer"
-        );
-        // While the caller still holds the result, the buffer must NOT be
-        // stolen out from under it.
-        let third = merger.merge(&[&c1, &c2]);
-        assert_ne!(second.species[0].s.data().as_ptr(), third.species[0].s.data().as_ptr());
-        assert_caches_bitwise_equal(&third, &merge_frame_caches(&[&c1, &c2]));
     }
 }

@@ -30,21 +30,19 @@ pub mod lcurve;
 pub mod loss;
 pub mod lr;
 pub mod model;
-pub mod population;
 pub mod supervise;
 pub mod trainer;
 
 pub use activation::Activation;
 pub use config::{LrScaling, TrainConfig};
 pub use descriptor::{
-    switching_scalar, switching_scalar_deriv, BatchCache, DescriptorStats, FrameCache, FramePairs,
+    switching_scalar, switching_scalar_deriv, DescriptorStats, FrameCache, FramePairs,
 };
 pub use json::Json;
 pub use lcurve::{Lcurve, LcurveRow};
 pub use model::{forward_cached, forward_frame, DnnpModel, FrameRef};
 pub use checkpoint::{load_model, save_model};
 pub use deploy::{model_nve_step, trajectory_divergence, DeployedState};
-pub use population::train_population;
 pub use supervise::{AbortReason, Sentinel, Supervision};
 pub use trainer::{
     step_budget, train, train_supervised, Adam, PhaseBudget, StepBudget, TrainReport, TrainRun,

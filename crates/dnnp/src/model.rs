@@ -11,7 +11,9 @@
 
 use rand::Rng;
 
-use dphpo_autograd::{Shape, Tape, Tensor, Var};
+use std::rc::Rc;
+
+use dphpo_autograd::{PairList, Shape, Tape, Tensor, Var};
 use dphpo_md::{Cell, Dataset};
 
 use crate::config::TrainConfig;
@@ -225,9 +227,7 @@ pub struct FrameGraph {
     /// per-species pooling) — phase mark for the step-budget census.
     pub descriptor_end: usize,
     /// Tape length right after the fitting net and energy reduction; nodes
-    /// in `forward_end..` belong to the force backward. In the population
-    /// builder the descriptor section is shared across genomes, so these
-    /// marks delimit phases only for the single-genome builders.
+    /// in `forward_end..` belong to the force backward.
     pub forward_end: usize,
 }
 
@@ -307,53 +307,60 @@ pub fn forward_frame(
     FrameGraph { atomic, energy, forces, descriptor_end, forward_end }
 }
 
-/// Build the energy (and optionally force) graph for one frame from a
-/// precomputed [`FrameCache`].
+/// Build the energy (and optionally force) graph for a batch of frames from
+/// their precomputed [`FrameCache`]s (one frame is a batch of one).
 ///
 /// Mathematically identical to [`forward_frame`] (property-tested), but the
 /// geometry subgraph — pair distances, switching function, and their
-/// double-backward inflation — is gone: the energy depends on the cached
-/// constants `z` and `s`, and the forces are assembled as
-/// `F = −Jᵀ·(∂E/∂s_total)` with the constant Jacobian rows stored in the
-/// cache. `∂E/∂s_total` combines the weighting path (`s` multiplies the
-/// embedding output) and the input path (`z = (s − μ)/σ` feeds it).
+/// double-backward inflation — is gone, and each neighbour species' whole
+/// embedding chain is one fused node per pass (DESIGN.md §3):
+/// [`Tape::embed_pool`] pools `s·h_L(z)` per centre atom over the frames'
+/// pair sets in place (atom rows of frame `b` are offset by `b·n`, nothing
+/// is merged or copied), [`Tape::grad`] on its pair leaf records the
+/// per-pair total sensitivity `u = ∂E/∂s + (∂E/∂z)/dstd`, and
+/// [`Tape::force_assemble`] turns the sensitivities into
+/// `F = −Jᵀ·u` with the constant Jacobian rows stored in the caches.
+///
+/// `onehot` is the species one-hot matrix of the whole batch, `[B·n, S]`;
+/// the per-atom energies come back in the same row order.
 pub fn forward_cached(
     tape: &Tape,
     taped: &TapedParams,
     config: &TrainConfig,
     stats: &DescriptorStats,
-    cache: &FrameCache,
+    caches: &[&FrameCache],
     onehot: &Tensor,
     want_forces: bool,
 ) -> FrameGraph {
-    let n = cache.n_atoms;
+    let n_frame = caches.first().map_or(0, |c| c.n_atoms);
+    let n = n_frame * caches.len();
     let n_species = onehot.shape().cols();
     let h0 = config.fitting_neurons[0];
     debug_assert_eq!(onehot.shape().rows(), n);
+    debug_assert!(caches.iter().all(|c| c.n_atoms == n_frame && c.species.len() == n_species));
 
-    let desc_act = Some(config.desc_activation.unary());
+    let desc_act = config.desc_activation.unary();
     let mut acc: Option<Var> = None;
-    // Leaf variables per species, kept for the force backward.
-    let mut z_vars: Vec<Option<Var>> = vec![None; n_species];
-    let mut s_vars: Vec<Option<Var>> = vec![None; n_species];
-    for (t, sp) in cache.species.iter().enumerate() {
-        if sp.s.is_empty() {
+    // Pair leaf and stream per active species, kept for the force pass.
+    let mut streams: Vec<(Var, Rc<PairList>)> = Vec::new();
+    for t in 0..n_species {
+        let list = PairList::new(
+            caches.iter().enumerate().map(|(b, c)| (c.species[t].clone(), b * n_frame)).collect(),
+            n,
+        );
+        if list.n_pairs() == 0 {
             continue;
         }
-        let z = tape.constant(sp.z.clone());
-        let s = tape.constant(sp.s.clone());
-        z_vars[t] = Some(z);
-        s_vars[t] = Some(s);
-        let mut h = z;
-        for &(w, b) in &taped.embeddings[t] {
-            h = tape.affine(h, w, b, desc_act);
-        }
-        let weighted = tape.mul_col_vec(h, s);
-        let pooled = tape.scale(
-            tape.scatter_add_rows(weighted, std::rc::Rc::clone(&sp.centers), n),
+        let list = Rc::new(list);
+        let pooled = tape.embed_pool(
+            Rc::clone(&list),
+            &taped.embeddings[t],
+            desc_act,
+            1.0 / stats.dstd[t],
             1.0 / stats.avg_neighbors[t],
         );
-        let contribution = tape.matmul(pooled, taped.fit_first[t]);
+        streams.push((pooled.pairs, list));
+        let contribution = tape.matmul(pooled.out, taped.fit_first[t]);
         acc = Some(match acc {
             None => contribution,
             Some(prev) => tape.add(prev, contribution),
@@ -378,187 +385,16 @@ pub fn forward_cached(
     let energy = tape.sum_all(atomic);
     let forward_end = tape.len();
 
-    let forces = if want_forces {
-        // One backward pass for all per-species sensitivities.
-        let mut wrt = Vec::new();
-        let mut active: Vec<usize> = Vec::new();
-        for t in 0..n_species {
-            if let (Some(z), Some(s)) = (z_vars[t], s_vars[t]) {
-                wrt.push(z);
-                wrt.push(s);
-                active.push(t);
-            }
-        }
-        let grads = tape.grad(energy, &wrt);
-        let mut force: Option<Var> = None;
-        for (k, &t) in active.iter().enumerate() {
-            let sp = &cache.species[t];
-            let g_z = grads[2 * k]; // [Pt, 1]
-            let g_s = grads[2 * k + 1]; // [Pt]
-            // Total sensitivity u = ∂E/∂s = g_s + g_z/dstd.
-            let pt = sp.s.len();
-            let u = tape.add(
-                g_s,
-                tape.scale(tape.reshape(g_z, Shape::D1(pt)), 1.0 / stats.dstd[t]),
-            );
-            // dE/dx_j += u_p·jac_p ; dE/dx_i −= u_p·jac_p. Force = −dE/dx.
-            let jac = tape.constant(sp.jac.clone());
-            let rows = tape.mul_col_vec(jac, u);
-            let to_neighbors =
-                tape.scatter_add_rows(rows, std::rc::Rc::clone(&sp.neighbors), n);
-            let to_centers = tape.scatter_add_rows(rows, std::rc::Rc::clone(&sp.centers), n);
-            let de_dx = tape.sub(to_neighbors, to_centers);
-            force = Some(match force {
-                None => tape.neg(de_dx),
-                Some(prev) => tape.sub(prev, de_dx),
-            });
-        }
-        Some(force.unwrap_or_else(|| tape.constant(Tensor::zeros(Shape::D2(n, 3)))))
-    } else {
-        None
-    };
+    let forces = want_forces.then(|| {
+        // One backward pass for all per-species sensitivities, one node
+        // for the scatter of every species.
+        let leaves: Vec<Var> = streams.iter().map(|&(pairs, _)| pairs).collect();
+        let sens = tape.grad(energy, &leaves);
+        let parts: Vec<(Var, Rc<PairList>)> =
+            sens.into_iter().zip(streams).map(|(u, (_, list))| (u, list)).collect();
+        tape.force_assemble(&parts, n)
+    });
     FrameGraph { atomic, energy, forces, descriptor_end, forward_end }
-}
-
-/// Build the energy (and optionally force) graphs for several genomes that
-/// share one [`FrameCache`] — the population-level evaluation sweep.
-///
-/// All genomes must share the cache's `(rcut, rcut_smth)` bucket (the cache
-/// embeds the standardisation `stats`), the first embedding width, and the
-/// descriptor activation; deeper embedding layers and the whole fitting
-/// stack may differ per genome. The first embedding layer of every genome
-/// is fused into ONE kernel sweep over the shared standardized input
-/// `z [P, 1]` ([`Tape::affine_population`]): the shared element is loaded
-/// once per row and every genome's `[P, h₁]` block is written directly.
-/// Because the first layer contracts over k = 1, every fused output
-/// element is the very same `act(z·w + b)` product the per-genome kernel
-/// computes, and each genome's graph still contains its own ordinary
-/// affine node — so the force backward follows the per-genome path
-/// untouched. Both energies and forces are **bit-identical** to
-/// [`forward_cached`]: no reduction is ever widened or reordered (see
-/// DESIGN.md §10).
-pub fn forward_population(
-    tape: &Tape,
-    taped: &[TapedParams],
-    configs: &[&TrainConfig],
-    stats: &DescriptorStats,
-    cache: &FrameCache,
-    onehot: &Tensor,
-    want_forces: bool,
-) -> Vec<FrameGraph> {
-    assert_eq!(taped.len(), configs.len(), "one config per genome");
-    let g_count = taped.len();
-    assert!(g_count > 0, "empty population");
-    let h1 = configs[0].embedding_neurons[0];
-    let desc_act = configs[0].desc_activation;
-    for c in configs {
-        assert_eq!(c.embedding_neurons[0], h1, "population first embedding width mismatch");
-        assert_eq!(c.desc_activation, desc_act, "population descriptor activation mismatch");
-    }
-    let desc_act = Some(desc_act.unary());
-    let n = cache.n_atoms;
-    let n_species = onehot.shape().cols();
-    debug_assert_eq!(onehot.shape().rows(), n);
-
-    let mut accs: Vec<Option<Var>> = vec![None; g_count];
-    let mut z_vars: Vec<Option<Var>> = vec![None; n_species];
-    let mut s_vars: Vec<Option<Var>> = vec![None; n_species];
-    for (t, sp) in cache.species.iter().enumerate() {
-        if sp.s.is_empty() {
-            continue;
-        }
-        let z = tape.constant(sp.z.clone());
-        let s = tape.constant(sp.s.clone());
-        z_vars[t] = Some(z);
-        s_vars[t] = Some(s);
-        // Fused first layer: every genome's `[P, h₁]` block is produced by
-        // one kernel sweep over the shared standardized input, and each
-        // genome still owns an ordinary affine node — so the force
-        // backward follows the per-genome path bit-exactly.
-        let layer0: Vec<(Var, Var)> = taped.iter().map(|tp| tp.embeddings[t][0]).collect();
-        let fused = tape.affine_population(z, &layer0, desc_act);
-        for (gi, tp) in taped.iter().enumerate() {
-            let mut h = fused[gi];
-            for &(w, b) in &tp.embeddings[t][1..] {
-                h = tape.affine(h, w, b, desc_act);
-            }
-            let weighted = tape.mul_col_vec(h, s);
-            let pooled = tape.scale(
-                tape.scatter_add_rows(weighted, std::rc::Rc::clone(&sp.centers), n),
-                1.0 / stats.avg_neighbors[t],
-            );
-            let contribution = tape.matmul(pooled, tp.fit_first[t]);
-            accs[gi] = Some(match accs[gi] {
-                None => contribution,
-                Some(prev) => tape.add(prev, contribution),
-            });
-        }
-    }
-
-    let onehot_var = tape.constant(onehot.clone());
-    // The descriptor section above is shared across the whole population.
-    let descriptor_end = tape.len();
-    accs.into_iter()
-        .zip(taped.iter())
-        .zip(configs.iter())
-        .map(|((acc, tp), config)| {
-            let h0 = config.fitting_neurons[0];
-            let acc = acc.unwrap_or_else(|| tape.constant(Tensor::zeros(Shape::D2(n, h0))));
-            let pre0 = tape.add_bias(
-                tape.add(acc, tape.matmul(onehot_var, tp.fit_onehot)),
-                tp.fit_b0,
-            );
-            let fit_act = config.fitting_activation.unary();
-            let mut h = config.fitting_activation.apply(tape, pre0);
-            let n_rest = tp.fit_rest.len();
-            for (k, &(w, b)) in tp.fit_rest.iter().enumerate() {
-                let act = if k + 1 < n_rest { Some(fit_act) } else { None };
-                h = tape.affine(h, w, b, act);
-            }
-            let atomic = tape.add(h, tape.matmul(onehot_var, tp.energy_bias));
-            let energy = tape.sum_all(atomic);
-            let forward_end = tape.len();
-
-            let forces = if want_forces {
-                let mut wrt = Vec::new();
-                let mut active: Vec<usize> = Vec::new();
-                for t in 0..n_species {
-                    if let (Some(z), Some(s)) = (z_vars[t], s_vars[t]) {
-                        wrt.push(z);
-                        wrt.push(s);
-                        active.push(t);
-                    }
-                }
-                let grads = tape.grad(energy, &wrt);
-                let mut force: Option<Var> = None;
-                for (k, &t) in active.iter().enumerate() {
-                    let sp = &cache.species[t];
-                    let g_z = grads[2 * k];
-                    let g_s = grads[2 * k + 1];
-                    let pt = sp.s.len();
-                    let u = tape.add(
-                        g_s,
-                        tape.scale(tape.reshape(g_z, Shape::D1(pt)), 1.0 / stats.dstd[t]),
-                    );
-                    let jac = tape.constant(sp.jac.clone());
-                    let rows = tape.mul_col_vec(jac, u);
-                    let to_neighbors =
-                        tape.scatter_add_rows(rows, std::rc::Rc::clone(&sp.neighbors), n);
-                    let to_centers =
-                        tape.scatter_add_rows(rows, std::rc::Rc::clone(&sp.centers), n);
-                    let de_dx = tape.sub(to_neighbors, to_centers);
-                    force = Some(match force {
-                        None => tape.neg(de_dx),
-                        Some(prev) => tape.sub(prev, de_dx),
-                    });
-                }
-                Some(force.unwrap_or_else(|| tape.constant(Tensor::zeros(Shape::D2(n, 3)))))
-            } else {
-                None
-            };
-            FrameGraph { atomic, energy, forces, descriptor_end, forward_end }
-        })
-        .collect()
 }
 
 /// A trained (or training) deep-potential model bound to one system.
@@ -702,7 +538,7 @@ impl DnnpModel {
             &taped,
             &self.config,
             &self.stats,
-            cache,
+            &[cache],
             &self.onehot,
             true,
         );

@@ -8,11 +8,10 @@ use rand::Rng;
 use dphpo_autograd::{Shape, Tape, Tensor};
 use dphpo_md::Dataset;
 
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::config::TrainConfig;
-use crate::descriptor::{merge_frame_caches, BatchCache, FrameCache};
+use crate::descriptor::FrameCache;
 use crate::lcurve::{Lcurve, LcurveRow};
 use crate::loss::PrefactorSchedule;
 use crate::lr::LrSchedule;
@@ -80,16 +79,14 @@ fn tile_onehot(onehot: &Tensor, batch: usize) -> Tensor {
     Tensor::matrix(batch * rows, cols, data)
 }
 
-/// A fixed set of frames assembled into one merged batch graph input, used
-/// for the validation RMSE rows (one tape per evaluation instead of one
-/// per frame).
-pub(crate) struct PreparedBatch {
-    merged: FrameCache,
+/// A fixed set of frames evaluated as one batch graph, used for the
+/// validation RMSE rows (one tape per evaluation instead of one per frame).
+struct PreparedBatch {
+    caches: Vec<FrameCache>,
     onehot: Tensor,
     frame_ids: Rc<[usize]>,
     energies: Vec<f64>,
     forces_flat: Vec<f64>,
-    n_frames: usize,
     n_atoms: usize,
     /// Persistent evaluation tape — reset after each RMSE so repeated
     /// validation rows reuse the same arena.
@@ -97,85 +94,42 @@ pub(crate) struct PreparedBatch {
 }
 
 impl PreparedBatch {
-    pub(crate) fn assemble(
-        model: &DnnpModel,
-        dataset: &Dataset,
-        indices: &[usize],
-        caches: Vec<FrameCache>,
-    ) -> Self {
+    fn assemble(model: &DnnpModel, dataset: &Dataset, indices: &[usize]) -> Self {
         let n_atoms = dataset.n_atoms();
-        let refs: Vec<&FrameCache> = caches.iter().collect();
-        let merged = merge_frame_caches(&refs);
-        let frame_ids: Rc<[usize]> = indices
-            .iter()
-            .enumerate()
-            .flat_map(|(b, _)| std::iter::repeat_n(b, n_atoms))
-            .collect::<Vec<usize>>()
-            .into();
         PreparedBatch {
-            merged,
+            caches: indices
+                .iter()
+                .map(|&i| model.build_cache(&dataset.frames[i].positions))
+                .collect(),
             onehot: tile_onehot(&model.onehot, indices.len()),
-            frame_ids,
+            frame_ids: frame_ids(indices.len(), n_atoms),
             energies: indices.iter().map(|&i| dataset.frames[i].energy).collect(),
             forces_flat: indices
                 .iter()
                 .flat_map(|&i| dataset.frames[i].forces.iter().flatten().copied())
                 .collect(),
-            n_frames: indices.len(),
             n_atoms,
             tape: Tape::new(),
         }
     }
 
-    /// `(energy RMSE per atom, force RMSE)` of the model on this batch.
-    pub(crate) fn rmse(&self, model: &DnnpModel) -> (f64, f64) {
+    /// Build the batch graph on the (empty) evaluation tape and reduce it
+    /// to `(energy RMSE per atom, force RMSE)`; the caller resets the tape.
+    fn evaluate(&self, model: &DnnpModel) -> (f64, f64) {
         let tape = &self.tape;
         let taped = model.params.register(tape);
+        let caches: Vec<&FrameCache> = self.caches.iter().collect();
         let graph = forward_cached(
             tape,
             &taped,
             &model.config,
             &model.stats,
-            &self.merged,
+            &caches,
             &self.onehot,
             true,
         );
-        let out = self.graph_rmse(&graph);
-        // Recycle the graph now: this also releases the tape's handles on
-        // the model parameters, keeping the optimiser's in-place update
-        // copy-free.
-        tape.reset();
-        out
-    }
-
-    /// As [`PreparedBatch::rmse`] for a whole population sharing this
-    /// batch's geometry bucket: one fused first-layer sweep evaluates every
-    /// genome (see [`crate::model::forward_population`]). Per-genome RMSEs
-    /// are bit-identical to sequential [`PreparedBatch::rmse`] calls.
-    pub(crate) fn rmse_population(&self, models: &[&DnnpModel]) -> Vec<(f64, f64)> {
-        let tape = &self.tape;
-        let tapeds: Vec<_> = models.iter().map(|m| m.params.register(tape)).collect();
-        let configs: Vec<&TrainConfig> = models.iter().map(|m| &m.config).collect();
-        let graphs = crate::model::forward_population(
-            tape,
-            &tapeds,
-            &configs,
-            &models[0].stats,
-            &self.merged,
-            &self.onehot,
-            true,
-        );
-        let out = graphs.iter().map(|graph| self.graph_rmse(graph)).collect();
-        tape.reset();
-        out
-    }
-
-    /// RMSE reduction over one genome's evaluated graph (shared by the
-    /// sequential and fused paths so the summation order is identical).
-    fn graph_rmse(&self, graph: &crate::model::FrameGraph) -> (f64, f64) {
-        let tape = &self.tape;
-        let energies =
-            tape.scatter_add_rows(graph.atomic, Rc::clone(&self.frame_ids), self.n_frames);
+        let n_frames = self.energies.len();
+        let energies = tape.scatter_add_rows(graph.atomic, Rc::clone(&self.frame_ids), n_frames);
         let n = self.n_atoms as f64;
         let e_sq: f64 = tape.with_value(energies, |e_pred| {
             e_pred
@@ -184,7 +138,7 @@ impl PreparedBatch {
                 .zip(self.energies.iter())
                 .map(|(p, r)| ((p - r) / n) * ((p - r) / n))
                 .sum::<f64>()
-        }) / self.n_frames as f64;
+        }) / n_frames as f64;
         let f_sq: f64 = tape.with_value(graph.forces.expect("forces requested"), |f_pred| {
             f_pred
                 .data()
@@ -196,29 +150,32 @@ impl PreparedBatch {
         (e_sq.sqrt(), f_sq.sqrt())
     }
 
-    /// Node count and per-kernel census of one validation RMSE pass —
-    /// builds the same graph [`PreparedBatch::rmse`] builds, reads the
-    /// census, and resets. Node counts depend only on graph topology, never
-    /// on weights, so the result is deterministic.
-    pub(crate) fn budget_census(&self, model: &DnnpModel) -> (usize, Vec<(&'static str, usize)>) {
-        let tape = &self.tape;
-        tape.reset();
-        let taped = model.params.register(tape);
-        let graph = forward_cached(
-            tape,
-            &taped,
-            &model.config,
-            &model.stats,
-            &self.merged,
-            &self.onehot,
-            true,
-        );
-        let _ = self.graph_rmse(&graph);
-        let nodes = tape.len();
-        let census = tape.op_census(0..nodes);
-        tape.reset();
+    /// `(energy RMSE per atom, force RMSE)` of the model on this batch.
+    fn rmse(&self, model: &DnnpModel) -> (f64, f64) {
+        let out = self.evaluate(model);
+        // Recycle the graph now: this also releases the tape's handles on
+        // the model parameters, keeping the optimiser's in-place update
+        // copy-free.
+        self.tape.reset();
+        out
+    }
+
+    /// Node count and per-kernel census of one validation RMSE pass — the
+    /// graph [`PreparedBatch::rmse`] builds. Node counts depend only on
+    /// graph topology, never on weights, so the result is deterministic.
+    fn budget_census(&self, model: &DnnpModel) -> (usize, Vec<(&'static str, usize)>) {
+        self.tape.reset();
+        let _ = self.evaluate(model);
+        let nodes = self.tape.len();
+        let census = self.tape.op_census(0..nodes);
+        self.tape.reset();
         (nodes, census)
     }
+}
+
+/// Batch row → frame index, for the per-frame energy reduction.
+fn frame_ids(n_frames: usize, n_atoms: usize) -> Rc<[usize]> {
+    (0..n_frames).flat_map(|b| std::iter::repeat_n(b, n_atoms)).collect::<Vec<usize>>().into()
 }
 
 /// One phase of the deterministic step budget: how many tape nodes the
@@ -303,11 +260,6 @@ pub struct TrainReport {
 /// absolute ceiling of [`crate::supervise::Sentinel`]).
 pub const DIVERGENCE_LOSS_LIMIT: f64 = 1e12;
 
-/// Maximum number of distinct batch compositions whose merged caches are
-/// kept. Small training sets repeat compositions constantly (the merge is
-/// then free); large runs stay memory-bounded and just merge on the fly.
-const MERGED_CACHE_CAP: usize = 256;
-
 /// Train a model on `train`, validating against `val`.
 pub fn train<R: Rng + ?Sized>(
     config: &TrainConfig,
@@ -334,8 +286,7 @@ pub fn train_supervised<R: Rng + ?Sized>(
     Ok(run.finish())
 }
 
-/// Reference labels for a batch composition, as ready-made tensors; the
-/// step loop hands the tape cheap Arc clones instead of re-collecting.
+/// Reference labels for a batch composition, as ready-made tensors.
 fn batch_labels(
     train_ds: &Dataset,
     indices: &[usize],
@@ -356,13 +307,10 @@ fn batch_labels(
 /// One training run as an explicit per-step state machine.
 ///
 /// [`train_supervised`] is `new` → `step` until inactive → `finish`; the
-/// decomposition exists so [`crate::population::train_population`] can
-/// interleave several runs on one shared tape arena, share descriptor
-/// caches and the validation batch across a geometry bucket, and replace
-/// the per-run validation sweep with one fused population sweep. A run
-/// driven step-by-step is bit-identical to the monolithic loop it replaced:
-/// every rng draw, float op, and supervision probe happens in the same
-/// order.
+/// decomposition lets a caller time or interleave the three (the campaign
+/// benchmark's layer pass does). A run driven step-by-step is bit-identical
+/// to the monolithic loop: every rng draw, float op, and supervision probe
+/// happens in the same order.
 pub struct TrainRun<'a> {
     config: &'a TrainConfig,
     train_ds: &'a Dataset,
@@ -371,8 +319,8 @@ pub struct TrainRun<'a> {
     schedule: LrSchedule,
     prefactors: PrefactorSchedule,
     n_atoms: usize,
-    train_caches: Rc<Vec<FrameCache>>,
-    val_batch: Rc<PreparedBatch>,
+    train_caches: Vec<FrameCache>,
+    val_batch: PreparedBatch,
     adam: Adam,
     lcurve: Lcurve,
     diverged: bool,
@@ -384,15 +332,10 @@ pub struct TrainRun<'a> {
     onehot_batch: Tensor,
     frame_ids: Rc<[usize]>,
     step_indices: Vec<Vec<usize>>,
-    merged_memo: HashMap<Vec<usize>, (FrameCache, Tensor, Tensor)>,
-    /// One persistent tape for the whole run (shared across runs in
-    /// population mode): each step rebuilds the same graph topology, so
-    /// `reset()` turns the tape into an arena and the steady state runs
-    /// allocation-free.
-    tape: Rc<Tape>,
-    /// Reusable merger for compositions past the memo cap: steady-state
-    /// merges reclaim the previous step's buffers.
-    batch_merger: BatchCache,
+    /// One persistent tape for the whole run: each step rebuilds the same
+    /// graph topology, so `reset()` turns the tape into an arena and the
+    /// steady state runs allocation-free.
+    tape: Tape,
     step: usize,
     last_loss: f64,
     last_trn_e_sq: f64,
@@ -400,9 +343,9 @@ pub struct TrainRun<'a> {
 }
 
 impl<'a> TrainRun<'a> {
-    /// Set up a run: model init, per-frame descriptor caches, the merged
-    /// validation batch, and every step's batch indices (drawn up front in
-    /// the same nested order as a per-step draw, so the rng stream is
+    /// Set up a run: model init, per-frame descriptor caches (training and
+    /// validation), and every step's batch indices (drawn up front in the
+    /// same nested order as a per-step draw, so the rng stream is
     /// unchanged).
     pub fn new<R: Rng + ?Sized>(
         config: &'a TrainConfig,
@@ -418,41 +361,12 @@ impl<'a> TrainRun<'a> {
         let model = DnnpModel::new(config.clone(), train_ds, rng)?;
         // Descriptor values are weight-independent: cache them per frame
         // once (training and validation), which removes the geometry
-        // subgraph from every step.
-        let train_caches: Rc<Vec<FrameCache>> =
-            Rc::new(train_ds.frames.iter().map(|f| model.build_cache(&f.positions)).collect());
+        // subgraph from every step. A step's batch is a list of these.
+        let train_caches: Vec<FrameCache> =
+            train_ds.frames.iter().map(|f| model.build_cache(&f.positions)).collect();
         let n_val = config.val_max_frames.max(1).min(val_ds.frames.len());
         let val_indices: Vec<usize> = (0..n_val).collect();
-        let val_caches: Vec<FrameCache> =
-            val_ds.frames[..n_val].iter().map(|f| model.build_cache(&f.positions)).collect();
-        let val_batch =
-            Rc::new(PreparedBatch::assemble(&model, val_ds, &val_indices, val_caches));
-        Self::with_parts(
-            config,
-            train_ds,
-            rng,
-            sup,
-            model,
-            train_caches,
-            val_batch,
-            Rc::new(Tape::new()),
-        )
-    }
-
-    /// Assemble a run from shared parts — the population path, where
-    /// descriptor caches, the validation batch, and the tape arena are
-    /// shared across every genome in a geometry bucket.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn with_parts<R: Rng + ?Sized>(
-        config: &'a TrainConfig,
-        train_ds: &'a Dataset,
-        rng: &mut R,
-        sup: &'a Supervision<'a>,
-        model: DnnpModel,
-        train_caches: Rc<Vec<FrameCache>>,
-        val_batch: Rc<PreparedBatch>,
-        tape: Rc<Tape>,
-    ) -> Result<Self, String> {
+        let val_batch = PreparedBatch::assemble(&model, val_ds, &val_indices);
         let schedule = LrSchedule::from_config(config);
         let prefactors = PrefactorSchedule::from_config(config);
         let n_atoms = train_ds.n_atoms();
@@ -460,13 +374,6 @@ impl<'a> TrainRun<'a> {
         let adam = Adam::new(&shapes);
         let batch_total = config.n_workers * config.batch_per_worker;
         let onehot_batch = tile_onehot(&model.onehot, batch_total);
-        let frame_ids: Rc<[usize]> = (0..batch_total)
-            .flat_map(|b| std::iter::repeat_n(b, n_atoms))
-            .collect::<Vec<usize>>()
-            .into();
-        // Draw every step's batch indices up front. This lets identical
-        // batch compositions share one merged cache instead of re-merging
-        // per step.
         let step_indices: Vec<Vec<usize>> = (0..config.num_steps)
             .map(|_| {
                 (0..batch_total)
@@ -474,20 +381,6 @@ impl<'a> TrainRun<'a> {
                     .collect()
             })
             .collect();
-        let mut merged_memo: HashMap<Vec<usize>, (FrameCache, Tensor, Tensor)> = HashMap::new();
-        for indices in &step_indices {
-            if !merged_memo.contains_key(indices.as_slice())
-                && merged_memo.len() < MERGED_CACHE_CAP
-            {
-                let batch_caches: Vec<&FrameCache> =
-                    indices.iter().map(|&i| &train_caches[i]).collect();
-                let (e_ref, f_ref) = batch_labels(train_ds, indices, batch_total, n_atoms);
-                merged_memo.insert(
-                    indices.clone(),
-                    (merge_frame_caches(&batch_caches), e_ref, f_ref),
-                );
-            }
-        }
         Ok(TrainRun {
             config,
             train_ds,
@@ -507,11 +400,9 @@ impl<'a> TrainRun<'a> {
             check_every: sup.check_every.max(1),
             batch_total,
             onehot_batch,
-            frame_ids,
+            frame_ids: frame_ids(batch_total, n_atoms),
             step_indices,
-            merged_memo,
-            tape,
-            batch_merger: BatchCache::new(),
+            tape: Tape::new(),
             step: 0,
             last_loss: f64::NAN,
             last_trn_e_sq: 0.0,
@@ -528,21 +419,12 @@ impl<'a> TrainRun<'a> {
     /// touching weights, and read back the per-phase node census. Leaves
     /// the tape empty. See [`step_budget`].
     fn budget_phases(&self) -> Vec<PhaseBudget> {
-        let tape = &*self.tape;
+        let tape = &self.tape;
         tape.reset();
         let Some(indices) = self.step_indices.first() else {
             return Vec::new();
         };
-        let merged_owned;
-        let merged: &FrameCache = match self.merged_memo.get(indices.as_slice()) {
-            Some((m, _, _)) => m,
-            None => {
-                let batch_caches: Vec<&FrameCache> =
-                    indices.iter().map(|&i| &self.train_caches[i]).collect();
-                merged_owned = merge_frame_caches(&batch_caches);
-                &merged_owned
-            }
-        };
+        let batch: Vec<&FrameCache> = indices.iter().map(|&i| &self.train_caches[i]).collect();
         let (e_ref_t, f_ref_t) =
             batch_labels(self.train_ds, indices, self.batch_total, self.n_atoms);
 
@@ -553,13 +435,13 @@ impl<'a> TrainRun<'a> {
             &taped,
             self.config,
             &self.model.stats,
-            merged,
+            &batch,
             &self.onehot_batch,
             true,
         );
         let force_end = tape.len();
         let forces = graph.forces.expect("training requests forces");
-        // Loss section: the same kernels step_core records (values unused).
+        // Loss section: the same kernels `step` records (values unused).
         let energies =
             tape.scatter_add_rows(graph.atomic, Rc::clone(&self.frame_ids), self.batch_total);
         let e_ref = tape.constant(e_ref_t);
@@ -598,36 +480,29 @@ impl<'a> TrainRun<'a> {
         &self.model
     }
 
-    /// Run one full step, including any due validation row. Returns `true`
-    /// while the run remains active.
+    /// Mark the run diverged at the current step.
+    fn diverge(&mut self, loss: f64) {
+        self.diverged = true;
+        self.abort = Some(AbortReason::Diverged { step: self.step, loss });
+    }
+
+    /// Run one full step — supervision probes, forward, loss, backward,
+    /// Adam, and any due validation row. Returns `true` while the run
+    /// remains active.
     pub fn step(&mut self) -> bool {
         if !self.is_active() {
             return false;
         }
-        if self.step_core() {
-            let val_t0 = self.sup.obs().map(|_| std::time::Instant::now());
-            let (rmse_e, rmse_f) = self.val_batch.rmse(&self.model);
-            if let (Some(rec), Some(t0)) = (self.sup.obs(), val_t0) {
-                rec.observe(names::H_PHASE_VAL_WALL_NS, t0.elapsed().as_nanos() as f64);
-            }
-            self.apply_val(rmse_e, rmse_f);
+        if self.train_step() {
+            self.validation_row();
         }
-        self.advance();
+        self.step += 1;
         self.is_active()
     }
 
-    /// Move to the next step index. Split from [`TrainRun::step_core`] so
-    /// population mode can run the fused validation sweep between the two.
-    pub(crate) fn advance(&mut self) {
-        self.step += 1;
-    }
-
-    /// One training step without its validation row: supervision probes,
-    /// forward, loss, backward, Adam. Returns `true` when a validation row
-    /// is due for the step just completed (the caller supplies it — the
-    /// sequential path from its own [`PreparedBatch`], population mode from
-    /// the fused sweep).
-    pub(crate) fn step_core(&mut self) -> bool {
+    /// The training half of [`TrainRun::step`]. Returns `true` when a
+    /// validation row is due for the step just completed.
+    fn train_step(&mut self) -> bool {
         let step = self.step;
         let sup = self.sup;
         // Resolved once per step: `None` when telemetry is off, so the hot
@@ -661,7 +536,7 @@ impl<'a> TrainRun<'a> {
         let step_t0 = obs.map(|_| std::time::Instant::now());
         let pref = self.prefactors.at(self.schedule.decay_ratio(step));
         let n = self.n_atoms as f64;
-        let tape = &*self.tape;
+        let tape = &self.tape;
         // Pool hits/misses are pure functions of the lease sequence, so the
         // metered counts are reproducible; the unobserved path never meters.
         if obs.is_some() && !tape.alloc_metering() {
@@ -669,27 +544,19 @@ impl<'a> TrainRun<'a> {
         }
 
         // One tape evaluates the whole data-parallel batch (the B frames a
-        // Horovod step would process across its workers).
+        // Horovod step would process across its workers), straight from
+        // the per-frame caches.
         let indices = &self.step_indices[step];
-        let merged_fallback;
-        let (merged, e_ref_t, f_ref_t) = match self.merged_memo.get(indices.as_slice()) {
-            Some((m, e, f)) => (m, e, f),
-            None => {
-                let batch_caches: Vec<&FrameCache> =
-                    indices.iter().map(|&i| &self.train_caches[i]).collect();
-                let (e_ref, f_ref) =
-                    batch_labels(self.train_ds, indices, self.batch_total, self.n_atoms);
-                merged_fallback = (self.batch_merger.merge(&batch_caches), e_ref, f_ref);
-                (&merged_fallback.0, &merged_fallback.1, &merged_fallback.2)
-            }
-        };
+        let batch: Vec<&FrameCache> = indices.iter().map(|&i| &self.train_caches[i]).collect();
+        let (e_ref_t, f_ref_t) =
+            batch_labels(self.train_ds, indices, self.batch_total, self.n_atoms);
         let taped = self.model.params.register(tape);
         let graph = forward_cached(
             tape,
             &taped,
             self.config,
             &self.model.stats,
-            merged,
+            &batch,
             &self.onehot_batch,
             true,
         );
@@ -698,9 +565,9 @@ impl<'a> TrainRun<'a> {
         // Per-frame energies from the per-atom energies.
         let energies =
             tape.scatter_add_rows(graph.atomic, Rc::clone(&self.frame_ids), self.batch_total);
-        let e_ref = tape.constant(e_ref_t.clone());
+        let e_ref = tape.constant(e_ref_t);
         let e_diff = tape.sub(energies, e_ref);
-        let f_ref = tape.constant(f_ref_t.clone());
+        let f_ref = tape.constant(f_ref_t);
         let f_diff = tape.sub(forces, f_ref);
 
         // Batch-mean loss: (1/B)·Σ_b [pe·(ΔE_b/N)² + pf·Σ‖ΔF_b‖²/(3N)].
@@ -712,11 +579,8 @@ impl<'a> TrainRun<'a> {
         let loss_value = tape.item(loss);
         self.last_loss = loss_value;
         if sup.sentinel.fires(loss_value, self.initial_loss) {
-            // Leave the (possibly shared) tape empty on this mid-graph exit
-            // so interleaved population runs never see stale nodes.
             tape.reset();
-            self.diverged = true;
-            self.abort = Some(AbortReason::Diverged { step, loss: loss_value });
+            self.diverge(loss_value);
             return false;
         }
         if self.initial_loss.is_none() {
@@ -748,8 +612,7 @@ impl<'a> TrainRun<'a> {
         // their buffers alive independently.
         tape.reset();
         if grad_values.iter().any(|g| g.has_non_finite()) {
-            self.diverged = true;
-            self.abort = Some(AbortReason::Diverged { step, loss: loss_value });
+            self.diverge(loss_value);
             return false;
         }
 
@@ -757,8 +620,7 @@ impl<'a> TrainRun<'a> {
         self.adam.step(&mut self.model.params, &grad_values, self.schedule.lr(step));
         let optimizer_wall_ns = optimizer_t0.map(|t0| t0.elapsed().as_nanos() as f64);
         if self.model.params.has_non_finite() {
-            self.diverged = true;
-            self.abort = Some(AbortReason::Diverged { step, loss: loss_value });
+            self.diverge(loss_value);
             return false;
         }
         self.steps_completed = step + 1;
@@ -807,73 +669,62 @@ impl<'a> TrainRun<'a> {
         step.is_multiple_of(self.config.disp_freq)
     }
 
-    /// Record the validation row for the step just completed by
-    /// [`TrainRun::step_core`], with the same divergence handling as the
-    /// sequential loop.
-    pub(crate) fn apply_val(&mut self, rmse_e_val: f64, rmse_f_val: f64) {
-        let step = self.step;
+    /// Evaluate and record the validation row of the step just completed.
+    fn validation_row(&mut self) {
+        let val_t0 = self.sup.obs().map(|_| std::time::Instant::now());
+        let (rmse_e_val, rmse_f_val) = self.val_batch.rmse(&self.model);
+        if let (Some(rec), Some(t0)) = (self.sup.obs(), val_t0) {
+            rec.observe(names::H_PHASE_VAL_WALL_NS, t0.elapsed().as_nanos() as f64);
+        }
         if !rmse_e_val.is_finite() || !rmse_f_val.is_finite() {
-            self.diverged = true;
-            self.abort = Some(AbortReason::Diverged { step, loss: self.last_loss });
+            self.diverge(self.last_loss);
             return;
         }
-        self.lcurve.push(LcurveRow {
-            step,
+        self.push_row(LcurveRow {
+            step: self.step,
             rmse_e_val,
             rmse_e_trn: self.last_trn_e_sq.sqrt(),
             rmse_f_val,
             rmse_f_trn: self.last_trn_f_sq.sqrt(),
-            lr: self.schedule.lr(step),
+            lr: self.schedule.lr(self.step),
         });
+    }
+
+    /// Append a learning-curve row and stream it as an event: telemetry
+    /// consumers see every interval, not just the journaled tail.
+    fn push_row(&mut self, row: LcurveRow) {
+        self.lcurve.push(row);
         if let Some(rec) = self.sup.obs() {
-            // Stream the display row as an event: telemetry consumers see
-            // every interval, not just the journaled tail.
             rec.record(Event {
                 name: names::LCURVE_ROW,
                 cat: cats::LCURVE,
                 ctx: self.sup.span,
-                step: Some(step as u64),
-                when: When::InTask(self.sup.sim_minutes(step)),
+                step: Some(row.step as u64),
+                when: When::InTask(self.sup.sim_minutes(row.step)),
                 dur_min: 0.0,
                 worker: None,
                 args: vec![
-                    ("rmse_e_val", rmse_e_val),
-                    ("rmse_e_trn", self.last_trn_e_sq.sqrt()),
-                    ("rmse_f_val", rmse_f_val),
-                    ("rmse_f_trn", self.last_trn_f_sq.sqrt()),
-                    ("lr", self.schedule.lr(step)),
+                    ("rmse_e_val", row.rmse_e_val),
+                    ("rmse_e_trn", row.rmse_e_trn),
+                    ("rmse_f_val", row.rmse_f_val),
+                    ("rmse_f_trn", row.rmse_f_trn),
+                    ("lr", row.lr),
                 ],
             });
         }
     }
 
-    /// True when the run completed all its steps and still owes the final
-    /// validation row.
-    pub(crate) fn needs_final_row(&self) -> bool {
-        !self.diverged && self.abort.is_none()
-    }
-
     /// Complete the run: final validation row (for a run that finished its
     /// steps) plus abort telemetry.
-    pub fn finish(self) -> TrainReport {
-        let final_rmse =
-            if self.needs_final_row() { Some(self.val_batch.rmse(&self.model)) } else { None };
-        self.finish_with(final_rmse)
-    }
-
-    /// As [`TrainRun::finish`] with an externally computed final validation
-    /// RMSE (population mode computes it in the fused sweep). Must be
-    /// `Some` exactly when [`TrainRun::needs_final_row`] is true.
-    pub(crate) fn finish_with(mut self, final_rmse: Option<(f64, f64)>) -> TrainReport {
+    pub fn finish(mut self) -> TrainReport {
         // Always attempt a final validation row for completed training
         // (skipped when supervision aborted the run early: the model is
         // half-trained and the caller only wants the structured reason).
-        if self.needs_final_row() {
-            let (rmse_e_val, rmse_f_val) =
-                final_rmse.expect("completed run finished without a final validation RMSE");
+        if !self.diverged && self.abort.is_none() {
+            let (rmse_e_val, rmse_f_val) = self.val_batch.rmse(&self.model);
             if rmse_e_val.is_finite() && rmse_f_val.is_finite() {
                 let last = self.lcurve.last().copied();
-                self.lcurve.push(LcurveRow {
+                self.push_row(LcurveRow {
                     step: self.config.num_steps,
                     rmse_e_val,
                     rmse_e_trn: last.map_or(rmse_e_val, |r| r.rmse_e_trn),
@@ -881,25 +732,6 @@ impl<'a> TrainRun<'a> {
                     rmse_f_trn: last.map_or(rmse_f_val, |r| r.rmse_f_trn),
                     lr: self.schedule.lr(self.config.num_steps),
                 });
-                if let Some(rec) = self.sup.obs() {
-                    let row = self.lcurve.last().copied().expect("just pushed");
-                    rec.record(Event {
-                        name: names::LCURVE_ROW,
-                        cat: cats::LCURVE,
-                        ctx: self.sup.span,
-                        step: Some(row.step as u64),
-                        when: When::InTask(self.sup.sim_minutes(row.step)),
-                        dur_min: 0.0,
-                        worker: None,
-                        args: vec![
-                            ("rmse_e_val", row.rmse_e_val),
-                            ("rmse_e_trn", row.rmse_e_trn),
-                            ("rmse_f_val", row.rmse_f_val),
-                            ("rmse_f_trn", row.rmse_f_trn),
-                            ("lr", row.lr),
-                        ],
-                    });
-                }
             } else {
                 self.diverged = true;
             }

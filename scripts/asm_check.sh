@@ -10,9 +10,11 @@
 #      multiplies and adds as separate roundings, so a `vfmadd*`
 #      appearing in a matmul kernel means the contract was broken.
 #
-# Checked families (simd.rs): mm_tile (plain matmul; mm_nt packs into the
+# Checked families — simd.rs: mm_tile (plain matmul; mm_nt packs into the
 # same tiles), mm_tn_tile (transposed-A matmul), tanh_block (bulk
-# activation).
+# activation); fused.rs: the pair-stream kernels embed_pool
+# (embedding → pool), embed_sens (per-pair sensitivity) and embed_back (the
+# second-order reverse sweep), whose lane blocks must vectorize too.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -62,6 +64,10 @@ check_family() {
 check_family "mm_tile" no-fma
 check_family "mm_tn_tile" no-fma
 check_family "tanh_block" fma-ok
+# Anchored on the module so the tape methods of the same names stay out.
+check_family "fused[0-9]*embed_pool" no-fma
+check_family "fused[0-9]*embed_sens" no-fma
+check_family "fused[0-9]*embed_back" no-fma
 
 if [[ ${fail} -ne 0 ]]; then
     echo "asm check: FAILED" >&2

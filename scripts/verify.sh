@@ -42,6 +42,16 @@
 #                                    order-independence, the exact
 #                                    self+children==inclusive invariant,
 #                                    folded-format validity)
+#  10. oracle suite (--release)    — checks against references that do not
+#                                    run the code under test: whole-model
+#                                    forces vs finite differences of the
+#                                    energy (5×5 activations × cutoffs),
+#                                    training-loss parameter gradients vs
+#                                    finite differences, the fused batch
+#                                    path vs the unfused position graph over
+#                                    random shapes, and the three fused tape
+#                                    ops vs the same chain spelled with
+#                                    unfused taped primitives
 #
 # Opt-in extras (timing-sensitive, off by default on shared hardware):
 #
@@ -56,19 +66,19 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> [1/9] cargo build --release"
+echo "==> [1/10] cargo build --release"
 cargo build --release --workspace
 
-echo "==> [2/9] cargo test -q"
+echo "==> [2/10] cargo test -q"
 cargo test -q --workspace
 
-echo "==> [3/9] cargo clippy (-D warnings)"
+echo "==> [3/10] cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets --quiet -- -D warnings
 
-echo "==> [4/9] cargo doc --no-deps (RUSTDOCFLAGS=-D warnings)"
+echo "==> [4/10] cargo doc --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
-echo "==> [5/9] doc-sync: EXPERIMENTS.md targets exist"
+echo "==> [5/10] doc-sync: EXPERIMENTS.md targets exist"
 missing=0
 for bin in $(grep -o -- '--bin [a-z0-9_]*' EXPERIMENTS.md | awk '{print $2}' | sort -u); do
     if [[ ! -f "crates/bench/src/bin/${bin}.rs" ]]; then
@@ -112,7 +122,7 @@ if [[ ${missing} -ne 0 ]]; then
 fi
 
 CHAOS_STRESS="${CHAOS_STRESS:-3}"
-echo "==> [6/9] chaos stress: ${CHAOS_STRESS}x journal crash/resume suites"
+echo "==> [6/10] chaos stress: ${CHAOS_STRESS}x journal crash/resume suites"
 for i in $(seq 1 "${CHAOS_STRESS}"); do
     echo "    chaos iteration ${i}/${CHAOS_STRESS} (generational)"
     cargo test -q -p dphpo-core --test journal_chaos
@@ -120,23 +130,27 @@ for i in $(seq 1 "${CHAOS_STRESS}"); do
     cargo test -q -p dphpo-core --test steady_state_identity
 done
 
-echo "==> [7/9] telemetry bit-identity (observed == unobserved artifacts)"
+echo "==> [7/10] telemetry bit-identity (observed == unobserved artifacts)"
 cargo test -q -p dphpo-core --test telemetry_identity
 echo "    campaign observatory identity (status/report/counters across kill+resume)"
 cargo test -q -p dphpo-core --test campaign_report_identity
 
 CHAOS_SEEDS="${CHAOS_SEEDS:-2}"
-echo "==> [8/9] corruption & salvage matrix (CHAOS_SEEDS=${CHAOS_SEEDS})"
+echo "==> [8/10] corruption & salvage matrix (CHAOS_SEEDS=${CHAOS_SEEDS})"
 CHAOS_SEEDS="${CHAOS_SEEDS}" cargo test -q -p dphpo-core --test corruption_matrix
 echo "    frame-format property tests"
 cargo test -q -p dphpo-core --test journal_frames
 echo "    v1 fixture compatibility"
 cargo test -q -p dphpo-core --test journal_v1_compat
 
-echo "==> [9/9] profile identity (profiling on/off, kill+resume, both modes)"
+echo "==> [9/10] profile identity (profiling on/off, kill+resume, both modes)"
 cargo test -q -p dphpo-core --test profile_identity
 echo "    profiler property tests"
 cargo test -q -p dphpo-core --test profile_props
+
+echo "==> [10/10] oracle suite (release): finite differences and unfused references"
+cargo test -q --release -p dphpo-dnnp --test oracle
+cargo test -q --release -p dphpo-autograd --test fused_ops
 
 if [[ "${BENCH_CHECK:-0}" == "1" ]]; then
     echo "==> [opt-in] hot-path bench regression check (BENCH_CHECK=1)"
