@@ -49,12 +49,12 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use dphpo_bench::harness::{
-    experiment_scale, journal_path, resume_campaign_and_report, results_dir, run_and_report,
-    run_campaign_and_report, save_experiment, write_artifact, SavedExperiment,
+    experiment_scale, journal_path, results_dir, run_and_report, save_experiment, write_artifact,
+    SavedExperiment,
 };
 use dphpo_core::analysis::{ascii_level_plot, failure_breakdown_table, level_plot_csv};
 use dphpo_core::campaign_report::{counter_trace_json, markdown_report, REFERENCE_POINT};
-use dphpo_core::experiment::{CampaignMode, ExperimentConfig, ExperimentResult};
+use dphpo_core::experiment::{Campaign, CampaignMode, ExperimentConfig, ExperimentResult};
 use dphpo_obs::{chrome, export, rollup, MemoryRecorder, Recorder};
 
 /// Every flag `fig1` understands: `(name, takes a path argument, help)`.
@@ -201,9 +201,9 @@ fn run_mode_comparison(base: &ExperimentConfig) -> String {
         gen_cfg.master_seed,
     );
     eprintln!("-- generational campaign --");
-    let gen_result = run_and_report(&gen_cfg);
+    let gen_result = run_and_report(Campaign::new(&gen_cfg));
     eprintln!("-- steady-state campaign --");
-    let steady_result = run_and_report(&steady_cfg);
+    let steady_result = run_and_report(Campaign::new(&steady_cfg));
 
     let g = mode_totals(&gen_result, FIXED_SLOTS);
     let s = mode_totals(&steady_result, FIXED_SLOTS);
@@ -281,7 +281,7 @@ fn main() {
             }
         };
         println!("journal:        {}", path.display());
-        println!("format version: {}", report.version);
+        println!("format version: {}", dphpo_core::journal::JOURNAL_VERSION);
         println!("frames:         {}", report.frames);
         println!(
             "records:        {} evals, {} generations, {} snapshots",
@@ -368,28 +368,25 @@ fn main() {
     let status_path = (has_flag("--status") || want_report)
         .then(|| results_dir().join(format!("{prefix}campaign_status.json")));
     let profile_dir = path_arg("--profile");
-    let rec_arc = recorder.clone().map(|r| r as Arc<dyn Recorder>);
-    let default_journal = if steady {
-        results_dir().join("steady_experiment.journal.jsonl")
-    } else {
-        journal_path()
+    let mut campaign = match resume_arg() {
+        Some(journal) => Campaign::new(&config).journal(journal).resume(),
+        None if steady => {
+            Campaign::new(&config).journal(results_dir().join("steady_experiment.journal.jsonl"))
+        }
+        None => Campaign::new(&config).journal(journal_path()),
     };
-    let result = match resume_arg() {
-        Some(journal) => resume_campaign_and_report(
-            &config,
-            &journal,
-            status_path.as_deref(),
-            rec_arc,
-            profile_dir.as_deref(),
-        ),
-        None => run_campaign_and_report(
-            &config,
-            &default_journal,
-            status_path.as_deref(),
-            rec_arc,
-            profile_dir.as_deref(),
-        ),
-    };
+    if let Some(path) = &status_path {
+        println!("live status at {}", path.display());
+        campaign = campaign.status_file(path);
+    }
+    if let Some(rec) = &recorder {
+        campaign = campaign.recorder(Arc::clone(rec) as Arc<dyn Recorder>);
+    }
+    if let Some(dir) = &profile_dir {
+        println!("profile artifacts in {}", dir.display());
+        campaign = campaign.profile_dir(dir);
+    }
+    let result = run_and_report(campaign);
     if steady {
         write_artifact(
             "steady_experiment.json",

@@ -4,13 +4,11 @@
 //! snapshot; `fig2_table2`, `fig3`, and `table3` reuse it).
 
 use std::path::PathBuf;
-use std::sync::Arc;
 
-use dphpo_core::experiment::{ExperimentConfig, ExperimentResult};
+use dphpo_core::experiment::{Campaign, ExperimentConfig, ExperimentResult};
 use dphpo_dnnp::json::Json;
 use dphpo_evo::nsga2::{GenerationRecord, RunResult};
 use dphpo_evo::{Fitness, Individual};
-use dphpo_obs::Recorder;
 
 /// Output directory for regenerated artifacts (`results/` at the repo
 /// root, overridable with `DPHPO_RESULTS_DIR`).
@@ -302,21 +300,9 @@ pub fn load_or_run_experiment() -> ExperimentResult {
         config.generations,
         config.n_runs * config.pop_size * (config.generations + 1)
     );
-    let result = run_and_report(&config);
+    let result = run_and_report(Campaign::new(&config));
     save_experiment(&result);
     result
-}
-
-/// Run the experiment with stderr progress.
-pub fn run_and_report(config: &ExperimentConfig) -> ExperimentResult {
-    let t0 = std::time::Instant::now();
-    let mut progress = |run: usize, generation: usize| {
-        eprintln!(
-            "[{:>7.1?}] run {run}: reached generation {generation}",
-            t0.elapsed()
-        );
-    };
-    dphpo_core::experiment::run_experiment_with(config, Some(&mut progress))
 }
 
 /// Default write-ahead journal path: `results/experiment.journal.jsonl`.
@@ -324,55 +310,11 @@ pub fn journal_path() -> PathBuf {
     results_dir().join("experiment.journal.jsonl")
 }
 
-/// Run the experiment with stderr progress and a write-ahead journal at
-/// `journal` — on a crash, rerun with `--resume <journal>` to continue
-/// bit-identically instead of retraining from scratch.
-pub fn run_journaled_and_report(
-    config: &ExperimentConfig,
-    journal: &std::path::Path,
-) -> ExperimentResult {
-    journaled_inner(config, journal, None)
-}
-
-/// As [`run_journaled_and_report`], with a telemetry recorder attached to
-/// every run's evaluator (see `dphpo_obs`); recording never changes the
-/// campaign's artifacts.
-pub fn run_journaled_observed_and_report(
-    config: &ExperimentConfig,
-    journal: &std::path::Path,
-    recorder: Arc<dyn Recorder>,
-) -> ExperimentResult {
-    journaled_inner(config, journal, Some(recorder))
-}
-
-/// As [`run_journaled_and_report`], with the full observatory surface: an
-/// optional live `campaign_status.json` (rewritten atomically at every
-/// generation boundary) and an optional telemetry recorder.
-pub fn run_campaign_and_report(
-    config: &ExperimentConfig,
-    journal: &std::path::Path,
-    status: Option<&std::path::Path>,
-    recorder: Option<Arc<dyn Recorder>>,
-    profile: Option<&std::path::Path>,
-) -> ExperimentResult {
-    journaled_inner_status(config, journal, status, recorder, profile)
-}
-
-fn journaled_inner(
-    config: &ExperimentConfig,
-    journal: &std::path::Path,
-    recorder: Option<Arc<dyn Recorder>>,
-) -> ExperimentResult {
-    journaled_inner_status(config, journal, None, recorder, None)
-}
-
-fn journaled_inner_status(
-    config: &ExperimentConfig,
-    journal: &std::path::Path,
-    status: Option<&std::path::Path>,
-    recorder: Option<Arc<dyn Recorder>>,
-    profile: Option<&std::path::Path>,
-) -> ExperimentResult {
+/// Run a built campaign with stderr progress. A journaled campaign
+/// announces its journal; if it is interrupted, the resume hint is printed
+/// and the process exits nonzero — rerun with `--resume <journal>` to
+/// continue bit-identically instead of retraining from scratch.
+pub fn run_and_report(campaign: Campaign<'_>) -> ExperimentResult {
     let t0 = std::time::Instant::now();
     let mut progress = |run: usize, generation: usize| {
         eprintln!(
@@ -380,104 +322,24 @@ fn journaled_inner_status(
             t0.elapsed()
         );
     };
-    println!("journaling to {} (resume with --resume)", journal.display());
-    let mut campaign = dphpo_core::experiment::Campaign::new(config).journal(journal);
-    if let Some(path) = status {
-        println!("live status at {}", path.display());
-        campaign = campaign.status_file(path);
-    }
-    if let Some(rec) = recorder {
-        campaign = campaign.recorder(rec);
-    }
-    if let Some(dir) = profile {
-        println!("profile artifacts in {}", dir.display());
-        campaign = campaign.profile_dir(dir);
+    let journal = campaign.journal_path().map(std::path::Path::to_path_buf);
+    let resuming = campaign.is_resume();
+    match &journal {
+        Some(path) if resuming => println!("resuming from {}", path.display()),
+        Some(path) => println!("journaling to {} (resume with --resume)", path.display()),
+        None => {}
     }
     match campaign.run(Some(&mut progress)) {
         Ok(result) => result,
-        Err(e) => {
-            eprintln!("experiment interrupted: {e}");
-            eprintln!("resume with: --resume {}", journal.display());
+        Err(e) if resuming => {
+            eprintln!("resume failed: {e}");
             std::process::exit(1);
         }
-    }
-}
-
-/// Resume an interrupted experiment from its journal (see
-/// [`run_journaled_and_report`]); journaled work is replayed, missing work
-/// re-submitted, and the final result is bit-identical to an uninterrupted
-/// run.
-pub fn resume_and_report(
-    config: &ExperimentConfig,
-    journal: &std::path::Path,
-) -> ExperimentResult {
-    resume_inner(config, journal, None)
-}
-
-/// As [`resume_and_report`], with a telemetry recorder. Replayed
-/// evaluations emit no training-step events; their `eval` spans are
-/// reconstructed from journaled minutes.
-pub fn resume_observed_and_report(
-    config: &ExperimentConfig,
-    journal: &std::path::Path,
-    recorder: Arc<dyn Recorder>,
-) -> ExperimentResult {
-    resume_inner(config, journal, Some(recorder))
-}
-
-/// As [`resume_and_report`], with the observatory surface (see
-/// [`run_campaign_and_report`]). A resumed campaign's status file converges
-/// to bytes identical to an uninterrupted run's.
-pub fn resume_campaign_and_report(
-    config: &ExperimentConfig,
-    journal: &std::path::Path,
-    status: Option<&std::path::Path>,
-    recorder: Option<Arc<dyn Recorder>>,
-    profile: Option<&std::path::Path>,
-) -> ExperimentResult {
-    resume_inner_status(config, journal, status, recorder, profile)
-}
-
-fn resume_inner(
-    config: &ExperimentConfig,
-    journal: &std::path::Path,
-    recorder: Option<Arc<dyn Recorder>>,
-) -> ExperimentResult {
-    resume_inner_status(config, journal, None, recorder, None)
-}
-
-fn resume_inner_status(
-    config: &ExperimentConfig,
-    journal: &std::path::Path,
-    status: Option<&std::path::Path>,
-    recorder: Option<Arc<dyn Recorder>>,
-    profile: Option<&std::path::Path>,
-) -> ExperimentResult {
-    let t0 = std::time::Instant::now();
-    let mut progress = |run: usize, generation: usize| {
-        eprintln!(
-            "[{:>7.1?}] run {run}: reached generation {generation}",
-            t0.elapsed()
-        );
-    };
-    println!("resuming from {}", journal.display());
-    let mut campaign =
-        dphpo_core::experiment::Campaign::new(config).journal(journal).resume();
-    if let Some(path) = status {
-        println!("live status at {}", path.display());
-        campaign = campaign.status_file(path);
-    }
-    if let Some(rec) = recorder {
-        campaign = campaign.recorder(rec);
-    }
-    if let Some(dir) = profile {
-        println!("profile artifacts in {}", dir.display());
-        campaign = campaign.profile_dir(dir);
-    }
-    match campaign.run(Some(&mut progress)) {
-        Ok(result) => result,
         Err(e) => {
-            eprintln!("resume failed: {e}");
+            eprintln!("experiment interrupted: {e}");
+            if let Some(path) = journal {
+                eprintln!("resume with: --resume {}", path.display());
+            }
             std::process::exit(1);
         }
     }
@@ -486,12 +348,11 @@ fn resume_inner_status(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dphpo_core::experiment::run_experiment;
 
     #[test]
     fn snapshot_round_trips_every_figure_relevant_field() {
         let config = ExperimentConfig::smoke();
-        let result = run_experiment(&config);
+        let result = Campaign::new(&config).run(None).unwrap();
         let saved = SavedExperiment::from_result(&result);
         let text = saved.to_json_string();
         let loaded = SavedExperiment::from_json_str(&text).unwrap();

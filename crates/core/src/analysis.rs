@@ -328,10 +328,10 @@ pub fn ascii_level_plot(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{run_experiment, ExperimentConfig};
+    use crate::experiment::{Campaign, ExperimentConfig};
 
     fn smoke_analysis() -> (ExperimentResult, Analysis) {
-        let result = run_experiment(&ExperimentConfig::smoke());
+        let result = Campaign::new(&ExperimentConfig::smoke()).run(None).unwrap();
         let analysis = analyze(&result);
         (result, analysis)
     }

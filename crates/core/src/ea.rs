@@ -2,325 +2,317 @@
 //! driven by a `dphpo-hpc` worker pool that evaluates every offspring's
 //! DNNP training in parallel, with the paper's timeout/fault semantics.
 //!
-//! The evaluator optionally journals every completed task (see
-//! [`crate::journal`]): each finalised evaluation is appended to the
-//! write-ahead journal from the driver thread before the batch returns,
-//! and previously journaled evaluations are *replayed* — the worker
-//! short-circuits training and returns the journaled outcome — so a
-//! resumed campaign recomputes nothing and still reproduces the original
-//! scheduler traffic (fault decisions, retries, reports) bit-identically.
+//! Both campaign drivers — the generational one here and in
+//! [`crate::experiment`], the steady-state one in [`crate::steady`] — work
+//! through one per-run environment: it replays or trains each genome,
+//! appends every finalised evaluation to the write-ahead journal (see
+//! [`crate::journal`]) from the driver thread, maps failures to the MAXINT
+//! penalty, and publishes each generation boundary. Previously journaled
+//! evaluations are *replayed* — the worker short-circuits training and
+//! returns the journaled outcome — so a resumed campaign recomputes nothing
+//! and still reproduces the original scheduler traffic (fault decisions,
+//! retries, reports) bit-identically.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use dphpo_dnnp::AbortReason;
-use dphpo_evo::nsga2::{BatchEvaluator, EvalResult};
-use dphpo_evo::{ArchiveChurn, Fitness, FrontStats};
+use dphpo_evo::nsga2::{BatchEvaluator, EvalResult, GenerationRecord};
+use dphpo_evo::{ArchiveChurn, Fitness, ParetoArchive};
 use dphpo_hpc::{
-    run_batch_observed, EvalFault, EvalOutcome, FaultInjector, PoolConfig, PoolReport, TaskCtx,
-    TaskRecord, Timeline,
+    run_batch_observed, EvalFault, EvalOutcome, FaultInjector, PoolReport, TaskCtx, TaskRecord,
+    Timeline,
 };
-use dphpo_obs::{cats, names, Event, Recorder, SpanCtx, When, NOOP};
+use dphpo_obs::{cats, names, Event, Recorder, SpanCtx, When};
 
-use crate::journal::{EvalEntry, JournalSink};
+use crate::campaign_report;
+use crate::experiment::{ExperimentConfig, ExperimentError, StatusSink};
+use crate::journal::{EvalEntry, FaultKind, JournalSink};
 use crate::workflow::{
     derive_seed, estimated_minutes, evaluate_individual_observed, EvalContext, EvalRecord,
 };
 
-/// Busy share of a batch's worker-minutes capacity, in percent:
-/// `Σ busy / (wall × workers)`. Zero for an empty batch.
-pub fn utilization_pct(report: &PoolReport, n_workers: usize) -> f64 {
-    let busy: f64 = report.busy_minutes.iter().sum();
-    let capacity = report.wall_minutes * n_workers as f64;
-    if capacity > 0.0 {
-        busy / capacity * 100.0
-    } else {
-        0.0
-    }
+/// §2.2.4: any task-level error — timeout, worker death, divergence —
+/// becomes the MAXINT penalty fitness.
+pub(crate) fn fitness_or_penalty<E>(fitness: Result<Fitness, E>) -> Fitness {
+    fitness.unwrap_or_else(|_| Fitness::penalty(2))
 }
 
-/// Evaluate one genome under scheduler supervision and map a structured
-/// training abort onto the scheduler's fault taxonomy. Shared by the
-/// generational batch evaluator below and the steady-state driver
-/// ([`crate::steady`]), so both campaign modes classify and penalise
-/// failures identically.
-pub(crate) fn summit_eval_outcome(
-    ctx: &EvalContext,
-    genome: &[f64],
-    seed: u64,
-    tc: &TaskCtx<'_>,
-    obs: &dyn Recorder,
-    span: SpanCtx,
-) -> EvalOutcome<EvalRecord> {
-    let (record, abort) = evaluate_individual_observed(ctx, genome, seed, tc, obs, span);
-    if record.failed {
+/// Everything one EA run's driver works with, built once per run by
+/// [`crate::experiment::Campaign::run`] and shared by the generational and
+/// the steady-state driver — so both campaign modes replay, journal,
+/// penalise and publish through the same code.
+pub(crate) struct RunEnv<'a> {
+    /// The campaign configuration.
+    pub config: &'a ExperimentConfig,
+    /// EA run index.
+    pub run: usize,
+    /// Run seed (`master_seed + run`): training seeds, stable ids and span
+    /// ids all derive from it.
+    pub seed: u64,
+    /// Dataset, base training configuration and cost model.
+    pub ctx: Arc<EvalContext>,
+    /// Worker-death injection plus the chaos-mode driver lifetime.
+    pub faults: FaultInjector,
+    /// Write-ahead journal handle and replay map (`None`: unjournaled).
+    pub journal: Option<JournalSink>,
+    /// Telemetry recorder ([`dphpo_obs::NOOP`] when none is attached).
+    /// Recording never perturbs the campaign: every emitted value is
+    /// something the driver or trainer already computed, and timestamps
+    /// live on the simulated clock the scheduler charges makespan in.
+    pub obs: &'a dyn Recorder,
+    /// Root span of this run (one Chrome-trace process per run).
+    pub base_span: SpanCtx,
+    /// The live status/profile surface.
+    pub status: &'a mut StatusSink,
+}
+
+/// The `Sync` part of a [`RunEnv`]: what a worker thread needs to turn one
+/// genome into an evaluation outcome.
+pub(crate) struct EvalCore<'a> {
+    ctx: &'a EvalContext,
+    replay: Option<&'a HashMap<(usize, usize), EvalEntry>>,
+    obs: &'a dyn Recorder,
+}
+
+impl EvalCore<'_> {
+    /// The journaled entry for `key` — `(generation, slot)`, or
+    /// `(0, submission)` in steady state — if its genome matches bit for bit.
+    pub(crate) fn journaled(&self, key: (usize, usize), genome: &[f64]) -> Option<&EvalEntry> {
+        self.replay.and_then(|map| map.get(&key)).filter(|entry| entry.genome == genome)
+    }
+
+    /// Replay or train: a journaled outcome short-circuits training (so a
+    /// resumed campaign recomputes nothing and emits no per-step events);
+    /// otherwise the genome is evaluated under scheduler supervision and a
+    /// structured training abort mapped onto the scheduler's fault taxonomy.
+    pub(crate) fn outcome(
+        &self,
+        key: (usize, usize),
+        genome: &[f64],
+        seed: u64,
+        tc: &TaskCtx<'_>,
+        span: SpanCtx,
+    ) -> EvalOutcome<EvalRecord> {
+        if let Some(entry) = self.journaled(key, genome) {
+            return entry.to_outcome();
+        }
+        let (record, abort) =
+            evaluate_individual_observed(self.ctx, genome, seed, tc, self.obs, span);
+        let minutes = record.minutes;
+        if !record.failed {
+            return EvalOutcome { value: Ok(record), minutes };
+        }
         let fault = match abort {
             Some(AbortReason::Diverged { step, loss }) => EvalFault::Diverged { step, loss },
             Some(AbortReason::Deadline { .. }) => EvalFault::Deadline,
             Some(AbortReason::Cancelled { .. }) => EvalFault::Cancelled,
             None => EvalFault::Failed("training failed".to_string()),
         };
-        EvalOutcome { value: Err(fault), minutes: record.minutes }
-    } else {
-        let minutes = record.minutes;
-        EvalOutcome { value: Ok(record), minutes }
+        EvalOutcome { value: Err(fault), minutes }
     }
 }
 
-/// A batch evaluator that fans genomes out across the simulated Summit
-/// allocation. Any task-level error — timeout, worker death, divergence —
-/// becomes the MAXINT penalty fitness, per §2.2.4.
-pub struct SummitEvaluator {
-    ctx: Arc<EvalContext>,
-    pool: PoolConfig,
-    faults: FaultInjector,
-    base_seed: u64,
-    /// Next batch's generation index. Seeds are derived from
+impl RunEnv<'_> {
+    /// The view of this environment that worker threads share.
+    pub(crate) fn core(&self) -> EvalCore<'_> {
+        EvalCore {
+            ctx: &self.ctx,
+            replay: self.journal.as_ref().map(|sink| &*sink.replay),
+            obs: self.obs,
+        }
+    }
+
+    /// The error a dead (chaos-killed) driver returns.
+    pub(crate) fn interrupted(&self) -> ExperimentError {
+        ExperimentError::Interrupted { completed_tasks: self.faults.completed_tasks() }
+    }
+
+    /// The journal entry for a finalised task at `key` — `None` when there
+    /// is nothing to journal: the campaign is unjournaled, or the task was
+    /// replayed from the journal in the first place.
+    pub(crate) fn fresh_entry(
+        &self,
+        key: (usize, usize),
+        seed: u64,
+        genome: &[f64],
+        task: &TaskRecord<EvalRecord>,
+    ) -> Option<EvalEntry> {
+        let fresh = self.journal.is_some() && self.core().journaled(key, genome).is_none();
+        fresh.then(|| EvalEntry::from_task(self.run, key.0, key.1, seed, genome, task))
+    }
+
+    /// Append one finalised evaluation to the journal (a no-op when
+    /// unjournaled) and cross-reference the telemetry stream to it: the
+    /// event names the byte offset the record landed at (this runs on the
+    /// driver thread, so ordering is deterministic). A record that failed to
+    /// reach disk is a crash at this completion: the driver is declared dead
+    /// and every later record is lost, exactly as in a real crash.
+    pub(crate) fn journal_eval(&self, entry: &EvalEntry) {
+        let Some(sink) = &self.journal else { return };
+        match sink.writer.borrow_mut().append_eval(entry) {
+            Ok(offset) => {
+                if self.obs.enabled() {
+                    self.obs.counter_add(names::C_JOURNAL_APPENDS, 1);
+                    let mut ev = Event::instant(
+                        names::JOURNAL_APPEND,
+                        cats::JOURNAL,
+                        self.base_span
+                            .with_gen(entry.gen as u32)
+                            .with_task(entry.slot as u32, entry.attempts),
+                    );
+                    let ok = if entry.fault == FaultKind::None { 1.0 } else { 0.0 };
+                    ev.args = vec![("offset", offset as f64), ("ok", ok)];
+                    self.obs.record(ev);
+                }
+            }
+            Err(_) => self.faults.declare_dead(),
+        }
+    }
+
+    /// Publish one generation (or steady-state epoch) boundary, after the
+    /// archive absorbed `record`'s population: the `generation` span over
+    /// `[sim_offset, sim_offset + makespan]` on the campaign's simulated
+    /// clock, the `ea.front` instant at its end with the archive's
+    /// hypervolume / cardinality / spread and dominance churn (plus the
+    /// matching gauges and counters), then the profile row, the status row,
+    /// and the atomic rewrite of both artifacts.
+    pub(crate) fn publish_boundary(
+        &mut self,
+        record: &GenerationRecord,
+        archive: &ParetoArchive,
+        churn: ArchiveChurn,
+        report: &PoolReport,
+        sim_offset: f64,
+    ) -> Result<(), ExperimentError> {
+        let row = campaign_report::generation_row(record, archive, churn, report);
+        let obs = self.obs;
+        if obs.enabled() {
+            obs.counter_add(names::C_GENERATIONS, 1);
+            let span = self.base_span.with_gen(record.generation as u32);
+            obs.record(Event {
+                name: names::GENERATION,
+                cat: cats::EA,
+                ctx: span,
+                step: None,
+                when: When::Sim(sim_offset),
+                dur_min: report.makespan_minutes,
+                worker: None,
+                args: vec![
+                    ("n_tasks", self.config.pop_size as f64),
+                    ("deaths", report.worker_deaths as f64),
+                    ("retried", report.retried_tasks as f64),
+                    ("speculated", report.speculated_tasks as f64),
+                    ("lost_min", report.lost_minutes),
+                    ("wall_min", report.wall_minutes),
+                    ("backoff_min", report.backoff_minutes),
+                    ("util_busy_pct", row.utilization_pct),
+                ],
+            });
+            let mut ev = Event::instant(names::FRONT, cats::EA, span);
+            ev.when = When::Sim(sim_offset + report.makespan_minutes);
+            ev.args = vec![
+                ("hypervolume", row.hypervolume),
+                ("cardinality", row.cardinality as f64),
+                ("spread", row.spread),
+                ("offered", churn.offered as f64),
+                ("added", churn.added as f64),
+                ("evicted", churn.evicted as f64),
+            ];
+            obs.record(ev);
+            obs.gauge_set(names::G_HYPERVOLUME, row.hypervolume);
+            obs.gauge_set(names::G_ARCHIVE_SIZE, row.cardinality as f64);
+            obs.gauge_set(names::G_FRONT_SPREAD, row.spread);
+            obs.counter_add(names::C_ARCHIVE_ADDED, churn.added as u64);
+            obs.counter_add(names::C_ARCHIVE_EVICTED, churn.evicted as u64);
+        }
+        self.status.push_profile_row(self.run, record, report);
+        self.status.status.push_row(self.run, row);
+        self.status.flush()
+    }
+}
+
+/// The generational campaign's batch evaluator: fans each offspring batch
+/// out across the simulated Summit allocation.
+pub(crate) struct SummitEvaluator<'a> {
+    /// The run environment (the driver publishes boundaries through it).
+    pub env: RunEnv<'a>,
+    /// Next batch's generation index (a resumed run starts past its
+    /// journaled generations). Seeds are derived from
     /// `generation × batch_size + slot`, so they depend only on an
     /// individual's position in the campaign — never on scheduling order —
     /// which is what makes journal replay bit-identical.
-    generation: u64,
-    reports: Vec<PoolReport>,
-    journal: Option<JournalSink>,
-    /// Telemetry sink plus the EA run index it labels spans with. `None`
-    /// keeps every instrumentation site on its single-branch disabled path.
-    obs: Option<(Arc<dyn Recorder>, u32)>,
+    pub generation: u64,
+    /// Scheduler reports so far, one per batch; a resumed run starts from
+    /// the journaled reports of its completed generations, so it
+    /// accumulates the same totals.
+    pub reports: Vec<PoolReport>,
 }
 
-impl SummitEvaluator {
-    /// Build an evaluator around a shared context.
-    pub fn new(
-        ctx: Arc<EvalContext>,
-        pool: PoolConfig,
-        faults: FaultInjector,
-        base_seed: u64,
-    ) -> Self {
-        SummitEvaluator {
-            ctx,
-            pool,
-            faults,
-            base_seed,
-            generation: 0,
-            reports: Vec::new(),
-            journal: None,
-            obs: None,
-        }
-    }
-
-    /// Attach a write-ahead journal sink: completed tasks are appended,
-    /// journaled tasks are replayed instead of retrained.
-    pub fn attach_journal(&mut self, sink: JournalSink) {
-        self.journal = Some(sink);
-    }
-
-    /// Attach a telemetry recorder; `run` is the EA run index events are
-    /// labelled with (one Chrome-trace process per run). Recording never
-    /// perturbs the campaign: every emitted value is something the driver
-    /// or trainer already computed, and span timestamps live on the same
-    /// simulated clock the scheduler charges makespan in. Replayed
-    /// (journaled) evaluations short-circuit training, so they emit no
-    /// per-step events — their `eval` spans still appear, reconstructed
-    /// from the charged minutes.
-    pub fn attach_recorder(&mut self, recorder: Arc<dyn Recorder>, run: u32) {
-        self.obs = Some((recorder, run));
-    }
-
-    /// Set the generation index the next `evaluate` call belongs to (used
-    /// when resuming a run mid-campaign).
-    pub fn set_generation(&mut self, generation: u64) {
-        self.generation = generation;
-    }
-
-    /// The fault injector (exposes driver-liveness for chaos testing).
-    pub fn faults(&self) -> &FaultInjector {
-        &self.faults
-    }
-
-    /// Seed the report list with journaled reports from completed
-    /// generations, so a resumed run accumulates the same totals.
-    pub fn preload_reports(&mut self, reports: Vec<PoolReport>) {
-        self.reports = reports;
-    }
-
-    /// Scheduler reports collected so far (one per evaluated batch).
-    pub fn reports(&self) -> &[PoolReport] {
-        &self.reports
-    }
-
-    /// Total simulated makespan across all batches, in minutes — what the
-    /// batch job's wall clock would have accumulated.
-    pub fn total_makespan_minutes(&self) -> f64 {
-        self.reports.iter().map(|r| r.makespan_minutes).sum()
-    }
-
-    /// Emit the generation-boundary front observation: an `ea.front`
-    /// instant carrying the archive's hypervolume / cardinality / spread
-    /// and its dominance churn, plus the matching gauges and counters.
-    /// Called by the campaign driver after the archive absorbs the
-    /// generation's population; a no-op without an attached recorder. The
-    /// event is timestamped at the cumulative makespan — the simulated
-    /// moment this generation's batch drained.
-    pub fn observe_front(&self, generation: u64, stats: FrontStats, churn: ArchiveChurn) {
-        let Some((obs, run)) = &self.obs else { return };
-        if !obs.enabled() {
-            return;
-        }
-        let ctx = SpanCtx::root(self.base_seed, *run).with_gen(generation as u32);
-        let mut ev = Event::instant(names::FRONT, cats::EA, ctx);
-        ev.when = When::Sim(self.total_makespan_minutes());
-        ev.args = vec![
-            ("hypervolume", stats.hypervolume),
-            ("cardinality", stats.cardinality as f64),
-            ("spread", stats.spread),
-            ("offered", churn.offered as f64),
-            ("added", churn.added as f64),
-            ("evicted", churn.evicted as f64),
-        ];
-        obs.record(ev);
-        obs.gauge_set(names::G_HYPERVOLUME, stats.hypervolume);
-        obs.gauge_set(names::G_ARCHIVE_SIZE, stats.cardinality as f64);
-        obs.gauge_set(names::G_FRONT_SPREAD, stats.spread);
-        obs.counter_add(names::C_ARCHIVE_ADDED, churn.added as u64);
-        obs.counter_add(names::C_ARCHIVE_EVICTED, churn.evicted as u64);
-    }
-}
-
-impl BatchEvaluator for SummitEvaluator {
+impl BatchEvaluator for SummitEvaluator<'_> {
     fn evaluate(&mut self, genomes: &[Vec<f64>]) -> Vec<EvalResult> {
         let gen = self.generation;
         self.generation += 1;
+        let env = &self.env;
         // Fault decisions hash (seed, generation, task, attempt): keying
         // the batch makes every generation's fault pattern reproducible in
         // isolation, independent of how earlier batches were scheduled.
-        self.faults.set_batch_key(gen);
+        env.faults.set_batch_key(gen);
         let first = gen * genomes.len() as u64;
-        let seeds: Vec<u64> = (0..genomes.len() as u64)
-            .map(|i| derive_seed(self.base_seed, first + i))
-            .collect();
-        let ctx = Arc::clone(&self.ctx);
-        let faults = &self.faults;
-        let journal = self.journal.as_ref();
-        let replay: Option<&HashMap<(usize, usize), EvalEntry>> =
-            journal.map(|sink| &*sink.replay);
+        let seeds: Vec<u64> =
+            (0..genomes.len() as u64).map(|i| derive_seed(env.seed, first + i)).collect();
+        let core = env.core();
         let gen_idx = gen as usize;
-        let seeds_ref = &seeds;
-        let estimate_ctx = Arc::clone(&self.ctx);
         // Span timestamps are absolute on the campaign's simulated clock:
         // this batch starts where the previous batches' makespans end.
         let sim_offset: f64 = self.reports.iter().map(|r| r.makespan_minutes).sum();
-        let (obs, base_span): (&dyn Recorder, SpanCtx) = match &self.obs {
-            Some((rec, run)) => {
-                (rec.as_ref(), SpanCtx::root(self.base_seed, *run).with_gen(gen as u32))
-            }
-            None => (&NOOP, SpanCtx::default()),
-        };
-        let obs_on = obs.enabled();
+        let obs = env.obs;
+        let base_span = env.base_span.with_gen(gen as u32);
         // Reorder buffer between the racy physical completion order and the
         // deterministic slot order: completions are buffered by slot and
         // journaled as the contiguous slot prefix becomes ready, so the set
         // of records a chaos kill leaves on disk is always a slot-order
         // prefix — which is what makes an interrupted-then-resumed journal
-        // byte-identical to an uninterrupted one. `None` marks a replayed
-        // (already-journaled) slot. Both cells live on the driver thread:
-        // `on_complete` runs there, never concurrently.
-        type Pending = Option<(EvalEntry, u32, bool)>;
-        let buffered: RefCell<BTreeMap<usize, Pending>> = RefCell::new(BTreeMap::new());
+        // byte-identical to an uninterrupted one. `None` marks a slot with
+        // nothing to journal (replayed, or the campaign is unjournaled).
+        // Both cells live on the driver thread: `on_complete` runs there,
+        // never concurrently.
+        let buffered: RefCell<BTreeMap<usize, Option<EvalEntry>>> = RefCell::new(BTreeMap::new());
         let next_release = Cell::new(0usize);
         let (records, report) = run_batch_observed(
             genomes,
             |tc: &TaskCtx<'_>, genome: &Vec<f64>| {
                 let i = tc.task;
-                // Replay: a journaled outcome for this (generation, slot)
-                // with a bit-exact genome match short-circuits training.
-                if let Some(entry) = replay.and_then(|map| map.get(&(gen_idx, i))) {
-                    if entry.genome == *genome {
-                        return entry.to_outcome();
-                    }
-                }
-                summit_eval_outcome(
-                    &ctx,
-                    genome,
-                    seeds_ref[i],
-                    tc,
-                    obs,
-                    base_span.with_task(i as u32, tc.attempt),
-                )
+                let span = base_span.with_task(i as u32, tc.attempt);
+                core.outcome((gen_idx, i), genome, seeds[i], tc, span)
             },
-            |_, genome: &Vec<f64>| estimated_minutes(&estimate_ctx, genome),
-            &self.pool,
-            faults,
+            |_, genome: &Vec<f64>| estimated_minutes(&env.ctx, genome),
+            &env.config.pool,
+            &env.faults,
             |slot, task: &TaskRecord<EvalRecord>| {
-                let replayed = journal.is_some_and(|sink| {
-                    sink.replay
-                        .get(&(gen_idx, slot))
-                        .is_some_and(|e| e.genome == genomes[slot])
-                });
-                let entry = match (journal, replayed) {
-                    (Some(sink), false) => Some((
-                        EvalEntry::from_task(
-                            sink.run,
-                            gen_idx,
-                            slot,
-                            seeds_ref[slot],
-                            &genomes[slot],
-                            task,
-                        ),
-                        task.attempts,
-                        task.value.is_ok(),
-                    )),
-                    _ => None,
-                };
+                let entry = env.fresh_entry((gen_idx, slot), seeds[slot], &genomes[slot], task);
                 buffered.borrow_mut().insert(slot, entry);
                 // Release (and journal) the contiguous slot prefix. Each
                 // release counts one completion against the (chaos-mode)
                 // driver lifetime; a dead driver loses the record — exactly
                 // the crash the journal protects against.
                 while let Some(item) = buffered.borrow_mut().remove(&next_release.get()) {
-                    let released = next_release.get();
-                    next_release.set(released + 1);
-                    let driver_alive = faults.note_task_completion();
-                    let (Some(sink), true, Some((entry, attempts, ok))) =
-                        (journal, driver_alive, item)
-                    else {
-                        continue;
-                    };
-                    match sink.writer.borrow_mut().append_eval(&entry) {
-                        // Cross-reference the telemetry stream to the
-                        // journal: the event names the byte offset the
-                        // record landed at (runs on the driver thread, so
-                        // ordering is deterministic).
-                        Ok(offset) => {
-                            if obs_on {
-                                obs.counter_add(names::C_JOURNAL_APPENDS, 1);
-                                let mut ev = Event::instant(
-                                    names::JOURNAL_APPEND,
-                                    cats::JOURNAL,
-                                    base_span.with_task(released as u32, attempts),
-                                );
-                                ev.args = vec![
-                                    ("offset", offset as f64),
-                                    ("ok", if ok { 1.0 } else { 0.0 }),
-                                ];
-                                obs.record(ev);
-                            }
-                        }
-                        // A record that failed to reach disk is a crash at
-                        // this completion: the driver dies and every later
-                        // record is lost, exactly as in a real crash.
-                        Err(_) => faults.declare_dead(),
+                    next_release.set(next_release.get() + 1);
+                    let driver_alive = env.faults.note_task_completion();
+                    if let (true, Some(entry)) = (driver_alive, item) {
+                        env.journal_eval(&entry);
                     }
                 }
             },
             obs,
             base_span,
         );
-        if obs_on {
-            obs.counter_add(names::C_GENERATIONS, 1);
-            // Worker-lane placement: the same list-scheduling reconstruction
-            // the Gantt chart uses, charged from the records' minutes —
-            // fault-free it reproduces the scheduler's makespan exactly.
-            let timeline = Timeline::reconstruct(&records, self.pool.n_workers);
+        if obs.enabled() {
+            // Worker-lane placement: list-scheduling reconstruction charged
+            // from the records' minutes — fault-free it reproduces the
+            // scheduler's makespan exactly.
+            let timeline = Timeline::reconstruct(&records, env.config.pool.n_workers);
             for (w, spans) in timeline.timelines.iter().enumerate() {
                 for s in spans {
                     let rec = &records[s.task];
@@ -341,35 +333,13 @@ impl BatchEvaluator for SummitEvaluator {
                     });
                 }
             }
-            obs.record(Event {
-                name: names::GENERATION,
-                cat: cats::EA,
-                ctx: base_span,
-                step: None,
-                when: When::Sim(sim_offset),
-                dur_min: report.makespan_minutes,
-                worker: None,
-                args: vec![
-                    ("n_tasks", genomes.len() as f64),
-                    ("deaths", report.worker_deaths as f64),
-                    ("retried", report.retried_tasks as f64),
-                    ("speculated", report.speculated_tasks as f64),
-                    ("lost_min", report.lost_minutes),
-                    ("wall_min", report.wall_minutes),
-                    ("backoff_min", report.backoff_minutes),
-                    ("util_busy_pct", utilization_pct(&report, self.pool.n_workers)),
-                ],
-            });
         }
         self.reports.push(report);
         records
             .into_iter()
-            .map(|r| {
-                let fitness = match r.value {
-                    Ok(record) => record.fitness,
-                    Err(_) => Fitness::penalty(2),
-                };
-                EvalResult { fitness, minutes: Some(r.minutes) }
+            .map(|r| EvalResult {
+                fitness: fitness_or_penalty(r.value.map(|record| record.fitness)),
+                minutes: Some(r.minutes),
             })
             .collect()
     }
@@ -378,73 +348,91 @@ impl BatchEvaluator for SummitEvaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dphpo_dnnp::TrainConfig;
-    use dphpo_hpc::CostModel;
-    use dphpo_md::generate::{generate_dataset, GenConfig};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use crate::experiment::Campaign;
+    use dphpo_hpc::{CostModel, PoolConfig};
+    use dphpo_obs::{MemoryRecorder, NOOP};
 
-    fn tiny_ctx() -> Arc<EvalContext> {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut gen = GenConfig::tiny();
-        gen.n_atoms = 10;
-        gen.box_len = 9.0;
-        gen.n_frames = 8;
-        let mut ds = generate_dataset(&gen, &mut rng);
-        ds.add_label_noise(0.0005, 0.03, &mut rng);
-        let (train_ds, val_ds) = ds.split(0.25, &mut rng);
-        Arc::new(EvalContext {
-            base_config: TrainConfig {
-                embedding_neurons: vec![4, 4],
-                fitting_neurons: vec![6],
-                num_steps: 15,
-                batch_per_worker: 1,
-                n_workers: 1,
-                disp_freq: 10,
-                val_max_frames: 2,
-                ..TrainConfig::default()
-            },
-            train: Arc::new(train_ds),
-            val: Arc::new(val_ds),
+    /// The smoke configuration with `pool` swapped in, and its shared
+    /// evaluation context.
+    fn fixture(pool: PoolConfig) -> (ExperimentConfig, Arc<EvalContext>) {
+        let config = ExperimentConfig { pool, ..ExperimentConfig::smoke() };
+        let (train, val) = crate::experiment::build_dataset(&config);
+        let ctx = Arc::new(EvalContext {
+            base_config: config.base_train_config.clone(),
+            train,
+            val,
             cost_model: CostModel::default(),
             workdir: None,
-        })
+        });
+        (config, ctx)
+    }
+
+    fn env<'a>(
+        fixture: &'a (ExperimentConfig, Arc<EvalContext>),
+        status: &'a mut StatusSink,
+        faults: FaultInjector,
+        seed: u64,
+    ) -> RunEnv<'a> {
+        RunEnv {
+            config: &fixture.0,
+            run: 0,
+            seed,
+            ctx: Arc::clone(&fixture.1),
+            faults,
+            journal: None,
+            obs: &NOOP,
+            base_span: SpanCtx::root(seed, 0),
+            status,
+        }
+    }
+
+    fn genomes() -> Vec<Vec<f64>> {
+        vec![
+            vec![0.005, 1e-4, 7.0, 2.5, 2.5, 4.5, 4.5],
+            vec![0.002, 5e-5, 9.0, 3.0, 1.5, 2.5, 4.5],
+            vec![0.008, 1e-4, 6.5, 2.2, 0.5, 3.5, 2.5],
+        ]
+    }
+
+    fn values(results: &[EvalResult]) -> Vec<Vec<f64>> {
+        results.iter().map(|r| r.fitness.values().to_vec()).collect()
     }
 
     #[test]
     fn batch_evaluation_returns_one_result_per_genome() {
-        let mut evaluator = SummitEvaluator::new(
-            tiny_ctx(),
-            PoolConfig { n_workers: 3, ..PoolConfig::default() },
-            FaultInjector::none(),
-            9,
-        );
-        let genomes: Vec<Vec<f64>> = vec![
-            vec![0.005, 1e-4, 7.0, 2.5, 2.5, 4.5, 4.5],
-            vec![0.002, 5e-5, 9.0, 3.0, 1.5, 2.5, 4.5],
-            vec![0.008, 1e-4, 6.5, 2.2, 0.5, 3.5, 2.5],
-        ];
-        let results = evaluator.evaluate(&genomes);
+        let fixture = fixture(PoolConfig { n_workers: 3, ..PoolConfig::default() });
+        let mut status = StatusSink::new(&Campaign::new(&fixture.0), None);
+        let mut evaluator = SummitEvaluator {
+            env: env(&fixture, &mut status, FaultInjector::none(), 9),
+            generation: 0,
+            reports: Vec::new(),
+        };
+        let results = evaluator.evaluate(&genomes());
         assert_eq!(results.len(), 3);
         for r in &results {
             assert_eq!(r.fitness.len(), 2);
             assert!(!r.fitness.is_penalty(), "healthy genome failed");
             assert!(r.minutes.unwrap() > 0.0);
         }
-        assert_eq!(evaluator.reports().len(), 1);
-        assert!(evaluator.total_makespan_minutes() > 0.0);
+        assert_eq!(evaluator.reports.len(), 1);
+        assert!(evaluator.reports[0].makespan_minutes > 0.0);
     }
 
     #[test]
     fn worker_faults_become_penalties_or_retries() {
-        let mut evaluator = SummitEvaluator::new(
-            tiny_ctx(),
-            PoolConfig { n_workers: 2, nanny: true, max_attempts: 1, ..PoolConfig::default() },
-            FaultInjector::new(0.5, 3),
-            10,
-        );
-        let genomes: Vec<Vec<f64>> =
-            (0..12).map(|_| vec![0.005, 1e-4, 7.0, 2.5, 2.5, 4.5, 4.5]).collect();
+        let fixture = fixture(PoolConfig {
+            n_workers: 2,
+            nanny: true,
+            max_attempts: 1,
+            ..PoolConfig::default()
+        });
+        let mut status = StatusSink::new(&Campaign::new(&fixture.0), None);
+        let mut evaluator = SummitEvaluator {
+            env: env(&fixture, &mut status, FaultInjector::new(0.5, 3), 10),
+            generation: 0,
+            reports: Vec::new(),
+        };
+        let genomes: Vec<Vec<f64>> = (0..12).map(|_| genomes()[0].clone()).collect();
         let results = evaluator.evaluate(&genomes);
         assert_eq!(results.len(), 12);
         // With 50 % per-task deaths and no retries, a mixed outcome over 12
@@ -456,51 +444,54 @@ mod tests {
 
     #[test]
     fn telemetry_spans_cover_every_evaluation_without_changing_results() {
-        use dphpo_obs::MemoryRecorder;
-        let genomes: Vec<Vec<f64>> = vec![
-            vec![0.005, 1e-4, 7.0, 2.5, 2.5, 4.5, 4.5],
-            vec![0.002, 5e-5, 9.0, 3.0, 1.5, 2.5, 4.5],
-            vec![0.008, 1e-4, 6.5, 2.2, 0.5, 3.5, 2.5],
-        ];
-        let pool = PoolConfig { n_workers: 2, ..PoolConfig::default() };
-        let mut plain = SummitEvaluator::new(tiny_ctx(), pool, FaultInjector::none(), 9);
-        let want = plain.evaluate(&genomes);
-
+        let config = ExperimentConfig::smoke();
+        let want = Campaign::new(&config).run(None).unwrap();
         let rec = Arc::new(MemoryRecorder::new());
-        let mut observed = SummitEvaluator::new(tiny_ctx(), pool, FaultInjector::none(), 9);
-        observed.attach_recorder(Arc::clone(&rec) as Arc<dyn Recorder>, 3);
-        let got = observed.evaluate(&genomes);
-        let _ = observed.evaluate(&genomes); // second generation, for offsets
+        let got = Campaign::new(&config)
+            .recorder(Arc::clone(&rec) as Arc<dyn Recorder>)
+            .run(None)
+            .unwrap();
 
         // Telemetry must not change the optimisation.
-        let values = |rs: &[EvalResult]| {
-            rs.iter().map(|r| r.fitness.values().to_vec()).collect::<Vec<_>>()
+        let fitness = |r: &crate::experiment::ExperimentResult| -> Vec<Vec<f64>> {
+            r.runs
+                .iter()
+                .flat_map(|run| run.final_population())
+                .map(|i| i.fitness().values().to_vec())
+                .collect()
         };
-        assert_eq!(values(&want), values(&got));
+        assert_eq!(fitness(&want), fitness(&got));
 
         let snap = rec.snapshot();
-        assert_eq!(snap.counter(names::C_GENERATIONS), 2);
+        let boundaries = config.n_runs * (config.generations + 1);
+        assert_eq!(snap.counter(names::C_GENERATIONS), boundaries as u64);
         // One eval span per genome per generation, all on worker lanes and
-        // labelled with the attached run index.
+        // labelled with their run index.
         let evals: Vec<_> = snap.events.iter().filter(|e| e.name == names::EVAL).collect();
-        assert_eq!(evals.len(), 2 * genomes.len());
-        assert!(evals.iter().all(|e| e.worker.is_some() && e.ctx.run == 3));
+        assert_eq!(evals.len(), boundaries * config.pop_size);
+        assert!(evals.iter().all(|e| e.worker.is_some() && (e.ctx.run as usize) < config.n_runs));
 
-        // The generation spans sit end-to-end on the simulated clock: the
-        // second starts exactly where the first's makespan ended.
-        let gens: Vec<_> =
-            snap.events.iter().filter(|e| e.name == names::GENERATION).collect();
-        assert_eq!(gens.len(), 2);
-        let (When::Sim(t0), When::Sim(t1)) = (gens[0].when, gens[1].when) else {
-            panic!("generation spans must carry absolute sim times");
-        };
-        assert_eq!(t0, 0.0);
-        assert!((t1 - observed.reports()[0].makespan_minutes).abs() < 1e-12);
-        assert!((gens[0].dur_min - observed.reports()[0].makespan_minutes).abs() < 1e-12);
+        // Each run's generation spans sit end-to-end on the simulated
+        // clock: the second starts exactly where the first's makespan ended.
+        for (run, reports) in got.pool_reports.iter().enumerate() {
+            let gens: Vec<_> = snap
+                .events
+                .iter()
+                .filter(|e| e.name == names::GENERATION && e.ctx.run as usize == run)
+                .collect();
+            assert_eq!(gens.len(), 2);
+            let (When::Sim(t0), When::Sim(t1)) = (gens[0].when, gens[1].when) else {
+                panic!("generation spans must carry absolute sim times");
+            };
+            assert_eq!(t0, 0.0);
+            assert!((t1 - reports[0].makespan_minutes).abs() < 1e-12);
+            assert!((gens[0].dur_min - reports[0].makespan_minutes).abs() < 1e-12);
+        }
 
         // Trainer events flowed through the same recorder and are nested
         // task-relative; per-step instrumentation covered every training.
-        assert!(snap.counter(names::C_STEPS) >= 2 * genomes.len() as u64 * 15);
+        let steps = config.base_train_config.num_steps as u64;
+        assert!(snap.counter(names::C_STEPS) >= (boundaries * config.pop_size) as u64 * steps);
         assert!(snap
             .events
             .iter()
@@ -511,28 +502,24 @@ mod tests {
     fn seeds_depend_on_generation_not_call_history() {
         // Two evaluators that reach generation 1 differently (one evaluated
         // generation 0, the other resumed) must evaluate identically.
-        let genomes: Vec<Vec<f64>> =
-            vec![vec![0.005, 1e-4, 7.0, 2.5, 2.5, 4.5, 4.5], vec![0.002, 5e-5, 9.0, 3.0, 1.5, 2.5, 4.5]];
-        let mut a = SummitEvaluator::new(
-            tiny_ctx(),
-            PoolConfig { n_workers: 2, ..PoolConfig::default() },
-            FaultInjector::none(),
-            9,
-        );
-        let _ = a.evaluate(&genomes); // generation 0
-        let from_a = a.evaluate(&genomes); // generation 1
-
-        let mut b = SummitEvaluator::new(
-            tiny_ctx(),
-            PoolConfig { n_workers: 2, ..PoolConfig::default() },
-            FaultInjector::none(),
-            9,
-        );
-        b.set_generation(1);
-        let from_b = b.evaluate(&genomes);
-        let values = |rs: &[EvalResult]| {
-            rs.iter().map(|r| r.fitness.values().to_vec()).collect::<Vec<_>>()
+        let fixture = fixture(PoolConfig { n_workers: 2, ..PoolConfig::default() });
+        let genomes = &genomes()[..2];
+        let mut status = StatusSink::new(&Campaign::new(&fixture.0), None);
+        let mut a = SummitEvaluator {
+            env: env(&fixture, &mut status, FaultInjector::none(), 9),
+            generation: 0,
+            reports: Vec::new(),
         };
+        let _ = a.evaluate(genomes); // generation 0
+        let from_a = a.evaluate(genomes); // generation 1
+
+        let mut status = StatusSink::new(&Campaign::new(&fixture.0), None);
+        let mut b = SummitEvaluator {
+            env: env(&fixture, &mut status, FaultInjector::none(), 9),
+            generation: 1,
+            reports: Vec::new(),
+        };
+        let from_b = b.evaluate(genomes);
         assert_eq!(values(&from_a), values(&from_b));
     }
 }

@@ -2,13 +2,14 @@
 //! dataset — the paper runs five, each on 100 Summit nodes for 7
 //! generations (the random generation 0 plus 6 EA steps).
 //!
-//! Campaigns can be journaled ([`run_experiment_journaled`]) and resumed
-//! ([`resume_experiment`]): every evaluation and generation boundary is
-//! appended to a write-ahead JSONL journal, and a resumed campaign replays
-//! the journaled work to a result bit-identical to an uninterrupted run
-//! (see [`crate::journal`] for the determinism contract). The journaled
-//! and plain paths share one driver loop, so journaling never changes the
-//! optimisation itself.
+//! [`Campaign`] is the one way to start a campaign. It can be journaled
+//! ([`Campaign::journal`]) and resumed ([`Campaign::resume`]): every
+//! evaluation and generation boundary is appended to a write-ahead JSONL
+//! journal, and a resumed campaign replays the journaled work to a result
+//! bit-identical to an uninterrupted run (see [`crate::journal`] for the
+//! determinism contract). Plain, journaled, observed and resumed campaigns
+//! all run the same body — they differ only in what [`Campaign::run`] hands
+//! the per-run drivers — so no option changes the optimisation itself.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
@@ -22,18 +23,18 @@ use rand::SeedableRng;
 
 use dphpo_dnnp::{StepBudget, TrainConfig};
 use dphpo_evo::nsga2::{GenerationRecord, Nsga2Config, Nsga2State, RunResult};
-use dphpo_evo::{FrontStats, Individual, ParetoArchive};
+use dphpo_evo::{Individual, ParetoArchive};
 use dphpo_hpc::{
     CostModel, FaultInjector, FaultPlan, IoSite, PoolConfig, PoolReport, SupervisorConfig,
     JOURNAL_APPEND_SITE, STATUS_FSYNC_SITE,
 };
 use dphpo_obs::profile::ProfileNode;
-use dphpo_obs::Recorder;
+use dphpo_obs::{Recorder, SpanCtx, NOOP};
 use dphpo_md::generate::{generate_dataset, GenConfig};
 use dphpo_md::Dataset;
 
 use crate::campaign_report::{self, CampaignStatus};
-use crate::ea::SummitEvaluator;
+use crate::ea::{RunEnv, SummitEvaluator};
 use crate::journal::{GenEntry, Journal, JournalError, JournalSink, JournalWriter};
 use crate::representation::DeepMDRepresentation;
 use crate::workflow::{stable_id, EvalContext};
@@ -221,13 +222,21 @@ impl ExperimentResult {
 #[derive(Debug)]
 pub enum ExperimentError {
     /// The (simulated) driver was killed mid-campaign — the crash the
-    /// write-ahead journal exists for. Resume with [`resume_experiment`].
+    /// write-ahead journal exists for. Resume with [`Campaign::resume`].
     Interrupted {
         /// Tasks the driver had journaled when it died.
         completed_tasks: u64,
     },
     /// Journal I/O or validation failure (corrupt file, stale config, …).
     Journal(JournalError),
+    /// A status or profile artifact could not be produced or rewritten. The
+    /// journal is unaffected: it verifies clean and the campaign resumes.
+    Artifact {
+        /// The file (or directory) that could not be written.
+        path: PathBuf,
+        /// The underlying error.
+        message: String,
+    },
 }
 
 impl fmt::Display for ExperimentError {
@@ -237,6 +246,9 @@ impl fmt::Display for ExperimentError {
                 write!(f, "driver killed after {completed_tasks} journaled tasks")
             }
             ExperimentError::Journal(e) => write!(f, "{e}"),
+            ExperimentError::Artifact { path, message } => {
+                write!(f, "cannot write {}: {message}", path.display())
+            }
         }
     }
 }
@@ -270,149 +282,6 @@ fn nsga2_config_for(config: &ExperimentConfig) -> Nsga2Config {
     }
 }
 
-/// Run the complete experiment: dataset generation plus `n_runs`
-/// independent NSGA-II deployments.
-pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
-    run_experiment_with(config, None)
-}
-
-/// As [`run_experiment`], with an optional per-generation progress callback
-/// `(run, generation)` for long harnesses.
-pub fn run_experiment_with(
-    config: &ExperimentConfig,
-    progress: Option<&mut dyn FnMut(usize, usize)>,
-) -> ExperimentResult {
-    run_experiment_inner(config, progress, None, None, None, None, None, None, None)
-        .expect("an unjournaled campaign cannot be interrupted")
-}
-
-/// As [`run_experiment`], with a telemetry recorder attached to every run's
-/// evaluator (run `r` becomes Chrome-trace process `r`). Recording is
-/// strictly observational: the campaign's populations, archives, and
-/// reports are bit-identical with or without it.
-pub fn run_experiment_observed(
-    config: &ExperimentConfig,
-    progress: Option<&mut dyn FnMut(usize, usize)>,
-    recorder: Arc<dyn Recorder>,
-) -> ExperimentResult {
-    run_experiment_inner(config, progress, None, None, None, Some(recorder), None, None, None)
-        .expect("an unjournaled campaign cannot be interrupted")
-}
-
-/// Run the experiment with a write-ahead journal at `journal_path`: every
-/// completed evaluation and generation boundary is appended (and flushed)
-/// before the campaign moves on, so a crash loses at most in-flight work.
-pub fn run_experiment_journaled(
-    config: &ExperimentConfig,
-    journal_path: &Path,
-    progress: Option<&mut dyn FnMut(usize, usize)>,
-) -> Result<ExperimentResult, ExperimentError> {
-    let writer = JournalWriter::create(journal_path, config)?;
-    run_experiment_inner(
-        config,
-        progress,
-        Some(Rc::new(RefCell::new(writer))),
-        None,
-        None,
-        None,
-        None,
-        None,
-        None,
-    )
-}
-
-/// As [`run_experiment_journaled`], with a telemetry recorder: journal
-/// appends are cross-referenced into the event stream by byte offset.
-pub fn run_experiment_journaled_observed(
-    config: &ExperimentConfig,
-    journal_path: &Path,
-    progress: Option<&mut dyn FnMut(usize, usize)>,
-    recorder: Arc<dyn Recorder>,
-) -> Result<ExperimentResult, ExperimentError> {
-    let writer = JournalWriter::create(journal_path, config)?;
-    run_experiment_inner(
-        config,
-        progress,
-        Some(Rc::new(RefCell::new(writer))),
-        None,
-        None,
-        Some(recorder),
-        None,
-        None,
-        None,
-    )
-}
-
-/// Chaos mode: as [`run_experiment_journaled`], but the (simulated) driver
-/// is killed after `kill_after_tasks` task completions — records past that
-/// point are lost, the campaign returns [`ExperimentError::Interrupted`],
-/// and the journal on disk is exactly what a real crash would leave.
-pub fn run_experiment_journaled_with_kill(
-    config: &ExperimentConfig,
-    journal_path: &Path,
-    kill_after_tasks: u64,
-) -> Result<ExperimentResult, ExperimentError> {
-    let writer = JournalWriter::create(journal_path, config)?;
-    run_experiment_inner(
-        config,
-        None,
-        Some(Rc::new(RefCell::new(writer))),
-        Some(kill_after_tasks),
-        None,
-        None,
-        None,
-        None,
-        None,
-    )
-}
-
-/// Resume an interrupted campaign from its journal. Journaled evaluations
-/// are replayed instead of retrained, missing tasks are re-submitted, and
-/// the continuation (appended to the same journal) reaches a result
-/// **bit-identical** to an uninterrupted run. The journal must have been
-/// written under the same configuration ([`Journal::check_config`]).
-pub fn resume_experiment(
-    config: &ExperimentConfig,
-    journal_path: &Path,
-    progress: Option<&mut dyn FnMut(usize, usize)>,
-) -> Result<ExperimentResult, ExperimentError> {
-    resume_experiment_inner(config, journal_path, progress, None)
-}
-
-/// As [`resume_experiment`], with a telemetry recorder. Replayed
-/// evaluations emit no per-step training events (they never retrain); their
-/// `eval` spans are still reconstructed from the journaled minutes.
-pub fn resume_experiment_observed(
-    config: &ExperimentConfig,
-    journal_path: &Path,
-    progress: Option<&mut dyn FnMut(usize, usize)>,
-    recorder: Arc<dyn Recorder>,
-) -> Result<ExperimentResult, ExperimentError> {
-    resume_experiment_inner(config, journal_path, progress, Some(recorder))
-}
-
-fn resume_experiment_inner(
-    config: &ExperimentConfig,
-    journal_path: &Path,
-    progress: Option<&mut dyn FnMut(usize, usize)>,
-    recorder: Option<Arc<dyn Recorder>>,
-) -> Result<ExperimentResult, ExperimentError> {
-    let journal = Journal::load(journal_path)?;
-    journal.check_config(config)?;
-    let writer = JournalWriter::open_append(journal_path, config, &journal)?;
-    run_experiment_inner(
-        config,
-        progress,
-        Some(Rc::new(RefCell::new(writer))),
-        None,
-        Some(&journal),
-        recorder,
-        None,
-        None,
-        None,
-    )
-}
-
 /// The live status surface: accumulates observatory rows and (when a path
 /// is configured) rewrites `campaign_status.json` atomically at every
 /// generation (or steady-state epoch) boundary.
@@ -436,22 +305,18 @@ pub(crate) struct StatusSink {
 }
 
 impl StatusSink {
-    fn new(
-        config: &ExperimentConfig,
-        path: Option<&Path>,
-        plan: Option<&Arc<FaultPlan>>,
-        profile_dir: Option<&Path>,
-        step_budget: Option<StepBudget>,
-    ) -> Self {
-        let io = match plan {
+    /// The sink `campaign` asked for; `step_budget` is required exactly when
+    /// it has a profile directory.
+    pub(crate) fn new(campaign: &Campaign<'_>, step_budget: Option<StepBudget>) -> Self {
+        let io = match &campaign.fault_plan {
             Some(plan) => IoSite::new(Arc::clone(plan), STATUS_FSYNC_SITE),
             None => IoSite::disabled(STATUS_FSYNC_SITE),
         };
         StatusSink {
-            status: CampaignStatus::new(config),
-            path: path.map(Path::to_path_buf),
+            status: CampaignStatus::new(campaign.config),
+            path: campaign.status_path.clone(),
             io,
-            profile_dir: profile_dir.map(Path::to_path_buf),
+            profile_dir: campaign.profile_dir.clone(),
             profile_runs: BTreeMap::new(),
             step_budget,
         }
@@ -471,6 +336,14 @@ impl StatusSink {
             .entry(run)
             .or_default()
             .push(crate::profile::generation_node(record, report));
+    }
+
+    /// Install one generational run's rows and attribution nodes by
+    /// replaying its journaled boundaries — bit-identical to what the
+    /// original driver published live.
+    fn restore_run(&mut self, run: usize, records: &[GenerationRecord], reports: &[PoolReport]) {
+        self.status.set_run(run, campaign_report::replay_rows(records, reports));
+        self.set_profile_run(run, records, reports);
     }
 
     /// Replace (or install) one run's attribution nodes from journaled
@@ -493,34 +366,39 @@ impl StatusSink {
         self.profile_runs.insert(run, rows);
     }
 
-    /// Rewrite the status file; returns `false` when an injected fault
-    /// swallowed this rewrite (the on-disk file is stale but intact).
+    /// Rewrite the profile artifacts and the status file. An *injected*
+    /// fault swallows the status rewrite (the on-disk file is stale but
+    /// intact, and the next boundary rewrites it whole); a real I/O error
+    /// ends the campaign with [`ExperimentError::Artifact`].
     ///
     /// Profile artifacts rewrite first, *outside* the fault-injection site:
     /// profiling on vs off must not shift the status site's occurrence
     /// sequence, and a swallowed status rewrite still leaves fresh profile
     /// artifacts (both are whole-file rewrites at every boundary anyway).
-    pub(crate) fn flush(&self) -> bool {
+    pub(crate) fn flush(&self) -> Result<(), ExperimentError> {
+        let failed = |path: &PathBuf, e: std::io::Error| ExperimentError::Artifact {
+            path: path.clone(),
+            message: e.to_string(),
+        };
         if let Some(dir) = &self.profile_dir {
             let root = crate::profile::campaign_node(&self.profile_runs);
             crate::profile::write_profile_atomic(dir, &root, self.step_budget.as_ref())
-                .expect("rewrite profile artifacts");
+                .map_err(|e| failed(dir, e))?;
         }
-        let Some(path) = &self.path else { return true };
+        let Some(path) = &self.path else { return Ok(()) };
         if self.io.next().is_some() {
-            return false;
+            return Ok(());
         }
-        campaign_report::write_status_atomic(path, &self.status)
-            .expect("rewrite campaign status file");
-        true
+        campaign_report::write_status_atomic(path, &self.status).map_err(|e| failed(path, e))
     }
 }
 
-/// Builder for campaigns that want the observatory surface: a write-ahead
-/// journal, a live `campaign_status.json` (rewritten atomically at every
-/// generation boundary), chaos-mode driver kills, resume, and telemetry —
-/// in any combination. The existing free functions remain as shorthands;
-/// this is the one place every option composes.
+/// The campaign entry point: dataset generation plus `n_runs` independent
+/// NSGA-II deployments, optionally with a write-ahead journal, a live
+/// `campaign_status.json` (rewritten atomically at every generation
+/// boundary), profile artifacts, chaos-mode driver kills, resume, and
+/// telemetry — in any combination. A plain `Campaign::new(&config).run(None)`
+/// cannot fail.
 ///
 /// ```no_run
 /// use dphpo_core::experiment::{Campaign, ExperimentConfig};
@@ -584,20 +462,33 @@ impl<'a> Campaign<'a> {
         self
     }
 
-    /// Chaos mode: kill the (simulated) driver after this many completed
-    /// tasks (see [`run_experiment_journaled_with_kill`]).
+    /// Chaos mode: kill the (simulated) driver after this many task
+    /// completions counted by this process (a resumed campaign counts the
+    /// replayed completions of its unfinished generation too). Records past
+    /// that point are lost, [`Campaign::run`] returns
+    /// [`ExperimentError::Interrupted`], and the journal on disk is exactly
+    /// what a real crash would leave.
     pub fn kill_after(mut self, tasks: u64) -> Self {
         self.kill_after_tasks = Some(tasks);
         self
     }
 
-    /// Resume from the attached journal instead of starting fresh.
+    /// Resume from the attached journal instead of starting fresh:
+    /// journaled evaluations are replayed instead of retrained, missing
+    /// tasks are re-submitted, and the continuation (appended to the same
+    /// journal) reaches a result **bit-identical** to an uninterrupted run.
+    /// The journal must have been written under the same configuration
+    /// ([`Journal::check_config`]).
     pub fn resume(mut self) -> Self {
         self.resume = true;
         self
     }
 
-    /// Attach a telemetry recorder (strictly observational).
+    /// Attach a telemetry recorder (run `r` becomes Chrome-trace process
+    /// `r`). Recording is strictly observational: populations, archives,
+    /// reports and journal bytes are identical with or without it. Replayed
+    /// evaluations emit no per-step training events (they never retrain);
+    /// their `eval` spans are still reconstructed from the journaled minutes.
     pub fn recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
         self.recorder = Some(recorder);
         self
@@ -613,46 +504,153 @@ impl<'a> Campaign<'a> {
         self
     }
 
-    /// Run (or resume) the campaign.
+    /// The attached journal path, if any.
+    pub fn journal_path(&self) -> Option<&Path> {
+        self.journal_path.as_deref()
+    }
+
+    /// Whether this campaign resumes from its journal.
+    pub fn is_resume(&self) -> bool {
+        self.resume
+    }
+
+    /// Open the journal pair: a fresh writer, or — resuming — the loaded
+    /// journal plus a writer appending after its valid prefix.
+    fn open_journal(&self) -> Result<(Option<JournalWriter>, Option<Journal>), JournalError> {
+        match (self.journal_path(), self.resume) {
+            (Some(path), false) => Ok((Some(JournalWriter::create(path, self.config)?), None)),
+            (Some(path), true) => {
+                let journal = Journal::load(path)?;
+                journal.check_config(self.config)?;
+                Ok((Some(JournalWriter::open_append(path, &journal)?), Some(journal)))
+            }
+            (None, false) => Ok((None, None)),
+            (None, true) => Err(JournalError::new("resume requires a journal path")),
+        }
+    }
+
+    /// Run (or resume) the campaign, calling `progress(run, generation)` at
+    /// every generation (or steady-state epoch) a run reaches.
     pub fn run(
         self,
-        progress: Option<&mut dyn FnMut(usize, usize)>,
+        mut progress: Option<&mut dyn FnMut(usize, usize)>,
     ) -> Result<ExperimentResult, ExperimentError> {
-        let status_path = self.status_path.as_deref();
-        let profile_dir = self.profile_dir.as_deref();
-        if self.resume {
-            let journal_path =
-                self.journal_path.as_deref().expect("resume requires a journal path");
-            let journal = Journal::load(journal_path)?;
-            journal.check_config(self.config)?;
-            let writer = JournalWriter::open_append(journal_path, self.config, &journal)?;
-            return run_experiment_inner(
-                self.config,
-                progress,
-                Some(Rc::new(RefCell::new(writer))),
-                None,
-                Some(&journal),
-                self.recorder,
-                status_path,
-                self.fault_plan,
-                profile_dir,
-            );
-        }
-        let writer = match self.journal_path.as_deref() {
-            Some(path) => Some(Rc::new(RefCell::new(JournalWriter::create(path, self.config)?))),
+        let config = self.config;
+        let (mut writer, resume_from) = self.open_journal()?;
+        let (train, val) = build_dataset(config);
+        let nsga2 = nsga2_config_for(config);
+
+        // The step budget is a deterministic census of the base
+        // configuration's tape (node counts depend only on shapes), computed
+        // once per campaign and embedded in every profile.json rewrite.
+        let step_budget = match &self.profile_dir {
+            Some(dir) => Some(
+                dphpo_dnnp::step_budget(&config.base_train_config, &train, &val).map_err(
+                    |message| ExperimentError::Artifact { path: dir.clone(), message },
+                )?,
+            ),
             None => None,
         };
-        run_experiment_inner(
-            self.config,
-            progress,
-            writer,
-            self.kill_after_tasks,
-            None,
-            self.recorder,
-            status_path,
-            self.fault_plan,
-            profile_dir,
-        )
+
+        // The fault plan's driver kill composes with (and loses to) an
+        // explicit kill budget; its I/O faults attach to the journal writer
+        // and the status sink at their named sites.
+        let mut kill_budget = self
+            .kill_after_tasks
+            .or_else(|| self.fault_plan.as_ref().and_then(|p| p.driver_kill()));
+        if let (Some(writer), Some(plan)) = (&mut writer, &self.fault_plan) {
+            writer.set_io_site(IoSite::new(Arc::clone(plan), JOURNAL_APPEND_SITE));
+        }
+        let writer = writer.map(|w| Rc::new(RefCell::new(w)));
+
+        let ctx = Arc::new(EvalContext {
+            base_config: config.base_train_config.clone(),
+            train,
+            val,
+            cost_model: CostModel::default(),
+            workdir: None,
+        });
+        let obs: &dyn Recorder = self.recorder.as_deref().unwrap_or(&NOOP);
+        let mut status = StatusSink::new(&self, step_budget);
+        let mut runs = Vec::with_capacity(config.n_runs);
+        let mut pool_reports = Vec::with_capacity(config.n_runs);
+        let mut archives = Vec::with_capacity(config.n_runs);
+        for run_idx in 0..config.n_runs {
+            // Steady-state journals carry no generation boundaries: resume
+            // restores from the run's last snapshot (if any) and replays
+            // only the arrival suffix after it — O(window) instead of
+            // O(campaign) — so there is no restore point (and no
+            // finished-run shortcut) to look for.
+            let (restored, steady_snap) = match (config.mode, &resume_from) {
+                (CampaignMode::Generational, Some(journal)) => {
+                    (restore_point(journal, run_idx)?, None)
+                }
+                (CampaignMode::SteadyState, Some(journal)) => {
+                    (None, journal.last_snapshot_for(run_idx).cloned())
+                }
+                (_, None) => (None, None),
+            };
+            // A run the journal shows as finished is reconstructed outright
+            // — no evaluator, no training, nothing re-journaled. Its
+            // observatory rows come from replaying the journaled boundaries.
+            let restored = match restored {
+                Some(point) if point.state.generation >= config.generations => {
+                    status.restore_run(run_idx, &point.state.history, &point.reports);
+                    status.flush()?;
+                    runs.push(point.state.into_result());
+                    pool_reports.push(point.reports);
+                    archives.push(point.archive);
+                    continue;
+                }
+                other => other,
+            };
+            let seed = config.master_seed + run_idx as u64;
+            let mut faults = FaultInjector::new(config.fault_probability, seed ^ 0xfa_17);
+            if let Some(k) = kill_budget {
+                faults = faults.with_driver_kill(k);
+            }
+            let journal = writer.as_ref().map(|writer| {
+                let mut replay =
+                    resume_from.as_ref().map_or_else(HashMap::new, |j| j.replay_for(run_idx));
+                if let Some(snap) = &steady_snap {
+                    replay.retain(|_, e| e.arrival.is_none_or(|a| a >= snap.arrivals));
+                }
+                JournalSink { writer: Rc::clone(writer), replay: Rc::new(replay) }
+            });
+            let env = RunEnv {
+                config,
+                run: run_idx,
+                seed,
+                ctx: Arc::clone(&ctx),
+                faults,
+                journal,
+                obs,
+                base_span: SpanCtx::root(seed, run_idx as u32),
+                status: &mut status,
+            };
+            let (result, reports, archive, completed) = match config.mode {
+                CampaignMode::Generational => drive_run(env, &nsga2, restored, &mut progress)?,
+                CampaignMode::SteadyState => {
+                    crate::steady::drive_steady_run(env, &nsga2, steady_snap, &mut progress)?
+                }
+            };
+            // The kill budget spans the whole campaign: tasks this run
+            // consumed bring the next run's driver that much closer to its
+            // death.
+            if let Some(k) = kill_budget.as_mut() {
+                *k -= completed.min(*k);
+            }
+            runs.push(result);
+            pool_reports.push(reports);
+            archives.push(archive);
+        }
+        Ok(ExperimentResult {
+            config: config.clone(),
+            runs,
+            pool_reports,
+            archives,
+            status: status.status,
+        })
     }
 }
 
@@ -689,28 +687,26 @@ fn restore_point(
 
 /// Close out one generation: fold the survivors into the Pareto archive,
 /// verify the (chaos-mode) driver survived the batch, journal the
-/// boundary, and publish the observatory row. The order matters — a driver
-/// that died during the batch must *not* write the boundary (or the status
-/// row), exactly like a real crash.
+/// boundary, and publish it. The order matters — a driver that died during
+/// the batch must *not* write the boundary (or the status row), exactly
+/// like a real crash.
 fn finish_generation(
     state: &Nsga2State,
     archive: &mut ParetoArchive,
-    journal: &Option<JournalSink>,
-    evaluator: &SummitEvaluator,
+    evaluator: &mut SummitEvaluator<'_>,
     rng: &StdRng,
-    run_idx: usize,
-    status: &mut StatusSink,
 ) -> Result<(), ExperimentError> {
     let record = state.history.last().expect("a completed generation has a record");
     let churn = archive.offer_all_counted(&record.population);
-    let faults = evaluator.faults();
-    if !faults.driver_alive() {
-        return Err(ExperimentError::Interrupted { completed_tasks: faults.completed_tasks() });
+    let env = &mut evaluator.env;
+    if !env.faults.driver_alive() {
+        return Err(env.interrupted());
     }
-    let report = evaluator.reports().last().cloned().unwrap_or_default();
-    if let Some(sink) = journal {
+    let (report, earlier) =
+        evaluator.reports.split_last().expect("every evaluated batch pushed its report");
+    if let Some(sink) = &env.journal {
         let entry = GenEntry {
-            run: run_idx,
+            run: env.run,
             record: record.clone(),
             std: state.std.clone(),
             evaluations: state.evaluations,
@@ -722,76 +718,36 @@ fn finish_generation(
             // A boundary that failed to reach disk is a crash at this
             // boundary: the driver dies, and resume re-derives the
             // generation from its (durable) evaluation records.
-            faults.declare_dead();
-            return Err(ExperimentError::Interrupted {
-                completed_tasks: faults.completed_tasks(),
-            });
+            env.faults.declare_dead();
+            return Err(env.interrupted());
         }
     }
-    let row = campaign_report::generation_row(record, archive, churn, &report);
-    evaluator.observe_front(
-        record.generation as u64,
-        FrontStats {
-            cardinality: row.cardinality,
-            hypervolume: row.hypervolume,
-            spread: row.spread,
-        },
-        churn,
-    );
-    status.push_profile_row(run_idx, record, &report);
-    status.status.push_row(run_idx, row);
-    status.flush();
-    Ok(())
+    // This generation's batch started where the earlier batches' makespans
+    // end on the campaign's simulated clock.
+    let sim_offset: f64 = earlier.iter().map(|r| r.makespan_minutes).sum();
+    env.publish_boundary(record, archive, churn, report, sim_offset)
 }
 
-/// Drive one EA run to completion — fresh or restored. Plain, journaled,
-/// and resumed campaigns all pass through here, which is what guarantees
-/// they optimise identically.
-#[allow(clippy::too_many_arguments)]
+/// Drive one generational EA run to completion — fresh or restored. Plain,
+/// journaled, and resumed campaigns all pass through here, which is what
+/// guarantees they optimise identically.
 fn drive_run(
-    config: &ExperimentConfig,
+    env: RunEnv<'_>,
     nsga2: &Nsga2Config,
-    train: &Arc<Dataset>,
-    val: &Arc<Dataset>,
-    run_idx: usize,
-    faults: FaultInjector,
-    journal: Option<JournalSink>,
     restored: Option<RestorePoint>,
     progress: &mut Option<&mut dyn FnMut(usize, usize)>,
-    recorder: Option<&Arc<dyn Recorder>>,
-    status: &mut StatusSink,
 ) -> Result<(RunResult, Vec<PoolReport>, ParetoArchive, u64), ExperimentError> {
-    let seed = config.master_seed + run_idx as u64;
-    let ctx = Arc::new(EvalContext {
-        base_config: config.base_train_config.clone(),
-        train: Arc::clone(train),
-        val: Arc::clone(val),
-        cost_model: CostModel::default(),
-        workdir: None,
-    });
-    let mut evaluator = SummitEvaluator::new(ctx, config.pool, faults, seed);
-    if let Some(sink) = &journal {
-        evaluator.attach_journal(sink.clone());
-    }
-    if let Some(rec) = recorder {
-        evaluator.attach_recorder(Arc::clone(rec), run_idx as u32);
-    }
-    let (state, mut rng, mut archive) = match restored {
+    let (run_idx, seed, generations) = (env.run, env.seed, env.config.generations);
+    let (state, mut rng, mut archive, generation, reports) = match restored {
         Some(point) => {
-            // Prefill the observatory rows for the restored generations by
-            // replaying the journaled boundaries — bit-identical to the
-            // rows the original driver published live.
-            status.status.set_run(
-                run_idx,
-                campaign_report::replay_rows(&point.state.history, &point.reports),
-            );
-            status.set_profile_run(run_idx, &point.state.history, &point.reports);
-            evaluator.set_generation(point.state.generation as u64 + 1);
-            evaluator.preload_reports(point.reports);
-            (Some(point.state), StdRng::from_state(point.rng_state), point.archive)
+            env.status.restore_run(run_idx, &point.state.history, &point.reports);
+            let next = point.state.generation as u64 + 1;
+            let rng = StdRng::from_state(point.rng_state);
+            (Some(point.state), rng, point.archive, next, point.reports)
         }
-        None => (None, StdRng::seed_from_u64(seed), ParetoArchive::new()),
+        None => (None, StdRng::seed_from_u64(seed), ParetoArchive::new(), 0, Vec::new()),
     };
+    let mut evaluator = SummitEvaluator { env, generation, reports };
     if let Some(cb) = progress.as_deref_mut() {
         cb(run_idx, state.as_ref().map_or(0, |s| s.generation));
     }
@@ -816,151 +772,20 @@ fn drive_run(
         None => {
             let mut s = Nsga2State::start(nsga2, &mut evaluator, &mut rng);
             restamp(&mut s);
-            finish_generation(&s, &mut archive, &journal, &evaluator, &rng, run_idx, status)?;
+            finish_generation(&s, &mut archive, &mut evaluator, &rng)?;
             s
         }
     };
     while !state.is_complete(nsga2) {
         state.step(nsga2, &mut evaluator, &mut rng);
         restamp(&mut state);
-        finish_generation(&state, &mut archive, &journal, &evaluator, &rng, run_idx, status)?;
+        finish_generation(&state, &mut archive, &mut evaluator, &rng)?;
     }
     if let Some(cb) = progress.as_deref_mut() {
-        cb(run_idx, config.generations);
+        cb(run_idx, generations);
     }
-    let completed = evaluator.faults().completed_tasks();
-    let reports = evaluator.reports().to_vec();
-    Ok((state.into_result(), reports, archive, completed))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_experiment_inner(
-    config: &ExperimentConfig,
-    mut progress: Option<&mut dyn FnMut(usize, usize)>,
-    journal_writer: Option<Rc<RefCell<JournalWriter>>>,
-    mut kill_budget: Option<u64>,
-    resume_from: Option<&Journal>,
-    recorder: Option<Arc<dyn Recorder>>,
-    status_path: Option<&Path>,
-    fault_plan: Option<Arc<FaultPlan>>,
-    profile_dir: Option<&Path>,
-) -> Result<ExperimentResult, ExperimentError> {
-    let (train, val) = build_dataset(config);
-    let nsga2 = nsga2_config_for(config);
-
-    // The step budget is a deterministic census of the base configuration's
-    // tape (node counts depend only on shapes), computed once per campaign
-    // and embedded in every profile.json rewrite.
-    let step_budget = profile_dir.map(|_| {
-        dphpo_dnnp::step_budget(&config.base_train_config, &train, &val)
-            .expect("step-budget census for the profile artifacts")
-    });
-
-    // The fault plan's driver kill composes with (and loses to) an explicit
-    // kill budget; its I/O faults attach to the journal writer and the
-    // status sink at their named sites.
-    if kill_budget.is_none() {
-        kill_budget = fault_plan.as_ref().and_then(|p| p.driver_kill());
-    }
-    if let (Some(writer), Some(plan)) = (&journal_writer, &fault_plan) {
-        writer
-            .borrow_mut()
-            .set_io_site(IoSite::new(Arc::clone(plan), JOURNAL_APPEND_SITE));
-    }
-
-    let mut status = StatusSink::new(config, status_path, fault_plan.as_ref(), profile_dir, step_budget);
-    let mut runs = Vec::with_capacity(config.n_runs);
-    let mut pool_reports = Vec::with_capacity(config.n_runs);
-    let mut archives = Vec::with_capacity(config.n_runs);
-    for run_idx in 0..config.n_runs {
-        // Steady-state journals carry no generation boundaries: resume is a
-        // full deterministic re-derivation through the replay map, so there
-        // is no restore point (and no finished-run shortcut) to look for.
-        let mut restored = match (config.mode, resume_from) {
-            (CampaignMode::Generational, Some(journal)) => restore_point(journal, run_idx)?,
-            _ => None,
-        };
-        // A run the journal shows as finished is reconstructed outright —
-        // no evaluator, no training, nothing re-journaled. Its observatory
-        // rows come from replaying the journaled boundaries.
-        if restored.as_ref().is_some_and(|p| p.state.generation >= config.generations) {
-            let point = restored.take().expect("just checked");
-            status
-                .status
-                .set_run(run_idx, campaign_report::replay_rows(&point.state.history, &point.reports));
-            status.set_profile_run(run_idx, &point.state.history, &point.reports);
-            status.flush();
-            runs.push(point.state.into_result());
-            pool_reports.push(point.reports);
-            archives.push(point.archive);
-            continue;
-        }
-        let seed = config.master_seed + run_idx as u64;
-        let mut faults = FaultInjector::new(config.fault_probability, seed ^ 0xfa_17);
-        if let Some(k) = kill_budget {
-            faults = faults.with_driver_kill(k);
-        }
-        // A steady-state resume restores from the run's last snapshot (if
-        // any) and replays only the arrival suffix after it — O(window)
-        // instead of O(campaign).
-        let steady_snap = match (config.mode, resume_from) {
-            (CampaignMode::SteadyState, Some(journal)) => {
-                journal.last_snapshot_for(run_idx).cloned()
-            }
-            _ => None,
-        };
-        let sink = journal_writer.as_ref().map(|writer| {
-            let mut replay =
-                resume_from.map_or_else(HashMap::new, |j| j.replay_for(run_idx));
-            if let Some(snap) = &steady_snap {
-                replay.retain(|_, e| e.arrival.is_none_or(|a| a >= snap.arrivals));
-            }
-            JournalSink { run: run_idx, writer: Rc::clone(writer), replay: Rc::new(replay) }
-        });
-        let (result, reports, archive, completed) = match config.mode {
-            CampaignMode::Generational => drive_run(
-                config,
-                &nsga2,
-                &train,
-                &val,
-                run_idx,
-                faults,
-                sink,
-                restored,
-                &mut progress,
-                recorder.as_ref(),
-                &mut status,
-            )?,
-            CampaignMode::SteadyState => crate::steady::drive_steady_run(
-                config,
-                &nsga2,
-                &train,
-                &val,
-                run_idx,
-                faults,
-                sink,
-                steady_snap,
-                &mut progress,
-                recorder.as_ref(),
-                &mut status,
-            )?,
-        };
-        // The kill budget spans the whole campaign: tasks this run consumed
-        // bring the next run's driver that much closer to its death.
-        if let Some(k) = kill_budget.as_mut() {
-            *k -= completed.min(*k);
-        }
-        runs.push(result);
-        pool_reports.push(reports);
-        archives.push(archive);
-    }
-    Ok(ExperimentResult {
-        config: config.clone(),
-        runs,
-        pool_reports,
-        archives,
-        status: status.status,
-    })
+    let completed = evaluator.env.faults.completed_tasks();
+    Ok((state.into_result(), evaluator.reports, archive, completed))
 }
 
 #[cfg(test)]
@@ -984,7 +809,7 @@ mod tests {
     #[test]
     fn smoke_experiment_runs_end_to_end() {
         let config = ExperimentConfig::smoke();
-        let result = run_experiment(&config);
+        let result = Campaign::new(&config).run(None).unwrap();
         assert_eq!(result.runs.len(), 2);
         assert_eq!(result.total_evaluations(), 2 * 4 * 2);
         for run in &result.runs {
@@ -1009,8 +834,8 @@ mod tests {
                 .map(|i| i.fitness().values().to_vec())
                 .collect::<Vec<_>>()
         };
-        let a = run_experiment(&config);
-        let b = run_experiment(&config);
+        let a = Campaign::new(&config).run(None).unwrap();
+        let b = Campaign::new(&config).run(None).unwrap();
         assert_eq!(fitness_of(&a), fitness_of(&b));
         assert_eq!(a.archives[0].objective_pairs(), b.archives[0].objective_pairs());
     }

@@ -26,8 +26,8 @@
 //! truncates it at the first bad frame, quarantines the trailing bytes to
 //! `<journal>.quarantine`, and leaves a journal that resumes
 //! deterministically from the last intact record. Unframed v1 journals
-//! (plain JSONL) are still read by a compatibility scanner and upgraded to
-//! v2 in place on the first resume.
+//! (plain JSONL) are refused with an error naming the unsupported version —
+//! never read as damaged v2.
 //!
 //! Steady-state campaigns additionally append self-contained **snapshot**
 //! records at epoch-window boundaries (population, mutation σ, pending
@@ -87,8 +87,7 @@ use crate::workflow::EvalRecord;
 
 /// Journal format version; bumped on any schema change. Version 2 added
 /// the CRC frame layer, snapshot records, and deterministic individual
-/// ids; version 1 files are still readable (and are upgraded in place on
-/// the first resume).
+/// ids; it is the only version this build reads.
 pub const JOURNAL_VERSION: u64 = 2;
 
 /// Journal parse/validation failure, with enough context to diagnose a
@@ -100,7 +99,7 @@ pub struct JournalError {
 }
 
 impl JournalError {
-    fn new(message: impl Into<String>) -> Self {
+    pub(crate) fn new(message: impl Into<String>) -> Self {
         JournalError { message: message.into() }
     }
 }
@@ -1147,18 +1146,8 @@ impl JournalWriter {
 
     /// Reopen an existing journal for appending, first truncating it to
     /// `journal.valid_len` — the valid prefix [`Journal::load`] measured —
-    /// so a torn final frame from the crash is discarded. A v1 journal is
-    /// upgraded in place: its records are rewritten as v2 frames under a
-    /// fresh v2 header (atomically, via a temp file + rename) before the
-    /// writer opens at the end.
-    pub fn open_append(
-        path: &Path,
-        config: &ExperimentConfig,
-        journal: &Journal,
-    ) -> Result<Self, JournalError> {
-        if journal.version < 2 {
-            return upgrade_v1(path, config, journal);
-        }
+    /// so a torn final frame from the crash is discarded.
+    pub fn open_append(path: &Path, journal: &Journal) -> Result<Self, JournalError> {
         let mut file = OpenOptions::new()
             .write(true)
             .open(path)
@@ -1246,76 +1235,14 @@ impl JournalWriter {
     }
 }
 
-/// Upgrade a v1 journal to v2 framing, atomically: a fresh v2 header
-/// (frame 0) followed by every v1 record payload re-framed in original
-/// file order, written to a temp file and renamed over the original. The
-/// v1 header, blank lines, and any torn tail are dropped.
-fn upgrade_v1(
-    path: &Path,
-    config: &ExperimentConfig,
-    journal: &Journal,
-) -> Result<JournalWriter, JournalError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| JournalError::new(format!("cannot read {}: {e}", path.display())))?;
-    let scan = scan_text(&text[..journal.valid_len as usize]);
-    if let Some((offset, reason)) = &scan.first_bad {
-        return Err(JournalError::new(format!(
-            "cannot upgrade {}: corrupt record at byte {offset}: {reason}",
-            path.display()
-        )));
-    }
-    let mut content = String::new();
-    let mut seq = 0u64;
-    content.push_str(&frame_line(seq, &header_json(config).to_compact()));
-    seq += 1;
-    for frame in &scan.frames {
-        if matches!(frame.record, ScannedRecord::Header { .. }) {
-            continue;
-        }
-        content.push_str(&frame_line(seq, &frame.payload));
-        seq += 1;
-    }
-    let tmp = path.with_extension("upgrade.tmp");
-    {
-        let mut f = File::create(&tmp)
-            .map_err(|e| JournalError::new(format!("cannot create {}: {e}", tmp.display())))?;
-        f.write_all(content.as_bytes())
-            .and_then(|()| f.sync_all())
-            .map_err(|e| JournalError::new(format!("cannot write upgraded journal: {e}")))?;
-    }
-    std::fs::rename(&tmp, path)
-        .map_err(|e| JournalError::new(format!("cannot install upgraded journal: {e}")))?;
-    let mut file = OpenOptions::new()
-        .write(true)
-        .open(path)
-        .map_err(|e| JournalError::new(format!("cannot open {}: {e}", path.display())))?;
-    file.seek(SeekFrom::End(0))
-        .map_err(|e| JournalError::new(format!("cannot seek journal: {e}")))?;
-    Ok(JournalWriter {
-        file,
-        offset: content.len() as u64,
-        seq,
-        io: IoSite::disabled(JOURNAL_APPEND_SITE),
-    })
-}
-
-/// The journal handle an evaluator carries: where to append, which run it
-/// belongs to, and the replay map of already-journaled evaluations.
+/// The journal handle a run's driver carries: where to append, and the
+/// replay map of that run's already-journaled evaluations.
 #[derive(Clone)]
 pub struct JournalSink {
-    /// Run this sink journals for.
-    pub run: usize,
-    /// Shared append handle (the experiment loop also writes boundaries).
+    /// Shared append handle (every run of a campaign appends to one file).
     pub writer: Rc<RefCell<JournalWriter>>,
     /// Journaled evaluations of this run, keyed `(generation, slot)`.
     pub replay: Rc<HashMap<(usize, usize), EvalEntry>>,
-}
-
-impl JournalSink {
-    /// A sink with nothing to replay (fresh campaign).
-    pub fn fresh(run: usize, writer: Rc<RefCell<JournalWriter>>) -> Self {
-        JournalSink { run, writer, replay: Rc::new(HashMap::new()) }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1330,9 +1257,9 @@ enum ScannedRecord {
     Snapshot(SnapshotEntry),
 }
 
-/// One valid record with its file position and original payload text (the
-/// payload is re-emitted verbatim by upgrade and compaction, so rewritten
-/// journals never drift through re-serialisation).
+/// One valid record with its original payload text (the payload is
+/// re-emitted verbatim by compaction, so rewritten journals never drift
+/// through re-serialisation).
 struct ScannedFrame {
     payload: String,
     record: ScannedRecord,
@@ -1343,24 +1270,22 @@ struct ScannedFrame {
 /// torn, newline-less tail is *not* corruption — it is the expected
 /// signature of a crash mid-append).
 struct ScanOutcome {
-    version: u64,
     frames: Vec<ScannedFrame>,
     valid_len: u64,
     first_bad: Option<(u64, String)>,
 }
 
-/// Scan journal text, sniffing the format: v2 frames start with `J2 `,
-/// v1 records are bare JSON objects starting with `{`.
-fn scan_text(text: &str) -> ScanOutcome {
+/// Scan journal text frame by frame. Every frame starts with `J2 `; a file
+/// that opens with `{` is an unframed version-1 journal (bare JSONL), which
+/// is refused outright rather than reported as a damaged v2 file.
+fn scan_text(text: &str) -> Result<ScanOutcome, JournalError> {
     if text.starts_with('{') {
-        scan_v1(text)
-    } else {
-        scan_v2(text)
+        return Err(JournalError::new(format!(
+            "unframed (version 1) journal: this build reads only format version \
+             {JOURNAL_VERSION}"
+        )));
     }
-}
-
-fn scan_v2(text: &str) -> ScanOutcome {
-    let mut out = ScanOutcome { version: 2, frames: Vec::new(), valid_len: 0, first_bad: None };
+    let mut out = ScanOutcome { frames: Vec::new(), valid_len: 0, first_bad: None };
     let mut offset = 0usize;
     for line in text.split_inclusive('\n') {
         if !line.ends_with('\n') {
@@ -1387,45 +1312,7 @@ fn scan_v2(text: &str) -> ScanOutcome {
             }
         }
     }
-    out
-}
-
-/// v1 compatibility scanner: bare JSONL with the original tolerance rules
-/// (blank lines skipped, a torn or unparseable *final* line tolerated,
-/// anything earlier corrupt).
-fn scan_v1(text: &str) -> ScanOutcome {
-    let mut out = ScanOutcome { version: 1, frames: Vec::new(), valid_len: 0, first_bad: None };
-    let mut offset = 0usize;
-    let mut lines = text.split_inclusive('\n').peekable();
-    while let Some(line) = lines.next() {
-        let is_last = lines.peek().is_none();
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            offset += line.len();
-            continue;
-        }
-        // A record is durable only once its trailing newline reached the
-        // file: a torn write can end exactly at a parseable boundary, and
-        // appending after it would merge two records onto one line.
-        if is_last && !line.ends_with('\n') {
-            break;
-        }
-        match typed_record(trimmed, offset as u64, out.frames.is_empty()) {
-            Ok(record) => {
-                out.frames.push(ScannedFrame { payload: trimmed.to_string(), record });
-                offset += line.len();
-                out.valid_len = offset as u64;
-            }
-            // An unparseable final line is the v1 signature of a crash
-            // mid-append; anything earlier is real corruption.
-            Err(_) if is_last => break,
-            Err(e) => {
-                out.first_bad = Some((offset as u64, e.message));
-                break;
-            }
-        }
-    }
-    out
+    Ok(out)
 }
 
 /// Parse and type-check one record payload. The header must be the first
@@ -1442,9 +1329,9 @@ fn typed_record(payload: &str, offset: u64, first: bool) -> Result<ScannedRecord
                 )));
             }
             let version = f64_field(&record, "version")? as u64;
-            if version == 0 || version > JOURNAL_VERSION {
+            if version != JOURNAL_VERSION {
                 return Err(JournalError::new(format!(
-                    "journal version {version} > supported {JOURNAL_VERSION}"
+                    "journal version {version} != supported {JOURNAL_VERSION}"
                 )));
             }
             Ok(ScannedRecord::Header {
@@ -1488,8 +1375,6 @@ pub struct Journal {
     pub snapshots: BTreeMap<(usize, usize), SnapshotEntry>,
     /// Byte length of the valid prefix (pass to [`JournalWriter::open_append`]).
     pub valid_len: u64,
-    /// Container format the file was read as (1 = bare JSONL, 2 = framed).
-    pub version: u64,
     /// Valid records (frames) in the file, header included.
     pub frames: u64,
 }
@@ -1505,7 +1390,7 @@ impl Journal {
             )));
         }
         let text = std::str::from_utf8(&bytes).expect("checked above");
-        let scan = scan_text(text);
+        let scan = scan_text(text)?;
         if let Some((offset, reason)) = &scan.first_bad {
             return Err(JournalError::new(format!(
                 "{}: corrupt record at byte {offset}: {reason} — run salvage to truncate \
@@ -1523,7 +1408,6 @@ impl Journal {
             generations: BTreeMap::new(),
             snapshots: BTreeMap::new(),
             valid_len: scan.valid_len,
-            version: scan.version,
             frames: scan.frames.len() as u64,
         };
         let mut saw_header = false;
@@ -1606,8 +1490,6 @@ impl Journal {
 /// What [`salvage`] did to a damaged journal.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SalvageReport {
-    /// Container format of the salvaged file (1 or 2).
-    pub version: u64,
     /// Valid records kept (header included).
     pub frames_kept: u64,
     /// Byte length the journal was truncated to.
@@ -1630,7 +1512,7 @@ pub struct SalvageReport {
 pub fn salvage(path: &Path) -> Result<SalvageReport, JournalError> {
     let (bytes, text_len, utf8_bad) = read_text_prefix(path)?;
     let text = std::str::from_utf8(&bytes[..text_len]).expect("prefix is valid UTF-8");
-    let scan = scan_text(text);
+    let scan = scan_text(text)?;
     let quarantine_path = PathBuf::from(format!("{}.quarantine", path.display()));
     let quarantined = &bytes[scan.valid_len as usize..];
     if !quarantined.is_empty() {
@@ -1647,7 +1529,6 @@ pub fn salvage(path: &Path) -> Result<SalvageReport, JournalError> {
             .map_err(|e| JournalError::new(format!("cannot sync journal: {e}")))?;
     }
     Ok(SalvageReport {
-        version: scan.version,
         frames_kept: scan.frames.len() as u64,
         valid_len: scan.valid_len,
         quarantined_bytes: quarantined.len() as u64,
@@ -1659,8 +1540,6 @@ pub fn salvage(path: &Path) -> Result<SalvageReport, JournalError> {
 /// Offline integrity report for a journal file ([`verify`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VerifyReport {
-    /// Container format (1 = bare JSONL, 2 = framed).
-    pub version: u64,
     /// Valid records (header included).
     pub frames: u64,
     /// Evaluation records among them.
@@ -1689,13 +1568,13 @@ impl VerifyReport {
 
 /// Check a journal's integrity without modifying it: counts valid frames
 /// by kind, finds the last snapshot, and reports the first corrupt offset
-/// if any. Errs only if the file cannot be read at all.
+/// if any. Errs only if the file cannot be read at all or is an unframed
+/// version-1 journal.
 pub fn verify(path: &Path) -> Result<VerifyReport, JournalError> {
     let (bytes, text_len, utf8_bad) = read_text_prefix(path)?;
     let text = std::str::from_utf8(&bytes[..text_len]).expect("prefix is valid UTF-8");
-    let scan = scan_text(text);
+    let scan = scan_text(text)?;
     let mut report = VerifyReport {
-        version: scan.version,
         frames: scan.frames.len() as u64,
         evals: 0,
         generations: 0,
@@ -1740,12 +1619,11 @@ pub struct CompactReport {
 /// the last boundary. Original payload bytes are re-emitted verbatim under
 /// fresh frame sequence numbers, so nothing drifts through
 /// re-serialisation. Refuses damaged files (salvage first) and torn tails
-/// are dropped. v1 journals are compacted *and* upgraded to v2 framing in
-/// one pass.
+/// are dropped.
 pub fn compact(path: &Path) -> Result<CompactReport, JournalError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| JournalError::new(format!("cannot read {}: {e}", path.display())))?;
-    let scan = scan_text(&text);
+    let scan = scan_text(&text)?;
     if let Some((offset, reason)) = &scan.first_bad {
         return Err(JournalError::new(format!(
             "cannot compact {}: corrupt record at byte {offset}: {reason} — salvage first",
@@ -1755,13 +1633,6 @@ pub fn compact(path: &Path) -> Result<CompactReport, JournalError> {
     let header = match scan.frames.first() {
         Some(frame) if matches!(frame.record, ScannedRecord::Header { .. }) => frame,
         _ => return Err(JournalError::new("journal has no header record")),
-    };
-    // v1 header payloads declare version 1; re-framing them under v2
-    // containers requires the declared version to follow.
-    let header_payload = if scan.version < 2 {
-        upgraded_header_payload(&header.payload)?
-    } else {
-        header.payload.clone()
     };
 
     // Steady-state journals are recognisable by their records alone:
@@ -1785,7 +1656,7 @@ pub fn compact(path: &Path) -> Result<CompactReport, JournalError> {
     runs.sort_unstable();
     runs.dedup();
 
-    let mut kept: Vec<&str> = vec![&header_payload];
+    let mut kept: Vec<&str> = vec![&header.payload];
     for &run in &runs {
         if steady {
             // Last snapshot (file order == arrivals order), then the
@@ -1869,29 +1740,6 @@ pub fn compact(path: &Path) -> Result<CompactReport, JournalError> {
         bytes_before: text.len() as u64,
         bytes_after: content.len() as u64,
     })
-}
-
-/// Rewrite a v1 header payload with `version` bumped to the current
-/// format, preserving every other field and the canonical key order.
-fn upgraded_header_payload(payload: &str) -> Result<String, JournalError> {
-    let header = Json::parse(payload)
-        .map_err(|e| JournalError::new(format!("bad header payload: {e}")))?;
-    let field = |key: &str| {
-        header
-            .get(key)
-            .cloned()
-            .ok_or_else(|| JournalError::new(format!("header missing '{key}'")))
-    };
-    Ok(Json::object(vec![
-        ("type", Json::String("header".into())),
-        ("version", Json::Number(JOURNAL_VERSION as f64)),
-        ("config", field("config")?),
-        ("n_runs", field("n_runs")?),
-        ("pop_size", field("pop_size")?),
-        ("generations", field("generations")?),
-        ("master_seed", field("master_seed")?),
-    ])
-    .to_compact())
 }
 
 #[cfg(test)]
@@ -2077,7 +1925,6 @@ mod tests {
         let journal = Journal::load(&path).unwrap();
         assert_eq!(journal.valid_len, full_len);
         assert_eq!(journal.evals.len(), 1);
-        assert_eq!(journal.version, JOURNAL_VERSION);
         assert_eq!(journal.frames, 2);
         journal.check_config(&config).unwrap();
 
@@ -2087,7 +1934,7 @@ mod tests {
         assert!(journal.check_config(&other).is_err());
 
         // Reopening for append truncates the torn tail.
-        drop(JournalWriter::open_append(&path, &config, &journal).unwrap());
+        drop(JournalWriter::open_append(&path, &journal).unwrap());
         assert_eq!(std::fs::metadata(&path).unwrap().len(), full_len);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2145,7 +1992,7 @@ mod tests {
         // Reopening for append continues from the valid length, with the
         // next sequence number.
         let journal = Journal::load(&path).unwrap();
-        let third = JournalWriter::open_append(&path, &config, &journal)
+        let third = JournalWriter::open_append(&path, &journal)
             .unwrap()
             .append_eval(&entry)
             .unwrap();
@@ -2160,7 +2007,7 @@ mod tests {
         let _ = std::fs::create_dir_all(&dir);
         let path = dir.join("corrupt.jsonl");
         let config = ExperimentConfig::smoke();
-        // v2: flip one payload byte of the middle frame.
+        // Flip one payload byte of the middle frame.
         {
             let mut writer = JournalWriter::create(&path, &config).unwrap();
             writer.append_eval(&sample_eval()).unwrap();
@@ -2172,10 +2019,6 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let err = Journal::load(&path).unwrap_err();
         assert!(err.message.contains("salvage"), "{err}");
-        // v1: a garbage line before the end.
-        let header = r#"{"type":"header","version":1,"config":"0x0000000000000abc"}"#;
-        std::fs::write(&path, format!("{header}\nnot json at all\n{header}\n")).unwrap();
-        assert!(Journal::load(&path).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2251,7 +2094,6 @@ mod tests {
             }
         }
         let clean = verify(&path).unwrap();
-        assert_eq!(clean.version, JOURNAL_VERSION);
         assert_eq!(clean.frames, 4);
         assert_eq!(clean.evals, 3);
         assert!(!clean.damaged());
@@ -2309,43 +2151,35 @@ mod tests {
     }
 
     #[test]
-    fn handwritten_v1_journal_loads_and_upgrades_to_v2() {
+    fn v1_journal_is_refused_not_misread() {
         let config = ExperimentConfig::smoke();
         let dir = std::env::temp_dir().join(format!("dphpo-journal-v1-{}", std::process::id()));
         let _ = std::fs::create_dir_all(&dir);
         let path = dir.join("v1.jsonl");
-        // A v1 journal is bare JSONL with a version-1 header.
-        let header = Json::object(vec![
-            ("type", Json::String("header".into())),
-            ("version", Json::Number(1.0)),
-            ("config", hex_u64(config_fingerprint(&config))),
-            ("n_runs", Json::Number(config.n_runs as f64)),
-            ("pop_size", Json::Number(config.pop_size as f64)),
-            ("generations", Json::Number(config.generations as f64)),
-            ("master_seed", hex_u64(config.master_seed)),
-        ])
-        .to_compact();
-        let eval_payload = sample_eval().to_json().to_compact();
-        std::fs::write(&path, format!("{header}\n{eval_payload}\n")).unwrap();
+        // A v1 journal is bare JSONL under a version-1 header.
+        let header = header_json(&config).to_compact().replace("\"version\":2", "\"version\":1");
+        assert!(header.contains("\"version\":1"));
+        let text = format!("{header}\n{}\n", sample_eval().to_json().to_compact());
+        std::fs::write(&path, &text).unwrap();
 
-        let journal = Journal::load(&path).unwrap();
-        assert_eq!(journal.version, 1);
-        assert_eq!(journal.frames, 2);
-        assert_eq!(journal.evals.len(), 1);
-        journal.check_config(&config).unwrap();
+        let refusals = [
+            Journal::load(&path).map(drop),
+            verify(&path).map(drop),
+            salvage(&path).map(drop),
+            compact(&path).map(drop),
+        ];
+        for refusal in refusals {
+            let err = refusal.expect_err("a v1 journal must be refused");
+            assert!(err.message.contains("version 1"), "{err}");
+        }
+        // Refused means untouched: no truncation, no quarantine, no rewrite.
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
 
-        // open_append upgrades in place: same records, v2 frames, and the
-        // writer continues with the right sequence number.
-        let mut writer = JournalWriter::open_append(&path, &config, &journal).unwrap();
-        writer.append_eval(&EvalEntry { slot: 1, ..sample_eval() }).unwrap();
-        drop(writer);
-        let upgraded = Journal::load(&path).unwrap();
-        assert_eq!(upgraded.version, JOURNAL_VERSION);
-        assert_eq!(upgraded.frames, 3);
-        assert_eq!(upgraded.evals.len(), 2);
-        upgraded.check_config(&config).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.lines().all(|l| l.starts_with("J2 ")), "all frames must be v2");
+        // The same records under v2 frames but a version-1 header are
+        // corrupt at byte 0, not silently accepted.
+        std::fs::write(&path, frame_line(0, &header)).unwrap();
+        assert_eq!(verify(&path).unwrap().first_corrupt_offset, Some(0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -11,17 +11,18 @@
 //!   → input.json → train → read `lcurve.out` → two-element fitness, with
 //!   MAXINT on every failure path.
 //! * [`ea`] — the NSGA-II deployment over the `dphpo-hpc` worker pool.
-//! * [`experiment`] — five independent runs over a shared dataset, in
-//!   either campaign mode: the paper's generational barrier or the
-//!   asynchronous steady-state loop in [`mod@steady`] (DESIGN.md §12).
+//! * [`experiment`] — five independent runs over a shared dataset, started
+//!   through [`Campaign`] (the only entry point) in either campaign mode:
+//!   the paper's generational barrier or the asynchronous steady-state
+//!   loop in [`mod@steady`] (DESIGN.md §12).
 //! * [`analysis`] — Pareto frontier, chemical-accuracy filtering, and the
 //!   exports behind every figure and table of the evaluation section.
 //!
 //! ```no_run
 //! use dphpo_core::analysis::analyze;
-//! use dphpo_core::experiment::{run_experiment, ExperimentConfig};
+//! use dphpo_core::experiment::{Campaign, ExperimentConfig};
 //!
-//! let result = run_experiment(&ExperimentConfig::reduced());
+//! let result = Campaign::new(&ExperimentConfig::reduced()).run(None).unwrap();
 //! let analysis = analyze(&result);
 //! for (force, energy) in analysis.table2() {
 //!     println!("frontier solution: {force:.4} eV/Å, {energy:.4} eV/atom");
@@ -35,7 +36,6 @@ pub mod campaign_report;
 pub mod decode;
 pub mod ea;
 pub mod journal;
-pub mod nas;
 pub mod experiment;
 pub mod profile;
 pub mod representation;
@@ -49,12 +49,8 @@ pub use campaign_report::{
     REFERENCE_POINT, STATUS_SCHEMA,
 };
 pub use decode::{decode, DecodedGenome};
-pub use nas::{decode_nas, DecodedNas, NasRepresentation};
-pub use ea::SummitEvaluator;
 pub use experiment::{
-    resume_experiment, resume_experiment_observed, run_experiment, run_experiment_journaled,
-    run_experiment_journaled_observed, run_experiment_observed, Campaign, CampaignMode,
-    ExperimentConfig, ExperimentError, ExperimentResult,
+    Campaign, CampaignMode, ExperimentConfig, ExperimentError, ExperimentResult,
 };
 pub use journal::{
     compact, crc32, frame_line, parse_frame, salvage, verify, CompactReport, Journal,

@@ -44,7 +44,6 @@
 //! window and comparable, column for column, with a generational campaign.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -52,60 +51,38 @@ use rand::SeedableRng;
 use dphpo_evo::nsga2::{GenerationRecord, Nsga2Config, RunResult};
 use dphpo_evo::ops::random_population;
 use dphpo_evo::steady::SteadyState;
-use dphpo_evo::{ArchiveChurn, Fitness, Individual, ParetoArchive};
-use dphpo_hpc::{
-    run_stream_window, CostModel, FaultInjector, PoolReport, StreamSlots, TaskCtx,
-};
-use dphpo_md::Dataset;
-use dphpo_obs::{cats, names, Event, Recorder, SpanCtx, When, NOOP};
+use dphpo_evo::{ArchiveChurn, Individual, ParetoArchive};
+use dphpo_hpc::{run_stream_window, PoolReport, StreamSlots, TaskCtx};
+use dphpo_obs::{cats, names, Event, When};
 
-use crate::campaign_report;
-use crate::ea::{summit_eval_outcome, utilization_pct};
-use crate::experiment::{archive_from_members, ExperimentConfig, ExperimentError, StatusSink};
-use crate::journal::{EvalEntry, JournalSink, SnapshotEntry};
-use crate::workflow::{derive_seed, estimated_minutes, stable_id, EvalContext};
+use crate::ea::{fitness_or_penalty, RunEnv};
+use crate::experiment::{archive_from_members, ExperimentError};
+use crate::journal::SnapshotEntry;
+use crate::workflow::{derive_seed, estimated_minutes, stable_id};
 
 /// Salt separating the steady-state breeding RNG domain from the training
 /// seeds (which use the unsalted run seed, like generational campaigns).
 const STEADY_SALT: u64 = 0x57ea_d75a_17e5_eed5;
 
 /// Drive one steady-state run to completion. The counterpart of the
-/// generational `drive_run`: same dataset, same pool shape, same fault
-/// injector, same journal/replay and status surfaces — only the scheduling
-/// differs. Returns the run result, one [`PoolReport`] per epoch, the
-/// Pareto archive, and the completed-task count (for the chaos kill
-/// budget).
-#[allow(clippy::too_many_arguments)]
+/// generational `drive_run`, over the same [`RunEnv`] — same dataset, pool
+/// shape, fault injector, journal/replay and status surfaces; only the
+/// scheduling differs. Returns the run result, one [`PoolReport`] per
+/// epoch, the Pareto archive, and the completed-task count (for the chaos
+/// kill budget).
 pub(crate) fn drive_steady_run(
-    config: &ExperimentConfig,
+    mut env: RunEnv<'_>,
     nsga2: &Nsga2Config,
-    train: &Arc<Dataset>,
-    val: &Arc<Dataset>,
-    run_idx: usize,
-    faults: FaultInjector,
-    journal: Option<JournalSink>,
     restored: Option<SnapshotEntry>,
     progress: &mut Option<&mut dyn FnMut(usize, usize)>,
-    recorder: Option<&Arc<dyn Recorder>>,
-    status: &mut StatusSink,
 ) -> Result<(RunResult, Vec<PoolReport>, ParetoArchive, u64), ExperimentError> {
-    let seed = config.master_seed + run_idx as u64;
+    let (config, run_idx, seed) = (env.config, env.run, env.seed);
     let budget = config.pop_size * (config.generations + 1);
-    let ctx = Arc::new(EvalContext {
-        base_config: config.base_train_config.clone(),
-        train: Arc::clone(train),
-        val: Arc::clone(val),
-        cost_model: CostModel::default(),
-        workdir: None,
-    });
     // One fault-decision domain for the whole run: deaths hash
     // (seed, 0, submission, attempt), a pure function of the submission
     // index — reproducible on resume regardless of where the driver died.
-    faults.set_batch_key(0);
-    let (obs, base_span): (&dyn Recorder, SpanCtx) = match recorder {
-        Some(rec) => (rec.as_ref(), SpanCtx::root(seed, run_idx as u32)),
-        None => (&NOOP, SpanCtx::default()),
-    };
+    env.faults.set_batch_key(0);
+    let (obs, base_span) = (env.obs, env.base_span);
     let obs_on = obs.enabled();
 
     // Snapshot cadence, in arrivals. `snapshot_every_epochs == 0` clamps to
@@ -134,9 +111,9 @@ pub(crate) fn drive_steady_run(
     ): (VecDeque<(usize, Individual)>, _, _, _, _, Vec<GenerationRecord>, Vec<PoolReport>, _, _, _, _) =
         match restored {
             Some(snap) => {
-                status.status.set_run(run_idx, snap.status_rows.clone());
-                status.set_profile_run(run_idx, &snap.history, &snap.epoch_reports);
-                status.flush();
+                env.status.status.set_run(run_idx, snap.status_rows.clone());
+                env.status.set_profile_run(run_idx, &snap.history, &snap.epoch_reports);
+                env.status.flush()?;
                 (
                     snap.pending.into_iter().collect(),
                     snap.submitted,
@@ -203,32 +180,19 @@ pub(crate) fn drive_steady_run(
         // Training spans are labelled with the submission "wave"
         // (`submission / pop_size`) — a deterministic pseudo-epoch; the
         // real epoch an arrival lands in is only known at arrival time.
-        let replay = journal.as_ref().map(|sink| &*sink.replay);
+        let core = env.core();
         let reports = run_stream_window(
             &window,
             |tc: &TaskCtx<'_>, genome: &Vec<f64>| {
                 let submission = tc.task;
-                // Replay: a journaled outcome for this submission with a
-                // bit-exact genome match short-circuits training.
-                if let Some(entry) = replay.and_then(|map| map.get(&(0, submission))) {
-                    if entry.genome == *genome {
-                        return entry.to_outcome();
-                    }
-                }
-                summit_eval_outcome(
-                    &ctx,
-                    genome,
-                    derive_seed(seed, submission as u64),
-                    tc,
-                    obs,
-                    base_span
-                        .with_gen((submission / config.pop_size) as u32)
-                        .with_task(submission as u32, tc.attempt),
-                )
+                let span = base_span
+                    .with_gen((submission / config.pop_size) as u32)
+                    .with_task(submission as u32, tc.attempt);
+                core.outcome((0, submission), genome, derive_seed(seed, submission as u64), tc, span)
             },
-            |_, genome: &Vec<f64>| estimated_minutes(&ctx, genome),
+            |_, genome: &Vec<f64>| estimated_minutes(&env.ctx, genome),
             &config.pool,
-            &faults,
+            &env.faults,
         );
 
         // Charge the window against the simulated slot clocks, then process
@@ -252,46 +216,18 @@ pub(crate) fn drive_steady_run(
             // Count the completion against the (chaos-mode) driver
             // lifetime; a dead driver loses every later arrival — exactly
             // the crash the journal protects against.
-            let driver_alive = faults.note_task_completion();
-            if let Some(sink) = &journal {
-                let replayed =
-                    sink.replay.get(&(0, submission)).is_some_and(|e| e.genome == ind.genome);
-                if driver_alive && !replayed {
-                    let mut entry = EvalEntry::from_task(
-                        sink.run,
-                        0,
-                        submission,
-                        derive_seed(seed, submission as u64),
-                        &ind.genome,
-                        &report.record,
-                    );
+            let driver_alive = env.faults.note_task_completion();
+            if driver_alive {
+                let train_seed = derive_seed(seed, submission as u64);
+                let key = (0, submission);
+                if let Some(mut entry) =
+                    env.fresh_entry(key, train_seed, &ind.genome, &report.record)
+                {
                     entry.arrival = Some(arrival_idx);
-                    match sink.writer.borrow_mut().append_eval(&entry) {
-                        Ok(offset) => {
-                            if obs_on {
-                                obs.counter_add(names::C_JOURNAL_APPENDS, 1);
-                                let mut ev = Event::instant(
-                                    names::JOURNAL_APPEND,
-                                    cats::JOURNAL,
-                                    base_span
-                                        .with_task(submission as u32, report.record.attempts),
-                                );
-                                ev.args = vec![
-                                    ("offset", offset as f64),
-                                    (
-                                        "ok",
-                                        if report.record.value.is_ok() { 1.0 } else { 0.0 },
-                                    ),
-                                ];
-                                obs.record(ev);
-                            }
-                        }
-                        // A record that failed to reach disk is a crash at
-                        // this arrival: the driver dies, the arrival (and
-                        // everything after it) is lost, and resume replays
-                        // up to the durable prefix.
-                        Err(_) => faults.declare_dead(),
-                    }
+                    // A failed append kills the driver: the arrival (and
+                    // everything after it) is lost, and resume replays up
+                    // to the durable prefix.
+                    env.journal_eval(&entry);
                 }
             }
             // `driver_alive` (the note's return) gated the append above —
@@ -299,22 +235,18 @@ pub(crate) fn drive_steady_run(
             // decides whether the driver survives to *process* it. The gap
             // between the two is exactly the crash-at-arrival-k semantics
             // the chaos tests kill at every index of.
-            if !faults.driver_alive() {
-                return Err(ExperimentError::Interrupted {
-                    completed_tasks: faults.completed_tasks(),
-                });
+            if !env.faults.driver_alive() {
+                return Err(env.interrupted());
             }
 
             let mut evaluated = window_inds[i].clone();
             let failed = report.record.value.is_err();
-            let fitness = match &report.record.value {
-                Ok(rec) => rec.fitness.clone(),
-                Err(_) => Fitness::penalty(2),
-            };
             if failed {
                 epoch_failures += 1;
             }
-            evaluated.fitness = Some(fitness);
+            evaluated.fitness = Some(fitness_or_penalty(
+                report.record.value.as_ref().map(|rec| rec.fitness.clone()),
+            ));
             evaluated.eval_minutes = Some(report.record.minutes);
 
             // The archive silently rejects penalty candidates, so every
@@ -368,60 +300,8 @@ pub(crate) fn drive_steady_run(
                     population: steady.population().to_vec(),
                 };
                 let epoch_report = slots.epoch_report();
-                let row = campaign_report::generation_row(
-                    &record,
-                    &archive,
-                    epoch_churn,
-                    &epoch_report,
-                );
-                if obs_on {
-                    obs.counter_add(names::C_GENERATIONS, 1);
-                    let span = base_span.with_gen(epoch as u32);
-                    obs.record(Event {
-                        name: names::GENERATION,
-                        cat: cats::EA,
-                        ctx: span,
-                        step: None,
-                        when: When::Sim(epoch_sim_offset),
-                        dur_min: epoch_report.makespan_minutes,
-                        worker: None,
-                        args: vec![
-                            ("n_tasks", config.pop_size as f64),
-                            ("deaths", epoch_report.worker_deaths as f64),
-                            ("retried", epoch_report.retried_tasks as f64),
-                            ("speculated", epoch_report.speculated_tasks as f64),
-                            ("lost_min", epoch_report.lost_minutes),
-                            ("wall_min", epoch_report.wall_minutes),
-                            ("backoff_min", epoch_report.backoff_minutes),
-                            (
-                                "util_busy_pct",
-                                utilization_pct(&epoch_report, config.pool.n_workers),
-                            ),
-                        ],
-                    });
-                    epoch_sim_offset += epoch_report.makespan_minutes;
-                    let mut ev = Event::instant(names::FRONT, cats::EA, span);
-                    ev.when = When::Sim(epoch_sim_offset);
-                    ev.args = vec![
-                        ("hypervolume", row.hypervolume),
-                        ("cardinality", row.cardinality as f64),
-                        ("spread", row.spread),
-                        ("offered", epoch_churn.offered as f64),
-                        ("added", epoch_churn.added as f64),
-                        ("evicted", epoch_churn.evicted as f64),
-                    ];
-                    obs.record(ev);
-                    obs.gauge_set(names::G_HYPERVOLUME, row.hypervolume);
-                    obs.gauge_set(names::G_ARCHIVE_SIZE, row.cardinality as f64);
-                    obs.gauge_set(names::G_FRONT_SPREAD, row.spread);
-                    obs.counter_add(names::C_ARCHIVE_ADDED, epoch_churn.added as u64);
-                    obs.counter_add(names::C_ARCHIVE_EVICTED, epoch_churn.evicted as u64);
-                } else {
-                    epoch_sim_offset += epoch_report.makespan_minutes;
-                }
-                status.push_profile_row(run_idx, &record, &epoch_report);
-                status.status.push_row(run_idx, row);
-                status.flush();
+                env.publish_boundary(&record, &archive, epoch_churn, &epoch_report, epoch_sim_offset)?;
+                epoch_sim_offset += epoch_report.makespan_minutes;
                 history.push(record);
                 epoch_reports.push(epoch_report);
                 epoch_failures = 0;
@@ -440,12 +320,12 @@ pub(crate) fn drive_steady_run(
         // uninterrupted run writes at those same boundaries, and kill+resume
         // stays byte-identical. A dead driver writes nothing, like any
         // other record.
-        if let Some(sink) = &journal {
+        if let Some(sink) = &env.journal {
             let arrived = steady.arrivals();
             let due = (arrived / snap_every) * snap_every;
-            if due > snapped_through && arrived > 0 && faults.driver_alive() {
+            if due > snapped_through && arrived > 0 && env.faults.driver_alive() {
                 let snap = SnapshotEntry {
-                    run: sink.run,
+                    run: run_idx,
                     arrivals: arrived,
                     submitted,
                     std: steady.std().to_vec(),
@@ -458,7 +338,8 @@ pub(crate) fn drive_steady_run(
                     epoch_failures,
                     epoch_churn: (epoch_churn.offered, epoch_churn.added, epoch_churn.evicted),
                     epoch_sim_offset,
-                    status_rows: status
+                    status_rows: env
+                        .status
                         .status
                         .runs
                         .iter()
@@ -467,10 +348,8 @@ pub(crate) fn drive_steady_run(
                         .unwrap_or_default(),
                 };
                 if sink.writer.borrow_mut().append_snapshot(&snap).is_err() {
-                    faults.declare_dead();
-                    return Err(ExperimentError::Interrupted {
-                        completed_tasks: faults.completed_tasks(),
-                    });
+                    env.faults.declare_dead();
+                    return Err(env.interrupted());
                 }
                 snapped_through = due;
             }
@@ -478,6 +357,6 @@ pub(crate) fn drive_steady_run(
     }
 
     assert_eq!(steady.arrivals(), budget, "every submitted task must arrive exactly once");
-    let completed = faults.completed_tasks();
+    let completed = env.faults.completed_tasks();
     Ok((RunResult { history, evaluations: budget }, epoch_reports, archive, completed))
 }

@@ -22,7 +22,7 @@ use rand::{Rng, SeedableRng};
 use dphpo_dnnp::{
     train_supervised, AbortReason, Json, Lcurve, LcurveRow, Sentinel, Supervision, TrainConfig,
 };
-use dphpo_obs::{Recorder, SpanCtx, NOOP};
+use dphpo_obs::{Recorder, SpanCtx};
 use dphpo_evo::{Fitness, Id};
 use dphpo_hpc::{paper_job, CostModel, TaskCtx};
 use dphpo_md::Dataset;
@@ -84,23 +84,13 @@ pub fn estimated_minutes(ctx: &EvalContext, genome: &[f64]) -> f64 {
 /// deadline at step boundaries, emits progress heartbeats, and runs the
 /// strict [`Sentinel::supervised`] divergence sentinel — so a sick run
 /// aborts within one check interval instead of burning its full budget.
+/// `obs` is the telemetry recorder and `span` the identity
+/// `(seed, run, gen, task, attempt)` the trainer emits events under.
 ///
 /// Returns the record plus the structured [`AbortReason`] when the run was
-/// terminated early. The supervision probes consume no randomness, so a run
-/// that completes produces bit-identical weights to the unsupervised path.
-pub fn evaluate_individual_supervised(
-    ctx: &EvalContext,
-    genome: &[f64],
-    seed: u64,
-    task: &TaskCtx<'_>,
-) -> (EvalRecord, Option<AbortReason>) {
-    evaluate_individual_observed(ctx, genome, seed, task, &NOOP, SpanCtx::default())
-}
-
-/// As [`evaluate_individual_supervised`], with a telemetry recorder and the
-/// span identity `(seed, run, gen, task, attempt)` the trainer should emit
-/// events under. The no-op recorder reproduces the unobserved path exactly
-/// (recording consumes no randomness and branches once per step).
+/// terminated early. Neither the supervision probes nor recording consume
+/// randomness, so a run that completes produces bit-identical weights to
+/// the unsupervised path (and the no-op recorder branches once per step).
 pub fn evaluate_individual_observed(
     ctx: &EvalContext,
     genome: &[f64],
@@ -270,6 +260,7 @@ pub fn simulated_minutes(ctx: &EvalContext, rcut: f64, seed: u64) -> f64 {
 mod tests {
     use super::*;
     use dphpo_md::generate::{generate_dataset, GenConfig};
+    use dphpo_obs::NOOP;
 
     fn tiny_ctx(workdir: Option<PathBuf>) -> EvalContext {
         let mut rng = StdRng::seed_from_u64(1);
@@ -378,8 +369,14 @@ mod tests {
         let mut genome = good_genome();
         genome[0] = 1e100;
         genome[1] = 1e99;
-        let (record, abort) =
-            evaluate_individual_supervised(&ctx, &genome, 4, &TaskCtx::detached(0));
+        let (record, abort) = evaluate_individual_observed(
+            &ctx,
+            &genome,
+            4,
+            &TaskCtx::detached(0),
+            &NOOP,
+            SpanCtx::default(),
+        );
         assert!(record.failed && record.fitness.is_penalty());
         let Some(AbortReason::Diverged { step, .. }) = abort else {
             panic!("expected a structured divergence abort, got {abort:?}");
@@ -394,8 +391,14 @@ mod tests {
     fn supervised_path_matches_unsupervised_on_healthy_genomes() {
         let ctx = tiny_ctx(None);
         let plain = evaluate_individual(&ctx, &good_genome(), 42);
-        let (supervised, abort) =
-            evaluate_individual_supervised(&ctx, &good_genome(), 42, &TaskCtx::detached(0));
+        let (supervised, abort) = evaluate_individual_observed(
+            &ctx,
+            &good_genome(),
+            42,
+            &TaskCtx::detached(0),
+            &NOOP,
+            SpanCtx::default(),
+        );
         assert!(abort.is_none());
         assert_eq!(plain.fitness, supervised.fitness);
         assert_eq!(plain.minutes, supervised.minutes);

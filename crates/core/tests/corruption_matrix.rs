@@ -10,8 +10,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use dphpo_core::experiment::{
-    run_experiment_journaled_with_kill, Campaign, CampaignMode, ExperimentConfig,
-    ExperimentError, ExperimentResult,
+    Campaign, CampaignMode, ExperimentConfig, ExperimentError, ExperimentResult,
 };
 use dphpo_core::{compact, salvage, verify, Journal};
 use dphpo_evo::Individual;
@@ -352,7 +351,7 @@ fn snapshots_bound_replay_and_compaction_preserves_identity() {
 
     // Kill late enough that run 0 has passed at least one snapshot window.
     let killed = scratch("snap-killed.jsonl");
-    match run_experiment_journaled_with_kill(&config, &killed, budget - 3) {
+    match Campaign::new(&config).journal(&killed).kill_after(budget - 3).run(None) {
         Err(ExperimentError::Interrupted { .. }) => {}
         Err(other) => panic!("kill must interrupt, got {other}"),
         Ok(_) => panic!("kill must interrupt, got a completed campaign"),

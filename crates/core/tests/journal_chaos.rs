@@ -2,16 +2,16 @@
 //! driver after *every possible* task index, resume from the journal left
 //! behind, and assert the resumed campaign is bit-identical to an
 //! uninterrupted one — final populations, Pareto archives, and the
-//! analysis CSVs the paper's figures are built from.
+//! analysis CSVs the paper's figures are built from. Also: a second crash
+//! during the resume, `Campaign` misuse, and status/profile artifacts that
+//! cannot be written must each end in a structured error and a journal that
+//! still resumes byte-identically.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use dphpo_core::analysis::{analyze, level_plot_csv};
-use dphpo_core::experiment::{
-    resume_experiment, run_experiment_journaled, run_experiment_journaled_with_kill, Campaign,
-    ExperimentConfig, ExperimentError, ExperimentResult,
-};
+use dphpo_core::experiment::{Campaign, ExperimentConfig, ExperimentError, ExperimentResult};
 use dphpo_evo::Individual;
 use dphpo_hpc::{FaultPlan, IoFault, JOURNAL_APPEND_SITE};
 
@@ -32,9 +32,15 @@ fn chaos_config() -> ExperimentConfig {
 }
 
 fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dphpo-chaos-{}", std::process::id()));
+    scratch_dir("").join(name)
+}
+
+/// A per-test scratch directory (tests run concurrently, and the kill
+/// sweeps remove theirs wholesale when they finish).
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("dphpo-chaos-{}{tag}", std::process::id()));
     let _ = std::fs::create_dir_all(&dir);
-    dir.join(name)
+    dir
 }
 
 fn canon_individual(ind: &Individual) -> String {
@@ -88,7 +94,7 @@ fn resume_is_bit_identical_after_killing_the_driver_at_every_task() {
         (config.n_runs * config.pop_size * (config.generations + 1)) as u64;
 
     let reference_path = scratch("reference.jsonl");
-    let reference = run_experiment_journaled(&config, &reference_path, None)
+    let reference = Campaign::new(&config).journal(&reference_path).run(None)
         .expect("uninterrupted campaign");
     let reference_canon = canon(&reference);
     let reference_journal_bytes = std::fs::read(&reference_path).unwrap();
@@ -102,7 +108,7 @@ fn resume_is_bit_identical_after_killing_the_driver_at_every_task() {
 
     for kill_after in 0..=total_tasks {
         let path = scratch(&format!("kill-{kill_after}.jsonl"));
-        let outcome = run_experiment_journaled_with_kill(&config, &path, kill_after);
+        let outcome = Campaign::new(&config).journal(&path).kill_after(kill_after).run(None);
         match outcome {
             // `completed_tasks` is the dying run's local count; the kill
             // budget spans runs, so only the error kind is asserted here.
@@ -112,7 +118,7 @@ fn resume_is_bit_identical_after_killing_the_driver_at_every_task() {
             Err(other) => panic!("kill_after={kill_after}: unexpected error {other}"),
             Ok(_) => panic!("kill_after={kill_after} within {total_tasks} tasks must interrupt"),
         }
-        let resumed = resume_experiment(&config, &path, None)
+        let resumed = Campaign::new(&config).journal(&path).resume().run(None)
             .unwrap_or_else(|e| panic!("resume after kill_after={kill_after}: {e}"));
         assert_eq!(
             canon(&resumed),
@@ -138,7 +144,7 @@ fn scripted_io_faults_interrupt_and_a_clean_resume_restores_byte_identity() {
 
     let reference_path = scratch("fault-reference.jsonl");
     let reference =
-        run_experiment_journaled(&config, &reference_path, None).expect("uninterrupted campaign");
+        Campaign::new(&config).journal(&reference_path).run(None).expect("uninterrupted campaign");
     let reference_canon = canon(&reference);
     let reference_journal_bytes = std::fs::read(&reference_path).unwrap();
 
@@ -182,9 +188,9 @@ fn resuming_a_completed_journal_reconstructs_without_retraining() {
     let mut config = chaos_config();
     config.master_seed = 43;
     let path = scratch("complete-43.jsonl");
-    let reference = run_experiment_journaled(&config, &path, None).expect("campaign");
+    let reference = Campaign::new(&config).journal(&path).run(None).expect("campaign");
     let before = std::fs::metadata(&path).expect("journal exists").len();
-    let resumed = resume_experiment(&config, &path, None).expect("resume of complete journal");
+    let resumed = Campaign::new(&config).journal(&path).resume().run(None).expect("resume of complete journal");
     assert_eq!(canon(&resumed), canon(&reference));
     // Nothing new to journal: the file is untouched.
     assert_eq!(std::fs::metadata(&path).unwrap().len(), before);
@@ -196,10 +202,10 @@ fn resume_rejects_a_journal_from_a_different_configuration() {
     let mut config = chaos_config();
     config.master_seed = 44;
     let path = scratch("stale-44.jsonl");
-    run_experiment_journaled(&config, &path, None).expect("campaign");
+    Campaign::new(&config).journal(&path).run(None).expect("campaign");
     let mut changed = config.clone();
     changed.base_train_config.num_steps += 1;
-    match resume_experiment(&changed, &path, None) {
+    match Campaign::new(&changed).journal(&path).resume().run(None) {
         Err(ExperimentError::Journal(e)) => {
             assert!(e.message.contains("stale journal"), "unexpected message: {e}");
         }
@@ -207,4 +213,107 @@ fn resume_rejects_a_journal_from_a_different_configuration() {
         Ok(_) => panic!("stale journal must be rejected"),
     }
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_second_crash_during_resume_still_converges_byte_identically() {
+    let config = chaos_config();
+    let total_tasks = (config.n_runs * config.pop_size * (config.generations + 1)) as u64;
+    let dir = scratch_dir("-double");
+
+    let reference_path = dir.join("reference.jsonl");
+    let reference_status = dir.join("reference-status.json");
+    Campaign::new(&config)
+        .journal(&reference_path)
+        .status_file(&reference_status)
+        .run(None)
+        .expect("uninterrupted campaign");
+    let reference_journal_bytes = std::fs::read(&reference_path).unwrap();
+    let reference_status_bytes = std::fs::read(&reference_status).unwrap();
+
+    // Kill at k1, resume with a kill at k2 (counted from the resume's own
+    // first completion), resume to completion. A resume whose remaining
+    // work is shorter than k2 simply finishes — also fine, but most pairs
+    // must really crash twice.
+    let mut crashed_twice = 0;
+    for k1 in 0..total_tasks {
+        for k2 in [0, 1, config.pop_size as u64 + 1] {
+            let path = dir.join(format!("{k1}-{k2}.jsonl"));
+            let status = dir.join(format!("{k1}-{k2}-status.json"));
+            let campaign = || Campaign::new(&config).journal(&path).status_file(&status);
+            match campaign().kill_after(k1).run(None) {
+                Err(ExperimentError::Interrupted { .. }) => {}
+                Err(other) => panic!("k1={k1}: unexpected error {other}"),
+                Ok(_) => panic!("k1={k1} within {total_tasks} tasks must interrupt"),
+            }
+            match campaign().resume().kill_after(k2).run(None) {
+                Err(ExperimentError::Interrupted { .. }) => crashed_twice += 1,
+                Err(other) => panic!("k1={k1} k2={k2}: unexpected error {other}"),
+                Ok(_) => {}
+            }
+            campaign()
+                .resume()
+                .run(None)
+                .unwrap_or_else(|e| panic!("k1={k1} k2={k2}: final resume failed: {e}"));
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                reference_journal_bytes,
+                "k1={k1} k2={k2}: journal bytes diverged"
+            );
+            assert_eq!(
+                std::fs::read(&status).unwrap(),
+                reference_status_bytes,
+                "k1={k1} k2={k2}: status bytes diverged"
+            );
+        }
+    }
+    assert!(crashed_twice as u64 >= total_tasks, "only {crashed_twice} pairs crashed twice");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn resume_without_a_journal_is_a_structured_error() {
+    let config = chaos_config();
+    match Campaign::new(&config).resume().run(None) {
+        Err(ExperimentError::Journal(e)) => {
+            assert!(e.message.contains("requires a journal"), "unexpected message: {e}");
+        }
+        Err(other) => panic!("expected a journal error, got {other}"),
+        Ok(_) => panic!("resume without a journal must be rejected"),
+    }
+}
+
+#[test]
+fn unwritable_status_and_profile_artifacts_end_the_campaign_without_hurting_the_journal() {
+    let mut config = chaos_config();
+    config.master_seed = 45;
+    let dir = scratch_dir("-artifact");
+    let reference_path = dir.join("reference.jsonl");
+    Campaign::new(&config).journal(&reference_path).run(None).expect("uninterrupted campaign");
+
+    // A status path under a directory that does not exist: the first
+    // boundary's rewrite fails for real (no injected fault involved).
+    let path = dir.join("status.jsonl");
+    let missing = dir.join("no-such-dir").join("campaign_status.json");
+    match Campaign::new(&config).journal(&path).status_file(&missing).run(None) {
+        Err(ExperimentError::Artifact { path, .. }) => assert_eq!(path, missing),
+        Err(other) => panic!("expected an artifact error, got {other}"),
+        Ok(_) => panic!("an unwritable status file must end the campaign"),
+    }
+    // The journal written so far is healthy and resumes to the reference.
+    let report = dphpo_core::verify(&path).expect("journal is readable");
+    assert!(!report.damaged() && report.generations == 1, "{report:?}");
+    Campaign::new(&config).journal(&path).resume().run(None).expect("resume");
+    assert_eq!(std::fs::read(&path).unwrap(), std::fs::read(&reference_path).unwrap());
+
+    // A base configuration the step-budget census rejects: profiling fails
+    // up front, structurally, instead of panicking.
+    let mut invalid = config.clone();
+    invalid.base_train_config.num_steps = 0;
+    match Campaign::new(&invalid).profile_dir(dir.join("profile")).run(None) {
+        Err(ExperimentError::Artifact { .. }) => {}
+        Err(other) => panic!("expected an artifact error, got {other}"),
+        Ok(_) => panic!("an impossible step-budget census must end the campaign"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -14,8 +14,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use dphpo_core::experiment::{
-    run_experiment, run_experiment_journaled, run_experiment_journaled_with_kill, Campaign,
-    CampaignMode, ExperimentConfig, ExperimentError, ExperimentResult,
+    Campaign, CampaignMode, ExperimentConfig, ExperimentError, ExperimentResult,
 };
 use dphpo_evo::Individual;
 use dphpo_obs::{names, MemoryRecorder, Recorder};
@@ -35,9 +34,15 @@ fn steady_config() -> ExperimentConfig {
 }
 
 fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dphpo-steady-{}", std::process::id()));
+    scratch_dir("").join(name)
+}
+
+/// A per-test scratch directory (tests run concurrently, and the kill
+/// sweeps remove theirs wholesale when they finish).
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("dphpo-steady-{}{tag}", std::process::id()));
     let _ = std::fs::create_dir_all(&dir);
-    dir.join(name)
+    dir
 }
 
 fn canon_individual(ind: &Individual) -> String {
@@ -112,7 +117,7 @@ fn steady_resume_is_byte_identical_after_killing_at_every_arrival() {
 
     for kill_after in 0..=total_tasks {
         let path = scratch(&format!("kill-{kill_after}.jsonl"));
-        match run_experiment_journaled_with_kill(&config, &path, kill_after) {
+        match Campaign::new(&config).journal(&path).kill_after(kill_after).run(None) {
             Err(ExperimentError::Interrupted { completed_tasks }) => {
                 assert!(completed_tasks <= total_tasks);
             }
@@ -150,9 +155,63 @@ fn steady_resume_is_byte_identical_after_killing_at_every_arrival() {
 }
 
 #[test]
+fn steady_second_crash_during_resume_still_converges_byte_identically() {
+    let config = steady_config();
+    let total_tasks = (config.n_runs * config.pop_size * (config.generations + 1)) as u64;
+    let dir = scratch_dir("-double");
+
+    let reference_journal = dir.join("reference.jsonl");
+    let reference_status = dir.join("reference-status.json");
+    Campaign::new(&config)
+        .journal(&reference_journal)
+        .status_file(&reference_status)
+        .run(None)
+        .expect("uninterrupted steady campaign");
+    let reference_journal_bytes = std::fs::read(&reference_journal).unwrap();
+    let reference_status_bytes = std::fs::read(&reference_status).unwrap();
+
+    // Kill at k1, resume with a kill at k2 (counted from the resume's own
+    // first arrival, replayed ones included), resume to completion.
+    let mut crashed_twice = 0;
+    for k1 in 0..total_tasks {
+        for k2 in [0, 1, config.pop_size as u64 + 1] {
+            let path = dir.join(format!("{k1}-{k2}.jsonl"));
+            let status = dir.join(format!("{k1}-{k2}-status.json"));
+            let campaign = || Campaign::new(&config).journal(&path).status_file(&status);
+            match campaign().kill_after(k1).run(None) {
+                Err(ExperimentError::Interrupted { .. }) => {}
+                Err(other) => panic!("k1={k1}: unexpected error {other}"),
+                Ok(_) => panic!("k1={k1} within {total_tasks} tasks must interrupt"),
+            }
+            match campaign().resume().kill_after(k2).run(None) {
+                Err(ExperimentError::Interrupted { .. }) => crashed_twice += 1,
+                Err(other) => panic!("k1={k1} k2={k2}: unexpected error {other}"),
+                Ok(_) => {}
+            }
+            campaign()
+                .resume()
+                .run(None)
+                .unwrap_or_else(|e| panic!("k1={k1} k2={k2}: final resume failed: {e}"));
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                reference_journal_bytes,
+                "k1={k1} k2={k2}: journal bytes diverged"
+            );
+            assert_eq!(
+                std::fs::read(&status).unwrap(),
+                reference_status_bytes,
+                "k1={k1} k2={k2}: status bytes diverged"
+            );
+        }
+    }
+    assert!(crashed_twice as u64 >= total_tasks, "only {crashed_twice} pairs crashed twice");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn steady_telemetry_and_journaling_perturb_nothing() {
     let config = steady_config();
-    let plain = run_experiment(&config);
+    let plain = Campaign::new(&config).run(None).unwrap();
 
     let rec = Arc::new(MemoryRecorder::new());
     let journal_path = scratch("observed.jsonl");
@@ -185,7 +244,7 @@ fn steady_telemetry_and_journaling_perturb_nothing() {
 #[test]
 fn steady_epoch_reports_partition_slot_time_exactly() {
     let config = steady_config();
-    let result = run_experiment(&config);
+    let result = Campaign::new(&config).run(None).unwrap();
     for reports in &result.pool_reports {
         assert_eq!(reports.len(), config.generations + 1, "one report per epoch");
         let slots = config.pool.n_workers;
@@ -230,8 +289,8 @@ fn steady_initial_submissions_train_identically_to_generational() {
 
     let steady_path = scratch("mode-steady.jsonl");
     let gen_path = scratch("mode-generational.jsonl");
-    run_experiment_journaled(&steady_cfg, &steady_path, None).expect("steady campaign");
-    run_experiment_journaled(&gen_cfg, &gen_path, None).expect("generational campaign");
+    Campaign::new(&steady_cfg).journal(&steady_path).run(None).expect("steady campaign");
+    Campaign::new(&gen_cfg).journal(&gen_path).run(None).expect("generational campaign");
 
     let steady_journal = dphpo_core::Journal::load(&steady_path).unwrap();
     let gen_journal = dphpo_core::Journal::load(&gen_path).unwrap();

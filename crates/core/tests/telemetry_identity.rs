@@ -11,10 +11,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use dphpo_core::analysis::{analyze, level_plot_csv};
-use dphpo_core::experiment::{
-    run_experiment_journaled, run_experiment_journaled_observed, ExperimentConfig,
-    ExperimentResult,
-};
+use dphpo_core::experiment::{Campaign, ExperimentConfig, ExperimentResult};
 use dphpo_evo::Individual;
 use dphpo_obs::{chrome, export, names, rollup, MemoryRecorder, Recorder};
 
@@ -78,17 +75,15 @@ fn observed_campaign_is_bit_identical_to_unobserved() {
     let config = config();
 
     let plain_journal = scratch("plain.jsonl");
-    let plain = run_experiment_journaled(&config, &plain_journal, None).expect("plain run");
+    let plain = Campaign::new(&config).journal(&plain_journal).run(None).expect("plain run");
 
     let observed_journal = scratch("observed.jsonl");
     let recorder = Arc::new(MemoryRecorder::with_wall_clock());
-    let observed = run_experiment_journaled_observed(
-        &config,
-        &observed_journal,
-        None,
-        Arc::clone(&recorder) as Arc<dyn Recorder>,
-    )
-    .expect("observed run");
+    let observed = Campaign::new(&config)
+        .journal(&observed_journal)
+        .recorder(Arc::clone(&recorder) as Arc<dyn Recorder>)
+        .run(None)
+        .expect("observed run");
 
     // Everything the figures are built from is bit-identical.
     assert_eq!(canon(&plain), canon(&observed));
@@ -135,13 +130,11 @@ fn deterministic_exports_are_identical_across_observed_runs() {
     let export_of = |tag: &str| {
         let journal = scratch(&format!("exports-{tag}.jsonl"));
         let recorder = Arc::new(MemoryRecorder::with_wall_clock());
-        run_experiment_journaled_observed(
-            &config,
-            &journal,
-            None,
-            Arc::clone(&recorder) as Arc<dyn Recorder>,
-        )
-        .expect("observed run");
+        Campaign::new(&config)
+            .journal(&journal)
+            .recorder(Arc::clone(&recorder) as Arc<dyn Recorder>)
+            .run(None)
+            .expect("observed run");
         let _ = std::fs::remove_file(&journal);
         let snap = recorder.snapshot();
         (export::events_jsonl(&snap), chrome::trace_json(&snap), rollup::generation_rollup(&snap))

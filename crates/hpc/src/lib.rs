@@ -26,8 +26,15 @@
 //! assert_eq!(report.makespan_minutes, 70.0);
 //! ```
 //!
-//! Steady-state campaigns use [`stream`] instead of the batch entry points:
-//! same supervision and accounting, no generation barrier.
+//! One entry per job: [`run_batch`] is the plain pool above;
+//! [`run_batch_supervised`] adds cancel tokens, deadlines, straggler twins
+//! and a write-ahead completion hook (with [`run_batch_observed`] as its
+//! telemetry-carrying form); steady-state campaigns use
+//! [`run_stream_window`] from [`stream`] instead — same supervision and
+//! accounting, no generation barrier. Both schedulers turn an evaluation
+//! outcome into a task record through one shared classification (timeouts
+//! charge the limit, structured faults map onto [`TaskError`]), so the two
+//! campaign modes cannot drift apart on what a failure is.
 
 #![warn(missing_docs)]
 
@@ -44,7 +51,7 @@ pub use faultplan::{
     FaultPlan, IoFault, IoSite, JOURNAL_APPEND_SITE, STATUS_FSYNC_SITE,
 };
 pub use scheduler::{
-    run_batch, run_batch_observed, run_batch_supervised, run_batch_with_hooks, CancelToken,
+    run_batch, run_batch_observed, run_batch_supervised, CancelToken,
     EvalFault, EvalOutcome, FaultInjector, PoolConfig, PoolReport, SupervisorConfig, TaskCtx,
     TaskError, TaskRecord, SPECULATIVE_ATTEMPT,
 };

@@ -455,6 +455,35 @@ pub struct PoolReport {
     pub heartbeats: usize,
 }
 
+/// How a completed attempt's outcome becomes its terminal record, shared by
+/// the batch driver and the stream scheduler so both campaign modes classify
+/// and charge alike: a simulated runtime over the limit is a
+/// [`TaskError::Timeout`] charged the limit (the real job would have been
+/// killed at the wall); otherwise a structured [`EvalFault`] maps onto its
+/// [`TaskError`] and the evaluation's own minutes are charged.
+pub(crate) fn classify<T>(
+    outcome: EvalOutcome<T>,
+    timeout_minutes: Option<f64>,
+) -> (Result<T, TaskError>, f64) {
+    let minutes = outcome.minutes;
+    match timeout_minutes {
+        Some(limit) if minutes > limit => {
+            (Err(TaskError::Timeout { limit_minutes: limit }), limit)
+        }
+        _ => {
+            let value = outcome.value.map_err(|fault| match fault {
+                EvalFault::Failed(reason) => TaskError::Failed(reason),
+                EvalFault::Diverged { step, loss } => TaskError::Diverged { step, loss },
+                EvalFault::Deadline => TaskError::Timeout {
+                    limit_minutes: timeout_minutes.unwrap_or(minutes),
+                },
+                EvalFault::Cancelled => TaskError::Cancelled,
+            });
+            (value, minutes)
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Job {
     task: usize,
@@ -467,7 +496,7 @@ enum Message<T> {
     Done {
         task: usize,
         speculative: bool,
-        outcome: EvalOutcome<T>,
+        value: Result<T, TaskError>,
         worker: usize,
         minutes_charged: f64,
     },
@@ -495,30 +524,6 @@ where
     T: Send,
     F: Fn(usize, &I) -> EvalOutcome<T> + Sync,
 {
-    run_batch_with_hooks(inputs, eval, config, faults, |_, _: &TaskRecord<T>| {})
-}
-
-/// As [`run_batch`], with a task-completion hook.
-///
-/// `on_complete(task, record)` fires on the scheduler (calling) thread the
-/// moment a task reaches its final record — success, evaluation failure,
-/// timeout, or exhausted retries — in completion order, before the batch
-/// returns. This is the write-ahead point for crash-safe journaling: a
-/// journal appended here has every finished evaluation on disk even if the
-/// driver dies before the batch (or the campaign) completes.
-pub fn run_batch_with_hooks<I, T, F, H>(
-    inputs: &[I],
-    eval: F,
-    config: &PoolConfig,
-    faults: &FaultInjector,
-    on_complete: H,
-) -> (Vec<TaskRecord<T>>, PoolReport)
-where
-    I: Sync,
-    T: Send,
-    F: Fn(usize, &I) -> EvalOutcome<T> + Sync,
-    H: FnMut(usize, &TaskRecord<T>),
-{
     // Without a supervised evaluation there is no per-task cost estimate;
     // use the timeout limit (the most a live attempt could burn) so dead
     // attempts still charge nonzero partial minutes.
@@ -529,12 +534,19 @@ where
         |_, _| flat,
         config,
         faults,
-        on_complete,
+        |_, _: &TaskRecord<T>| {},
     )
 }
 
-/// As [`run_batch_with_hooks`], with supervised evaluations and a per-task
-/// cost estimate.
+/// As [`run_batch`], with supervised evaluations, a per-task cost estimate
+/// and a task-completion hook.
+///
+/// `on_complete(task, record)` fires on the scheduler (calling) thread the
+/// moment a task reaches its final record — success, evaluation failure,
+/// timeout, or exhausted retries — in completion order, before the batch
+/// returns. This is the write-ahead point for crash-safe journaling: a
+/// journal appended here has every finished evaluation on disk even if the
+/// driver dies before the batch (or the campaign) completes.
 ///
 /// `eval` receives a [`TaskCtx`] (cancel token, deadline budget, heartbeat)
 /// and should poll [`TaskCtx::is_cancelled`] at step boundaries.
@@ -689,7 +701,26 @@ where
             let nanny = config.nanny;
             let quarantine_deaths = sup.quarantine_deaths;
             scope.spawn(move || {
+                // A primary attempt's worker dies (fault plan or panicking
+                // evaluation): report it, then say whether this thread must
+                // exit. With a nanny the worker is restarted until health
+                // scoring quarantines the slot; without, the thread exits.
                 let mut deaths_here = 0u32;
+                let mut die = |task: usize, attempt: u32, panicked: bool| -> bool {
+                    let _ = msg_tx.send(Message::Died { task, attempt, worker, panicked });
+                    deaths_here += 1;
+                    if !nanny {
+                        alive.fetch_sub(1, Ordering::SeqCst);
+                        return true;
+                    }
+                    let retire = quarantine_deaths > 0
+                        && deaths_here >= quarantine_deaths
+                        && try_retire(alive);
+                    if retire {
+                        quarantined.fetch_add(1, Ordering::SeqCst);
+                    }
+                    retire
+                };
                 while let Ok(job) = task_rx.recv() {
                     let Job { task, attempt, speculative, cancel } = job;
                     if speculative {
@@ -697,35 +728,14 @@ where
                         // skipped, a dying twin never takes the slot down
                         // (its loss is accounted at launch), and its result
                         // only matters if it beats the primary.
-                        if cancel.is_cancelled() {
-                            continue;
-                        }
-                        if faults.task_kills_worker(task, attempt) {
+                        if cancel.is_cancelled() || faults.task_kills_worker(task, attempt) {
                             continue;
                         }
                     } else if faults.task_kills_worker(task, attempt) {
-                        // The worker dies mid-task. With a nanny it is
-                        // restarted (continue) until health scoring
-                        // quarantines the slot; without, the thread exits.
-                        let _ = msg_tx.send(Message::Died {
-                            task,
-                            attempt,
-                            worker,
-                            panicked: false,
-                        });
-                        deaths_here += 1;
-                        if nanny {
-                            if quarantine_deaths > 0
-                                && deaths_here >= quarantine_deaths
-                                && try_retire(alive)
-                            {
-                                quarantined.fetch_add(1, Ordering::SeqCst);
-                                return;
-                            }
-                            continue;
+                        if die(task, attempt, false) {
+                            return;
                         }
-                        alive.fetch_sub(1, Ordering::SeqCst);
-                        return;
+                        continue;
                     }
                     let beat = |_done: f64, _projected: f64| {
                         let _ = msg_tx.send(Message::Beat);
@@ -740,45 +750,22 @@ where
                     };
                     match catch_unwind(AssertUnwindSafe(|| eval(&ctx, &inputs[task]))) {
                         Ok(outcome) => {
-                            // Timeouts charge the limit: the real job would
-                            // have been killed at the wall.
-                            let minutes_charged = match timeout {
-                                Some(limit) if outcome.minutes > limit => limit,
-                                _ => outcome.minutes,
-                            };
+                            let (value, minutes_charged) = classify(outcome, timeout);
                             let _ = msg_tx.send(Message::Done {
                                 task,
                                 speculative,
-                                outcome,
+                                value,
                                 worker,
                                 minutes_charged,
                             });
                         }
+                        // A panicking evaluation is a worker death (the
+                        // documented contract) — not a silent hang.
+                        Err(_) if speculative => {}
                         Err(_) => {
-                            // A panicking evaluation is a worker death (the
-                            // documented contract) — not a silent hang.
-                            if speculative {
-                                continue;
+                            if die(task, attempt, true) {
+                                return;
                             }
-                            let _ = msg_tx.send(Message::Died {
-                                task,
-                                attempt,
-                                worker,
-                                panicked: true,
-                            });
-                            deaths_here += 1;
-                            if nanny {
-                                if quarantine_deaths > 0
-                                    && deaths_here >= quarantine_deaths
-                                    && try_retire(alive)
-                                {
-                                    quarantined.fetch_add(1, Ordering::SeqCst);
-                                    return;
-                                }
-                                continue;
-                            }
-                            alive.fetch_sub(1, Ordering::SeqCst);
-                            return;
                         }
                     }
                 }
@@ -840,7 +827,7 @@ where
                 }
             };
             match msg {
-                Message::Done { task, speculative, outcome, worker, minutes_charged } => {
+                Message::Done { task, speculative, value, worker, minutes_charged } => {
                     if !speculative {
                         open_chains -= 1;
                         attempts[task] += 1;
@@ -851,26 +838,6 @@ where
                         // result is `TaskError::Speculated`.
                         continue;
                     }
-                    let eval_minutes = outcome.minutes;
-                    let timed_out = matches!(
-                        config.timeout_minutes, Some(limit) if eval_minutes > limit
-                    );
-                    let value = if timed_out {
-                        Err(TaskError::Timeout {
-                            limit_minutes: config.timeout_minutes.unwrap(),
-                        })
-                    } else {
-                        outcome.value.map_err(|fault| match fault {
-                            EvalFault::Failed(reason) => TaskError::Failed(reason),
-                            EvalFault::Diverged { step, loss } => {
-                                TaskError::Diverged { step, loss }
-                            }
-                            EvalFault::Deadline => TaskError::Timeout {
-                                limit_minutes: config.timeout_minutes.unwrap_or(eval_minutes),
-                            },
-                            EvalFault::Cancelled => TaskError::Cancelled,
-                        })
-                    };
                     finalize(
                         task,
                         value,

@@ -27,7 +27,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::scheduler::{
-    EvalFault, EvalOutcome, FaultInjector, PoolConfig, PoolReport, TaskCtx, TaskError, TaskRecord,
+    classify, EvalOutcome, FaultInjector, PoolConfig, PoolReport, TaskCtx, TaskError, TaskRecord,
 };
 
 /// Terminal outcome of one stream task, with the charge breakdown the
@@ -152,27 +152,7 @@ where
             attempt += 1;
             continue;
         };
-        let eval_minutes = outcome.minutes;
-        let timed_out =
-            matches!(config.timeout_minutes, Some(limit) if eval_minutes > limit);
-        // Timeouts charge the limit: the real job would have been killed at
-        // the wall.
-        let minutes_charged = match config.timeout_minutes {
-            Some(limit) if eval_minutes > limit => limit,
-            _ => eval_minutes,
-        };
-        let value = if timed_out {
-            Err(TaskError::Timeout { limit_minutes: config.timeout_minutes.unwrap() })
-        } else {
-            outcome.value.map_err(|fault| match fault {
-                EvalFault::Failed(reason) => TaskError::Failed(reason),
-                EvalFault::Diverged { step, loss } => TaskError::Diverged { step, loss },
-                EvalFault::Deadline => TaskError::Timeout {
-                    limit_minutes: config.timeout_minutes.unwrap_or(eval_minutes),
-                },
-                EvalFault::Cancelled => TaskError::Cancelled,
-            })
-        };
+        let (value, minutes_charged) = classify(outcome, config.timeout_minutes);
         return StreamTaskReport {
             record: TaskRecord { value, minutes: minutes_charged, worker: slot, attempts: attempt },
             lost_minutes: lost,
@@ -182,69 +162,37 @@ where
     }
 }
 
-/// Per-slot baseline captured at the last epoch boundary, so
-/// [`StreamSlots::epoch_report`] can report deltas.
-#[derive(Clone, Default)]
-struct EpochBaseline {
-    busy: Vec<f64>,
-    lost: Vec<f64>,
-    backoff: Vec<f64>,
-    deaths: usize,
-    retried: usize,
-    diverged: usize,
-    timeout: usize,
-    cancelled: usize,
-    exhausted: usize,
-}
-
 /// The simulated clock of a steady-state run: one monotone cursor per
 /// worker slot, advanced as tasks are charged to it. No list-scheduling
 /// reconstruction is needed — slot assignment is explicit and continuous,
-/// so the cursor *is* the slot's simulated wall clock.
-pub struct StreamSlots {
-    busy: Vec<f64>,
-    lost: Vec<f64>,
-    backoff: Vec<f64>,
-    deaths: usize,
-    retried: usize,
-    diverged: usize,
-    timeout: usize,
-    cancelled: usize,
-    exhausted: usize,
-    baseline: EpochBaseline,
-}
+/// so the cursor *is* the slot's simulated wall clock. The `baseline_*`
+/// half of the state is the copy taken at the last epoch boundary, so
+/// [`StreamSlots::epoch_report`] can report deltas.
+pub struct StreamSlots(StreamSlotsState);
 
 impl StreamSlots {
     /// Fresh accounting for `n_workers` slots, all at simulated time zero.
     pub fn new(n_workers: usize) -> Self {
-        assert!(n_workers > 0, "stream needs at least one worker slot");
-        StreamSlots {
-            busy: vec![0.0; n_workers],
-            lost: vec![0.0; n_workers],
-            backoff: vec![0.0; n_workers],
-            deaths: 0,
-            retried: 0,
-            diverged: 0,
-            timeout: 0,
-            cancelled: 0,
-            exhausted: 0,
-            baseline: EpochBaseline {
-                busy: vec![0.0; n_workers],
-                lost: vec![0.0; n_workers],
-                backoff: vec![0.0; n_workers],
-                ..EpochBaseline::default()
-            },
-        }
+        let zeros = || vec![0.0; n_workers];
+        StreamSlots::from_state(StreamSlotsState {
+            busy: zeros(),
+            lost: zeros(),
+            backoff: zeros(),
+            baseline_busy: zeros(),
+            baseline_lost: zeros(),
+            baseline_backoff: zeros(),
+            ..StreamSlotsState::default()
+        })
     }
 
     /// Number of worker slots.
     pub fn n_slots(&self) -> usize {
-        self.busy.len()
+        self.0.busy.len()
     }
 
     /// A slot's simulated clock: everything charged to it so far.
     pub fn cursor(&self, slot: usize) -> f64 {
-        self.busy[slot] + self.lost[slot] + self.backoff[slot]
+        self.0.busy[slot] + self.0.lost[slot] + self.0.backoff[slot]
     }
 
     /// Slot indices ordered by who frees up first — ascending cursor, ties
@@ -266,24 +214,28 @@ impl StreamSlots {
     /// (together with the slot index as tie-break) defines the campaign's
     /// arrival order.
     pub fn charge<T>(&mut self, slot: usize, report: &StreamTaskReport<T>) -> f64 {
-        let exhausted = matches!(report.record.value, Err(TaskError::WorkerFailed));
-        if exhausted {
-            self.lost[slot] += report.record.minutes;
-            self.exhausted += 1;
-        } else {
-            self.busy[slot] += report.record.minutes;
-            self.lost[slot] += report.lost_minutes;
-            match &report.record.value {
-                Err(TaskError::Failed(_)) | Err(TaskError::Diverged { .. }) => self.diverged += 1,
-                Err(TaskError::Timeout { .. }) => self.timeout += 1,
-                Err(TaskError::Cancelled) => self.cancelled += 1,
-                Err(TaskError::WorkerFailed) | Err(TaskError::Speculated) | Ok(_) => {}
+        let s = &mut self.0;
+        match &report.record.value {
+            // The exhausted record's minutes *are* the lost minutes.
+            Err(TaskError::WorkerFailed) => {
+                s.lost[slot] += report.record.minutes;
+                s.exhausted += 1;
+            }
+            value => {
+                s.busy[slot] += report.record.minutes;
+                s.lost[slot] += report.lost_minutes;
+                match value {
+                    Err(TaskError::Failed(_)) | Err(TaskError::Diverged { .. }) => s.diverged += 1,
+                    Err(TaskError::Timeout { .. }) => s.timeout += 1,
+                    Err(TaskError::Cancelled) => s.cancelled += 1,
+                    Err(TaskError::WorkerFailed) | Err(TaskError::Speculated) | Ok(_) => {}
+                }
             }
         }
-        self.backoff[slot] += report.backoff_minutes;
-        self.deaths += report.deaths;
+        s.backoff[slot] += report.backoff_minutes;
+        s.deaths += report.deaths;
         if report.deaths > 0 {
-            self.retried += 1;
+            s.retried += 1;
         }
         self.cursor(slot)
     }
@@ -295,27 +247,28 @@ impl StreamSlots {
     /// since a saturated stream has no barrier to wait on. The per-slot
     /// `busy + lost + backoff + idle = wall` partition holds exactly.
     pub fn epoch_report(&mut self) -> PoolReport {
-        let n = self.n_slots();
+        let s = &mut self.0;
+        let n = s.busy.len();
         let d = |now: &[f64], then: &[f64]| -> Vec<f64> {
-            (0..n).map(|s| now[s] - then[s]).collect()
+            (0..n).map(|slot| now[slot] - then[slot]).collect()
         };
-        let busy = d(&self.busy, &self.baseline.busy);
-        let lost = d(&self.lost, &self.baseline.lost);
-        let backoff = d(&self.backoff, &self.baseline.backoff);
-        let per_worker: Vec<f64> = (0..n).map(|s| busy[s] + lost[s]).collect();
-        let totals: Vec<f64> = (0..n).map(|s| per_worker[s] + backoff[s]).collect();
+        let busy = d(&s.busy, &s.baseline_busy);
+        let lost = d(&s.lost, &s.baseline_lost);
+        let backoff = d(&s.backoff, &s.baseline_backoff);
+        let per_worker: Vec<f64> = (0..n).map(|slot| busy[slot] + lost[slot]).collect();
+        let totals: Vec<f64> = (0..n).map(|slot| per_worker[slot] + backoff[slot]).collect();
         let wall = totals.iter().cloned().fold(0.0f64, f64::max);
         let makespan = per_worker.iter().cloned().fold(0.0f64, f64::max);
         let idle: Vec<f64> = totals.iter().map(|&t| wall - t).collect();
         let report = PoolReport {
             makespan_minutes: makespan,
             per_worker_minutes: per_worker,
-            worker_deaths: self.deaths - self.baseline.deaths,
-            retried_tasks: self.retried - self.baseline.retried,
-            diverged_tasks: self.diverged - self.baseline.diverged,
-            timeout_tasks: self.timeout - self.baseline.timeout,
-            cancelled_tasks: self.cancelled - self.baseline.cancelled,
-            exhausted_tasks: self.exhausted - self.baseline.exhausted,
+            worker_deaths: s.deaths - s.baseline_deaths,
+            retried_tasks: s.retried - s.baseline_retried,
+            diverged_tasks: s.diverged - s.baseline_diverged,
+            timeout_tasks: s.timeout - s.baseline_timeout,
+            cancelled_tasks: s.cancelled - s.baseline_cancelled,
+            exhausted_tasks: s.exhausted - s.baseline_exhausted,
             speculated_tasks: 0,
             speculative_deaths: 0,
             lost_minutes: lost.iter().sum(),
@@ -329,106 +282,29 @@ impl StreamSlots {
             quarantined_workers: 0,
             heartbeats: 0,
         };
-        self.baseline = EpochBaseline {
-            busy: self.busy.clone(),
-            lost: self.lost.clone(),
-            backoff: self.backoff.clone(),
-            deaths: self.deaths,
-            retried: self.retried,
-            diverged: self.diverged,
-            timeout: self.timeout,
-            cancelled: self.cancelled,
-            exhausted: self.exhausted,
-        };
+        s.baseline_busy.clone_from(&s.busy);
+        s.baseline_lost.clone_from(&s.lost);
+        s.baseline_backoff.clone_from(&s.backoff);
+        s.baseline_deaths = s.deaths;
+        s.baseline_retried = s.retried;
+        s.baseline_diverged = s.diverged;
+        s.baseline_timeout = s.timeout;
+        s.baseline_cancelled = s.cancelled;
+        s.baseline_exhausted = s.exhausted;
         report
-    }
-
-    /// Whole-run continuous accounting: the true steady-state utilization
-    /// partition, where `wall_minutes` is the latest slot cursor and each
-    /// slot's idle is purely the end-of-run drain (it stopped receiving
-    /// work while the longest slot finished). The per-slot
-    /// `busy + lost + backoff + idle = wall` partition holds exactly.
-    pub fn final_report(&self) -> PoolReport {
-        let n = self.n_slots();
-        let per_worker: Vec<f64> = (0..n).map(|s| self.busy[s] + self.lost[s]).collect();
-        let totals: Vec<f64> = (0..n).map(|s| self.cursor(s)).collect();
-        let wall = totals.iter().cloned().fold(0.0f64, f64::max);
-        let makespan = per_worker.iter().cloned().fold(0.0f64, f64::max);
-        PoolReport {
-            makespan_minutes: makespan,
-            per_worker_minutes: per_worker,
-            worker_deaths: self.deaths,
-            retried_tasks: self.retried,
-            diverged_tasks: self.diverged,
-            timeout_tasks: self.timeout,
-            cancelled_tasks: self.cancelled,
-            exhausted_tasks: self.exhausted,
-            speculated_tasks: 0,
-            speculative_deaths: 0,
-            lost_minutes: self.lost.iter().sum(),
-            backoff_minutes: self.backoff.iter().sum(),
-            busy_minutes: self.busy.clone(),
-            lost_death_minutes: self.lost.clone(),
-            lost_speculation_minutes: vec![0.0; n],
-            backoff_slot_minutes: self.backoff.clone(),
-            idle_minutes: totals.iter().map(|&t| wall - t).collect(),
-            wall_minutes: wall,
-            quarantined_workers: 0,
-            heartbeats: 0,
-        }
     }
 
     /// The full accounting state as a plain-data snapshot, for embedding in
     /// a campaign journal's snapshot record. [`StreamSlots::from_state`]
     /// rebuilds an identical accountant from it.
     pub fn state(&self) -> StreamSlotsState {
-        StreamSlotsState {
-            busy: self.busy.clone(),
-            lost: self.lost.clone(),
-            backoff: self.backoff.clone(),
-            deaths: self.deaths,
-            retried: self.retried,
-            diverged: self.diverged,
-            timeout: self.timeout,
-            cancelled: self.cancelled,
-            exhausted: self.exhausted,
-            baseline_busy: self.baseline.busy.clone(),
-            baseline_lost: self.baseline.lost.clone(),
-            baseline_backoff: self.baseline.backoff.clone(),
-            baseline_deaths: self.baseline.deaths,
-            baseline_retried: self.baseline.retried,
-            baseline_diverged: self.baseline.diverged,
-            baseline_timeout: self.baseline.timeout,
-            baseline_cancelled: self.baseline.cancelled,
-            baseline_exhausted: self.baseline.exhausted,
-        }
+        self.0.clone()
     }
 
     /// Rebuild an accountant from a [`StreamSlotsState`] snapshot.
     pub fn from_state(state: StreamSlotsState) -> Self {
         assert!(!state.busy.is_empty(), "stream needs at least one worker slot");
-        StreamSlots {
-            busy: state.busy,
-            lost: state.lost,
-            backoff: state.backoff,
-            deaths: state.deaths,
-            retried: state.retried,
-            diverged: state.diverged,
-            timeout: state.timeout,
-            cancelled: state.cancelled,
-            exhausted: state.exhausted,
-            baseline: EpochBaseline {
-                busy: state.baseline_busy,
-                lost: state.baseline_lost,
-                backoff: state.baseline_backoff,
-                deaths: state.baseline_deaths,
-                retried: state.baseline_retried,
-                diverged: state.baseline_diverged,
-                timeout: state.baseline_timeout,
-                cancelled: state.baseline_cancelled,
-                exhausted: state.baseline_exhausted,
-            },
-        }
+        StreamSlots(state)
     }
 }
 
@@ -557,7 +433,7 @@ mod tests {
     }
 
     #[test]
-    fn slot_cursors_partition_exactly_with_drain_only_idle() {
+    fn slot_cursors_order_the_submissions() {
         let mut slots = StreamSlots::new(2);
         let ok = |minutes: f64, slot: usize| StreamTaskReport::<u64> {
             record: TaskRecord { value: Ok(1), minutes, worker: slot, attempts: 1 },
@@ -571,17 +447,6 @@ mod tests {
         assert_eq!((t0, t1), (10.0, 4.0));
         // Slot 1 frees first now.
         assert_eq!(slots.free_order(), vec![1, 0]);
-        let report = slots.final_report();
-        assert_eq!(report.wall_minutes, 10.0);
-        assert_eq!(report.idle_minutes, vec![0.0, 6.0]);
-        for s in 0..2 {
-            let total = report.busy_minutes[s]
-                + report.lost_death_minutes[s]
-                + report.lost_speculation_minutes[s]
-                + report.backoff_slot_minutes[s]
-                + report.idle_minutes[s];
-            assert!((total - report.wall_minutes).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -1,10 +1,8 @@
 //! Execution tracing for the simulated batch job: reconstructs per-worker
-//! simulated timelines from task records and renders a text Gantt chart —
-//! the observability a Dask dashboard would give (the paper disabled the
-//! Bokeh dashboard on Summit; this is the offline equivalent).
+//! simulated timelines from task records, so the campaign driver can place
+//! each evaluation's telemetry span on a worker lane.
 
 use crate::scheduler::TaskRecord;
-use dphpo_obs::chrome::{render, Arg, TraceEvent, US_PER_MIN};
 
 /// One scheduled span on a worker's simulated timeline.
 #[derive(Clone, Debug, PartialEq)]
@@ -55,77 +53,6 @@ impl Timeline {
             .filter_map(|spans| spans.last().map(|s| s.end))
             .fold(0.0, f64::max)
     }
-
-    /// Mean worker utilisation (busy time / makespan), in `[0, 1]`.
-    pub fn utilisation(&self) -> f64 {
-        let makespan = self.makespan();
-        if makespan <= 0.0 {
-            return 0.0;
-        }
-        let busy: f64 = self
-            .timelines
-            .iter()
-            .map(|spans| spans.iter().map(|s| s.end - s.start).sum::<f64>())
-            .sum();
-        busy / (makespan * self.timelines.len() as f64)
-    }
-
-    /// Export the Gantt as Chrome `trace_event` spans: one lane (`tid w+1`)
-    /// per worker under process `pid`, each task span a complete (`'X'`)
-    /// event on the simulated clock offset by `t0_min` minutes. Feed the
-    /// result to [`dphpo_obs::chrome::render`] (or use
-    /// [`Timeline::chrome_trace_json`]) for a Perfetto-loadable document.
-    pub fn chrome_trace(&self, pid: u64, t0_min: f64) -> Vec<TraceEvent> {
-        let mut out = Vec::new();
-        for (w, spans) in self.timelines.iter().enumerate() {
-            let tid = w as u64 + 1;
-            out.push(TraceEvent::thread_name(pid, tid, &format!("worker {w} (run {pid})")));
-            for s in spans {
-                let mut ev = TraceEvent::span(
-                    &format!("task {}", s.task),
-                    "sched",
-                    pid,
-                    tid,
-                    (t0_min + s.start) * US_PER_MIN,
-                    (s.end - s.start) * US_PER_MIN,
-                );
-                ev.args.push(("task".to_string(), Arg::Num(s.task as f64)));
-                ev.args.push(("ok".to_string(), Arg::Num(if s.ok { 1.0 } else { 0.0 })));
-                out.push(ev);
-            }
-        }
-        out
-    }
-
-    /// [`Timeline::chrome_trace`] rendered as a complete JSON document.
-    pub fn chrome_trace_json(&self, pid: u64, t0_min: f64) -> String {
-        render(&self.chrome_trace(pid, t0_min))
-    }
-
-    /// Render a text Gantt chart, `width` characters across the makespan.
-    /// `#` marks successful task time, `x` failed task time.
-    pub fn gantt(&self, width: usize) -> String {
-        let makespan = self.makespan().max(1e-9);
-        let mut out = String::new();
-        for (w, spans) in self.timelines.iter().enumerate() {
-            let mut row = vec![' '; width];
-            for span in spans {
-                let a = ((span.start / makespan) * width as f64) as usize;
-                let b = (((span.end / makespan) * width as f64) as usize).min(width);
-                let mark = if span.ok { '#' } else { 'x' };
-                for cell in row.iter_mut().take(b).skip(a.min(width.saturating_sub(1))) {
-                    *cell = mark;
-                }
-            }
-            out.push_str(&format!("worker {w:>3} |{}|\n", row.iter().collect::<String>()));
-        }
-        out.push_str(&format!(
-            "makespan {:.1} min, utilisation {:.0}%\n",
-            self.makespan(),
-            self.utilisation() * 100.0
-        ));
-        out
-    }
 }
 
 #[cfg(test)]
@@ -154,44 +81,18 @@ mod tests {
     }
 
     #[test]
-    fn utilisation_is_perfect_for_balanced_load() {
-        let records: Vec<TaskRecord<u64>> = (0..4).map(|_| record(10.0, true)).collect();
-        let timeline = Timeline::reconstruct(&records, 2);
-        assert!((timeline.utilisation() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn utilisation_drops_for_imbalanced_load() {
-        let records = vec![record(30.0, true), record(5.0, true)];
-        let timeline = Timeline::reconstruct(&records, 2);
-        assert!(timeline.utilisation() < 0.7);
-    }
-
-    #[test]
-    fn gantt_renders_failures_distinctly() {
-        let records = vec![record(10.0, true), record(10.0, false)];
-        let timeline = Timeline::reconstruct(&records, 2);
-        let chart = timeline.gantt(20);
-        assert!(chart.contains('#'));
-        assert!(chart.contains('x'));
-        assert!(chart.contains("worker   0"));
-        assert!(chart.contains("utilisation"));
-    }
-
-    #[test]
     fn empty_records_are_harmless() {
         let records: Vec<TaskRecord<u64>> = Vec::new();
         let timeline = Timeline::reconstruct(&records, 3);
         assert_eq!(timeline.makespan(), 0.0);
-        assert_eq!(timeline.utilisation(), 0.0);
     }
 
     #[test]
-    fn chrome_trace_makespan_matches_pool_report_charged_makespan() {
+    fn makespan_matches_pool_report_charged_makespan() {
         use crate::scheduler::{run_batch, EvalOutcome, FaultInjector, PoolConfig};
         // Fault-free, the Timeline reconstruction charges exactly what the
-        // scheduler charged, so the trace's last span must end at the
-        // PoolReport makespan on both clocks (minutes and trace µs).
+        // scheduler charged, so its last span must end at the PoolReport
+        // makespan, with every task on exactly one worker lane.
         let inputs: Vec<u64> = (0..7).collect();
         let config = PoolConfig { n_workers: 3, ..PoolConfig::default() };
         let minutes = [40.0, 10.0, 25.0, 5.0, 30.0, 10.0, 20.0];
@@ -203,27 +104,16 @@ mod tests {
         );
         let timeline = Timeline::reconstruct(&records, config.n_workers);
         assert!((timeline.makespan() - report.makespan_minutes).abs() < 1e-9);
-        let events = timeline.chrome_trace(0, 0.0);
-        let trace_end_us = events
-            .iter()
-            .filter(|e| e.ph == 'X')
-            .map(|e| e.ts_us + e.dur_us)
-            .fold(0.0, f64::max);
-        assert!((trace_end_us - report.makespan_minutes * US_PER_MIN).abs() < 1e-3);
-        // One thread-name lane per worker, spans only on worker lanes.
-        let lanes: Vec<u64> =
-            events.iter().filter(|e| e.ph == 'M').map(|e| e.tid).collect();
-        assert_eq!(lanes, vec![1, 2, 3]);
-        assert!(events.iter().filter(|e| e.ph == 'X').all(|e| e.tid >= 1 && e.tid <= 3));
-        assert_eq!(events.iter().filter(|e| e.ph == 'X').count(), inputs.len());
+        assert_eq!(timeline.timelines.len(), 3);
+        assert_eq!(timeline.timelines.iter().map(Vec::len).sum::<usize>(), inputs.len());
     }
 
     #[test]
-    fn chrome_trace_makespan_is_lower_bound_under_faults() {
+    fn makespan_is_lower_bound_under_faults() {
         use crate::scheduler::{run_batch, EvalOutcome, FaultInjector, PoolConfig};
         // Under faults the report additionally charges dead attempts'
         // partial minutes, which the record-only reconstruction omits — the
-        // trace end can only undershoot the charged makespan.
+        // reconstruction can only undershoot the charged makespan.
         let inputs: Vec<u64> = (0..20).collect();
         let config = PoolConfig { n_workers: 4, nanny: true, ..PoolConfig::default() };
         let faults = FaultInjector::new(0.15, 99);
@@ -236,18 +126,5 @@ mod tests {
         assert!(report.worker_deaths > 0, "seed produced no deaths");
         let timeline = Timeline::reconstruct(&records, config.n_workers);
         assert!(timeline.makespan() <= report.makespan_minutes + 1e-9);
-    }
-
-    #[test]
-    fn chrome_trace_json_offsets_by_t0() {
-        let records = vec![record(10.0, true), record(5.0, false)];
-        let timeline = Timeline::reconstruct(&records, 2);
-        let doc = timeline.chrome_trace_json(3, 100.0);
-        assert!(doc.contains("\"pid\":3"));
-        // 100 minutes offset → first span starts at 6e9 µs.
-        assert!(doc.contains("\"ts\":6000000000"));
-        assert!(doc.contains("\"name\":\"task 0\""));
-        assert!(doc.contains("\"ok\":0"));
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
     }
 }

@@ -2,11 +2,13 @@
 //! for any pool shape, death probability, retry budget, nanny mode, and
 //! speculation setting, the batch must terminate with exactly one terminal
 //! record per task, fire the completion hook exactly once per task, and
-//! never exceed the retry budget — even when the whole pool dies.
+//! never exceed the retry budget — even when the whole pool dies. And the
+//! batch and stream schedulers must turn the same evaluation outcome into
+//! the same terminal record.
 
 use dphpo_hpc::{
-    run_batch_supervised, EvalFault, EvalOutcome, FaultInjector, PoolConfig, SupervisorConfig,
-    TaskCtx, TaskError,
+    run_batch_supervised, run_stream_window, EvalFault, EvalOutcome, FaultInjector, PoolConfig,
+    SupervisorConfig, TaskCtx, TaskError, TaskRecord,
 };
 use proptest::prelude::*;
 
@@ -240,4 +242,159 @@ proptest! {
             prop_assert_eq!(report.wall_minutes, report.makespan_minutes);
         }
     }
+}
+
+/// One task through each scheduler, same pool shape and fault plan (batch
+/// key 0 on both sides): the batch record and the stream record.
+fn one_task_both_ways(
+    eval: fn(&TaskCtx<'_>, &u64) -> EvalOutcome<u64>,
+    config: &PoolConfig,
+    faults: impl Fn() -> FaultInjector,
+) -> (TaskRecord<u64>, TaskRecord<u64>) {
+    const ESTIMATE: f64 = 40.0;
+    let (mut batch, _) =
+        run_batch_supervised(&[7u64], eval, |_, _| ESTIMATE, config, &faults(), |_, _| {});
+    let mut stream =
+        run_stream_window(&[(0usize, 0usize, 7u64)], eval, |_, _| ESTIMATE, config, &faults());
+    (batch.remove(0), stream.remove(0).record)
+}
+
+/// The two schedulers share one classification (timeouts charge the limit,
+/// structured faults map onto `TaskError`) and the same death accounting,
+/// so for the same outcome they must agree on value, minutes and attempts.
+/// Speculation is off (the stream scheduler has no twins) and nannies are
+/// on, so a death never retires the batch side's worker mid-chain.
+#[test]
+fn batch_and_stream_schedulers_classify_alike() {
+    let pool = |timeout_minutes| PoolConfig {
+        n_workers: 2,
+        timeout_minutes,
+        nanny: true,
+        max_attempts: 3,
+        supervisor: SupervisorConfig::default(),
+    };
+    type Eval = fn(&TaskCtx<'_>, &u64) -> EvalOutcome<u64>;
+    /// `(name, timeout, eval, expected value, expected minutes, expected attempts)`.
+    type Case = (&'static str, Option<f64>, Eval, Result<u64, TaskError>, f64, u32);
+    let cases: [Case; 9] = [
+        (
+            "ok under the limit",
+            Some(120.0),
+            |_, &x| EvalOutcome { value: Ok(x), minutes: 60.0 },
+            Ok(7),
+            60.0,
+            1,
+        ),
+        (
+            "ok over the limit",
+            Some(120.0),
+            |_, &x| EvalOutcome { value: Ok(x), minutes: 150.0 },
+            Err(TaskError::Timeout { limit_minutes: 120.0 }),
+            120.0,
+            1,
+        ),
+        (
+            "ok without a limit",
+            None,
+            |_, &x| EvalOutcome { value: Ok(x), minutes: 150.0 },
+            Ok(7),
+            150.0,
+            1,
+        ),
+        (
+            "failed",
+            Some(120.0),
+            |_, _| EvalOutcome { value: Err(EvalFault::Failed("bad".into())), minutes: 3.0 },
+            Err(TaskError::Failed("bad".into())),
+            3.0,
+            1,
+        ),
+        (
+            "diverged",
+            Some(120.0),
+            |_, _| EvalOutcome {
+                value: Err(EvalFault::Diverged { step: 9, loss: 1e30 }),
+                minutes: 4.0,
+            },
+            Err(TaskError::Diverged { step: 9, loss: 1e30 }),
+            4.0,
+            1,
+        ),
+        (
+            "deadline under a configured limit",
+            Some(120.0),
+            |_, _| EvalOutcome { value: Err(EvalFault::Deadline), minutes: 120.0 },
+            Err(TaskError::Timeout { limit_minutes: 120.0 }),
+            120.0,
+            1,
+        ),
+        (
+            "deadline without a configured limit",
+            None,
+            |_, _| EvalOutcome { value: Err(EvalFault::Deadline), minutes: 77.0 },
+            Err(TaskError::Timeout { limit_minutes: 77.0 }),
+            77.0,
+            1,
+        ),
+        (
+            "cancelled",
+            Some(120.0),
+            |_, _| EvalOutcome { value: Err(EvalFault::Cancelled), minutes: 5.0 },
+            Err(TaskError::Cancelled),
+            5.0,
+            1,
+        ),
+        // A panicking evaluation is a worker death that writes off the full
+        // 40-minute estimate, on every one of the three attempts.
+        (
+            "panicking eval",
+            Some(120.0),
+            |_, _| panic!("evaluation blew up"),
+            Err(TaskError::WorkerFailed),
+            120.0,
+            3,
+        ),
+    ];
+    for (name, timeout, eval, value, minutes, attempts) in cases {
+        let (batch, stream) = one_task_both_ways(eval, &pool(timeout), FaultInjector::none);
+        for (side, record) in [("batch", &batch), ("stream", &stream)] {
+            assert_eq!(record.value, value, "{name} ({side})");
+            assert_eq!(record.minutes, minutes, "{name} ({side})");
+            assert_eq!(record.attempts, attempts, "{name} ({side})");
+        }
+    }
+
+    // Fault-killed attempts: whatever the plan does to the chain — survive
+    // after k deaths or exhaust all three attempts — both sides charge the
+    // same minutes and count the same attempts.
+    let ok: Eval = |_, &x| EvalOutcome { value: Ok(x), minutes: 60.0 };
+    let (mut retried, mut exhausted) = (0, 0);
+    for seed in 0..64 {
+        let (batch, stream) =
+            one_task_both_ways(ok, &pool(Some(120.0)), || FaultInjector::new(0.6, seed));
+        assert_eq!(batch.value, stream.value, "seed {seed}");
+        assert_eq!(batch.minutes, stream.minutes, "seed {seed}");
+        assert_eq!(batch.attempts, stream.attempts, "seed {seed}");
+        match batch.value {
+            Ok(_) if batch.attempts > 1 => retried += 1,
+            Err(TaskError::WorkerFailed) => {
+                assert_eq!(batch.attempts, 3, "seed {seed}");
+                exhausted += 1;
+            }
+            _ => {}
+        }
+    }
+    assert!(retried > 0 && exhausted > 0, "fault plans too tame: {retried} / {exhausted}");
+
+    // Where the two legitimately differ: without nannies a death retires
+    // the batch pool's worker, so a one-worker pool is dead after the first
+    // attempt and fails the task there; a stream slot is an accounting
+    // cursor, not a thread that can die, so its chain always runs to
+    // `max_attempts`. Same classification, different attempts and minutes.
+    let no_nanny = PoolConfig { n_workers: 1, nanny: false, ..pool(Some(120.0)) };
+    let (batch, stream) = one_task_both_ways(ok, &no_nanny, || FaultInjector::new(0.999, 3));
+    assert_eq!(batch.value, Err(TaskError::WorkerFailed));
+    assert_eq!(stream.value, Err(TaskError::WorkerFailed));
+    assert_eq!((batch.attempts, stream.attempts), (1, 3));
+    assert!(batch.minutes < stream.minutes);
 }

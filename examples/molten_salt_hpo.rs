@@ -11,7 +11,7 @@
 //! runs the full experiment).
 
 use dphpo::core::analysis::{analyze, CHEM_ACC_ENERGY, CHEM_ACC_FORCE};
-use dphpo::core::{ExperimentConfig, ExperimentResult};
+use dphpo::core::{Campaign, ExperimentConfig, ExperimentResult};
 
 fn main() {
     let mut config = ExperimentConfig::reduced();
@@ -27,7 +27,7 @@ fn main() {
     );
 
     let t0 = std::time::Instant::now();
-    let result: ExperimentResult = dphpo::core::run_experiment(&config);
+    let result: ExperimentResult = Campaign::new(&config).run(None).unwrap();
     println!("done in {:.1?}\n", t0.elapsed());
 
     // Per-generation convergence summary (Fig. 1 in miniature).

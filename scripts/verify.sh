@@ -27,12 +27,11 @@
 #                                    across byte offsets in both campaign
 #                                    modes, salvage, resume, and demand
 #                                    byte-identity with the undamaged run;
-#                                    frame-format property tests; v1-fixture
-#                                    compatibility; plus a seeded fault-plan
-#                                    sweep (CHAOS_SEEDS io-fault seeds per
-#                                    mode, default 2; CORRUPT_STRIDE /
-#                                    SALVAGE_STRIDE tighten the offset grid,
-#                                    1 = exhaustive)
+#                                    frame-format property tests; plus a
+#                                    seeded fault-plan sweep (CHAOS_SEEDS
+#                                    io-fault seeds per mode, default 2;
+#                                    CORRUPT_STRIDE / SALVAGE_STRIDE tighten
+#                                    the offset grid, 1 = exhaustive)
 #   9. profile identity            — profiling on/off leaves every campaign
 #                                    artifact byte-identical, and the
 #                                    profile artifacts themselves are
@@ -52,6 +51,11 @@
 #                                    random shapes, and the three fused tape
 #                                    ops vs the same chain spelled with
 #                                    unfused taped primitives
+#  11. benchmark package           — benchmark/ is its own workspace, so the
+#                                    stages above never compile it: build and
+#                                    test it against this tree (a removed
+#                                    re-export in benchmark/src/adapter.rs
+#                                    fails here), then run its smoke pass
 #
 # Opt-in extras (timing-sensitive, off by default on shared hardware):
 #
@@ -66,19 +70,19 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> [1/10] cargo build --release"
+echo "==> [1/11] cargo build --release"
 cargo build --release --workspace
 
-echo "==> [2/10] cargo test -q"
+echo "==> [2/11] cargo test -q"
 cargo test -q --workspace
 
-echo "==> [3/10] cargo clippy (-D warnings)"
+echo "==> [3/11] cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets --quiet -- -D warnings
 
-echo "==> [4/10] cargo doc --no-deps (RUSTDOCFLAGS=-D warnings)"
+echo "==> [4/11] cargo doc --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
-echo "==> [5/10] doc-sync: EXPERIMENTS.md targets exist"
+echo "==> [5/11] doc-sync: EXPERIMENTS.md targets exist"
 missing=0
 for bin in $(grep -o -- '--bin [a-z0-9_]*' EXPERIMENTS.md | awk '{print $2}' | sort -u); do
     if [[ ! -f "crates/bench/src/bin/${bin}.rs" ]]; then
@@ -122,7 +126,7 @@ if [[ ${missing} -ne 0 ]]; then
 fi
 
 CHAOS_STRESS="${CHAOS_STRESS:-3}"
-echo "==> [6/10] chaos stress: ${CHAOS_STRESS}x journal crash/resume suites"
+echo "==> [6/11] chaos stress: ${CHAOS_STRESS}x journal crash/resume suites"
 for i in $(seq 1 "${CHAOS_STRESS}"); do
     echo "    chaos iteration ${i}/${CHAOS_STRESS} (generational)"
     cargo test -q -p dphpo-core --test journal_chaos
@@ -130,27 +134,29 @@ for i in $(seq 1 "${CHAOS_STRESS}"); do
     cargo test -q -p dphpo-core --test steady_state_identity
 done
 
-echo "==> [7/10] telemetry bit-identity (observed == unobserved artifacts)"
+echo "==> [7/11] telemetry bit-identity (observed == unobserved artifacts)"
 cargo test -q -p dphpo-core --test telemetry_identity
 echo "    campaign observatory identity (status/report/counters across kill+resume)"
 cargo test -q -p dphpo-core --test campaign_report_identity
 
 CHAOS_SEEDS="${CHAOS_SEEDS:-2}"
-echo "==> [8/10] corruption & salvage matrix (CHAOS_SEEDS=${CHAOS_SEEDS})"
+echo "==> [8/11] corruption & salvage matrix (CHAOS_SEEDS=${CHAOS_SEEDS})"
 CHAOS_SEEDS="${CHAOS_SEEDS}" cargo test -q -p dphpo-core --test corruption_matrix
 echo "    frame-format property tests"
 cargo test -q -p dphpo-core --test journal_frames
-echo "    v1 fixture compatibility"
-cargo test -q -p dphpo-core --test journal_v1_compat
 
-echo "==> [9/10] profile identity (profiling on/off, kill+resume, both modes)"
+echo "==> [9/11] profile identity (profiling on/off, kill+resume, both modes)"
 cargo test -q -p dphpo-core --test profile_identity
 echo "    profiler property tests"
 cargo test -q -p dphpo-core --test profile_props
 
-echo "==> [10/10] oracle suite (release): finite differences and unfused references"
+echo "==> [10/11] oracle suite (release): finite differences and unfused references"
 cargo test -q --release -p dphpo-dnnp --test oracle
 cargo test -q --release -p dphpo-autograd --test fused_ops
+
+echo "==> [11/11] benchmark package: tests and smoke pass against this tree"
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+bash benchmark/run.sh --smoke
 
 if [[ "${BENCH_CHECK:-0}" == "1" ]]; then
     echo "==> [opt-in] hot-path bench regression check (BENCH_CHECK=1)"

@@ -3,11 +3,11 @@
 //! asserting the structural invariants every figure and table relies on.
 
 use dphpo::core::analysis::analyze;
-use dphpo::core::experiment::{run_experiment, ExperimentConfig};
+use dphpo::core::experiment::{Campaign, ExperimentConfig};
 use dphpo::evo::Fitness;
 
 fn smoke_result() -> dphpo::core::ExperimentResult {
-    run_experiment(&ExperimentConfig::smoke())
+    Campaign::new(&ExperimentConfig::smoke()).run(None).unwrap()
 }
 
 #[test]
