@@ -1,7 +1,9 @@
 //! Machine-readable baseline of the training hot path: steady-state
-//! training step cost, the tensor/tape kernels it is built from (blocked
-//! matmul, transposed-operand matmuls, bulk tanh, fused affine layer), and
-//! the batched-vs-scalar descriptor pass.
+//! training step cost and per-training set-up cost (`TrainRun::new`: model
+//! init plus the descriptor caches selected from the datasets' pair
+//! tables), the tensor/tape kernels a step is built from (blocked matmul,
+//! transposed-operand matmuls, bulk tanh, fused affine layer), and the
+//! batched-vs-scalar descriptor pass.
 //!
 //! Writes `BENCH_hotpath.json` (schema `dphpo-hotpath-v3`) into the
 //! current directory — run from the repo root (or via
@@ -12,7 +14,9 @@ use std::time::Instant;
 
 use dphpo_autograd::{Tape, Tensor, Unary};
 use dphpo_dnnp::json::Json;
-use dphpo_dnnp::{forward_cached, train, DnnpModel, FrameCache, TrainConfig};
+use dphpo_dnnp::{
+    forward_cached, train, DnnpModel, FrameCache, Supervision, TrainConfig, TrainRun,
+};
 use dphpo_md::generate::{generate_dataset, GenConfig};
 use dphpo_md::Dataset;
 use rand::rngs::StdRng;
@@ -95,8 +99,8 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .cloned()
         .unwrap_or_else(|| "BENCH_hotpath.json".into());
-    let (samples, k_steps, mm_reps, aff_reps, act_reps) =
-        if quick { (3, 20, 300, 60, 100) } else { (3, 100, 3000, 400, 1000) };
+    let (samples, k_steps, mm_reps, aff_reps, act_reps, new_reps) =
+        if quick { (3, 20, 300, 60, 100, 20) } else { (3, 100, 3000, 400, 1000, 200) };
     let (train_ds, val_ds) = data();
 
     // Steady-state step cost by subtraction: t(2K) − t(K) spans exactly K
@@ -113,7 +117,14 @@ fn main() {
             let _ = train(&config(rcut, 2 * k_steps), &train_ds, &val_ds, &mut rng).unwrap();
         });
         let ns_per_step = ((t_long - t_short).max(0.0) / k_steps as f64) * 1e9;
-        training.push((rcut, ns_per_step));
+        // What every evaluation pays before its first step.
+        let (cfg, sup) = (config(rcut, 1), Supervision::none());
+        let new_us = ns_per_op(samples, new_reps, || {
+            let mut rng = StdRng::seed_from_u64(7);
+            let run = TrainRun::new(&cfg, &train_ds, &val_ds, &mut rng, &sup).unwrap();
+            std::hint::black_box(run.is_active());
+        }) / 1e3;
+        training.push((rcut, ns_per_step, new_us));
     }
 
     println!("timing kernels...");
@@ -225,11 +236,12 @@ fn main() {
             Json::Array(
                 training
                     .iter()
-                    .map(|&(rcut, ns)| {
+                    .map(|&(rcut, ns, new_us)| {
                         Json::object(vec![
                             ("rcut", Json::Number(rcut)),
                             ("steps_measured", Json::Number(k_steps as f64)),
                             ("ns_per_step", Json::Number(ns)),
+                            ("train_run_new_us", Json::Number(new_us)),
                         ])
                     })
                     .collect(),
@@ -260,8 +272,8 @@ fn main() {
     ]);
     std::fs::write(&out_path, format!("{doc}\n")).expect("write baseline");
     println!("wrote {out_path}");
-    for &(rcut, ns) in &training {
-        println!("  training rcut {rcut}: {:.1} µs/step", ns / 1e3);
+    for &(rcut, ns, new_us) in &training {
+        println!("  training rcut {rcut}: {:.1} µs/step, TrainRun::new {new_us:.1} µs", ns / 1e3);
     }
     println!(
         "  matmul 64x64: {matmul_ns:.0} ns  (nt {matmul_nt_ns:.0} ns, tn {matmul_tn_ns:.0} ns, nt/mm {:.2})",

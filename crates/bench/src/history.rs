@@ -205,12 +205,16 @@ pub struct RowDiff {
 }
 
 /// Timing rows gate; everything else is informational. A key is a timing
-/// when any dotted segment is nanosecond-shaped: `*_ns`, `ns_*`, or an
+/// when any dotted segment is nanosecond-shaped — `*_ns`, `ns_*`, or an
 /// interior `_ns_` (covers `ns_per_step`, `matmul_64x64_ns`,
-/// `noop_block_ns_per_step`).
+/// `noop_block_ns_per_step`) — or ends in `_us` (`train_run_new_us`).
 pub fn is_timing(key: &str) -> bool {
     key.split('.').any(|seg| {
-        seg.ends_with("_ns") || seg.starts_with("ns_") || seg.contains("_ns_") || seg == "ns"
+        seg.ends_with("_ns")
+            || seg.ends_with("_us")
+            || seg.starts_with("ns_")
+            || seg.contains("_ns_")
+            || seg == "ns"
     })
 }
 
@@ -365,6 +369,7 @@ mod tests {
         assert!(is_timing("training.0.ns_per_step"));
         assert!(is_timing("kernels.matmul_64x64_ns"));
         assert!(is_timing("noop_block_ns_per_step"));
+        assert!(is_timing("training.1.train_run_new_us"));
         assert!(!is_timing("training.0.rcut"));
         assert!(!is_timing("population.genomes"));
         assert!(!is_timing("n_runs")); // 'ns' substring must not match

@@ -12,17 +12,20 @@
 //! returns the journaled outcome — so a resumed campaign recomputes nothing
 //! and still reproduces the original scheduler traffic (fault decisions,
 //! retries, reports) bit-identically.
+//!
+//! Both also evaluate on one pool — the campaign's worker threads, opened
+//! once by [`crate::experiment::Campaign::run`] and fed evaluation jobs by
+//! every batch and every steady-state submission of every run.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dphpo_dnnp::AbortReason;
 use dphpo_evo::nsga2::{BatchEvaluator, EvalResult, GenerationRecord};
 use dphpo_evo::{ArchiveChurn, Fitness, ParetoArchive};
 use dphpo_hpc::{
-    run_batch_observed, EvalFault, EvalOutcome, FaultInjector, PoolReport, TaskCtx, TaskRecord,
-    Timeline,
+    EvalFault, EvalOutcome, FaultInjector, Pool, PoolReport, TaskCtx, TaskRecord, Timeline,
 };
 use dphpo_obs::{cats, names, Event, Recorder, SpanCtx, When};
 
@@ -66,62 +69,76 @@ pub(crate) struct RunEnv<'a> {
     pub base_span: SpanCtx,
     /// The live status/profile surface.
     pub status: &'a mut StatusSink,
+    /// The campaign's worker threads.
+    pub pool: &'a EvalPool<'a>,
 }
 
-/// The `Sync` part of a [`RunEnv`]: what a worker thread needs to turn one
-/// genome into an evaluation outcome.
-pub(crate) struct EvalCore<'a> {
-    ctx: &'a EvalContext,
-    replay: Option<&'a HashMap<(usize, usize), EvalEntry>>,
-    obs: &'a dyn Recorder,
+/// One evaluation as the campaign's pool threads see it. Owned, because a
+/// steady-state submission is queued well before the driver comes back for
+/// its result; the threads' only borrows are campaign-long (the dataset
+/// context and the recorder, see [`evaluate_job`]).
+pub(crate) struct EvalJob {
+    genome: Vec<f64>,
+    /// Training seed.
+    seed: u64,
+    /// The generation (or submission wave) the evaluation's spans go under;
+    /// task and attempt are added on the thread.
+    span: SpanCtx,
+    /// The journaled outcome, when this evaluation is already on record.
+    replayed: Option<EvalEntry>,
 }
 
-impl EvalCore<'_> {
+/// The campaign's worker threads: one pool under both drivers and every run.
+pub(crate) type EvalPool<'a> = Pool<'a, Arc<EvalJob>, EvalRecord>;
+
+/// What a pool thread does with an [`EvalJob`] — replay or train: a
+/// journaled outcome short-circuits training (so a resumed campaign
+/// recomputes nothing and emits no per-step events); otherwise the genome is
+/// evaluated under scheduler supervision and a structured training abort
+/// mapped onto the scheduler's fault taxonomy.
+pub(crate) fn evaluate_job(
+    ctx: &EvalContext,
+    obs: &dyn Recorder,
+    tc: &TaskCtx<'_>,
+    job: &EvalJob,
+) -> EvalOutcome<EvalRecord> {
+    if let Some(entry) = &job.replayed {
+        return entry.to_outcome();
+    }
+    let span = job.span.with_task(tc.task as u32, tc.attempt);
+    let (record, abort) = evaluate_individual_observed(ctx, &job.genome, job.seed, tc, obs, span);
+    let minutes = record.minutes;
+    if !record.failed {
+        return EvalOutcome { value: Ok(record), minutes };
+    }
+    let fault = match abort {
+        Some(AbortReason::Diverged { step, loss }) => EvalFault::Diverged { step, loss },
+        Some(AbortReason::Deadline { .. }) => EvalFault::Deadline,
+        Some(AbortReason::Cancelled { .. }) => EvalFault::Cancelled,
+        None => EvalFault::Failed("training failed".to_string()),
+    };
+    EvalOutcome { value: Err(fault), minutes }
+}
+
+impl RunEnv<'_> {
     /// The journaled entry for `key` — `(generation, slot)`, or
     /// `(0, submission)` in steady state — if its genome matches bit for bit.
     pub(crate) fn journaled(&self, key: (usize, usize), genome: &[f64]) -> Option<&EvalEntry> {
-        self.replay.and_then(|map| map.get(&key)).filter(|entry| entry.genome == genome)
+        let replay = &self.journal.as_ref()?.replay;
+        replay.get(&key).filter(|entry| entry.genome == genome)
     }
 
-    /// Replay or train: a journaled outcome short-circuits training (so a
-    /// resumed campaign recomputes nothing and emits no per-step events);
-    /// otherwise the genome is evaluated under scheduler supervision and a
-    /// structured training abort mapped onto the scheduler's fault taxonomy.
-    pub(crate) fn outcome(
+    /// The job that evaluates `genome` at `key`: a replay when the journal
+    /// already holds it, a training under `seed` otherwise.
+    pub(crate) fn job(
         &self,
         key: (usize, usize),
         genome: &[f64],
         seed: u64,
-        tc: &TaskCtx<'_>,
         span: SpanCtx,
-    ) -> EvalOutcome<EvalRecord> {
-        if let Some(entry) = self.journaled(key, genome) {
-            return entry.to_outcome();
-        }
-        let (record, abort) =
-            evaluate_individual_observed(self.ctx, genome, seed, tc, self.obs, span);
-        let minutes = record.minutes;
-        if !record.failed {
-            return EvalOutcome { value: Ok(record), minutes };
-        }
-        let fault = match abort {
-            Some(AbortReason::Diverged { step, loss }) => EvalFault::Diverged { step, loss },
-            Some(AbortReason::Deadline { .. }) => EvalFault::Deadline,
-            Some(AbortReason::Cancelled { .. }) => EvalFault::Cancelled,
-            None => EvalFault::Failed("training failed".to_string()),
-        };
-        EvalOutcome { value: Err(fault), minutes }
-    }
-}
-
-impl RunEnv<'_> {
-    /// The view of this environment that worker threads share.
-    pub(crate) fn core(&self) -> EvalCore<'_> {
-        EvalCore {
-            ctx: &self.ctx,
-            replay: self.journal.as_ref().map(|sink| &*sink.replay),
-            obs: self.obs,
-        }
+    ) -> Arc<EvalJob> {
+        let replayed = self.journaled(key, genome).cloned();
+        Arc::new(EvalJob { genome: genome.to_vec(), seed, span, replayed })
     }
 
     /// The error a dead (chaos-killed) driver returns.
@@ -139,7 +156,7 @@ impl RunEnv<'_> {
         genome: &[f64],
         task: &TaskRecord<EvalRecord>,
     ) -> Option<EvalEntry> {
-        let fresh = self.journal.is_some() && self.core().journaled(key, genome).is_none();
+        let fresh = self.journal.is_some() && self.journaled(key, genome).is_none();
         fresh.then(|| EvalEntry::from_task(self.run, key.0, key.1, seed, genome, task))
     }
 
@@ -262,7 +279,6 @@ impl BatchEvaluator for SummitEvaluator<'_> {
         let first = gen * genomes.len() as u64;
         let seeds: Vec<u64> =
             (0..genomes.len() as u64).map(|i| derive_seed(env.seed, first + i)).collect();
-        let core = env.core();
         let gen_idx = gen as usize;
         // Span timestamps are absolute on the campaign's simulated clock:
         // this batch starts where the previous batches' makespans end.
@@ -280,14 +296,14 @@ impl BatchEvaluator for SummitEvaluator<'_> {
         // never concurrently.
         let buffered: RefCell<BTreeMap<usize, Option<EvalEntry>>> = RefCell::new(BTreeMap::new());
         let next_release = Cell::new(0usize);
-        let (records, report) = run_batch_observed(
-            genomes,
-            |tc: &TaskCtx<'_>, genome: &Vec<f64>| {
-                let i = tc.task;
-                let span = base_span.with_task(i as u32, tc.attempt);
-                core.outcome((gen_idx, i), genome, seeds[i], tc, span)
-            },
-            |_, genome: &Vec<f64>| estimated_minutes(&env.ctx, genome),
+        let jobs: Vec<Arc<EvalJob>> = genomes
+            .iter()
+            .enumerate()
+            .map(|(i, genome)| env.job((gen_idx, i), genome, seeds[i], base_span))
+            .collect();
+        let (records, report) = env.pool.run_batch(
+            &jobs,
+            |_, job: &Arc<EvalJob>| estimated_minutes(&env.ctx, &job.genome),
             &env.config.pool,
             &env.faults,
             |slot, task: &TaskRecord<EvalRecord>| {
@@ -367,23 +383,35 @@ mod tests {
         (config, ctx)
     }
 
-    fn env<'a>(
-        fixture: &'a (ExperimentConfig, Arc<EvalContext>),
-        status: &'a mut StatusSink,
+    /// Run `f` over a fresh evaluator for the fixture, on a pool of the
+    /// fixture's size, starting at `generation`.
+    fn with_evaluator<R>(
+        fixture: &(ExperimentConfig, Arc<EvalContext>),
         faults: FaultInjector,
         seed: u64,
-    ) -> RunEnv<'a> {
-        RunEnv {
-            config: &fixture.0,
-            run: 0,
-            seed,
-            ctx: Arc::clone(&fixture.1),
-            faults,
-            journal: None,
-            obs: &NOOP,
-            base_span: SpanCtx::root(seed, 0),
-            status,
-        }
+        generation: u64,
+        f: impl FnOnce(&mut SummitEvaluator<'_>) -> R,
+    ) -> R {
+        let mut status = StatusSink::new(&Campaign::new(&fixture.0), None);
+        dphpo_hpc::with_pool(
+            fixture.0.pool.n_workers,
+            |tc: &TaskCtx<'_>, job: &Arc<EvalJob>| evaluate_job(&fixture.1, &NOOP, tc, job),
+            |pool| {
+                let env = RunEnv {
+                    config: &fixture.0,
+                    run: 0,
+                    seed,
+                    ctx: Arc::clone(&fixture.1),
+                    faults,
+                    journal: None,
+                    obs: &NOOP,
+                    base_span: SpanCtx::root(seed, 0),
+                    status: &mut status,
+                    pool,
+                };
+                f(&mut SummitEvaluator { env, generation, reports: Vec::new() })
+            },
+        )
     }
 
     fn genomes() -> Vec<Vec<f64>> {
@@ -401,21 +429,17 @@ mod tests {
     #[test]
     fn batch_evaluation_returns_one_result_per_genome() {
         let fixture = fixture(PoolConfig { n_workers: 3, ..PoolConfig::default() });
-        let mut status = StatusSink::new(&Campaign::new(&fixture.0), None);
-        let mut evaluator = SummitEvaluator {
-            env: env(&fixture, &mut status, FaultInjector::none(), 9),
-            generation: 0,
-            reports: Vec::new(),
-        };
-        let results = evaluator.evaluate(&genomes());
-        assert_eq!(results.len(), 3);
-        for r in &results {
-            assert_eq!(r.fitness.len(), 2);
-            assert!(!r.fitness.is_penalty(), "healthy genome failed");
-            assert!(r.minutes.unwrap() > 0.0);
-        }
-        assert_eq!(evaluator.reports.len(), 1);
-        assert!(evaluator.reports[0].makespan_minutes > 0.0);
+        with_evaluator(&fixture, FaultInjector::none(), 9, 0, |evaluator| {
+            let results = evaluator.evaluate(&genomes());
+            assert_eq!(results.len(), 3);
+            for r in &results {
+                assert_eq!(r.fitness.len(), 2);
+                assert!(!r.fitness.is_penalty(), "healthy genome failed");
+                assert!(r.minutes.unwrap() > 0.0);
+            }
+            assert_eq!(evaluator.reports.len(), 1);
+            assert!(evaluator.reports[0].makespan_minutes > 0.0);
+        });
     }
 
     #[test]
@@ -426,14 +450,10 @@ mod tests {
             max_attempts: 1,
             ..PoolConfig::default()
         });
-        let mut status = StatusSink::new(&Campaign::new(&fixture.0), None);
-        let mut evaluator = SummitEvaluator {
-            env: env(&fixture, &mut status, FaultInjector::new(0.5, 3), 10),
-            generation: 0,
-            reports: Vec::new(),
-        };
         let genomes: Vec<Vec<f64>> = (0..12).map(|_| genomes()[0].clone()).collect();
-        let results = evaluator.evaluate(&genomes);
+        let results = with_evaluator(&fixture, FaultInjector::new(0.5, 3), 10, 0, |evaluator| {
+            evaluator.evaluate(&genomes)
+        });
         assert_eq!(results.len(), 12);
         // With 50 % per-task deaths and no retries, a mixed outcome over 12
         // tasks is overwhelmingly likely (each tail has probability 2⁻¹²).
@@ -504,22 +524,12 @@ mod tests {
         // generation 0, the other resumed) must evaluate identically.
         let fixture = fixture(PoolConfig { n_workers: 2, ..PoolConfig::default() });
         let genomes = &genomes()[..2];
-        let mut status = StatusSink::new(&Campaign::new(&fixture.0), None);
-        let mut a = SummitEvaluator {
-            env: env(&fixture, &mut status, FaultInjector::none(), 9),
-            generation: 0,
-            reports: Vec::new(),
-        };
-        let _ = a.evaluate(genomes); // generation 0
-        let from_a = a.evaluate(genomes); // generation 1
-
-        let mut status = StatusSink::new(&Campaign::new(&fixture.0), None);
-        let mut b = SummitEvaluator {
-            env: env(&fixture, &mut status, FaultInjector::none(), 9),
-            generation: 1,
-            reports: Vec::new(),
-        };
-        let from_b = b.evaluate(genomes);
+        let from_a = with_evaluator(&fixture, FaultInjector::none(), 9, 0, |a| {
+            let _ = a.evaluate(genomes); // generation 0
+            a.evaluate(genomes) // generation 1
+        });
+        let from_b =
+            with_evaluator(&fixture, FaultInjector::none(), 9, 1, |b| b.evaluate(genomes));
         assert_eq!(values(&from_a), values(&from_b));
     }
 }

@@ -10,6 +10,11 @@
 //! determinism contract). Plain, journaled, observed and resumed campaigns
 //! all run the same body — they differ only in what [`Campaign::run`] hands
 //! the per-run drivers — so no option changes the optimisation itself.
+//!
+//! What lives as long as the campaign is built once by [`Campaign::run`]:
+//! the dataset (with its pair table) and one pool of `pool.n_workers`
+//! evaluation threads that every batch and every steady-state submission of
+//! every run goes through.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
@@ -25,8 +30,8 @@ use dphpo_dnnp::{StepBudget, TrainConfig};
 use dphpo_evo::nsga2::{GenerationRecord, Nsga2Config, Nsga2State, RunResult};
 use dphpo_evo::{Individual, ParetoArchive};
 use dphpo_hpc::{
-    CostModel, FaultInjector, FaultPlan, IoSite, PoolConfig, PoolReport, SupervisorConfig,
-    JOURNAL_APPEND_SITE, STATUS_FSYNC_SITE,
+    with_pool, CostModel, FaultInjector, FaultPlan, IoSite, PoolConfig, PoolReport,
+    SupervisorConfig, TaskCtx, JOURNAL_APPEND_SITE, STATUS_FSYNC_SITE,
 };
 use dphpo_obs::profile::ProfileNode;
 use dphpo_obs::{Recorder, SpanCtx, NOOP};
@@ -34,7 +39,7 @@ use dphpo_md::generate::{generate_dataset, GenConfig};
 use dphpo_md::Dataset;
 
 use crate::campaign_report::{self, CampaignStatus};
-use crate::ea::{RunEnv, SummitEvaluator};
+use crate::ea::{evaluate_job, EvalJob, RunEnv, SummitEvaluator};
 use crate::journal::{GenEntry, Journal, JournalError, JournalSink, JournalWriter};
 use crate::representation::DeepMDRepresentation;
 use crate::workflow::{stable_id, EvalContext};
@@ -218,9 +223,13 @@ impl ExperimentResult {
     }
 }
 
-/// Why a journaled campaign stopped without a result.
+/// Why a campaign stopped without a result.
 #[derive(Debug)]
 pub enum ExperimentError {
+    /// The configuration cannot describe a campaign (no workers, no
+    /// attempts, an empty population). Reported before anything is created
+    /// on disk.
+    Config(String),
     /// The (simulated) driver was killed mid-campaign — the crash the
     /// write-ahead journal exists for. Resume with [`Campaign::resume`].
     Interrupted {
@@ -242,6 +251,7 @@ pub enum ExperimentError {
 impl fmt::Display for ExperimentError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            ExperimentError::Config(message) => write!(f, "invalid configuration: {message}"),
             ExperimentError::Interrupted { completed_tasks } => {
                 write!(f, "driver killed after {completed_tasks} journaled tasks")
             }
@@ -268,6 +278,10 @@ pub fn build_dataset(config: &ExperimentConfig) -> (Arc<Dataset>, Arc<Dataset>) 
     let mut dataset = generate_dataset(&config.gen_config, &mut rng);
     dataset.add_label_noise(config.label_noise.0, config.label_noise.1, &mut rng);
     let (train, val) = dataset.split(0.25, &mut rng);
+    // Scan the pair geometry here, once per dataset, rather than inside
+    // whichever evaluation happens to ask first.
+    train.pair_table();
+    val.pair_table();
     (Arc::new(train), Arc::new(val))
 }
 
@@ -398,7 +412,8 @@ impl StatusSink {
 /// `campaign_status.json` (rewritten atomically at every generation
 /// boundary), profile artifacts, chaos-mode driver kills, resume, and
 /// telemetry — in any combination. A plain `Campaign::new(&config).run(None)`
-/// cannot fail.
+/// fails only on a configuration that describes no campaign
+/// ([`ExperimentError::Config`]).
 ///
 /// ```no_run
 /// use dphpo_core::experiment::{Campaign, ExperimentConfig};
@@ -529,6 +544,22 @@ impl<'a> Campaign<'a> {
         }
     }
 
+    /// What the schedulers would otherwise assert on mid-campaign, checked
+    /// before the journal header exists.
+    fn validate(&self) -> Result<(), ExperimentError> {
+        let config = self.config;
+        let problem = if config.pool.n_workers == 0 {
+            "pool.n_workers must be at least 1"
+        } else if config.pool.max_attempts == 0 {
+            "pool.max_attempts must be at least 1"
+        } else if config.pop_size == 0 {
+            "pop_size must be at least 1"
+        } else {
+            return Ok(());
+        };
+        Err(ExperimentError::Config(problem.to_string()))
+    }
+
     /// Run (or resume) the campaign, calling `progress(run, generation)` at
     /// every generation (or steady-state epoch) a run reaches.
     pub fn run(
@@ -536,6 +567,7 @@ impl<'a> Campaign<'a> {
         mut progress: Option<&mut dyn FnMut(usize, usize)>,
     ) -> Result<ExperimentResult, ExperimentError> {
         let config = self.config;
+        self.validate()?;
         let (mut writer, resume_from) = self.open_journal()?;
         let (train, val) = build_dataset(config);
         let nsga2 = nsga2_config_for(config);
@@ -572,85 +604,104 @@ impl<'a> Campaign<'a> {
         });
         let obs: &dyn Recorder = self.recorder.as_deref().unwrap_or(&NOOP);
         let mut status = StatusSink::new(&self, step_budget);
-        let mut runs = Vec::with_capacity(config.n_runs);
-        let mut pool_reports = Vec::with_capacity(config.n_runs);
-        let mut archives = Vec::with_capacity(config.n_runs);
-        for run_idx in 0..config.n_runs {
-            // Steady-state journals carry no generation boundaries: resume
-            // restores from the run's last snapshot (if any) and replays
-            // only the arrival suffix after it — O(window) instead of
-            // O(campaign) — so there is no restore point (and no
-            // finished-run shortcut) to look for.
-            let (restored, steady_snap) = match (config.mode, &resume_from) {
-                (CampaignMode::Generational, Some(journal)) => {
-                    (restore_point(journal, run_idx)?, None)
+        // The campaign's worker threads: opened once, fed by every batch and
+        // every steady-state submission of every run, shut down (cancelling
+        // whatever an interrupted driver left queued or running) and joined
+        // before this function returns.
+        with_pool(
+            config.pool.n_workers,
+            |tc: &TaskCtx<'_>, job: &Arc<EvalJob>| evaluate_job(&ctx, obs, tc, job),
+            |pool| {
+                let mut runs = Vec::with_capacity(config.n_runs);
+                let mut pool_reports = Vec::with_capacity(config.n_runs);
+                let mut archives = Vec::with_capacity(config.n_runs);
+                for run_idx in 0..config.n_runs {
+                    // Steady-state journals carry no generation boundaries:
+                    // resume restores from the run's last snapshot (if any)
+                    // and replays only the arrival suffix after it —
+                    // O(window) instead of O(campaign) — so there is no
+                    // restore point (and no finished-run shortcut) to look
+                    // for.
+                    let (restored, steady_snap) = match (config.mode, &resume_from) {
+                        (CampaignMode::Generational, Some(journal)) => {
+                            (restore_point(journal, run_idx)?, None)
+                        }
+                        (CampaignMode::SteadyState, Some(journal)) => {
+                            (None, journal.last_snapshot_for(run_idx).cloned())
+                        }
+                        (_, None) => (None, None),
+                    };
+                    // A run the journal shows as finished is reconstructed
+                    // outright — no evaluator, no training, nothing
+                    // re-journaled. Its observatory rows come from replaying
+                    // the journaled boundaries.
+                    let restored = match restored {
+                        Some(point) if point.state.generation >= config.generations => {
+                            status.restore_run(run_idx, &point.state.history, &point.reports);
+                            status.flush()?;
+                            runs.push(point.state.into_result());
+                            pool_reports.push(point.reports);
+                            archives.push(point.archive);
+                            continue;
+                        }
+                        other => other,
+                    };
+                    let seed = config.master_seed + run_idx as u64;
+                    let mut faults = FaultInjector::new(config.fault_probability, seed ^ 0xfa_17);
+                    if let Some(k) = kill_budget {
+                        faults = faults.with_driver_kill(k);
+                    }
+                    let journal = writer.as_ref().map(|writer| {
+                        let mut replay = resume_from
+                            .as_ref()
+                            .map_or_else(HashMap::new, |j| j.replay_for(run_idx));
+                        if let Some(snap) = &steady_snap {
+                            replay.retain(|_, e| e.arrival.is_none_or(|a| a >= snap.arrivals));
+                        }
+                        JournalSink { writer: Rc::clone(writer), replay: Rc::new(replay) }
+                    });
+                    let env = RunEnv {
+                        config,
+                        run: run_idx,
+                        seed,
+                        ctx: Arc::clone(&ctx),
+                        faults,
+                        journal,
+                        obs,
+                        base_span: SpanCtx::root(seed, run_idx as u32),
+                        status: &mut status,
+                        pool,
+                    };
+                    let (result, reports, archive, completed) = match config.mode {
+                        CampaignMode::Generational => {
+                            drive_run(env, &nsga2, restored, &mut progress)?
+                        }
+                        CampaignMode::SteadyState => crate::steady::drive_steady_run(
+                            env,
+                            &nsga2,
+                            steady_snap,
+                            &mut progress,
+                        )?,
+                    };
+                    // The kill budget spans the whole campaign: tasks this
+                    // run consumed bring the next run's driver that much
+                    // closer to its death.
+                    if let Some(k) = kill_budget.as_mut() {
+                        *k -= completed.min(*k);
+                    }
+                    runs.push(result);
+                    pool_reports.push(reports);
+                    archives.push(archive);
                 }
-                (CampaignMode::SteadyState, Some(journal)) => {
-                    (None, journal.last_snapshot_for(run_idx).cloned())
-                }
-                (_, None) => (None, None),
-            };
-            // A run the journal shows as finished is reconstructed outright
-            // — no evaluator, no training, nothing re-journaled. Its
-            // observatory rows come from replaying the journaled boundaries.
-            let restored = match restored {
-                Some(point) if point.state.generation >= config.generations => {
-                    status.restore_run(run_idx, &point.state.history, &point.reports);
-                    status.flush()?;
-                    runs.push(point.state.into_result());
-                    pool_reports.push(point.reports);
-                    archives.push(point.archive);
-                    continue;
-                }
-                other => other,
-            };
-            let seed = config.master_seed + run_idx as u64;
-            let mut faults = FaultInjector::new(config.fault_probability, seed ^ 0xfa_17);
-            if let Some(k) = kill_budget {
-                faults = faults.with_driver_kill(k);
-            }
-            let journal = writer.as_ref().map(|writer| {
-                let mut replay =
-                    resume_from.as_ref().map_or_else(HashMap::new, |j| j.replay_for(run_idx));
-                if let Some(snap) = &steady_snap {
-                    replay.retain(|_, e| e.arrival.is_none_or(|a| a >= snap.arrivals));
-                }
-                JournalSink { writer: Rc::clone(writer), replay: Rc::new(replay) }
-            });
-            let env = RunEnv {
-                config,
-                run: run_idx,
-                seed,
-                ctx: Arc::clone(&ctx),
-                faults,
-                journal,
-                obs,
-                base_span: SpanCtx::root(seed, run_idx as u32),
-                status: &mut status,
-            };
-            let (result, reports, archive, completed) = match config.mode {
-                CampaignMode::Generational => drive_run(env, &nsga2, restored, &mut progress)?,
-                CampaignMode::SteadyState => {
-                    crate::steady::drive_steady_run(env, &nsga2, steady_snap, &mut progress)?
-                }
-            };
-            // The kill budget spans the whole campaign: tasks this run
-            // consumed bring the next run's driver that much closer to its
-            // death.
-            if let Some(k) = kill_budget.as_mut() {
-                *k -= completed.min(*k);
-            }
-            runs.push(result);
-            pool_reports.push(reports);
-            archives.push(archive);
-        }
-        Ok(ExperimentResult {
-            config: config.clone(),
-            runs,
-            pool_reports,
-            archives,
-            status: status.status,
-        })
+                Ok(ExperimentResult {
+                    config: config.clone(),
+                    runs,
+                    pool_reports,
+                    archives,
+                    status: status.status,
+                })
+            },
+        )
     }
 }
 

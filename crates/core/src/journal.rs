@@ -415,10 +415,11 @@ fn lcurve_row_from_json(j: &Json) -> Result<LcurveRow, JournalError> {
     })
 }
 
-/// Serialise the *deterministic* fields of a pool report. The two fields
-/// that depend on physical thread races — `quarantined_workers`, and
-/// `heartbeats` under speculation — are intentionally not journaled, so a
-/// resumed campaign's reports stay bit-identical to an uninterrupted run's.
+/// Serialise the *deterministic* fields of a pool report. `heartbeats`
+/// depends on physical thread races under speculation and is intentionally
+/// not journaled, so a resumed campaign's reports stay bit-identical to an
+/// uninterrupted run's; `quarantined_workers` (once racy too) stays out with
+/// it, keeping the record format what it was.
 fn report_to_json(r: &PoolReport) -> Json {
     Json::object(vec![
         ("makespan", Json::Number(r.makespan_minutes)),

@@ -7,7 +7,8 @@
 //! instead: each completed evaluation is folded into the population the
 //! moment it *arrives* and a replacement child is bred and submitted
 //! immediately, so the only idle a worker ever accrues is the final drain
-//! when the evaluation budget runs out.
+//! when the evaluation budget runs out. That is true of the simulated
+//! schedule and of the real threads alike — see "Physical execution" below.
 //!
 //! # The journaled arrival order
 //!
@@ -21,17 +22,32 @@
 //! `--resume` replays the journaled order byte-identically regardless of
 //! how live threads interleave.
 //!
-//! # Physical execution: windows over a simulated event queue
+//! # Physical execution: look-ahead over `pending`, results taken in window order
 //!
-//! The driver executes work in *windows*: it fills every free slot from the
-//! FIFO submission queue (in ascending-cursor order), runs the window's
-//! tasks genuinely in parallel via [`dphpo_hpc::run_stream_window`], then
-//! processes the arrivals in simulated-completion order. This is not a
-//! barrier in the simulated schedule: each slot's next task starts at that
-//! slot's own cursor, exactly where an event-driven scheduler would start
-//! it, and a child bred at arrival *k* lands on the *k*-th freed slot —
-//! the windowed refill provably reproduces the event-driven steady-state
-//! schedule while keeping the physical executor simple.
+//! On the simulated clock the driver works in *windows*: it assigns the
+//! front of the FIFO submission queue to the free slots (in ascending-cursor
+//! order), charges those tasks, then processes the arrivals in
+//! simulated-completion order. This is not a barrier in the simulated
+//! schedule: each slot's next task starts at that slot's own cursor, exactly
+//! where an event-driven scheduler would start it, and a child bred at
+//! arrival *k* lands on the *k*-th freed slot — the windowed refill provably
+//! reproduces the event-driven steady-state schedule.
+//!
+//! It is not a barrier for the real threads either. Every individual is
+//! handed to the campaign's worker pool ([`dphpo_hpc::Stream::submit`]) the
+//! moment it enters `pending` — the initial population up front, each child
+//! as it is bred — so the pool's FIFO always holds the `pop_size − W`
+//! submissions that are bred but not yet assigned a slot, and a thread that
+//! finishes one evaluation starts the next at once. The window loop only
+//! *takes* results ([`dphpo_hpc::Stream::take`]), in window order, blocking
+//! on the one it needs next. Look-ahead cannot change anything that is
+//! journaled: an evaluation's outcome is a pure function of `(genome, seed,
+//! attempt)` and its retry chain of the fault plan, neither knows its slot,
+//! and slots, charging, arrival order and snapshots are decided exactly as
+//! before, from results in window order. A chaos kill abandons the
+//! evaluations still queued or running; the pool cancels them as the
+//! campaign unwinds, and resume — which restores `pending` from the last
+//! snapshot and resubmits it — retrains only what the journal lacks.
 //!
 //! # Epochs
 //!
@@ -44,6 +60,7 @@
 //! window and comparable, column for column, with a generational campaign.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -52,17 +69,33 @@ use dphpo_evo::nsga2::{GenerationRecord, Nsga2Config, RunResult};
 use dphpo_evo::ops::random_population;
 use dphpo_evo::steady::SteadyState;
 use dphpo_evo::{ArchiveChurn, Individual, ParetoArchive};
-use dphpo_hpc::{run_stream_window, PoolReport, StreamSlots, TaskCtx};
+use dphpo_hpc::{PoolReport, Stream, StreamSlots, StreamTaskReport};
 use dphpo_obs::{cats, names, Event, When};
 
-use crate::ea::{fitness_or_penalty, RunEnv};
+use crate::ea::{fitness_or_penalty, EvalJob, RunEnv};
 use crate::experiment::{archive_from_members, ExperimentError};
 use crate::journal::SnapshotEntry;
-use crate::workflow::{derive_seed, estimated_minutes, stable_id};
+use crate::workflow::{derive_seed, estimated_minutes, stable_id, EvalRecord};
 
 /// Salt separating the steady-state breeding RNG domain from the training
 /// seeds (which use the unsalted run seed, like generational campaigns).
 const STEADY_SALT: u64 = 0x57ea_d75a_17e5_eed5;
+
+/// Hand one submission to the pool. Training spans are labelled with the
+/// submission "wave" (`submission / pop_size`) — a deterministic
+/// pseudo-epoch; the real epoch an arrival lands in is only known at arrival
+/// time.
+fn submit(
+    stream: &mut Stream<'_, Arc<EvalJob>, EvalRecord>,
+    env: &RunEnv<'_>,
+    submission: usize,
+    genome: &[f64],
+) {
+    let span = env.base_span.with_gen((submission / env.config.pop_size) as u32);
+    let seed = derive_seed(env.seed, submission as u64);
+    let job = env.job((0, submission), genome, seed, span);
+    stream.submit(&env.faults, submission, job, estimated_minutes(&env.ctx, genome));
+}
 
 /// Drive one steady-state run to completion. The counterpart of the
 /// generational `drive_run`, over the same [`RunEnv`] — same dataset, pool
@@ -164,36 +197,29 @@ pub(crate) fn drive_steady_run(
         cb(run_idx, steady.epoch());
     }
 
+    // Look-ahead: everything already bred goes to the pool now, each child
+    // the moment it is bred; the loop below only takes results.
+    let mut stream = env.pool.stream(&config.pool);
+    for (submission, ind) in &pending {
+        submit(&mut stream, &env, *submission, &ind.genome);
+    }
+
     while !pending.is_empty() {
         // Refill every free slot in ascending-cursor order (ties by slot
         // index): the order an event-driven scheduler would free them in.
         let order = slots.free_order();
         let n = pending.len().min(order.len());
-        let mut window: Vec<(usize, usize, Vec<f64>)> = Vec::with_capacity(n);
+        let mut window: Vec<(usize, usize)> = Vec::with_capacity(n);
         let mut window_inds: Vec<Individual> = Vec::with_capacity(n);
         for &slot in order.iter().take(n) {
             let (submission, ind) = pending.pop_front().expect("n <= pending.len()");
-            window.push((submission, slot, ind.genome.clone()));
+            window.push((submission, slot));
             window_inds.push(ind);
         }
-
-        // Training spans are labelled with the submission "wave"
-        // (`submission / pop_size`) — a deterministic pseudo-epoch; the
-        // real epoch an arrival lands in is only known at arrival time.
-        let core = env.core();
-        let reports = run_stream_window(
-            &window,
-            |tc: &TaskCtx<'_>, genome: &Vec<f64>| {
-                let submission = tc.task;
-                let span = base_span
-                    .with_gen((submission / config.pop_size) as u32)
-                    .with_task(submission as u32, tc.attempt);
-                core.outcome((0, submission), genome, derive_seed(seed, submission as u64), tc, span)
-            },
-            |_, genome: &Vec<f64>| estimated_minutes(&env.ctx, genome),
-            &config.pool,
-            &env.faults,
-        );
+        let reports: Vec<StreamTaskReport<EvalRecord>> = window
+            .iter()
+            .map(|&(submission, slot)| stream.take(&env.faults, submission, slot))
+            .collect();
 
         // Charge the window against the simulated slot clocks, then process
         // arrivals in ascending simulated-completion order (ties broken by
@@ -287,6 +313,7 @@ pub(crate) fn drive_steady_run(
                     StdRng::seed_from_u64(derive_seed(seed ^ STEADY_SALT, consumed as u64));
                 let mut child = steady.breed(&mut rng);
                 child.id = stable_id(seed, submitted as u64);
+                submit(&mut stream, &env, submitted, &child.genome);
                 pending.push_back((submitted, child));
                 submitted += 1;
             }

@@ -5,7 +5,7 @@
 use std::rc::Rc;
 
 use dphpo_autograd::{Tape, Tensor, Var};
-use dphpo_md::{pairs_brute_force, Cell};
+use dphpo_md::{pairs_brute_force, Cell, PairTable};
 
 /// Scalar switching function, DeePMD-kit's smooth-edition weight:
 ///
@@ -155,7 +155,8 @@ pub struct DescriptorStats {
 }
 
 impl DescriptorStats {
-    /// Estimate statistics from sample frames.
+    /// Estimate statistics from sample frames: [`DescriptorStats::from_table`]
+    /// over a table scanned for the call.
     pub fn compute(
         cell: &Cell,
         species_idx: &[usize],
@@ -164,12 +165,28 @@ impl DescriptorStats {
         rcut_smth: f64,
         n_species: usize,
     ) -> Self {
+        let table = PairTable::build(cell, frames.iter().copied());
+        Self::from_table(&table, frames.len(), species_idx, rcut, rcut_smth, n_species)
+    }
+
+    /// Estimate statistics from the first `n_frames` frames of a scanned
+    /// pair table. The table yields a cutoff's pairs in scan order, so the
+    /// sums below accumulate in the order a per-frame search would give
+    /// them (DESIGN.md §3).
+    pub fn from_table(
+        table: &PairTable,
+        n_frames: usize,
+        species_idx: &[usize],
+        rcut: f64,
+        rcut_smth: f64,
+        n_species: usize,
+    ) -> Self {
         let n_atoms = species_idx.len();
         let mut sums = vec![0.0f64; n_species];
         let mut sq_sums = vec![0.0f64; n_species];
         let mut counts = vec![0usize; n_species];
-        for positions in frames {
-            for pair in pairs_brute_force(cell, positions, rcut) {
+        for frame in 0..n_frames {
+            for pair in table.within(frame, rcut) {
                 let s = switching_scalar(pair.r, rcut_smth, rcut);
                 let t = species_idx[pair.j];
                 sums[t] += s;
@@ -187,7 +204,7 @@ impl DescriptorStats {
                 let var = (sq_sums[t] / n - davg[t] * davg[t]).max(0.0);
                 dstd[t] = var.sqrt().max(1e-3);
                 avg_neighbors[t] =
-                    (n / (frames.len() as f64 * n_atoms as f64)).max(1.0);
+                    (n / (n_frames as f64 * n_atoms as f64)).max(1.0);
             }
         }
         DescriptorStats { davg, dstd, avg_neighbors }
@@ -219,7 +236,8 @@ pub struct FrameCache {
 }
 
 impl FrameCache {
-    /// Precompute the cache for a frame.
+    /// Precompute the cache for a frame at arbitrary positions:
+    /// [`FrameCache::from_table`] over a one-frame table scanned for the call.
     pub fn build(
         cell: &Cell,
         species_idx: &[usize],
@@ -229,9 +247,40 @@ impl FrameCache {
         stats: &DescriptorStats,
         n_species: usize,
     ) -> Self {
-        let pairs = pairs_brute_force(cell, positions, rcut);
-        let mut buckets: Vec<SpeciesBucket> = (0..n_species).map(|_| Default::default()).collect();
-        for pair in &pairs {
+        let table = PairTable::build(cell, [positions]);
+        Self::from_table(&table, 0, species_idx, rcut, rcut_smth, stats, n_species)
+    }
+
+    /// Precompute the cache for frame `frame` of a scanned pair table —
+    /// the one place a cutoff's pairs are selected and bucketed.
+    pub fn from_table(
+        table: &PairTable,
+        frame: usize,
+        species_idx: &[usize],
+        rcut: f64,
+        rcut_smth: f64,
+        stats: &DescriptorStats,
+        n_species: usize,
+    ) -> Self {
+        // Size every bucket exactly before filling it: the selection is a
+        // cheap filter, a growing vector's reallocations are not.
+        let mut counts = vec![0usize; n_species];
+        for pair in table.within(frame, rcut) {
+            counts[species_idx[pair.j]] += 1;
+        }
+        let mut buckets: Vec<SpeciesBucket> = counts
+            .iter()
+            .map(|&c| {
+                (
+                    Vec::with_capacity(c),
+                    Vec::with_capacity(c),
+                    Vec::with_capacity(3 * c),
+                    Vec::with_capacity(c),
+                    Vec::with_capacity(c),
+                )
+            })
+            .collect();
+        for pair in table.within(frame, rcut) {
             let t = species_idx[pair.j];
             let s = switching_scalar(pair.r, rcut_smth, rcut);
             let ds = switching_scalar_deriv(pair.r, rcut_smth, rcut);

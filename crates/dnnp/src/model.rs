@@ -439,16 +439,10 @@ impl DnnpModel {
         }
         let species_idx: Vec<usize> = train.species.iter().map(|s| s.index()).collect();
         let n_species = species_idx.iter().copied().max().unwrap_or(0) + 1;
-        let sample: Vec<&[[f64; 3]]> = train
-            .frames
-            .iter()
-            .take(8)
-            .map(|f| f.positions.as_slice())
-            .collect();
-        Ok(DescriptorStats::compute(
-            &train.cell,
+        Ok(DescriptorStats::from_table(
+            &train.pair_table(),
+            train.frames.len().min(8),
             &species_idx,
-            &sample,
             config.rcut,
             config.rcut_smth,
             n_species,
@@ -516,7 +510,34 @@ impl DnnpModel {
         (energy, forces)
     }
 
-    /// Build the weight-independent descriptor cache for a frame.
+    /// The descriptor caches of the given frames of `dataset`, selected from
+    /// its pair table ([`Dataset::pair_table`]) — what a training over a
+    /// fixed dataset uses instead of one [`DnnpModel::build_cache`] search
+    /// per frame, with bit-identical tensors.
+    pub fn dataset_caches(
+        &self,
+        dataset: &Dataset,
+        frames: impl IntoIterator<Item = usize>,
+    ) -> Vec<FrameCache> {
+        let table = dataset.pair_table();
+        frames
+            .into_iter()
+            .map(|frame| {
+                FrameCache::from_table(
+                    &table,
+                    frame,
+                    &self.species_idx,
+                    self.config.rcut,
+                    self.config.rcut_smth,
+                    &self.stats,
+                    self.n_species,
+                )
+            })
+            .collect()
+    }
+
+    /// Build the weight-independent descriptor cache for a frame at
+    /// arbitrary positions (a one-frame table, same selection).
     pub fn build_cache(&self, positions: &[[f64; 3]]) -> FrameCache {
         FrameCache::build(
             &self.cell,

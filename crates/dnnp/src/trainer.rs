@@ -97,10 +97,7 @@ impl PreparedBatch {
     fn assemble(model: &DnnpModel, dataset: &Dataset, indices: &[usize]) -> Self {
         let n_atoms = dataset.n_atoms();
         PreparedBatch {
-            caches: indices
-                .iter()
-                .map(|&i| model.build_cache(&dataset.frames[i].positions))
-                .collect(),
+            caches: model.dataset_caches(dataset, indices.iter().copied()),
             onehot: tile_onehot(&model.onehot, indices.len()),
             frame_ids: frame_ids(indices.len(), n_atoms),
             energies: indices.iter().map(|&i| dataset.frames[i].energy).collect(),
@@ -361,9 +358,10 @@ impl<'a> TrainRun<'a> {
         let model = DnnpModel::new(config.clone(), train_ds, rng)?;
         // Descriptor values are weight-independent: cache them per frame
         // once (training and validation), which removes the geometry
-        // subgraph from every step. A step's batch is a list of these.
-        let train_caches: Vec<FrameCache> =
-            train_ds.frames.iter().map(|f| model.build_cache(&f.positions)).collect();
+        // subgraph from every step. A step's batch is a list of these. The
+        // pair geometry itself is cutoff-independent and comes from the
+        // datasets' pair tables, scanned once per dataset, not per run.
+        let train_caches = model.dataset_caches(train_ds, 0..train_ds.frames.len());
         let n_val = config.val_max_frames.max(1).min(val_ds.frames.len());
         let val_indices: Vec<usize> = (0..n_val).collect();
         let val_batch = PreparedBatch::assemble(&model, val_ds, &val_indices);
@@ -1020,7 +1018,7 @@ mod tests {
     #[test]
     fn empty_validation_is_rejected() {
         let (train_ds, _) = tiny_data(7);
-        let empty = Dataset { cell: train_ds.cell, species: train_ds.species.clone(), frames: vec![] };
+        let empty = Dataset { cell: train_ds.cell, species: train_ds.species.clone(), frames: Default::default() };
         let mut rng = StdRng::seed_from_u64(8);
         assert!(train(&tiny_config(), &train_ds, &empty, &mut rng).is_err());
     }

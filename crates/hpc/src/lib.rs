@@ -7,10 +7,12 @@
 //! faults), and — with Dask nannies disabled, as the paper recommends —
 //! reassigns orphaned tasks to surviving workers.
 //!
-//! Workers are real threads, so evaluations genuinely run in parallel; only
-//! the *runtime accounting* is simulated (via [`cost::CostModel`],
-//! calibrated to the paper's "under 2 hours per 40k-step training, ≈65×
-//! GPU-vs-CPU speedup" figures).
+//! Evaluations genuinely run in parallel, on the threads of a [`Pool`] that
+//! lives as long as the campaign; the *cluster* is simulated: which worker a
+//! fault kills, nannies, quarantine, retry chains and the runtime accounting
+//! (via [`cost::CostModel`], calibrated to the paper's "under 2 hours per
+//! 40k-step training, ≈65× GPU-vs-CPU speedup" figures) are driver-side
+//! bookkeeping, so a simulated worker death costs no real thread.
 //!
 //! ```
 //! use dphpo_hpc::scheduler::{run_batch, EvalOutcome, FaultInjector, PoolConfig};
@@ -26,21 +28,25 @@
 //! assert_eq!(report.makespan_minutes, 70.0);
 //! ```
 //!
-//! One entry per job: [`run_batch`] is the plain pool above;
-//! [`run_batch_supervised`] adds cancel tokens, deadlines, straggler twins
-//! and a write-ahead completion hook (with [`run_batch_observed`] as its
-//! telemetry-carrying form); steady-state campaigns use
-//! [`run_stream_window`] from [`stream`] instead — same supervision and
-//! accounting, no generation barrier. Both schedulers turn an evaluation
-//! outcome into a task record through one shared classification (timeouts
-//! charge the limit, structured faults map onto [`TaskError`]), so the two
-//! campaign modes cannot drift apart on what a failure is.
+//! One pool, two schedulers: [`with_pool`] opens the threads;
+//! [`Pool::run_batch`] runs a generation's batch on them (cancel tokens,
+//! deadlines, straggler twins, a write-ahead completion hook, telemetry),
+//! and [`Pool::stream`] feeds a steady-state campaign through them — same
+//! supervision and accounting, no generation barrier, tasks submitted the
+//! moment they exist and taken when the simulated clock asks. [`run_batch`],
+//! [`run_batch_supervised`], [`run_batch_observed`] and
+//! [`run_stream_window`] are the one-shot forms: the same code on a pool
+//! opened for the call. Both schedulers turn an evaluation outcome into a
+//! task record through one shared classification (timeouts charge the limit,
+//! structured faults map onto [`TaskError`]), so the two campaign modes
+//! cannot drift apart on what a failure is.
 
 #![warn(missing_docs)]
 
 pub mod cluster;
 pub mod cost;
 pub mod faultplan;
+pub mod pool;
 pub mod scheduler;
 pub mod stream;
 pub mod trace;
@@ -50,10 +56,11 @@ pub use cost::{paper_job, CostModel, TrainingJob};
 pub use faultplan::{
     FaultPlan, IoFault, IoSite, JOURNAL_APPEND_SITE, STATUS_FSYNC_SITE,
 };
+pub use pool::{with_pool, Pool};
 pub use scheduler::{
     run_batch, run_batch_observed, run_batch_supervised, CancelToken,
     EvalFault, EvalOutcome, FaultInjector, PoolConfig, PoolReport, SupervisorConfig, TaskCtx,
     TaskError, TaskRecord, SPECULATIVE_ATTEMPT,
 };
-pub use stream::{run_stream_window, StreamSlots, StreamSlotsState, StreamTaskReport};
+pub use stream::{run_stream_window, Stream, StreamSlots, StreamSlotsState, StreamTaskReport};
 pub use trace::{Span, Timeline};

@@ -1,5 +1,5 @@
 //! A Dask-like client/scheduler/worker evaluation pool with a supervision
-//! runtime.
+//! runtime: the batch scheduler, [`Pool::run_batch`].
 //!
 //! Mirrors the paper's §2.2.5 deployment: a scheduler fans evaluation tasks
 //! out to one worker per compute node, workers may die mid-task (hardware
@@ -8,6 +8,23 @@
 //! surviving worker. Tasks also carry a *simulated* runtime (minutes) from
 //! the cost model, and the scheduler enforces the paper's 2-hour per-task
 //! timeout against that simulated clock.
+//!
+//! # Physical threads are not simulated workers
+//!
+//! The threads of a [`Pool`](crate::pool) only evaluate; everything about
+//! the simulated cluster is decided here, on the driver thread. A batch
+//! keeps its queue in dequeue order — primaries in task order, then
+//! speculative twins, then retries as their deaths are processed — and asks
+//! the fault plan about each attempt as it dequeues it: an attempt the plan
+//! kills never reaches a thread (its death, lost minutes, retry and backoff
+//! are booked on the spot), every other attempt is dispatched to the pool.
+//! `alive` counts the simulated worker slots still in service. Without
+//! nannies each death retires a slot; once none is left nothing dequeued
+//! afterwards starts — attempts already dispatched are recorded when they
+//! come back, the rest fail as [`TaskError::WorkerFailed`]. With nannies a
+//! slot is retired only by quarantine. A real thread therefore never exits
+//! or idles because a *simulated* worker died, and no decision depends on
+//! which thread got where first.
 //!
 //! On top of the plain pool, [`run_batch_supervised`] adds the supervision
 //! loop the ROADMAP's production-scale north star asks for:
@@ -28,21 +45,22 @@
 //!   real Summit allocation would.
 //!
 //! Every supervision decision — fault placement, death fractions, straggler
-//! sets, backoff amounts — is a pure function of
-//! `(seed, batch key, task, attempt)` and the deterministic estimates, never
-//! of real-time thread interleavings, so the crash/resume journal contract
-//! (see `dphpo-core`) keeps holding with supervision enabled. The only
-//! report fields that may vary with physical scheduling are
-//! [`PoolReport::quarantined_workers`] and [`PoolReport::heartbeats`] under
-//! speculation, which is why the journal does not serialize them.
+//! sets, backoff amounts, which slot a death lands on — is a pure function
+//! of `(seed, batch key, task, attempt)` and the deterministic estimates,
+//! never of real-time thread interleavings, so the crash/resume journal
+//! contract (see `dphpo-core`) keeps holding with supervision enabled. The
+//! one report field that may vary with physical scheduling is
+//! [`PoolReport::heartbeats`] under speculation, which is why the journal
+//! does not serialize it (nor, for format stability,
+//! [`PoolReport::quarantined_workers`]).
 
-use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crossbeam::channel;
 use dphpo_obs::{cats, names, Event, Recorder, SpanCtx, NOOP};
+
+use crate::pool::{with_pool, Completion, Job, JobResult, Pool};
 
 /// The synthetic attempt number used for a task's speculative twin in fault
 /// decisions, chosen far outside the primary range `1..=max_attempts` so a
@@ -146,8 +164,11 @@ pub struct TaskCtx<'a> {
     /// Simulated-minutes budget for this attempt (the pool's per-task
     /// timeout), for the evaluation to enforce cooperatively.
     pub deadline_minutes: Option<f64>,
-    cancel: Option<&'a CancelToken>,
-    beat: Option<&'a (dyn Fn(f64, f64) + 'a)>,
+    pub(crate) cancel: Option<&'a CancelToken>,
+    /// The pool's shutdown flag: set when its driver leaves, so whatever is
+    /// still running stops at its next check.
+    pub(crate) stop: Option<&'a AtomicBool>,
+    pub(crate) beat: Option<&'a (dyn Fn(f64, f64) + 'a)>,
 }
 
 impl TaskCtx<'static> {
@@ -160,6 +181,7 @@ impl TaskCtx<'static> {
             speculative: false,
             deadline_minutes: None,
             cancel: None,
+            stop: None,
             beat: None,
         }
     }
@@ -167,9 +189,10 @@ impl TaskCtx<'static> {
 
 impl<'a> TaskCtx<'a> {
     /// True once the scheduler has cancelled this attempt (e.g. its twin
-    /// already produced the task's result).
+    /// already produced the task's result) or its pool is shutting down.
     pub fn is_cancelled(&self) -> bool {
         self.cancel.is_some_and(CancelToken::is_cancelled)
+            || self.stop.is_some_and(|stop| stop.load(Ordering::SeqCst))
     }
 
     /// Report simulated progress: `done` minutes consumed of a `projected`
@@ -385,11 +408,10 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
 
 /// Per-run statistics.
 ///
-/// Every field except [`PoolReport::quarantined_workers`] and (under
-/// speculation) [`PoolReport::heartbeats`] is a deterministic function of
-/// the batch inputs, the fault plan, and the pool configuration — those two
-/// depend on which physical thread won a race and are therefore excluded
-/// from the crash/resume journal.
+/// Every field except (under speculation) [`PoolReport::heartbeats`] is a
+/// deterministic function of the batch inputs, the fault plan, and the pool
+/// configuration. The journal carries neither that field nor
+/// [`PoolReport::quarantined_workers`].
 #[derive(Clone, Debug, Default)]
 pub struct PoolReport {
     /// Simulated makespan: the longest per-worker busy time in minutes
@@ -446,12 +468,12 @@ pub struct PoolReport {
     /// `busy + lost_death + lost_speculation + backoff + idle` partitions
     /// this value exactly.
     pub wall_minutes: f64,
-    /// Worker slots permanently retired by health scoring. Depends on which
-    /// physical thread absorbed the deaths — excluded from the journal.
+    /// Simulated worker slots permanently retired by health scoring (live
+    /// slots absorb deaths round-robin). Not journaled.
     pub quarantined_workers: usize,
-    /// Progress heartbeats received. Deterministic without speculation;
-    /// under speculation a skipped twin emits none — excluded from the
-    /// journal.
+    /// Progress heartbeats counted over the batch. Deterministic without
+    /// speculation; under speculation a skipped twin emits none — excluded
+    /// from the journal.
     pub heartbeats: usize,
 }
 
@@ -482,31 +504,6 @@ pub(crate) fn classify<T>(
             (value, minutes)
         }
     }
-}
-
-#[derive(Debug)]
-struct Job {
-    task: usize,
-    attempt: u32,
-    speculative: bool,
-    cancel: CancelToken,
-}
-
-enum Message<T> {
-    Done {
-        task: usize,
-        speculative: bool,
-        value: Result<T, TaskError>,
-        worker: usize,
-        minutes_charged: f64,
-    },
-    Died {
-        task: usize,
-        attempt: u32,
-        worker: usize,
-        panicked: bool,
-    },
-    Beat,
 }
 
 /// Evaluate every input in parallel on a simulated worker pool.
@@ -572,16 +569,9 @@ where
     run_batch_observed(inputs, eval, estimate, config, faults, on_complete, &NOOP, SpanCtx::default())
 }
 
-/// As [`run_batch_supervised`], with a telemetry [`Recorder`].
-///
-/// The driver emits supervision events (batch submission, twin launches,
-/// worker deaths, backoff) and counters under `span` — the caller's
-/// `(seed, run, gen)` context; per-task subspans derive from it. With the
-/// default [`NoopRecorder`](dphpo_obs::NoopRecorder) every instrumentation
-/// site is a single `enabled()` branch, and nothing about scheduling changes:
-/// telemetry is observed from the driver thread, which already serializes
-/// every decision, so the records, the report, and the fault replay contract
-/// are bit-identical with telemetry on or off.
+/// As [`run_batch_supervised`], with a telemetry [`Recorder`]: the one-shot
+/// form of [`Pool::run_batch`] — it opens a pool for the call. A campaign
+/// opens one pool for its whole life instead and runs every batch on it.
 #[allow(clippy::too_many_arguments)]
 pub fn run_batch_observed<I, T, F, E, H>(
     inputs: &[I],
@@ -589,7 +579,7 @@ pub fn run_batch_observed<I, T, F, E, H>(
     estimate: E,
     config: &PoolConfig,
     faults: &FaultInjector,
-    mut on_complete: H,
+    on_complete: H,
     obs: &dyn Recorder,
     span: SpanCtx,
 ) -> (Vec<TaskRecord<T>>, PoolReport)
@@ -600,462 +590,509 @@ where
     E: Fn(usize, &I) -> f64,
     H: FnMut(usize, &TaskRecord<T>),
 {
-    assert!(config.n_workers > 0, "pool needs at least one worker");
-    assert!(config.max_attempts > 0, "max_attempts must be positive");
-    let sup = config.supervisor;
-    let n = inputs.len();
-    let mut records: Vec<Option<TaskRecord<T>>> = (0..n).map(|_| None).collect();
-    if n == 0 {
+    // An empty batch never spins the pool up.
+    if inputs.is_empty() {
         return (Vec::new(), PoolReport::default());
     }
+    let inputs: Vec<&I> = inputs.iter().collect();
+    with_pool(
+        config.n_workers.min(inputs.len()),
+        |ctx: &TaskCtx<'_>, input: &&I| eval(ctx, input),
+        |pool| {
+            pool.run_batch(
+                &inputs,
+                |task, input: &&I| estimate(task, input),
+                config,
+                faults,
+                on_complete,
+                obs,
+                span,
+            )
+        },
+    )
+}
 
-    let estimates: Vec<f64> = (0..n).map(|i| estimate(i, &inputs[i]).max(0.0)).collect();
+/// The simulated side of the worker pool: which of the `n_workers` slots
+/// are still in service. Physical pool threads never die; a death — the
+/// fault plan's or a panicking evaluation's — is absorbed here.
+///
+/// Without nannies every death retires a slot, and a pool with no slot left
+/// is dead: nothing dequeued after that point starts. With nannies a dead
+/// worker restarts, until health scoring quarantines a slot that keeps
+/// dying (never the last one). Deaths are dealt to the live slots round-
+/// robin — a simulated pool has no thread race to decide who was hit — so
+/// the bookkeeping is a pure function of the order deaths are dequeued in.
+struct SimulatedWorkers {
+    /// Slots in service.
+    alive: usize,
+    retired: Vec<bool>,
+    deaths: Vec<u32>,
+    /// Where the round-robin resumes.
+    next: usize,
+    quarantined: usize,
+}
 
-    // Telemetry is driver-side only: the driver thread already serializes
-    // every supervision decision, so recording from it cannot perturb the
-    // worker race, and the disabled path is this one branch per site.
-    let obs_on = obs.enabled();
-    if obs_on {
-        obs.gauge_set(names::G_QUEUE_DEPTH, n as f64);
-        let mut ev = Event::instant(names::SCHED_SUBMIT, cats::SCHED, span);
-        ev.args = vec![("n_tasks", n as f64), ("n_workers", config.n_workers as f64)];
-        obs.record(ev);
-    }
-
-    let (task_tx, task_rx) = channel::unbounded::<Job>();
-    let (msg_tx, msg_rx) = channel::unbounded::<Message<T>>();
-
-    let primary_tokens: Vec<CancelToken> = (0..n).map(|_| CancelToken::new()).collect();
-    let mut twin_tokens: HashMap<usize, CancelToken> = HashMap::new();
-    let mut report = PoolReport::default();
-
-    for (task, token) in primary_tokens.iter().enumerate() {
-        let job = Job { task, attempt: 1, speculative: false, cancel: token.clone() };
-        task_tx.send(job).expect("queue open");
-    }
-
-    // Straggler detection is structural: the set is computed once from the
-    // deterministic estimates (quantile baseline × factor), never from racy
-    // heartbeat timing. Twins go to the back of the queue — primaries are
-    // never starved — and are capped at the spare slot count. A twin's
-    // death is accounted *here*, from the fault plan, because whether the
-    // twin physically runs depends on whether its primary finished first.
-    if sup.speculate && n > 1 && config.n_workers > 1 {
-        let mut sorted = estimates.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("estimates are finite"));
-        let threshold = quantile(&sorted, sup.straggler_quantile) * sup.straggler_factor;
-        let mut budget = config.n_workers - 1;
-        for (task, &est) in estimates.iter().enumerate() {
-            if budget == 0 {
-                break;
-            }
-            if est > threshold {
-                budget -= 1;
-                report.speculated_tasks += 1;
-                if obs_on {
-                    obs.counter_add(names::C_SPECULATED, 1);
-                    let mut ev = Event::instant(
-                        names::SCHED_TWIN,
-                        cats::SCHED,
-                        span.with_task(task as u32, SPECULATIVE_ATTEMPT),
-                    );
-                    ev.args = vec![("estimate_min", est)];
-                    obs.record(ev);
-                }
-                if faults.task_kills_worker(task, SPECULATIVE_ATTEMPT) {
-                    report.speculative_deaths += 1;
-                    report.lost_minutes +=
-                        faults.death_fraction(task, SPECULATIVE_ATTEMPT) * estimates[task];
-                }
-                let cancel = CancelToken::new();
-                twin_tokens.insert(task, cancel.clone());
-                let job =
-                    Job { task, attempt: SPECULATIVE_ATTEMPT, speculative: true, cancel };
-                task_tx.send(job).expect("queue open");
-            }
+impl SimulatedWorkers {
+    fn new(n_workers: usize) -> Self {
+        SimulatedWorkers {
+            alive: n_workers,
+            retired: vec![false; n_workers],
+            deaths: vec![0; n_workers],
+            next: 0,
+            quarantined: 0,
         }
     }
 
-    let mut attempts = vec![0u32; n];
-    let mut finalized = vec![false; n];
-    let mut retried = vec![false; n];
-    let mut lost_per_task = vec![0.0f64; n];
-    let mut backoff_per_task = vec![0.0f64; n];
-    // A task's primary retry chain stays open until a primary attempt
-    // completes (superseded or not) or its retries are exhausted. Draining
-    // every chain — not just every record — is what keeps death counts and
-    // lost-minute charges independent of which twin won a race.
-    let mut open_chains = n;
-    let alive = AtomicUsize::new(config.n_workers);
-    let quarantined = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        for worker in 0..config.n_workers {
-            let task_rx = task_rx.clone();
-            let msg_tx = msg_tx.clone();
-            let eval = &eval;
-            let faults = &faults;
-            let alive = &alive;
-            let quarantined = &quarantined;
-            let timeout = config.timeout_minutes;
-            let nanny = config.nanny;
-            let quarantine_deaths = sup.quarantine_deaths;
-            scope.spawn(move || {
-                // A primary attempt's worker dies (fault plan or panicking
-                // evaluation): report it, then say whether this thread must
-                // exit. With a nanny the worker is restarted until health
-                // scoring quarantines the slot; without, the thread exits.
-                let mut deaths_here = 0u32;
-                let mut die = |task: usize, attempt: u32, panicked: bool| -> bool {
-                    let _ = msg_tx.send(Message::Died { task, attempt, worker, panicked });
-                    deaths_here += 1;
-                    if !nanny {
-                        alive.fetch_sub(1, Ordering::SeqCst);
-                        return true;
-                    }
-                    let retire = quarantine_deaths > 0
-                        && deaths_here >= quarantine_deaths
-                        && try_retire(alive);
-                    if retire {
-                        quarantined.fetch_add(1, Ordering::SeqCst);
-                    }
-                    retire
-                };
-                while let Ok(job) = task_rx.recv() {
-                    let Job { task, attempt, speculative, cancel } = job;
-                    if speculative {
-                        // Twins are sandboxed: already-superseded twins are
-                        // skipped, a dying twin never takes the slot down
-                        // (its loss is accounted at launch), and its result
-                        // only matters if it beats the primary.
-                        if cancel.is_cancelled() || faults.task_kills_worker(task, attempt) {
-                            continue;
-                        }
-                    } else if faults.task_kills_worker(task, attempt) {
-                        if die(task, attempt, false) {
-                            return;
-                        }
-                        continue;
-                    }
-                    let beat = |_done: f64, _projected: f64| {
-                        let _ = msg_tx.send(Message::Beat);
-                    };
-                    let ctx = TaskCtx {
-                        task,
-                        attempt,
-                        speculative,
-                        deadline_minutes: timeout,
-                        cancel: Some(&cancel),
-                        beat: Some(&beat),
-                    };
-                    match catch_unwind(AssertUnwindSafe(|| eval(&ctx, &inputs[task]))) {
-                        Ok(outcome) => {
-                            let (value, minutes_charged) = classify(outcome, timeout);
-                            let _ = msg_tx.send(Message::Done {
-                                task,
-                                speculative,
-                                value,
-                                worker,
-                                minutes_charged,
-                            });
-                        }
-                        // A panicking evaluation is a worker death (the
-                        // documented contract) — not a silent hang.
-                        Err(_) if speculative => {}
-                        Err(_) => {
-                            if die(task, attempt, true) {
-                                return;
-                            }
-                        }
-                    }
-                }
-            });
+    /// One worker death; returns the slot that absorbed it (`usize::MAX`
+    /// when a panic is reported after the pool already died).
+    fn absorb_death(&mut self, config: &PoolConfig) -> usize {
+        let n = self.retired.len();
+        let Some(slot) = (0..n).map(|k| (self.next + k) % n).find(|&s| !self.retired[s]) else {
+            return usize::MAX;
+        };
+        self.next = slot + 1;
+        self.deaths[slot] += 1;
+        let quarantine_deaths = config.supervisor.quarantine_deaths;
+        let quarantine =
+            quarantine_deaths > 0 && self.deaths[slot] >= quarantine_deaths && self.alive > 1;
+        if !config.nanny || quarantine {
+            self.retired[slot] = true;
+            self.alive -= 1;
+            self.quarantined += usize::from(config.nanny);
         }
-        drop(msg_tx);
+        slot
+    }
+}
 
-        let mut finalize = |task: usize,
-                            value: Result<T, TaskError>,
-                            minutes: f64,
-                            worker: usize,
-                            attempt_count: u32,
-                            records: &mut [Option<TaskRecord<T>>],
-                            report: &mut PoolReport,
-                            finalized: &mut [bool]| {
-            match &value {
-                Err(TaskError::Failed(_)) | Err(TaskError::Diverged { .. }) => {
-                    report.diverged_tasks += 1;
-                }
-                Err(TaskError::Timeout { .. }) => report.timeout_tasks += 1,
-                Err(TaskError::Cancelled) => report.cancelled_tasks += 1,
-                Err(TaskError::WorkerFailed) => report.exhausted_tasks += 1,
-                Err(TaskError::Speculated) | Ok(_) => {}
+/// Driver-side state of one batch: the simulated FIFO, the retry chains and
+/// the records, advanced by dequeues and by completions from the pool.
+struct Batch<'a, T, H> {
+    config: &'a PoolConfig,
+    faults: &'a FaultInjector,
+    obs: &'a dyn Recorder,
+    obs_on: bool,
+    span: SpanCtx,
+    on_complete: H,
+    estimates: Vec<f64>,
+    /// The simulated queue, in dequeue order: `(task, attempt, speculative)`.
+    /// Primaries in task order, then twins, then retries as their deaths are
+    /// processed — the order a Dask scheduler's FIFO would hold them in.
+    fifo: VecDeque<(usize, u32, bool)>,
+    workers: SimulatedWorkers,
+    primary_tokens: Vec<CancelToken>,
+    twin_tokens: HashMap<usize, CancelToken>,
+    records: Vec<Option<TaskRecord<T>>>,
+    report: PoolReport,
+    attempts: Vec<u32>,
+    retried: Vec<bool>,
+    lost_per_task: Vec<f64>,
+    backoff_per_task: Vec<f64>,
+    /// A task's primary retry chain stays open until a primary attempt
+    /// completes (superseded or not) or its retries are exhausted. Draining
+    /// every chain — not just every record — is what keeps death counts and
+    /// lost-minute charges independent of which twin won a race.
+    open_chains: usize,
+}
+
+impl<T, H: FnMut(usize, &TaskRecord<T>)> Batch<'_, T, H> {
+    /// Store a task's terminal record, cancel whatever of it is still
+    /// queued or running, and fire the completion hook.
+    fn finalize(&mut self, task: usize, value: Result<T, TaskError>, minutes: f64, worker: usize) {
+        match &value {
+            Err(TaskError::Failed(_)) | Err(TaskError::Diverged { .. }) => {
+                self.report.diverged_tasks += 1;
             }
-            records[task] =
-                Some(TaskRecord { value, minutes, worker, attempts: attempt_count });
-            finalized[task] = true;
-            primary_tokens[task].cancel();
-            if let Some(tok) = twin_tokens.get(&task) {
-                tok.cancel();
+            Err(TaskError::Timeout { .. }) => self.report.timeout_tasks += 1,
+            Err(TaskError::Cancelled) => self.report.cancelled_tasks += 1,
+            Err(TaskError::WorkerFailed) => self.report.exhausted_tasks += 1,
+            Err(TaskError::Speculated) | Ok(_) => {}
+        }
+        let record = TaskRecord { value, minutes, worker, attempts: self.attempts[task].max(1) };
+        let record = self.records[task].insert(record);
+        self.primary_tokens[task].cancel();
+        if let Some(tok) = self.twin_tokens.get(&task) {
+            tok.cancel();
+        }
+        (self.on_complete)(task, record);
+    }
+
+    /// An attempt returned an outcome.
+    fn done(&mut self, task: usize, speculative: bool, outcome: EvalOutcome<T>, worker: usize) {
+        if !speculative {
+            self.open_chains -= 1;
+            self.attempts[task] += 1;
+        }
+        // If the counterpart already produced this task's record, the
+        // classification for this discarded result is `Speculated`.
+        if self.records[task].is_none() {
+            let (value, minutes) = classify(outcome, self.config.timeout_minutes);
+            self.finalize(task, value, minutes, worker);
+        }
+    }
+
+    /// A primary attempt's worker died — the fault plan killed it at
+    /// dequeue, or the evaluation panicked. Charges the loss, then retries
+    /// the task at the back of the queue or, out of attempts, fails it.
+    fn death(&mut self, task: usize, attempt: u32, panicked: bool) {
+        let worker = self.workers.absorb_death(self.config);
+        let sup = self.config.supervisor;
+        self.report.worker_deaths += 1;
+        self.attempts[task] += 1;
+        // A fault-injected death burned a deterministic fraction of the
+        // task's estimate; a panic gives no progress information, so the
+        // full estimate is written off.
+        let lost = if panicked {
+            self.estimates[task]
+        } else {
+            self.faults.death_fraction(task, attempt) * self.estimates[task]
+        };
+        self.report.lost_minutes += lost;
+        self.lost_per_task[task] += lost;
+        if self.obs_on {
+            self.obs.counter_add(names::C_DEATHS, 1);
+            let mut ev = Event::instant(
+                names::SCHED_DEATH,
+                cats::SCHED,
+                self.span.with_task(task as u32, attempt),
+            );
+            ev.args = vec![("lost_min", lost), ("panicked", if panicked { 1.0 } else { 0.0 })];
+            self.obs.record(ev);
+        }
+        if self.attempts[task] < self.config.max_attempts {
+            if !self.retried[task] {
+                self.retried[task] = true;
+                self.report.retried_tasks += 1;
             }
-            on_complete(task, records[task].as_ref().expect("just stored"));
+            let backoff =
+                sup.backoff_base_minutes * sup.backoff_factor.powi(self.attempts[task] as i32 - 1);
+            self.report.backoff_minutes += backoff;
+            self.backoff_per_task[task] += backoff;
+            if self.obs_on {
+                self.obs.counter_add(names::C_RETRIES, 1);
+                self.obs.observe(names::H_BACKOFF_MIN, backoff);
+                let mut ev = Event::instant(
+                    names::SCHED_BACKOFF,
+                    cats::SCHED,
+                    self.span.with_task(task as u32, self.attempts[task] + 1),
+                );
+                ev.args = vec![("backoff_min", backoff)];
+                self.obs.record(ev);
+            }
+            // Requeue even when a twin already finalized the task: the
+            // retry chain must replay identically in every interleaving
+            // (the cancelled token makes the superseded attempt abort
+            // within one check interval, so the extra work is negligible).
+            self.fifo.push_back((task, self.attempts[task] + 1, false));
+        } else {
+            self.open_chains -= 1;
+            if self.records[task].is_none() {
+                self.finalize(task, Err(TaskError::WorkerFailed), self.lost_per_task[task], worker);
+            }
+        }
+    }
+}
+
+impl<J: Clone, T> Pool<'_, J, T> {
+    /// Run one batch on this pool: every input evaluated with full
+    /// supervision (see [`run_batch_supervised`] for the contract of
+    /// `estimate` and `on_complete`), records in input order.
+    ///
+    /// The driver emits supervision events (batch submission, twin launches,
+    /// worker deaths, backoff) and counters under `span` — the caller's
+    /// `(seed, run, gen)` context; per-task subspans derive from it. With the
+    /// default [`NoopRecorder`](dphpo_obs::NoopRecorder) every instrumentation
+    /// site is a single `enabled()` branch, and nothing about scheduling
+    /// changes: every supervision decision is taken on the driver thread, so
+    /// the records, the report, and the fault replay contract are
+    /// bit-identical with telemetry on or off.
+    ///
+    /// The batch returns once every job it queued has come back, so the pool
+    /// is free for the next batch.
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_batch<E, H>(
+        &self,
+        inputs: &[J],
+        estimate: E,
+        config: &PoolConfig,
+        faults: &FaultInjector,
+        on_complete: H,
+        obs: &dyn Recorder,
+        span: SpanCtx,
+    ) -> (Vec<TaskRecord<T>>, PoolReport)
+    where
+        E: Fn(usize, &J) -> f64,
+        H: FnMut(usize, &TaskRecord<T>),
+    {
+        assert!(config.n_workers > 0, "pool needs at least one worker");
+        assert!(config.max_attempts > 0, "max_attempts must be positive");
+        let sup = config.supervisor;
+        let n = inputs.len();
+        if n == 0 {
+            return (Vec::new(), PoolReport::default());
+        }
+
+        let estimates: Vec<f64> = (0..n).map(|i| estimate(i, &inputs[i]).max(0.0)).collect();
+
+        // Telemetry is driver-side only, and the disabled path is one
+        // branch per site.
+        let obs_on = obs.enabled();
+        if obs_on {
+            obs.gauge_set(names::G_QUEUE_DEPTH, n as f64);
+            let mut ev = Event::instant(names::SCHED_SUBMIT, cats::SCHED, span);
+            ev.args = vec![("n_tasks", n as f64), ("n_workers", config.n_workers as f64)];
+            obs.record(ev);
+        }
+
+        let mut batch = Batch {
+            config,
+            faults,
+            obs,
+            obs_on,
+            span,
+            on_complete,
+            fifo: (0..n).map(|task| (task, 1, false)).collect(),
+            workers: SimulatedWorkers::new(config.n_workers),
+            primary_tokens: (0..n).map(|_| CancelToken::new()).collect(),
+            twin_tokens: HashMap::new(),
+            records: (0..n).map(|_| None).collect(),
+            report: PoolReport::default(),
+            attempts: vec![0; n],
+            retried: vec![false; n],
+            lost_per_task: vec![0.0; n],
+            backoff_per_task: vec![0.0; n],
+            open_chains: n,
+            estimates,
         };
 
-        // Set once no worker can make further progress (every worker died,
-        // no nannies). Observed either through the alive counter or through
-        // the message channel disconnecting as the last worker exits; both
-        // paths drain already-sent messages before failing the remainder, so
-        // the records are identical whichever signal the driver sees first —
-        // a worker reports its final result/death *before* its exit is
-        // visible, and once `alive` reads zero no further send can happen.
-        let mut pool_dead = false;
-        while open_chains > 0 {
-            let msg = if pool_dead {
-                match msg_rx.try_recv() {
-                    Ok(m) => m,
-                    Err(_) => break,
+        // Straggler detection is structural: the set is computed once from the
+        // deterministic estimates (quantile baseline × factor), never from racy
+        // heartbeat timing. Twins go to the back of the queue — primaries are
+        // never starved — and are capped at the spare slot count. A twin's
+        // death is accounted *here*, from the fault plan, because whether the
+        // twin physically runs depends on whether its primary finished first.
+        if sup.speculate && n > 1 && config.n_workers > 1 {
+            let mut sorted = batch.estimates.clone();
+            sorted.sort_by(|a, b| a.partial_cmp(b).expect("estimates are finite"));
+            let threshold = quantile(&sorted, sup.straggler_quantile) * sup.straggler_factor;
+            let mut budget = config.n_workers - 1;
+            for task in 0..n {
+                let est = batch.estimates[task];
+                if budget == 0 {
+                    break;
                 }
-            } else if alive.load(Ordering::SeqCst) == 0 {
-                pool_dead = true;
-                continue;
-            } else {
-                match msg_rx.recv_timeout(std::time::Duration::from_millis(50)) {
-                    Ok(m) => m,
-                    Err(channel::RecvTimeoutError::Timeout) => continue,
-                    // All senders dropped ⇒ all workers exited and the
-                    // buffer is already drained; fail the remainder below.
-                    Err(channel::RecvTimeoutError::Disconnected) => break,
-                }
-            };
-            match msg {
-                Message::Done { task, speculative, value, worker, minutes_charged } => {
-                    if !speculative {
-                        open_chains -= 1;
-                        attempts[task] += 1;
-                    }
-                    if finalized[task] {
-                        // The counterpart already produced this task's
-                        // record; the classification for this discarded
-                        // result is `TaskError::Speculated`.
-                        continue;
-                    }
-                    finalize(
-                        task,
-                        value,
-                        minutes_charged,
-                        worker,
-                        attempts[task].max(1),
-                        &mut records,
-                        &mut report,
-                        &mut finalized,
-                    );
-                }
-                Message::Died { task, attempt, worker, panicked } => {
-                    report.worker_deaths += 1;
-                    attempts[task] += 1;
-                    // A fault-injected death burned a deterministic fraction
-                    // of the task's estimate; a panic gives no progress
-                    // information, so the full estimate is written off.
-                    let lost = if panicked {
-                        estimates[task]
-                    } else {
-                        faults.death_fraction(task, attempt) * estimates[task]
-                    };
-                    report.lost_minutes += lost;
-                    lost_per_task[task] += lost;
+                if est > threshold {
+                    budget -= 1;
+                    batch.report.speculated_tasks += 1;
                     if obs_on {
-                        obs.counter_add(names::C_DEATHS, 1);
+                        obs.counter_add(names::C_SPECULATED, 1);
                         let mut ev = Event::instant(
-                            names::SCHED_DEATH,
+                            names::SCHED_TWIN,
                             cats::SCHED,
-                            span.with_task(task as u32, attempt),
+                            span.with_task(task as u32, SPECULATIVE_ATTEMPT),
                         );
-                        ev.args =
-                            vec![("lost_min", lost), ("panicked", if panicked { 1.0 } else { 0.0 })];
+                        ev.args = vec![("estimate_min", est)];
                         obs.record(ev);
                     }
-                    if attempts[task] < config.max_attempts {
-                        if !retried[task] {
-                            retried[task] = true;
-                            report.retried_tasks += 1;
-                        }
-                        let backoff = sup.backoff_base_minutes
-                            * sup.backoff_factor.powi(attempts[task] as i32 - 1);
-                        report.backoff_minutes += backoff;
-                        backoff_per_task[task] += backoff;
-                        if obs_on {
-                            obs.counter_add(names::C_RETRIES, 1);
-                            obs.observe(names::H_BACKOFF_MIN, backoff);
-                            let mut ev = Event::instant(
-                                names::SCHED_BACKOFF,
-                                cats::SCHED,
-                                span.with_task(task as u32, attempts[task] + 1),
-                            );
-                            ev.args = vec![("backoff_min", backoff)];
-                            obs.record(ev);
-                        }
-                        // Requeue even when a twin already finalized the
-                        // task: the retry chain must replay identically in
-                        // every interleaving (the cancelled token makes the
-                        // superseded attempt abort within one check
-                        // interval, so the extra work is negligible).
-                        let job = Job {
-                            task,
-                            attempt: attempts[task] + 1,
-                            speculative: false,
-                            cancel: primary_tokens[task].clone(),
-                        };
-                        let _ = task_tx.send(job);
-                    } else {
-                        open_chains -= 1;
-                        if !finalized[task] {
-                            finalize(
-                                task,
-                                Err(TaskError::WorkerFailed),
-                                lost_per_task[task],
-                                worker,
-                                attempts[task],
-                                &mut records,
-                                &mut report,
-                                &mut finalized,
-                            );
-                        }
+                    if faults.task_kills_worker(task, SPECULATIVE_ATTEMPT) {
+                        batch.report.speculative_deaths += 1;
+                        batch.report.lost_minutes +=
+                            faults.death_fraction(task, SPECULATIVE_ATTEMPT) * est;
                     }
-                }
-                Message::Beat => {
-                    report.heartbeats += 1;
-                    if obs_on {
-                        obs.counter_add(names::C_HEARTBEATS, 1);
-                    }
+                    batch.twin_tokens.insert(task, CancelToken::new());
+                    batch.fifo.push_back((task, SPECULATIVE_ATTEMPT, true));
                 }
             }
         }
+
+        let heartbeats_before = self.heartbeats();
+        let mut in_flight = 0usize;
+        loop {
+            // Dequeue in order while a simulated worker is left to dequeue.
+            // The fault plan speaks here, on the driver: an attempt it kills
+            // never reaches a thread, and everything behind a death that
+            // leaves no worker alive never starts.
+            while batch.workers.alive > 0 {
+                let Some((task, attempt, speculative)) = batch.fifo.pop_front() else { break };
+                let dies = faults.task_kills_worker(task, attempt);
+                let cancel = if speculative {
+                    // Twins are sandboxed: a dying twin never takes a slot
+                    // down (its loss is accounted at launch), a superseded
+                    // one is skipped by the pool, and its result only
+                    // matters if it beats the primary.
+                    if dies {
+                        continue;
+                    }
+                    batch.twin_tokens[&task].clone()
+                } else if dies {
+                    batch.death(task, attempt, false);
+                    continue;
+                } else {
+                    batch.primary_tokens[task].clone()
+                };
+                self.dispatch(Job {
+                    task,
+                    attempt,
+                    speculative,
+                    deadline_minutes: config.timeout_minutes,
+                    input: inputs[task].clone(),
+                    cancel: Some(cancel),
+                });
+                in_flight += 1;
+            }
+            // Done when every chain closed. With the pool dead, attempts
+            // already on a thread are still recorded; what never started
+            // fails below.
+            if batch.open_chains == 0 || in_flight == 0 {
+                break;
+            }
+            let Completion { task, speculative, worker, result } = self.recv();
+            in_flight -= 1;
+            match result {
+                JobResult::Done(outcome) => batch.done(task, speculative, outcome, worker),
+                // A panicking evaluation is a worker death (the documented
+                // contract) — not a silent hang.
+                JobResult::Panicked if !speculative => {
+                    batch.death(task, batch.attempts[task] + 1, true)
+                }
+                JobResult::Panicked | JobResult::Skipped => {}
+            }
+        }
+        // Superseded attempts and twins still queued or running: their
+        // tokens are cancelled, so this is one check interval at most.
+        for _ in 0..in_flight {
+            self.recv();
+        }
+
+        let Batch {
+            mut on_complete,
+            estimates,
+            workers,
+            twin_tokens,
+            records,
+            mut report,
+            attempts,
+            lost_per_task,
+            backoff_per_task,
+            ..
+        } = batch;
         // If every worker died with work outstanding, fail the rest (a
         // retry re-queued onto a dead pool ends here too).
-        for (task, slot) in records.iter_mut().enumerate() {
-            if slot.is_none() {
-                report.exhausted_tasks += 1;
-                *slot = Some(TaskRecord {
-                    value: Err(TaskError::WorkerFailed),
-                    minutes: lost_per_task[task],
-                    worker: usize::MAX,
-                    attempts: attempts[task],
-                });
-                on_complete(task, slot.as_ref().expect("just stored"));
-            }
-        }
-        drop(task_tx); // release workers blocked on recv
-    });
-    report.quarantined_workers = quarantined.load(Ordering::SeqCst);
-    if obs_on {
-        // Racy by design (depends on which physical thread absorbed the
-        // deaths) — the `side.` prefix keeps it out of deterministic exports.
-        obs.gauge_set(names::G_QUARANTINED, report.quarantined_workers as f64);
-    }
-
-    let results: Vec<TaskRecord<T>> = records
-        .into_iter()
-        .map(|r| r.expect("scheduler completed every task"))
-        .collect();
-
-    // Physical threads race for tasks in real time (they finish almost
-    // instantly), so the *simulated* wall clock is reconstructed by list-
-    // scheduling the charged minutes onto the worker slots: each charge goes
-    // to the simulated-least-loaded worker, exactly how a Dask worker pool
-    // with one task per node drains a queue. Charges are applied in a fixed
-    // order (final records, then per-task retry losses, then dying twins)
-    // so the makespan is deterministic. Each charge is also tagged with its
-    // utilization category (busy / lost-to-death / lost-to-speculation) so
-    // the per-worker partition invariant holds by construction.
-    let mut per_worker = vec![0.0f64; config.n_workers];
-    let mut busy = vec![0.0f64; config.n_workers];
-    let mut lost_death = vec![0.0f64; config.n_workers];
-    let mut lost_spec = vec![0.0f64; config.n_workers];
-    let mut assign = |minutes: f64, category: &mut [f64]| {
-        let (slot, _) = per_worker
-            .iter()
+        let results: Vec<TaskRecord<T>> = records
+            .into_iter()
             .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).expect("busy minutes are finite"))
-            .expect("at least one worker");
-        per_worker[slot] += minutes;
-        category[slot] += minutes;
-    };
-    for record in &results {
-        // An exhausted task's record carries its dead attempts' lost
-        // minutes; every other terminal record represents real compute.
-        if matches!(record.value, Err(TaskError::WorkerFailed)) {
-            assign(record.minutes, &mut lost_death);
-        } else {
-            assign(record.minutes, &mut busy);
+            .map(|(task, record)| {
+                record.unwrap_or_else(|| {
+                    report.exhausted_tasks += 1;
+                    let orphan = TaskRecord {
+                        value: Err(TaskError::WorkerFailed),
+                        minutes: lost_per_task[task],
+                        worker: usize::MAX,
+                        attempts: attempts[task],
+                    };
+                    on_complete(task, &orphan);
+                    orphan
+                })
+            })
+            .collect();
+        report.quarantined_workers = workers.quarantined;
+        report.heartbeats = self.heartbeats() - heartbeats_before;
+        if obs_on {
+            if report.heartbeats > 0 {
+                obs.counter_add(names::C_HEARTBEATS, report.heartbeats as u64);
+            }
+            // Not journaled; the `side.` prefix keeps it out of the
+            // deterministic exports.
+            obs.gauge_set(names::G_QUARANTINED, report.quarantined_workers as f64);
         }
-    }
-    for (task, record) in results.iter().enumerate() {
-        // Exhausted tasks already carry their lost minutes as the record.
-        let already_charged = matches!(record.value, Err(TaskError::WorkerFailed));
-        if !already_charged && lost_per_task[task] > 0.0 {
-            assign(lost_per_task[task], &mut lost_death);
-        }
-    }
-    if sup.speculate {
-        for (task, &est) in estimates.iter().enumerate() {
-            if twin_tokens.contains_key(&task) && faults.task_kills_worker(task, SPECULATIVE_ATTEMPT)
-            {
-                assign(faults.death_fraction(task, SPECULATIVE_ATTEMPT) * est, &mut lost_spec);
+
+        // Physical threads race for tasks in real time (they finish almost
+        // instantly), so the *simulated* wall clock is reconstructed by list-
+        // scheduling the charged minutes onto the worker slots: each charge goes
+        // to the simulated-least-loaded worker, exactly how a Dask worker pool
+        // with one task per node drains a queue. Charges are applied in a fixed
+        // order (final records, then per-task retry losses, then dying twins)
+        // so the makespan is deterministic. Each charge is also tagged with its
+        // utilization category (busy / lost-to-death / lost-to-speculation) so
+        // the per-worker partition invariant holds by construction.
+        let mut per_worker = vec![0.0f64; config.n_workers];
+        let mut busy = vec![0.0f64; config.n_workers];
+        let mut lost_death = vec![0.0f64; config.n_workers];
+        let mut lost_spec = vec![0.0f64; config.n_workers];
+        let mut assign = |minutes: f64, category: &mut [f64]| {
+            let (slot, _) = per_worker
+                .iter()
+                .enumerate()
+                .min_by(|a, b| a.1.partial_cmp(b.1).expect("busy minutes are finite"))
+                .expect("at least one worker");
+            per_worker[slot] += minutes;
+            category[slot] += minutes;
+        };
+        for record in &results {
+            // An exhausted task's record carries its dead attempts' lost
+            // minutes; every other terminal record represents real compute.
+            if matches!(record.value, Err(TaskError::WorkerFailed)) {
+                assign(record.minutes, &mut lost_death);
+            } else {
+                assign(record.minutes, &mut busy);
             }
         }
-    }
-    report.makespan_minutes = per_worker.iter().copied().fold(0.0, f64::max);
-    // Backoff is idle waiting, not busy time: it extends a slot's wall
-    // clock without entering the makespan. Each task's accumulated backoff
-    // is list-scheduled (in task order) onto the slot with the smallest
-    // charged-plus-backoff total, yielding a deterministic backoff-
-    // inclusive wall clock.
-    let mut backoff_slot = vec![0.0f64; config.n_workers];
-    for &minutes in backoff_per_task.iter().filter(|&&m| m > 0.0) {
-        let (slot, _) = per_worker
+        for (task, record) in results.iter().enumerate() {
+            // Exhausted tasks already carry their lost minutes as the record.
+            let already_charged = matches!(record.value, Err(TaskError::WorkerFailed));
+            if !already_charged && lost_per_task[task] > 0.0 {
+                assign(lost_per_task[task], &mut lost_death);
+            }
+        }
+        if sup.speculate {
+            for (task, &est) in estimates.iter().enumerate() {
+                if twin_tokens.contains_key(&task)
+                    && faults.task_kills_worker(task, SPECULATIVE_ATTEMPT)
+                {
+                    assign(faults.death_fraction(task, SPECULATIVE_ATTEMPT) * est, &mut lost_spec);
+                }
+            }
+        }
+        report.makespan_minutes = per_worker.iter().copied().fold(0.0, f64::max);
+        // Backoff is idle waiting, not busy time: it extends a slot's wall
+        // clock without entering the makespan. Each task's accumulated backoff
+        // is list-scheduled (in task order) onto the slot with the smallest
+        // charged-plus-backoff total, yielding a deterministic backoff-
+        // inclusive wall clock.
+        let mut backoff_slot = vec![0.0f64; config.n_workers];
+        for &minutes in backoff_per_task.iter().filter(|&&m| m > 0.0) {
+            let (slot, _) = per_worker
+                .iter()
+                .zip(&backoff_slot)
+                .map(|(charged, waiting)| charged + waiting)
+                .enumerate()
+                .min_by(|a, b| a.1.partial_cmp(&b.1).expect("minutes are finite"))
+                .expect("at least one worker");
+            backoff_slot[slot] += minutes;
+        }
+        let wall = per_worker
             .iter()
             .zip(&backoff_slot)
             .map(|(charged, waiting)| charged + waiting)
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("minutes are finite"))
-            .expect("at least one worker");
-        backoff_slot[slot] += minutes;
-    }
-    let wall = per_worker
-        .iter()
-        .zip(&backoff_slot)
-        .map(|(charged, waiting)| charged + waiting)
-        .fold(0.0, f64::max);
-    report.idle_minutes = per_worker
-        .iter()
-        .zip(&backoff_slot)
-        .map(|(charged, waiting)| wall - charged - waiting)
-        .collect();
-    report.wall_minutes = wall;
-    report.per_worker_minutes = per_worker;
-    report.busy_minutes = busy;
-    report.lost_death_minutes = lost_death;
-    report.lost_speculation_minutes = lost_spec;
-    report.backoff_slot_minutes = backoff_slot;
-    if obs_on {
-        let busy_total: f64 = report.busy_minutes.iter().sum();
-        let capacity = wall * config.n_workers as f64;
-        let pct = if capacity > 0.0 { busy_total / capacity * 100.0 } else { 0.0 };
-        obs.gauge_set(names::G_UTIL_BUSY_PCT, pct);
-    }
-    (results, report)
-}
-
-/// Retire one worker slot, unless it is the last alive — the pool must
-/// never quarantine itself to death.
-fn try_retire(alive: &AtomicUsize) -> bool {
-    let mut current = alive.load(Ordering::SeqCst);
-    while current > 1 {
-        match alive.compare_exchange(current, current - 1, Ordering::SeqCst, Ordering::SeqCst) {
-            Ok(_) => return true,
-            Err(observed) => current = observed,
+            .fold(0.0, f64::max);
+        report.idle_minutes = per_worker
+            .iter()
+            .zip(&backoff_slot)
+            .map(|(charged, waiting)| wall - charged - waiting)
+            .collect();
+        report.wall_minutes = wall;
+        report.per_worker_minutes = per_worker;
+        report.busy_minutes = busy;
+        report.lost_death_minutes = lost_death;
+        report.lost_speculation_minutes = lost_spec;
+        report.backoff_slot_minutes = backoff_slot;
+        if obs_on {
+            let busy_total: f64 = report.busy_minutes.iter().sum();
+            let capacity = wall * config.n_workers as f64;
+            let pct = if capacity > 0.0 { busy_total / capacity * 100.0 } else { 0.0 };
+            obs.gauge_set(names::G_UTIL_BUSY_PCT, pct);
         }
+        (results, report)
     }
-    false
 }
 
 #[cfg(test)]

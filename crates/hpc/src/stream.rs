@@ -1,5 +1,5 @@
 //! Continuous-submission scheduling for steady-state campaigns: the
-//! barrier-free counterpart of [`crate::scheduler::run_batch_supervised`].
+//! barrier-free counterpart of [`Pool::run_batch`].
 //!
 //! A generational batch pays one synchronisation per generation — the
 //! slowest of N trainings gates every worker. A steady-state campaign
@@ -8,7 +8,17 @@
 //! clock) the next pending submission starts there immediately, so the only
 //! idle time left is the end-of-run drain.
 //!
-//! Determinism works exactly as in `run_batch`: worker threads race in real
+//! That holds for the physical threads too. A [`Stream`] hands a task to the
+//! pool the moment it is [submitted](Stream::submit) — the campaign driver
+//! submits every individual as soon as it is bred, long before a simulated
+//! slot frees up for it — and the pool's threads work through those
+//! submissions in order, never waiting for each other. The driver then only
+//! [takes](Stream::take) finished results, in the order its simulated clock
+//! dictates. This look-ahead cannot change a result: a task's retry chain is
+//! a pure function of `(task, input, fault plan)` and does not know which
+//! slot it will be charged to, so *when* it physically ran is invisible.
+//!
+//! Determinism works exactly as in a batch: pool threads race in real
 //! time, but *when* a task completes is decided on the simulated clock —
 //! [`StreamSlots`] keeps one monotone cursor per slot and a task's
 //! completion time is its slot's cursor plus the minutes its retry chain
@@ -20,12 +30,15 @@
 //! Supervision carries over from the batch scheduler: per-task deadlines,
 //! divergence/cancellation classification, fault-injected worker deaths,
 //! and retries with exponential backoff all behave identically, charged to
-//! the slot the task occupies. Speculative twins are deliberately absent —
-//! they exist to shave the generational barrier's straggler tail, and a
-//! steady-state campaign has no barrier to shave.
+//! the slot the task occupies. A stream slot is an accounting cursor, not a
+//! worker that can die, so a chain always runs to its result or to
+//! `max_attempts`. Speculative twins are deliberately absent — they exist to
+//! shave the generational barrier's straggler tail, and a steady-state
+//! campaign has no barrier to shave.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::collections::HashMap;
 
+use crate::pool::{with_pool, Completion, Job, JobResult, Pool};
 use crate::scheduler::{
     classify, EvalOutcome, FaultInjector, PoolConfig, PoolReport, TaskCtx, TaskError, TaskRecord,
 };
@@ -63,10 +76,10 @@ impl<T> StreamTaskReport<T> {
 }
 
 /// Run one in-flight window of a steady-state campaign: every task in
-/// `tasks` — given as `(task index, slot, input)` — is evaluated in
-/// parallel (one thread each; the caller never submits more tasks than
-/// worker slots) with full retry supervision, and the reports come back in
-/// input order.
+/// `tasks` — given as `(task index, slot, input)` — is evaluated with full
+/// retry supervision, up to `config.n_workers` at a time, and the reports
+/// come back in input order. The one-shot form of a [`Stream`]: it opens a
+/// pool for the call, submits every task and takes them in order.
 ///
 /// Fault decisions hash `(seed, batch key, task, attempt)` exactly as in
 /// the batch scheduler, so a task's retry chain is reproducible in
@@ -86,79 +99,150 @@ where
     F: Fn(&TaskCtx<'_>, &I) -> EvalOutcome<T> + Sync,
     E: Fn(usize, &I) -> f64 + Sync,
 {
-    assert!(config.max_attempts > 0, "max_attempts must be positive");
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = tasks
-            .iter()
-            .map(|(task, slot, input)| {
-                let eval = &eval;
-                let estimate = &estimate;
-                scope.spawn(move || run_one(*task, *slot, input, eval, estimate, config, faults))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("stream worker panicked")).collect()
-    })
+    if tasks.is_empty() {
+        return Vec::new();
+    }
+    with_pool(
+        config.n_workers.clamp(1, tasks.len()),
+        |ctx: &TaskCtx<'_>, input: &&I| eval(ctx, input),
+        |pool| {
+            let mut stream = pool.stream(config);
+            for (task, _, input) in tasks {
+                stream.submit(faults, *task, input, estimate(*task, input));
+            }
+            tasks.iter().map(|(task, slot, _)| stream.take(faults, *task, *slot)).collect()
+        },
+    )
 }
 
-/// One task's supervised retry chain (runs on its own scoped thread).
-fn run_one<I, T, F, E>(
-    task: usize,
-    slot: usize,
-    input: &I,
-    eval: &F,
-    estimate: &E,
-    config: &PoolConfig,
-    faults: &FaultInjector,
-) -> StreamTaskReport<T>
-where
-    F: Fn(&TaskCtx<'_>, &I) -> EvalOutcome<T>,
-    E: Fn(usize, &I) -> f64,
-{
-    let sup = config.supervisor;
-    let est = estimate(task, input).max(0.0);
-    let mut attempt: u32 = 1;
-    let mut deaths = 0usize;
-    let mut lost = 0.0f64;
-    let mut backoff = 0.0f64;
-    loop {
-        let fault_kill = faults.task_kills_worker(task, attempt);
-        let mut outcome = None;
-        if !fault_kill {
-            let mut ctx = TaskCtx::detached(task);
-            ctx.attempt = attempt;
-            ctx.deadline_minutes = config.timeout_minutes;
-            outcome = catch_unwind(AssertUnwindSafe(|| eval(&ctx, input))).ok();
+/// One task's supervised retry chain, as far as it has got.
+struct Chain<J> {
+    input: J,
+    estimate: f64,
+    /// The attempt now queued or running (1 = first try).
+    attempt: u32,
+    deaths: usize,
+    lost: f64,
+    backoff: f64,
+}
+
+impl<J> Chain<J> {
+    /// One worker death that burned `lost` simulated minutes. Returns the
+    /// exhausted chain's report when no attempt is left, or moves on to the
+    /// next attempt behind its backoff.
+    fn die<T>(&mut self, lost: f64, config: &PoolConfig) -> Option<StreamTaskReport<T>> {
+        self.deaths += 1;
+        self.lost += lost;
+        if self.attempt >= config.max_attempts {
+            return Some(self.finish(Err(TaskError::WorkerFailed), self.lost));
         }
-        let Some(outcome) = outcome else {
+        let sup = config.supervisor;
+        self.backoff += sup.backoff_base_minutes * sup.backoff_factor.powi(self.attempt as i32 - 1);
+        self.attempt += 1;
+        None
+    }
+
+    /// The chain's report (its slot is filled in when it is taken).
+    fn finish<T>(&self, value: Result<T, TaskError>, minutes: f64) -> StreamTaskReport<T> {
+        StreamTaskReport {
+            record: TaskRecord { value, minutes, worker: usize::MAX, attempts: self.attempt },
+            lost_minutes: self.lost,
+            backoff_minutes: self.backoff,
+            deaths: self.deaths,
+        }
+    }
+}
+
+/// A steady-state campaign's view of its [`Pool`]: tasks go in the moment
+/// they exist, results come out when the driver's simulated clock asks for
+/// them. Every submitted task must be taken before the pool is used for
+/// anything else.
+pub struct Stream<'a, J, T> {
+    pool: &'a Pool<'a, J, T>,
+    config: PoolConfig,
+    /// Chains with an attempt queued or running on the pool.
+    running: HashMap<usize, Chain<J>>,
+    /// Finished chains not yet taken.
+    finished: HashMap<usize, StreamTaskReport<T>>,
+}
+
+impl<'a, J: Clone, T> Pool<'a, J, T> {
+    /// Start streaming tasks through this pool under `config`'s deadline,
+    /// retry budget and backoff.
+    pub fn stream(&'a self, config: &PoolConfig) -> Stream<'a, J, T> {
+        assert!(config.max_attempts > 0, "max_attempts must be positive");
+        Stream { pool: self, config: *config, running: HashMap::new(), finished: HashMap::new() }
+    }
+}
+
+impl<J: Clone, T> Stream<'_, J, T> {
+    /// Hand `task` to the pool now. `estimate` is its deterministic
+    /// simulated-minutes estimate (dead attempts charge a fraction of it).
+    /// Attempts the fault plan kills are settled right here — a pure
+    /// function of `(seed, batch key, task, attempt)` — and never reach a
+    /// thread; the first attempt that survives is queued.
+    pub fn submit(&mut self, faults: &FaultInjector, task: usize, input: J, estimate: f64) {
+        let chain = Chain {
+            input,
+            estimate: estimate.max(0.0),
+            attempt: 1,
+            deaths: 0,
+            lost: 0.0,
+            backoff: 0.0,
+        };
+        self.launch(faults, task, chain);
+    }
+
+    /// Queue the chain's current attempt, first walking past every attempt
+    /// the fault plan kills.
+    fn launch(&mut self, faults: &FaultInjector, task: usize, mut chain: Chain<J>) {
+        while faults.task_kills_worker(task, chain.attempt) {
             // A fault-injected death burned a deterministic fraction of the
-            // estimate; a panicking evaluation writes off all of it —
-            // identical to the batch scheduler's death accounting.
-            deaths += 1;
-            lost += if fault_kill { faults.death_fraction(task, attempt) * est } else { est };
-            if attempt >= config.max_attempts {
-                return StreamTaskReport {
-                    record: TaskRecord {
-                        value: Err(TaskError::WorkerFailed),
-                        minutes: lost,
-                        worker: slot,
-                        attempts: attempt,
-                    },
-                    lost_minutes: lost,
-                    backoff_minutes: backoff,
-                    deaths,
-                };
+            // estimate — identical to the batch scheduler's accounting.
+            let lost = faults.death_fraction(task, chain.attempt) * chain.estimate;
+            if let Some(report) = chain.die(lost, &self.config) {
+                self.finished.insert(task, report);
+                return;
             }
-            backoff += sup.backoff_base_minutes * sup.backoff_factor.powi(attempt as i32 - 1);
-            attempt += 1;
-            continue;
-        };
-        let (value, minutes_charged) = classify(outcome, config.timeout_minutes);
-        return StreamTaskReport {
-            record: TaskRecord { value, minutes: minutes_charged, worker: slot, attempts: attempt },
-            lost_minutes: lost,
-            backoff_minutes: backoff,
-            deaths,
-        };
+        }
+        self.pool.dispatch(Job {
+            task,
+            attempt: chain.attempt,
+            speculative: false,
+            deadline_minutes: self.config.timeout_minutes,
+            input: chain.input.clone(),
+            cancel: None,
+        });
+        self.running.insert(task, chain);
+    }
+
+    /// Block until `task`'s chain has finished and return its report,
+    /// charged to `slot`. Other tasks finishing meanwhile are kept for
+    /// their own `take`.
+    pub fn take(&mut self, faults: &FaultInjector, task: usize, slot: usize) -> StreamTaskReport<T> {
+        loop {
+            if let Some(mut report) = self.finished.remove(&task) {
+                report.record.worker = slot;
+                return report;
+            }
+            assert!(self.running.contains_key(&task), "task {task} was never submitted");
+            let Completion { task: finished, result, .. } = self.pool.recv();
+            let mut chain = self.running.remove(&finished).expect("completion of a running chain");
+            match result {
+                JobResult::Done(outcome) => {
+                    let (value, minutes) = classify(outcome, self.config.timeout_minutes);
+                    self.finished.insert(finished, chain.finish(value, minutes));
+                }
+                // A panicking evaluation writes off the whole estimate.
+                JobResult::Panicked => match chain.die(chain.estimate, &self.config) {
+                    Some(report) => {
+                        self.finished.insert(finished, report);
+                    }
+                    None => self.launch(faults, finished, chain),
+                },
+                JobResult::Skipped => unreachable!("a live pool skips no stream task"),
+            }
+        }
     }
 }
 

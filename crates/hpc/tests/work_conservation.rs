@@ -1,0 +1,214 @@
+//! Work conservation of the physical pool: a *simulated* worker death is
+//! bookkeeping — no real thread exits or idles because of it — while the
+//! records and the report stay what the fault plan dictates.
+//!
+//! Interleavings are forced with latches (a bounded wait, so a regression
+//! fails instead of hanging), never with sleeps. Looped by
+//! `scripts/verify.sh` stage 6.
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Condvar, Mutex};
+use std::time::Duration;
+
+use dphpo_hpc::{
+    run_batch_supervised, run_stream_window, EvalOutcome, FaultInjector, PoolConfig,
+    SupervisorConfig, TaskCtx, TaskError,
+};
+
+/// Long enough that only a lost wake-up or a missing thread can exhaust it.
+const PATIENCE: Duration = Duration::from_secs(20);
+
+/// A meeting point for `parties` evaluations: each blocks until all have
+/// arrived. An arrival that waits out [`PATIENCE`] records the failure and
+/// lets everyone go.
+struct Rendezvous {
+    arrived: Mutex<usize>,
+    all_here: Condvar,
+    parties: usize,
+    timed_out: AtomicBool,
+}
+
+impl Rendezvous {
+    fn new(parties: usize) -> Self {
+        Rendezvous {
+            arrived: Mutex::new(0),
+            all_here: Condvar::new(),
+            parties,
+            timed_out: AtomicBool::new(false),
+        }
+    }
+
+    fn meet(&self) {
+        let mut arrived = self.arrived.lock().unwrap();
+        *arrived += 1;
+        self.all_here.notify_all();
+        let (_guard, wait) =
+            self.all_here.wait_timeout_while(arrived, PATIENCE, |n| *n < self.parties).unwrap();
+        if wait.timed_out() {
+            self.timed_out.store(true, Ordering::SeqCst);
+        }
+    }
+}
+
+fn no_nanny_pair() -> PoolConfig {
+    PoolConfig {
+        n_workers: 2,
+        timeout_minutes: Some(120.0),
+        nanny: false,
+        max_attempts: 3,
+        supervisor: SupervisorConfig::default(),
+    }
+}
+
+/// The `(task, attempt)` pairs the plan kills among eight tasks, read off
+/// through the public API: with nannies on, quarantine off and a roomy pool,
+/// a task that needed `k` attempts lost exactly its first `k − 1`.
+fn killed_attempts(faults: &FaultInjector) -> Vec<(usize, u32)> {
+    let inputs: Vec<u64> = (0..8).collect();
+    let probe = PoolConfig {
+        n_workers: 8,
+        nanny: true,
+        supervisor: SupervisorConfig { quarantine_deaths: 0, ..SupervisorConfig::default() },
+        ..no_nanny_pair()
+    };
+    let (records, _) = run_batch_supervised(
+        &inputs,
+        |_: &TaskCtx<'_>, &x: &u64| EvalOutcome { value: Ok(x), minutes: 1.0 },
+        |_, _| 1.0,
+        &probe,
+        faults,
+        |_, _| {},
+    );
+    records
+        .iter()
+        .enumerate()
+        .flat_map(|(task, r)| {
+            assert!(r.value.is_ok(), "probe plan exhausts task {task}");
+            (1..r.attempts).map(move |attempt| (task, attempt))
+        })
+        .collect()
+}
+
+#[test]
+fn a_simulated_death_costs_no_real_thread() {
+    // The plan kills task 1's first attempt and nothing else, so one of the
+    // two simulated workers is gone for the rest of the batch.
+    let faults = || FaultInjector::new(0.15, 83);
+    assert_eq!(killed_attempts(&faults()), vec![(1, 1)]);
+
+    // Tasks 4 and 5 sit well behind the death in the queue and can only
+    // both be inside their evaluation if two real threads still work.
+    let together = Rendezvous::new(2);
+    let inputs: Vec<u64> = (0..8).collect();
+    let (records, report) = run_batch_supervised(
+        &inputs,
+        |ctx: &TaskCtx<'_>, &x: &u64| {
+            if ctx.task == 4 || ctx.task == 5 {
+                together.meet();
+            }
+            EvalOutcome { value: Ok(x * 2), minutes: 10.0 }
+        },
+        |_, _| 10.0,
+        &no_nanny_pair(),
+        &faults(),
+        |_, _| {},
+    );
+    assert!(
+        !together.timed_out.load(Ordering::SeqCst),
+        "tasks 4 and 5 never overlapped: a real thread went away with the simulated worker"
+    );
+
+    // What the fault plan dictates, as before: everything completes on the
+    // survivor, task 1 on its second attempt after one base backoff, and
+    // the dead attempt's partial minutes are charged.
+    for (task, r) in records.iter().enumerate() {
+        assert_eq!(r.value, Ok(task as u64 * 2));
+        assert_eq!(r.attempts, if task == 1 { 2 } else { 1 }, "task {task}");
+        assert_eq!(r.minutes, 10.0);
+    }
+    assert_eq!(report.worker_deaths, 1);
+    assert_eq!(report.retried_tasks, 1);
+    assert_eq!(report.exhausted_tasks, 0);
+    assert_eq!(report.backoff_minutes, 1.0);
+    assert!(report.lost_minutes > 0.0 && report.lost_minutes < 10.0);
+    assert_eq!(report.lost_death_minutes.iter().sum::<f64>(), report.lost_minutes);
+    assert_eq!(report.busy_minutes.iter().sum::<f64>(), 80.0);
+}
+
+#[test]
+fn the_last_death_fails_what_is_dequeued_after_it_and_nothing_in_flight() {
+    // First attempts of tasks 1 and 5 die: after the second death no
+    // simulated worker is left.
+    let faults = || FaultInjector::new(0.15, 221);
+    assert_eq!(killed_attempts(&faults()), vec![(1, 1), (5, 1)]);
+
+    // Tasks 3 and 4 are dequeued between the two deaths. They meet inside
+    // their evaluations — both real threads are still at work after the
+    // first death — and are therefore in flight when the pool dies.
+    let together = Rendezvous::new(2);
+    let inputs: Vec<u64> = (0..8).collect();
+    let mut completed = Vec::new();
+    let (records, report) = run_batch_supervised(
+        &inputs,
+        |ctx: &TaskCtx<'_>, &x: &u64| {
+            if ctx.task == 3 || ctx.task == 4 {
+                together.meet();
+            }
+            EvalOutcome { value: Ok(x + 100), minutes: 10.0 }
+        },
+        |_, _| 10.0,
+        &no_nanny_pair(),
+        &faults(),
+        |task, _| completed.push(task),
+    );
+    assert!(!together.timed_out.load(Ordering::SeqCst), "tasks 3 and 4 never overlapped");
+
+    // Dequeued before the last death: recorded, in flight or not.
+    for task in [0, 2, 3, 4] {
+        assert_eq!(records[task].value, Ok(task as u64 + 100), "task {task}");
+        assert_eq!(records[task].attempts, 1);
+    }
+    // The two killed tasks burned one attempt each; their retries, queued
+    // behind the last death, never start. Tasks 6 and 7 never start at all.
+    for (task, attempts) in [(1, 1), (5, 1), (6, 0), (7, 0)] {
+        assert_eq!(records[task].value, Err(TaskError::WorkerFailed), "task {task}");
+        assert_eq!(records[task].attempts, attempts, "task {task}");
+        assert_eq!(records[task].worker, usize::MAX, "task {task} was orphaned");
+    }
+    assert_eq!(records[6].minutes, 0.0);
+    assert!(records[1].minutes > 0.0 && records[5].minutes > 0.0);
+    assert_eq!(report.worker_deaths, 2);
+    assert_eq!(report.retried_tasks, 2);
+    assert_eq!(report.exhausted_tasks, 4);
+    assert_eq!(report.busy_minutes.iter().sum::<f64>(), 40.0);
+    assert_eq!(report.lost_minutes, records[1].minutes + records[5].minutes);
+    // Every task finalised exactly once.
+    completed.sort_unstable();
+    assert_eq!(completed, (0..8).collect::<Vec<_>>());
+}
+
+#[test]
+fn a_stream_runs_ahead_of_the_task_being_waited_for() {
+    // Three tasks on two threads, taken in order: task 0 finishes only once
+    // task 2 has started — the pool works through its queue while the
+    // caller is still waiting for the first result.
+    let handoff = Rendezvous::new(2);
+    let tasks: Vec<(usize, usize, u64)> = (0..3).map(|i| (i, i % 2, i as u64)).collect();
+    let reports = run_stream_window(
+        &tasks,
+        |ctx: &TaskCtx<'_>, &x: &u64| {
+            if ctx.task == 0 || ctx.task == 2 {
+                handoff.meet();
+            }
+            EvalOutcome { value: Ok(x), minutes: 5.0 }
+        },
+        |_, _| 5.0,
+        &no_nanny_pair(),
+        &FaultInjector::none(),
+    );
+    assert!(!handoff.timed_out.load(Ordering::SeqCst), "task 2 did not start while 0 ran");
+    for (i, r) in reports.iter().enumerate() {
+        assert_eq!(r.record.value, Ok(i as u64));
+        assert_eq!(r.record.worker, i % 2, "charged to the slot it was taken for");
+    }
+}

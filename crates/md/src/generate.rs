@@ -2,10 +2,15 @@
 //! paper's CP2K first-principles trajectory and its conversion into
 //! DeePMD-compatible training arrays.
 
+use std::fmt;
+use std::ops::{Deref, DerefMut};
+use std::sync::{Arc, Mutex, PoisonError};
+
 use rand::Rng;
 
 use crate::cell::Cell;
 use crate::integrate::{langevin_step, MdState};
+use crate::neighbors::PairTable;
 use crate::potential::{shuffled_composition, MeltPotential, Species};
 
 /// One labelled configuration: positions with reference energy and forces.
@@ -19,6 +24,87 @@ pub struct Frame {
     pub forces: Vec<[f64; 3]>,
 }
 
+/// The frames of a [`Dataset`]: a `Vec<Frame>` that also carries the
+/// dataset's [`PairTable`] once one has been asked for.
+///
+/// Reads go through `Deref<Target = [Frame]>`. Every mutable access goes
+/// through `DerefMut`, which drops the table first — the fields are private
+/// and there is no other way to a `&mut Frame` — so a table can never
+/// describe positions that have since been edited. Collect or convert a
+/// `Vec<Frame>` to build one.
+#[derive(Default)]
+pub struct Frames {
+    items: Vec<Frame>,
+    /// Built on the first [`Dataset::pair_table`] call, for the cell it
+    /// records; replaced if the dataset's cell has changed since.
+    table: Mutex<Option<Arc<PairTable>>>,
+}
+
+impl Frames {
+    /// The frames as a plain vector (the table, if any, is dropped).
+    pub fn into_vec(self) -> Vec<Frame> {
+        self.items
+    }
+}
+
+impl From<Vec<Frame>> for Frames {
+    fn from(items: Vec<Frame>) -> Self {
+        Frames { items, table: Mutex::new(None) }
+    }
+}
+
+impl FromIterator<Frame> for Frames {
+    fn from_iter<I: IntoIterator<Item = Frame>>(iter: I) -> Self {
+        Vec::from_iter(iter).into()
+    }
+}
+
+impl Deref for Frames {
+    type Target = [Frame];
+    fn deref(&self) -> &[Frame] {
+        &self.items
+    }
+}
+
+impl DerefMut for Frames {
+    fn deref_mut(&mut self) -> &mut [Frame] {
+        // The slot only ever holds `None` or a finished table, so a
+        // poisoned lock still guards a valid value.
+        *self.table.get_mut().unwrap_or_else(PoisonError::into_inner) = None;
+        &mut self.items
+    }
+}
+
+impl<'a> IntoIterator for &'a Frames {
+    type Item = &'a Frame;
+    type IntoIter = std::slice::Iter<'a, Frame>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.items.iter()
+    }
+}
+
+impl<'a> IntoIterator for &'a mut Frames {
+    type Item = &'a mut Frame;
+    type IntoIter = std::slice::IterMut<'a, Frame>;
+    fn into_iter(self) -> Self::IntoIter {
+        DerefMut::deref_mut(self).iter_mut()
+    }
+}
+
+impl Clone for Frames {
+    fn clone(&self) -> Self {
+        // Same positions, same table.
+        let table = self.table.lock().unwrap_or_else(PoisonError::into_inner).clone();
+        Frames { items: self.items.clone(), table: Mutex::new(table) }
+    }
+}
+
+impl fmt::Debug for Frames {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.items.fmt(f)
+    }
+}
+
 /// A labelled dataset of frames sharing one cell and species list.
 #[derive(Clone, Debug)]
 pub struct Dataset {
@@ -27,10 +113,33 @@ pub struct Dataset {
     /// Species of each atom (fixed across frames).
     pub species: Vec<Species>,
     /// Labelled frames.
-    pub frames: Vec<Frame>,
+    pub frames: Frames,
 }
 
 impl Dataset {
+    /// Every directed minimum-image pair of every frame, whatever the
+    /// cutoff — scanned on the first call and shared by every later one, so
+    /// the thousands of trainings a campaign runs over this dataset each
+    /// select their cutoff's pairs from it instead of repeating the O(n²)
+    /// search per frame. Editing a frame (any `&mut` access to
+    /// [`Dataset::frames`]) drops the table, and a table scanned under a
+    /// different [`Dataset::cell`] is rescanned, so the result always
+    /// describes the dataset as it is now.
+    pub fn pair_table(&self) -> Arc<PairTable> {
+        let mut slot = self.frames.table.lock().unwrap_or_else(PoisonError::into_inner);
+        match &*slot {
+            Some(table) if *table.cell() == self.cell => Arc::clone(table),
+            _ => {
+                let table = Arc::new(PairTable::build(
+                    &self.cell,
+                    self.frames.iter().map(|f| f.positions.as_slice()),
+                ));
+                *slot = Some(Arc::clone(&table));
+                table
+            }
+        }
+    }
+
     /// Number of atoms per frame.
     pub fn n_atoms(&self) -> usize {
         self.species.len()
@@ -74,17 +183,19 @@ impl Dataset {
 
     /// Shuffle frames and split off `validation_fraction` of them as the
     /// validation set (the paper withholds 25 %).
-    pub fn split<R: Rng + ?Sized>(mut self, validation_fraction: f64, rng: &mut R) -> (Dataset, Dataset) {
+    pub fn split<R: Rng + ?Sized>(self, validation_fraction: f64, rng: &mut R) -> (Dataset, Dataset) {
         assert!((0.0..1.0).contains(&validation_fraction), "bad validation fraction");
+        let mut frames = self.frames.into_vec();
         // Fisher–Yates shuffle.
-        for i in (1..self.frames.len()).rev() {
+        for i in (1..frames.len()).rev() {
             let j = rng.random_range(0..=i);
-            self.frames.swap(i, j);
+            frames.swap(i, j);
         }
-        let n_val = ((self.frames.len() as f64) * validation_fraction).round() as usize;
-        let val_frames = self.frames.split_off(self.frames.len() - n_val);
-        let val = Dataset { cell: self.cell, species: self.species.clone(), frames: val_frames };
-        (self, val)
+        let n_val = ((frames.len() as f64) * validation_fraction).round() as usize;
+        let val_frames = frames.split_off(frames.len() - n_val);
+        let val =
+            Dataset { cell: self.cell, species: self.species.clone(), frames: val_frames.into() };
+        (Dataset { cell: self.cell, species: self.species, frames: frames.into() }, val)
     }
 }
 
@@ -252,7 +363,7 @@ pub fn generate_dataset<R: Rng + ?Sized>(config: &GenConfig, rng: &mut R) -> Dat
             forces: state.forces.clone(),
         });
     }
-    Dataset { cell, species, frames }
+    Dataset { cell, species, frames: frames.into() }
 }
 
 #[cfg(test)]
@@ -349,6 +460,35 @@ mod tests {
             "melt should be bound: {} eV/atom",
             ds.mean_energy_per_atom()
         );
+    }
+
+    #[test]
+    fn pair_table_is_scanned_once_and_never_stale() {
+        use crate::neighbors::{pairs_brute_force, Pair};
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut ds = generate_dataset(&GenConfig { n_frames: 3, ..GenConfig::tiny() }, &mut rng);
+        let matches = |ds: &Dataset| {
+            let table = ds.pair_table();
+            ds.frames.iter().enumerate().all(|(f, frame)| {
+                table.within(f, 5.0).copied().collect::<Vec<Pair>>()
+                    == pairs_brute_force(&ds.cell, &frame.positions, 5.0)
+            })
+        };
+        let first = ds.pair_table();
+        assert!(Arc::ptr_eq(&first, &ds.pair_table()), "second call rescanned");
+        assert!(Arc::ptr_eq(&first, &ds.clone().pair_table()), "a clone shares the table");
+        assert!(matches(&ds));
+
+        // Any mutable access to the frames drops the table.
+        ds.frames[1].positions[0] = ds.cell.wrap([1.0, 2.0, 3.0]);
+        assert!(!Arc::ptr_eq(&first, &ds.pair_table()));
+        assert!(matches(&ds));
+
+        // A table scanned under another cell is not served either.
+        let before = ds.pair_table();
+        ds.cell = Cell::cubic(ds.cell.length() * 0.9);
+        assert!(!Arc::ptr_eq(&before, &ds.pair_table()));
+        assert!(matches(&ds));
     }
 
     #[test]

@@ -38,9 +38,9 @@ pub mod potential;
 pub mod xyz;
 
 pub use cell::Cell;
-pub use generate::{generate_dataset, Dataset, Frame, GenConfig};
+pub use generate::{generate_dataset, Dataset, Frame, Frames, GenConfig};
 pub use integrate::MdState;
-pub use neighbors::{pairs_brute_force, pairs_cell_list, Pair};
+pub use neighbors::{pairs_brute_force, pairs_cell_list, Pair, PairTable};
 pub use analysis::{mean_squared_displacement, partial_rdf, Rdf};
 pub use export::{read_deepmd_dir, write_deepmd_dir};
 pub use npy::NpyArray;

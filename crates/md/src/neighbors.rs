@@ -4,6 +4,13 @@
 //! (exact for any cutoff, the right tool at the paper's 160-atom scale) and
 //! a linked-cell list that is O(N) when the cutoff is small relative to the
 //! box. Both produce identical directed pair lists (tested).
+//!
+//! A [`PairTable`] is the cutoff-free form of the brute-force scan for a
+//! fixed set of frames: every directed pair of every frame, computed once,
+//! from which any cutoff's pair list is a filter. A hyperparameter campaign
+//! trains thousands of models over the same frames at different cutoffs; the
+//! table is what lets each of them skip the O(N²) search (see
+//! [`crate::Dataset::pair_table`]).
 
 use crate::cell::Cell;
 
@@ -16,28 +23,87 @@ pub struct Pair {
     pub j: usize,
     /// Minimum-image displacement `r_j − r_i`.
     pub disp: [f64; 3],
-    /// Distance `|disp|`.
+    /// Squared distance `|disp|²` — what a cutoff is compared against.
+    pub r2: f64,
+    /// Distance `|disp|` (`r2.sqrt()`).
     pub r: f64,
 }
 
-/// Directed pairs (both `i→j` and `j→i`) with `0 < r < rcut`, brute force.
-pub fn pairs_brute_force(cell: &Cell, positions: &[[f64; 3]], rcut: f64) -> Vec<Pair> {
-    assert!(rcut > 0.0, "non-positive cutoff");
+/// The brute-force scan: append every directed pair (both `i→j` and `j→i`)
+/// of one frame with `0 < r² < rcut2`, `i < j` ascending, each pair followed
+/// by its reverse.
+fn scan(cell: &Cell, positions: &[[f64; 3]], rcut2: f64, pairs: &mut Vec<Pair>) {
     let n = positions.len();
-    let rcut2 = rcut * rcut;
-    let mut pairs = Vec::new();
     for i in 0..n {
         for j in (i + 1)..n {
             let d = cell.min_image(positions[i], positions[j]);
             let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
             if r2 < rcut2 && r2 > 0.0 {
                 let r = r2.sqrt();
-                pairs.push(Pair { i, j, disp: d, r });
-                pairs.push(Pair { i: j, j: i, disp: [-d[0], -d[1], -d[2]], r });
+                pairs.push(Pair { i, j, disp: d, r2, r });
+                pairs.push(Pair { i: j, j: i, disp: [-d[0], -d[1], -d[2]], r2, r });
             }
         }
     }
+}
+
+/// Directed pairs (both `i→j` and `j→i`) with `0 < r < rcut`, brute force.
+pub fn pairs_brute_force(cell: &Cell, positions: &[[f64; 3]], rcut: f64) -> Vec<Pair> {
+    assert!(rcut > 0.0, "non-positive cutoff");
+    let mut pairs = Vec::new();
+    scan(cell, positions, rcut * rcut, &mut pairs);
     pairs
+}
+
+/// Every directed minimum-image pair of a fixed set of frames, whatever the
+/// cutoff: per frame, the pairs [`pairs_brute_force`] would return at an
+/// infinite cutoff, in its order (`i < j` ascending, each pair followed by
+/// its reverse; coincident atoms, `r² = 0`, are never pairs).
+///
+/// [`PairTable::within`] selects a cutoff's pairs with the comparison the
+/// scan itself uses (`r² < rcut²`) and keeps the order, so the selection is
+/// element for element what `pairs_brute_force(cell, positions, rcut)`
+/// returns — anything accumulated over it sums in the same order.
+///
+/// Memory is `56 · n(n − 1)` bytes per frame, the size of one training's
+/// descriptor caches at a cutoff that reaches every pair.
+#[derive(Debug)]
+pub struct PairTable {
+    cell: Cell,
+    pairs: Vec<Pair>,
+    /// Frame `f` owns `pairs[offsets[f]..offsets[f + 1]]`.
+    offsets: Vec<usize>,
+}
+
+impl PairTable {
+    /// Scan every frame once, without a cutoff.
+    pub fn build<'a>(cell: &Cell, frames: impl IntoIterator<Item = &'a [[f64; 3]]>) -> Self {
+        let mut pairs = Vec::new();
+        let mut offsets = vec![0];
+        for positions in frames {
+            pairs.reserve(positions.len() * positions.len().saturating_sub(1));
+            scan(cell, positions, f64::INFINITY, &mut pairs);
+            offsets.push(pairs.len());
+        }
+        PairTable { cell: *cell, pairs, offsets }
+    }
+
+    /// The cell the minimum images were taken in.
+    pub fn cell(&self) -> &Cell {
+        &self.cell
+    }
+
+    /// Number of frames scanned.
+    pub fn n_frames(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// The pairs of frame `frame` with `0 < r < rcut`, in scan order.
+    pub fn within(&self, frame: usize, rcut: f64) -> impl Iterator<Item = &Pair> {
+        assert!(rcut > 0.0, "non-positive cutoff");
+        let rcut2 = rcut * rcut;
+        self.pairs[self.offsets[frame]..self.offsets[frame + 1]].iter().filter(move |p| p.r2 < rcut2)
+    }
 }
 
 /// Linked-cell neighbor search. Falls back to [`pairs_brute_force`] when the
@@ -89,7 +155,7 @@ pub fn pairs_cell_list(cell: &Cell, positions: &[[f64; 3]], rcut: f64) -> Vec<Pa
                                     let d = cell.min_image(positions[i], positions[j]);
                                     let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
                                     if r2 < rcut2 && r2 > 0.0 {
-                                        pairs.push(Pair { i, j, disp: d, r: r2.sqrt() });
+                                        pairs.push(Pair { i, j, disp: d, r2, r: r2.sqrt() });
                                     }
                                 }
                             }
@@ -169,6 +235,26 @@ mod tests {
         let a = sorted_pairs(pairs_brute_force(&cell, &pos, 6.0));
         let b = sorted_pairs(pairs_cell_list(&cell, &pos, 6.0));
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn table_filter_is_the_brute_force_scan_at_every_cutoff() {
+        // Two frames, one of them with a coincident pair; cutoffs below,
+        // above and far above half the box, and one placed exactly on a
+        // pair distance (both sides decide that pair by `r² < rcut²`).
+        let cell = Cell::cubic(9.0);
+        let mut frames = [random_positions(12, 9.0, 5), random_positions(12, 9.0, 6)];
+        frames[1][3] = frames[1][7];
+        let table = PairTable::build(&cell, frames.iter().map(Vec::as_slice));
+        assert_eq!(table.n_frames(), 2);
+        let on_a_pair = table.within(0, 100.0).nth(10).unwrap().r;
+        for rcut in [2.5, 4.4, 6.0, on_a_pair, 100.0] {
+            for (f, positions) in frames.iter().enumerate() {
+                let scanned = pairs_brute_force(&cell, positions, rcut);
+                let filtered: Vec<Pair> = table.within(f, rcut).copied().collect();
+                assert_eq!(filtered, scanned, "frame {f} rcut {rcut}");
+            }
+        }
     }
 
     #[test]

@@ -139,7 +139,7 @@ pub fn from_extxyz(text: &str) -> Result<Dataset, String> {
     Ok(Dataset {
         cell: cell.ok_or("no frames found")?,
         species: species.unwrap_or_default(),
-        frames,
+        frames: frames.into(),
     })
 }
 

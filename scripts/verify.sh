@@ -11,7 +11,11 @@
 #                                    EXPERIMENTS.md is one `fig1 --list-flags`
 #                                    actually parses
 #   6. chaos stress                — the journal crash/resume chaos suites
-#                                    (generational and steady-state), looped
+#                                    (generational and steady-state) and the
+#                                    latch-forced work-conservation suites
+#                                    (a simulated death costs no real thread;
+#                                    steady-state look-ahead; a kill with
+#                                    prefetched work in flight), looped
 #                                    CHAOS_STRESS times (default 3) to shake
 #                                    out racy supervision interleavings
 #   7. telemetry identity          — a faulty campaign run with a live
@@ -132,6 +136,9 @@ for i in $(seq 1 "${CHAOS_STRESS}"); do
     cargo test -q -p dphpo-core --test journal_chaos
     echo "    chaos iteration ${i}/${CHAOS_STRESS} (steady-state)"
     cargo test -q -p dphpo-core --test steady_state_identity
+    echo "    chaos iteration ${i}/${CHAOS_STRESS} (work conservation)"
+    cargo test -q -p dphpo-hpc --test work_conservation
+    cargo test -q -p dphpo-core --test work_conservation
 done
 
 echo "==> [7/11] telemetry bit-identity (observed == unobserved artifacts)"
