@@ -2,10 +2,12 @@
 //! training step cost and per-training set-up cost (`TrainRun::new`: model
 //! init plus the descriptor caches selected from the datasets' pair
 //! tables), the tensor/tape kernels a step is built from (blocked matmul,
-//! transposed-operand matmuls, bulk tanh, fused affine layer), and the
-//! batched-vs-scalar descriptor pass.
+//! transposed-operand matmuls, bulk tanh, fused affine layer), the
+//! batched-vs-scalar descriptor pass, and the journal's read side
+//! (`verify` and `Journal::load` over a synthetic steady-state journal, and
+//! the frame checksum).
 //!
-//! Writes `BENCH_hotpath.json` (schema `dphpo-hotpath-v3`) into the
+//! Writes `BENCH_hotpath.json` (schema `dphpo-hotpath-v4`) into the
 //! current directory — run from the repo root (or via
 //! `scripts/bench_baseline.sh`) to refresh the checked-in baseline.
 //! `--quick` trades stability for runtime (CI-friendly).
@@ -13,10 +15,17 @@
 use std::time::Instant;
 
 use dphpo_autograd::{Tape, Tensor, Unary};
+use dphpo_core::experiment::ExperimentConfig;
+use dphpo_core::journal::{
+    crc32, verify, EvalEntry, FaultKind, Journal, JournalWriter, SnapshotEntry,
+};
 use dphpo_dnnp::json::Json;
 use dphpo_dnnp::{
-    forward_cached, train, DnnpModel, FrameCache, Supervision, TrainConfig, TrainRun,
+    forward_cached, train, DnnpModel, FrameCache, LcurveRow, Supervision, TrainConfig, TrainRun,
 };
+use dphpo_evo::nsga2::GenerationRecord;
+use dphpo_evo::{Fitness, Individual};
+use dphpo_hpc::{PoolReport, StreamSlotsState};
 use dphpo_md::generate::{generate_dataset, GenConfig};
 use dphpo_md::Dataset;
 use rand::rngs::StdRng;
@@ -88,6 +97,104 @@ fn tile_onehot(onehot: &Tensor, batch: usize) -> Tensor {
         out.extend_from_slice(onehot.data());
     }
     Tensor::matrix(batch * rows, cols, out)
+}
+
+/// Write a steady-state journal of synthetic records through the
+/// production writer: `evals` arrival-carrying evaluations with a
+/// three-row `lcurve_tail`, and a snapshot (population and archive of 100,
+/// the epochs so far as history) every 100 arrivals — the record mix of a
+/// paper-width steady campaign, where snapshots are most of the bytes.
+fn synthetic_steady_journal(path: &std::path::Path, evals: usize) {
+    fn draw(rng: &mut StdRng, n: usize) -> Vec<f64> {
+        (0..n).map(|_| rng.random_range(0.0..10.0)).collect()
+    }
+    fn individuals(rng: &mut StdRng, n: usize) -> Vec<Individual> {
+        (0..n)
+            .map(|i| {
+                let mut ind = Individual::new(draw(rng, 7));
+                ind.fitness = Some(Fitness::new(draw(rng, 2)));
+                ind.rank = i % 5;
+                ind.distance = if i % 10 == 0 { f64::INFINITY } else { draw(rng, 1)[0] };
+                ind.eval_minutes = Some(draw(rng, 1)[0]);
+                ind
+            })
+            .collect()
+    }
+    let mut rng = StdRng::seed_from_u64(11);
+    let workers = vec![0.0; 2];
+    let report = PoolReport {
+        per_worker_minutes: workers.clone(),
+        busy_minutes: workers.clone(),
+        idle_minutes: workers.clone(),
+        lost_death_minutes: workers.clone(),
+        lost_speculation_minutes: workers.clone(),
+        backoff_slot_minutes: workers.clone(),
+        ..PoolReport::default()
+    };
+    let mut writer =
+        JournalWriter::create(path, &ExperimentConfig::smoke()).expect("create bench journal");
+    let mut history: Vec<GenerationRecord> = Vec::new();
+    for arrival in 0..evals {
+        let genome = draw(&mut rng, 7);
+        let row = |step| LcurveRow {
+            step,
+            rmse_e_val: 0.01244327,
+            rmse_e_trn: 0.01772575,
+            rmse_f_val: 0.09171721,
+            rmse_f_trn: 0.1012222,
+            lr: 0.0004570794,
+        };
+        let entry = EvalEntry {
+            run: 0,
+            gen: arrival / 100,
+            slot: arrival % 100,
+            seed: arrival as u64,
+            objectives: Some(genome[..2].to_vec()),
+            minutes: genome[2],
+            genome,
+            fault: FaultKind::None,
+            fault_step: None,
+            fault_loss: None,
+            attempts: 1,
+            lcurve_tail: vec![row(1000), row(1500), row(2000)],
+            arrival: Some(arrival),
+        };
+        writer.append_eval(&entry).expect("append eval");
+        if (arrival + 1) % 100 == 0 {
+            let population = individuals(&mut rng, 100);
+            history.push(GenerationRecord {
+                generation: history.len(),
+                failures: 0,
+                population: population.clone(),
+            });
+            let slots = StreamSlotsState {
+                busy: workers.clone(),
+                lost: workers.clone(),
+                backoff: workers.clone(),
+                baseline_busy: workers.clone(),
+                baseline_lost: workers.clone(),
+                baseline_backoff: workers.clone(),
+                ..StreamSlotsState::default()
+            };
+            let snapshot = SnapshotEntry {
+                run: 0,
+                arrivals: arrival + 1,
+                submitted: arrival + 1,
+                std: vec![0.1; 7],
+                population,
+                pending: Vec::new(),
+                archive: individuals(&mut rng, 100),
+                slots,
+                epoch_reports: vec![report.clone(); history.len()],
+                history: history.clone(),
+                epoch_failures: 0,
+                epoch_churn: (0, 0, 0),
+                epoch_sim_offset: 0.0,
+                status_rows: Vec::new(),
+            };
+            writer.append_snapshot(&snapshot).expect("append snapshot");
+        }
+    }
 }
 
 fn main() {
@@ -227,8 +334,31 @@ fn main() {
             std::hint::black_box(btape.item(btape.sum_all(graph.forces.expect("forces"))));
     });
 
+    // The journal's read side: one scan under `verify` (which keeps
+    // nothing of a record) and `Journal::load` (which keeps all of it).
+    println!("timing the journal read path...");
+    let journal_path =
+        std::env::temp_dir().join(format!("dphpo-hotpath-{}.journal.jsonl", std::process::id()));
+    synthetic_steady_journal(&journal_path, 700);
+    let journal_bytes = std::fs::metadata(&journal_path).expect("bench journal").len();
+    let journal_frames = verify(&journal_path).expect("verify bench journal").frames;
+    let scan_samples = if quick { 5 } else { 15 };
+    let verify_us = time_best(scan_samples, || {
+        let report = verify(std::hint::black_box(&journal_path)).expect("verify bench journal");
+        assert!(!report.damaged());
+    }) * 1e6;
+    let load_us = time_best(scan_samples, || {
+        let journal = Journal::load(std::hint::black_box(&journal_path)).expect("load");
+        std::hint::black_box(journal.frames);
+    }) * 1e6;
+    let _ = std::fs::remove_file(&journal_path);
+    let block: Vec<u8> = (0..65536u32).map(|i| (i.wrapping_mul(2654435761) >> 24) as u8).collect();
+    let crc32_64k_us = ns_per_op(samples, mm_reps, || {
+        std::hint::black_box(crc32(std::hint::black_box(&block)));
+    }) / 1e3;
+
     let doc = Json::object(vec![
-        ("schema", Json::String("dphpo-hotpath-v3".into())),
+        ("schema", Json::String("dphpo-hotpath-v4".into())),
         ("quick", Json::Bool(quick)),
         ("reference_rcut", Json::Number(REFERENCE_RCUT)),
         (
@@ -261,6 +391,16 @@ fn main() {
             ]),
         ),
         (
+            "journal",
+            Json::object(vec![
+                ("bytes", Json::Number(journal_bytes as f64)),
+                ("frames", Json::Number(journal_frames as f64)),
+                ("verify_us", Json::Number(verify_us)),
+                ("load_us", Json::Number(load_us)),
+                ("crc32_64k_us", Json::Number(crc32_64k_us)),
+            ]),
+        ),
+        (
             "batched",
             Json::object(vec![
                 ("frames", Json::Number(batch_frames as f64)),
@@ -284,6 +424,13 @@ fn main() {
         "  affine 256x32 fwd+grad: fused {:.1} µs vs unfused {:.1} µs",
         affine_fused_ns / 1e3,
         affine_unfused_ns / 1e3
+    );
+    println!(
+        "  journal ({:.2} MB, {journal_frames} frames): verify {:.1} ms, load {:.1} ms; \
+         crc32 of 64 KiB {crc32_64k_us:.1} µs",
+        journal_bytes as f64 / 1e6,
+        verify_us / 1e3,
+        load_us / 1e3
     );
     println!(
         "  batched descriptor pass ({batch_frames} frames): {:.1} µs vs scalar {:.1} µs ({:.2}x)",

@@ -29,6 +29,22 @@
 //! (plain JSONL) are refused with an error naming the unsupported version —
 //! never read as damaged v2.
 //!
+//! # Reading
+//!
+//! [`Journal::load`], [`verify`], [`salvage`] and [`compact`] share one
+//! single-pass scan of the file buffer. Each frame's prefix, sequence
+//! number, length and CRC (slice-by-8) are checked; its payload — borrowed
+//! from the buffer, never copied — is then decoded straight out of a
+//! [`dphpo_dnnp::json::Reader`] into the record's struct, with no [`Json`]
+//! tree in between, and every field of every record is validated: a record
+//! that is well-framed but semantically wrong is corruption at its frame's
+//! offset for all four readers alike. Values the writer can never emit —
+//! a number literal that overflows to infinity, a counter that is not a
+//! non-negative integer, a repeated key — are rejected, not coerced
+//! (DESIGN.md §13.6). The `to_json` writers define the format; the decoders
+//! are held to them by re-rendering every frame of the checked-in journals
+//! byte for byte (`tests/journal_roundtrip.rs`).
+//!
 //! Steady-state campaigns additionally append self-contained **snapshot**
 //! records at epoch-window boundaries (population, mutation σ, pending
 //! queue, archive, slot cursors, per-epoch accumulators), so resume
@@ -69,12 +85,13 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::fs::{File, OpenOptions};
 use std::io::{Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
+use dphpo_dnnp::json::{JsonError, Reader};
 use dphpo_dnnp::{Json, LcurveRow};
 use dphpo_evo::nsga2::GenerationRecord;
 use dphpo_evo::{Fitness, Id, Individual};
@@ -112,14 +129,22 @@ impl fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
+impl From<JsonError> for JournalError {
+    fn from(e: JsonError) -> Self {
+        JournalError::new(format!("bad JSON in record: {e}"))
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Frame layer (format v2): `J2 <seq:08x> <len:08x> <crc:08x> <payload>\n`
 // ---------------------------------------------------------------------------
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xedb88320) lookup table,
-/// built at compile time.
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xedb88320) slice-by-8 lookup
+/// tables, built at compile time. `T[0]` is the classic byte table;
+/// `T[k][b]` is the CRC of byte `b` followed by `k` zero bytes, which lets
+/// eight input bytes fold into the state with eight independent lookups.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -128,21 +153,46 @@ const fn crc32_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC-32 (IEEE) of `bytes` — the checksum carried by every v2 frame.
 /// Standard parameters: init and xorout `0xffffffff`, reflected. The
-/// check value of `b"123456789"` is `0xcbf43926`.
+/// check value of `b"123456789"` is `0xcbf43926`. Eight bytes per step
+/// (slice-by-8); the tail shorter than eight goes byte by byte.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = 0xffff_ffffu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
     }
     c ^ 0xffff_ffff
 }
@@ -151,17 +201,22 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// `"J2 "` + 8 hex (seq) + `" "` + 8 hex (len) + `" "` + 8 hex (crc) + `" "`.
 pub const FRAME_PREFIX_LEN: usize = 30;
 
+/// Append one framed journal line to `out`. The payload must be
+/// newline-free (compact JSON always is).
+fn push_frame(out: &mut String, seq: u64, payload: &str) {
+    debug_assert!(!payload.contains('\n'), "frame payloads are single-line");
+    // Writing into a `String` cannot fail.
+    let _ = write!(out, "J2 {:08x} {:08x} {:08x} ", seq, payload.len(), crc32(payload.as_bytes()));
+    out.push_str(payload);
+    out.push('\n');
+}
+
 /// Render one framed journal line. The payload must be newline-free
 /// (compact JSON always is).
 pub fn frame_line(seq: u64, payload: &str) -> String {
-    debug_assert!(!payload.contains('\n'), "frame payloads are single-line");
-    format!(
-        "J2 {:08x} {:08x} {:08x} {}\n",
-        seq,
-        payload.len(),
-        crc32(payload.as_bytes()),
-        payload
-    )
+    let mut line = String::with_capacity(FRAME_PREFIX_LEN + payload.len() + 1);
+    push_frame(&mut line, seq, payload);
+    line
 }
 
 /// Parse one frame body (a line *without* its trailing newline), checking
@@ -222,46 +277,8 @@ fn hex_u64(v: u64) -> Json {
     Json::String(format!("{v:#018x}"))
 }
 
-fn parse_hex_u64(j: Option<&Json>, what: &str) -> Result<u64, JournalError> {
-    let s = j
-        .and_then(Json::as_str)
-        .ok_or_else(|| JournalError::new(format!("missing hex field '{what}'")))?;
-    let digits = s
-        .strip_prefix("0x")
-        .ok_or_else(|| JournalError::new(format!("field '{what}' is not 0x-prefixed: {s}")))?;
-    u64::from_str_radix(digits, 16)
-        .map_err(|_| JournalError::new(format!("field '{what}' is not hex: {s}")))
-}
-
 fn numbers(xs: &[f64]) -> Json {
     Json::Array(xs.iter().copied().map(Json::Number).collect())
-}
-
-fn f64_field(j: &Json, key: &str) -> Result<f64, JournalError> {
-    j.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| JournalError::new(format!("missing numeric field '{key}'")))
-}
-
-fn usize_field(j: &Json, key: &str) -> Result<usize, JournalError> {
-    Ok(f64_field(j, key)? as usize)
-}
-
-fn array_field<'a>(j: &'a Json, key: &str) -> Result<&'a [Json], JournalError> {
-    match j.get(key) {
-        Some(Json::Array(items)) => Ok(items),
-        _ => Err(JournalError::new(format!("missing array field '{key}'"))),
-    }
-}
-
-fn f64_array(j: &Json, key: &str) -> Result<Vec<f64>, JournalError> {
-    array_field(j, key)?
-        .iter()
-        .map(|v| {
-            v.as_f64()
-                .ok_or_else(|| JournalError::new(format!("non-numeric entry in '{key}'")))
-        })
-        .collect()
 }
 
 /// Crowding distances on front boundaries are `+inf` (and a diverged loss
@@ -279,13 +296,111 @@ fn json_of_f64_or_inf(v: f64) -> Json {
     }
 }
 
-fn f64_or_inf_field(j: &Json, key: &str) -> Result<f64, JournalError> {
-    match j.get(key) {
-        Some(Json::Number(v)) => Ok(*v),
-        Some(Json::String(s)) if s == "inf" => Ok(f64::INFINITY),
-        Some(Json::String(s)) if s == "-inf" => Ok(f64::NEG_INFINITY),
-        Some(Json::String(s)) if s == "nan" => Ok(f64::NAN),
-        _ => Err(JournalError::new(format!("missing float field '{key}'"))),
+// Decoding: records are pulled field by field out of a [`Reader`] over the
+// frame's payload, straight into their structs — no `Json` tree is built.
+
+/// Decode one JSON object into `Option` locals: each `"key" => var = expr`
+/// arm reads the value of `key` with `expr`. A known key met twice is an
+/// error (the writer never repeats one); unknown keys are syntax-checked
+/// and skipped.
+macro_rules! read_fields {
+    ($r:ident { $($key:literal => $var:ident = $read:expr,)* }) => {
+        $(let mut $var = None;)*
+        $r.begin_object()?;
+        while let Some(key) = $r.next_key()? {
+            match &*key {
+                $($key => {
+                    if $var.replace($read).is_some() {
+                        return Err(JournalError::new(concat!("duplicate key '", $key, "'")));
+                    }
+                })*
+                _ => $r.skip()?,
+            }
+        }
+    };
+}
+
+fn need<T>(field: Option<T>, key: &str) -> Result<T, JournalError> {
+    field.ok_or_else(|| JournalError::new(format!("missing field '{key}'")))
+}
+
+/// The writer emits counters and indices as integers; anything else in
+/// their place (`-1`, `1.5`, `1e30`) is damage, not a value to coerce.
+fn as_uint(v: f64, key: &str) -> Result<usize, JournalError> {
+    const MAX_EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
+    if (0.0..=MAX_EXACT).contains(&v) && v.fract() == 0.0 {
+        Ok(v as usize)
+    } else {
+        Err(JournalError::new(format!("field '{key}' is not a non-negative integer: {v}")))
+    }
+}
+
+fn float(r: &mut Reader<'_>) -> Result<f64, JournalError> {
+    Ok(r.f64()?)
+}
+
+fn uint(r: &mut Reader<'_>, key: &str) -> Result<usize, JournalError> {
+    as_uint(float(r)?, key)
+}
+
+fn hex(r: &mut Reader<'_>, key: &str) -> Result<u64, JournalError> {
+    let s = r.str()?;
+    let digits = s
+        .strip_prefix("0x")
+        .ok_or_else(|| JournalError::new(format!("field '{key}' is not 0x-prefixed: {s}")))?;
+    u64::from_str_radix(digits, 16)
+        .map_err(|_| JournalError::new(format!("field '{key}' is not hex: {s}")))
+}
+
+/// The inverse of [`json_of_f64_or_inf`].
+fn f64_or_inf(r: &mut Reader<'_>, key: &str) -> Result<f64, JournalError> {
+    if r.peek() != Some(b'"') {
+        return float(r);
+    }
+    match &*r.str()? {
+        "inf" => Ok(f64::INFINITY),
+        "-inf" => Ok(f64::NEG_INFINITY),
+        "nan" => Ok(f64::NAN),
+        other => Err(JournalError::new(format!("field '{key}' is not a float: \"{other}\""))),
+    }
+}
+
+fn nullable<'a, T>(
+    r: &mut Reader<'a>,
+    read: impl FnOnce(&mut Reader<'a>) -> Result<T, JournalError>,
+) -> Result<Option<T>, JournalError> {
+    if r.null()? {
+        Ok(None)
+    } else {
+        read(r).map(Some)
+    }
+}
+
+fn list<'a, T>(
+    r: &mut Reader<'a>,
+    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, JournalError>,
+) -> Result<Vec<T>, JournalError> {
+    // Most journaled lists fit: a genome is 7 long, objectives 2, an
+    // lcurve tail 3 rows of 6 — and growing into 8 costs a reallocation.
+    let mut out = Vec::with_capacity(8);
+    r.begin_array()?;
+    while r.next_element()? {
+        out.push(item(r)?);
+    }
+    Ok(out)
+}
+
+fn f64s(r: &mut Reader<'_>) -> Result<Vec<f64>, JournalError> {
+    list(r, float)
+}
+
+/// The record's `type` member: must name the record being decoded.
+fn tag(r: &mut Reader<'_>, want: &str) -> Result<(), JournalError> {
+    let got = r.str()?;
+    if got == want {
+        Ok(())
+    } else {
+        Err(JournalError::new(format!("record type '{got}' where '{want}' was expected")))
     }
 }
 
@@ -299,24 +414,10 @@ pub fn fitness_to_json(f: &Fitness) -> Json {
     numbers(f.values())
 }
 
-/// Parse a fitness vector.
-pub fn fitness_from_json(j: &Json) -> Result<Fitness, JournalError> {
-    match j {
-        Json::Array(items) => {
-            let values: Result<Vec<f64>, _> = items
-                .iter()
-                .map(|v| {
-                    v.as_f64().ok_or_else(|| JournalError::new("non-numeric objective"))
-                })
-                .collect();
-            let values = values?;
-            if values.iter().any(|v| v.is_nan()) {
-                return Err(JournalError::new("NaN objective in journal"));
-            }
-            Ok(Fitness::new(values))
-        }
-        _ => Err(JournalError::new("fitness must be an array")),
-    }
+/// Decode a fitness vector. (A JSON number is never NaN and the reader
+/// refuses literals that overflow to infinity, so every value is finite.)
+pub fn read_fitness(r: &mut Reader<'_>) -> Result<Fitness, JournalError> {
+    f64s(r).map(Fitness::new)
 }
 
 /// Serialise an individual: identity, genome, evaluation state, and the
@@ -341,34 +442,26 @@ pub fn individual_to_json(ind: &Individual) -> Json {
     ])
 }
 
-/// Parse an individual. The restored id is registered with
+/// Decode an individual. The restored id is registered with
 /// [`Id::advance_past`] so freshly allocated ids never collide with it.
-pub fn individual_from_json(j: &Json) -> Result<Individual, JournalError> {
-    let raw = parse_hex_u64(j.get("id"), "id")?;
+pub fn read_individual(r: &mut Reader<'_>) -> Result<Individual, JournalError> {
+    read_fields!(r {
+        "id" => id = hex(r, "id")?,
+        "genome" => genome = f64s(r)?,
+        "fitness" => fitness = nullable(r, read_fitness)?,
+        "rank" => rank = nullable(r, |r| uint(r, "rank"))?,
+        "distance" => distance = f64_or_inf(r, "distance")?,
+        "minutes" => minutes = nullable(r, float)?,
+    });
+    let raw = need(id, "id")?;
     Id::advance_past(raw);
-    let fitness = match j.get("fitness") {
-        None | Some(Json::Null) => None,
-        Some(f) => Some(fitness_from_json(f)?),
-    };
-    let rank = match j.get("rank") {
-        None | Some(Json::Null) => usize::MAX,
-        Some(v) => v
-            .as_f64()
-            .ok_or_else(|| JournalError::new("non-numeric 'rank'"))? as usize,
-    };
-    let eval_minutes = match j.get("minutes") {
-        None | Some(Json::Null) => None,
-        Some(v) => {
-            Some(v.as_f64().ok_or_else(|| JournalError::new("non-numeric 'minutes'"))?)
-        }
-    };
     Ok(Individual {
         id: Id::from_raw(raw),
-        genome: f64_array(j, "genome")?,
-        fitness,
-        rank,
-        distance: f64_or_inf_field(j, "distance")?,
-        eval_minutes,
+        genome: need(genome, "genome")?,
+        fitness: fitness.flatten(),
+        rank: rank.flatten().unwrap_or(usize::MAX),
+        distance: need(distance, "distance")?,
+        eval_minutes: minutes.flatten(),
     })
 }
 
@@ -377,16 +470,11 @@ pub fn rng_state_to_json(state: [u64; 4]) -> Json {
     Json::Array(state.iter().map(|&w| hex_u64(w)).collect())
 }
 
-/// Parse a [`rng_state_to_json`] snapshot.
-pub fn rng_state_from_json(j: &Json) -> Result<[u64; 4], JournalError> {
-    let items = match j {
-        Json::Array(items) if items.len() == 4 => items,
-        _ => return Err(JournalError::new("rng state must be a 4-element array")),
-    };
-    let mut state = [0u64; 4];
-    for (slot, item) in state.iter_mut().zip(items) {
-        *slot = parse_hex_u64(Some(item), "rng word")?;
-    }
+/// Decode a [`rng_state_to_json`] snapshot.
+pub fn read_rng_state(r: &mut Reader<'_>) -> Result<[u64; 4], JournalError> {
+    let state: [u64; 4] = list(r, |r| hex(r, "rng word"))?
+        .try_into()
+        .map_err(|_| JournalError::new("rng state must be a 4-element array"))?;
     if state.iter().all(|&w| w == 0) {
         return Err(JournalError::new("all-zero rng state"));
     }
@@ -397,21 +485,17 @@ fn lcurve_row_to_json(r: &LcurveRow) -> Json {
     numbers(&[r.step as f64, r.rmse_e_val, r.rmse_e_trn, r.rmse_f_val, r.rmse_f_trn, r.lr])
 }
 
-fn lcurve_row_from_json(j: &Json) -> Result<LcurveRow, JournalError> {
-    let v = match j {
-        Json::Array(items) if items.len() == 6 => items
-            .iter()
-            .map(|x| x.as_f64().ok_or_else(|| JournalError::new("non-numeric lcurve entry")))
-            .collect::<Result<Vec<f64>, _>>()?,
-        _ => return Err(JournalError::new("lcurve row must be a 6-element array")),
-    };
+fn read_lcurve_row(r: &mut Reader<'_>) -> Result<LcurveRow, JournalError> {
+    let [step, rmse_e_val, rmse_e_trn, rmse_f_val, rmse_f_trn, lr]: [f64; 6] = f64s(r)?
+        .try_into()
+        .map_err(|_| JournalError::new("lcurve row must be a 6-element array"))?;
     Ok(LcurveRow {
-        step: v[0] as usize,
-        rmse_e_val: v[1],
-        rmse_e_trn: v[2],
-        rmse_f_val: v[3],
-        rmse_f_trn: v[4],
-        lr: v[5],
+        step: as_uint(step, "lcurve step")?,
+        rmse_e_val,
+        rmse_e_trn,
+        rmse_f_val,
+        rmse_f_trn,
+        lr,
     })
 }
 
@@ -443,42 +527,71 @@ fn report_to_json(r: &PoolReport) -> Json {
     ])
 }
 
-/// Optional numeric field (absent in journals written before the
-/// supervision runtime existed): missing means zero.
-fn opt_usize_field(j: &Json, key: &str) -> usize {
-    j.get(key).and_then(Json::as_f64).map_or(0, |v| v as usize)
+/// Report fields newer than the first v2 journals read as zero / empty
+/// when absent — and, as they always have, when present with a value of
+/// the wrong type (which is still syntax-checked). A number of the right
+/// type in an integer field is held to [`as_uint`] like any other.
+fn lenient<'a, T: Default>(
+    r: &mut Reader<'a>,
+    read: impl FnOnce(&mut Reader<'a>) -> Result<T, JournalError>,
+) -> Result<T, JournalError> {
+    let mut probe = r.clone();
+    match read(&mut probe) {
+        Ok(v) => {
+            *r = probe;
+            Ok(v)
+        }
+        Err(_) => {
+            r.skip()?;
+            Ok(T::default())
+        }
+    }
 }
 
-fn opt_f64_field(j: &Json, key: &str) -> f64 {
-    j.get(key).and_then(Json::as_f64).unwrap_or(0.0)
+fn lenient_uint(r: &mut Reader<'_>, key: &str) -> Result<usize, JournalError> {
+    lenient(r, float).and_then(|v| as_uint(v, key))
 }
 
-/// Optional numeric array (absent in journals written before utilization
-/// accounting existed): missing means empty.
-fn opt_f64_array(j: &Json, key: &str) -> Vec<f64> {
-    f64_array(j, key).unwrap_or_default()
-}
-
-fn report_from_json(j: &Json) -> Result<PoolReport, JournalError> {
+fn read_report(r: &mut Reader<'_>) -> Result<PoolReport, JournalError> {
+    read_fields!(r {
+        "makespan" => makespan = r.f64()?,
+        "per_worker" => per_worker = f64s(r)?,
+        "deaths" => deaths = uint(r, "deaths")?,
+        "retried" => retried = uint(r, "retried")?,
+        "diverged" => diverged = lenient_uint(r, "diverged")?,
+        "timeout" => timeout = lenient_uint(r, "timeout")?,
+        "cancelled" => cancelled = lenient_uint(r, "cancelled")?,
+        "exhausted" => exhausted = lenient_uint(r, "exhausted")?,
+        "speculated" => speculated = lenient_uint(r, "speculated")?,
+        "spec_deaths" => spec_deaths = lenient_uint(r, "spec_deaths")?,
+        "lost_minutes" => lost_minutes = lenient(r, float)?,
+        "backoff_minutes" => backoff_minutes = lenient(r, float)?,
+        "busy" => busy = lenient(r, f64s)?,
+        "lost_death" => lost_death = lenient(r, f64s)?,
+        "lost_spec" => lost_spec = lenient(r, f64s)?,
+        "backoff_slot" => backoff_slot = lenient(r, f64s)?,
+        "idle" => idle = lenient(r, f64s)?,
+        "wall" => wall = lenient(r, float)?,
+    });
     Ok(PoolReport {
-        makespan_minutes: f64_field(j, "makespan")?,
-        per_worker_minutes: f64_array(j, "per_worker")?,
-        worker_deaths: usize_field(j, "deaths")?,
-        retried_tasks: usize_field(j, "retried")?,
-        diverged_tasks: opt_usize_field(j, "diverged"),
-        timeout_tasks: opt_usize_field(j, "timeout"),
-        cancelled_tasks: opt_usize_field(j, "cancelled"),
-        exhausted_tasks: opt_usize_field(j, "exhausted"),
-        speculated_tasks: opt_usize_field(j, "speculated"),
-        speculative_deaths: opt_usize_field(j, "spec_deaths"),
-        lost_minutes: opt_f64_field(j, "lost_minutes"),
-        backoff_minutes: opt_f64_field(j, "backoff_minutes"),
-        busy_minutes: opt_f64_array(j, "busy"),
-        lost_death_minutes: opt_f64_array(j, "lost_death"),
-        lost_speculation_minutes: opt_f64_array(j, "lost_spec"),
-        backoff_slot_minutes: opt_f64_array(j, "backoff_slot"),
-        idle_minutes: opt_f64_array(j, "idle"),
-        wall_minutes: opt_f64_field(j, "wall"),
+        makespan_minutes: need(makespan, "makespan")?,
+        per_worker_minutes: need(per_worker, "per_worker")?,
+        worker_deaths: need(deaths, "deaths")?,
+        retried_tasks: need(retried, "retried")?,
+        diverged_tasks: diverged.unwrap_or_default(),
+        timeout_tasks: timeout.unwrap_or_default(),
+        cancelled_tasks: cancelled.unwrap_or_default(),
+        exhausted_tasks: exhausted.unwrap_or_default(),
+        speculated_tasks: speculated.unwrap_or_default(),
+        speculative_deaths: spec_deaths.unwrap_or_default(),
+        lost_minutes: lost_minutes.unwrap_or_default(),
+        backoff_minutes: backoff_minutes.unwrap_or_default(),
+        busy_minutes: busy.unwrap_or_default(),
+        lost_death_minutes: lost_death.unwrap_or_default(),
+        lost_speculation_minutes: lost_spec.unwrap_or_default(),
+        backoff_slot_minutes: backoff_slot.unwrap_or_default(),
+        idle_minutes: idle.unwrap_or_default(),
+        wall_minutes: wall.unwrap_or_default(),
         ..PoolReport::default()
     })
 }
@@ -644,7 +757,9 @@ impl EvalEntry {
         EvalOutcome { value: Err(fault), minutes: self.minutes }
     }
 
-    fn to_json(&self) -> Json {
+    /// The record as journaled (the writer's byte order is this tree's
+    /// sorted keys).
+    pub fn to_json(&self) -> Json {
         let mut fields = vec![
             ("type", Json::String("eval".into())),
             ("run", Json::Number(self.run as f64)),
@@ -683,47 +798,45 @@ impl EvalEntry {
         Json::object(fields)
     }
 
-    fn from_json(j: &Json) -> Result<Self, JournalError> {
-        let fault = FaultKind::parse(
-            j.get("fault")
-                .and_then(Json::as_str)
-                .ok_or_else(|| JournalError::new("missing 'fault'"))?,
-        )?;
-        let objectives = match j.get("objectives") {
-            None | Some(Json::Null) => None,
-            Some(_) => Some(f64_array(j, "objectives")?),
-        };
+    /// Decode an `eval` record.
+    pub fn read(r: &mut Reader<'_>) -> Result<Self, JournalError> {
+        read_fields!(r {
+            "type" => kind = tag(r, "eval")?,
+            "run" => run = uint(r, "run")?,
+            "gen" => gen = uint(r, "gen")?,
+            "slot" => slot = uint(r, "slot")?,
+            "seed" => seed = hex(r, "seed")?,
+            "genome" => genome = f64s(r)?,
+            "fault" => fault = FaultKind::parse(&r.str()?)?,
+            "fault_step" => fault_step = nullable(r, |r| uint(r, "fault_step"))?,
+            "fault_loss" => fault_loss = nullable(r, |r| f64_or_inf(r, "fault_loss"))?,
+            "objectives" => objectives = nullable(r, f64s)?,
+            "minutes" => minutes = r.f64()?,
+            "attempts" => attempts = uint(r, "attempts")?,
+            "lcurve_tail" => lcurve_tail = list(r, read_lcurve_row)?,
+            "arrival" => arrival = nullable(r, |r| uint(r, "arrival"))?,
+        });
+        need(kind, "type")?;
+        let fault = need(fault, "fault")?;
+        let objectives = objectives.flatten();
         if fault == FaultKind::None && objectives.is_none() {
             return Err(JournalError::new("successful eval entry without objectives"));
         }
-        let fault_step = match j.get("fault_step") {
-            None | Some(Json::Null) => None,
-            Some(_) => Some(usize_field(j, "fault_step")?),
-        };
-        let fault_loss = match j.get("fault_loss") {
-            None | Some(Json::Null) => None,
-            Some(_) => Some(f64_or_inf_field(j, "fault_loss")?),
-        };
         Ok(EvalEntry {
-            run: usize_field(j, "run")?,
-            gen: usize_field(j, "gen")?,
-            slot: usize_field(j, "slot")?,
-            seed: parse_hex_u64(j.get("seed"), "seed")?,
-            genome: f64_array(j, "genome")?,
+            run: need(run, "run")?,
+            gen: need(gen, "gen")?,
+            slot: need(slot, "slot")?,
+            seed: need(seed, "seed")?,
+            genome: need(genome, "genome")?,
             fault,
-            fault_step,
-            fault_loss,
+            fault_step: fault_step.flatten(),
+            fault_loss: fault_loss.flatten(),
             objectives,
-            minutes: f64_field(j, "minutes")?,
-            attempts: usize_field(j, "attempts")? as u32,
-            lcurve_tail: array_field(j, "lcurve_tail")?
-                .iter()
-                .map(lcurve_row_from_json)
-                .collect::<Result<_, _>>()?,
-            arrival: match j.get("arrival") {
-                None | Some(Json::Null) => None,
-                Some(_) => Some(usize_field(j, "arrival")?),
-            },
+            minutes: need(minutes, "minutes")?,
+            attempts: u32::try_from(need(attempts, "attempts")?)
+                .map_err(|_| JournalError::new("field 'attempts' exceeds u32"))?,
+            lcurve_tail: need(lcurve_tail, "lcurve_tail")?,
+            arrival: arrival.flatten(),
         })
     }
 }
@@ -749,7 +862,8 @@ pub struct GenEntry {
 }
 
 impl GenEntry {
-    fn to_json(&self) -> Json {
+    /// The record as journaled.
+    pub fn to_json(&self) -> Json {
         Json::object(vec![
             ("type", Json::String("generation".into())),
             ("run", Json::Number(self.run as f64)),
@@ -770,29 +884,33 @@ impl GenEntry {
         ])
     }
 
-    fn from_json(j: &Json) -> Result<Self, JournalError> {
+    /// Decode a `generation` record.
+    pub fn read(r: &mut Reader<'_>) -> Result<Self, JournalError> {
+        read_fields!(r {
+            "type" => kind = tag(r, "generation")?,
+            "run" => run = uint(r, "run")?,
+            "gen" => generation = uint(r, "gen")?,
+            "failures" => failures = uint(r, "failures")?,
+            "evaluations" => evaluations = uint(r, "evaluations")?,
+            "std" => std = f64s(r)?,
+            "rng" => rng_state = read_rng_state(r)?,
+            "population" => population = list(r, read_individual)?,
+            "archive" => archive = list(r, read_individual)?,
+            "report" => report = read_report(r)?,
+        });
+        need(kind, "type")?;
         Ok(GenEntry {
-            run: usize_field(j, "run")?,
+            run: need(run, "run")?,
             record: GenerationRecord {
-                generation: usize_field(j, "gen")?,
-                failures: usize_field(j, "failures")?,
-                population: array_field(j, "population")?
-                    .iter()
-                    .map(individual_from_json)
-                    .collect::<Result<_, _>>()?,
+                generation: need(generation, "gen")?,
+                failures: need(failures, "failures")?,
+                population: need(population, "population")?,
             },
-            std: f64_array(j, "std")?,
-            evaluations: usize_field(j, "evaluations")?,
-            rng_state: rng_state_from_json(
-                j.get("rng").ok_or_else(|| JournalError::new("missing 'rng'"))?,
-            )?,
-            archive: array_field(j, "archive")?
-                .iter()
-                .map(individual_from_json)
-                .collect::<Result<_, _>>()?,
-            report: report_from_json(
-                j.get("report").ok_or_else(|| JournalError::new("missing 'report'"))?,
-            )?,
+            std: need(std, "std")?,
+            evaluations: need(evaluations, "evaluations")?,
+            rng_state: need(rng_state, "rng")?,
+            archive: need(archive, "archive")?,
+            report: need(report, "report")?,
         })
     }
 }
@@ -808,14 +926,16 @@ fn generation_record_to_json(r: &GenerationRecord) -> Json {
     ])
 }
 
-fn generation_record_from_json(j: &Json) -> Result<GenerationRecord, JournalError> {
+fn read_generation_record(r: &mut Reader<'_>) -> Result<GenerationRecord, JournalError> {
+    read_fields!(r {
+        "gen" => generation = uint(r, "gen")?,
+        "failures" => failures = uint(r, "failures")?,
+        "population" => population = list(r, read_individual)?,
+    });
     Ok(GenerationRecord {
-        generation: usize_field(j, "gen")?,
-        failures: usize_field(j, "failures")?,
-        population: array_field(j, "population")?
-            .iter()
-            .map(individual_from_json)
-            .collect::<Result<_, _>>()?,
+        generation: need(generation, "gen")?,
+        failures: need(failures, "failures")?,
+        population: need(population, "population")?,
     })
 }
 
@@ -842,26 +962,46 @@ fn slots_state_to_json(s: &StreamSlotsState) -> Json {
     ])
 }
 
-fn slots_state_from_json(j: &Json) -> Result<StreamSlotsState, JournalError> {
+fn read_slots_state(r: &mut Reader<'_>) -> Result<StreamSlotsState, JournalError> {
+    read_fields!(r {
+        "busy" => busy = f64s(r)?,
+        "lost" => lost = f64s(r)?,
+        "backoff" => backoff = f64s(r)?,
+        "deaths" => deaths = uint(r, "deaths")?,
+        "retried" => retried = uint(r, "retried")?,
+        "diverged" => diverged = uint(r, "diverged")?,
+        "timeout" => timeout = uint(r, "timeout")?,
+        "cancelled" => cancelled = uint(r, "cancelled")?,
+        "exhausted" => exhausted = uint(r, "exhausted")?,
+        "base_busy" => base_busy = f64s(r)?,
+        "base_lost" => base_lost = f64s(r)?,
+        "base_backoff" => base_backoff = f64s(r)?,
+        "base_deaths" => base_deaths = uint(r, "base_deaths")?,
+        "base_retried" => base_retried = uint(r, "base_retried")?,
+        "base_diverged" => base_diverged = uint(r, "base_diverged")?,
+        "base_timeout" => base_timeout = uint(r, "base_timeout")?,
+        "base_cancelled" => base_cancelled = uint(r, "base_cancelled")?,
+        "base_exhausted" => base_exhausted = uint(r, "base_exhausted")?,
+    });
     Ok(StreamSlotsState {
-        busy: f64_array(j, "busy")?,
-        lost: f64_array(j, "lost")?,
-        backoff: f64_array(j, "backoff")?,
-        deaths: usize_field(j, "deaths")?,
-        retried: usize_field(j, "retried")?,
-        diverged: usize_field(j, "diverged")?,
-        timeout: usize_field(j, "timeout")?,
-        cancelled: usize_field(j, "cancelled")?,
-        exhausted: usize_field(j, "exhausted")?,
-        baseline_busy: f64_array(j, "base_busy")?,
-        baseline_lost: f64_array(j, "base_lost")?,
-        baseline_backoff: f64_array(j, "base_backoff")?,
-        baseline_deaths: usize_field(j, "base_deaths")?,
-        baseline_retried: usize_field(j, "base_retried")?,
-        baseline_diverged: usize_field(j, "base_diverged")?,
-        baseline_timeout: usize_field(j, "base_timeout")?,
-        baseline_cancelled: usize_field(j, "base_cancelled")?,
-        baseline_exhausted: usize_field(j, "base_exhausted")?,
+        busy: need(busy, "busy")?,
+        lost: need(lost, "lost")?,
+        backoff: need(backoff, "backoff")?,
+        deaths: need(deaths, "deaths")?,
+        retried: need(retried, "retried")?,
+        diverged: need(diverged, "diverged")?,
+        timeout: need(timeout, "timeout")?,
+        cancelled: need(cancelled, "cancelled")?,
+        exhausted: need(exhausted, "exhausted")?,
+        baseline_busy: need(base_busy, "base_busy")?,
+        baseline_lost: need(base_lost, "base_lost")?,
+        baseline_backoff: need(base_backoff, "base_backoff")?,
+        baseline_deaths: need(base_deaths, "base_deaths")?,
+        baseline_retried: need(base_retried, "base_retried")?,
+        baseline_diverged: need(base_diverged, "base_diverged")?,
+        baseline_timeout: need(base_timeout, "base_timeout")?,
+        baseline_cancelled: need(base_cancelled, "base_cancelled")?,
+        baseline_exhausted: need(base_exhausted, "base_exhausted")?,
     })
 }
 
@@ -910,7 +1050,8 @@ pub struct SnapshotEntry {
 }
 
 impl SnapshotEntry {
-    fn to_json(&self) -> Json {
+    /// The record as journaled.
+    pub fn to_json(&self) -> Json {
         Json::object(vec![
             ("type", Json::String("snapshot".into())),
             ("run", Json::Number(self.run as f64)),
@@ -965,55 +1106,86 @@ impl SnapshotEntry {
         ])
     }
 
-    fn from_json(j: &Json) -> Result<Self, JournalError> {
-        let pending = array_field(j, "pending")?
-            .iter()
-            .map(|pair| match pair {
-                Json::Array(items) if items.len() == 2 => {
-                    let submission = items[0]
-                        .as_f64()
-                        .ok_or_else(|| JournalError::new("non-numeric pending submission"))?
-                        as usize;
-                    Ok((submission, individual_from_json(&items[1])?))
-                }
-                _ => Err(JournalError::new("pending entry must be a [submission, individual] pair")),
-            })
-            .collect::<Result<Vec<_>, JournalError>>()?;
-        let churn = f64_array(j, "epoch_churn")?;
-        if churn.len() != 3 {
-            return Err(JournalError::new("epoch_churn must be a 3-element array"));
-        }
+    /// Decode a `snapshot` record.
+    pub fn read(r: &mut Reader<'_>) -> Result<Self, JournalError> {
+        read_fields!(r {
+            "type" => kind = tag(r, "snapshot")?,
+            "run" => run = uint(r, "run")?,
+            "arrivals" => arrivals = uint(r, "arrivals")?,
+            "submitted" => submitted = uint(r, "submitted")?,
+            "std" => std = f64s(r)?,
+            "population" => population = list(r, read_individual)?,
+            "pending" => pending = list(r, read_pending)?,
+            "archive" => archive = list(r, read_individual)?,
+            "slots" => slots = read_slots_state(r)?,
+            "history" => history = list(r, read_generation_record)?,
+            "epoch_reports" => epoch_reports = list(r, read_report)?,
+            "epoch_failures" => epoch_failures = uint(r, "epoch_failures")?,
+            "epoch_churn" => epoch_churn = f64s(r)?,
+            "epoch_sim_offset" => epoch_sim_offset = r.f64()?,
+            "status_rows" => status_rows = list(r, read_status_row)?,
+        });
+        need(kind, "type")?;
+        let [offered, added, evicted]: [f64; 3] = need(epoch_churn, "epoch_churn")?
+            .try_into()
+            .map_err(|_| JournalError::new("epoch_churn must be a 3-element array"))?;
         Ok(SnapshotEntry {
-            run: usize_field(j, "run")?,
-            arrivals: usize_field(j, "arrivals")?,
-            submitted: usize_field(j, "submitted")?,
-            std: f64_array(j, "std")?,
-            population: array_field(j, "population")?
-                .iter()
-                .map(individual_from_json)
-                .collect::<Result<_, _>>()?,
-            pending,
-            archive: array_field(j, "archive")?
-                .iter()
-                .map(individual_from_json)
-                .collect::<Result<_, _>>()?,
-            slots: slots_state_from_json(
-                j.get("slots").ok_or_else(|| JournalError::new("missing 'slots'"))?,
-            )?,
-            history: array_field(j, "history")?
-                .iter()
-                .map(generation_record_from_json)
-                .collect::<Result<_, _>>()?,
-            epoch_reports: array_field(j, "epoch_reports")?
-                .iter()
-                .map(report_from_json)
-                .collect::<Result<_, _>>()?,
-            epoch_failures: usize_field(j, "epoch_failures")?,
-            epoch_churn: (churn[0] as usize, churn[1] as usize, churn[2] as usize),
-            epoch_sim_offset: f64_field(j, "epoch_sim_offset")?,
-            status_rows: array_field(j, "status_rows")?.iter().map(row_from_json).collect(),
+            run: need(run, "run")?,
+            arrivals: need(arrivals, "arrivals")?,
+            submitted: need(submitted, "submitted")?,
+            std: need(std, "std")?,
+            population: need(population, "population")?,
+            pending: need(pending, "pending")?,
+            archive: need(archive, "archive")?,
+            slots: need(slots, "slots")?,
+            history: need(history, "history")?,
+            epoch_reports: need(epoch_reports, "epoch_reports")?,
+            epoch_failures: need(epoch_failures, "epoch_failures")?,
+            epoch_churn: (
+                as_uint(offered, "epoch_churn")?,
+                as_uint(added, "epoch_churn")?,
+                as_uint(evicted, "epoch_churn")?,
+            ),
+            epoch_sim_offset: need(epoch_sim_offset, "epoch_sim_offset")?,
+            status_rows: need(status_rows, "status_rows")?,
         })
     }
+}
+
+/// One `[submission, individual]` pair of a snapshot's resubmission queue.
+fn read_pending(r: &mut Reader<'_>) -> Result<(usize, Individual), JournalError> {
+    let shape = || JournalError::new("pending entry must be a [submission, individual] pair");
+    r.begin_array()?;
+    if !r.next_element()? {
+        return Err(shape());
+    }
+    let submission = uint(r, "pending submission")?;
+    if !r.next_element()? {
+        return Err(shape());
+    }
+    let individual = read_individual(r)?;
+    if r.next_element()? {
+        return Err(shape());
+    }
+    Ok((submission, individual))
+}
+
+/// A status row shares its decoder with the status file
+/// ([`row_from_json`], tolerant by design), so it goes through a small
+/// tree — built here member by member so that a repeated key is still an
+/// error, as everywhere else in a record.
+fn read_status_row(r: &mut Reader<'_>) -> Result<GenStatus, JournalError> {
+    if r.peek() != Some(b'{') {
+        return Ok(row_from_json(&r.value()?));
+    }
+    let mut row = BTreeMap::new();
+    r.begin_object()?;
+    while let Some(key) = r.next_key()? {
+        if row.insert(key.into_owned(), r.value()?).is_some() {
+            return Err(JournalError::new("duplicate key in a status row"));
+        }
+    }
+    Ok(row_from_json(&Json::Object(row)))
 }
 
 // ---------------------------------------------------------------------------
@@ -1123,6 +1295,11 @@ pub struct JournalWriter {
     seq: u64,
     /// Fault-injection site for appends (disabled by default).
     io: IoSite,
+    /// The record being appended, rendered: its payload, and the frame
+    /// around it. Kept so that an append allocates nothing once they have
+    /// grown.
+    payload: String,
+    line: String,
 }
 
 impl JournalWriter {
@@ -1135,6 +1312,8 @@ impl JournalWriter {
             offset: 0,
             seq: 0,
             io: IoSite::disabled(JOURNAL_APPEND_SITE),
+            payload: String::new(),
+            line: String::new(),
         };
         writer.append(&header_json(config))?;
         Ok(writer)
@@ -1162,6 +1341,8 @@ impl JournalWriter {
             offset: journal.valid_len,
             seq: journal.frames,
             io: IoSite::disabled(JOURNAL_APPEND_SITE),
+            payload: String::new(),
+            line: String::new(),
         })
     }
 
@@ -1171,8 +1352,11 @@ impl JournalWriter {
     /// complete frame of uncertain durability (fsync failure) — both are
     /// exactly the states [`salvage`] and the torn-tail reader tolerate.
     fn append(&mut self, record: &Json) -> Result<u64, JournalError> {
-        let payload = record.to_compact();
-        let line = frame_line(self.seq, &payload);
+        self.payload.clear();
+        record.write_compact(&mut self.payload);
+        self.line.clear();
+        push_frame(&mut self.line, self.seq, &self.payload);
+        let line = &self.line;
         match self.io.next() {
             Some(IoFault::ShortWrite) => {
                 // Half the frame reaches the file, then the write fails: a
@@ -1258,94 +1442,127 @@ enum ScannedRecord {
     Snapshot(SnapshotEntry),
 }
 
-/// One valid record with its original payload text (the payload is
-/// re-emitted verbatim by compaction, so rewritten journals never drift
-/// through re-serialisation).
-struct ScannedFrame {
-    payload: String,
+/// One valid record with its original payload text, borrowed from the
+/// file buffer (the payload is re-emitted verbatim by compaction, so
+/// rewritten journals never drift through re-serialisation).
+struct ScannedFrame<'a> {
+    payload: &'a str,
     record: ScannedRecord,
 }
 
-/// The result of scanning journal text: every valid record in file order,
-/// the byte length of the valid prefix, and the first corruption found (a
-/// torn, newline-less tail is *not* corruption — it is the expected
-/// signature of a crash mid-append).
-struct ScanOutcome {
-    frames: Vec<ScannedFrame>,
+/// Where a scan ended: how many valid records it yielded, the byte length
+/// of the valid prefix, and the first corruption found (a torn,
+/// newline-less tail is *not* corruption — it is the expected signature of
+/// a crash mid-append).
+struct ScanEnd {
+    frames: u64,
     valid_len: u64,
     first_bad: Option<(u64, String)>,
 }
 
-/// Scan journal text frame by frame. Every frame starts with `J2 `; a file
-/// that opens with `{` is an unframed version-1 journal (bare JSONL), which
-/// is refused outright rather than reported as a damaged v2 file.
-fn scan_text(text: &str) -> Result<ScanOutcome, JournalError> {
+/// Scan journal text frame by frame, yielding every valid record to
+/// `visit` in file order — the one pass under [`Journal::load`],
+/// [`verify`], [`salvage`] and [`compact`], each of which keeps only what it
+/// needs of a record. Every frame starts with `J2 `; a file that opens with
+/// `{` is an unframed version-1 journal (bare JSONL), which is refused
+/// outright rather than reported as a damaged v2 file.
+fn scan_text<'a>(
+    text: &'a str,
+    mut visit: impl FnMut(ScannedFrame<'a>),
+) -> Result<ScanEnd, JournalError> {
     if text.starts_with('{') {
         return Err(JournalError::new(format!(
             "unframed (version 1) journal: this build reads only format version \
              {JOURNAL_VERSION}"
         )));
     }
-    let mut out = ScanOutcome { frames: Vec::new(), valid_len: 0, first_bad: None };
-    let mut offset = 0usize;
+    let mut end = ScanEnd { frames: 0, valid_len: 0, first_bad: None };
     for line in text.split_inclusive('\n') {
-        if !line.ends_with('\n') {
+        let Some(body) = line.strip_suffix('\n') else {
             // Torn tail: the frame never became durable. Tolerated.
             break;
-        }
-        let body = &line[..line.len() - 1];
-        let expected_seq = out.frames.len() as u64;
-        let parsed = parse_frame(body, expected_seq).and_then(|payload| {
-            typed_record(payload, offset as u64, out.frames.is_empty())
-                .map(|record| (payload.to_string(), record))
+        };
+        let parsed = parse_frame(body, end.frames).and_then(|payload| {
+            typed_record(payload, end.frames == 0).map(|record| ScannedFrame { payload, record })
         });
         match parsed {
-            Ok((payload, record)) => {
-                out.frames.push(ScannedFrame { payload, record });
-                offset += line.len();
-                out.valid_len = offset as u64;
+            Ok(frame) => {
+                visit(frame);
+                end.frames += 1;
+                end.valid_len += line.len() as u64;
             }
             Err(e) => {
                 // A *terminated* bad frame is corruption, wherever it is:
                 // the writer never terminates a frame it did not complete.
-                out.first_bad = Some((offset as u64, e.message));
+                end.first_bad = Some((end.valid_len, e.message));
                 break;
             }
         }
     }
-    Ok(out)
+    Ok(end)
 }
 
-/// Parse and type-check one record payload. The header must be the first
-/// record and nothing else may be; payload-level JSON or semantic failures
-/// count as corruption at `offset`.
-fn typed_record(payload: &str, offset: u64, first: bool) -> Result<ScannedRecord, JournalError> {
-    let record = Json::parse(payload)
-        .map_err(|e| JournalError::new(format!("bad JSON at byte {offset}: {e}")))?;
-    match record.get("type").and_then(Json::as_str) {
-        Some("header") => {
-            if !first {
-                return Err(JournalError::new(format!(
-                    "unexpected header record at byte {offset}"
-                )));
-            }
-            let version = f64_field(&record, "version")? as u64;
-            if version != JOURNAL_VERSION {
-                return Err(JournalError::new(format!(
-                    "journal version {version} != supported {JOURNAL_VERSION}"
-                )));
-            }
-            Ok(ScannedRecord::Header {
-                fingerprint: parse_hex_u64(record.get("config"), "config")?,
-            })
-        }
-        Some("eval") => Ok(ScannedRecord::Eval(EvalEntry::from_json(&record)?)),
-        Some("generation") => Ok(ScannedRecord::Generation(GenEntry::from_json(&record)?)),
-        Some("snapshot") => Ok(ScannedRecord::Snapshot(SnapshotEntry::from_json(&record)?)),
-        other => Err(JournalError::new(format!(
-            "unknown record type {other:?} at byte {offset}"
-        ))),
+/// Decode and type-check one record payload, every byte of it. The header
+/// must be the first record and nothing else may be; a syntax or semantic
+/// failure anywhere in the payload is corruption of its frame.
+fn typed_record(payload: &str, first: bool) -> Result<ScannedRecord, JournalError> {
+    let mut r = Reader::new(payload);
+    let record = match &*record_type(payload)? {
+        "header" if first => ScannedRecord::Header { fingerprint: read_header(&mut r)? },
+        "header" => return Err(JournalError::new("header record after the first frame")),
+        "eval" => ScannedRecord::Eval(EvalEntry::read(&mut r)?),
+        "generation" => ScannedRecord::Generation(GenEntry::read(&mut r)?),
+        "snapshot" => ScannedRecord::Snapshot(SnapshotEntry::read(&mut r)?),
+        other => return Err(JournalError::new(format!("unknown record type '{other}'"))),
+    };
+    r.end()?;
+    Ok(record)
+}
+
+/// Which decoder a payload needs. The writer sorts keys, which puts `type`
+/// last in every record but the header, so the payload's tail names it
+/// without a pass over the body: text ending `,"type":"eval"}` is either
+/// not a JSON object — which the decoder will find — or an object whose last
+/// member is that one (the comma rules out an escaped quote in front, and
+/// each decoder checks the member when it reaches it). Any other shape —
+/// the header, a foreign key order — pays one syntax-checking pass to find
+/// its `type`.
+fn record_type(payload: &str) -> Result<std::borrow::Cow<'_, str>, JournalError> {
+    const TAILS: [(&str, &str); 3] = [
+        ("eval", ",\"type\":\"eval\"}"),
+        ("generation", ",\"type\":\"generation\"}"),
+        ("snapshot", ",\"type\":\"snapshot\"}"),
+    ];
+    if let Some((kind, _)) = TAILS.iter().find(|(_, tail)| payload.ends_with(tail)) {
+        return Ok((*kind).into());
     }
+    let mut r = Reader::new(payload);
+    let mut kind = None;
+    r.begin_object()?;
+    while let Some(key) = r.next_key()? {
+        if key == "type" && r.peek() == Some(b'"') {
+            kind = Some(r.str()?);
+        } else {
+            r.skip()?;
+        }
+    }
+    kind.ok_or_else(|| JournalError::new("record without a 'type'"))
+}
+
+fn read_header(r: &mut Reader<'_>) -> Result<u64, JournalError> {
+    read_fields!(r {
+        "type" => kind = tag(r, "header")?,
+        "version" => version = uint(r, "version")?,
+        "config" => config = hex(r, "config")?,
+    });
+    need(kind, "type")?;
+    let version = need(version, "version")? as u64;
+    if version != JOURNAL_VERSION {
+        return Err(JournalError::new(format!(
+            "journal version {version} != supported {JOURNAL_VERSION}"
+        )));
+    }
+    need(config, "config")
 }
 
 /// Read a file as UTF-8 text plus the offset of the first invalid byte, if
@@ -1391,47 +1608,42 @@ impl Journal {
             )));
         }
         let text = std::str::from_utf8(&bytes).expect("checked above");
-        let scan = scan_text(text)?;
-        if let Some((offset, reason)) = &scan.first_bad {
+        let mut journal = Journal {
+            config_fingerprint: 0,
+            evals: HashMap::new(),
+            generations: BTreeMap::new(),
+            snapshots: BTreeMap::new(),
+            valid_len: 0,
+            frames: 0,
+        };
+        let mut saw_header = false;
+        let end = scan_text(text, |frame| match frame.record {
+            ScannedRecord::Header { fingerprint } => {
+                journal.config_fingerprint = fingerprint;
+                saw_header = true;
+            }
+            ScannedRecord::Eval(entry) => {
+                journal.evals.insert((entry.run, entry.gen, entry.slot), entry);
+            }
+            ScannedRecord::Generation(entry) => {
+                journal.generations.insert((entry.run, entry.record.generation), entry);
+            }
+            ScannedRecord::Snapshot(entry) => {
+                journal.snapshots.insert((entry.run, entry.arrivals), entry);
+            }
+        })?;
+        if let Some((offset, reason)) = &end.first_bad {
             return Err(JournalError::new(format!(
                 "{}: corrupt record at byte {offset}: {reason} — run salvage to truncate \
                  and quarantine",
                 path.display()
             )));
         }
-        Journal::from_scan(scan)
-    }
-
-    fn from_scan(scan: ScanOutcome) -> Result<Journal, JournalError> {
-        let mut journal = Journal {
-            config_fingerprint: 0,
-            evals: HashMap::new(),
-            generations: BTreeMap::new(),
-            snapshots: BTreeMap::new(),
-            valid_len: scan.valid_len,
-            frames: scan.frames.len() as u64,
-        };
-        let mut saw_header = false;
-        for frame in scan.frames {
-            match frame.record {
-                ScannedRecord::Header { fingerprint } => {
-                    journal.config_fingerprint = fingerprint;
-                    saw_header = true;
-                }
-                ScannedRecord::Eval(entry) => {
-                    journal.evals.insert((entry.run, entry.gen, entry.slot), entry);
-                }
-                ScannedRecord::Generation(entry) => {
-                    journal.generations.insert((entry.run, entry.record.generation), entry);
-                }
-                ScannedRecord::Snapshot(entry) => {
-                    journal.snapshots.insert((entry.run, entry.arrivals), entry);
-                }
-            }
-        }
         if !saw_header {
             return Err(JournalError::new("journal has no header record"));
         }
+        journal.valid_len = end.valid_len;
+        journal.frames = end.frames;
         Ok(journal)
     }
 
@@ -1513,7 +1725,7 @@ pub struct SalvageReport {
 pub fn salvage(path: &Path) -> Result<SalvageReport, JournalError> {
     let (bytes, text_len, utf8_bad) = read_text_prefix(path)?;
     let text = std::str::from_utf8(&bytes[..text_len]).expect("prefix is valid UTF-8");
-    let scan = scan_text(text)?;
+    let scan = scan_text(text, drop)?;
     let quarantine_path = PathBuf::from(format!("{}.quarantine", path.display()));
     let quarantined = &bytes[scan.valid_len as usize..];
     if !quarantined.is_empty() {
@@ -1530,7 +1742,7 @@ pub fn salvage(path: &Path) -> Result<SalvageReport, JournalError> {
             .map_err(|e| JournalError::new(format!("cannot sync journal: {e}")))?;
     }
     Ok(SalvageReport {
-        frames_kept: scan.frames.len() as u64,
+        frames_kept: scan.frames,
         valid_len: scan.valid_len,
         quarantined_bytes: quarantined.len() as u64,
         first_bad_offset: scan.first_bad.map(|(offset, _)| offset).or(utf8_bad),
@@ -1574,29 +1786,26 @@ impl VerifyReport {
 pub fn verify(path: &Path) -> Result<VerifyReport, JournalError> {
     let (bytes, text_len, utf8_bad) = read_text_prefix(path)?;
     let text = std::str::from_utf8(&bytes[..text_len]).expect("prefix is valid UTF-8");
-    let scan = scan_text(text)?;
-    let mut report = VerifyReport {
-        frames: scan.frames.len() as u64,
-        evals: 0,
-        generations: 0,
-        snapshots: 0,
-        last_snapshot: None,
+    let (mut evals, mut generations, mut snapshots, mut last_snapshot) = (0, 0, 0, None);
+    let scan = scan_text(text, |frame| match frame.record {
+        ScannedRecord::Header { .. } => {}
+        ScannedRecord::Eval(_) => evals += 1,
+        ScannedRecord::Generation(_) => generations += 1,
+        ScannedRecord::Snapshot(s) => {
+            snapshots += 1;
+            last_snapshot = Some((s.run, s.arrivals));
+        }
+    })?;
+    Ok(VerifyReport {
+        frames: scan.frames,
+        evals,
+        generations,
+        snapshots,
+        last_snapshot,
         valid_len: scan.valid_len,
         total_len: bytes.len() as u64,
         first_corrupt_offset: scan.first_bad.map(|(offset, _)| offset).or(utf8_bad),
-    };
-    for frame in &scan.frames {
-        match &frame.record {
-            ScannedRecord::Header { .. } => {}
-            ScannedRecord::Eval(_) => report.evals += 1,
-            ScannedRecord::Generation(_) => report.generations += 1,
-            ScannedRecord::Snapshot(s) => {
-                report.snapshots += 1;
-                report.last_snapshot = Some((s.run, s.arrivals));
-            }
-        }
-    }
-    Ok(report)
+    })
 }
 
 /// What [`compact`] achieved.
@@ -1624,63 +1833,74 @@ pub struct CompactReport {
 pub fn compact(path: &Path) -> Result<CompactReport, JournalError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| JournalError::new(format!("cannot read {}: {e}", path.display())))?;
-    let scan = scan_text(&text)?;
+    // All compaction needs of a record is its kind and ordering keys; the
+    // decoded record itself is dropped as soon as the scan has checked it.
+    enum Key {
+        Header,
+        Eval { run: usize, gen: usize, slot: usize, arrival: Option<usize> },
+        Generation { run: usize, generation: usize },
+        Snapshot { run: usize, arrivals: usize },
+    }
+    let mut frames: Vec<(Key, &str)> = Vec::new();
+    let scan = scan_text(&text, |frame| {
+        let key = match &frame.record {
+            ScannedRecord::Header { .. } => Key::Header,
+            ScannedRecord::Eval(e) => {
+                Key::Eval { run: e.run, gen: e.gen, slot: e.slot, arrival: e.arrival }
+            }
+            ScannedRecord::Generation(g) => {
+                Key::Generation { run: g.run, generation: g.record.generation }
+            }
+            ScannedRecord::Snapshot(s) => Key::Snapshot { run: s.run, arrivals: s.arrivals },
+        };
+        frames.push((key, frame.payload));
+    })?;
     if let Some((offset, reason)) = &scan.first_bad {
         return Err(JournalError::new(format!(
             "cannot compact {}: corrupt record at byte {offset}: {reason} — salvage first",
             path.display()
         )));
     }
-    let header = match scan.frames.first() {
-        Some(frame) if matches!(frame.record, ScannedRecord::Header { .. }) => frame,
+    let header = match frames.first() {
+        Some((Key::Header, payload)) => *payload,
         _ => return Err(JournalError::new("journal has no header record")),
     };
 
     // Steady-state journals are recognisable by their records alone:
     // snapshots, or evals carrying an arrival index.
-    let steady = scan.frames.iter().any(|f| match &f.record {
-        ScannedRecord::Snapshot(_) => true,
-        ScannedRecord::Eval(e) => e.arrival.is_some(),
-        _ => false,
+    let steady = frames.iter().any(|(key, _)| {
+        matches!(key, Key::Snapshot { .. } | Key::Eval { arrival: Some(_), .. })
     });
 
-    let mut runs: Vec<usize> = scan
-        .frames
+    let mut runs: Vec<usize> = frames
         .iter()
-        .filter_map(|f| match &f.record {
-            ScannedRecord::Eval(e) => Some(e.run),
-            ScannedRecord::Generation(g) => Some(g.run),
-            ScannedRecord::Snapshot(s) => Some(s.run),
-            ScannedRecord::Header { .. } => None,
+        .filter_map(|(key, _)| match key {
+            Key::Eval { run, .. } | Key::Generation { run, .. } | Key::Snapshot { run, .. } => {
+                Some(*run)
+            }
+            Key::Header => None,
         })
         .collect();
     runs.sort_unstable();
     runs.dedup();
 
-    let mut kept: Vec<&str> = vec![&header.payload];
+    let mut kept: Vec<&str> = vec![header];
     for &run in &runs {
         if steady {
             // Last snapshot (file order == arrivals order), then the
             // arrival suffix at or after it.
-            let snapshot = scan
-                .frames
-                .iter()
-                .rev()
-                .find(|f| matches!(&f.record, ScannedRecord::Snapshot(s) if s.run == run));
-            let horizon = snapshot.map_or(0, |f| match &f.record {
-                ScannedRecord::Snapshot(s) => s.arrivals,
-                _ => unreachable!(),
+            let snapshot = frames.iter().rev().find_map(|(key, payload)| match key {
+                Key::Snapshot { run: r, arrivals } if *r == run => Some((*arrivals, *payload)),
+                _ => None,
             });
-            if let Some(frame) = snapshot {
-                kept.push(&frame.payload);
-            }
-            let mut evals: Vec<(usize, &str)> = scan
-                .frames
+            let horizon = snapshot.map_or(0, |(arrivals, _)| arrivals);
+            kept.extend(snapshot.map(|(_, payload)| payload));
+            let mut evals: Vec<(usize, &str)> = frames
                 .iter()
-                .filter_map(|f| match &f.record {
-                    ScannedRecord::Eval(e) if e.run == run => {
-                        let arrival = e.arrival.unwrap_or(0);
-                        (arrival >= horizon).then_some((arrival, f.payload.as_str()))
+                .filter_map(|(key, payload)| match key {
+                    Key::Eval { run: r, arrival, .. } if *r == run => {
+                        let arrival = arrival.unwrap_or(0);
+                        (arrival >= horizon).then_some((arrival, *payload))
                     }
                     _ => None,
                 })
@@ -1691,12 +1911,11 @@ pub fn compact(path: &Path) -> Result<CompactReport, JournalError> {
             // Every boundary, in generation order (resume reconstructs the
             // full history and checks contiguity), then the evaluations of
             // the unfinished generation.
-            let mut boundaries: Vec<(usize, &str)> = scan
-                .frames
+            let mut boundaries: Vec<(usize, &str)> = frames
                 .iter()
-                .filter_map(|f| match &f.record {
-                    ScannedRecord::Generation(g) if g.run == run => {
-                        Some((g.record.generation, f.payload.as_str()))
+                .filter_map(|(key, payload)| match key {
+                    Key::Generation { run: r, generation } if *r == run => {
+                        Some((*generation, *payload))
                     }
                     _ => None,
                 })
@@ -1704,14 +1923,13 @@ pub fn compact(path: &Path) -> Result<CompactReport, JournalError> {
             boundaries.sort_by_key(|&(generation, _)| generation);
             let horizon = boundaries.last().map_or(0, |&(generation, _)| generation + 1);
             kept.extend(boundaries.iter().map(|&(_, payload)| payload));
-            let mut evals: Vec<((usize, usize), &str)> = scan
-                .frames
+            let mut evals: Vec<((usize, usize), &str)> = frames
                 .iter()
-                .filter_map(|f| match &f.record {
-                    ScannedRecord::Eval(e)
-                        if e.run == run && (e.gen >= horizon || boundaries.is_empty()) =>
+                .filter_map(|(key, payload)| match key {
+                    Key::Eval { run: r, gen, slot, .. }
+                        if *r == run && (*gen >= horizon || boundaries.is_empty()) =>
                     {
-                        Some(((e.gen, e.slot), f.payload.as_str()))
+                        Some(((*gen, *slot), *payload))
                     }
                     _ => None,
                 })
@@ -1723,7 +1941,7 @@ pub fn compact(path: &Path) -> Result<CompactReport, JournalError> {
 
     let mut content = String::new();
     for (seq, payload) in kept.iter().enumerate() {
-        content.push_str(&frame_line(seq as u64, payload));
+        push_frame(&mut content, seq as u64, payload);
     }
     let tmp = path.with_extension("compact.tmp");
     {
@@ -1736,7 +1954,7 @@ pub fn compact(path: &Path) -> Result<CompactReport, JournalError> {
     std::fs::rename(&tmp, path)
         .map_err(|e| JournalError::new(format!("cannot install compacted journal: {e}")))?;
     Ok(CompactReport {
-        frames_before: scan.frames.len() as u64,
+        frames_before: scan.frames,
         frames_after: kept.len() as u64,
         bytes_before: text.len() as u64,
         bytes_after: content.len() as u64,
@@ -1746,6 +1964,18 @@ pub fn compact(path: &Path) -> Result<CompactReport, JournalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Decode what `json` renders to the way the scan does: through text.
+    fn reread<T>(
+        json: &Json,
+        read: impl FnOnce(&mut Reader<'_>) -> Result<T, JournalError>,
+    ) -> Result<T, JournalError> {
+        let text = json.to_compact();
+        let mut r = Reader::new(&text);
+        let value = read(&mut r)?;
+        r.end()?;
+        Ok(value)
+    }
 
     fn evaluated(genome: Vec<f64>, objectives: Vec<f64>) -> Individual {
         let mut ind = Individual::new(genome);
@@ -1760,7 +1990,7 @@ mod tests {
     fn individual_round_trips_including_infinite_distance() {
         let ind = evaluated(vec![0.005, 1e-4, 7.0], vec![0.0016, 0.0357]);
         let j = individual_to_json(&ind);
-        let back = individual_from_json(&j).unwrap();
+        let back = reread(&j, read_individual).unwrap();
         assert_eq!(back.id, ind.id);
         assert_eq!(back.genome, ind.genome);
         assert_eq!(back.fitness, ind.fitness);
@@ -1774,7 +2004,7 @@ mod tests {
     #[test]
     fn unevaluated_individual_round_trips() {
         let ind = Individual::new(vec![1.5, -2.0]);
-        let back = individual_from_json(&individual_to_json(&ind)).unwrap();
+        let back = reread(&individual_to_json(&ind), read_individual).unwrap();
         assert!(back.fitness.is_none());
         assert_eq!(back.rank, usize::MAX);
         assert_eq!(back.eval_minutes, None);
@@ -1783,7 +2013,7 @@ mod tests {
     #[test]
     fn maxint_penalty_round_trips_exactly() {
         let f = Fitness::penalty(2);
-        let back = fitness_from_json(&fitness_to_json(&f)).unwrap();
+        let back = reread(&fitness_to_json(&f), read_fitness).unwrap();
         assert!(back.is_penalty());
         assert_eq!(back, f);
     }
@@ -1791,11 +2021,11 @@ mod tests {
     #[test]
     fn rng_state_round_trips_and_rejects_zero() {
         let state = [0x1234_5678_9abc_def0u64, 42, u64::MAX, 7];
-        let back = rng_state_from_json(&rng_state_to_json(state)).unwrap();
+        let back = reread(&rng_state_to_json(state), read_rng_state).unwrap();
         assert_eq!(back, state);
-        assert!(rng_state_from_json(&rng_state_to_json([1, 2, 3, 4])).is_ok());
+        assert!(reread(&rng_state_to_json([1, 2, 3, 4]), read_rng_state).is_ok());
         let zero = Json::Array((0..4).map(|_| hex_u64(0)).collect());
-        assert!(rng_state_from_json(&zero).is_err());
+        assert!(reread(&zero, read_rng_state).is_err());
     }
 
     #[test]
@@ -1823,7 +2053,7 @@ mod tests {
             arrival: None,
         };
         let j = entry.to_json();
-        let back = EvalEntry::from_json(&j).unwrap();
+        let back = reread(&j, EvalEntry::read).unwrap();
         assert_eq!(back.genome, entry.genome);
         assert_eq!(back.objectives, entry.objectives);
         assert_eq!(back.seed, entry.seed);
@@ -1848,9 +2078,9 @@ mod tests {
             lcurve_tail: Vec::new(),
             arrival: None,
         };
-        assert!(EvalEntry::from_json(&entry.to_json()).is_ok());
+        assert!(reread(&entry.to_json(), EvalEntry::read).is_ok());
         entry.fault = FaultKind::None;
-        assert!(EvalEntry::from_json(&entry.to_json()).is_err());
+        assert!(reread(&entry.to_json(), EvalEntry::read).is_err());
     }
 
     fn sample_eval() -> EvalEntry {
@@ -1876,6 +2106,34 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"a"), crc32(b"b"));
+    }
+
+    /// The byte-at-a-time CRC-32: the oracle for the sliced [`crc32`].
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xffff_ffffu32;
+        for &b in bytes {
+            c = CRC32_TABLES[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+        }
+        c ^ 0xffff_ffff
+    }
+
+    #[test]
+    fn sliced_crc_matches_the_bytewise_loop_at_every_length_and_alignment() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let buffer: Vec<u8> = (0..(1 << 20) + 8)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (state >> 56) as u8
+            })
+            .collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let slice = &buffer[start..start + len];
+                assert_eq!(crc32(slice), crc32_bytewise(slice), "start {start} len {len}");
+            }
+            let slice = &buffer[start..start + (1 << 20)];
+            assert_eq!(crc32(slice), crc32_bytewise(slice), "1 MiB at {start}");
+        }
     }
 
     #[test]
@@ -2184,9 +2442,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn snapshot_entry_round_trips_through_json() {
-        let snapshot = SnapshotEntry {
+    fn sample_snapshot() -> SnapshotEntry {
+        SnapshotEntry {
             run: 1,
             arrivals: 8,
             submitted: 11,
@@ -2239,9 +2496,14 @@ mod tests {
                 hypervolume: 0.005,
                 ..GenStatus::default()
             }],
-        };
+        }
+    }
+
+    #[test]
+    fn snapshot_entry_round_trips_through_json() {
+        let snapshot = sample_snapshot();
         let j = snapshot.to_json();
-        let back = SnapshotEntry::from_json(&j).unwrap();
+        let back = reread(&j, SnapshotEntry::read).unwrap();
         assert_eq!(back.run, snapshot.run);
         assert_eq!(back.arrivals, snapshot.arrivals);
         assert_eq!(back.submitted, snapshot.submitted);
@@ -2415,7 +2677,7 @@ mod tests {
         entry.arrival = Some(17);
         let line = entry.to_json().to_compact();
         assert!(line.contains("\"arrival\":17"));
-        let back = EvalEntry::from_json(&entry.to_json()).unwrap();
+        let back = reread(&entry.to_json(), EvalEntry::read).unwrap();
         assert_eq!(back.arrival, Some(17));
         assert_eq!(back.to_json().to_compact(), line);
     }
@@ -2439,5 +2701,138 @@ mod tests {
             assert!(err.to_string().contains("stale journal"), "{err}");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn sample_generation() -> GenEntry {
+        GenEntry {
+            run: 2,
+            record: GenerationRecord {
+                generation: 3,
+                failures: 1,
+                population: vec![evaluated(vec![1.0, 2.0], vec![0.01, 0.2])],
+            },
+            std: vec![0.1, 0.2],
+            evaluations: 48,
+            rng_state: [1, 2, 3, 4],
+            archive: vec![evaluated(vec![5.0, 6.0], vec![0.02, 0.1])],
+            report: PoolReport {
+                makespan_minutes: 70.0,
+                per_worker_minutes: vec![70.0],
+                worker_deaths: 4,
+                busy_minutes: vec![70.0],
+                ..PoolReport::default()
+            },
+        }
+    }
+
+    #[test]
+    fn values_the_writer_cannot_emit_are_rejected_not_coerced() {
+        let eval = EvalEntry { fault_step: Some(17), fault_loss: Some(2.5), ..sample_eval() }
+            .to_json()
+            .to_compact();
+        let generation = sample_generation().to_json().to_compact();
+        let snapshot = sample_snapshot().to_json().to_compact();
+        for clean in [&eval, &generation, &snapshot] {
+            typed_record(clean, false).unwrap_or_else(|e| panic!("{e}\n{clean}"));
+        }
+        // (record, what the writer wrote, what a damaged file says instead,
+        //  what the error must name)
+        let cases: [(&str, &str, &str, &str); 25] = [
+            // (a) A literal that overflows f64 is not an infinity.
+            (&eval, "\"minutes\":0.1", "\"minutes\":1e999", "out of range"),
+            (&eval, "\"genome\":[1,2]", "\"genome\":[1,-1e999]", "out of range"),
+            (&generation, "\"fitness\":[0.01,0.2]", "\"fitness\":[1e999,0.2]", "out of range"),
+            // (b) Counters and indices are non-negative integers ≤ 2^53.
+            (&eval, "\"run\":0", "\"run\":-1", "'run'"),
+            (&eval, "\"gen\":0", "\"gen\":1.5", "'gen'"),
+            (&eval, "\"slot\":0", "\"slot\":1e30", "'slot'"),
+            (&eval, "\"attempts\":1", "\"attempts\":4294967296", "'attempts'"),
+            (&eval, "\"fault_step\":17", "\"fault_step\":17.5", "'fault_step'"),
+            (&eval, "\"fault\":", "\"arrival\":-2,\"fault\":", "'arrival'"),
+            (&generation, "\"evaluations\":48", "\"evaluations\":48.5", "'evaluations'"),
+            (&generation, "\"failures\":1", "\"failures\":-1", "'failures'"),
+            (&generation, "\"rank\":1", "\"rank\":0.5", "'rank'"),
+            (&generation, "\"deaths\":4", "\"deaths\":-4", "'deaths'"),
+            (&generation, "\"diverged\":0", "\"diverged\":0.25", "'diverged'"),
+            (&snapshot, "\"arrivals\":8", "\"arrivals\":9007199254740994", "'arrivals'"),
+            (&snapshot, "\"submitted\":11", "\"submitted\":-11", "'submitted'"),
+            (&snapshot, "\"epoch_failures\":2", "\"epoch_failures\":2.5", "'epoch_failures'"),
+            (&snapshot, "\"epoch_churn\":[5,3,1]", "\"epoch_churn\":[5,3.5,1]", "'epoch_churn'"),
+            (&snapshot, "\"base_timeout\":1", "\"base_timeout\":-1", "'base_timeout'"),
+            (&snapshot, "\"pending\":[[9,", "\"pending\":[[9.5,", "'pending submission'"),
+            // (c) No key twice — at any level of a record.
+            (&eval, "\"run\":0", "\"run\":0,\"run\":0", "duplicate key 'run'"),
+            (&eval, ",\"type\":\"eval\"", ",\"type\":\"eval\",\"type\":\"eval\"", "key 'type'"),
+            (&generation, "\"deaths\":4", "\"deaths\":4,\"deaths\":4", "duplicate key 'deaths'"),
+            (&generation, "\"rank\":1", "\"rank\":1,\"rank\":1", "duplicate key 'rank'"),
+            (&snapshot, "\"evicted\":0", "\"evicted\":0,\"evicted\":0", "duplicate key"),
+        ];
+        for (record, written, damaged, names) in cases {
+            assert!(record.contains(written), "{written} is not in {record}");
+            let payload = record.replacen(written, damaged, 1);
+            let err = typed_record(&payload, false).err().expect(damaged);
+            assert!(err.message.contains(names), "{damaged}: {err}");
+        }
+        // In a file, that is corruption at the frame's offset.
+        let dir =
+            std::env::temp_dir().join(format!("dphpo-journal-strict-{}", std::process::id()));
+        let _ = std::fs::create_dir_all(&dir);
+        let path = dir.join("strict.jsonl");
+        drop(JournalWriter::create(&path, &ExperimentConfig::smoke()).unwrap());
+        let header_len = std::fs::metadata(&path).unwrap().len();
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(frame_line(1, &eval.replacen("\"run\":0", "\"run\":-1", 1)).as_bytes())
+            .unwrap();
+        drop(f);
+        assert_eq!(verify(&path).unwrap().first_corrupt_offset, Some(header_len));
+        assert!(Journal::load(&path).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn key_order_unknown_keys_and_late_report_fields_read_as_they_always_have() {
+        let entry = sample_eval();
+        let sorted = entry.to_json().to_compact();
+        // `type` first (any order is legal JSON) takes the pass that looks
+        // for it; an unknown key, nested however, is skipped.
+        let foreign = format!(
+            "{{\"type\":\"eval\",\"later\":{{\"x\":[1,{{}}]}},{}",
+            sorted.strip_suffix(",\"type\":\"eval\"}").unwrap().strip_prefix('{').unwrap()
+        ) + "}";
+        let ScannedRecord::Eval(back) = typed_record(&foreign, false).unwrap() else {
+            panic!("an eval record");
+        };
+        assert_eq!(back.to_json().to_compact(), sorted);
+        // The tail is only a shortcut: a quoted look-alike does not fool it,
+        // and a record of another type under an `eval` tail is refused.
+        for payload in [
+            r#"{"a","type":"eval"}"#.to_string(),
+            sample_generation().to_json().to_compact().replace("\"generation\"}", "\"eval\"}"),
+            r#"{"type":"eval"}"#.to_string(),
+            r#"{"type":7}"#.to_string(),
+            r#"[1,"type","eval"]"#.to_string(),
+        ] {
+            assert!(typed_record(&payload, false).is_err(), "{payload}");
+        }
+        // Report fields newer than the first v2 journals: absent or of the
+        // wrong type reads as zero / empty; a syntax error in one does not.
+        let generation = sample_generation().to_json().to_compact();
+        for (from, to) in [
+            ("\"diverged\":0,", ""),
+            ("\"diverged\":0", "\"diverged\":\"many\""),
+            ("\"busy\":[70]", "\"busy\":[70,null]"),
+            ("\"busy\":[70]", "\"busy\":{\"a\":[]}"),
+            ("\"wall\":0", "\"wall\":[]"),
+        ] {
+            assert!(generation.contains(from), "{from}");
+            let payload = generation.replacen(from, to, 1);
+            let ScannedRecord::Generation(back) = typed_record(&payload, false).unwrap() else {
+                panic!("a generation record");
+            };
+            assert_eq!(back.report.diverged_tasks, 0);
+            assert_eq!(back.report.busy_minutes.len(), usize::from(!to.contains("busy")));
+        }
+        let torn = generation.replacen("\"busy\":[70]", "\"busy\":[70,nul]", 1);
+        assert!(typed_record(&torn, false).is_err());
     }
 }

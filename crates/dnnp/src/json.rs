@@ -1,4 +1,4 @@
-//! A minimal JSON value model, parser, and writer.
+//! A minimal JSON value model, pull reader, and writer.
 //!
 //! The paper's evaluation workflow (§2.2.4) materialises every individual's
 //! hyperparameters into a DeePMD `input.json` via template substitution and
@@ -6,9 +6,16 @@
 //! self-contained artifact, this substrate ships its own small JSON
 //! implementation instead of pulling a serialisation framework into the
 //! training path (see DESIGN.md §5).
+//!
+//! There is one lexer, [`Reader`]: a borrowed, allocation-free pull decoder
+//! over `&str`. Consumers that want a tree call [`Json::parse`] (which is
+//! `Reader::value` plus a trailing-input check); consumers that want their
+//! own structs — the experiment journal — pull fields straight out of the
+//! reader and never build a tree.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value. Objects use a `BTreeMap` so output ordering is stable.
 #[derive(Clone, Debug, PartialEq)]
@@ -75,17 +82,12 @@ impl Json {
         out
     }
 
-    fn write_compact(&self, out: &mut String) {
+    /// Append the [`Json::to_compact`] rendering to `out`.
+    pub fn write_compact(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Number(v) => {
-                if v.fract() == 0.0 && v.abs() < 1e15 {
-                    out.push_str(&format!("{}", *v as i64));
-                } else {
-                    out.push_str(&format!("{v}"));
-                }
-            }
+            Json::Number(v) => write_number(*v, out),
             Json::String(s) => write_escaped(s, out),
             Json::Array(items) => {
                 out.push('[');
@@ -129,15 +131,12 @@ impl Json {
         h
     }
 
-    /// Parse a JSON document.
+    /// Parse a JSON document: [`Reader::value`] plus a check that nothing
+    /// but whitespace follows it.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(JsonError::new(p.pos, "trailing characters"));
-        }
+        let mut reader = Reader::new(input);
+        let v = reader.value()?;
+        reader.end()?;
         Ok(v)
     }
 }
@@ -165,192 +164,328 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// Deepest container nesting [`Reader`] accepts. The deepest document this
+/// repository writes is about eight levels; the bound exists so that a
+/// hostile or damaged file (`[[[[…`) is a [`JsonError`] at the offending
+/// byte rather than a stack overflow in a recursive consumer.
+pub const MAX_DEPTH: usize = 128;
+
+/// A pull reader over JSON text: the repository's one JSON lexer.
+///
+/// It borrows its input and allocates nothing of its own — a string is
+/// handed out as a slice of the input unless an escape forces a copy — so a
+/// consumer can decode straight into its own structs:
+///
+/// ```
+/// use dphpo_dnnp::json::Reader;
+/// let mut r = Reader::new(r#"{"id":"a","xs":[1,2.5],"later":{"ignored":[true]}}"#);
+/// let (mut id, mut xs) = (None, Vec::new());
+/// r.begin_object()?;
+/// while let Some(key) = r.next_key()? {
+///     match &*key {
+///         "id" => id = Some(r.str()?),
+///         "xs" => {
+///             r.begin_array()?;
+///             while r.next_element()? {
+///                 xs.push(r.f64()?);
+///             }
+///         }
+///         _ => r.skip()?,
+///     }
+/// }
+/// r.end()?;
+/// assert_eq!((id.as_deref(), xs), (Some("a"), vec![1.0, 2.5]));
+/// # Ok::<(), dphpo_dnnp::json::JsonError>(())
+/// ```
+///
+/// Every byte the reader passes over is syntax-checked, [`Reader::skip`]
+/// included; a method that fails reports the byte it gave up at, and one
+/// that finds a value of another kind consumes nothing. Numbers are always
+/// finite: a literal that overflows `f64` (`1e999`) is an error, not an
+/// infinity. The reader does not enforce call order — a value method
+/// called where a key is due simply fails on the input it finds.
+#[derive(Clone, Debug)]
+pub struct Reader<'a> {
+    src: &'a str,
     pos: usize,
+    depth: usize,
+    /// Set by `begin_*`, cleared by the first `next_*`: no comma precedes
+    /// a container's first member.
+    fresh: bool,
 }
 
-impl<'a> Parser<'a> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+impl<'a> Reader<'a> {
+    /// A reader positioned at the start of `src`.
+    pub fn new(src: &'a str) -> Self {
+        Reader { src, pos: 0, depth: 0, fresh: false }
+    }
+
+    /// Byte offset of the next unread byte.
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
+    fn byte(&self) -> Option<u8> {
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.byte(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
+    fn fail<T>(&self, message: &str) -> Result<T, JsonError> {
+        Err(JsonError::new(self.pos, message))
+    }
+
+    /// The first byte of the next value (whitespace skipped), which names
+    /// its kind: `{`, `[`, `"`, `n`, `t`, `f`, `-` or a digit.
+    pub fn peek(&mut self) -> Option<u8> {
+        self.skip_ws();
+        self.byte()
+    }
+
+    /// Succeeds when only whitespace remains.
+    pub fn end(&mut self) -> Result<(), JsonError> {
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => self.fail("trailing characters"),
+        }
+    }
+
+    fn open(&mut self, bracket: u8, expected: &str) -> Result<(), JsonError> {
+        if self.peek() != Some(bracket) {
+            return self.fail(expected);
+        }
+        if self.depth == MAX_DEPTH {
+            return self.fail(&format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
+        self.depth += 1;
+        self.pos += 1;
+        self.fresh = true;
+        Ok(())
+    }
+
+    /// After a member: `true` past a comma (or at a fresh container's first
+    /// member), `false` past the closing bracket.
+    fn more(&mut self, close: u8, expected: &str) -> Result<bool, JsonError> {
+        let fresh = std::mem::replace(&mut self.fresh, false);
+        match self.peek() {
+            Some(c) if c == close => {
+                self.pos += 1;
+                self.depth = self.depth.saturating_sub(1);
+                Ok(false)
+            }
+            Some(b',') if !fresh => {
+                self.pos += 1;
+                Ok(true)
+            }
+            Some(_) if fresh => Ok(true),
+            _ => self.fail(expected),
+        }
+    }
+
+    /// Consume the `{` that opens an object.
+    pub fn begin_object(&mut self) -> Result<(), JsonError> {
+        self.open(b'{', "expected '{'")
+    }
+
+    /// The next member's key, positioned at its value — or `None` once the
+    /// object's `}` is consumed.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        if !self.more(b'}', "expected ',' or '}'")? {
+            return Ok(None);
+        }
+        let key = self.str()?;
+        if self.peek() != Some(b':') {
+            return self.fail("expected ':'");
+        }
+        self.pos += 1;
+        Ok(Some(key))
+    }
+
+    /// Consume the `[` that opens an array.
+    pub fn begin_array(&mut self) -> Result<(), JsonError> {
+        self.open(b'[', "expected '['")
+    }
+
+    /// `true` when another element follows (positioned at it), `false` once
+    /// the array's `]` is consumed.
+    pub fn next_element(&mut self) -> Result<bool, JsonError> {
+        self.more(b']', "expected ',' or ']'")
+    }
+
+    /// Consume `null` if that is the next value; otherwise consume nothing
+    /// and return `false`.
+    pub fn null(&mut self) -> Result<bool, JsonError> {
+        if self.peek() != Some(b'n') {
+            return Ok(false);
+        }
+        self.literal("null").map(|()| true)
+    }
+
+    fn literal(&mut self, lit: &str) -> Result<(), JsonError> {
+        if self.src.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
             Ok(())
         } else {
-            Err(JsonError::new(self.pos, &format!("expected '{}'", b as char)))
+            self.fail(&format!("expected '{lit}'"))
         }
     }
 
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(JsonError::new(self.pos, &format!("expected '{lit}'")))
+    /// Read a number. The result is always finite.
+    pub fn f64(&mut self) -> Result<f64, JsonError> {
+        let start = match self.peek() {
+            Some(b'-' | b'0'..=b'9') => self.pos,
+            _ => return self.fail("expected a number"),
+        };
+        // The literal runs to the first byte no number contains — a valid
+        // one is followed by whitespace, `,`, `]`, `}` or the end — and
+        // `str::parse` decides whether it is one. (Of what it accepts, only
+        // the forms that start like a JSON number can get here; `1.` and
+        // `01` among them, as ever.)
+        let rest = &self.src.as_bytes()[start..];
+        let len = rest
+            .iter()
+            .position(|b| !matches!(b, b'0'..=b'9' | b'.' | b'-' | b'+' | b'e' | b'E'))
+            .unwrap_or(rest.len());
+        match self.src[start..start + len].parse::<f64>() {
+            Ok(v) if v.is_finite() => {
+                self.pos = start + len;
+                Ok(v)
+            }
+            Ok(_) => self.fail("number out of range"),
+            Err(_) => self.fail("invalid number"),
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
-        self.skip_ws();
+    /// Read a string: a slice of the input when it holds no escape, an
+    /// owned copy only when one forces it.
+    pub fn str(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        if self.peek() != Some(b'"') {
+            return self.fail("expected '\"'");
+        }
+        self.pos += 1;
+        let bytes = self.src.as_bytes();
+        let mut owned: Option<String> = None;
+        loop {
+            // A run of plain bytes ends at `"` or `\\` — ASCII, so both ends
+            // of the slice are char boundaries.
+            let run = self.pos;
+            match bytes[run..].iter().position(|&b| b == b'"' || b == b'\\') {
+                None => {
+                    self.pos = bytes.len();
+                    return self.fail("unterminated string");
+                }
+                Some(n) => self.pos += n,
+            }
+            let plain = &self.src[run..self.pos];
+            self.pos += 1;
+            if bytes[self.pos - 1] == b'"' {
+                return Ok(match owned {
+                    None => Cow::Borrowed(plain),
+                    Some(mut s) => {
+                        s.push_str(plain);
+                        Cow::Owned(s)
+                    }
+                });
+            }
+            let out = owned.get_or_insert_with(String::new);
+            out.push_str(plain);
+            let Some(esc) = self.byte() else {
+                return self.fail("unterminated escape");
+            };
+            self.pos += 1;
+            out.push(match esc {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'n' => '\n',
+                b't' => '\t',
+                b'r' => '\r',
+                b'b' => '\u{0008}',
+                b'f' => '\u{000C}',
+                b'u' => {
+                    let code = self
+                        .src
+                        .get(self.pos..self.pos + 4)
+                        .and_then(|hex| u32::from_str_radix(hex, 16).ok());
+                    let Some(code) = code else {
+                        return self.fail("bad \\u escape");
+                    };
+                    self.pos += 4;
+                    char::from_u32(code).unwrap_or('\u{FFFD}')
+                }
+                _ => return self.fail("unknown escape"),
+            });
+        }
+    }
+
+    /// Pass over one value of any kind, checking its syntax exactly as
+    /// [`Reader::value`] would, without building it.
+    pub fn skip(&mut self) -> Result<(), JsonError> {
         match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(JsonError::new(self.pos, "unexpected character")),
+            Some(b'{') => {
+                self.begin_object()?;
+                while self.next_key()?.is_some() {
+                    self.skip()?;
+                }
+                Ok(())
+            }
+            Some(b'[') => {
+                self.begin_array()?;
+                while self.next_element()? {
+                    self.skip()?;
+                }
+                Ok(())
+            }
+            Some(b'"') => self.str().map(drop),
+            Some(b'n') => self.literal("null"),
+            Some(b't') => self.literal("true"),
+            Some(b'f') => self.literal("false"),
+            Some(b'-' | b'0'..=b'9') => self.f64().map(drop),
+            _ => self.fail("unexpected character"),
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(JsonError::new(self.pos, "unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
+    /// Read one value of any kind as a [`Json`] tree. A repeated object key
+    /// keeps its last value.
+    pub fn value(&mut self) -> Result<Json, JsonError> {
+        match self.peek() {
+            Some(b'{') => {
+                let mut map = BTreeMap::new();
+                self.begin_object()?;
+                while let Some(key) = self.next_key()? {
+                    map.insert(key.into_owned(), self.value()?);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| {
-                        JsonError::new(self.pos, "unterminated escape")
-                    })?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err(JsonError::new(self.pos, "bad \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| JsonError::new(self.pos, "bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| JsonError::new(self.pos, "bad \\u escape"))?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        _ => return Err(JsonError::new(self.pos, "unknown escape")),
-                    }
-                }
-                Some(_) => {
-                    // Copy a run of plain UTF-8 bytes.
-                    let start = self.pos;
-                    while let Some(c) = self.peek() {
-                        if c == b'"' || c == b'\\' {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| JsonError::new(start, "invalid UTF-8"))?,
-                    );
-                }
+                Ok(Json::Object(map))
             }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.begin_array()?;
+                while self.next_element()? {
+                    items.push(self.value()?);
+                }
+                Ok(Json::Array(items))
+            }
+            Some(b'"') => Ok(Json::String(self.str()?.into_owned())),
+            Some(b'n') => self.literal("null").map(|()| Json::Null),
+            Some(b't') => self.literal("true").map(|()| Json::Bool(true)),
+            Some(b'f') => self.literal("false").map(|()| Json::Bool(false)),
+            Some(b'-' | b'0'..=b'9') => self.f64().map(Json::Number),
+            _ => self.fail("unexpected character"),
         }
     }
+}
 
-    fn number(&mut self) -> Result<Json, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Json::Number)
-            .map_err(|_| JsonError::new(start, "invalid number"))
-    }
-
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(JsonError::new(self.pos, "expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(map));
-                }
-                _ => return Err(JsonError::new(self.pos, "expected ',' or '}'")),
-            }
-        }
-    }
+fn write_number(v: f64, out: &mut String) {
+    // Writing into a `String` cannot fail.
+    let _ = if v.fract() == 0.0 && v.abs() < 1e15 {
+        write!(out, "{}", v as i64)
+    } else {
+        write!(out, "{v}")
+    };
 }
 
 fn write_escaped(s: &str, out: &mut String) {
@@ -362,7 +497,10 @@ fn write_escaped(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\t' => out.push_str("\\t"),
             '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                // Writing into a `String` cannot fail.
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
@@ -384,13 +522,7 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Number(v) => {
-                if v.fract() == 0.0 && v.abs() < 1e15 {
-                    out.push_str(&format!("{}", *v as i64));
-                } else {
-                    out.push_str(&format!("{v}"));
-                }
-            }
+            Json::Number(v) => write_number(*v, out),
             Json::String(s) => write_escaped(s, out),
             Json::Array(items) => {
                 if items.is_empty() {
