@@ -287,10 +287,6 @@ enum Op {
     MulColVec(Var, Var),
     RowwiseDot(Var, Var),
     Reshape(Var, Shape),
-    /// Contiguous column slice `(input, start, width)`.
-    SliceCols(Var, usize, usize),
-    /// Column embedding into a wider zero matrix `(input, start, total)`.
-    PadCols(Var, usize, usize),
     /// Fused activation backward `g ∘ act'(y)`, with the derivative taken
     /// from the saved layer *output* `y`. One node replaces the
     /// derivative-chain / multiply nodes the affine backward used to emit.
@@ -398,8 +394,6 @@ fn op_name(op: &Op) -> &'static str {
         Op::MulColVec(..) => "mul_col_vec",
         Op::RowwiseDot(..) => "rowwise_dot",
         Op::Reshape(..) => "reshape",
-        Op::SliceCols(..) => "slice_cols",
-        Op::PadCols(..) => "pad_cols",
         Op::ActBack { .. } => "act_back",
         Op::EmbedPool { .. } => "embed_pool",
         Op::EmbedPoolGrad { .. } => "embed_pool_grad",
@@ -1183,46 +1177,6 @@ impl Tape {
         self.push(value, Op::ScatterAddRows(a, id, n))
     }
 
-    /// Copy the contiguous column range `[start, start+width)` of a matrix
-    /// into a new `[r, width]` tensor. With [`Tape::pad_cols`] this closes
-    /// column-blocked computations (e.g. a population of networks fused
-    /// into one wide layer) under double backward.
-    pub fn slice_cols(&self, a: Var, start: usize, width: usize) -> Var {
-        let value = {
-            let nodes = self.nodes.borrow();
-            let x = &nodes[a.idx].value;
-            let (r, c) = (x.shape().rows(), x.shape().cols());
-            assert!(start + width <= c, "column slice {start}+{width} exceeds width {c}");
-            let mut out = self.alloc(r * width);
-            for (orow, xrow) in
-                out.chunks_exact_mut(width.max(1)).zip(x.data().chunks_exact(c.max(1)))
-            {
-                orow.copy_from_slice(&xrow[start..start + width]);
-            }
-            out.into_tensor(Shape::D2(r, width))
-        };
-        self.push(value, Op::SliceCols(a, start, width))
-    }
-
-    /// Embed a matrix's columns into a wider zero matrix starting at column
-    /// `start` — the adjoint of [`Tape::slice_cols`].
-    pub fn pad_cols(&self, a: Var, start: usize, total: usize) -> Var {
-        let value = {
-            let nodes = self.nodes.borrow();
-            let x = &nodes[a.idx].value;
-            let (r, w) = (x.shape().rows(), x.shape().cols());
-            assert!(start + w <= total, "column pad {start}+{w} exceeds width {total}");
-            let mut out = self.alloc_zeroed(r * total);
-            for (orow, xrow) in
-                out.chunks_exact_mut(total.max(1)).zip(x.data().chunks_exact(w.max(1)))
-            {
-                orow[start..start + w].copy_from_slice(xrow);
-            }
-            out.into_tensor(Shape::D2(r, total))
-        };
-        self.push(value, Op::PadCols(a, start, total))
-    }
-
     /// Scale row `i` of `m` by `v[i]`.
     pub fn mul_col_vec(&self, m: Var, v: Var) -> Var {
         let value = {
@@ -1546,9 +1500,7 @@ impl Tape {
                 | Op::BroadcastScalar(a, _)
                 | Op::GatherRows(a, _)
                 | Op::ScatterAddRows(a, _, _)
-                | Op::Reshape(a, _)
-                | Op::SliceCols(a, _, _)
-                | Op::PadCols(a, _, _) => useful[a.idx],
+                | Op::Reshape(a, _) => useful[a.idx],
             };
         }
         useful
@@ -1811,33 +1763,6 @@ impl Tape {
                             fused::force_assemble_back(list, g.data(), &mut ubar);
                             acc(*u, ubar.into_tensor(Shape::D1(list.n_pairs())), &mut adjoint);
                         }
-                    }
-                }
-                Op::SliceCols(a, start, _) => {
-                    if useful[a.idx] {
-                        let ashape = nodes[a.idx].value.shape();
-                        let (r, c) = (ashape.rows(), ashape.cols());
-                        let w = g.shape().cols();
-                        let mut out = self.alloc_zeroed(r * c);
-                        for (orow, grow) in
-                            out.chunks_exact_mut(c.max(1)).zip(g.data().chunks_exact(w.max(1)))
-                        {
-                            orow[start..start + w].copy_from_slice(grow);
-                        }
-                        acc(a, out.into_tensor(Shape::D2(r, c)), &mut adjoint);
-                    }
-                }
-                Op::PadCols(a, start, total) => {
-                    if useful[a.idx] {
-                        let ashape = nodes[a.idx].value.shape();
-                        let (r, w) = (ashape.rows(), ashape.cols());
-                        let mut out = self.alloc(r * w);
-                        for (orow, grow) in
-                            out.chunks_exact_mut(w.max(1)).zip(g.data().chunks_exact(total.max(1)))
-                        {
-                            orow.copy_from_slice(&grow[start..start + w]);
-                        }
-                        acc(a, out.into_tensor(Shape::D2(r, w)), &mut adjoint);
                     }
                 }
                 Op::SumAll(a) => {
@@ -2165,20 +2090,6 @@ impl Tape {
                         "Tape::grad cannot record the adjoint of force_assemble as a taped op; \
                          use Tape::grad_values"
                     );
-                }
-                Op::SliceCols(a, start, _) => {
-                    if useful[a.idx] {
-                        let total = self.shape(a).cols();
-                        let gp = self.pad_cols(g, start, total);
-                        accumulate(a, gp, &mut adjoint);
-                    }
-                }
-                Op::PadCols(a, start, _) => {
-                    if useful[a.idx] {
-                        let w = self.shape(a).cols();
-                        let gs = self.slice_cols(g, start, w);
-                        accumulate(a, gs, &mut adjoint);
-                    }
                 }
                 Op::SumAll(a) => {
                     if useful[a.idx] {
@@ -2595,94 +2506,6 @@ mod tests {
         let y = t.sum_all(t.square(g1));
         let g = t.grad(y, &[x]);
         assert_eq!(t.value(g[0]).data(), &[8.0, 0.0, -2.0]);
-    }
-
-    #[test]
-    fn slice_and_pad_cols_values_and_gradients() {
-        let t = Tape::new();
-        let x = t.constant(Tensor::matrix(2, 4, (0..8).map(|v| v as f64 + 1.0).collect()));
-        // slice_cols picks a contiguous column window.
-        let mid = t.slice_cols(x, 1, 2);
-        assert_eq!(t.value(mid).shape(), Shape::D2(2, 2));
-        assert_eq!(t.value(mid).data(), &[2.0, 3.0, 6.0, 7.0]);
-        // pad_cols embeds it back at an offset, zero elsewhere.
-        let padded = t.pad_cols(mid, 2, 5);
-        assert_eq!(t.value(padded).shape(), Shape::D2(2, 5));
-        assert_eq!(t.value(padded).data(), &[0.0, 0.0, 2.0, 3.0, 0.0, 0.0, 0.0, 6.0, 7.0, 0.0]);
-        // Gradient of sum(slice²) touches only the sliced columns of x.
-        let y = t.sum_all(t.square(mid));
-        let g = t.grad(y, &[x]);
-        assert_eq!(t.value(g[0]).data(), &[0.0, 4.0, 6.0, 0.0, 0.0, 12.0, 14.0, 0.0]);
-        // Gradient through the pad is the slice of the padded adjoint.
-        let y2 = t.sum_all(t.square(padded));
-        let g2 = t.grad(y2, &[x]);
-        assert_eq!(t.value(g2[0]).data(), t.value(g[0]).data());
-    }
-
-    #[test]
-    fn pad_cols_concat_round_trips_and_is_closed_under_double_backward() {
-        // The population-fusion pattern: embed per-genome weight rows into a
-        // wide matrix via pad_cols + add, run one shared-input layer, slice
-        // each lane back out, and keep every loss per-genome. With a width-1
-        // input the matmul is a single product per element and the other
-        // lanes contribute exact ±0.0 terms to each reduction, so values,
-        // per-genome inner (force-style) gradients, and second-order weight
-        // gradients all match the unfused per-genome graphs to the last ulp
-        // (`==`; signed zeros compare equal). Summing *across* lanes instead
-        // would reorder the shared-input reduction — that is exactly what
-        // population mode never does.
-        let run = |fused: bool| -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
-            let t = Tape::new();
-            let x = t.constant(Tensor::matrix(3, 1, vec![0.4, -1.2, 2.5]));
-            let wa = t.constant(Tensor::matrix(1, 2, vec![0.3, -0.2]));
-            let wb = t.constant(Tensor::matrix(1, 2, vec![0.5, 0.7]));
-            let (ha, hb) = if fused {
-                let wide = t.add(t.pad_cols(wa, 0, 4), t.pad_cols(wb, 2, 4));
-                let h = t.tanh(t.matmul(x, wide));
-                (t.slice_cols(h, 0, 2), t.slice_cols(h, 2, 2))
-            } else {
-                (t.tanh(t.matmul(x, wa)), t.tanh(t.matmul(x, wb)))
-            };
-            // Per-genome energies, inner (force-style) gradients, and
-            // second-order weight gradients — no cross-genome reduction.
-            let ea = t.sum_all(ha);
-            let eb = t.sum_all(hb);
-            let fa = t.grad(ea, &[x])[0];
-            let fb = t.grad(eb, &[x])[0];
-            let ga = t.grad(t.sum_all(t.square(fa)), &[wa])[0];
-            let gb = t.grad(t.sum_all(t.square(fb)), &[wb])[0];
-            (
-                t.value(fa).into_data(),
-                t.value(fb).into_data(),
-                t.value(ga).into_data(),
-                t.value(gb).into_data(),
-            )
-        };
-        let (fa_f, fb_f, ga_f, gb_f) = run(true);
-        let (fa_u, fb_u, ga_u, gb_u) = run(false);
-        assert_eq!(fa_f, fa_u);
-        assert_eq!(fb_f, fb_u);
-        assert_eq!(ga_f, ga_u);
-        assert_eq!(gb_f, gb_u);
-    }
-
-    #[test]
-    fn grad_values_matches_taped_grad_for_slice_and_pad() {
-        let t = Tape::new();
-        let x = t.constant(Tensor::matrix(3, 2, vec![0.4, -1.2, 2.5, 0.3, -0.7, 1.1]));
-        let w = t.constant(Tensor::matrix(2, 3, (0..6).map(|i| 0.3 - 0.11 * i as f64).collect()));
-        let h = t.tanh(t.matmul(x, w));
-        let left = t.slice_cols(h, 0, 2);
-        let right = t.slice_cols(h, 2, 1);
-        let back = t.add(t.pad_cols(left, 1, 3), t.pad_cols(right, 0, 3));
-        let loss = t.sum_all(t.square(back));
-        let wrt = [x, w];
-        let taped: Vec<Tensor> = t.grad(loss, &wrt).iter().map(|&g| t.value(g)).collect();
-        let values = t.grad_values(loss, &wrt);
-        for (a, b) in values.iter().zip(taped.iter()) {
-            assert_eq!(a.shape(), b.shape());
-            assert_eq!(a.data(), b.data());
-        }
     }
 
     #[test]

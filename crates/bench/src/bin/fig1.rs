@@ -72,7 +72,7 @@ const FLAGS: &[(&str, bool, &str)] = &[
     ("--report", false, "write the markdown campaign report and Chrome counter tracks"),
     ("--profile", true, "rewrite deterministic profile artifacts (profile.json, profile.folded) in a directory at every boundary and append attribution tables to the reports"),
     ("--verify-journal", true, "offline journal integrity check (frames, last snapshot, first corrupt offset); exit nonzero on damage"),
-    ("--compact", true, "rewrite a journal to its last snapshot plus the arrival suffix (generational: boundaries plus unfinished suffix)"),
+    ("--compact", true, "rewrite a journal to its boundary records plus what no boundary covers yet (steady-state: the last snapshot and the arrival suffix; generational: the unfinished generation)"),
     ("--list-flags", false, "print every known flag, one per line, and exit"),
 ];
 
@@ -284,7 +284,7 @@ fn main() {
         println!("format version: {}", dphpo_core::journal::JOURNAL_VERSION);
         println!("frames:         {}", report.frames);
         println!(
-            "records:        {} evals, {} generations, {} snapshots",
+            "records:        {} evals, {} boundaries (generations or epochs), {} snapshots",
             report.evals, report.generations, report.snapshots
         );
         match report.last_snapshot {

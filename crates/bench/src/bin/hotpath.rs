@@ -1,23 +1,27 @@
 //! Machine-readable baseline of the training hot path: steady-state
 //! training step cost and per-training set-up cost (`TrainRun::new`: model
 //! init plus the descriptor caches selected from the datasets' pair
-//! tables), the tensor/tape kernels a step is built from (blocked matmul,
+//! tables), how much of a step the generic tape could ever give back (the
+//! step of a near-empty system, and a step's time outside its fused pair
+//! kernels), the tensor/tape kernels a step is built from (blocked matmul,
 //! transposed-operand matmuls, bulk tanh, fused affine layer), the
 //! batched-vs-scalar descriptor pass, and the journal's read side
 //! (`verify` and `Journal::load` over a synthetic steady-state journal, and
 //! the frame checksum).
 //!
-//! Writes `BENCH_hotpath.json` (schema `dphpo-hotpath-v4`) into the
+//! Writes `BENCH_hotpath.json` (schema `dphpo-hotpath-v5`) into the
 //! current directory — run from the repo root (or via
 //! `scripts/bench_baseline.sh`) to refresh the checked-in baseline.
 //! `--quick` trades stability for runtime (CI-friendly).
 
+use std::rc::Rc;
 use std::time::Instant;
 
-use dphpo_autograd::{Tape, Tensor, Unary};
-use dphpo_core::experiment::ExperimentConfig;
+use dphpo_autograd::{PairList, Tape, Tensor, Unary, Var};
+use dphpo_core::campaign_report::GenStatus;
+use dphpo_core::experiment::{build_dataset, ExperimentConfig};
 use dphpo_core::journal::{
-    crc32, verify, EvalEntry, FaultKind, Journal, JournalWriter, SnapshotEntry,
+    crc32, verify, EpochEntry, EvalEntry, FaultKind, Journal, JournalWriter, SnapshotEntry,
 };
 use dphpo_dnnp::json::Json;
 use dphpo_dnnp::{
@@ -84,6 +88,100 @@ fn config(rcut: f64, steps: usize) -> TrainConfig {
     }
 }
 
+/// Nanoseconds of (one warm training step, one pass of that step's fused
+/// pair kernels and little else), each the best of `rounds` blocks of
+/// `k_steps`, the two kinds of block alternating so that both minima come
+/// from the same quiet moments of a shared machine and their difference
+/// means something.
+///
+/// The step is one live `TrainRun`'s, after a block that absorbs first-use
+/// buffer growth and the step-0 validation row. The kernel pass goes through
+/// the public tape ops on the batch a step sees: per neighbour species
+/// `embed_pool` and the sensitivity node `grad` records on its pair leaf, one
+/// `force_assemble`, then `grad_values` down to the embedding parameters
+/// (`force_assemble_back`, `embed_sens_gbar`, `embed_back`) — no fitting
+/// net, no labels, no optimizer. Parameter registration and a dozen O(atoms)
+/// glue nodes (`sum_all`, `add`, `square` and their adjoints) ride along, so
+/// it overstates the kernels — and step − pass understates what lies outside
+/// them — by a few microseconds.
+fn step_and_fused_ns(
+    rounds: usize,
+    k_steps: usize,
+    train_ds: &Dataset,
+    val_ds: &Dataset,
+    cfg: &TrainConfig,
+) -> (f64, f64) {
+    let steps = (rounds + 1) * k_steps;
+    let cfg = TrainConfig { num_steps: steps, disp_freq: steps, ..cfg.clone() };
+    let sup = Supervision::none();
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut run = TrainRun::new(&cfg, train_ds, val_ds, &mut rng, &sup).expect("bench run");
+
+    let model = DnnpModel::new(cfg.clone(), train_ds, &mut rng).expect("bench model");
+    let batch = (cfg.n_workers * cfg.batch_per_worker).min(train_ds.frames.len());
+    let caches: Vec<FrameCache> =
+        train_ds.frames[..batch].iter().map(|f| model.build_cache(&f.positions)).collect();
+    let n_frame = caches[0].n_atoms;
+    let n = n_frame * caches.len();
+    let lists: Vec<(usize, Rc<PairList>)> = (0..model.n_species)
+        .map(|t| {
+            let segments =
+                caches.iter().enumerate().map(|(b, c)| (c.species[t].clone(), b * n_frame));
+            (t, Rc::new(PairList::new(segments.collect(), n)))
+        })
+        .filter(|(_, list)| list.n_pairs() > 0)
+        .collect();
+    let tape = Tape::new();
+    let fused_pass = || {
+        tape.reset();
+        let taped = model.params.register(&tape);
+        let mut energy: Option<Var> = None;
+        let mut streams = Vec::new();
+        let mut wrt = Vec::new();
+        for (t, list) in &lists {
+            let pooled = tape.embed_pool(
+                Rc::clone(list),
+                &taped.embeddings[*t],
+                cfg.desc_activation.unary(),
+                1.0 / model.stats.dstd[*t],
+                1.0 / model.stats.avg_neighbors[*t],
+            );
+            streams.push((pooled.pairs, Rc::clone(list)));
+            wrt.extend(taped.embeddings[*t].iter().flat_map(|&(w, b)| [w, b]));
+            let e = tape.sum_all(pooled.out);
+            energy = Some(energy.map_or(e, |prev| tape.add(prev, e)));
+        }
+        let energy = energy.expect("the system has pairs inside the cutoff");
+        let leaves: Vec<Var> = streams.iter().map(|&(pairs, _)| pairs).collect();
+        let sens = tape.grad(energy, &leaves);
+        let parts: Vec<(Var, Rc<PairList>)> =
+            sens.into_iter().zip(streams).map(|(u, (_, list))| (u, list)).collect();
+        let forces = tape.force_assemble(&parts, n);
+        let loss = tape.add(energy, tape.sum_all(tape.square(forces)));
+        std::hint::black_box(tape.grad_values(loss, &wrt));
+    };
+
+    let block = |f: &mut dyn FnMut()| {
+        let t = Instant::now();
+        for _ in 0..k_steps {
+            f();
+        }
+        t.elapsed().as_secs_f64() * 1e9 / k_steps as f64
+    };
+    let mut step = || {
+        run.step();
+    };
+    let mut fused = fused_pass;
+    let (mut best_step, mut best_fused) = (f64::MAX, f64::MAX);
+    block(&mut step);
+    block(&mut fused);
+    for _ in 0..rounds {
+        best_step = best_step.min(block(&mut step));
+        best_fused = best_fused.min(block(&mut fused));
+    }
+    (best_step, best_fused)
+}
+
 fn random_matrix(rows: usize, cols: usize, rng: &mut StdRng) -> Tensor {
     Tensor::matrix(rows, cols, (0..rows * cols).map(|_| rng.random_range(-1.0..1.0)).collect())
 }
@@ -101,9 +199,10 @@ fn tile_onehot(onehot: &Tensor, batch: usize) -> Tensor {
 
 /// Write a steady-state journal of synthetic records through the
 /// production writer: `evals` arrival-carrying evaluations with a
-/// three-row `lcurve_tail`, and a snapshot (population and archive of 100,
-/// the epochs so far as history) every 100 arrivals — the record mix of a
-/// paper-width steady campaign, where snapshots are most of the bytes.
+/// three-row `lcurve_tail`, and every 100 arrivals the epoch's boundary
+/// record (population of 100, report, status row) followed by a snapshot
+/// (population and archive of 100) — the record mix of a paper-width steady
+/// campaign.
 fn synthetic_steady_journal(path: &std::path::Path, evals: usize) {
     fn draw(rng: &mut StdRng, n: usize) -> Vec<f64> {
         (0..n).map(|_| rng.random_range(0.0..10.0)).collect()
@@ -131,9 +230,9 @@ fn synthetic_steady_journal(path: &std::path::Path, evals: usize) {
         backoff_slot_minutes: workers.clone(),
         ..PoolReport::default()
     };
-    let mut writer =
-        JournalWriter::create(path, &ExperimentConfig::smoke()).expect("create bench journal");
-    let mut history: Vec<GenerationRecord> = Vec::new();
+    // `load` reads the epoch length off the header.
+    let config = ExperimentConfig { pop_size: 100, ..ExperimentConfig::smoke() };
+    let mut writer = JournalWriter::create(path, &config).expect("create bench journal");
     for arrival in 0..evals {
         let genome = draw(&mut rng, 7);
         let row = |step| LcurveRow {
@@ -162,11 +261,25 @@ fn synthetic_steady_journal(path: &std::path::Path, evals: usize) {
         writer.append_eval(&entry).expect("append eval");
         if (arrival + 1) % 100 == 0 {
             let population = individuals(&mut rng, 100);
-            history.push(GenerationRecord {
-                generation: history.len(),
-                failures: 0,
-                population: population.clone(),
-            });
+            let epoch = arrival / 100;
+            let boundary = EpochEntry {
+                run: 0,
+                record: GenerationRecord {
+                    generation: epoch,
+                    failures: 0,
+                    population: population.clone(),
+                },
+                report: report.clone(),
+                status: GenStatus {
+                    generation: epoch,
+                    evaluations: 100,
+                    hypervolume: draw(&mut rng, 1)[0],
+                    cardinality: 100,
+                    spread: draw(&mut rng, 1)[0],
+                    ..GenStatus::default()
+                },
+            };
+            writer.append_epoch(&boundary).expect("append epoch");
             let slots = StreamSlotsState {
                 busy: workers.clone(),
                 lost: workers.clone(),
@@ -185,8 +298,8 @@ fn synthetic_steady_journal(path: &std::path::Path, evals: usize) {
                 pending: Vec::new(),
                 archive: individuals(&mut rng, 100),
                 slots,
-                epoch_reports: vec![report.clone(); history.len()],
-                history: history.clone(),
+                history: Vec::new(),
+                epoch_reports: Vec::new(),
                 epoch_failures: 0,
                 epoch_churn: (0, 0, 0),
                 epoch_sim_offset: 0.0,
@@ -212,6 +325,22 @@ fn main() {
 
     // Steady-state step cost by subtraction: t(2K) − t(K) spans exactly K
     // steps of the warm loop, cancelling model setup and cache building.
+    //
+    // The floor: a step with next to no arithmetic in it — the campaign
+    // smoke shape (10 atoms, batch 1, embedding {4,4}, fitting {6}) — is what
+    // the generic tape costs a step in node pushes, op dispatch and buffer
+    // leases. One measurement, repeated in every `training` row.
+    println!("timing the near-empty training step...");
+    let smoke = ExperimentConfig::smoke();
+    let (smoke_train, smoke_val) = build_dataset(&smoke);
+    let (floor_ns, _) = step_and_fused_ns(
+        3 * samples,
+        10 * k_steps,
+        &smoke_train,
+        &smoke_val,
+        &smoke.base_train_config,
+    );
+
     let mut training = Vec::new();
     for rcut in [REFERENCE_RCUT, SPARSE_RCUT] {
         println!("timing training at rcut {rcut} ({k_steps} vs {} steps)...", 2 * k_steps);
@@ -224,6 +353,11 @@ fn main() {
             let _ = train(&config(rcut, 2 * k_steps), &train_ds, &val_ds, &mut rng).unwrap();
         });
         let ns_per_step = ((t_long - t_short).max(0.0) / k_steps as f64) * 1e9;
+        // What a hand-derived (tape-free) step could at most remove: a warm
+        // step minus its fused pair kernels.
+        let (step_ns, fused_ns) =
+            step_and_fused_ns(3 * samples, k_steps, &train_ds, &val_ds, &config(rcut, k_steps));
+        let outside_fused_ns = (step_ns - fused_ns).max(0.0);
         // What every evaluation pays before its first step.
         let (cfg, sup) = (config(rcut, 1), Supervision::none());
         let new_us = ns_per_op(samples, new_reps, || {
@@ -231,7 +365,7 @@ fn main() {
             let run = TrainRun::new(&cfg, &train_ds, &val_ds, &mut rng, &sup).unwrap();
             std::hint::black_box(run.is_active());
         }) / 1e3;
-        training.push((rcut, ns_per_step, new_us));
+        training.push((rcut, ns_per_step, new_us, outside_fused_ns));
     }
 
     println!("timing kernels...");
@@ -358,7 +492,7 @@ fn main() {
     }) / 1e3;
 
     let doc = Json::object(vec![
-        ("schema", Json::String("dphpo-hotpath-v4".into())),
+        ("schema", Json::String("dphpo-hotpath-v5".into())),
         ("quick", Json::Bool(quick)),
         ("reference_rcut", Json::Number(REFERENCE_RCUT)),
         (
@@ -366,12 +500,14 @@ fn main() {
             Json::Array(
                 training
                     .iter()
-                    .map(|&(rcut, ns, new_us)| {
+                    .map(|&(rcut, ns, new_us, outside_fused_ns)| {
                         Json::object(vec![
                             ("rcut", Json::Number(rcut)),
                             ("steps_measured", Json::Number(k_steps as f64)),
                             ("ns_per_step", Json::Number(ns)),
                             ("train_run_new_us", Json::Number(new_us)),
+                            ("floor_ns_per_step", Json::Number(floor_ns)),
+                            ("outside_fused_ns_per_step", Json::Number(outside_fused_ns)),
                         ])
                     })
                     .collect(),
@@ -412,9 +548,15 @@ fn main() {
     ]);
     std::fs::write(&out_path, format!("{doc}\n")).expect("write baseline");
     println!("wrote {out_path}");
-    for &(rcut, ns, new_us) in &training {
-        println!("  training rcut {rcut}: {:.1} µs/step, TrainRun::new {new_us:.1} µs", ns / 1e3);
+    for &(rcut, ns, new_us, outside_fused_ns) in &training {
+        println!(
+            "  training rcut {rcut}: {:.1} µs/step ({:.1} µs outside the fused pair kernels), \
+             TrainRun::new {new_us:.1} µs",
+            ns / 1e3,
+            outside_fused_ns / 1e3
+        );
     }
+    println!("  near-empty step (smoke shape): {:.1} µs", floor_ns / 1e3);
     println!(
         "  matmul 64x64: {matmul_ns:.0} ns  (nt {matmul_nt_ns:.0} ns, tn {matmul_tn_ns:.0} ns, nt/mm {:.2})",
         matmul_nt_ns / matmul_ns

@@ -23,13 +23,13 @@ use std::sync::Arc;
 
 use dphpo_dnnp::AbortReason;
 use dphpo_evo::nsga2::{BatchEvaluator, EvalResult, GenerationRecord};
-use dphpo_evo::{ArchiveChurn, Fitness, ParetoArchive};
+use dphpo_evo::{ArchiveChurn, Fitness};
 use dphpo_hpc::{
     EvalFault, EvalOutcome, FaultInjector, Pool, PoolReport, TaskCtx, TaskRecord, Timeline,
 };
 use dphpo_obs::{cats, names, Event, Recorder, SpanCtx, When};
 
-use crate::campaign_report;
+use crate::campaign_report::GenStatus;
 use crate::experiment::{ExperimentConfig, ExperimentError, StatusSink};
 use crate::journal::{EvalEntry, FaultKind, JournalSink};
 use crate::workflow::{
@@ -189,21 +189,21 @@ impl RunEnv<'_> {
     }
 
     /// Publish one generation (or steady-state epoch) boundary, after the
-    /// archive absorbed `record`'s population: the `generation` span over
-    /// `[sim_offset, sim_offset + makespan]` on the campaign's simulated
-    /// clock, the `ea.front` instant at its end with the archive's
+    /// archive absorbed `record`'s population; `row` is its status row
+    /// ([`crate::campaign_report::generation_row`]). Emits the `generation`
+    /// span over `[sim_offset, sim_offset + makespan]` on the campaign's
+    /// simulated clock, the `ea.front` instant at its end with the archive's
     /// hypervolume / cardinality / spread and dominance churn (plus the
     /// matching gauges and counters), then the profile row, the status row,
     /// and the atomic rewrite of both artifacts.
     pub(crate) fn publish_boundary(
         &mut self,
         record: &GenerationRecord,
-        archive: &ParetoArchive,
+        row: GenStatus,
         churn: ArchiveChurn,
         report: &PoolReport,
         sim_offset: f64,
     ) -> Result<(), ExperimentError> {
-        let row = campaign_report::generation_row(record, archive, churn, report);
         let obs = self.obs;
         if obs.enabled() {
             obs.counter_add(names::C_GENERATIONS, 1);

@@ -652,13 +652,15 @@ impl<'a> Campaign<'a> {
                         faults = faults.with_driver_kill(k);
                     }
                     let journal = writer.as_ref().map(|writer| {
-                        let mut replay = resume_from
+                        let since = steady_snap.as_ref().map_or(0, |snap| snap.arrivals);
+                        let replay = resume_from
                             .as_ref()
-                            .map_or_else(HashMap::new, |j| j.replay_for(run_idx));
-                        if let Some(snap) = &steady_snap {
-                            replay.retain(|_, e| e.arrival.is_none_or(|a| a >= snap.arrivals));
+                            .map_or_else(HashMap::new, |j| j.replay_for(run_idx, since));
+                        JournalSink {
+                            writer: Rc::clone(writer),
+                            replay: Rc::new(replay),
+                            epochs: resume_from.as_ref().map_or(0, |j| j.epochs_for(run_idx)),
                         }
-                        JournalSink { writer: Rc::clone(writer), replay: Rc::new(replay) }
                     });
                     let env = RunEnv {
                         config,
@@ -776,7 +778,8 @@ fn finish_generation(
     // This generation's batch started where the earlier batches' makespans
     // end on the campaign's simulated clock.
     let sim_offset: f64 = earlier.iter().map(|r| r.makespan_minutes).sum();
-    env.publish_boundary(record, archive, churn, report, sim_offset)
+    let row = campaign_report::generation_row(record, archive, churn, report);
+    env.publish_boundary(record, row, churn, report, sim_offset)
 }
 
 /// Drive one generational EA run to completion — fresh or restored. Plain,

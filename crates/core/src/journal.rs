@@ -45,14 +45,20 @@
 //! are held to them by re-rendering every frame of the checked-in journals
 //! byte for byte (`tests/journal_roundtrip.rs`).
 //!
-//! Steady-state campaigns additionally append self-contained **snapshot**
-//! records at epoch-window boundaries (population, mutation σ, pending
-//! queue, archive, slot cursors, per-epoch accumulators), so resume
+//! Steady-state campaigns append two more record kinds. An **epoch** record
+//! ([`EpochEntry`]) is written once, the moment an epoch closes: the epoch's
+//! population, its scheduler report and its published status row — the
+//! steady-state counterpart of a `generation` record. A **snapshot**
+//! ([`SnapshotEntry`]) is written at epoch-window boundaries and carries only
+//! live state (population, mutation σ, pending queue, archive, slot cursors,
+//! the partial-epoch accumulators); the cumulative per-epoch history a resume
+//! also needs is *not* repeated in it — [`Journal::load`] folds it back from
+//! the run's epoch records — so a journal grows by O(1) per epoch. Resume
 //! restores the latest snapshot and replays only the arrival suffix after
-//! it — O(window) work instead of O(campaign). [`compact`] rewrites a
-//! journal down to that suffix. (Generational journals need no extra
-//! record: every generation boundary already *is* a self-contained
-//! snapshot.)
+//! it — O(window) work instead of O(campaign); [`compact`] rewrites a
+//! journal down to the epoch records, that snapshot and that suffix.
+//! (Generational journals need neither: every generation boundary already
+//! *is* a self-contained snapshot.)
 //!
 //! # Determinism contract
 //!
@@ -915,28 +921,66 @@ impl GenEntry {
     }
 }
 
-fn generation_record_to_json(r: &GenerationRecord) -> Json {
-    Json::object(vec![
-        ("gen", Json::Number(r.generation as f64)),
-        ("failures", Json::Number(r.failures as f64)),
-        (
-            "population",
-            Json::Array(r.population.iter().map(individual_to_json).collect()),
-        ),
-    ])
+/// One closed steady-state epoch, journaled the moment it closes — the
+/// steady-state counterpart of a [`GenEntry`], minus what a steady run has
+/// no use for at a boundary (an RNG stream: every draw is keyed by arrival;
+/// σ and the archive: the next snapshot carries them). Written exactly once
+/// per `(run, epoch)`: a resumed driver that re-closes a journaled epoch
+/// while replaying the arrival suffix skips it, as it skips journaled
+/// evaluations.
+#[derive(Clone, Debug)]
+pub struct EpochEntry {
+    /// Experiment run index.
+    pub run: usize,
+    /// The closed epoch's record (`generation` is the epoch index).
+    pub record: GenerationRecord,
+    /// The epoch's slice of the continuous slot accounting.
+    pub report: PoolReport,
+    /// The status row published for the epoch (not derivable from the
+    /// record alone — archive churn is per-arrival).
+    pub status: GenStatus,
 }
 
-fn read_generation_record(r: &mut Reader<'_>) -> Result<GenerationRecord, JournalError> {
-    read_fields!(r {
-        "gen" => generation = uint(r, "gen")?,
-        "failures" => failures = uint(r, "failures")?,
-        "population" => population = list(r, read_individual)?,
-    });
-    Ok(GenerationRecord {
-        generation: need(generation, "gen")?,
-        failures: need(failures, "failures")?,
-        population: need(population, "population")?,
-    })
+impl EpochEntry {
+    /// The record as journaled.
+    pub fn to_json(&self) -> Json {
+        Json::object(vec![
+            ("type", Json::String("epoch".into())),
+            ("run", Json::Number(self.run as f64)),
+            ("gen", Json::Number(self.record.generation as f64)),
+            ("failures", Json::Number(self.record.failures as f64)),
+            (
+                "population",
+                Json::Array(self.record.population.iter().map(individual_to_json).collect()),
+            ),
+            ("report", report_to_json(&self.report)),
+            ("status", json_of_row(&self.status)),
+        ])
+    }
+
+    /// Decode an `epoch` record.
+    pub fn read(r: &mut Reader<'_>) -> Result<Self, JournalError> {
+        read_fields!(r {
+            "type" => kind = tag(r, "epoch")?,
+            "run" => run = uint(r, "run")?,
+            "gen" => generation = uint(r, "gen")?,
+            "failures" => failures = uint(r, "failures")?,
+            "population" => population = list(r, read_individual)?,
+            "report" => report = read_report(r)?,
+            "status" => status = read_status_row(r)?,
+        });
+        need(kind, "type")?;
+        Ok(EpochEntry {
+            run: need(run, "run")?,
+            record: GenerationRecord {
+                generation: need(generation, "gen")?,
+                failures: need(failures, "failures")?,
+                population: need(population, "population")?,
+            },
+            report: need(report, "report")?,
+            status: need(status, "status")?,
+        })
+    }
 }
 
 fn slots_state_to_json(s: &StreamSlotsState) -> Json {
@@ -1005,16 +1049,23 @@ fn read_slots_state(r: &mut Reader<'_>) -> Result<StreamSlotsState, JournalError
     })
 }
 
-/// One steady-state snapshot: everything a resume needs to restore the
-/// driver at an epoch-window boundary without replaying the arrivals
-/// before it. Self-contained by design: the records *before* the last
-/// snapshot are dead weight ([`compact`] drops them), and resume replays
-/// only the arrival suffix after it — O(window) instead of O(campaign).
+/// One steady-state snapshot: the driver's live state at an epoch-window
+/// boundary, from which a resume restores it without replaying the arrivals
+/// before — O(window) instead of O(campaign). Together with the run's
+/// [`EpochEntry`] records it is self-contained: the evaluation records
+/// *before* the last snapshot are dead weight ([`compact`] drops them).
 ///
 /// Steady-state RNG needs no words here: every draw is a pure function of
 /// `(run seed, arrival index)` (DESIGN.md §12), both of which the snapshot
 /// carries. A snapshot can land mid-epoch (window boundaries are arrival
 /// counts, not epoch boundaries), hence the partial per-epoch accumulators.
+///
+/// `history`, `epoch_reports` and `status_rows` — one element per epoch
+/// closed before the snapshot — are **not** part of the journaled record:
+/// each epoch is journaled once, as its own [`EpochEntry`], and
+/// [`Journal::load`] folds the first `arrivals / pop_size` of the run's into
+/// these fields. [`SnapshotEntry::to_json`] ignores them and
+/// [`SnapshotEntry::read`] leaves them empty.
 #[derive(Clone, Debug)]
 pub struct SnapshotEntry {
     /// Experiment run index.
@@ -1034,9 +1085,9 @@ pub struct SnapshotEntry {
     pub archive: Vec<Individual>,
     /// The slot accountant (cursors, loss/backoff tallies, epoch baseline).
     pub slots: StreamSlotsState,
-    /// Completed epoch records so far.
+    /// Completed epoch records so far (folded in by [`Journal::load`]).
     pub history: Vec<GenerationRecord>,
-    /// Completed epochs' scheduler reports.
+    /// Completed epochs' scheduler reports (folded in by [`Journal::load`]).
     pub epoch_reports: Vec<PoolReport>,
     /// MAXINT failures within the current (partial) epoch.
     pub epoch_failures: usize,
@@ -1044,13 +1095,23 @@ pub struct SnapshotEntry {
     pub epoch_churn: (usize, usize, usize),
     /// Simulated-clock offset of the current epoch's start, minutes.
     pub epoch_sim_offset: f64,
-    /// Status rows published for completed epochs (steady rows cannot be
-    /// replayed from generation records alone — churn is per-arrival).
+    /// Status rows published for completed epochs (folded in by
+    /// [`Journal::load`]).
     pub status_rows: Vec<GenStatus>,
 }
 
+/// Snapshots of an older build repeated every closed epoch inline, under
+/// these keys. Reading one as if the arrays were merely absent would resume
+/// from an empty history, so it is refused by name instead.
+fn inline_epochs(key: &str) -> Result<(), JournalError> {
+    Err(JournalError::new(format!(
+        "snapshot carries inline '{key}': it was written by an older build, before epochs \
+         were journaled as records of their own"
+    )))
+}
+
 impl SnapshotEntry {
-    /// The record as journaled.
+    /// The record as journaled: live state only (see the type's docs).
     pub fn to_json(&self) -> Json {
         Json::object(vec![
             ("type", Json::String("snapshot".into())),
@@ -1081,14 +1142,6 @@ impl SnapshotEntry {
                 Json::Array(self.archive.iter().map(individual_to_json).collect()),
             ),
             ("slots", slots_state_to_json(&self.slots)),
-            (
-                "history",
-                Json::Array(self.history.iter().map(generation_record_to_json).collect()),
-            ),
-            (
-                "epoch_reports",
-                Json::Array(self.epoch_reports.iter().map(report_to_json).collect()),
-            ),
             ("epoch_failures", Json::Number(self.epoch_failures as f64)),
             (
                 "epoch_churn",
@@ -1099,10 +1152,6 @@ impl SnapshotEntry {
                 ]),
             ),
             ("epoch_sim_offset", Json::Number(self.epoch_sim_offset)),
-            (
-                "status_rows",
-                Json::Array(self.status_rows.iter().map(json_of_row).collect()),
-            ),
         ])
     }
 
@@ -1118,12 +1167,12 @@ impl SnapshotEntry {
             "pending" => pending = list(r, read_pending)?,
             "archive" => archive = list(r, read_individual)?,
             "slots" => slots = read_slots_state(r)?,
-            "history" => history = list(r, read_generation_record)?,
-            "epoch_reports" => epoch_reports = list(r, read_report)?,
             "epoch_failures" => epoch_failures = uint(r, "epoch_failures")?,
             "epoch_churn" => epoch_churn = f64s(r)?,
             "epoch_sim_offset" => epoch_sim_offset = r.f64()?,
-            "status_rows" => status_rows = list(r, read_status_row)?,
+            "history" => _history = inline_epochs("history")?,
+            "epoch_reports" => _epoch_reports = inline_epochs("epoch_reports")?,
+            "status_rows" => _status_rows = inline_epochs("status_rows")?,
         });
         need(kind, "type")?;
         let [offered, added, evicted]: [f64; 3] = need(epoch_churn, "epoch_churn")?
@@ -1138,8 +1187,8 @@ impl SnapshotEntry {
             pending: need(pending, "pending")?,
             archive: need(archive, "archive")?,
             slots: need(slots, "slots")?,
-            history: need(history, "history")?,
-            epoch_reports: need(epoch_reports, "epoch_reports")?,
+            history: Vec::new(),
+            epoch_reports: Vec::new(),
             epoch_failures: need(epoch_failures, "epoch_failures")?,
             epoch_churn: (
                 as_uint(offered, "epoch_churn")?,
@@ -1147,7 +1196,7 @@ impl SnapshotEntry {
                 as_uint(evicted, "epoch_churn")?,
             ),
             epoch_sim_offset: need(epoch_sim_offset, "epoch_sim_offset")?,
-            status_rows: need(status_rows, "status_rows")?,
+            status_rows: Vec::new(),
         })
     }
 }
@@ -1414,6 +1463,11 @@ impl JournalWriter {
         self.append(&entry.to_json())
     }
 
+    /// Append a steady-state epoch-boundary record; returns its byte offset.
+    pub fn append_epoch(&mut self, entry: &EpochEntry) -> Result<u64, JournalError> {
+        self.append(&entry.to_json())
+    }
+
     /// Append a steady-state snapshot record; returns its byte offset.
     pub fn append_snapshot(&mut self, entry: &SnapshotEntry) -> Result<u64, JournalError> {
         self.append(&entry.to_json())
@@ -1428,6 +1482,10 @@ pub struct JournalSink {
     pub writer: Rc<RefCell<JournalWriter>>,
     /// Journaled evaluations of this run, keyed `(generation, slot)`.
     pub replay: Rc<HashMap<(usize, usize), EvalEntry>>,
+    /// Steady-state epochs of this run whose boundary record is already
+    /// journaled ([`Journal::epochs_for`]): a resumed driver re-closing one
+    /// of them appends nothing.
+    pub epochs: usize,
 }
 
 // ---------------------------------------------------------------------------
@@ -1436,9 +1494,10 @@ pub struct JournalSink {
 
 /// A decoded record, typed.
 enum ScannedRecord {
-    Header { fingerprint: u64 },
+    Header { fingerprint: u64, pop_size: usize },
     Eval(EvalEntry),
     Generation(GenEntry),
+    Epoch(EpochEntry),
     Snapshot(SnapshotEntry),
 }
 
@@ -1508,10 +1567,11 @@ fn scan_text<'a>(
 fn typed_record(payload: &str, first: bool) -> Result<ScannedRecord, JournalError> {
     let mut r = Reader::new(payload);
     let record = match &*record_type(payload)? {
-        "header" if first => ScannedRecord::Header { fingerprint: read_header(&mut r)? },
+        "header" if first => read_header(&mut r)?,
         "header" => return Err(JournalError::new("header record after the first frame")),
         "eval" => ScannedRecord::Eval(EvalEntry::read(&mut r)?),
         "generation" => ScannedRecord::Generation(GenEntry::read(&mut r)?),
+        "epoch" => ScannedRecord::Epoch(EpochEntry::read(&mut r)?),
         "snapshot" => ScannedRecord::Snapshot(SnapshotEntry::read(&mut r)?),
         other => return Err(JournalError::new(format!("unknown record type '{other}'"))),
     };
@@ -1528,9 +1588,10 @@ fn typed_record(payload: &str, first: bool) -> Result<ScannedRecord, JournalErro
 /// the header, a foreign key order — pays one syntax-checking pass to find
 /// its `type`.
 fn record_type(payload: &str) -> Result<std::borrow::Cow<'_, str>, JournalError> {
-    const TAILS: [(&str, &str); 3] = [
+    const TAILS: [(&str, &str); 4] = [
         ("eval", ",\"type\":\"eval\"}"),
         ("generation", ",\"type\":\"generation\"}"),
+        ("epoch", ",\"type\":\"epoch\"}"),
         ("snapshot", ",\"type\":\"snapshot\"}"),
     ];
     if let Some((kind, _)) = TAILS.iter().find(|(_, tail)| payload.ends_with(tail)) {
@@ -1549,11 +1610,12 @@ fn record_type(payload: &str) -> Result<std::borrow::Cow<'_, str>, JournalError>
     kind.ok_or_else(|| JournalError::new("record without a 'type'"))
 }
 
-fn read_header(r: &mut Reader<'_>) -> Result<u64, JournalError> {
+fn read_header(r: &mut Reader<'_>) -> Result<ScannedRecord, JournalError> {
     read_fields!(r {
         "type" => kind = tag(r, "header")?,
         "version" => version = uint(r, "version")?,
         "config" => config = hex(r, "config")?,
+        "pop_size" => pop_size = uint(r, "pop_size")?,
     });
     need(kind, "type")?;
     let version = need(version, "version")? as u64;
@@ -1562,7 +1624,10 @@ fn read_header(r: &mut Reader<'_>) -> Result<u64, JournalError> {
             "journal version {version} != supported {JOURNAL_VERSION}"
         )));
     }
-    need(config, "config")
+    Ok(ScannedRecord::Header {
+        fingerprint: need(config, "config")?,
+        pop_size: need(pop_size, "pop_size")?,
+    })
 }
 
 /// Read a file as UTF-8 text plus the offset of the first invalid byte, if
@@ -1589,7 +1654,11 @@ pub struct Journal {
     pub evals: HashMap<(usize, usize, usize), EvalEntry>,
     /// Generation boundaries keyed `(run, generation)`.
     pub generations: BTreeMap<(usize, usize), GenEntry>,
-    /// Steady-state snapshots keyed `(run, arrivals)`.
+    /// Steady-state epoch boundaries keyed `(run, epoch)`.
+    pub epochs: BTreeMap<(usize, usize), EpochEntry>,
+    /// Steady-state snapshots keyed `(run, arrivals)`, each with the
+    /// cumulative `history` / `epoch_reports` / `status_rows` of the epochs
+    /// closed before it folded in from `epochs`.
     pub snapshots: BTreeMap<(usize, usize), SnapshotEntry>,
     /// Byte length of the valid prefix (pass to [`JournalWriter::open_append`]).
     pub valid_len: u64,
@@ -1612,21 +1681,25 @@ impl Journal {
             config_fingerprint: 0,
             evals: HashMap::new(),
             generations: BTreeMap::new(),
+            epochs: BTreeMap::new(),
             snapshots: BTreeMap::new(),
             valid_len: 0,
             frames: 0,
         };
-        let mut saw_header = false;
+        let mut header_pop_size = None;
         let end = scan_text(text, |frame| match frame.record {
-            ScannedRecord::Header { fingerprint } => {
+            ScannedRecord::Header { fingerprint, pop_size } => {
                 journal.config_fingerprint = fingerprint;
-                saw_header = true;
+                header_pop_size = Some(pop_size);
             }
             ScannedRecord::Eval(entry) => {
                 journal.evals.insert((entry.run, entry.gen, entry.slot), entry);
             }
             ScannedRecord::Generation(entry) => {
                 journal.generations.insert((entry.run, entry.record.generation), entry);
+            }
+            ScannedRecord::Epoch(entry) => {
+                journal.epochs.insert((entry.run, entry.record.generation), entry);
             }
             ScannedRecord::Snapshot(entry) => {
                 journal.snapshots.insert((entry.run, entry.arrivals), entry);
@@ -1639,8 +1712,31 @@ impl Journal {
                 path.display()
             )));
         }
-        if !saw_header {
+        let Some(pop_size) = header_pop_size else {
             return Err(JournalError::new("journal has no header record"));
+        };
+        // Fold: a snapshot taken after `arrivals` arrivals stands on the
+        // `arrivals / pop_size` epochs closed before it, each journaled once
+        // as its own record (always ahead of the snapshot in the file).
+        for (&(run, arrivals), snapshot) in &mut journal.snapshots {
+            let closed = arrivals.checked_div(pop_size).ok_or_else(|| {
+                JournalError::new("snapshot in a journal whose header says pop_size 0")
+            })?;
+            let stands_on = (0..closed)
+                .map(|epoch| {
+                    journal.epochs.get(&(run, epoch)).ok_or_else(|| {
+                        JournalError::new(format!(
+                            "{}: the snapshot of run {run} at {arrivals} arrivals stands on \
+                             {closed} closed epochs, but the journal has no boundary record for \
+                             (run {run}, epoch {epoch})",
+                            path.display()
+                        ))
+                    })
+                })
+                .collect::<Result<Vec<&EpochEntry>, _>>()?;
+            snapshot.history = stands_on.iter().map(|e| e.record.clone()).collect();
+            snapshot.epoch_reports = stands_on.iter().map(|e| e.report.clone()).collect();
+            snapshot.status_rows = stands_on.iter().map(|e| e.status.clone()).collect();
         }
         journal.valid_len = end.valid_len;
         journal.frames = end.frames;
@@ -1650,6 +1746,12 @@ impl Journal {
     /// The latest journaled snapshot of one run, if any.
     pub fn last_snapshot_for(&self, run: usize) -> Option<&SnapshotEntry> {
         self.snapshots.range((run, 0)..=(run, usize::MAX)).next_back().map(|(_, s)| s)
+    }
+
+    /// How many of one run's steady-state epochs are journaled, counting
+    /// from epoch 0 without a gap.
+    pub fn epochs_for(&self, run: usize) -> usize {
+        (0..).take_while(|&epoch| self.epochs.contains_key(&(run, epoch))).count()
     }
 
     /// Reject the journal if it was written under a different campaign
@@ -1667,11 +1769,16 @@ impl Journal {
     }
 
     /// The replay map for one run: journaled evaluations keyed
-    /// `(generation, slot)`.
-    pub fn replay_for(&self, run: usize) -> HashMap<(usize, usize), EvalEntry> {
+    /// `(generation, slot)`. Steady-state evaluations that arrived before
+    /// `since_arrival` — the restored snapshot's — are left out.
+    pub fn replay_for(
+        &self,
+        run: usize,
+        since_arrival: usize,
+    ) -> HashMap<(usize, usize), EvalEntry> {
         self.evals
             .values()
-            .filter(|e| e.run == run)
+            .filter(|e| e.run == run && e.arrival.is_none_or(|a| a >= since_arrival))
             .map(|e| ((e.gen, e.slot), e.clone()))
             .collect()
     }
@@ -1757,7 +1864,8 @@ pub struct VerifyReport {
     pub frames: u64,
     /// Evaluation records among them.
     pub evals: u64,
-    /// Generation-boundary records among them.
+    /// Boundary records among them: generational `generation` records and
+    /// steady-state `epoch` records.
     pub generations: u64,
     /// Snapshot records among them.
     pub snapshots: u64,
@@ -1790,7 +1898,7 @@ pub fn verify(path: &Path) -> Result<VerifyReport, JournalError> {
     let scan = scan_text(text, |frame| match frame.record {
         ScannedRecord::Header { .. } => {}
         ScannedRecord::Eval(_) => evals += 1,
-        ScannedRecord::Generation(_) => generations += 1,
+        ScannedRecord::Generation(_) | ScannedRecord::Epoch(_) => generations += 1,
         ScannedRecord::Snapshot(s) => {
             snapshots += 1;
             last_snapshot = Some((s.run, s.arrivals));
@@ -1822,14 +1930,15 @@ pub struct CompactReport {
 }
 
 /// Rewrite a journal down to what resume actually replays, atomically
-/// (temp file + rename). Steady-state journals keep, per run, the last
-/// snapshot and the arrival suffix at or after it; generational journals
-/// keep every generation boundary (each one doubles as that mode's
-/// snapshot, and resume needs the full history) plus the evaluations after
-/// the last boundary. Original payload bytes are re-emitted verbatim under
-/// fresh frame sequence numbers, so nothing drifts through
-/// re-serialisation. Refuses damaged files (salvage first) and torn tails
-/// are dropped.
+/// (temp file + rename). Every boundary record is kept, in order — resume
+/// needs the full history in either mode: generational `generation` records
+/// (each doubles as that mode's snapshot), steady-state `epoch` records (the
+/// last snapshot's history is folded from them). After them come, per run,
+/// the evaluations no boundary covers yet: generational, those after the
+/// last boundary; steady-state, the last snapshot and the arrival suffix at
+/// or after it. Original payload bytes are re-emitted verbatim under fresh
+/// frame sequence numbers, so nothing drifts through re-serialisation.
+/// Refuses damaged files (salvage first) and torn tails are dropped.
 pub fn compact(path: &Path) -> Result<CompactReport, JournalError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| JournalError::new(format!("cannot read {}: {e}", path.display())))?;
@@ -1838,7 +1947,8 @@ pub fn compact(path: &Path) -> Result<CompactReport, JournalError> {
     enum Key {
         Header,
         Eval { run: usize, gen: usize, slot: usize, arrival: Option<usize> },
-        Generation { run: usize, generation: usize },
+        /// A `generation` or an `epoch` record.
+        Boundary { run: usize, index: usize },
         Snapshot { run: usize, arrivals: usize },
     }
     let mut frames: Vec<(Key, &str)> = Vec::new();
@@ -1849,8 +1959,9 @@ pub fn compact(path: &Path) -> Result<CompactReport, JournalError> {
                 Key::Eval { run: e.run, gen: e.gen, slot: e.slot, arrival: e.arrival }
             }
             ScannedRecord::Generation(g) => {
-                Key::Generation { run: g.run, generation: g.record.generation }
+                Key::Boundary { run: g.run, index: g.record.generation }
             }
+            ScannedRecord::Epoch(e) => Key::Boundary { run: e.run, index: e.record.generation },
             ScannedRecord::Snapshot(s) => Key::Snapshot { run: s.run, arrivals: s.arrivals },
         };
         frames.push((key, frame.payload));
@@ -1875,7 +1986,7 @@ pub fn compact(path: &Path) -> Result<CompactReport, JournalError> {
     let mut runs: Vec<usize> = frames
         .iter()
         .filter_map(|(key, _)| match key {
-            Key::Eval { run, .. } | Key::Generation { run, .. } | Key::Snapshot { run, .. } => {
+            Key::Eval { run, .. } | Key::Boundary { run, .. } | Key::Snapshot { run, .. } => {
                 Some(*run)
             }
             Key::Header => None,
@@ -1886,6 +1997,17 @@ pub fn compact(path: &Path) -> Result<CompactReport, JournalError> {
 
     let mut kept: Vec<&str> = vec![header];
     for &run in &runs {
+        // Every boundary, in order (resume reconstructs the full history
+        // from them and checks it is contiguous).
+        let mut boundaries: Vec<(usize, &str)> = frames
+            .iter()
+            .filter_map(|(key, payload)| match key {
+                Key::Boundary { run: r, index } if *r == run => Some((*index, *payload)),
+                _ => None,
+            })
+            .collect();
+        boundaries.sort_by_key(|&(index, _)| index);
+        kept.extend(boundaries.iter().map(|&(_, payload)| payload));
         if steady {
             // Last snapshot (file order == arrivals order), then the
             // arrival suffix at or after it.
@@ -1908,21 +2030,8 @@ pub fn compact(path: &Path) -> Result<CompactReport, JournalError> {
             evals.sort_by_key(|&(arrival, _)| arrival);
             kept.extend(evals.into_iter().map(|(_, payload)| payload));
         } else {
-            // Every boundary, in generation order (resume reconstructs the
-            // full history and checks contiguity), then the evaluations of
-            // the unfinished generation.
-            let mut boundaries: Vec<(usize, &str)> = frames
-                .iter()
-                .filter_map(|(key, payload)| match key {
-                    Key::Generation { run: r, generation } if *r == run => {
-                        Some((*generation, *payload))
-                    }
-                    _ => None,
-                })
-                .collect();
-            boundaries.sort_by_key(|&(generation, _)| generation);
+            // The evaluations of the unfinished generation.
             let horizon = boundaries.last().map_or(0, |&(generation, _)| generation + 1);
-            kept.extend(boundaries.iter().map(|&(_, payload)| payload));
             let mut evals: Vec<((usize, usize), &str)> = frames
                 .iter()
                 .filter_map(|(key, payload)| match key {
@@ -2471,14 +2580,27 @@ mod tests {
                 baseline_cancelled: 0,
                 baseline_exhausted: 0,
             },
-            history: vec![GenerationRecord {
-                generation: 0,
+            history: Vec::new(),
+            epoch_reports: Vec::new(),
+            epoch_failures: 2,
+            epoch_churn: (5, 3, 1),
+            epoch_sim_offset: 123.5,
+            status_rows: Vec::new(),
+        }
+    }
+
+    fn sample_epoch(run: usize, epoch: usize) -> EpochEntry {
+        EpochEntry {
+            run,
+            record: GenerationRecord {
+                generation: epoch,
                 failures: 1,
                 population: vec![evaluated(vec![1.0, 2.0], vec![0.01, 0.2])],
-            }],
-            epoch_reports: vec![PoolReport {
+            },
+            report: PoolReport {
                 makespan_minutes: 70.0,
                 per_worker_minutes: vec![70.0, 35.0],
+                worker_deaths: 4,
                 busy_minutes: vec![70.0, 35.0],
                 idle_minutes: vec![0.0, 35.0],
                 lost_death_minutes: vec![0.0, 0.0],
@@ -2486,21 +2608,18 @@ mod tests {
                 backoff_slot_minutes: vec![0.0, 0.0],
                 wall_minutes: 70.0,
                 ..PoolReport::default()
-            }],
-            epoch_failures: 2,
-            epoch_churn: (5, 3, 1),
-            epoch_sim_offset: 123.5,
-            status_rows: vec![GenStatus {
-                generation: 0,
+            },
+            status: GenStatus {
+                generation: epoch,
                 evaluations: 4,
                 hypervolume: 0.005,
                 ..GenStatus::default()
-            }],
+            },
         }
     }
 
     #[test]
-    fn snapshot_entry_round_trips_through_json() {
+    fn snapshot_and_epoch_entries_round_trip_through_json() {
         let snapshot = sample_snapshot();
         let j = snapshot.to_json();
         let back = reread(&j, SnapshotEntry::read).unwrap();
@@ -2512,72 +2631,121 @@ mod tests {
         assert_eq!(back.pending[0].0, 9);
         assert_eq!(back.pending[0].1.genome, vec![3.0, 4.0]);
         assert_eq!(back.slots, snapshot.slots);
-        assert_eq!(back.history.len(), 1);
         assert_eq!(back.epoch_churn, (5, 3, 1));
         assert_eq!(back.epoch_sim_offset, 123.5);
-        assert_eq!(back.status_rows, snapshot.status_rows);
         // Serialize → parse → serialize is a fixed point.
+        assert_eq!(back.to_json().to_compact(), j.to_compact());
+
+        // What a snapshot knows of closed epochs is folded in by `load`,
+        // never journaled in it.
+        let folded = SnapshotEntry {
+            history: vec![sample_epoch(1, 0).record],
+            epoch_reports: vec![sample_epoch(1, 0).report],
+            status_rows: vec![sample_epoch(1, 0).status],
+            ..snapshot.clone()
+        };
+        assert_eq!(folded.to_json().to_compact(), j.to_compact());
+
+        let epoch = sample_epoch(1, 3);
+        let j = epoch.to_json();
+        let back = reread(&j, EpochEntry::read).unwrap();
+        assert_eq!((back.run, back.record.generation, back.record.failures), (1, 3, 1));
+        assert_eq!(back.record.population.len(), 1);
+        assert_eq!(back.report.busy_minutes, epoch.report.busy_minutes);
+        assert_eq!(back.status, epoch.status);
         assert_eq!(back.to_json().to_compact(), j.to_compact());
     }
 
+    /// A steady journal under the smoke header (population 4), run 0: the
+    /// listed records in order.
+    fn write_steady(path: &Path, records: &[ScannedRecord]) {
+        let mut writer = JournalWriter::create(path, &ExperimentConfig::smoke()).unwrap();
+        for record in records {
+            match record {
+                ScannedRecord::Eval(e) => writer.append_eval(e),
+                ScannedRecord::Epoch(e) => writer.append_epoch(e),
+                ScannedRecord::Snapshot(s) => writer.append_snapshot(s),
+                _ => unreachable!("steady journals hold evals, epochs and snapshots"),
+            }
+            .unwrap();
+        }
+    }
+
+    fn steady_eval(arrival: usize) -> ScannedRecord {
+        ScannedRecord::Eval(EvalEntry { slot: arrival, arrival: Some(arrival), ..sample_eval() })
+    }
+
+    fn snapshot_at(arrivals: usize) -> ScannedRecord {
+        ScannedRecord::Snapshot(SnapshotEntry { run: 0, arrivals, ..sample_snapshot() })
+    }
+
     #[test]
-    fn compact_keeps_the_last_snapshot_and_the_arrival_suffix() {
-        let config = ExperimentConfig::smoke();
+    fn load_folds_epoch_records_into_snapshots_and_names_a_missing_one() {
+        let dir = std::env::temp_dir().join(format!("dphpo-journal-fold-{}", std::process::id()));
+        let _ = std::fs::create_dir_all(&dir);
+        let path = dir.join("fold.jsonl");
+        let epoch = |e| ScannedRecord::Epoch(sample_epoch(0, e));
+        // Snapshots at an epoch boundary, mid-epoch, and before any epoch
+        // closed; epoch 2 is journaled after the last snapshot.
+        let mut records = vec![steady_eval(0), snapshot_at(1)];
+        records.extend((1..4).map(steady_eval));
+        records.extend([epoch(0), snapshot_at(4)]);
+        records.extend((4..8).map(steady_eval));
+        records.extend([epoch(1), steady_eval(8), snapshot_at(9)]);
+        records.extend((9..12).map(steady_eval));
+        records.push(epoch(2));
+        write_steady(&path, &records);
+        let journal = Journal::load(&path).unwrap();
+        assert_eq!(journal.epochs.len(), 3);
+        assert_eq!(journal.epochs_for(0), 3);
+        assert_eq!(journal.epochs_for(1), 0);
+        for (arrivals, closed) in [(1, 0), (4, 1), (9, 2)] {
+            let snapshot = &journal.snapshots[&(0, arrivals)];
+            let epochs: Vec<usize> = snapshot.history.iter().map(|r| r.generation).collect();
+            assert_eq!(epochs, (0..closed).collect::<Vec<_>>(), "snapshot at {arrivals}");
+            assert_eq!(snapshot.epoch_reports.len(), closed);
+            let rows: Vec<usize> = snapshot.status_rows.iter().map(|r| r.generation).collect();
+            assert_eq!(rows, epochs);
+        }
+        let report = verify(&path).unwrap();
+        assert_eq!((report.evals, report.generations, report.snapshots), (12, 3, 3));
+        assert_eq!(report.frames, 1 + 12 + 3 + 3);
+
+        // A snapshot standing on an epoch the journal never recorded: every
+        // frame is intact, so this is `load`'s to refuse — by name.
+        write_steady(&path, &[epoch(0), snapshot_at(8)]);
+        assert!(!verify(&path).unwrap().damaged());
+        let err = Journal::load(&path).unwrap_err();
+        assert!(err.message.contains("(run 0, epoch 1)"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn compact_keeps_epoch_records_the_last_snapshot_and_the_arrival_suffix() {
         let dir =
             std::env::temp_dir().join(format!("dphpo-journal-compact-{}", std::process::id()));
         let _ = std::fs::create_dir_all(&dir);
         let path = dir.join("compact.jsonl");
-        let steady_eval = |arrival: usize| EvalEntry {
-            slot: arrival,
-            arrival: Some(arrival),
-            ..sample_eval()
-        };
-        let snapshot = |arrivals: usize| SnapshotEntry {
-            run: 0,
-            arrivals,
-            submitted: arrivals,
-            std: vec![0.1],
-            population: Vec::new(),
-            pending: Vec::new(),
-            archive: Vec::new(),
-            slots: StreamSlotsState {
-                busy: vec![0.0],
-                lost: vec![0.0],
-                backoff: vec![0.0],
-                baseline_busy: vec![0.0],
-                baseline_lost: vec![0.0],
-                baseline_backoff: vec![0.0],
-                ..StreamSlotsState::default()
-            },
-            history: Vec::new(),
-            epoch_reports: Vec::new(),
-            epoch_failures: 0,
-            epoch_churn: (0, 0, 0),
-            epoch_sim_offset: 0.0,
-            status_rows: Vec::new(),
-        };
-        {
-            let mut writer = JournalWriter::create(&path, &config).unwrap();
-            for arrival in 0..4 {
-                writer.append_eval(&steady_eval(arrival)).unwrap();
-            }
-            writer.append_snapshot(&snapshot(4)).unwrap();
-            for arrival in 4..6 {
-                writer.append_eval(&steady_eval(arrival)).unwrap();
-            }
-        }
+        let mut records: Vec<ScannedRecord> = (0..4).map(steady_eval).collect();
+        records.extend([ScannedRecord::Epoch(sample_epoch(0, 0)), snapshot_at(4)]);
+        records.extend((4..8).map(steady_eval));
+        records.extend([ScannedRecord::Epoch(sample_epoch(0, 1)), snapshot_at(8)]);
+        records.extend((8..10).map(steady_eval));
+        write_steady(&path, &records);
         let before = verify(&path).unwrap();
-        assert_eq!(before.frames, 8);
+        assert_eq!(before.frames, 15);
         let report = compact(&path).unwrap();
-        assert_eq!(report.frames_before, 8);
-        // header + snapshot + 2 suffix evals
-        assert_eq!(report.frames_after, 4);
+        assert_eq!(report.frames_before, 15);
+        // header + both epoch records + the last snapshot + 2 suffix evals
+        assert_eq!(report.frames_after, 6);
         assert!(report.bytes_after < report.bytes_before);
         let journal = Journal::load(&path).unwrap();
-        assert_eq!(journal.frames, 4);
+        assert_eq!(journal.frames, 6);
         assert_eq!(journal.evals.len(), 2);
-        assert_eq!(journal.last_snapshot_for(0).unwrap().arrivals, 4);
-        assert!(journal.evals.values().all(|e| e.arrival.unwrap() >= 4));
+        let snapshot = journal.last_snapshot_for(0).unwrap();
+        assert_eq!((snapshot.arrivals, snapshot.history.len()), (8, 2));
+        assert_eq!(journal.snapshots.len(), 1);
+        assert!(journal.evals.values().all(|e| e.arrival.unwrap() >= 8));
         // Compaction is idempotent.
         let again = compact(&path).unwrap();
         assert_eq!(again.frames_after, again.frames_before);
@@ -2732,12 +2900,13 @@ mod tests {
             .to_compact();
         let generation = sample_generation().to_json().to_compact();
         let snapshot = sample_snapshot().to_json().to_compact();
-        for clean in [&eval, &generation, &snapshot] {
+        let epoch = sample_epoch(1, 3).to_json().to_compact();
+        for clean in [&eval, &generation, &snapshot, &epoch] {
             typed_record(clean, false).unwrap_or_else(|e| panic!("{e}\n{clean}"));
         }
         // (record, what the writer wrote, what a damaged file says instead,
         //  what the error must name)
-        let cases: [(&str, &str, &str, &str); 25] = [
+        let cases: [(&str, &str, &str, &str); 31] = [
             // (a) A literal that overflows f64 is not an infinity.
             (&eval, "\"minutes\":0.1", "\"minutes\":1e999", "out of range"),
             (&eval, "\"genome\":[1,2]", "\"genome\":[1,-1e999]", "out of range"),
@@ -2760,12 +2929,20 @@ mod tests {
             (&snapshot, "\"epoch_churn\":[5,3,1]", "\"epoch_churn\":[5,3.5,1]", "'epoch_churn'"),
             (&snapshot, "\"base_timeout\":1", "\"base_timeout\":-1", "'base_timeout'"),
             (&snapshot, "\"pending\":[[9,", "\"pending\":[[9.5,", "'pending submission'"),
+            (&epoch, "\"gen\":3", "\"gen\":3.5", "'gen'"),
+            (&epoch, "\"deaths\":4", "\"deaths\":-4", "'deaths'"),
             // (c) No key twice — at any level of a record.
             (&eval, "\"run\":0", "\"run\":0,\"run\":0", "duplicate key 'run'"),
             (&eval, ",\"type\":\"eval\"", ",\"type\":\"eval\",\"type\":\"eval\"", "key 'type'"),
             (&generation, "\"deaths\":4", "\"deaths\":4,\"deaths\":4", "duplicate key 'deaths'"),
             (&generation, "\"rank\":1", "\"rank\":1,\"rank\":1", "duplicate key 'rank'"),
-            (&snapshot, "\"evicted\":0", "\"evicted\":0,\"evicted\":0", "duplicate key"),
+            (&epoch, "\"evicted\":0", "\"evicted\":0,\"evicted\":0", "duplicate key"),
+            (&epoch, "\"run\":1", "\"run\":1,\"run\":1", "duplicate key 'run'"),
+            // (d) A snapshot of an older build, with every closed epoch
+            // inline: refused by field, not resumed from an empty history.
+            (&snapshot, "\"pending\":", "\"history\":[],\"pending\":", "inline 'history'"),
+            (&snapshot, "\"pending\":", "\"epoch_reports\":[{}],\"pending\":", "'epoch_reports'"),
+            (&snapshot, "\"std\":", "\"status_rows\":[],\"std\":", "inline 'status_rows'"),
         ];
         for (record, written, damaged, names) in cases {
             assert!(record.contains(written), "{written} is not in {record}");

@@ -53,7 +53,7 @@ pub use experiment::{
     Campaign, CampaignMode, ExperimentConfig, ExperimentError, ExperimentResult,
 };
 pub use journal::{
-    compact, crc32, frame_line, parse_frame, salvage, verify, CompactReport, Journal,
+    compact, crc32, frame_line, parse_frame, salvage, verify, CompactReport, EpochEntry, Journal,
     JournalError, JournalWriter, SalvageReport, SnapshotEntry, VerifyReport, FRAME_PREFIX_LEN,
 };
 pub use representation::DeepMDRepresentation;

@@ -58,6 +58,14 @@
 //! accounting into a per-epoch [`PoolReport`], and publish an observatory
 //! row — so the status surface and telemetry rollups are keyed by arrival
 //! window and comparable, column for column, with a generational campaign.
+//! The three are journaled together, once, as the epoch's boundary record
+//! ([`EpochEntry`]) the moment the closing arrival has been processed —
+//! mid-window, like the evaluation records around it and for the same
+//! reason it is safe for them: the record is a pure function of the
+//! journaled arrivals before it, a chaos kill at arrival *k* decides exactly
+//! whether it reached disk, and a resumed driver that re-closes the epoch
+//! while replaying the suffix appends it if and only if it is missing. The
+//! window-boundary snapshots therefore carry live state only.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -72,9 +80,10 @@ use dphpo_evo::{ArchiveChurn, Individual, ParetoArchive};
 use dphpo_hpc::{PoolReport, Stream, StreamSlots, StreamTaskReport};
 use dphpo_obs::{cats, names, Event, When};
 
+use crate::campaign_report::generation_row;
 use crate::ea::{fitness_or_penalty, EvalJob, RunEnv};
 use crate::experiment::{archive_from_members, ExperimentError};
-use crate::journal::SnapshotEntry;
+use crate::journal::{EpochEntry, SnapshotEntry};
 use crate::workflow::{derive_seed, estimated_minutes, stable_id, EvalRecord};
 
 /// Salt separating the steady-state breeding RNG domain from the training
@@ -318,7 +327,8 @@ pub(crate) fn drive_steady_run(
                 submitted += 1;
             }
 
-            // Epoch boundary: snapshot, slice the accounting, publish.
+            // Epoch boundary: snapshot the population, slice the
+            // accounting, journal the boundary, publish.
             if steady.arrivals().is_multiple_of(config.pop_size) {
                 let epoch = steady.arrivals() / config.pop_size - 1;
                 let record = GenerationRecord {
@@ -326,11 +336,25 @@ pub(crate) fn drive_steady_run(
                     failures: epoch_failures,
                     population: steady.population().to_vec(),
                 };
-                let epoch_report = slots.epoch_report();
-                env.publish_boundary(&record, &archive, epoch_churn, &epoch_report, epoch_sim_offset)?;
-                epoch_sim_offset += epoch_report.makespan_minutes;
+                let report = slots.epoch_report();
+                let status = generation_row(&record, &archive, epoch_churn, &report);
+                let boundary = EpochEntry { run: run_idx, record, report, status };
+                // Journaled like an evaluation: by a live driver, and only
+                // if a previous process has not journaled it already.
+                if let Some(sink) = &env.journal {
+                    if epoch >= sink.epochs
+                        && env.faults.driver_alive()
+                        && sink.writer.borrow_mut().append_epoch(&boundary).is_err()
+                    {
+                        env.faults.declare_dead();
+                        return Err(env.interrupted());
+                    }
+                }
+                let EpochEntry { record, report, status, .. } = boundary;
+                env.publish_boundary(&record, status, epoch_churn, &report, epoch_sim_offset)?;
+                epoch_sim_offset += report.makespan_minutes;
                 history.push(record);
-                epoch_reports.push(epoch_report);
+                epoch_reports.push(report);
                 epoch_failures = 0;
                 epoch_churn = ArchiveChurn::default();
                 if let Some(cb) = progress.as_deref_mut() {
@@ -340,12 +364,14 @@ pub(crate) fn drive_steady_run(
         }
 
         // Window boundary: when the snapshot cadence has been crossed since
-        // the last snapshot, append a self-contained snapshot record so a
-        // later resume replays only the arrival suffix after it. Snapshots
-        // are written at window ends only — a chaos kill always lands
-        // mid-window, so a killed journal carries exactly the snapshots an
-        // uninterrupted run writes at those same boundaries, and kill+resume
-        // stays byte-identical. A dead driver writes nothing, like any
+        // the last snapshot, append a snapshot of the live state so a later
+        // resume replays only the arrival suffix after it (the closed
+        // epochs it stands on are already journaled, one record each, and
+        // `Journal::load` folds them back into it). Snapshots are written
+        // at window ends only — a chaos kill always lands mid-window, so a
+        // killed journal carries exactly the snapshots an uninterrupted run
+        // writes at those same boundaries, and kill+resume stays
+        // byte-identical. A dead driver writes nothing, like any
         // other record.
         if let Some(sink) = &env.journal {
             let arrived = steady.arrivals();
@@ -360,19 +386,12 @@ pub(crate) fn drive_steady_run(
                     pending: pending.iter().cloned().collect(),
                     archive: archive.members().to_vec(),
                     slots: slots.state(),
-                    history: history.clone(),
-                    epoch_reports: epoch_reports.clone(),
+                    history: Vec::new(),
+                    epoch_reports: Vec::new(),
                     epoch_failures,
                     epoch_churn: (epoch_churn.offered, epoch_churn.added, epoch_churn.evicted),
                     epoch_sim_offset,
-                    status_rows: env
-                        .status
-                        .status
-                        .runs
-                        .iter()
-                        .find(|r| r.run == run_idx)
-                        .map(|r| r.generations.clone())
-                        .unwrap_or_default(),
+                    status_rows: Vec::new(),
                 };
                 if sink.writer.borrow_mut().append_snapshot(&snap).is_err() {
                     env.faults.declare_dead();

@@ -2,15 +2,15 @@
 //! the scan reads it: `to_json().to_compact()` → [`Reader`] → struct →
 //! `to_json().to_compact()` must be a fixed point with every field
 //! bit-equal, for randomly generated individuals, fitness vectors, RNG
-//! states and whole eval / generation / snapshot records, and for every
-//! frame of the two checked-in campaign journals.
+//! states and whole eval / generation / epoch / snapshot records, and for
+//! every frame of the two checked-in campaign journals.
 
 use std::path::Path;
 
 use dphpo_core::campaign_report::GenStatus;
 use dphpo_core::journal::{
     fitness_to_json, individual_to_json, read_fitness, read_individual, read_rng_state,
-    rng_state_to_json, EvalEntry, FaultKind, GenEntry, JournalError, SnapshotEntry,
+    rng_state_to_json, EpochEntry, EvalEntry, FaultKind, GenEntry, JournalError, SnapshotEntry,
 };
 use dphpo_core::parse_frame;
 use dphpo_dnnp::json::Reader;
@@ -188,26 +188,44 @@ fn wild_generation() -> impl Strategy<Value = GenEntry> {
         })
 }
 
-/// Snapshots with an empty or a populated resubmission queue (`pending`),
-/// history, epoch reports and status rows.
+/// Epoch boundary records: a generation record, its scheduler report and
+/// its status row.
+fn wild_epoch() -> impl Strategy<Value = EpochEntry> {
+    (0usize..5, wild_generation_record(), wild_report(), (wild_f64(), 0usize..900)).prop_map(
+        |(run, record, report, (hypervolume, evaluations))| EpochEntry {
+            run,
+            status: GenStatus {
+                generation: record.generation,
+                evaluations,
+                failures: record.failures,
+                hypervolume: hypervolume.abs(),
+                makespan_minutes: report.makespan_minutes,
+                deaths: report.worker_deaths,
+                ..GenStatus::default()
+            },
+            record,
+            report,
+        },
+    )
+}
+
+/// Snapshots with an empty or a populated resubmission queue (`pending`).
+/// The per-epoch history is not part of the journaled record (`load` folds
+/// it in from the epoch records), so it is left empty here.
 fn wild_snapshot() -> impl Strategy<Value = SnapshotEntry> {
     let people = (
         prop::collection::vec(wild_individual(), 0..3),
         prop::collection::vec((0usize..900, wild_individual()), 0..3),
         prop::collection::vec(wild_individual(), 0..3),
     );
-    let epochs = (
-        prop::collection::vec(wild_generation_record(), 0..3),
-        prop::collection::vec(wild_report(), 0..3),
-        (0usize..9, 0usize..9, 0usize..9),
-    );
     let counts = (0usize..5, 0usize..900, 0usize..900, 0usize..7);
-    (counts, wild_vec(7), people, epochs, (wild_vec(2), wild_f64())).prop_map(
+    let churn = (0usize..9, 0usize..9, 0usize..9);
+    (counts, wild_vec(7), people, churn, (wild_vec(2), wild_f64())).prop_map(
         |(
             (run, arrivals, submitted, epoch_failures),
             std,
             (population, pending, archive),
-            (history, epoch_reports, epoch_churn),
+            epoch_churn,
             (slot_minutes, epoch_sim_offset),
         )| SnapshotEntry {
             run,
@@ -237,18 +255,9 @@ fn wild_snapshot() -> impl Strategy<Value = SnapshotEntry> {
                 baseline_cancelled: 0,
                 baseline_exhausted: 3,
             },
-            status_rows: history
-                .iter()
-                .map(|record| GenStatus {
-                    generation: record.generation,
-                    evaluations: arrivals,
-                    failures: record.failures,
-                    hypervolume: epoch_sim_offset.abs(),
-                    ..GenStatus::default()
-                })
-                .collect(),
-            history,
-            epoch_reports,
+            history: Vec::new(),
+            epoch_reports: Vec::new(),
+            status_rows: Vec::new(),
             epoch_failures,
             epoch_churn,
             epoch_sim_offset,
@@ -360,7 +369,20 @@ proptest! {
         }
         prop_assert_eq!(&back.slots, &entry.slots);
         prop_assert_eq!(back.epoch_churn, entry.epoch_churn);
-        prop_assert_eq!(&back.status_rows, &entry.status_rows);
+        prop_assert_eq!(back.to_json().to_compact(), text);
+    }
+
+    #[test]
+    fn random_epoch_records_round_trip_bit_exactly(entry in wild_epoch()) {
+        let text = entry.to_json().to_compact();
+        let back = decode(&text, EpochEntry::read).unwrap_or_else(|e| panic!("{e}\n{text}"));
+        prop_assert_eq!(back.run, entry.run);
+        prop_assert_eq!(back.record.generation, entry.record.generation);
+        prop_assert_eq!(back.record.failures, entry.record.failures);
+        prop_assert_eq!(back.record.population.len(), entry.record.population.len());
+        prop_assert!(same_bits(back.report.makespan_minutes, entry.report.makespan_minutes));
+        prop_assert_eq!(&back.report.busy_minutes, &entry.report.busy_minutes);
+        prop_assert_eq!(&back.status, &entry.status);
         prop_assert_eq!(back.to_json().to_compact(), text);
     }
 }
@@ -415,8 +437,8 @@ fn every_proper_prefix_of_a_real_payload_is_an_error() {
             text.lines().enumerate().find(|(_, line)| line.ends_with(&tail)).expect(kind);
         parse_frame(line, seq as u64).unwrap().to_string()
     };
-    let snapshot = wild_snapshot().generate(&mut StdRng::seed_from_u64(7)).to_json().to_compact();
-    for payload in [payload_of("eval"), payload_of("generation"), snapshot] {
+    let (snapshot, epoch) = steady_payloads(7);
+    for payload in [payload_of("eval"), payload_of("generation"), snapshot, epoch] {
         assert!(payload.is_ascii());
         for cut in 0..payload.len() {
             let prefix = &payload[..cut];
@@ -424,6 +446,50 @@ fn every_proper_prefix_of_a_real_payload_is_an_error() {
             assert!(decode(prefix, EvalEntry::read).is_err(), "eval: {prefix}");
             assert!(decode(prefix, GenEntry::read).is_err(), "generation: {prefix}");
             assert!(decode(prefix, SnapshotEntry::read).is_err(), "snapshot: {prefix}");
+            assert!(decode(prefix, EpochEntry::read).is_err(), "epoch: {prefix}");
+        }
+    }
+}
+
+/// One generated snapshot payload and one generated epoch payload.
+fn steady_payloads(seed: u64) -> (String, String) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (
+        wild_snapshot().generate(&mut rng).to_json().to_compact(),
+        wild_epoch().generate(&mut rng).to_json().to_compact(),
+    )
+}
+
+/// A flipped byte inside a steady-state payload (in a file the frame's CRC
+/// catches it first) never panics a decoder, and whatever still decodes is a
+/// record: rendering it and decoding that again is a fixed point.
+#[test]
+fn every_byte_flip_of_a_steady_payload_is_an_error_or_a_record() {
+    fn settle<T>(
+        damaged: &str,
+        read: impl Fn(&mut Reader<'_>) -> Result<T, JournalError>,
+        render: impl Fn(&T) -> Json,
+    ) {
+        if let Ok(record) = decode(damaged, &read) {
+            let text = render(&record).to_compact();
+            let again = decode(&text, &read).unwrap_or_else(|e| panic!("{e}\n{text}"));
+            assert_eq!(render(&again).to_compact(), text, "from {damaged}");
+        }
+    }
+    for seed in [7, 8, 9] {
+        let (snapshot, epoch) = steady_payloads(seed);
+        for payload in [snapshot, epoch] {
+            let mut bytes = payload.into_bytes();
+            for at in 0..bytes.len() {
+                for mask in [0x01, 0x04, 0x20] {
+                    bytes[at] ^= mask;
+                    if let Ok(damaged) = std::str::from_utf8(&bytes) {
+                        settle(damaged, SnapshotEntry::read, SnapshotEntry::to_json);
+                        settle(damaged, EpochEntry::read, EpochEntry::to_json);
+                    }
+                    bytes[at] ^= mask;
+                }
+            }
         }
     }
 }

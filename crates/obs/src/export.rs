@@ -49,7 +49,10 @@ fn event_line(e: &Event) -> String {
 /// then `counter`/`gauge`/`hist` lines sorted by name. Events and metrics
 /// whose name starts with `side.` — wall-clock readings, journal byte
 /// offsets, racy scheduler state — are **excluded**; use
-/// [`side_channel_jsonl`] for those.
+/// [`side_channel_jsonl`] for those. A gauge line carries the high-water
+/// mark only: `max` is the same whichever thread set the gauge when, while
+/// `last` is whichever worker thread wrote last, so it goes to the side
+/// channel with the rest of what depends on thread interleaving.
 pub fn events_jsonl(snap: &TelemetrySnapshot) -> String {
     let mut out = String::new();
     for e in &snap.events {
@@ -70,9 +73,8 @@ pub fn events_jsonl(snap: &TelemetrySnapshot) -> String {
             continue;
         }
         out.push_str(&format!(
-            "{{\"type\":\"gauge\",\"name\":\"{}\",\"last\":{},\"max\":{}}}\n",
+            "{{\"type\":\"gauge\",\"name\":\"{}\",\"max\":{}}}\n",
             escape(name),
-            fmt_num(g.last),
             fmt_num(g.max)
         ));
     }
@@ -101,8 +103,9 @@ fn hist_line(name: &str, h: &crate::metrics::HistogramSnapshot) -> String {
 
 /// Non-deterministic side channel: `side.*` events (e.g. journal byte
 /// offsets), wall-clock stamps per event (when the recorder captured them),
-/// and `side.*` metrics. Kept out of [`events_jsonl`] so the deterministic
-/// export stays bit-identical across runs.
+/// `side.*` metrics, and every gauge's `last` value. Kept out of
+/// [`events_jsonl`] so the deterministic export stays bit-identical across
+/// runs.
 ///
 /// The export ends with a summary block — one `{"type":"summary",...}` line
 /// per event name carrying wall stamps (count, first/last stamp) and one
@@ -131,14 +134,18 @@ pub fn side_channel_jsonl(snap: &TelemetrySnapshot) -> String {
         }
     }
     for (name, g) in &snap.gauges {
-        if name.starts_with(SIDE_PREFIX) {
-            out.push_str(&format!(
-                "{{\"type\":\"gauge\",\"name\":\"{}\",\"last\":{},\"max\":{}}}\n",
-                escape(name),
-                fmt_num(g.last),
-                fmt_num(g.max)
-            ));
-        }
+        // `side.*` gauges appear nowhere else, so theirs is the whole line;
+        // the others' `max` is in the deterministic export.
+        let max = if name.starts_with(SIDE_PREFIX) {
+            format!(",\"max\":{}", fmt_num(g.max))
+        } else {
+            String::new()
+        };
+        out.push_str(&format!(
+            "{{\"type\":\"gauge\",\"name\":\"{}\",\"last\":{}{max}}}\n",
+            escape(name),
+            fmt_num(g.last)
+        ));
     }
     for (name, h) in &snap.histograms {
         if name.starts_with(SIDE_PREFIX) {
@@ -219,6 +226,8 @@ mod tests {
         r.observe(names::H_STEP_WALL_NS, 123.0);
         r.observe(names::H_LOSS, 0.5);
         r.gauge_set(names::G_QUARANTINED, 1.0);
+        r.gauge_set(names::G_TAPE_NODES, 9.0);
+        r.gauge_set(names::G_TAPE_NODES, 5.0);
         let mut append =
             Event::instant(names::JOURNAL_APPEND, cats::JOURNAL, SpanCtx::root(7, 0));
         append.args = vec![("offset", 512.0)];
@@ -230,6 +239,12 @@ mod tests {
         let side = side_channel_jsonl(&snap);
         assert!(side.contains(names::H_STEP_WALL_NS));
         assert!(side.contains(names::G_QUARANTINED));
+        // A gauge's high-water mark is deterministic; its last value is
+        // whichever thread wrote last, so only the side channel has it.
+        assert!(det.contains("\"name\":\"tape.nodes\",\"max\":9}"), "{det}");
+        assert!(!det.contains("\"last\""));
+        assert!(side.contains("\"name\":\"tape.nodes\",\"last\":5}"), "{side}");
+        assert!(side.contains("\"last\":1,\"max\":1}"), "{side}");
         assert!(side.contains(names::JOURNAL_APPEND));
         assert!(side.contains("\"offset\":512"));
         assert!(!side.contains("\"train.loss\""));

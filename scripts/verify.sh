@@ -35,7 +35,13 @@
 #                                    seeded fault-plan sweep (CHAOS_SEEDS
 #                                    io-fault seeds per mode, default 2;
 #                                    CORRUPT_STRIDE / SALVAGE_STRIDE tighten
-#                                    the offset grid, 1 = exhaustive)
+#                                    the offset grid, 1 = exhaustive); and
+#                                    the steady journal's growth guard:
+#                                    snapshots stay flat over seven epochs,
+#                                    one boundary record per (run, epoch),
+#                                    kills around every epoch close resume
+#                                    byte-identically, compact + resume
+#                                    reproduces the populations
 #   9. profile identity            — profiling on/off leaves every campaign
 #                                    artifact byte-identical, and the
 #                                    profile artifacts themselves are
@@ -151,6 +157,8 @@ echo "==> [8/11] corruption & salvage matrix (CHAOS_SEEDS=${CHAOS_SEEDS})"
 CHAOS_SEEDS="${CHAOS_SEEDS}" cargo test -q -p dphpo-core --test corruption_matrix
 echo "    frame-format property tests"
 cargo test -q -p dphpo-core --test journal_frames
+echo "    steady-state epoch records: growth guard, boundary kills, compaction"
+cargo test -q -p dphpo-core --test steady_epoch_journal
 
 echo "==> [9/11] profile identity (profiling on/off, kill+resume, both modes)"
 cargo test -q -p dphpo-core --test profile_identity
