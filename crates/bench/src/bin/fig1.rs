@@ -3,14 +3,15 @@
 //! accounting (total trainings, failures per generation, grid-search
 //! comparison).
 //!
-//! This is the binary that *runs the experiment* and caches the snapshot
-//! (`results/experiment.json`) that `fig2_table2`, `fig3`, and `table3`
-//! reuse. Pass `--smoke` for a fast test-scale run.
+//! This is the binary that *runs the experiment*. Pass `--smoke` for a fast
+//! test-scale run.
 //!
 //! Every campaign is journaled to `results/experiment.journal.jsonl`
-//! (write-ahead, one JSONL record per completed evaluation or generation).
-//! If the run is killed, pass `--resume <journal>` to replay the journaled
-//! work and continue to a bit-identical result instead of retraining.
+//! (write-ahead, one JSONL record per completed evaluation or generation) —
+//! the campaign's one persisted form, which `fig2_table2`, `fig3`, and
+//! `table3` read their final generations from. If the run is killed, pass
+//! `--resume <journal>` to replay the journaled work and continue to a
+//! bit-identical result instead of retraining.
 //!
 //! Campaign modes (DESIGN.md §12):
 //!
@@ -33,8 +34,8 @@
 //!   wall-clock side channel next to it at `out.side.jsonl`.
 //!
 //! Either flag also appends a per-generation rollup table to the fig1
-//! report. Campaign artifacts (journal, snapshot, figures) are
-//! byte-identical with or without telemetry.
+//! report. Campaign artifacts (journal, figures) are byte-identical with or
+//! without telemetry.
 //!
 //! Profiling (off by default, deterministic): `--profile <dir>` rewrites
 //! `profile.json` (schema `dphpo-profile-v1`) and a collapsed-stack
@@ -49,8 +50,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use dphpo_bench::harness::{
-    experiment_scale, journal_path, results_dir, run_and_report, save_experiment, write_artifact,
-    SavedExperiment,
+    experiment_scale, journal_path, results_dir, run_and_report, write_artifact,
 };
 use dphpo_core::analysis::{ascii_level_plot, failure_breakdown_table, level_plot_csv};
 use dphpo_core::campaign_report::{counter_trace_json, markdown_report, REFERENCE_POINT};
@@ -82,41 +82,44 @@ const FLAGS: &[(&str, bool, &str)] = &[
 /// comparison measures actually exists.
 const FIXED_SLOTS: usize = 8;
 
-/// Reject any `--flag` this binary does not understand. A typo'd flag
-/// silently running the full campaign is the failure mode this prevents.
+/// Print `problem` and the flag table, then exit 2 (command-line misuse).
+fn usage_error(problem: &str) -> ! {
+    eprintln!("fig1: {problem}\n\nknown flags:");
+    for (name, takes_value, help) in FLAGS {
+        let shown = if *takes_value { format!("{name} <path>") } else { (*name).to_string() };
+        eprintln!("  {shown:<22} {help}");
+    }
+    std::process::exit(2);
+}
+
+/// Reject any `--flag` this binary does not understand, and any path flag
+/// given without its path. A typo'd flag silently running the full campaign
+/// is the failure mode this prevents.
 fn validate_flags() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
         let arg = &args[i];
         match FLAGS.iter().find(|(name, _, _)| name == arg) {
-            Some((_, takes_value, _)) => {
-                if *takes_value {
-                    i += 1; // skip the flag's path argument
+            Some((_, true, _)) => {
+                i += 1; // the flag's path argument
+                if args.get(i).is_none_or(|value| value.starts_with("--")) {
+                    usage_error(&format!("`{arg}` requires a path argument"));
                 }
             }
-            None => {
-                eprintln!("fig1: unknown flag `{arg}`\n\nknown flags:");
-                for (name, takes_value, help) in FLAGS {
-                    let shown = if *takes_value { format!("{name} <path>") } else { (*name).to_string() };
-                    eprintln!("  {shown:<22} {help}");
-                }
-                std::process::exit(2);
-            }
+            Some(_) => {}
+            None => usage_error(&format!("unknown flag `{arg}`")),
         }
         i += 1;
     }
 }
 
-/// The path following `flag`, when present.
+/// The path following `flag`, when present ([`validate_flags`] has already
+/// refused a path flag without one).
 fn path_arg(flag: &str) -> Option<PathBuf> {
     let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == flag).map(|i| {
-        PathBuf::from(
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("{flag} requires a path argument")),
-        )
-    })
+    let i = args.iter().position(|a| a == flag)?;
+    args.get(i + 1).map(PathBuf::from)
 }
 
 /// The journal to resume from, when `--resume <path>` was passed.
@@ -387,14 +390,6 @@ fn main() {
         campaign = campaign.profile_dir(dir);
     }
     let result = run_and_report(campaign);
-    if steady {
-        write_artifact(
-            "steady_experiment.json",
-            &SavedExperiment::from_result(&result).to_json_string(),
-        );
-    } else {
-        save_experiment(&result);
-    }
 
     // CSV of every individual of every generation (the raw level-plot data).
     let csv = level_plot_csv(&result);

@@ -11,35 +11,34 @@
 //! the history entries of the same schema family: per-row delta against
 //! the history median, a MAD jitter bar, and a verdict — `ok`,
 //! `REGRESSION` (a timing row more than 15% above its median), `new`
-//! (no history yet), or `info` (non-timing rows, never gated). This
-//! generalizes `bench_baseline.sh --check` to the hotpath, obs, and any
-//! future schema at once: a snapshot's kind derives from its `schema` tag,
-//! so new benchmark families join the gate without code changes.
+//! (no history yet), or `info` (non-timing rows, never gated). One gate
+//! for the hotpath, obs, and any future schema: a snapshot's kind derives
+//! from its `schema` tag, so new benchmark families join it without code
+//! changes.
 //!
 //! `--check` exits 1 when any row regressed (`scripts/perf_history.sh`
-//! wires this behind `BENCH_CHECK=1`). `--append` appends each snapshot to
-//! the history file *after* diffing, growing the trajectory one measured
-//! point per run.
+//! runs it over the checked-in snapshots and `bench_baseline.sh --check`
+//! over a fresh quick measurement, both behind `BENCH_CHECK=1`). `--append`
+//! appends each snapshot to the history file *after* diffing, growing the
+//! trajectory one measured point per run.
 
 use std::path::PathBuf;
 
 use dphpo_bench::history::{self, Verdict};
 use dphpo_dnnp::json::Json;
 
-fn path_arg(args: &[String], flag: &str) -> Option<PathBuf> {
-    args.iter().position(|a| a == flag).map(|i| {
-        PathBuf::from(
-            args.get(i + 1).unwrap_or_else(|| panic!("{flag} requires a path argument")),
-        )
-    })
+/// Print `problem` and the usage line, then exit 2 (command-line misuse).
+fn usage_error(problem: &str) -> ! {
+    eprintln!("perf_report: {problem}");
+    eprintln!("usage: perf_report [--history <path>] [--check] [--append] [snapshot.json ...]");
+    std::process::exit(2);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let check = args.iter().any(|a| a == "--check");
     let do_append = args.iter().any(|a| a == "--append");
-    let history_path =
-        path_arg(&args, "--history").unwrap_or_else(|| PathBuf::from("BENCH_history.jsonl"));
+    let mut history_path = PathBuf::from("BENCH_history.jsonl");
 
     // Positional snapshot paths: everything that is not a flag (or the
     // --history value).
@@ -48,12 +47,14 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--check" | "--append" => {}
-            "--history" => i += 1,
-            flag if flag.starts_with("--") => {
-                eprintln!("perf_report: unknown flag `{flag}`");
-                eprintln!("usage: perf_report [--history <path>] [--check] [--append] [snapshot.json ...]");
-                std::process::exit(2);
+            "--history" => {
+                i += 1;
+                match args.get(i) {
+                    Some(path) if !path.starts_with("--") => history_path = PathBuf::from(path),
+                    _ => usage_error("`--history` requires a path argument"),
+                }
             }
+            flag if flag.starts_with("--") => usage_error(&format!("unknown flag `{flag}`")),
             path => snapshots.push(PathBuf::from(path)),
         }
         i += 1;

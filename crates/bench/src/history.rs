@@ -7,8 +7,9 @@
 //! rows (`training.0.ns_per_step`, `kernels.matmul_64x64_ns`, …), appends
 //! them as one JSONL line per snapshot to the history file, and diffs a
 //! fresh snapshot against the checked-in trajectory: per-row delta against
-//! the history median, a MAD jitter bar, and a verdict that generalizes
-//! `bench_baseline.sh --check`'s 15% timing gate to every schema at once.
+//! the history median, a MAD jitter bar, and a verdict — one 15% timing
+//! gate for every schema at once (`bench_baseline.sh --check` runs it over
+//! a fresh measurement).
 //!
 //! Rows are classified by key shape: segments ending in `_ns` (or
 //! `ns_per_step` style) are timings and gate at 15% above the history
@@ -23,8 +24,7 @@ use dphpo_dnnp::json::Json;
 /// Schema tag of each `BENCH_history.jsonl` line.
 pub const HISTORY_SCHEMA: &str = "dphpo-bench-history-v1";
 
-/// Timing rows regress when they exceed the history median by this factor
-/// (the same 15% gate `bench_baseline.sh --check` applies to the hotpath).
+/// Timing rows regress when they exceed the history median by this factor.
 pub const REGRESSION_FACTOR: f64 = 1.15;
 
 /// One appended snapshot: its kind (schema family), the exact snapshot

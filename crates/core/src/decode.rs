@@ -7,7 +7,7 @@
 //! in-bounds genes is unambiguous since mutation clamps genes to their
 //! ranges).
 
-use dphpo_dnnp::{Activation, LrScaling, TrainConfig};
+use dphpo_dnnp::{Activation, LrScaling};
 
 use crate::representation::{gene, N_GENES};
 
@@ -48,24 +48,6 @@ pub fn decode(genome: &[f64]) -> DecodedGenome {
         scale_by_worker: LrScaling::ALL[floor_mod(genome[gene::SCALE_BY_WORKER], 3)],
         desc_activ_func: Activation::ALL[floor_mod(genome[gene::DESC_ACTIV_FUNC], 5)],
         fitting_activ_func: Activation::ALL[floor_mod(genome[gene::FITTING_ACTIV_FUNC], 5)],
-    }
-}
-
-impl DecodedGenome {
-    /// Merge the decoded hyperparameters into a base training configuration
-    /// (which carries the fixed settings: network sizes, prefactors, step
-    /// count, worker count).
-    pub fn apply_to(&self, base: &TrainConfig) -> TrainConfig {
-        TrainConfig {
-            start_lr: self.start_lr,
-            stop_lr: self.stop_lr,
-            rcut: self.rcut,
-            rcut_smth: self.rcut_smth,
-            scale_by_worker: self.scale_by_worker,
-            desc_activation: self.desc_activ_func,
-            fitting_activation: self.fitting_activ_func,
-            ..base.clone()
-        }
     }
 }
 
@@ -127,19 +109,6 @@ mod tests {
         }
         assert_eq!(scales.len(), 3);
         assert_eq!(acts.len(), 5);
-    }
-
-    #[test]
-    fn apply_to_preserves_fixed_settings() {
-        let base = TrainConfig { num_steps: 123, n_workers: 6, ..TrainConfig::default() };
-        let d = decode(&[0.004, 1e-5, 9.5, 2.5, 2.0, 4.0, 4.0]);
-        let config = d.apply_to(&base);
-        assert_eq!(config.num_steps, 123);
-        assert_eq!(config.n_workers, 6);
-        assert_eq!(config.start_lr, 0.004);
-        assert_eq!(config.rcut, 9.5);
-        assert_eq!(config.scale_by_worker, LrScaling::None);
-        assert!(config.validate().is_ok());
     }
 
     #[test]

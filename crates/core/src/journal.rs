@@ -60,6 +60,10 @@
 //! (Generational journals need neither: every generation boundary already
 //! *is* a self-contained snapshot.)
 //!
+//! The boundary records of a finished journal are also the campaign's only
+//! persisted result: [`Journal::run_results`] rebuilds every run's history
+//! from them, in either mode, for the figure binaries (DESIGN.md §7.4).
+//!
 //! # Determinism contract
 //!
 //! The resumed campaign equals the uninterrupted one because every source
@@ -99,7 +103,7 @@ use std::rc::Rc;
 
 use dphpo_dnnp::json::{JsonError, Reader};
 use dphpo_dnnp::{Json, LcurveRow};
-use dphpo_evo::nsga2::GenerationRecord;
+use dphpo_evo::nsga2::{GenerationRecord, RunResult};
 use dphpo_evo::{Fitness, Id, Individual};
 use dphpo_hpc::faultplan::{IoFault, IoSite, JOURNAL_APPEND_SITE};
 use dphpo_hpc::{EvalFault, EvalOutcome, PoolReport, StreamSlotsState, TaskError, TaskRecord};
@@ -1494,7 +1498,7 @@ pub struct JournalSink {
 
 /// A decoded record, typed.
 enum ScannedRecord {
-    Header { fingerprint: u64, pop_size: usize },
+    Header { fingerprint: u64, n_runs: usize, pop_size: usize, generations: usize },
     Eval(EvalEntry),
     Generation(GenEntry),
     Epoch(EpochEntry),
@@ -1615,7 +1619,9 @@ fn read_header(r: &mut Reader<'_>) -> Result<ScannedRecord, JournalError> {
         "type" => kind = tag(r, "header")?,
         "version" => version = uint(r, "version")?,
         "config" => config = hex(r, "config")?,
+        "n_runs" => n_runs = uint(r, "n_runs")?,
         "pop_size" => pop_size = uint(r, "pop_size")?,
+        "generations" => generations = uint(r, "generations")?,
     });
     need(kind, "type")?;
     let version = need(version, "version")? as u64;
@@ -1626,7 +1632,9 @@ fn read_header(r: &mut Reader<'_>) -> Result<ScannedRecord, JournalError> {
     }
     Ok(ScannedRecord::Header {
         fingerprint: need(config, "config")?,
+        n_runs: need(n_runs, "n_runs")?,
         pop_size: need(pop_size, "pop_size")?,
+        generations: need(generations, "generations")?,
     })
 }
 
@@ -1650,6 +1658,13 @@ fn read_text_prefix(path: &Path) -> Result<(Vec<u8>, usize, Option<u64>), Journa
 pub struct Journal {
     /// Configuration fingerprint from the header.
     pub config_fingerprint: u64,
+    /// Independent EA runs the campaign was configured for (header).
+    pub n_runs: usize,
+    /// Population size (header).
+    pub pop_size: usize,
+    /// EA steps after generation 0 (the header's `generations`): a finished
+    /// run has `n_generations + 1` boundary records.
+    pub n_generations: usize,
     /// Completed evaluations keyed `(run, generation, slot)`.
     pub evals: HashMap<(usize, usize, usize), EvalEntry>,
     /// Generation boundaries keyed `(run, generation)`.
@@ -1679,6 +1694,9 @@ impl Journal {
         let text = std::str::from_utf8(&bytes).expect("checked above");
         let mut journal = Journal {
             config_fingerprint: 0,
+            n_runs: 0,
+            pop_size: 0,
+            n_generations: 0,
             evals: HashMap::new(),
             generations: BTreeMap::new(),
             epochs: BTreeMap::new(),
@@ -1686,11 +1704,14 @@ impl Journal {
             valid_len: 0,
             frames: 0,
         };
-        let mut header_pop_size = None;
+        let mut has_header = false;
         let end = scan_text(text, |frame| match frame.record {
-            ScannedRecord::Header { fingerprint, pop_size } => {
+            ScannedRecord::Header { fingerprint, n_runs, pop_size, generations } => {
                 journal.config_fingerprint = fingerprint;
-                header_pop_size = Some(pop_size);
+                journal.n_runs = n_runs;
+                journal.pop_size = pop_size;
+                journal.n_generations = generations;
+                has_header = true;
             }
             ScannedRecord::Eval(entry) => {
                 journal.evals.insert((entry.run, entry.gen, entry.slot), entry);
@@ -1712,9 +1733,10 @@ impl Journal {
                 path.display()
             )));
         }
-        let Some(pop_size) = header_pop_size else {
+        if !has_header {
             return Err(JournalError::new("journal has no header record"));
-        };
+        }
+        let pop_size = journal.pop_size;
         // Fold: a snapshot taken after `arrivals` arrivals stands on the
         // `arrivals / pop_size` epochs closed before it, each journaled once
         // as its own record (always ahead of the snapshot in the file).
@@ -1800,6 +1822,46 @@ impl Journal {
             }
         }
         Ok(entries)
+    }
+
+    /// Every run of a *finished* campaign, rebuilt from its boundary records
+    /// alone — what [`crate::experiment::ExperimentResult::runs`] held when
+    /// the campaign ended, bit for bit (infinite crowding distances
+    /// included). Generational runs come from their `generation` records,
+    /// steady-state runs from their `epoch` records; how many runs and how
+    /// many boundaries a finished run has come from the header, so no
+    /// [`ExperimentConfig`] is needed and none is checked: the fingerprint
+    /// covers the worker count, which changes nothing a boundary holds.
+    /// A run that stops short is an error naming the first missing
+    /// `(run, generation)`.
+    pub fn run_results(&self) -> Result<Vec<RunResult>, JournalError> {
+        (0..self.n_runs)
+            .map(|run| {
+                let boundaries = self.boundaries_for(run)?;
+                let (history, evaluations): (Vec<GenerationRecord>, usize) =
+                    match boundaries.last() {
+                        Some(last) => (
+                            boundaries.iter().map(|b| b.record.clone()).collect(),
+                            last.evaluations,
+                        ),
+                        None => (
+                            (0..self.epochs_for(run))
+                                .map(|epoch| self.epochs[&(run, epoch)].record.clone())
+                                .collect(),
+                            self.pop_size * (self.n_generations + 1),
+                        ),
+                    };
+                if history.len() <= self.n_generations {
+                    return Err(JournalError::new(format!(
+                        "unfinished campaign: no boundary record for (run {run}, generation \
+                         {}) — a finished run has {}",
+                        history.len(),
+                        self.n_generations + 1
+                    )));
+                }
+                Ok(RunResult { history, evaluations })
+            })
+            .collect()
     }
 }
 

@@ -17,7 +17,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use dphpo_dnnp::{
     train_supervised, AbortReason, Json, Lcurve, LcurveRow, Sentinel, Supervision, TrainConfig,
@@ -245,15 +245,6 @@ pub fn derive_seed(base: u64, index: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-/// Convenience: sample a genome's runtime without training (used by cost
-/// benches and the speedup harness).
-pub fn simulated_minutes(ctx: &EvalContext, rcut: f64, seed: u64) -> f64 {
-    let mut rng = StdRng::seed_from_u64(seed);
-    // Burn one value so this matches no particular training draw.
-    let _: f64 = rng.random_range(0.0..1.0);
-    ctx.cost_model.gpu_minutes(&paper_job(rcut), &mut rng)
 }
 
 #[cfg(test)]

@@ -21,7 +21,6 @@
 //! two-objective fitness.
 
 pub mod activation;
-pub mod checkpoint;
 pub mod config;
 pub mod deploy;
 pub mod descriptor;
@@ -40,8 +39,7 @@ pub use descriptor::{
 };
 pub use json::Json;
 pub use lcurve::{Lcurve, LcurveRow};
-pub use model::{forward_cached, forward_frame, DnnpModel, FrameRef};
-pub use checkpoint::{load_model, save_model};
+pub use model::{forward_cached, forward_frame, DnnpModel};
 pub use deploy::{model_nve_step, trajectory_divergence, DeployedState};
 pub use supervise::{AbortReason, Sentinel, Supervision};
 pub use trainer::{

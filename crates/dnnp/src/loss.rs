@@ -47,19 +47,6 @@ impl PrefactorSchedule {
     }
 }
 
-/// Scalar training loss for one frame given per-atom energy error and force
-/// component errors: `pe·(ΔE/N)² + pf·Σ‖ΔF‖²/(3N)`.
-pub fn frame_loss(
-    prefactors: Prefactors,
-    energy_error: f64,
-    n_atoms: usize,
-    force_sq_sum: f64,
-) -> f64 {
-    let n = n_atoms as f64;
-    let de = energy_error / n;
-    prefactors.pe * de * de + prefactors.pf * force_sq_sum / (3.0 * n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,20 +77,5 @@ mod tests {
         let late = s.at(0.01);
         assert!(late.pe > early.pe, "energy prefactor must rise");
         assert!(late.pf < early.pf, "force prefactor must fall");
-    }
-
-    #[test]
-    fn frame_loss_normalisation() {
-        let p = Prefactors { pe: 1.0, pf: 1.0 };
-        // 10 atoms, energy error 5 eV → (0.5)² = 0.25; force Σsq = 30 → 1.0.
-        let l = frame_loss(p, 5.0, 10, 30.0);
-        assert!((l - 1.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn frame_loss_scales_with_prefactors() {
-        let base = frame_loss(Prefactors { pe: 1.0, pf: 0.0 }, 2.0, 4, 100.0);
-        let double = frame_loss(Prefactors { pe: 2.0, pf: 0.0 }, 2.0, 4, 100.0);
-        assert!((double - 2.0 * base).abs() < 1e-12);
     }
 }

@@ -204,16 +204,6 @@ pub struct TapedParams {
     pub flat: Vec<Var>,
 }
 
-/// Borrowed reference labels for one frame (energy + forces), used by the
-/// cached RMSE path.
-#[derive(Clone, Copy, Debug)]
-pub struct FrameRef<'a> {
-    /// Reference total energy (eV).
-    pub energy: f64,
-    /// Reference forces (eV/Å).
-    pub forces: &'a [[f64; 3]],
-}
-
 /// Output of a taped frame evaluation.
 pub struct FrameGraph {
     /// Per-atom energies `[n, 1]` (before summation) — a batched caller
@@ -423,47 +413,20 @@ impl DnnpModel {
         train: &Dataset,
         rng: &mut R,
     ) -> Result<Self, String> {
-        let stats = Self::compute_stats(&config, train)?;
-        Self::with_stats(config, train, stats, rng)
-    }
-
-    /// The descriptor statistics [`DnnpModel::new`] would compute — split
-    /// out so a population of genomes sharing an `(rcut, rcut_smth)` bucket
-    /// can compute them once. The computation draws no randomness, so a
-    /// model built via [`DnnpModel::with_stats`] from these is bit-identical
-    /// to one built by [`DnnpModel::new`] with the same rng.
-    pub fn compute_stats(config: &TrainConfig, train: &Dataset) -> Result<DescriptorStats, String> {
         config.validate()?;
         if train.frames.is_empty() {
             return Err("empty training dataset".into());
         }
         let species_idx: Vec<usize> = train.species.iter().map(|s| s.index()).collect();
         let n_species = species_idx.iter().copied().max().unwrap_or(0) + 1;
-        Ok(DescriptorStats::from_table(
+        let stats = DescriptorStats::from_table(
             &train.pair_table(),
             train.frames.len().min(8),
             &species_idx,
             config.rcut,
             config.rcut_smth,
             n_species,
-        ))
-    }
-
-    /// As [`DnnpModel::new`] with precomputed descriptor statistics. The
-    /// stats must come from [`DnnpModel::compute_stats`] on the same
-    /// `(config.rcut, config.rcut_smth, train)` triple.
-    pub fn with_stats<R: Rng + ?Sized>(
-        config: TrainConfig,
-        train: &Dataset,
-        stats: DescriptorStats,
-        rng: &mut R,
-    ) -> Result<Self, String> {
-        config.validate()?;
-        if train.frames.is_empty() {
-            return Err("empty training dataset".into());
-        }
-        let species_idx: Vec<usize> = train.species.iter().map(|s| s.index()).collect();
-        let n_species = species_idx.iter().copied().max().unwrap_or(0) + 1;
+        );
         let n = species_idx.len();
         let mut onehot = Tensor::zeros(Shape::D2(n, n_species));
         for (i, &t) in species_idx.iter().enumerate() {
@@ -568,57 +531,6 @@ impl DnnpModel {
             t.data().chunks_exact(3).map(|c| [c[0], c[1], c[2]]).collect()
         });
         (energy, forces)
-    }
-
-    /// RMSEs against reference frames using prebuilt caches (fast path for
-    /// the trainer's validation rows).
-    pub fn rmse_cached(&self, frames: &[FrameRef<'_>], caches: &[FrameCache]) -> (f64, f64) {
-        let n_atoms = self.species_idx.len() as f64;
-        let mut e_sq = 0.0;
-        let mut f_sq = 0.0;
-        let mut f_count = 0usize;
-        for (frame, cache) in frames.iter().zip(caches.iter()) {
-            let (e, forces) = self.predict_cached(cache);
-            let de = (e - frame.energy) / n_atoms;
-            e_sq += de * de;
-            for (fp, fr) in forces.iter().zip(frame.forces.iter()) {
-                for k in 0..3 {
-                    f_sq += (fp[k] - fr[k]).powi(2);
-                    f_count += 1;
-                }
-            }
-        }
-        if frames.is_empty() {
-            return (f64::NAN, f64::NAN);
-        }
-        ((e_sq / frames.len() as f64).sqrt(), (f_sq / f_count as f64).sqrt())
-    }
-
-    /// Validation RMSEs over up to `max_frames` frames of `dataset`:
-    /// `(energy RMSE in eV/atom, force RMSE in eV/Å)` — the two numbers the
-    /// paper's EA reads from the last `lcurve.out` row.
-    pub fn rmse(&self, dataset: &Dataset, max_frames: usize) -> (f64, f64) {
-        let n_atoms = dataset.n_atoms() as f64;
-        let mut e_sq = 0.0;
-        let mut f_sq = 0.0;
-        let mut f_count = 0usize;
-        let mut frames = 0usize;
-        for frame in dataset.frames.iter().take(max_frames.max(1)) {
-            let (e, forces) = self.predict(&frame.positions);
-            let de = (e - frame.energy) / n_atoms;
-            e_sq += de * de;
-            for (fp, fr) in forces.iter().zip(frame.forces.iter()) {
-                for k in 0..3 {
-                    f_sq += (fp[k] - fr[k]).powi(2);
-                    f_count += 1;
-                }
-            }
-            frames += 1;
-        }
-        if frames == 0 {
-            return (f64::NAN, f64::NAN);
-        }
-        ((e_sq / frames as f64).sqrt(), (f_sq / f_count as f64).sqrt())
     }
 }
 
@@ -739,14 +651,6 @@ mod tests {
     }
 
     #[test]
-    fn rmse_is_positive_and_finite_before_training() {
-        let (model, dataset) = tiny_model(6);
-        let (rmse_e, rmse_f) = model.rmse(&dataset, 4);
-        assert!(rmse_e.is_finite() && rmse_e > 0.0);
-        assert!(rmse_f.is_finite() && rmse_f > 0.0);
-    }
-
-    #[test]
     fn flat_and_flat_mut_agree_on_order_and_count() {
         let (mut model, _) = tiny_model(7);
         let shapes: Vec<_> = model.params.flat().iter().map(|t| t.shape()).collect();
@@ -816,27 +720,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn rmse_cached_matches_rmse() {
-        let (model, dataset) = tiny_model(22);
-        let frames: Vec<crate::model::FrameRef<'_>> = dataset
-            .frames
-            .iter()
-            .take(3)
-            .map(|f| FrameRef { energy: f.energy, forces: &f.forces })
-            .collect();
-        let caches: Vec<_> = dataset
-            .frames
-            .iter()
-            .take(3)
-            .map(|f| model.build_cache(&f.positions))
-            .collect();
-        let (e1, f1) = model.rmse(&dataset, 3);
-        let (e2, f2) = model.rmse_cached(&frames, &caches);
-        assert!((e1 - e2).abs() < 1e-12);
-        assert!((f1 - f2).abs() < 1e-12);
     }
 
     #[test]

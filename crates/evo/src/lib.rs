@@ -66,4 +66,4 @@ pub use metrics::{
 pub use nsga2::{
     run_nsga2, BatchEvaluator, EvalResult, GenerationRecord, Nsga2Config, Nsga2State, RunResult,
 };
-pub use steady::{ArrivalWindow, SteadyState};
+pub use steady::SteadyState;

@@ -9,8 +9,9 @@
 //! preserved by decoupling the two orders involved:
 //!
 //! * the **completion order** — the racy, physical order in which worker
-//!   threads happen to finish — is never consumed directly; completions are
-//!   buffered in an [`ArrivalWindow`];
+//!   threads happen to finish — is never consumed directly; the stream
+//!   scheduler (`dphpo_hpc::Stream::take`) hands results back by task, in
+//!   the order the driver asks for them;
 //! * the **arrival order** — a pure function of the campaign configuration
 //!   (the simulated per-slot clock in `dphpo-hpc`'s stream scheduler) — is
 //!   the only order [`SteadyState::tell`] ever sees, and the order the
@@ -19,8 +20,6 @@
 //! Every selection and mutation decision is keyed off that arrival index,
 //! so the population and archive bytes depend only on the journaled order,
 //! never on thread interleaving (see DESIGN.md §12).
-
-use std::collections::BTreeMap;
 
 use rand::Rng;
 
@@ -135,58 +134,6 @@ impl SteadyState {
     }
 }
 
-/// Reorder buffer between the racy physical completion order and the
-/// deterministic arrival order.
-///
-/// Completions are offered with their (precomputed) arrival index in any
-/// order; [`ArrivalWindow::offer`] releases the contiguous ready prefix —
-/// exactly the individuals whose turn has come — in arrival order. Feeding
-/// every permutation of the same completions through this buffer yields the
-/// same release sequence, which is the property the steady-state proptest
-/// pins down.
-#[derive(Default)]
-pub struct ArrivalWindow {
-    next: usize,
-    buffered: BTreeMap<usize, Individual>,
-}
-
-impl ArrivalWindow {
-    /// An empty buffer expecting arrival index 0 first.
-    pub fn new() -> Self {
-        ArrivalWindow::default()
-    }
-
-    /// An empty buffer expecting `next` first (resume mid-campaign).
-    pub fn starting_at(next: usize) -> Self {
-        ArrivalWindow { next, buffered: BTreeMap::new() }
-    }
-
-    /// The arrival index the next release is waiting on.
-    pub fn next_arrival(&self) -> usize {
-        self.next
-    }
-
-    /// Completions buffered out of order, not yet releasable.
-    pub fn pending(&self) -> usize {
-        self.buffered.len()
-    }
-
-    /// Offer a completion; returns every individual that is now ready, in
-    /// arrival order. Panics on a duplicate or already-released index —
-    /// both would mean the caller's arrival bookkeeping is corrupt.
-    pub fn offer(&mut self, arrival: usize, individual: Individual) -> Vec<Individual> {
-        assert!(arrival >= self.next, "arrival {arrival} already released (next {})", self.next);
-        let clash = self.buffered.insert(arrival, individual);
-        assert!(clash.is_none(), "duplicate arrival index {arrival}");
-        let mut ready = Vec::new();
-        while let Some(ind) = self.buffered.remove(&self.next) {
-            ready.push(ind);
-            self.next += 1;
-        }
-        ready
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,27 +192,5 @@ mod tests {
         assert_eq!(child_a.genome, child_b.genome);
         assert!(child_a.fitness.is_none());
         assert!(child_a.genome.iter().all(|g| (0.0..=1.0).contains(g)));
-    }
-
-    #[test]
-    fn arrival_window_releases_in_arrival_order() {
-        let mut window = ArrivalWindow::new();
-        assert!(window.offer(2, evaluated(0.2, 0.2)).is_empty());
-        assert!(window.offer(1, evaluated(0.1, 0.1)).is_empty());
-        assert_eq!(window.pending(), 2);
-        let ready = window.offer(0, evaluated(0.0, 0.0));
-        assert_eq!(ready.len(), 3);
-        let genomes: Vec<f64> = ready.iter().map(|i| i.genome[0]).collect();
-        assert_eq!(genomes, vec![0.0, 0.1, 0.2]);
-        assert_eq!(window.next_arrival(), 3);
-        assert_eq!(window.pending(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "already released")]
-    fn arrival_window_rejects_released_index() {
-        let mut window = ArrivalWindow::new();
-        let _ = window.offer(0, evaluated(0.0, 0.0));
-        let _ = window.offer(0, evaluated(0.0, 0.0));
     }
 }

@@ -1,14 +1,15 @@
 //! Property tests for the steady-state insertion machinery: the journaled
-//! arrival order — not the racy physical completion order — fully
-//! determines population and archive state.
+//! arrival order fully determines population and archive state.
 //!
-//! The driver in `dphpo-core` buffers completions in an [`ArrivalWindow`]
-//! and only ever feeds [`SteadyState::tell`] the released (arrival-ordered)
-//! prefix. These tests feed the same fixed result set through every
-//! window-local permutation of completion order a scheduler could produce
-//! and assert the downstream state is bit-identical to a sequential feed.
+//! The driver in `dphpo-core` feeds [`SteadyState::tell`] in arrival order
+//! and nothing else; putting the racy physical completion order back into
+//! that order is the stream scheduler's contract (`Stream::take`, tested by
+//! `hpc/tests/work_conservation.rs` and `core/tests/work_conservation.rs`).
+//! What is pinned here is the other half of kill+resume identity: the state
+//! is a pure function of the fed sequence — process-local individual ids and
+//! the point at which a snapshot was restored leave no trace in it.
 
-use dphpo_evo::steady::{ArrivalWindow, SteadyState};
+use dphpo_evo::steady::SteadyState;
 use dphpo_evo::{Fitness, Individual, Nsga2Config, ParetoArchive};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -55,95 +56,65 @@ fn canon(state: &SteadyState, archive: &ParetoArchive) -> String {
     out
 }
 
-/// Feed `results` through windows of `window` completions; within each
-/// window the physical completion order is `shuffle_seed`-permuted, the
-/// arrival indices are the true ones, and only the [`ArrivalWindow`]'s
-/// released prefix reaches the population/archive. Returns the canonical
-/// downstream state plus the released arrival sequence.
-fn run_permuted(
-    results: &[(f64, f64)],
-    pop: usize,
-    window: usize,
-    shuffle_seed: usize,
-) -> (String, Vec<usize>) {
-    let mut state = SteadyState::new(&config(pop));
+/// Feed `results` in arrival order, restoring the state from its own
+/// snapshot fields after `cut` arrivals when one is given — what a resumed
+/// campaign does. Returns the final state, its canonical form, and the
+/// arrival indices `tell` reported.
+fn feed(results: &[(f64, f64)], pop: usize, cut: Option<usize>) -> (SteadyState, String, Vec<usize>) {
+    let config = config(pop);
+    let mut state = SteadyState::new(&config);
     let mut archive = ParetoArchive::new();
-    let mut buffer = ArrivalWindow::new();
-    let mut released_order = Vec::new();
-    let mut rng = StdRng::seed_from_u64(shuffle_seed as u64);
-    for (chunk_idx, chunk) in results.chunks(window).enumerate() {
-        // Fisher–Yates over this window's completion order: the race the
-        // arrival buffer must absorb.
-        let mut order: Vec<usize> = (0..chunk.len()).collect();
-        for i in (1..order.len()).rev() {
-            use rand::Rng as _;
-            let j = rng.random_range(0..=i);
-            order.swap(i, j);
+    let mut told = Vec::new();
+    for (arrival, &objectives) in results.iter().enumerate() {
+        if cut == Some(arrival) {
+            state = SteadyState::restore(
+                &config,
+                state.std().to_vec(),
+                state.population().to_vec(),
+                state.arrivals(),
+            );
         }
-        for &k in &order {
-            let arrival = chunk_idx * window + k;
-            for ind in buffer.offer(arrival, evaluated(chunk[k])) {
-                released_order.push(state.tell(ind.clone()));
-                archive.offer_counted(&ind);
-            }
-        }
+        let ind = evaluated(objectives);
+        archive.offer_counted(&ind);
+        told.push(state.tell(ind));
     }
-    (canon(&state, &archive), released_order)
+    let canon = canon(&state, &archive);
+    (state, canon, told)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Any window-local permutation of completion order yields the same
-    /// population bytes, archive bytes, σ schedule, and release sequence as
-    /// a strictly sequential feed — the arrival order alone determines
-    /// steady-state campaign state.
+    /// Feeding the same results again — fresh individual ids, with or
+    /// without a snapshot restore part-way — yields the same population
+    /// bytes, archive bytes, σ schedule and arrival indices: the arrival
+    /// order alone determines steady-state campaign state.
     #[test]
     fn arrival_order_fully_determines_population_and_archive(
         results in prop::collection::vec((0.01..0.99f64, 0.01..0.99f64), 6..24),
         pop in 3usize..8,
-        window in 1usize..7,
-        shuffle_seed in 0usize..1_000_000,
+        cut in 0usize..24,
     ) {
-        let (reference, sequential) = run_permuted(&results, pop, results.len(), 0);
-        prop_assert_eq!(&sequential, &(0..results.len()).collect::<Vec<_>>());
-        let (permuted, released) = run_permuted(&results, pop, window, shuffle_seed);
-        prop_assert_eq!(&released, &(0..results.len()).collect::<Vec<_>>());
-        prop_assert_eq!(permuted, reference);
+        let (_, reference, told) = feed(&results, pop, None);
+        prop_assert_eq!(&told, &(0..results.len()).collect::<Vec<_>>());
+        let (_, replayed, _) = feed(&results, pop, None);
+        prop_assert_eq!(&replayed, &reference);
+        let (_, restored, told) = feed(&results, pop, Some(cut % results.len()));
+        prop_assert_eq!(&told, &(0..results.len()).collect::<Vec<_>>());
+        prop_assert_eq!(restored, reference);
     }
 
-    /// Breeding after an arrival-ordered feed is a pure function of the
-    /// arrival count: the same keyed RNG produces the same child no matter
-    /// which physical order the completions landed in.
+    /// Breeding after an arrival-ordered feed is a pure function of the fed
+    /// sequence: the same keyed RNG produces the same child whether or not
+    /// the state went through a restore on the way.
     #[test]
-    fn breeding_is_invariant_under_completion_reordering(
+    fn breeding_is_invariant_under_replay_and_restore(
         results in prop::collection::vec((0.01..0.99f64, 0.01..0.99f64), 4..12),
-        window in 1usize..5,
-        shuffle_seed in 0usize..1_000_000,
+        cut in 0usize..12,
         breed_seed in 0usize..1_000_000,
     ) {
-        let pop = 4;
-        let feed = |w: usize, s: usize| {
-            let mut state = SteadyState::new(&config(pop));
-            let mut buffer = ArrivalWindow::new();
-            let mut rng = StdRng::seed_from_u64(s as u64);
-            for (chunk_idx, chunk) in results.chunks(w).enumerate() {
-                let mut order: Vec<usize> = (0..chunk.len()).collect();
-                for i in (1..order.len()).rev() {
-                    use rand::Rng as _;
-                    let j = rng.random_range(0..=i);
-                    order.swap(i, j);
-                }
-                for &k in &order {
-                    for ind in buffer.offer(chunk_idx * w + k, evaluated(chunk[k])) {
-                        state.tell(ind);
-                    }
-                }
-            }
-            state
-        };
-        let a = feed(results.len(), 0);
-        let b = feed(window, shuffle_seed);
+        let (a, _, _) = feed(&results, 4, None);
+        let (b, _, _) = feed(&results, 4, Some(cut % results.len()));
         let child_a = a.breed(&mut StdRng::seed_from_u64(breed_seed as u64));
         let child_b = b.breed(&mut StdRng::seed_from_u64(breed_seed as u64));
         prop_assert_eq!(child_a.genome, child_b.genome);

@@ -683,6 +683,12 @@ struct Batch<'a, T, H> {
     twin_tokens: HashMap<usize, CancelToken>,
     records: Vec<Option<TaskRecord<T>>>,
     report: PoolReport,
+    /// Attempts of each task's primary chain the driver has dequeued (run or
+    /// killed by the fault plan there) — the chain's current attempt number.
+    /// Counted at dequeue, not at completion: the fault plan's deaths are all
+    /// settled before the first completion is received, so the count a
+    /// record is stamped with does not depend on whether a twin or a retry
+    /// reported first.
     attempts: Vec<u32>,
     retried: Vec<bool>,
     lost_per_task: Vec<f64>,
@@ -707,7 +713,7 @@ impl<T, H: FnMut(usize, &TaskRecord<T>)> Batch<'_, T, H> {
             Err(TaskError::WorkerFailed) => self.report.exhausted_tasks += 1,
             Err(TaskError::Speculated) | Ok(_) => {}
         }
-        let record = TaskRecord { value, minutes, worker, attempts: self.attempts[task].max(1) };
+        let record = TaskRecord { value, minutes, worker, attempts: self.attempts[task] };
         let record = self.records[task].insert(record);
         self.primary_tokens[task].cancel();
         if let Some(tok) = self.twin_tokens.get(&task) {
@@ -720,7 +726,6 @@ impl<T, H: FnMut(usize, &TaskRecord<T>)> Batch<'_, T, H> {
     fn done(&mut self, task: usize, speculative: bool, outcome: EvalOutcome<T>, worker: usize) {
         if !speculative {
             self.open_chains -= 1;
-            self.attempts[task] += 1;
         }
         // If the counterpart already produced this task's record, the
         // classification for this discarded result is `Speculated`.
@@ -737,7 +742,6 @@ impl<T, H: FnMut(usize, &TaskRecord<T>)> Batch<'_, T, H> {
         let worker = self.workers.absorb_death(self.config);
         let sup = self.config.supervisor;
         self.report.worker_deaths += 1;
-        self.attempts[task] += 1;
         // A fault-injected death burned a deterministic fraction of the
         // task's estimate; a panic gives no progress information, so the
         // full estimate is written off.
@@ -914,6 +918,9 @@ impl<J: Clone, T> Pool<'_, J, T> {
             while batch.workers.alive > 0 {
                 let Some((task, attempt, speculative)) = batch.fifo.pop_front() else { break };
                 let dies = faults.task_kills_worker(task, attempt);
+                if !speculative {
+                    batch.attempts[task] = attempt;
+                }
                 let cancel = if speculative {
                     // Twins are sandboxed: a dying twin never takes a slot
                     // down (its loss is accounted at launch), a superseded
@@ -951,9 +958,7 @@ impl<J: Clone, T> Pool<'_, J, T> {
                 JobResult::Done(outcome) => batch.done(task, speculative, outcome, worker),
                 // A panicking evaluation is a worker death (the documented
                 // contract) — not a silent hang.
-                JobResult::Panicked if !speculative => {
-                    batch.death(task, batch.attempts[task] + 1, true)
-                }
+                JobResult::Panicked if !speculative => batch.death(task, batch.attempts[task], true),
                 JobResult::Panicked | JobResult::Skipped => {}
             }
         }

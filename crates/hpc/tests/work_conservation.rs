@@ -50,6 +50,33 @@ impl Rendezvous {
     }
 }
 
+/// A gate that stays shut until [`Latch::open`]; a wait that outlasts
+/// [`PATIENCE`] records the failure and goes through.
+struct Latch {
+    open: Mutex<bool>,
+    opened: Condvar,
+    timed_out: AtomicBool,
+}
+
+impl Latch {
+    fn new() -> Self {
+        Latch { open: Mutex::new(false), opened: Condvar::new(), timed_out: AtomicBool::new(false) }
+    }
+
+    fn open(&self) {
+        *self.open.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+
+    fn wait(&self) {
+        let open = self.open.lock().unwrap();
+        let (_guard, wait) = self.opened.wait_timeout_while(open, PATIENCE, |open| !*open).unwrap();
+        if wait.timed_out() {
+            self.timed_out.store(true, Ordering::SeqCst);
+        }
+    }
+}
+
 fn no_nanny_pair() -> PoolConfig {
     PoolConfig {
         n_workers: 2,
@@ -185,6 +212,65 @@ fn the_last_death_fails_what_is_dequeued_after_it_and_nothing_in_flight() {
     // Every task finalised exactly once.
     completed.sort_unstable();
     assert_eq!(completed, (0..8).collect::<Vec<_>>());
+}
+
+#[test]
+fn a_record_is_stamped_alike_whether_the_twin_or_the_retry_reports_first() {
+    // Task 1 is the batch's straggler, so it gets a speculative twin; the
+    // plan kills its first attempt (and nothing else, the twin included), so
+    // its retry and its twin are in flight together.
+    let faults = || FaultInjector::new(0.15, 83);
+    assert_eq!(killed_attempts(&faults()), vec![(1, 1)]);
+    let config = PoolConfig {
+        n_workers: 3,
+        nanny: true,
+        supervisor: SupervisorConfig { speculate: true, ..SupervisorConfig::default() },
+        ..no_nanny_pair()
+    };
+    let inputs: Vec<u64> = (0..8).collect();
+
+    // Whichever of the two is `held` stays inside its evaluation until the
+    // driver has finalized task 1 — which only the other one can bring about.
+    let race = |hold_twin: bool| {
+        let finalized = Latch::new();
+        let (records, report) = run_batch_supervised(
+            &inputs,
+            |ctx: &TaskCtx<'_>, &x: &u64| {
+                if ctx.task == 1 && ctx.speculative == hold_twin {
+                    finalized.wait();
+                }
+                EvalOutcome { value: Ok(x * 3), minutes: if ctx.task == 1 { 40.0 } else { 10.0 } }
+            },
+            |task, _| if task == 1 { 40.0 } else { 10.0 },
+            &config,
+            &faults(),
+            |task, _| {
+                if task == 1 {
+                    finalized.open();
+                }
+            },
+        );
+        assert!(!finalized.timed_out.load(Ordering::SeqCst), "task 1 was never finalized");
+        assert_eq!(report.speculated_tasks, 1, "task 1 should have a twin");
+        assert_eq!(report.speculative_deaths, 0, "the plan should spare the twin");
+        assert_eq!(report.worker_deaths, 1);
+        (records, report)
+    };
+    let (retry_first, retry_report) = race(true);
+    let (twin_first, twin_report) = race(false);
+
+    // Two attempts of the primary chain had been dequeued when either
+    // result arrived: that, not who reported, is what the record says.
+    assert_eq!(retry_first[1].attempts, 2);
+    for (task, (a, b)) in retry_first.iter().zip(&twin_first).enumerate() {
+        assert_eq!(a.attempts, b.attempts, "task {task}: attempts");
+        assert_eq!(a.value, b.value, "task {task}: value");
+        assert_eq!(a.minutes, b.minutes, "task {task}: minutes");
+    }
+    assert_eq!(retry_report.makespan_minutes, twin_report.makespan_minutes);
+    assert_eq!(retry_report.lost_minutes, twin_report.lost_minutes);
+    assert_eq!(retry_report.backoff_minutes, twin_report.backoff_minutes);
+    assert_eq!(retry_report.retried_tasks, twin_report.retried_tasks);
 }
 
 #[test]

@@ -29,20 +29,14 @@
 
 pub mod analysis;
 pub mod cell;
-pub mod export;
 pub mod generate;
 pub mod integrate;
 pub mod neighbors;
-pub mod npy;
 pub mod potential;
-pub mod xyz;
 
 pub use cell::Cell;
 pub use generate::{generate_dataset, Dataset, Frame, Frames, GenConfig};
 pub use integrate::MdState;
 pub use neighbors::{pairs_brute_force, pairs_cell_list, Pair, PairTable};
 pub use analysis::{mean_squared_displacement, partial_rdf, Rdf};
-pub use export::{read_deepmd_dir, write_deepmd_dir};
-pub use npy::NpyArray;
 pub use potential::{melt_composition, shuffled_composition, MeltPotential, Species, COULOMB_EV_A, KB_EV};
-pub use xyz::{from_extxyz, to_extxyz};

@@ -5,22 +5,16 @@
 #   bench_baseline.sh --full    refresh with the slower, more stable
 #                               measurement used when comparing perf work
 #   bench_baseline.sh --check   run a fresh quick measurement into a temp
-#                               file and FAIL if ns_per_step regressed more
-#                               than 15% against the checked-in baseline
-#                               (the baseline file is left untouched)
+#                               file and hand it to `perf_report --check`,
+#                               which FAILS if any timing row regressed more
+#                               than 15% against its BENCH_history.jsonl
+#                               median (the baseline file is left untouched)
 #
 # --check is wired into scripts/verify.sh behind BENCH_CHECK=1 — quick-mode
 # timings on a shared box are noisy, so the gate is opt-in rather than part
 # of the default tier-1 run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-# Print "rcut ns_per_step" pairs from a hotpath JSON. Keys inside each
-# training row are emitted alphabetically, so ns_per_step precedes rcut.
-pairs() {
-    awk '/"ns_per_step"/ { gsub(/[",]/, ""); ns = $2 }
-         /"rcut"/        { gsub(/[",]/, ""); print $2, ns }' "$1"
-}
 
 case "${1:-}" in
 --check)
@@ -35,34 +29,10 @@ case "${1:-}" in
         echo "bench check: BENCH_obs.json is not schema dphpo-obs-v3 — regenerate with 'cargo run --release -p dphpo-bench --bin obs_overhead'" >&2
         exit 1
     fi
-    baseline="BENCH_hotpath.json"
-    if [[ ! -f "${baseline}" ]]; then
-        echo "bench check: no checked-in ${baseline} to compare against" >&2
-        exit 1
-    fi
     fresh="$(mktemp /tmp/hotpath_check.XXXXXX.json)"
     trap 'rm -f "${fresh}"' EXIT
     cargo run --release -p dphpo-bench --bin hotpath -- --quick --out "${fresh}"
-    fail=0
-    while read -r rcut base_ns; do
-        fresh_ns="$(pairs "${fresh}" | awk -v r="${rcut}" '$1 == r { print $2 }')"
-        if [[ -z "${fresh_ns}" ]]; then
-            echo "bench check: rcut ${rcut} missing from fresh run" >&2
-            fail=1
-            continue
-        fi
-        if awk -v f="${fresh_ns}" -v b="${base_ns}" 'BEGIN { exit !(f > b * 1.15) }'; then
-            echo "bench check: REGRESSION at rcut ${rcut}: ${fresh_ns} ns/step vs baseline ${base_ns} (>15%)" >&2
-            fail=1
-        else
-            echo "bench check: ok at rcut ${rcut}: ${fresh_ns} ns/step vs baseline ${base_ns}"
-        fi
-    done < <(pairs "${baseline}")
-    if [[ ${fail} -ne 0 ]]; then
-        echo "bench check: FAILED" >&2
-        exit 1
-    fi
-    echo "bench check: OK"
+    cargo run --release -p dphpo-bench --bin perf_report -- --check "${fresh}"
     ;;
 --full)
     cargo run --release -p dphpo-bench --bin hotpath

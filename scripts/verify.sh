@@ -9,7 +9,8 @@
 #                                    EXPERIMENTS.md exists in the workspace,
 #                                    and every fig1 flag used in README.md /
 #                                    EXPERIMENTS.md is one `fig1 --list-flags`
-#                                    actually parses
+#                                    actually parses; and every `pub mod` is
+#                                    named by some file besides its lib.rs
 #   6. chaos stress                — the journal crash/resume chaos suites
 #                                    (generational and steady-state) and the
 #                                    latch-forced work-conservation suites
@@ -69,12 +70,12 @@
 #
 # Opt-in extras (timing-sensitive, off by default on shared hardware):
 #
-#   BENCH_CHECK=1                  — fresh quick hot-path measurement must be
-#                                    within 15% of the checked-in
-#                                    BENCH_hotpath.json (bench_baseline.sh
-#                                    --check), and perf_report --check must
-#                                    find no row regressed against
-#                                    BENCH_history.jsonl (perf_history.sh)
+#   BENCH_CHECK=1                  — perf_report --check must find no timing
+#                                    row more than 15% over its
+#                                    BENCH_history.jsonl median, in a fresh
+#                                    quick hot-path measurement
+#                                    (bench_baseline.sh --check) or in the
+#                                    checked-in snapshots (perf_history.sh)
 #
 # Run from anywhere; exits non-zero on the first failure.
 set -euo pipefail
@@ -130,6 +131,30 @@ for flag in ${doc_flags}; do
         echo "    ok: fig1 ${flag}"
     fi
 done
+# Reachability: every `pub mod m` of a crate must be named — `m::`, or a name
+# its lib.rs re-exports from it — by some .rs file other than that lib.rs and
+# m.rs itself (a file of another crate counts only if it names this crate).
+# Allowlisted: md::analysis (RDF/MSD checks of the melt generator) and
+# dnnp::deploy (NVE stability of a trained model) — physics oracles whose
+# inline tests are the point; nothing needs to call them.
+echo "    doc-sync: every pub mod is named outside its own lib.rs"
+for lib in crates/*/src/lib.rs; do
+    crate="$(basename "${lib%/src/lib.rs}")"
+    for m in $(sed -n 's/^pub mod \([a-z_0-9]*\);.*/\1/p' "${lib}"); do
+        [[ " md::analysis dnnp::deploy " == *" ${crate}::${m} "* ]] && continue
+        names="$(tr '\n' ' ' <"${lib}" | grep -o "pub use ${m}::[^;]*;" \
+            | grep -oE '[A-Za-z_][A-Za-z0-9_]*' | grep -vxE "pub|use|as|self|${m}" \
+            | paste -sd'|' || true)"
+        users="$(grep -rlE --include='*.rs' -- "\b${m}::${names:+|\b(${names})\b}" \
+            crates benchmark/src examples tests src \
+            | grep -vxF -e "${lib}" -e "crates/${crate}/src/${m}.rs" || true)"
+        if [[ -z "$(grep "^crates/${crate}/" <<<"${users}" \
+            || xargs -r grep -l "dphpo_${crate}\b" <<<"${users}" || true)" ]]; then
+            echo "    UNREACHED: ${crate}::${m} is named by nothing but its own lib.rs" >&2
+            missing=1
+        fi
+    done
+done
 if [[ ${missing} -ne 0 ]]; then
     echo "verify: FAILED (doc-sync)" >&2
     exit 1
@@ -174,9 +199,8 @@ cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 bash benchmark/run.sh --smoke
 
 if [[ "${BENCH_CHECK:-0}" == "1" ]]; then
-    echo "==> [opt-in] hot-path bench regression check (BENCH_CHECK=1)"
+    echo "==> [opt-in] perf-history regression check, fresh and checked-in (BENCH_CHECK=1)"
     scripts/bench_baseline.sh --check
-    echo "==> [opt-in] perf-history regression check (BENCH_CHECK=1)"
     scripts/perf_history.sh
 fi
 
