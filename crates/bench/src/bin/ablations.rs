@@ -8,7 +8,7 @@
 //! All run on synthetic objectives (ZDT1 / synthetic tasks) so the whole
 //! suite finishes in seconds.
 
-use dphpo_bench::harness::write_artifact;
+use dphpo_bench::harness::{exit_if_writes_failed, write_artifact};
 use dphpo_evo::nsga2::{run_nsga2, EvalResult, Nsga2Config};
 use dphpo_evo::problems::zdt1;
 use dphpo_evo::{
@@ -125,4 +125,5 @@ fn main() {
 
     print!("{report}");
     write_artifact("ablations.txt", &report);
+    exit_if_writes_failed();
 }

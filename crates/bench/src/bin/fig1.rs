@@ -25,32 +25,30 @@
 //!   busy/idle minutes, utilization, hypervolume at equal budget), then
 //!   exits without touching any other artifact.
 //!
-//! Telemetry (off by default, strictly observational):
+//! What a campaign leaves behind (DESIGN.md §9.4):
 //!
-//! * `--trace out.json` — Chrome `trace_event` JSON (open in Perfetto or
-//!   `chrome://tracing`): one process per EA run, one lane per worker,
-//!   `eval` spans with nested training-step spans.
-//! * `--metrics out.jsonl` — deterministic event/metric log, plus the
-//!   wall-clock side channel next to it at `out.side.jsonl`.
+//! * **always**, next to the journal and as pure functions of it (so a
+//!   killed-and-resumed campaign ends with the same bytes): the live
+//!   `campaign_status.json`, rewritten atomically at every boundary,
+//!   `campaign_report.md`, `campaign_counters.trace.json` (Perfetto counter
+//!   tracks on the simulated clock), `fig1_levels.csv`, `fig1_report.txt`;
+//! * **with `--observe <dir>`**, in `<dir>` (created before the journal is):
+//!   a live wall-clock recorder's `trace.json` (Chrome `trace_event`),
+//!   `events.jsonl` and `events.side.jsonl`, and the deterministic
+//!   profiler's `profile.json` / `profile.folded`, rewritten at every
+//!   boundary; the telemetry rollup, the "where the microsecond goes"
+//!   attribution table and the tape step budget are appended to the reports.
+//!   Observing changes no other byte (DESIGN.md §14).
 //!
-//! Either flag also appends a per-generation rollup table to the fig1
-//! report. Campaign artifacts (journal, figures) are byte-identical with or
-//! without telemetry.
-//!
-//! Profiling (off by default, deterministic): `--profile <dir>` rewrites
-//! `profile.json` (schema `dphpo-profile-v1`) and a collapsed-stack
-//! `profile.folded` (open in speedscope or inferno) in `<dir>` at every
-//! generation boundary, and appends the "where the microsecond goes"
-//! attribution table plus the per-phase tape step budget to the fig1
-//! report and the campaign report. Both artifacts are pure functions of
-//! journaled data, so they are byte-identical across kill+resume, and
-//! profiling on vs off changes no other artifact (DESIGN.md §14).
+//! An artifact that cannot be written is reported, the rest are still
+//! written, and the process exits 1 — after the campaign, whose journal is
+//! already durable.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use dphpo_bench::harness::{
-    experiment_scale, journal_path, results_dir, run_and_report, write_artifact,
+    self, exit_if_writes_failed, experiment_scale, run_and_report, write_artifact, write_file,
 };
 use dphpo_core::analysis::{ascii_level_plot, failure_breakdown_table, level_plot_csv};
 use dphpo_core::campaign_report::{counter_trace_json, markdown_report, REFERENCE_POINT};
@@ -58,19 +56,16 @@ use dphpo_core::experiment::{Campaign, CampaignMode, ExperimentConfig, Experimen
 use dphpo_obs::{chrome, export, rollup, MemoryRecorder, Recorder};
 
 /// Every flag `fig1` understands: `(name, takes a path argument, help)`.
-/// `--list-flags` prints the names one per line; `scripts/verify.sh` greps
-/// the fig1 command lines in README.md/EXPERIMENTS.md against that list so
-/// the docs can never reference a flag this binary does not parse.
+/// `--list-flags` prints the names one per line; `scripts/verify.sh` holds
+/// the fig1 command lines in README.md/EXPERIMENTS.md to exactly that list:
+/// the docs name no flag this binary does not parse, and it parses none they
+/// do not name.
 const FLAGS: &[(&str, bool, &str)] = &[
     ("--smoke", false, "fast test-scale campaign instead of the reduced scale"),
     ("--steady-state", false, "asynchronous steady-state campaign on a fixed 8-slot pool (steady_* artifacts)"),
     ("--compare-modes", false, "run both campaign modes on a matched 8-slot pool, write results/mode_comparison.md, exit"),
     ("--resume", true, "replay a write-ahead journal and continue bit-identically"),
-    ("--trace", true, "write a Chrome trace_event JSON export"),
-    ("--metrics", true, "write the deterministic event/metric JSONL export"),
-    ("--status", false, "keep a live, atomically rewritten campaign_status.json"),
-    ("--report", false, "write the markdown campaign report and Chrome counter tracks"),
-    ("--profile", true, "rewrite deterministic profile artifacts (profile.json, profile.folded) in a directory at every boundary and append attribution tables to the reports"),
+    ("--observe", true, "attach the wall-clock recorder and the profiler: trace.json, events.jsonl, events.side.jsonl, profile.json, profile.folded in a directory, rollup and attribution tables in the reports"),
     ("--verify-journal", true, "offline journal integrity check (frames, last snapshot, first corrupt offset); exit nonzero on damage"),
     ("--compact", true, "rewrite a journal to its boundary records plus what no boundary covers yet (steady-state: the last snapshot and the arrival suffix; generational: the unfinished generation)"),
     ("--list-flags", false, "print every known flag, one per line, and exit"),
@@ -92,51 +87,24 @@ fn usage_error(problem: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Reject any `--flag` this binary does not understand, and any path flag
-/// given without its path. A typo'd flag silently running the full campaign
-/// is the failure mode this prevents.
-fn validate_flags() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        match FLAGS.iter().find(|(name, _, _)| name == arg) {
-            Some((_, true, _)) => {
-                i += 1; // the flag's path argument
-                if args.get(i).is_none_or(|value| value.starts_with("--")) {
-                    usage_error(&format!("`{arg}` requires a path argument"));
-                }
-            }
-            Some(_) => {}
-            None => usage_error(&format!("unknown flag `{arg}`")),
-        }
-        i += 1;
+/// The command line, checked against [`FLAGS`]: every flag passed, with its
+/// path when it takes one. A `--flag` this binary does not understand, or a
+/// path flag without its path, is a usage error — a typo'd flag silently
+/// running the full campaign is the failure mode this prevents.
+fn parse_flags() -> Vec<(&'static str, Option<PathBuf>)> {
+    let mut args = std::env::args().skip(1).peekable();
+    let mut passed = Vec::new();
+    while let Some(arg) = args.next() {
+        let Some(&(name, takes_path, _)) = FLAGS.iter().find(|(name, _, _)| *name == arg) else {
+            usage_error(&format!("unknown flag `{arg}`"))
+        };
+        let path = takes_path.then(|| match args.next_if(|value| !value.starts_with("--")) {
+            Some(value) => PathBuf::from(value),
+            None => usage_error(&format!("`{arg}` requires a path argument")),
+        });
+        passed.push((name, path));
     }
-}
-
-/// The path following `flag`, when present ([`validate_flags`] has already
-/// refused a path flag without one).
-fn path_arg(flag: &str) -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    let i = args.iter().position(|a| a == flag)?;
-    args.get(i + 1).map(PathBuf::from)
-}
-
-/// The journal to resume from, when `--resume <path>` was passed.
-fn resume_arg() -> Option<PathBuf> {
-    path_arg("--resume")
-}
-
-/// Whether a bare flag (no argument) was passed.
-fn has_flag(flag: &str) -> bool {
-    std::env::args().any(|a| a == flag)
-}
-
-fn write_file(path: &PathBuf, content: &str) {
-    match std::fs::write(path, content) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write {}: {e}", path.display()),
-    }
+    passed
 }
 
 /// Simulated-clock totals of one campaign, summed over every run and every
@@ -265,7 +233,10 @@ fn run_mode_comparison(base: &ExperimentConfig) -> String {
 }
 
 fn main() {
-    validate_flags();
+    let flags = parse_flags();
+    let has_flag = |flag: &str| flags.iter().any(|(name, _)| *name == flag);
+    let path_arg =
+        |flag: &str| flags.iter().find(|(name, _)| *name == flag).and_then(|(_, path)| path.clone());
     if has_flag("--list-flags") {
         for (name, _, _) in FLAGS {
             println!("{name}");
@@ -335,6 +306,7 @@ fn main() {
         let md = run_mode_comparison(&config);
         write_artifact("mode_comparison.md", &md);
         print!("{md}");
+        exit_if_writes_failed();
         return;
     }
 
@@ -344,10 +316,15 @@ fn main() {
     let prefix = if steady { "steady_" } else { "" };
     let row_label = if steady { "epoch" } else { "generation" };
 
-    let trace_path = path_arg("--trace");
-    let metrics_path = path_arg("--metrics");
-    let recorder = (trace_path.is_some() || metrics_path.is_some())
-        .then(|| Arc::new(MemoryRecorder::with_wall_clock()));
+    // Refused before the journal header is written: a campaign that cannot
+    // leave what it was asked to observe should not start.
+    let observe = path_arg("--observe").map(|dir| {
+        if let Err(e) = std::fs::create_dir_all(&dir) {
+            eprintln!("fig1: cannot create the --observe directory {}: {e}", dir.display());
+            std::process::exit(1);
+        }
+        (dir, Arc::new(MemoryRecorder::with_wall_clock()))
+    });
     let total = config.n_runs * config.pop_size * (config.generations + 1);
     println!(
         "Figure 1: {} runs x pop {} x {} {row_label}s (0-{}) = {} DNNP trainings{}",
@@ -362,32 +339,10 @@ fn main() {
             String::new()
         },
     );
-    // Observatory flags: `--status` keeps a live, atomically rewritten
-    // campaign_status.json next to the other artifacts; `--report` writes
-    // the end-of-run markdown report and the status-derived Chrome counter
-    // tracks. Both are deterministic: a killed-and-resumed campaign ends
-    // with the same bytes as an uninterrupted one.
-    let want_report = has_flag("--report");
-    let status_path = (has_flag("--status") || want_report)
-        .then(|| results_dir().join(format!("{prefix}campaign_status.json")));
-    let profile_dir = path_arg("--profile");
-    let mut campaign = match resume_arg() {
-        Some(journal) => Campaign::new(&config).journal(journal).resume(),
-        None if steady => {
-            Campaign::new(&config).journal(results_dir().join("steady_experiment.journal.jsonl"))
-        }
-        None => Campaign::new(&config).journal(journal_path()),
-    };
-    if let Some(path) = &status_path {
-        println!("live status at {}", path.display());
-        campaign = campaign.status_file(path);
-    }
-    if let Some(rec) = &recorder {
-        campaign = campaign.recorder(Arc::clone(rec) as Arc<dyn Recorder>);
-    }
-    if let Some(dir) = &profile_dir {
-        println!("profile artifacts in {}", dir.display());
-        campaign = campaign.profile_dir(dir);
+    let mut campaign = harness::campaign(&config, prefix, path_arg("--resume"));
+    if let Some((dir, rec)) = &observe {
+        println!("observing into {}", dir.display());
+        campaign = campaign.recorder(Arc::clone(rec) as Arc<dyn Recorder>).profile_dir(dir);
     }
     let result = run_and_report(campaign);
 
@@ -495,62 +450,44 @@ fn main() {
         ));
     }
 
-    // Telemetry exports (only when --trace/--metrics was passed): the
-    // deterministic snapshot feeds the Chrome trace, the event log, and a
-    // per-generation rollup appended to this report. Wall-clock stamps go
-    // to a separate side-channel file so the deterministic exports stay
-    // bit-identical across runs.
-    if let Some(rec) = &recorder {
+    // The end-of-run campaign report and the status-derived Chrome counter
+    // tracks (hypervolume, queue depth, utilization % on the simulated clock).
+    let mut md = markdown_report(&result.status);
+    write_artifact(
+        &format!("{prefix}campaign_counters.trace.json"),
+        &counter_trace_json(&result.status),
+    );
+
+    // `--observe <dir>`: the recorder's deterministic snapshot feeds the
+    // Chrome trace, the event log and a per-generation rollup; wall-clock
+    // stamps go to the side-channel file so the deterministic exports stay
+    // bit-identical across runs. Report sections land after everything an
+    // unobserved campaign writes, so observing only ever appends.
+    if let Some((dir, rec)) = &observe {
         let snap = rec.snapshot();
-        if let Some(path) = &trace_path {
-            write_file(path, &chrome::trace_json(&snap));
-        }
-        if let Some(path) = &metrics_path {
-            write_file(path, &export::events_jsonl(&snap));
-            let side = path.with_extension("side.jsonl");
-            write_file(&side, &export::side_channel_jsonl(&snap));
-        }
+        write_file(&dir.join("trace.json"), &chrome::trace_json(&snap));
+        write_file(&dir.join("events.jsonl"), &export::events_jsonl(&snap));
+        write_file(&dir.join("events.side.jsonl"), &export::side_channel_jsonl(&snap));
         report.push_str(&format!("\ntelemetry rollup (per {row_label}, all runs):\n"));
         report.push_str(&rollup::generation_rollup(&snap));
-    }
 
-    // Deterministic profile tables: the journal-derived attribution tree
-    // ("where the microsecond goes") and the base configuration's per-phase
-    // tape-node step budget — the same data `<dir>/profile.json` carries.
-    let profile_tables = profile_dir.as_ref().map(|_| {
         let tree = dphpo_core::profile::campaign_profile(&result);
         let (train, val) = dphpo_core::experiment::build_dataset(&config);
         let budget = dphpo_dnnp::step_budget(&config.base_train_config, &train, &val)
-            .expect("step-budget census");
-        (dphpo_obs::profile::markdown_table(&tree), budget.markdown())
-    });
-    if let Some((attribution, budget)) = &profile_tables {
+            .expect("the campaign took the same census for profile.json");
+        let (attribution, budget) = (dphpo_obs::profile::markdown_table(&tree), budget.markdown());
         report.push_str("\nwhere the microsecond goes (sim-clock attribution):\n");
-        report.push_str(attribution);
+        report.push_str(&attribution);
         report.push_str("\nstep budget (tape nodes per phase, base configuration):\n");
-        report.push_str(budget);
+        report.push_str(&budget);
+        md.push_str("\n## Where the microsecond goes\n\n");
+        md.push_str(&attribution);
+        md.push_str("\n## Step budget\n\n");
+        md.push_str(&budget);
     }
-
-    // End-of-run campaign report (markdown) plus the status-derived Chrome
-    // counter tracks (hypervolume, queue depth, utilization % on the
-    // simulated clock — loadable in Perfetto alongside `--trace`). The
-    // profile tables ride along only when `--profile` was passed, so the
-    // report stays byte-identical for unprofiled campaigns.
-    if want_report {
-        let mut md = markdown_report(&result.status);
-        if let Some((attribution, budget)) = &profile_tables {
-            md.push_str("\n## Where the microsecond goes\n\n");
-            md.push_str(attribution);
-            md.push_str("\n## Step budget\n\n");
-            md.push_str(budget);
-        }
-        write_artifact(&format!("{prefix}campaign_report.md"), &md);
-        write_artifact(
-            &format!("{prefix}campaign_counters.trace.json"),
-            &counter_trace_json(&result.status),
-        );
-    }
+    write_artifact(&format!("{prefix}campaign_report.md"), &md);
 
     print!("{report}");
     write_artifact(&format!("{prefix}fig1_report.txt"), &report);
+    exit_if_writes_failed();
 }

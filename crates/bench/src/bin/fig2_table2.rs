@@ -2,7 +2,7 @@
 //! generations) and **Table 2** (force and energy values of every solution
 //! exactly on that frontier).
 
-use dphpo_bench::harness::{load_or_run_experiment, write_artifact};
+use dphpo_bench::harness::{exit_if_writes_failed, load_or_run_experiment, write_artifact};
 use dphpo_core::analysis::{analyze, ascii_level_plot};
 
 fn main() {
@@ -47,4 +47,5 @@ fn main() {
     print!("{report}");
     write_artifact("fig2_table2.txt", &report);
     write_artifact("table2.csv", &csv);
+    exit_if_writes_failed();
 }

@@ -2,7 +2,7 @@
 //! solution (hyperparameters, runtime, losses, chemical-accuracy and
 //! frontier flags) plus the textual findings §3.2 draws from it.
 
-use dphpo_bench::harness::{load_or_run_experiment, write_artifact};
+use dphpo_bench::harness::{exit_if_writes_failed, load_or_run_experiment, write_artifact};
 use dphpo_core::analysis::{analyze, analyze_with_thresholds, CHEM_ACC_ENERGY, CHEM_ACC_FORCE};
 
 fn main() {
@@ -128,4 +128,5 @@ fn main() {
 
     print!("{report}");
     write_artifact("fig3_findings.txt", &report);
+    exit_if_writes_failed();
 }

@@ -4,7 +4,7 @@
 //! surrogate objective, showing the EA reaches a comparable frontier with
 //! orders of magnitude fewer evaluations.
 
-use dphpo_bench::harness::{experiment_scale, write_artifact};
+use dphpo_bench::harness::{exit_if_writes_failed, experiment_scale, write_artifact};
 use dphpo_core::representation::DeepMDRepresentation;
 use dphpo_core::workflow::{evaluate_individual, EvalContext};
 use dphpo_evo::{hypervolume_2d, pareto_front, Fitness};
@@ -91,4 +91,5 @@ fn main() {
 
     print!("{report}");
     write_artifact("grid_vs_ea.txt", &report);
+    exit_if_writes_failed();
 }

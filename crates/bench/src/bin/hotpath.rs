@@ -12,12 +12,16 @@
 //! Writes `BENCH_hotpath.json` (schema `dphpo-hotpath-v5`) into the
 //! current directory — run from the repo root (or via
 //! `scripts/bench_baseline.sh`) to refresh the checked-in baseline.
-//! `--quick` trades stability for runtime (CI-friendly).
+//! `--quick` trades stability for runtime (CI-friendly). Exits 1 when
+//! `matmul_nt` reaches 1.6× a plain `matmul` at 64×64 (the layout guard).
 
 use std::rc::Rc;
 use std::time::Instant;
 
 use dphpo_autograd::{PairList, Tape, Tensor, Unary, Var};
+use dphpo_bench::harness::{
+    ns_per_op, reference_config as config, reference_system, time_best, REFERENCE_RCUT,
+};
 use dphpo_core::campaign_report::GenStatus;
 use dphpo_core::experiment::{build_dataset, ExperimentConfig};
 use dphpo_core::journal::{
@@ -30,63 +34,14 @@ use dphpo_dnnp::{
 use dphpo_evo::nsga2::GenerationRecord;
 use dphpo_evo::{Fitness, Individual};
 use dphpo_hpc::{PoolReport, StreamSlotsState};
-use dphpo_md::generate::{generate_dataset, GenConfig};
 use dphpo_md::Dataset;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Best-of-`samples` wall time of `f`, in seconds (one warm-up call first).
-fn time_best(samples: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    let mut best = f64::MAX;
-    for _ in 0..samples {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
-
-/// Nanoseconds per call for a kernel, timed in batches of `reps`.
-fn ns_per_op(samples: usize, reps: usize, mut f: impl FnMut()) -> f64 {
-    time_best(samples, || {
-        for _ in 0..reps {
-            f();
-        }
-    }) * 1e9
-        / reps as f64
-}
-
-fn data() -> (Dataset, Dataset) {
-    // Same reference system as the criterion training bench.
-    let mut rng = StdRng::seed_from_u64(6);
-    let gen = GenConfig { n_frames: 24, ..GenConfig::reduced() };
-    let mut ds = generate_dataset(&gen, &mut rng);
-    ds.add_label_noise(0.0005, 0.03, &mut rng);
-    ds.split(0.25, &mut rng)
-}
-
-/// Reference training config: `rcut = 11` gives ~17 pairs/atom on the
-/// generated toy box, the closest match to the neighbor density of the
-/// paper's production systems (water at 6 Å sees ~46 neighbors/atom).
-/// The sparse `rcut = 6` variant (~3 pairs/atom) is also recorded — it is
-/// dominated by per-node graph overhead rather than kernel throughput, so
-/// tracking both catches regressions in either regime.
-const REFERENCE_RCUT: f64 = 11.0;
+/// The sparse `rcut = 6` variant (~3 pairs/atom) is recorded next to the
+/// reference — it is dominated by per-node graph overhead rather than kernel
+/// throughput, so tracking both catches regressions in either regime.
 const SPARSE_RCUT: f64 = 6.0;
-
-fn config(rcut: f64, steps: usize) -> TrainConfig {
-    TrainConfig {
-        rcut,
-        rcut_smth: 2.2,
-        start_lr: 0.008,
-        stop_lr: 1e-4,
-        num_steps: steps,
-        disp_freq: steps,
-        val_max_frames: 2,
-        ..TrainConfig::default()
-    }
-}
 
 /// Nanoseconds of (one warm training step, one pass of that step's fused
 /// pair kernels and little else), each the best of `rounds` blocks of
@@ -321,7 +276,7 @@ fn main() {
         .unwrap_or_else(|| "BENCH_hotpath.json".into());
     let (samples, k_steps, mm_reps, aff_reps, act_reps, new_reps) =
         if quick { (3, 20, 300, 60, 100, 20) } else { (3, 100, 3000, 400, 1000, 200) };
-    let (train_ds, val_ds) = data();
+    let (train_ds, val_ds) = reference_system();
 
     // Steady-state step cost by subtraction: t(2K) − t(K) spans exactly K
     // steps of the warm loop, cancelling model setup and cache building.
@@ -580,4 +535,15 @@ fn main() {
         scalar_pass_ns / 1e3,
         scalar_pass_ns / batched_pass_ns
     );
+    // Guard on the packed-panel `matmul_nt`: it must stay in the cost class
+    // of plain `matmul` at 64×64 (the pre-panel kernel was ~1.8×, the packed
+    // one ~1.2×; the cap leaves headroom for timer noise on a shared box).
+    if matmul_nt_ns / matmul_ns >= 1.6 {
+        eprintln!(
+            "FAIL: matmul_nt is {:.2}x the cost of matmul at 64x64 (expected ~1.2x, cap 1.6x): \
+             the transpose pack in simd::mm_nt has likely regressed",
+            matmul_nt_ns / matmul_ns
+        );
+        std::process::exit(1);
+    }
 }

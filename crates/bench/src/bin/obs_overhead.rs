@@ -24,12 +24,13 @@
 use std::time::Instant;
 
 use dphpo_autograd::Tape;
+use dphpo_bench::harness::{ns_per_op, reference_config, reference_system, REFERENCE_RCUT};
 use dphpo_dnnp::json::Json;
 use dphpo_dnnp::supervise::Supervision;
-use dphpo_dnnp::{train_supervised, TrainConfig};
-use dphpo_md::generate::{generate_dataset, GenConfig};
+use dphpo_dnnp::trainer::record_step;
+use dphpo_dnnp::train_supervised;
 use dphpo_md::Dataset;
-use dphpo_obs::{cats, names, Event, MemoryRecorder, Recorder, SpanCtx, When, NOOP};
+use dphpo_obs::{MemoryRecorder, Recorder, SpanCtx, NOOP};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -64,116 +65,36 @@ fn time_rounds(samples: usize, fns: &mut [&mut dyn FnMut()]) -> Vec<Vec<f64>> {
 
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(f64::total_cmp);
-    let n = xs.len();
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        0.5 * (xs[n / 2 - 1] + xs[n / 2])
-    }
-}
-
-fn data() -> (Dataset, Dataset) {
-    // Same reference system as the hotpath baseline.
-    let mut rng = StdRng::seed_from_u64(6);
-    let gen = GenConfig { n_frames: 24, ..GenConfig::reduced() };
-    let mut ds = generate_dataset(&gen, &mut rng);
-    ds.add_label_noise(0.0005, 0.03, &mut rng);
-    ds.split(0.25, &mut rng)
-}
-
-/// Reference config matching `hotpath`'s dense regime (~17 pairs/atom).
-fn config(steps: usize) -> TrainConfig {
-    TrainConfig {
-        rcut: 11.0,
-        rcut_smth: 2.2,
-        start_lr: 0.008,
-        stop_lr: 1e-4,
-        num_steps: steps,
-        disp_freq: steps,
-        val_max_frames: 2,
-        ..TrainConfig::default()
-    }
+    dphpo_bench::history::median(&xs)
 }
 
 fn run_training(steps: usize, train_ds: &Dataset, val_ds: &Dataset, recorder: Option<&dyn Recorder>) {
     let sup = Supervision { recorder, span: SpanCtx::root(7, 0), ..Supervision::none() };
     let mut rng = StdRng::seed_from_u64(7);
-    let _ = train_supervised(&config(steps), train_ds, val_ds, &mut rng, &sup).unwrap();
+    let config = reference_config(REFERENCE_RCUT, steps);
+    let _ = train_supervised(&config, train_ds, val_ds, &mut rng, &sup).unwrap();
 }
 
-/// Nanoseconds per call for a micro block, timed in batches of `reps`
-/// (best of `samples`, one warm-up batch first).
-fn ns_per_op(samples: usize, reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut run = || {
-        for _ in 0..reps {
-            f();
-        }
-    };
-    run();
-    let mut best = f64::MAX;
-    for _ in 0..samples {
-        let t = Instant::now();
-        run();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best * 1e9 / reps as f64
-}
-
-/// The trainer's per-step instrumentation block, shape-for-shape: the
-/// `obs()` resolution, the allocation-metering arm, the gated metric
-/// calls (tape allocation stats and per-phase wall twins included), and
-/// the `train.step` span. With the no-op recorder the whole block folds
-/// to the `enabled()` branches — that is the disabled path whose cost
-/// the 2% target bounds. The live arm is the profiler-enabled path:
-/// everything the deterministic profiler consumes rides on these calls,
-/// so its per-step budget is this block's cost, and it carries the same
-/// 2% target.
+/// What a training step pays for its recorder hook: the `obs()` resolution,
+/// the allocation-metering arm and the wall-twin timers as `train_step`
+/// takes them, then the trainer's own [`record_step`]. With the no-op
+/// recorder the block folds to the `enabled()` branches — the disabled path
+/// whose cost the 2% target bounds. The live arm is the profiler-enabled
+/// path, which carries everything the deterministic profiler consumes and
+/// the same 2% target.
 fn step_block(sup: &Supervision<'_>, tape: &Tape, step: usize, loss: f64) {
     let obs = sup.obs();
-    let t0 = obs.map(|_| Instant::now());
+    let timer = || obs.map(|_| Instant::now());
+    let elapsed_ns = |t0: Option<Instant>| t0.map(|t0| t0.elapsed().as_nanos() as f64);
+    let t0 = timer();
     if obs.is_some() && !tape.alloc_metering() {
         tape.set_alloc_metering(true);
     }
-    // Phase wall twins, resolved exactly as the trainer does: the graph
-    // phase reuses the step timer; backward and optimizer get their own.
-    let graph_wall_ns = t0.map(|t0| t0.elapsed().as_nanos() as f64);
-    let backward_t0 = obs.map(|_| Instant::now());
-    let backward_wall_ns = backward_t0.map(|t0| t0.elapsed().as_nanos() as f64);
-    let optimizer_t0 = obs.map(|_| Instant::now());
-    let optimizer_wall_ns = optimizer_t0.map(|t0| t0.elapsed().as_nanos() as f64);
+    // The graph phase reuses the step timer; backward and optimizer get
+    // their own.
+    let walls = [elapsed_ns(t0), elapsed_ns(timer()), elapsed_ns(timer())];
     if let Some(rec) = obs {
-        rec.counter_add(names::C_STEPS, 1);
-        rec.observe(names::H_LOSS, loss);
-        rec.observe(names::H_LR, 0.001);
-        rec.observe(names::H_GRAD_NORM, 3.2);
-        rec.gauge_set(names::G_TAPE_NODES, 1000.0);
-        rec.gauge_set(names::G_TAPE_POOLED, 12.0);
-        let alloc = tape.take_alloc_stats();
-        rec.counter_add(names::C_TAPE_POOL_HITS, alloc.pool_hits);
-        rec.counter_add(names::C_TAPE_POOL_MISSES, alloc.pool_misses);
-        rec.counter_add(names::C_TAPE_LEASES, alloc.leases);
-        rec.gauge_set(names::G_TAPE_LEASED_HW, alloc.leased_bytes_hw as f64);
-        rec.gauge_set(names::G_TAPE_RETAINED, tape.retained_bytes() as f64);
-        if let Some(t0) = t0 {
-            rec.observe(names::H_STEP_WALL_NS, t0.elapsed().as_nanos() as f64);
-        }
-        if let (Some(g), Some(b), Some(o)) =
-            (graph_wall_ns, backward_wall_ns, optimizer_wall_ns)
-        {
-            rec.observe(names::H_PHASE_GRAPH_WALL_NS, g);
-            rec.observe(names::H_PHASE_BACKWARD_WALL_NS, b);
-            rec.observe(names::H_PHASE_OPTIMIZER_WALL_NS, o);
-        }
-        rec.record(Event {
-            name: names::TRAIN_STEP,
-            cat: cats::TRAIN,
-            ctx: sup.span,
-            step: Some(step as u64),
-            when: When::InTask(loss),
-            dur_min: 0.1,
-            worker: None,
-            args: vec![("loss", loss), ("lr", 0.001), ("grad_norm", 3.2)],
-        });
+        record_step(rec, sup, tape, step, [loss, 0.001, 3.2], 1000, (t0, walls));
     }
 }
 
@@ -183,7 +104,7 @@ fn main() {
     // wall times), so the full run uses more samples and a longer window
     // than the hotpath baseline does, on top of the interleaved sampling.
     let (samples, k_steps) = if quick { (2, 20) } else { (16, 200) };
-    let (train_ds, val_ds) = data();
+    let (train_ds, val_ds) = reference_system();
     let (train_ds, val_ds) = (&train_ds, &val_ds);
     let memory = MemoryRecorder::new();
     let recorders: [Option<&dyn Recorder>; 3] = [None, Some(&NOOP), Some(&memory)];

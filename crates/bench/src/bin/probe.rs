@@ -1,42 +1,42 @@
-//! Parameter probe: `probe <n_atoms> <num_steps> [start_lr]` trains the
-//! reference configurations at that scale and prints loss magnitudes, used
-//! to pick the default experiment scale.
+//! Parameter probe: trains the reference configurations on the campaign's
+//! dataset and prints loss magnitudes, simulated minutes and wall time —
+//! how the default experiment scale was picked and how it is re-checked.
+//! `probe` alone runs the reduced configuration as the campaign builds it;
+//! `probe <n_atoms> <num_steps> [start_lr]` varies the scale.
 
-use std::sync::Arc;
 use std::time::Instant;
 
+use dphpo_core::experiment::build_dataset;
 use dphpo_core::workflow::{evaluate_individual, EvalContext};
-use dphpo_dnnp::TrainConfig;
+use dphpo_core::ExperimentConfig;
 use dphpo_hpc::CostModel;
-use dphpo_md::generate::{generate_dataset, GenConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let n_atoms: usize = args.get(1).map_or(20, |s| s.parse().unwrap());
-    let num_steps: usize = args.get(2).map_or(1200, |s| s.parse().unwrap());
-    let start_lr: f64 = args.get(3).map_or(5e-3, |s| s.parse().unwrap());
+    let mut config = ExperimentConfig::reduced();
+    if let Some(n_atoms) = args.get(1) {
+        config.gen_config.n_atoms = n_atoms.parse().expect("n_atoms is a count");
+    }
+    if let Some(num_steps) = args.get(2) {
+        let num_steps: usize = num_steps.parse().expect("num_steps is a count");
+        config.base_train_config.num_steps = num_steps;
+        config.base_train_config.disp_freq = num_steps / 4;
+    }
+    let start_lr: f64 = args.get(3).map_or(5e-3, |s| s.parse().expect("start_lr is a number"));
 
-    let mut rng = StdRng::seed_from_u64(0x0da7_a5e7);
-    let gen = GenConfig { n_atoms, box_len: 17.84, n_frames: 120, ..GenConfig::reduced() };
-    let mut dataset = generate_dataset(&gen, &mut rng);
-    dataset.add_label_noise(0.0005, 0.03, &mut rng);
-    let (train_ds, val_ds) = dataset.split(0.25, &mut rng);
-
+    let (train, val) = build_dataset(&config);
+    let n_atoms = train.n_atoms();
     let ctx = EvalContext {
-        base_config: TrainConfig {
-            num_steps,
-            disp_freq: num_steps / 4,
-            val_max_frames: 6,
-            ..TrainConfig::default()
-        },
-        train: Arc::new(train_ds),
-        val: Arc::new(val_ds),
+        base_config: config.base_train_config.clone(),
+        train,
+        val,
         cost_model: CostModel::default(),
         workdir: None,
     };
 
+    // genome: [start_lr, stop_lr, rcut, rcut_smth, scale, desc_act, fit_act]
+    // acts: 0 relu, 1 relu6, 2 softplus, 3 sigmoid, 4 tanh
+    // scale: 0 linear, 1 sqrt, 2 none
     let cases: Vec<(&str, Vec<f64>)> = vec![
         ("tanh none r=11.5", vec![start_lr, 1e-4, 11.5, 2.4, 2.5, 4.5, 4.5]),
         ("tanh none r=9.5 ", vec![start_lr, 1e-4, 9.5, 2.4, 2.5, 4.5, 4.5]),
@@ -51,20 +51,20 @@ fn main() {
         ("tanh none smth=5.5 r=11.5", vec![start_lr, 1e-4, 11.5, 5.5, 2.5, 4.5, 4.5]),
     ];
 
-    println!("atoms={n_atoms} steps={num_steps} start_lr={start_lr}");
-    println!("{:<28} {:>10} {:>10} {:>7}", "case", "e_loss", "f_loss", "wall");
+    println!("atoms={n_atoms} steps={} start_lr={start_lr}", config.base_train_config.num_steps);
+    println!("{:<28} {:>10} {:>10} {:>8} {:>7}", "case", "e_loss", "f_loss", "min", "wall");
     for (label, genome) in &cases {
         let t = Instant::now();
         let record = evaluate_individual(&ctx, genome, 17);
-        if record.failed {
-            println!("{label:<28} {:>10} {:>10} {:>6.1?}", "FAILED", "FAILED", t.elapsed());
+        let (e_loss, f_loss) = if record.failed {
+            ("FAILED".to_string(), "FAILED".to_string())
         } else {
-            println!(
-                "{label:<28} {:>10.5} {:>10.5} {:>6.1?}",
-                record.fitness.get(0),
-                record.fitness.get(1),
-                t.elapsed()
-            );
-        }
+            (format!("{:.5}", record.fitness.get(0)), format!("{:.5}", record.fitness.get(1)))
+        };
+        println!(
+            "{label:<28} {e_loss:>10} {f_loss:>10} {:>8.1} {:>6.1?}",
+            record.minutes,
+            t.elapsed()
+        );
     }
 }

@@ -4,7 +4,7 @@
 
 use std::time::Instant;
 
-use dphpo_bench::harness::write_artifact;
+use dphpo_bench::harness::{exit_if_writes_failed, write_artifact};
 use dphpo_evo::{fast_nondominated_sort, rank_ordinal_sort, Fitness};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,4 +62,5 @@ fn main() {
     );
     print!("{report}");
     write_artifact("sort_speedup.txt", &report);
+    exit_if_writes_failed();
 }

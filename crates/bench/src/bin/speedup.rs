@@ -3,7 +3,7 @@
 //! 7 days on CPU (≈65× speedup), and the 100-node allocation finishes the
 //! whole EA inside its 12-hour walltime.
 
-use dphpo_bench::harness::write_artifact;
+use dphpo_bench::harness::{exit_if_writes_failed, write_artifact};
 use dphpo_hpc::{paper_job, Allocation, CostModel};
 
 fn main() {
@@ -41,4 +41,5 @@ fn main() {
 
     print!("{report}");
     write_artifact("speedup.txt", &report);
+    exit_if_writes_failed();
 }

@@ -1,7 +1,7 @@
 //! Regenerates **Table 1**: initialisation ranges and initial mutation
 //! standard deviations of the seven-gene representation.
 
-use dphpo_bench::harness::write_artifact;
+use dphpo_bench::harness::{exit_if_writes_failed, write_artifact};
 use dphpo_core::representation::{DeepMDRepresentation, GENE_NAMES};
 
 fn main() {
@@ -23,4 +23,5 @@ fn main() {
     ));
     print!("{out}");
     write_artifact("table1.txt", &out);
+    exit_if_writes_failed();
 }

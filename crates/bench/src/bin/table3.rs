@@ -2,7 +2,7 @@
 //! chemically accurate solutions — lowest force loss, lowest energy loss,
 //! and lowest runtime — from the aggregated final generations.
 
-use dphpo_bench::harness::{load_or_run_experiment, write_artifact};
+use dphpo_bench::harness::{exit_if_writes_failed, load_or_run_experiment, write_artifact};
 use dphpo_core::analysis::{analyze, analyze_with_thresholds, Analysis, CHEM_ACC_ENERGY};
 
 fn row(analysis: &Analysis, idx: Option<usize>, field: &dyn Fn(&dphpo_core::SolutionRecord) -> String) -> String {
@@ -80,4 +80,5 @@ fn main() {
 
     print!("{report}");
     write_artifact("table3.txt", &report);
+    exit_if_writes_failed();
 }

@@ -218,7 +218,8 @@ pub fn is_timing(key: &str) -> bool {
     })
 }
 
-fn median(sorted: &[f64]) -> f64 {
+/// Median of an ascending-sorted, non-empty slice.
+pub fn median(sorted: &[f64]) -> f64 {
     let n = sorted.len();
     if n % 2 == 1 {
         sorted[n / 2]

@@ -1,10 +1,12 @@
 //! Command-line tests for the artifact binaries: `fig1 --list-flags` is
-//! the contract `scripts/verify.sh` greps the docs against, so the
-//! registry must stay complete; an unknown flag or a path flag without its
-//! path must be rejected loudly (exit 2 with the known-flag list) instead
-//! of panicking or silently running a full campaign; and the binaries that
-//! read the campaign back from its journal must refuse one they cannot use
-//! (exit 1, the journal error, the resume line) without touching it.
+//! the contract `scripts/verify.sh` holds the docs to, so the registry must
+//! stay exact; an unknown flag (the five `--observe` replaced included) or a
+//! path flag without its path must be rejected loudly (exit 2 with the
+//! known-flag list) instead of panicking or silently running a full
+//! campaign; `--observe <dir>` only ever adds to what a campaign always
+//! writes; an unwritable artifact is exit 1, not silence; and the binaries
+//! that read the campaign back from its journal must refuse one they cannot
+//! use (exit 1, the journal error, the resume line) without touching it.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -42,45 +44,47 @@ const JOURNAL_READERS: [&str; 3] = [
     env!("CARGO_BIN_EXE_table3"),
 ];
 
+/// Run `fig1 --smoke <args>` against `results_dir`; returns stderr.
+fn fig1_in(results_dir: &Path, args: &[&str], exit_code: i32) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_fig1"))
+        .arg("--smoke")
+        .args(args)
+        .env("DPHPO_RESULTS_DIR", results_dir)
+        .output()
+        .expect("spawn fig1");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(exit_code), "fig1 --smoke {args:?}: {stderr}");
+    stderr
+}
+
 #[test]
-fn fig1_list_flags_includes_every_registered_flag() {
+fn fig1_list_flags_is_exactly_the_registry() {
     let out = run(env!("CARGO_BIN_EXE_fig1"), &["--list-flags"]);
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
-    let listed: Vec<&str> = stdout.lines().collect();
-    for flag in [
-        "--smoke",
-        "--steady-state",
-        "--compare-modes",
-        "--resume",
-        "--trace",
-        "--metrics",
-        "--status",
-        "--report",
-        "--profile",
-        "--verify-journal",
-        "--compact",
-        "--list-flags",
-    ] {
-        assert!(listed.contains(&flag), "--list-flags is missing {flag}: {listed:?}");
-    }
+    let expected = "--smoke --steady-state --compare-modes --resume --observe --verify-journal \
+                    --compact --list-flags";
+    assert_eq!(stdout.lines().collect::<Vec<_>>(), expected.split(' ').collect::<Vec<_>>());
 }
 
 #[test]
 fn fig1_rejects_unknown_flags_before_running_anything() {
-    let out = run(env!("CARGO_BIN_EXE_fig1"), &["--no-such-flag"]);
-    assert_eq!(out.status.code(), Some(2), "unknown flag must exit 2");
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("unknown flag `--no-such-flag`"), "{stderr}");
-    // The rejection message doubles as usage: every known flag is listed,
-    // including the profiler entry point.
-    assert!(stderr.contains("--profile"), "usage must list --profile: {stderr}");
+    // The five flags `--observe` replaced are deleted, not aliased: they
+    // take the unknown-flag path like any typo.
+    for flag in ["--no-such-flag", "--trace", "--metrics", "--status", "--report", "--profile"] {
+        let out = run(env!("CARGO_BIN_EXE_fig1"), &["--smoke", flag, "somewhere"]);
+        assert_eq!(out.status.code(), Some(2), "{flag} must exit 2");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains(&format!("unknown flag `{flag}`")), "{stderr}");
+        // The rejection message doubles as usage: every known flag is listed.
+        assert!(stderr.contains("--observe <path>"), "usage must list --observe: {stderr}");
+    }
 }
 
 #[test]
 fn fig1_rejects_unknown_flags_even_next_to_known_ones() {
-    let out = run(env!("CARGO_BIN_EXE_fig1"), &["--smoke", "--porfile", "dir"]);
-    assert_eq!(out.status.code(), Some(2), "typo'd --profile must exit 2");
+    let out = run(env!("CARGO_BIN_EXE_fig1"), &["--smoke", "--obsreve", "dir"]);
+    assert_eq!(out.status.code(), Some(2), "typo'd --observe must exit 2");
 }
 
 #[test]
@@ -93,7 +97,7 @@ fn perf_report_rejects_unknown_flags() {
 
 #[test]
 fn fig1_path_flags_without_a_path_are_usage_errors() {
-    for flag in ["--resume", "--trace", "--metrics", "--profile", "--verify-journal", "--compact"] {
+    for flag in ["--resume", "--observe", "--verify-journal", "--compact"] {
         // At the end of the command line, and with another flag where the
         // path should be.
         for args in [vec!["--smoke", flag], vec![flag, "--smoke"]] {
@@ -113,6 +117,88 @@ fn perf_report_history_without_a_path_is_a_usage_error() {
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("`--history` requires a path argument"), "{stderr}");
     assert!(stderr.contains("usage: perf_report"), "{stderr}");
+}
+
+/// `--observe <dir>` adds five files in `<dir>` and appended report sections,
+/// every other byte equal — in both campaign modes, and again when resuming
+/// the finished journal (which trains nothing).
+#[test]
+fn observing_a_campaign_only_ever_adds_to_what_it_always_writes() {
+    for (mode, prefix) in [(vec![], ""), (vec!["--steady-state"], "steady_")] {
+        let plain = scratch_dir(&format!("observe-{prefix}off"));
+        let seen = scratch_dir(&format!("observe-{prefix}on"));
+        let observed = seen.join("observed");
+        let read = |dir: &Path, name: &str| {
+            std::fs::read_to_string(dir.join(format!("{prefix}{name}")))
+                .unwrap_or_else(|e| panic!("{mode:?}: {prefix}{name} missing: {e}"))
+        };
+
+        fig1_in(&plain, &mode, 0);
+        let mut args = mode.clone();
+        args.extend(["--observe", observed.to_str().unwrap()]);
+        fig1_in(&seen, &args, 0);
+
+        let same = [
+            "experiment.journal.jsonl",
+            "fig1_levels.csv",
+            "campaign_status.json",
+            "campaign_counters.trace.json",
+        ];
+        for name in same {
+            assert_eq!(read(&plain, name), read(&seen, name), "{mode:?}: {name} differs");
+        }
+        for name in ["campaign_report.md", "fig1_report.txt"] {
+            let (off, on) = (read(&plain, name), read(&seen, name));
+            assert!(on.len() > off.len() && on.starts_with(&off), "{mode:?}: {name}");
+            assert!(on[off.len()..].contains("here the microsecond goes"), "{mode:?}: {name}");
+        }
+        for name in ["trace.json", "events.jsonl", "events.side.jsonl", "profile.json", "profile.folded"] {
+            assert!(observed.join(name).metadata().is_ok_and(|m| m.len() > 0), "{mode:?}: {name}");
+        }
+
+        // Resuming the finished journal leaves the same bytes.
+        let journal = seen.join(format!("{prefix}experiment.journal.jsonl"));
+        let again = seen.join("observed-again");
+        let mut args = mode.clone();
+        args.extend(["--resume", journal.to_str().unwrap(), "--observe", again.to_str().unwrap()]);
+        fig1_in(&seen, &args, 0);
+        for name in same {
+            assert_eq!(read(&plain, name), read(&seen, name), "{mode:?}: resumed {name}");
+        }
+        for name in ["profile.json", "profile.folded"] {
+            assert_eq!(
+                std::fs::read(observed.join(name)).unwrap(),
+                std::fs::read(again.join(name)).unwrap(),
+                "{mode:?}: resumed {name}"
+            );
+        }
+        let _ = (std::fs::remove_dir_all(&plain), std::fs::remove_dir_all(&seen));
+    }
+}
+
+#[test]
+fn unwritable_outputs_are_exit_1_not_silence() {
+    let dir = scratch_dir("unwritable");
+    let blocker = dir.join("a-file");
+    std::fs::write(&blocker, "not a directory").unwrap();
+
+    // An `--observe` directory that cannot exist: refused before the journal
+    // header is written.
+    let stderr = fig1_in(&dir, &["--observe", blocker.join("obs").to_str().unwrap()], 1);
+    assert!(stderr.contains("cannot create the --observe directory"), "{stderr}");
+    assert!(!dir.join("experiment.journal.jsonl").exists(), "journal written before the refusal");
+
+    // An artifact that cannot be written: the campaign and every other
+    // artifact complete, then exit 1 naming the path.
+    let levels = dir.join("fig1_levels.csv");
+    std::fs::create_dir(&levels).unwrap();
+    let stderr = fig1_in(&dir, &[], 1);
+    assert!(stderr.contains(&format!("failed to write {}", levels.display())), "{stderr}");
+    assert!(stderr.contains("not every artifact could be written"), "{stderr}");
+    for name in ["experiment.journal.jsonl", "campaign_report.md", "fig1_report.txt"] {
+        assert!(dir.join(name).is_file(), "{name} must still be written");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -1280,19 +1280,10 @@ pub fn config_fingerprint(config: &ExperimentConfig) -> u64 {
                 ("nanny", Json::Bool(config.pool.nanny)),
                 ("max_attempts", Json::Number(config.pool.max_attempts as f64)),
                 ("speculate", Json::Bool(config.pool.supervisor.speculate)),
-                (
-                    "straggler_quantile",
-                    Json::Number(config.pool.supervisor.straggler_quantile),
-                ),
-                (
-                    "straggler_factor",
-                    Json::Number(config.pool.supervisor.straggler_factor),
-                ),
-                (
-                    "backoff_base",
-                    Json::Number(config.pool.supervisor.backoff_base_minutes),
-                ),
-                ("backoff_factor", Json::Number(config.pool.supervisor.backoff_factor)),
+                ("straggler_quantile", Json::Number(dphpo_hpc::scheduler::STRAGGLER_QUANTILE)),
+                ("straggler_factor", Json::Number(dphpo_hpc::scheduler::STRAGGLER_FACTOR)),
+                ("backoff_base", Json::Number(dphpo_hpc::scheduler::BACKOFF_BASE_MINUTES)),
+                ("backoff_factor", Json::Number(dphpo_hpc::scheduler::BACKOFF_FACTOR)),
                 (
                     "quarantine_deaths",
                     Json::Number(config.pool.supervisor.quarantine_deaths as f64),
@@ -2882,6 +2873,16 @@ mod tests {
         c.mode = CampaignMode::SteadyState;
         assert_ne!(config_fingerprint(&c), f0);
         assert_eq!(config_fingerprint(&base.clone()), f0);
+    }
+
+    /// The straggler and backoff constants of `hpc::scheduler` are hashed in:
+    /// editing one fails here instead of silently orphaning every journal.
+    #[test]
+    fn smoke_fingerprints_are_the_ones_existing_journals_carry() {
+        let smoke = ExperimentConfig::smoke();
+        assert_eq!(config_fingerprint(&smoke), 0x63e0_d080_a569_740b);
+        let steady = ExperimentConfig { mode: CampaignMode::SteadyState, ..smoke };
+        assert_eq!(config_fingerprint(&steady), 0x8730_25b2_eec5_40e8);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::loss::PrefactorSchedule;
 use crate::lr::LrSchedule;
 use crate::model::{forward_cached, DnnpModel, ModelParams};
 use crate::supervise::{AbortReason, Supervision};
-use dphpo_obs::{cats, names, Event, When};
+use dphpo_obs::{cats, names, Event, Recorder, When};
 
 /// Adam optimiser state (DeePMD's optimiser; β₁ 0.9, β₂ 0.999, ε 1e-8).
 pub struct Adam {
@@ -299,6 +299,53 @@ fn batch_labels(
         Tensor::matrix(batch_total, 1, e),
         Tensor::matrix(batch_total * n_atoms, 3, f),
     )
+}
+
+/// Everything one completed training step hands a live recorder: counters,
+/// gauges and histograms, the drained tape allocation statistics, the wall
+/// twins (the step timer and the graph / backward / optimizer phase
+/// nanoseconds) and the `train.step` event. [`TrainRun`]'s step calls it
+/// behind its one `obs` branch and `obs_overhead` times this same function,
+/// so the overhead gate cannot measure a stale copy.
+pub fn record_step(
+    rec: &dyn Recorder,
+    sup: &Supervision<'_>,
+    tape: &Tape,
+    step: usize,
+    [loss, lr, grad_norm]: [f64; 3],
+    tape_nodes: usize,
+    (step_t0, phase_wall_ns): (Option<std::time::Instant>, [Option<f64>; 3]),
+) {
+    rec.counter_add(names::C_STEPS, 1);
+    rec.observe(names::H_LOSS, loss);
+    rec.observe(names::H_LR, lr);
+    rec.observe(names::H_GRAD_NORM, grad_norm);
+    rec.gauge_set(names::G_TAPE_NODES, tape_nodes as f64);
+    rec.gauge_set(names::G_TAPE_POOLED, tape.pooled_buffers() as f64);
+    let alloc = tape.take_alloc_stats();
+    rec.counter_add(names::C_TAPE_POOL_HITS, alloc.pool_hits);
+    rec.counter_add(names::C_TAPE_POOL_MISSES, alloc.pool_misses);
+    rec.counter_add(names::C_TAPE_LEASES, alloc.leases);
+    rec.gauge_set(names::G_TAPE_LEASED_HW, alloc.leased_bytes_hw as f64);
+    rec.gauge_set(names::G_TAPE_RETAINED, tape.retained_bytes() as f64);
+    if let Some(t0) = step_t0 {
+        rec.observe(names::H_STEP_WALL_NS, t0.elapsed().as_nanos() as f64);
+    }
+    if let [Some(g), Some(b), Some(o)] = phase_wall_ns {
+        rec.observe(names::H_PHASE_GRAPH_WALL_NS, g);
+        rec.observe(names::H_PHASE_BACKWARD_WALL_NS, b);
+        rec.observe(names::H_PHASE_OPTIMIZER_WALL_NS, o);
+    }
+    rec.record(Event {
+        name: names::TRAIN_STEP,
+        cat: cats::TRAIN,
+        ctx: sup.span,
+        step: Some(step as u64),
+        when: When::InTask(sup.sim_minutes(step)),
+        dur_min: sup.minutes_per_step,
+        worker: None,
+        args: vec![("loss", loss), ("lr", lr), ("grad_norm", grad_norm)],
+    });
 }
 
 /// One training run as an explicit per-step state machine.
@@ -630,38 +677,8 @@ impl<'a> TrainRun<'a> {
                 .map(|g| g.data().iter().map(|v| v * v).sum::<f64>())
                 .sum::<f64>()
                 .sqrt();
-            rec.counter_add(names::C_STEPS, 1);
-            rec.observe(names::H_LOSS, loss_value);
-            rec.observe(names::H_LR, lr);
-            rec.observe(names::H_GRAD_NORM, grad_norm);
-            rec.gauge_set(names::G_TAPE_NODES, tape_nodes as f64);
-            rec.gauge_set(names::G_TAPE_POOLED, tape.pooled_buffers() as f64);
-            let alloc = tape.take_alloc_stats();
-            rec.counter_add(names::C_TAPE_POOL_HITS, alloc.pool_hits);
-            rec.counter_add(names::C_TAPE_POOL_MISSES, alloc.pool_misses);
-            rec.counter_add(names::C_TAPE_LEASES, alloc.leases);
-            rec.gauge_set(names::G_TAPE_LEASED_HW, alloc.leased_bytes_hw as f64);
-            rec.gauge_set(names::G_TAPE_RETAINED, tape.retained_bytes() as f64);
-            if let Some(t0) = step_t0 {
-                rec.observe(names::H_STEP_WALL_NS, t0.elapsed().as_nanos() as f64);
-            }
-            if let (Some(g), Some(b), Some(o)) =
-                (graph_wall_ns, backward_wall_ns, optimizer_wall_ns)
-            {
-                rec.observe(names::H_PHASE_GRAPH_WALL_NS, g);
-                rec.observe(names::H_PHASE_BACKWARD_WALL_NS, b);
-                rec.observe(names::H_PHASE_OPTIMIZER_WALL_NS, o);
-            }
-            rec.record(Event {
-                name: names::TRAIN_STEP,
-                cat: cats::TRAIN,
-                ctx: sup.span,
-                step: Some(step as u64),
-                when: When::InTask(sup.sim_minutes(step)),
-                dur_min: sup.minutes_per_step,
-                worker: None,
-                args: vec![("loss", loss_value), ("lr", lr), ("grad_norm", grad_norm)],
-            });
+            let walls = (step_t0, [graph_wall_ns, backward_wall_ns, optimizer_wall_ns]);
+            record_step(rec, sup, tape, step, [loss_value, lr, grad_norm], tape_nodes, walls);
         }
 
         step.is_multiple_of(self.config.disp_freq)

@@ -122,7 +122,7 @@ pub fn hypervolume(front: &[Vec<f64>], reference: &[f64]) -> f64 {
 
 /// 2-D hypervolume sweep over pre-filtered points (all strictly inside the
 /// reference box).
-fn sweep_2d(mut pts: Vec<(f64, f64)>, reference: (f64, f64)) -> f64 {
+pub(crate) fn sweep_2d(mut pts: Vec<(f64, f64)>, reference: (f64, f64)) -> f64 {
     pts.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
     let mut hv = 0.0;
     let mut best_f2 = reference.1;

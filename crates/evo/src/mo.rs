@@ -274,21 +274,8 @@ pub fn pareto_front(fitnesses: &[&Fitness]) -> Vec<usize> {
 /// (both objectives minimised; points outside the reference box contribute
 /// their clipped area only).
 pub fn hypervolume_2d(front: &[(f64, f64)], reference: (f64, f64)) -> f64 {
-    let mut pts: Vec<(f64, f64)> = front
-        .iter()
-        .copied()
-        .filter(|&(a, b)| a < reference.0 && b < reference.1)
-        .collect();
-    pts.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.partial_cmp(&b.1).unwrap()));
-    let mut hv = 0.0;
-    let mut best_f2 = reference.1;
-    for &(f1, f2) in &pts {
-        if f2 < best_f2 {
-            hv += (reference.0 - f1) * (best_f2 - f2);
-            best_f2 = f2;
-        }
-    }
-    hv
+    let inside = front.iter().copied().filter(|&(a, b)| a < reference.0 && b < reference.1);
+    crate::metrics::sweep_2d(inside.collect(), reference)
 }
 
 #[cfg(test)]

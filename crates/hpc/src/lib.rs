@@ -34,12 +34,14 @@
 //! and [`Pool::stream`] feeds a steady-state campaign through them — same
 //! supervision and accounting, no generation barrier, tasks submitted the
 //! moment they exist and taken when the simulated clock asks. [`run_batch`],
-//! [`run_batch_supervised`], [`run_batch_observed`] and
-//! [`run_stream_window`] are the one-shot forms: the same code on a pool
-//! opened for the call. Both schedulers turn an evaluation outcome into a
-//! task record through one shared classification (timeouts charge the limit,
-//! structured faults map onto [`TaskError`]), so the two campaign modes
-//! cannot drift apart on what a failure is.
+//! [`run_batch_supervised`] and [`run_stream_window`] are the one-shot
+//! forms: the same code on a pool opened for the call. Both schedulers turn
+//! an evaluation outcome into a task record through one shared
+//! classification (timeouts charge the limit, structured faults map onto
+//! [`TaskError`]) and space retries by one [`scheduler::backoff_minutes`],
+//! so the two campaign modes cannot drift apart on what a failure is or
+//! costs. The straggler rule and the backoff are constants of [`scheduler`];
+//! [`SupervisorConfig`] holds only the two switches campaigns set.
 
 #![warn(missing_docs)]
 
@@ -58,9 +60,8 @@ pub use faultplan::{
 };
 pub use pool::{with_pool, Pool};
 pub use scheduler::{
-    run_batch, run_batch_observed, run_batch_supervised, CancelToken,
-    EvalFault, EvalOutcome, FaultInjector, PoolConfig, PoolReport, SupervisorConfig, TaskCtx,
-    TaskError, TaskRecord, SPECULATIVE_ATTEMPT,
+    run_batch, run_batch_supervised, CancelToken, EvalFault, EvalOutcome, FaultInjector,
+    PoolConfig, PoolReport, SupervisorConfig, TaskCtx, TaskError, TaskRecord, SPECULATIVE_ATTEMPT,
 };
 pub use stream::{run_stream_window, Stream, StreamSlots, StreamSlotsState, StreamTaskReport};
 pub use trace::{Span, Timeline};

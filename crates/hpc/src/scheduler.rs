@@ -219,23 +219,29 @@ pub struct TaskRecord<T> {
     pub attempts: u32,
 }
 
-/// Supervision-loop knobs: straggler rule, speculation, backoff, and worker
-/// health scoring. All decisions derived from these are deterministic.
+/// Quantile of a batch's estimated minutes (nearest-rank over the sorted
+/// estimates) that is the straggler baseline.
+pub const STRAGGLER_QUANTILE: f64 = 0.75;
+/// A task is a straggler when its estimate exceeds this × the baseline.
+pub const STRAGGLER_FACTOR: f64 = 1.5;
+/// Simulated minutes of backoff before the first retry of a task.
+pub const BACKOFF_BASE_MINUTES: f64 = 1.0;
+/// Multiplier applied to the backoff for each further retry.
+pub const BACKOFF_FACTOR: f64 = 2.0;
+
+/// Simulated minutes a task waits before retry number `retry` (1 = the
+/// first): the one spelling of the backoff rule, under both schedulers.
+pub fn backoff_minutes(retry: u32) -> f64 {
+    BACKOFF_BASE_MINUTES * BACKOFF_FACTOR.powi(retry as i32 - 1)
+}
+
+/// Supervision-loop switches. The straggler rule and the backoff are the
+/// constants above — no campaign, preset or benchmark ever ran with other
+/// values, and the journal fingerprint pins them.
 #[derive(Clone, Copy, Debug)]
 pub struct SupervisorConfig {
     /// Launch speculative twins for straggler tasks (needs ≥ 2 workers).
     pub speculate: bool,
-    /// Quantile of the batch's estimated minutes used as the straggler
-    /// baseline (nearest-rank over the sorted estimates).
-    pub straggler_quantile: f64,
-    /// A task is a straggler when its estimate exceeds
-    /// `straggler_factor ×` the quantile baseline.
-    pub straggler_factor: f64,
-    /// Simulated minutes of backoff before the first retry of a task.
-    pub backoff_base_minutes: f64,
-    /// Multiplier applied to the backoff for each further retry
-    /// (`base × factor^(retry-1)`).
-    pub backoff_factor: f64,
     /// With nannies, quarantine (permanently retire) a worker slot after
     /// this many deaths — unless it is the last surviving slot. 0 disables
     /// quarantining.
@@ -244,14 +250,7 @@ pub struct SupervisorConfig {
 
 impl Default for SupervisorConfig {
     fn default() -> Self {
-        SupervisorConfig {
-            speculate: false,
-            straggler_quantile: 0.75,
-            straggler_factor: 1.5,
-            backoff_base_minutes: 1.0,
-            backoff_factor: 2.0,
-            quarantine_deaths: 3,
-        }
+        SupervisorConfig { speculate: false, quarantine_deaths: 3 }
     }
 }
 
@@ -400,12 +399,6 @@ impl FaultInjector {
     }
 }
 
-/// Nearest-rank quantile over an ascending-sorted slice.
-fn quantile(sorted: &[f64], q: f64) -> f64 {
-    let idx = (((sorted.len() - 1) as f64) * q.clamp(0.0, 1.0)).round() as usize;
-    sorted[idx]
-}
-
 /// Per-run statistics.
 ///
 /// Every field except (under speculation) [`PoolReport::heartbeats`] is a
@@ -445,7 +438,7 @@ pub struct PoolReport {
     /// primaries' partial minutes plus dying twins' partial minutes.
     pub lost_minutes: f64,
     /// Total simulated backoff delay inserted before retries
-    /// (`base × factor^(retry-1)` per retry). Idle waiting, not busy time —
+    /// ([`backoff_minutes`] per retry). Idle waiting, not busy time —
     /// reported separately from the makespan.
     pub backoff_minutes: f64,
     /// Simulated busy minutes per worker slot that produced a result
@@ -536,7 +529,9 @@ where
 }
 
 /// As [`run_batch`], with supervised evaluations, a per-task cost estimate
-/// and a task-completion hook.
+/// and a task-completion hook: the one-shot, unobserved form of
+/// [`Pool::run_batch`] — it opens a pool for the call, where a campaign
+/// opens one for its whole life.
 ///
 /// `on_complete(task, record)` fires on the scheduler (calling) thread the
 /// moment a task reaches its final record — success, evaluation failure,
@@ -566,30 +561,6 @@ where
     E: Fn(usize, &I) -> f64,
     H: FnMut(usize, &TaskRecord<T>),
 {
-    run_batch_observed(inputs, eval, estimate, config, faults, on_complete, &NOOP, SpanCtx::default())
-}
-
-/// As [`run_batch_supervised`], with a telemetry [`Recorder`]: the one-shot
-/// form of [`Pool::run_batch`] — it opens a pool for the call. A campaign
-/// opens one pool for its whole life instead and runs every batch on it.
-#[allow(clippy::too_many_arguments)]
-pub fn run_batch_observed<I, T, F, E, H>(
-    inputs: &[I],
-    eval: F,
-    estimate: E,
-    config: &PoolConfig,
-    faults: &FaultInjector,
-    on_complete: H,
-    obs: &dyn Recorder,
-    span: SpanCtx,
-) -> (Vec<TaskRecord<T>>, PoolReport)
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&TaskCtx<'_>, &I) -> EvalOutcome<T> + Sync,
-    E: Fn(usize, &I) -> f64,
-    H: FnMut(usize, &TaskRecord<T>),
-{
     // An empty batch never spins the pool up.
     if inputs.is_empty() {
         return (Vec::new(), PoolReport::default());
@@ -605,8 +576,8 @@ where
                 config,
                 faults,
                 on_complete,
-                obs,
-                span,
+                &NOOP,
+                SpanCtx::default(),
             )
         },
     )
@@ -740,7 +711,6 @@ impl<T, H: FnMut(usize, &TaskRecord<T>)> Batch<'_, T, H> {
     /// the task at the back of the queue or, out of attempts, fails it.
     fn death(&mut self, task: usize, attempt: u32, panicked: bool) {
         let worker = self.workers.absorb_death(self.config);
-        let sup = self.config.supervisor;
         self.report.worker_deaths += 1;
         // A fault-injected death burned a deterministic fraction of the
         // task's estimate; a panic gives no progress information, so the
@@ -767,8 +737,7 @@ impl<T, H: FnMut(usize, &TaskRecord<T>)> Batch<'_, T, H> {
                 self.retried[task] = true;
                 self.report.retried_tasks += 1;
             }
-            let backoff =
-                sup.backoff_base_minutes * sup.backoff_factor.powi(self.attempts[task] as i32 - 1);
+            let backoff = backoff_minutes(self.attempts[task]);
             self.report.backoff_minutes += backoff;
             self.backoff_per_task[task] += backoff;
             if self.obs_on {
@@ -877,7 +846,8 @@ impl<J: Clone, T> Pool<'_, J, T> {
         if sup.speculate && n > 1 && config.n_workers > 1 {
             let mut sorted = batch.estimates.clone();
             sorted.sort_by(|a, b| a.partial_cmp(b).expect("estimates are finite"));
-            let threshold = quantile(&sorted, sup.straggler_quantile) * sup.straggler_factor;
+            let baseline = sorted[((n - 1) as f64 * STRAGGLER_QUANTILE).round() as usize];
+            let threshold = baseline * STRAGGLER_FACTOR;
             let mut budget = config.n_workers - 1;
             for task in 0..n {
                 let est = batch.estimates[task];
@@ -1272,6 +1242,30 @@ mod tests {
     }
 
     #[test]
+    fn backoff_doubles_per_retry_under_both_schedulers() {
+        for retry in 1..=4u32 {
+            assert_eq!(backoff_minutes(retry), 1.0 * 2.0f64.powi(retry as i32 - 1));
+        }
+        // Three deaths, then success: retries 1, 2 and 3 wait 1 + 2 + 4
+        // minutes, whichever scheduler runs the chain.
+        let eval = |ctx: &TaskCtx<'_>, &x: &u64| {
+            assert!(ctx.attempt > 3, "attempt {} dies", ctx.attempt);
+            EvalOutcome { value: Ok::<u64, EvalFault>(x), minutes: 5.0 }
+        };
+        let supervisor = SupervisorConfig { quarantine_deaths: 0, ..SupervisorConfig::default() };
+        let config = PoolConfig { n_workers: 1, nanny: true, max_attempts: 4, supervisor, ..PoolConfig::default() };
+        let faults = FaultInjector::none();
+        let (records, report) =
+            run_batch_supervised(&[9u64], eval, |_, _| 5.0, &config, &faults, |_, _| {});
+        assert_eq!((records[0].attempts, report.worker_deaths), (4, 3));
+        assert_eq!(report.backoff_minutes, 7.0);
+        let window =
+            crate::stream::run_stream_window(&[(0, 0, 9u64)], eval, |_, _| 5.0, &config, &faults);
+        assert_eq!((window[0].record.attempts, window[0].deaths), (4, 3));
+        assert_eq!(window[0].backoff_minutes, 7.0);
+    }
+
+    #[test]
     fn panicking_eval_is_a_worker_death_not_a_hang() {
         // Regression: without catch_unwind the panicked task never reported
         // back and the driver spun on recv_timeout forever.
@@ -1373,11 +1367,7 @@ mod tests {
                 n_workers: 3,
                 nanny: true,
                 max_attempts: 3,
-                supervisor: SupervisorConfig {
-                    speculate: true,
-                    quarantine_deaths: 0,
-                    ..SupervisorConfig::default()
-                },
+                supervisor: SupervisorConfig { speculate: true, quarantine_deaths: 0 },
                 ..PoolConfig::default()
             };
             let faults = FaultInjector::new(0.3, 1234);

@@ -40,7 +40,8 @@ use std::collections::HashMap;
 
 use crate::pool::{with_pool, Completion, Job, JobResult, Pool};
 use crate::scheduler::{
-    classify, EvalOutcome, FaultInjector, PoolConfig, PoolReport, TaskCtx, TaskError, TaskRecord,
+    backoff_minutes, classify, EvalOutcome, FaultInjector, PoolConfig, PoolReport, TaskCtx,
+    TaskError, TaskRecord,
 };
 
 /// Terminal outcome of one stream task, with the charge breakdown the
@@ -56,7 +57,7 @@ pub struct StreamTaskReport<T> {
     /// minutes; a panicking evaluation writes off the full estimate).
     pub lost_minutes: f64,
     /// Retry-backoff minutes inserted before re-attempts
-    /// (`base × factor^(retry−1)`, as in the batch scheduler).
+    /// ([`backoff_minutes`] per retry, as in the batch scheduler).
     pub backoff_minutes: f64,
     /// Worker deaths this task's retry chain absorbed.
     pub deaths: usize,
@@ -136,8 +137,7 @@ impl<J> Chain<J> {
         if self.attempt >= config.max_attempts {
             return Some(self.finish(Err(TaskError::WorkerFailed), self.lost));
         }
-        let sup = config.supervisor;
-        self.backoff += sup.backoff_base_minutes * sup.backoff_factor.powi(self.attempt as i32 - 1);
+        self.backoff += backoff_minutes(self.attempt);
         self.attempt += 1;
         None
     }

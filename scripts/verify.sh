@@ -5,12 +5,12 @@
 #   2. cargo test -q               — every test passes
 #   3. cargo clippy                — lints clean with warnings DENIED
 #   4. cargo doc --no-deps         — rustdoc builds with warnings DENIED
-#   5. doc-sync                    — every `--bin`/`--bench` named in
-#                                    EXPERIMENTS.md exists in the workspace,
-#                                    and every fig1 flag used in README.md /
-#                                    EXPERIMENTS.md is one `fig1 --list-flags`
-#                                    actually parses; and every `pub mod` is
-#                                    named by some file besides its lib.rs
+#   5. doc-sync                    — every `--bin` named in EXPERIMENTS.md
+#                                    exists; the fig1 flags README.md /
+#                                    EXPERIMENTS.md use are exactly the ones
+#                                    `fig1 --list-flags` parses (none dead,
+#                                    none undocumented); and every `pub mod`
+#                                    is named by some file besides its lib.rs
 #   6. chaos stress                — the journal crash/resume chaos suites
 #                                    (generational and steady-state) and the
 #                                    latch-forced work-conservation suites
@@ -103,18 +103,11 @@ for bin in $(grep -o -- '--bin [a-z0-9_]*' EXPERIMENTS.md | awk '{print $2}' | s
         echo "    ok: --bin ${bin}"
     fi
 done
-for bench in $(grep -o -- '--bench [a-z0-9_]*' EXPERIMENTS.md | awk '{print $2}' | sort -u); do
-    if [[ ! -f "crates/bench/benches/${bench}.rs" ]]; then
-        echo "    MISSING: EXPERIMENTS.md references --bench ${bench}" >&2
-        missing=1
-    else
-        echo "    ok: --bench ${bench}"
-    fi
-done
-# Every fig1 flag the docs mention must be one the binary parses. Flags are
-# harvested from lines that invoke fig1 (command lines and `fig1 --flag`
-# inline references), so prose mentioning other binaries' flags is ignored.
-echo "    doc-sync: fig1 flags in README.md/EXPERIMENTS.md parse"
+# Every fig1 flag the docs mention must be one the binary parses, and every
+# flag it parses must be documented. Flags are harvested from lines that
+# invoke fig1 (command lines and `fig1 --flag` inline references), so prose
+# mentioning other binaries' flags is ignored.
+echo "    doc-sync: fig1 flags in README.md/EXPERIMENTS.md == fig1 --list-flags"
 known_flags="$(target/release/fig1 --list-flags)"
 doc_flags="$(grep -h -- 'fig1' README.md EXPERIMENTS.md \
     | grep -o -- '--[a-z][a-z-]*' \
@@ -122,13 +115,19 @@ doc_flags="$(grep -h -- 'fig1' README.md EXPERIMENTS.md \
 for flag in ${doc_flags}; do
     # cargo-level flags on the same command line are not fig1's to parse.
     case "${flag}" in
-    --release|--bin|--bench|--example) continue ;;
+    --release|--bin|--example) continue ;;
     esac
     if ! grep -qx -- "${flag}" <<<"${known_flags}"; then
         echo "    UNKNOWN: docs reference fig1 flag ${flag}" >&2
         missing=1
     else
         echo "    ok: fig1 ${flag}"
+    fi
+done
+for flag in ${known_flags}; do
+    if ! grep -qx -- "${flag}" <<<"${doc_flags}"; then
+        echo "    UNDOCUMENTED: no fig1 line of README.md/EXPERIMENTS.md names ${flag}" >&2
+        missing=1
     fi
 done
 # Reachability: every `pub mod m` of a crate must be named — `m::`, or a name
