@@ -87,16 +87,16 @@ pub fn campaign<'a>(
 /// The campaign behind `fig2_table2`, `fig3` and `table3`, read back from
 /// the write-ahead journal `fig1` left at `journal_path("")` — the one
 /// persisted form of a campaign. Only `runs` is rebuilt (the figures read
-/// nothing else), through [`Journal::run_results`], and the configuration is
-/// not checked against the journal's fingerprint: that covers the worker
-/// count, which differs between machines and changes no boundary record.
+/// nothing else), through [`Journal::run_results`], after the journal's
+/// fingerprint is checked against the selected scale: a figure is never
+/// drawn from a campaign other than the one the tree describes.
 ///
 /// Without a journal the campaign runs at the selected scale, journaled,
 /// exactly as `fig1` runs it. A journal that cannot be read, or whose runs
 /// stop short, ends the process with the error and the resume line — it is
 /// never retrained over.
 pub fn load_or_run_experiment() -> ExperimentResult {
-    let mut config = experiment_scale();
+    let config = experiment_scale();
     let path = journal_path("");
     if !path.exists() {
         println!(
@@ -111,9 +111,7 @@ pub fn load_or_run_experiment() -> ExperimentResult {
         return run_and_report(campaign(&config, "", None));
     }
     let runs = Journal::load(&path).and_then(|journal| {
-        config.n_runs = journal.n_runs;
-        config.pop_size = journal.pop_size;
-        config.generations = journal.n_generations;
+        journal.check_config(&config)?;
         journal.run_results()
     });
     match runs {

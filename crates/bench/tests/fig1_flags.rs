@@ -6,7 +6,8 @@
 //! campaign; `--observe <dir>` only ever adds to what a campaign always
 //! writes; an unwritable artifact is exit 1, not silence; and the binaries
 //! that read the campaign back from its journal must refuse one they cannot
-//! use (exit 1, the journal error, the resume line) without touching it.
+//! use — unfinished, corrupt, or written under another configuration —
+//! (exit 1, the journal error, the resume line) without touching it.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -243,6 +244,18 @@ fn journal_readers_refuse_what_they_cannot_read_and_leave_it_alone() {
         assert_eq!(code, Some(1), "{bin}: {stderr}");
         assert!(stderr.contains("corrupt record at byte"), "{bin}: {stderr}");
         assert_eq!(std::fs::read(&journal).unwrap(), corrupt, "{bin} touched the journal");
+    }
+
+    // A finished journal of another campaign (here: another seed): its
+    // fingerprint is not the selected scale's, and no figure is drawn from it.
+    let other = ExperimentConfig { master_seed: config.master_seed + 1, ..config.clone() };
+    Campaign::new(&other).journal(&journal).run(None).expect("smoke campaign");
+    let stale = std::fs::read(&journal).unwrap();
+    for bin in JOURNAL_READERS {
+        let (code, _, stderr) = run_in(bin, &dir);
+        assert_eq!(code, Some(1), "{bin}: {stderr}");
+        assert!(stderr.contains("stale journal"), "{bin}: {stderr}");
+        assert_eq!(std::fs::read(&journal).unwrap(), stale, "{bin} touched the journal");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -12,9 +12,12 @@
 //! the per-run drivers — so no option changes the optimisation itself.
 //!
 //! What lives as long as the campaign is built once by [`Campaign::run`]:
-//! the dataset (with its pair table) and one pool of `pool.n_workers`
-//! evaluation threads that every batch and every steady-state submission of
-//! every run goes through.
+//! the dataset (with its pair table) and one pool of evaluation threads that
+//! every batch and every steady-state submission of every run goes through.
+//! `pool.n_workers` is the *simulated* allocation — the experiment, part of
+//! the journal fingerprint; how many OS threads carry it is
+//! [`dphpo_hpc::physical_threads`] of that width, a property of the machine
+//! that no campaign byte depends on.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
@@ -30,7 +33,7 @@ use dphpo_dnnp::{StepBudget, TrainConfig};
 use dphpo_evo::nsga2::{GenerationRecord, Nsga2Config, Nsga2State, RunResult};
 use dphpo_evo::{Individual, ParetoArchive};
 use dphpo_hpc::{
-    with_pool, CostModel, FaultInjector, FaultPlan, IoSite, PoolConfig, PoolReport,
+    physical_threads, with_pool, CostModel, FaultInjector, FaultPlan, IoSite, PoolConfig, PoolReport,
     SupervisorConfig, TaskCtx, JOURNAL_APPEND_SITE, STATUS_FSYNC_SITE,
 };
 use dphpo_obs::profile::ProfileNode;
@@ -38,7 +41,7 @@ use dphpo_obs::{Recorder, SpanCtx, NOOP};
 use dphpo_md::generate::{generate_dataset, GenConfig};
 use dphpo_md::Dataset;
 
-use crate::campaign_report::{self, CampaignStatus};
+use crate::campaign_report::{self, CampaignStatus, GenStatus};
 use crate::ea::{evaluate_job, EvalJob, RunEnv, SummitEvaluator};
 use crate::journal::{GenEntry, Journal, JournalError, JournalSink, JournalWriter};
 use crate::representation::DeepMDRepresentation;
@@ -63,7 +66,7 @@ pub enum CampaignMode {
 pub struct ExperimentConfig {
     /// Independent EA deployments (paper: 5).
     pub n_runs: usize,
-    /// Population size = offspring size = node count (paper: 100).
+    /// Population size = offspring size (paper: 100, one node each).
     pub pop_size: usize,
     /// EA steps after the random initial generation (paper: 6).
     pub generations: usize,
@@ -73,7 +76,9 @@ pub struct ExperimentConfig {
     pub gen_config: GenConfig,
     /// DFT-noise-floor label noise: energy (eV/atom), force (eV/Å).
     pub label_noise: (f64, f64),
-    /// Worker-pool shape (timeout, nannies, retries).
+    /// The simulated allocation: `n_workers` Summit nodes (never a thread
+    /// count — see [`Campaign::physical_threads`]), timeout, nannies,
+    /// retries.
     pub pool: PoolConfig,
     /// Per-task worker-death probability (hardware faults).
     pub fault_probability: f64,
@@ -117,13 +122,15 @@ impl ExperimentConfig {
         }
     }
 
-    /// Reduced scale that preserves every qualitative behaviour: 40 atoms
+    /// Reduced scale that preserves every qualitative behaviour: 20 atoms
     /// in the paper's 17.84 Å box, a few hundred training steps, population
-    /// in the dozens. This is what the figure/table harnesses run.
+    /// in the dozens, one simulated node per individual as in the paper's
+    /// deployment. This is what the figure/table harnesses run.
     pub fn reduced() -> Self {
+        const POP_SIZE: usize = 12;
         ExperimentConfig {
             n_runs: 5,
-            pop_size: 12,
+            pop_size: POP_SIZE,
             generations: 6,
             base_train_config: TrainConfig {
                 num_steps: 2_000,
@@ -134,7 +141,7 @@ impl ExperimentConfig {
             gen_config: GenConfig::reduced(),
             label_noise: (0.0005, 0.03),
             pool: PoolConfig {
-                n_workers: std::thread::available_parallelism().map_or(4, |n| n.get()),
+                n_workers: POP_SIZE,
                 timeout_minutes: Some(120.0),
                 nanny: false,
                 max_attempts: 3,
@@ -316,6 +323,8 @@ pub(crate) struct StatusSink {
     /// The base configuration's per-phase tape-node census, embedded in
     /// `profile.json` (computed once per campaign when profiling is on).
     step_budget: Option<StepBudget>,
+    /// A run was restored from the journal since the last rewrite.
+    restored_unflushed: bool,
 }
 
 impl StatusSink {
@@ -333,6 +342,7 @@ impl StatusSink {
             profile_dir: campaign.profile_dir.clone(),
             profile_runs: BTreeMap::new(),
             step_budget,
+            restored_unflushed: false,
         }
     }
 
@@ -352,32 +362,39 @@ impl StatusSink {
             .push(crate::profile::generation_node(record, report));
     }
 
-    /// Install one generational run's rows and attribution nodes by
-    /// replaying its journaled boundaries — bit-identical to what the
-    /// original driver published live.
-    fn restore_run(&mut self, run: usize, records: &[GenerationRecord], reports: &[PoolReport]) {
-        self.status.set_run(run, campaign_report::replay_rows(records, reports));
-        self.set_profile_run(run, records, reports);
-    }
-
-    /// Replace (or install) one run's attribution nodes from journaled
-    /// boundaries — the profile twin of [`CampaignStatus::set_run`], so a
-    /// resumed campaign's artifacts match the uninterrupted run's bytes.
-    pub(crate) fn set_profile_run(
+    /// Install one run's journaled rows and attribution nodes — bit-identical
+    /// to what the original driver published live, so a resumed campaign's
+    /// artifacts match the uninterrupted run's bytes. Nothing is rewritten
+    /// here: a resume that restores five finished runs owes the disk one
+    /// rewrite ([`StatusSink::flush_restored`]), not five.
+    pub(crate) fn restore_run(
         &mut self,
         run: usize,
+        rows: Vec<GenStatus>,
         records: &[GenerationRecord],
         reports: &[PoolReport],
     ) {
+        self.status.set_run(run, rows);
+        self.restored_unflushed = true;
         if self.profile_dir.is_none() {
             return;
         }
-        let rows = records
+        let nodes = records
             .iter()
             .zip(reports)
             .map(|(record, report)| crate::profile::generation_node(record, report))
             .collect();
-        self.profile_runs.insert(run, rows);
+        self.profile_runs.insert(run, nodes);
+    }
+
+    /// [`StatusSink::flush`] if a restored run has not reached the disk yet:
+    /// called before a run trains anything, and once more when the campaign
+    /// ends (the only rewrite of a resume that found every run finished).
+    pub(crate) fn flush_restored(&mut self) -> Result<(), ExperimentError> {
+        if self.restored_unflushed {
+            self.flush()?;
+        }
+        Ok(())
     }
 
     /// Rewrite the profile artifacts and the status file. An *injected*
@@ -389,7 +406,8 @@ impl StatusSink {
     /// profiling on vs off must not shift the status site's occurrence
     /// sequence, and a swallowed status rewrite still leaves fresh profile
     /// artifacts (both are whole-file rewrites at every boundary anyway).
-    pub(crate) fn flush(&self) -> Result<(), ExperimentError> {
+    pub(crate) fn flush(&mut self) -> Result<(), ExperimentError> {
+        self.restored_unflushed = false;
         let failed = |path: &PathBuf, e: std::io::Error| ExperimentError::Artifact {
             path: path.clone(),
             message: e.to_string(),
@@ -435,6 +453,7 @@ pub struct Campaign<'a> {
     recorder: Option<Arc<dyn Recorder>>,
     fault_plan: Option<Arc<FaultPlan>>,
     profile_dir: Option<PathBuf>,
+    physical_threads: Option<usize>,
 }
 
 impl<'a> Campaign<'a> {
@@ -449,6 +468,7 @@ impl<'a> Campaign<'a> {
             recorder: None,
             fault_plan: None,
             profile_dir: None,
+            physical_threads: None,
         }
     }
 
@@ -516,6 +536,17 @@ impl<'a> Campaign<'a> {
     /// exactly reproducible from its plan.
     pub fn fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
         self.fault_plan = Some(plan);
+        self
+    }
+
+    /// Test seam: open exactly `threads` OS threads instead of
+    /// [`dphpo_hpc::physical_threads`] of the simulated width. Nothing a
+    /// campaign writes depends on the count — which is what the tests that
+    /// set it prove — so it is no part of the configuration, the fingerprint
+    /// or the journal; suites that force an interleaving between evaluations
+    /// pin it so they cannot stall on a one-core host.
+    pub fn physical_threads(mut self, threads: usize) -> Self {
+        self.physical_threads = Some(threads);
         self
     }
 
@@ -609,7 +640,7 @@ impl<'a> Campaign<'a> {
         // whatever an interrupted driver left queued or running) and joined
         // before this function returns.
         with_pool(
-            config.pool.n_workers,
+            self.physical_threads.unwrap_or_else(|| physical_threads(config.pool.n_workers)),
             |tc: &TaskCtx<'_>, job: &Arc<EvalJob>| evaluate_job(&ctx, obs, tc, job),
             |pool| {
                 let mut runs = Vec::with_capacity(config.n_runs);
@@ -637,8 +668,9 @@ impl<'a> Campaign<'a> {
                     // the journaled boundaries.
                     let restored = match restored {
                         Some(point) if point.state.generation >= config.generations => {
-                            status.restore_run(run_idx, &point.state.history, &point.reports);
-                            status.flush()?;
+                            let rows =
+                                campaign_report::replay_rows(&point.state.history, &point.reports);
+                            status.restore_run(run_idx, rows, &point.state.history, &point.reports);
                             runs.push(point.state.into_result());
                             pool_reports.push(point.reports);
                             archives.push(point.archive);
@@ -695,6 +727,7 @@ impl<'a> Campaign<'a> {
                     pool_reports.push(reports);
                     archives.push(archive);
                 }
+                status.flush_restored()?;
                 Ok(ExperimentResult {
                     config: config.clone(),
                     runs,
@@ -792,9 +825,13 @@ fn drive_run(
     progress: &mut Option<&mut dyn FnMut(usize, usize)>,
 ) -> Result<(RunResult, Vec<PoolReport>, ParetoArchive, u64), ExperimentError> {
     let (run_idx, seed, generations) = (env.run, env.seed, env.config.generations);
+    // This run is live: what the finished ones before it restored reaches the
+    // disk first, in one rewrite.
+    env.status.flush_restored()?;
     let (state, mut rng, mut archive, generation, reports) = match restored {
         Some(point) => {
-            env.status.restore_run(run_idx, &point.state.history, &point.reports);
+            let rows = campaign_report::replay_rows(&point.state.history, &point.reports);
+            env.status.restore_run(run_idx, rows, &point.state.history, &point.reports);
             let next = point.state.generation as u64 + 1;
             let rng = StdRng::from_state(point.rng_state);
             (Some(point.state), rng, point.archive, next, point.reports)

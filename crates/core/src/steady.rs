@@ -153,9 +153,12 @@ pub(crate) fn drive_steady_run(
     ): (VecDeque<(usize, Individual)>, _, _, _, _, Vec<GenerationRecord>, Vec<PoolReport>, _, _, _, _) =
         match restored {
             Some(snap) => {
-                env.status.status.set_run(run_idx, snap.status_rows.clone());
-                env.status.set_profile_run(run_idx, &snap.history, &snap.epoch_reports);
-                env.status.flush()?;
+                env.status.restore_run(
+                    run_idx,
+                    snap.status_rows.clone(),
+                    &snap.history,
+                    &snap.epoch_reports,
+                );
                 (
                     snap.pending.into_iter().collect(),
                     snap.submitted,
@@ -202,6 +205,11 @@ pub(crate) fn drive_steady_run(
             }
         };
 
+    // A run with evaluations still to take is live: what resume restored
+    // reaches the disk before it trains anything.
+    if !pending.is_empty() {
+        env.status.flush_restored()?;
+    }
     if let Some(cb) = progress.as_deref_mut() {
         cb(run_idx, steady.epoch());
     }

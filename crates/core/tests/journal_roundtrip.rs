@@ -395,7 +395,7 @@ fn every_frame_of_the_checked_in_journals_re_renders_byte_for_byte() {
     let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
     for name in ["experiment.journal.jsonl", "steady_experiment.journal.jsonl"] {
         let text = std::fs::read_to_string(results.join(name)).expect("checked-in journal");
-        let mut kinds = [0usize; 3];
+        let mut kinds = [0usize; 4];
         for (seq, line) in text.lines().enumerate() {
             let payload = parse_frame(line, seq as u64).expect("intact frame");
             let kind = Json::parse(payload).expect("valid JSON");
@@ -413,15 +413,20 @@ fn every_frame_of_the_checked_in_journals_re_renders_byte_for_byte() {
                     kinds[2] += 1;
                     decode(payload, SnapshotEntry::read).map(|e| e.to_json())
                 }
+                Some("epoch") => {
+                    kinds[3] += 1;
+                    decode(payload, EpochEntry::read).map(|e| e.to_json())
+                }
                 other => panic!("{name} frame {seq}: unexpected type {other:?}"),
             };
             let rendered = rendered.unwrap_or_else(|e| panic!("{name} frame {seq}: {e}"));
             assert_eq!(rendered.to_compact(), payload, "{name} frame {seq}");
         }
-        // (The checked-in steady campaign ran without snapshots: its
-        // journal is arrival-carrying evals only.)
-        let boundaries = if name.starts_with("steady") { 0 } else { 1 };
-        assert!(kinds[0] > 0 && kinds[1] >= boundaries, "{name}: {kinds:?}");
+        // Five runs of seven boundaries each: `generation` records, or
+        // `epoch` records with a snapshot beside every one.
+        let expected =
+            if name.starts_with("steady") { [420, 0, 35, 35] } else { [420, 35, 0, 0] };
+        assert_eq!(kinds, expected, "{name}");
     }
 }
 

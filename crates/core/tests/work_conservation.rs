@@ -1,21 +1,27 @@
 //! Campaign-level work conservation: the steady-state driver's look-ahead
 //! (evaluations run ahead of the window that will take them), a chaos kill
-//! with prefetched evaluations in flight, and the configuration checks that
-//! run before anything is created on disk.
+//! with prefetched evaluations in flight, the configuration checks that
+//! run before anything is created on disk — and the width rule: the
+//! simulated allocation (`pool.n_workers`) decides every byte a campaign
+//! writes, the OS threads that carry it decide none.
 //!
 //! The evaluation a campaign runs is not injectable, but its recorder is,
 //! and the trainer calls it from the worker threads once per step — so the
 //! interleavings are forced from inside [`Recorder::record`] with a latch
-//! (a bounded wait: a regression fails, it does not hang). Looped by
+//! (a bounded wait: a regression fails, it does not hang). A latch between
+//! two evaluations needs two real threads whatever the host has, so those
+//! campaigns pin the count with [`Campaign::physical_threads`]. Looped by
 //! `scripts/verify.sh` stage 6.
 
-use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::collections::{BTreeMap, HashSet};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use dphpo_core::experiment::{Campaign, CampaignMode, ExperimentConfig, ExperimentError};
+use dphpo_core::experiment::{
+    Campaign, CampaignMode, ExperimentConfig, ExperimentError, ExperimentResult,
+};
 use dphpo_obs::{names, Event, Recorder};
 
 /// Long enough that only a missing interleaving can exhaust it.
@@ -115,6 +121,7 @@ fn steady_state_evaluations_run_ahead_of_their_window() {
             .journal(&journal)
             .status_file(&status)
             .recorder(Arc::clone(&gate) as Arc<dyn Recorder>)
+            .physical_threads(2)
             .run(None)
             .expect("steady campaign");
         (std::fs::read(&journal).unwrap(), std::fs::read(&status).unwrap(), gate)
@@ -165,6 +172,7 @@ fn a_kill_with_prefetched_evaluations_in_flight_returns_promptly_and_resumes_ide
         .journal(&journal)
         .status_file(&status)
         .recorder(Arc::clone(&gate) as Arc<dyn Recorder>)
+        .physical_threads(2)
         .kill_after(1)
         .run(None);
     let returned = Instant::now();
@@ -197,6 +205,142 @@ fn a_kill_with_prefetched_evaluations_in_flight_returns_promptly_and_resumes_ide
     assert_eq!(std::fs::read(&journal).unwrap(), std::fs::read(&reference_journal).unwrap());
     assert_eq!(std::fs::read(&status).unwrap(), std::fs::read(&reference_status).unwrap());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A small campaign with everything that could make a schedule depend on
+/// who ran what: injected deaths, nanny restarts, retries with backoff and
+/// (generational) speculative twins, on four simulated workers.
+fn faulty(mode: CampaignMode) -> ExperimentConfig {
+    let mut config = ExperimentConfig::smoke();
+    config.mode = mode;
+    config.pop_size = 5;
+    config.pool.n_workers = 4;
+    config.fault_probability = 0.2;
+    config.pool.nanny = true;
+    config.pool.max_attempts = 2;
+    config.pool.supervisor.speculate = mode == CampaignMode::Generational;
+    config.master_seed = 41;
+    config
+}
+
+/// Everything a finished campaign leaves in `dir` — journal, status file,
+/// both profile artifacts — plus its end-of-run report.
+fn artifacts(dir: &Path, result: &ExperimentResult) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .map(|path| (path.file_name().unwrap().to_string_lossy().into_owned(), std::fs::read(&path).unwrap()))
+        .collect();
+    files.sort();
+    let report = dphpo_core::campaign_report::markdown_report(&result.status);
+    files.push(("campaign_report.md".to_string(), report.into_bytes()));
+    files
+}
+
+fn campaign<'a>(config: &'a ExperimentConfig, dir: &Path, threads: usize) -> Campaign<'a> {
+    let _ = std::fs::create_dir_all(dir);
+    Campaign::new(config)
+        .journal(dir.join("journal.jsonl"))
+        .status_file(dir.join("status.json"))
+        .profile_dir(dir)
+        .physical_threads(threads)
+}
+
+#[test]
+fn campaign_bytes_are_a_function_of_the_configuration_not_of_the_thread_count() {
+    let root = scratch_dir("width");
+    for mode in [CampaignMode::Generational, CampaignMode::SteadyState] {
+        let config = faulty(mode);
+        let run = |threads: usize| {
+            let dir = root.join(format!("{mode:?}-{threads}"));
+            let result = campaign(&config, &dir, threads).run(None).expect("campaign");
+            let deaths: usize = result.pool_reports.iter().flatten().map(|r| r.worker_deaths).sum();
+            assert!(deaths > 0, "{mode:?}: the fault plan never fired — nothing to compare");
+            artifacts(&dir, &result)
+        };
+        let one = run(1);
+        let names: Vec<&str> = one.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["journal.jsonl", "profile.folded", "profile.json", "status.json", "campaign_report.md"]
+        );
+        for threads in [2, config.pool.n_workers] {
+            for ((name, expected), (_, got)) in one.iter().zip(run(threads)) {
+                assert!(*expected == got, "{mode:?}: {name} differs between 1 and {threads} threads");
+            }
+        }
+
+        // Killed on one thread count, resumed on another: the same bytes
+        // again, at every third kill point.
+        let tasks = (config.n_runs * config.pop_size * (config.generations + 1)) as u64;
+        for (kill, (before, after)) in (1..tasks).step_by(3).zip([(1, 4), (4, 1), (2, 3)].into_iter().cycle()) {
+            let dir = root.join(format!("{mode:?}-kill{kill}"));
+            let killed = campaign(&config, &dir, before).kill_after(kill).run(None);
+            assert!(matches!(killed, Err(ExperimentError::Interrupted { .. })), "{mode:?} kill {kill}");
+            let result = campaign(&config, &dir, after).resume().run(None).expect("resume");
+            let resumed =
+                artifacts(&dir, &result);
+            assert!(
+                resumed == one,
+                "{mode:?}: killed after {kill} tasks on {before} threads, resumed on {after}: bytes differ"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Counts the OS threads that ever trained a step.
+#[derive(Default)]
+struct ThreadCensus(Mutex<HashSet<std::thread::ThreadId>>);
+
+impl Recorder for ThreadCensus {
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    fn record(&self, event: Event) {
+        if event.name == names::TRAIN_STEP {
+            self.0.lock().unwrap().insert(std::thread::current().id());
+        }
+    }
+}
+
+#[test]
+fn a_paper_width_schedule_runs_on_the_threads_the_machine_has() {
+    // The paper's allocation — 100 simulated nodes, one per individual —
+    // over the smoke dataset with four-step trainings.
+    let paper = ExperimentConfig::paper_scale();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    for mode in [CampaignMode::Generational, CampaignMode::SteadyState] {
+        let mut config = ExperimentConfig::smoke();
+        config.mode = mode;
+        config.n_runs = 1;
+        config.pop_size = paper.pop_size;
+        config.pool = paper.pool;
+        config.fault_probability = paper.fault_probability;
+        config.base_train_config.num_steps = 4;
+        config.base_train_config.disp_freq = 4;
+        assert_eq!((config.pop_size, config.pool.n_workers), (100, 100));
+
+        let run = |threads: Option<usize>| {
+            let census = Arc::new(ThreadCensus::default());
+            let mut campaign = Campaign::new(&config).recorder(Arc::clone(&census) as Arc<dyn Recorder>);
+            if let Some(threads) = threads {
+                campaign = campaign.physical_threads(threads);
+            }
+            let result = campaign.run(None).expect("paper-width campaign");
+            assert_eq!(result.total_evaluations(), 200);
+            // The schedule is the 100-node one whatever carried it.
+            assert!(result.pool_reports[0].iter().all(|r| r.busy_minutes.len() == 100));
+            let threads_seen = census.0.lock().unwrap().len();
+            (dphpo_core::campaign_report::markdown_report(&result.status), threads_seen)
+        };
+        let (on_two, seen) = run(Some(2));
+        assert!((1..=2).contains(&seen), "{mode:?}: pinned to 2 threads, {seen} trained");
+        let (on_the_machine, seen) = run(None);
+        assert!(seen <= cores, "{mode:?}: {seen} threads trained on a {cores}-core machine");
+        assert_eq!(on_two, on_the_machine, "{mode:?}: the report depends on the thread count");
+    }
 }
 
 #[test]

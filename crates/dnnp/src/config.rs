@@ -238,7 +238,9 @@ impl TrainConfig {
 
     /// Parse a configuration back from an `input.json` document (the
     /// inverse of [`TrainConfig::to_input_json`], used by the evaluation
-    /// workflow after template substitution).
+    /// workflow after template substitution). The configuration is what the
+    /// document says or an error: a count that is negative, fractional or
+    /// beyond `u64` is refused, never rounded into range.
     pub fn from_input_json(doc: &Json) -> Result<TrainConfig, String> {
         let num = |path: &[&str]| -> Result<f64, String> {
             doc.at(path)
@@ -251,14 +253,26 @@ impl TrainConfig {
                 .map(str::to_string)
                 .ok_or_else(|| format!("missing string field {}", path.join(".")))
         };
+        // Every whole number below 2^64 is a `u64` exactly, and 2^64 itself —
+        // what a seed within 2^10 of `u64::MAX` reads back as — saturates to
+        // `u64::MAX`: the casts behind this check lose nothing else.
+        let count = |v: f64, path: &[&str]| -> Result<u64, String> {
+            if v >= 0.0 && v.fract() == 0.0 && v <= u64::MAX as f64 {
+                Ok(v as u64)
+            } else {
+                Err(format!("field {} is not a non-negative integer: {v}", path.join(".")))
+            }
+        };
+        let whole = |path: &[&str]| -> Result<u64, String> { count(num(path)?, path) };
         let neuron_list = |path: &[&str]| -> Result<Vec<usize>, String> {
             match doc.at(path) {
                 Some(Json::Array(items)) => items
                     .iter()
                     .map(|v| {
-                        v.as_f64()
-                            .map(|f| f as usize)
-                            .ok_or_else(|| format!("bad neuron entry in {}", path.join(".")))
+                        let width = v
+                            .as_f64()
+                            .ok_or_else(|| format!("bad neuron entry in {}", path.join(".")))?;
+                        Ok(count(width, path)? as usize)
                     })
                     .collect(),
                 _ => Err(format!("missing array {}", path.join("."))),
@@ -285,12 +299,12 @@ impl TrainConfig {
             start_pref_f: num(&["loss", "start_pref_f"])?,
             limit_pref_e: num(&["loss", "limit_pref_e"])?,
             limit_pref_f: num(&["loss", "limit_pref_f"])?,
-            num_steps: num(&["training", "numb_steps"])? as usize,
-            batch_per_worker: num(&["training", "batch_size"])? as usize,
-            n_workers: num(&["training", "n_workers"])? as usize,
-            disp_freq: num(&["training", "disp_freq"])? as usize,
-            val_max_frames: num(&["training", "val_max_frames"])? as usize,
-            seed: num(&["training", "seed"])? as u64,
+            num_steps: whole(&["training", "numb_steps"])? as usize,
+            batch_per_worker: whole(&["training", "batch_size"])? as usize,
+            n_workers: whole(&["training", "n_workers"])? as usize,
+            disp_freq: whole(&["training", "disp_freq"])? as usize,
+            val_max_frames: whole(&["training", "val_max_frames"])? as usize,
+            seed: whole(&["training", "seed"])?,
         };
         Ok(config)
     }

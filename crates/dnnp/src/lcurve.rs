@@ -82,39 +82,36 @@ impl Lcurve {
 
     /// Parse text produced by [`Lcurve::to_text`] (or a DeePMD file with
     /// the same column order). Ignores comment lines; any malformed row is
-    /// an error (see [`Lcurve::parse_tolerant`] for crash-tail tolerance).
+    /// an error (see [`Lcurve::parse_tolerant`] for crash-tail tolerance),
+    /// and so is a last row without its newline: a file cut inside its
+    /// final number would otherwise read as a different, valid curve.
     pub fn parse(text: &str) -> Result<Lcurve, String> {
-        let mut rows = Vec::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            rows.push(parse_row(lineno, line)?);
-        }
-        Ok(Lcurve { rows })
+        Ok(Lcurve { rows: rows_of(text).collect::<Result<_, _>>()? })
     }
 
     /// As [`Lcurve::parse`], but tolerant of a torn tail: parsing stops at
-    /// the first malformed row and returns everything before it. This is
-    /// the journal's durability rule applied to `lcurve.out` — a process
-    /// killed mid-`write` leaves a truncated final line, which must not
-    /// invalidate the completed rows above it. An empty or header-only file
-    /// parses to an empty curve.
+    /// the first malformed (or unterminated) row and returns everything
+    /// before it. This is the journal's durability rule applied to
+    /// `lcurve.out` — a process killed mid-`write` leaves a truncated final
+    /// line, which must not invalidate the completed rows above it. An empty
+    /// or header-only file parses to an empty curve.
     pub fn parse_tolerant(text: &str) -> Lcurve {
-        let mut rows = Vec::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            match parse_row(lineno, line) {
-                Ok(row) => rows.push(row),
-                Err(_) => break,
-            }
-        }
-        Lcurve { rows }
+        Lcurve { rows: rows_of(text).map_while(Result::ok).collect() }
     }
+}
+
+/// The data rows of an `lcurve.out` text, each parsed or refused.
+fn rows_of(text: &str) -> impl Iterator<Item = Result<LcurveRow, String>> + '_ {
+    text.split_inclusive('\n').enumerate().filter_map(|(lineno, raw)| {
+        let line = raw.trim();
+        if line.is_empty() || line.starts_with('#') {
+            None
+        } else if !raw.ends_with('\n') {
+            Some(Err(format!("line {}: row without a newline (torn tail)", lineno + 1)))
+        } else {
+            Some(parse_row(lineno, line))
+        }
+    })
 }
 
 /// Parse one non-comment `lcurve.out` row (exactly 6 whitespace-separated

@@ -12,7 +12,10 @@
 //! fault kills, nannies, quarantine, retry chains and the runtime accounting
 //! (via [`cost::CostModel`], calibrated to the paper's "under 2 hours per
 //! 40k-step training, ≈65× GPU-vs-CPU speedup" figures) are driver-side
-//! bookkeeping, so a simulated worker death costs no real thread.
+//! bookkeeping, so a simulated worker death costs no real thread — and
+//! `PoolConfig::n_workers` simulated workers need no more OS threads than the
+//! machine has ([`physical_threads`]): 100 simulated Summit nodes schedule
+//! the same on two cores as on a hundred.
 //!
 //! ```
 //! use dphpo_hpc::scheduler::{run_batch, EvalOutcome, FaultInjector, PoolConfig};
@@ -58,7 +61,7 @@ pub use cost::{paper_job, CostModel, TrainingJob};
 pub use faultplan::{
     FaultPlan, IoFault, IoSite, JOURNAL_APPEND_SITE, STATUS_FSYNC_SITE,
 };
-pub use pool::{with_pool, Pool};
+pub use pool::{physical_threads, with_pool, Pool};
 pub use scheduler::{
     run_batch, run_batch_supervised, CancelToken, EvalFault, EvalOutcome, FaultInjector,
     PoolConfig, PoolReport, SupervisorConfig, TaskCtx, TaskError, TaskRecord, SPECULATIVE_ATTEMPT,

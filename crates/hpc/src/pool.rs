@@ -97,8 +97,21 @@ impl<J, T> Drop for Pool<'_, J, T> {
     }
 }
 
-/// Open a pool of `n_threads` threads evaluating with `eval`, run `body`
-/// against it on the calling thread, shut the pool down and join it.
+/// OS threads for a pool of `n_workers` *simulated* workers: one per
+/// simulated worker, capped at what the machine runs at once. The simulated
+/// width is the experiment — configured, fingerprinted, journaled; this is
+/// the machine — derived here and nowhere else, and never written down.
+/// Schedules, records and reports do not depend on it (the schedulers take
+/// every decision on the driver thread), so it needs no option.
+pub fn physical_threads(n_workers: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    n_workers.clamp(1, cores)
+}
+
+/// Open a pool of exactly `n_threads` threads evaluating with `eval`, run
+/// `body` against it on the calling thread, shut the pool down and join it.
+/// Callers size it with [`physical_threads`]; only tests that force an
+/// interleaving pass a count of their own.
 ///
 /// `eval(ctx, &input)` is the only code that runs on pool threads; a panic
 /// inside it is caught and reported as a worker death.

@@ -60,7 +60,7 @@ use std::sync::Arc;
 
 use dphpo_obs::{cats, names, Event, Recorder, SpanCtx, NOOP};
 
-use crate::pool::{with_pool, Completion, Job, JobResult, Pool};
+use crate::pool::{physical_threads, with_pool, Completion, Job, JobResult, Pool};
 
 /// The synthetic attempt number used for a task's speculative twin in fault
 /// decisions, chosen far outside the primary range `1..=max_attempts` so a
@@ -567,7 +567,7 @@ where
     }
     let inputs: Vec<&I> = inputs.iter().collect();
     with_pool(
-        config.n_workers.min(inputs.len()),
+        physical_threads(config.n_workers.min(inputs.len())),
         |ctx: &TaskCtx<'_>, input: &&I| eval(ctx, input),
         |pool| {
             pool.run_batch(

@@ -38,7 +38,7 @@
 
 use std::collections::HashMap;
 
-use crate::pool::{with_pool, Completion, Job, JobResult, Pool};
+use crate::pool::{physical_threads, with_pool, Completion, Job, JobResult, Pool};
 use crate::scheduler::{
     backoff_minutes, classify, EvalOutcome, FaultInjector, PoolConfig, PoolReport, TaskCtx,
     TaskError, TaskRecord,
@@ -104,7 +104,7 @@ where
         return Vec::new();
     }
     with_pool(
-        config.n_workers.clamp(1, tasks.len()),
+        physical_threads(config.n_workers.min(tasks.len())),
         |ctx: &TaskCtx<'_>, input: &&I| eval(ctx, input),
         |pool| {
             let mut stream = pool.stream(config);

@@ -3,17 +3,21 @@
 //! records and the report stay what the fault plan dictates.
 //!
 //! Interleavings are forced with latches (a bounded wait, so a regression
-//! fails instead of hanging), never with sleeps. Looped by
-//! `scripts/verify.sh` stage 6.
+//! fails instead of hanging), never with sleeps. A latch between two
+//! evaluations needs two real threads whatever the host has, so these tests
+//! open their pool themselves — [`with_pool`] with one thread per simulated
+//! worker — where the one-shot wrappers would take the machine's count
+//! ([`physical_threads`]). Looped by `scripts/verify.sh` stage 6.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 use dphpo_hpc::{
-    run_batch_supervised, run_stream_window, EvalOutcome, FaultInjector, PoolConfig,
-    SupervisorConfig, TaskCtx, TaskError,
+    physical_threads, run_batch_supervised, with_pool, EvalOutcome, FaultInjector, PoolConfig,
+    PoolReport, StreamTaskReport, SupervisorConfig, TaskCtx, TaskError, TaskRecord,
 };
+use dphpo_obs::{SpanCtx, NOOP};
 
 /// Long enough that only a lost wake-up or a missing thread can exhaust it.
 const PATIENCE: Duration = Duration::from_secs(20);
@@ -77,6 +81,38 @@ impl Latch {
     }
 }
 
+/// [`run_batch_supervised`] on exactly `config.n_workers` OS threads.
+fn run_batch_pinned<T: Send>(
+    inputs: &[u64],
+    eval: impl Fn(&TaskCtx<'_>, &u64) -> EvalOutcome<T> + Sync,
+    estimate: impl Fn(usize, &u64) -> f64,
+    config: &PoolConfig,
+    faults: &FaultInjector,
+    on_complete: impl FnMut(usize, &TaskRecord<T>),
+) -> (Vec<TaskRecord<T>>, PoolReport) {
+    with_pool(config.n_workers, eval, |pool| {
+        pool.run_batch(inputs, estimate, config, faults, on_complete, &NOOP, SpanCtx::default())
+    })
+}
+
+/// `run_stream_window` on exactly `config.n_workers` OS threads: submit every
+/// `(task, slot, input)`, then take them in order.
+fn run_stream_pinned<T: Send>(
+    tasks: &[(usize, usize, u64)],
+    eval: impl Fn(&TaskCtx<'_>, &u64) -> EvalOutcome<T> + Sync,
+    estimate: f64,
+    config: &PoolConfig,
+    faults: &FaultInjector,
+) -> Vec<StreamTaskReport<T>> {
+    with_pool(config.n_workers, eval, |pool| {
+        let mut stream = pool.stream(config);
+        for (task, _, input) in tasks {
+            stream.submit(faults, *task, *input, estimate);
+        }
+        tasks.iter().map(|(task, slot, _)| stream.take(faults, *task, *slot)).collect()
+    })
+}
+
 fn no_nanny_pair() -> PoolConfig {
     PoolConfig {
         n_workers: 2,
@@ -127,7 +163,7 @@ fn a_simulated_death_costs_no_real_thread() {
     // both be inside their evaluation if two real threads still work.
     let together = Rendezvous::new(2);
     let inputs: Vec<u64> = (0..8).collect();
-    let (records, report) = run_batch_supervised(
+    let (records, report) = run_batch_pinned(
         &inputs,
         |ctx: &TaskCtx<'_>, &x: &u64| {
             if ctx.task == 4 || ctx.task == 5 {
@@ -175,7 +211,7 @@ fn the_last_death_fails_what_is_dequeued_after_it_and_nothing_in_flight() {
     let together = Rendezvous::new(2);
     let inputs: Vec<u64> = (0..8).collect();
     let mut completed = Vec::new();
-    let (records, report) = run_batch_supervised(
+    let (records, report) = run_batch_pinned(
         &inputs,
         |ctx: &TaskCtx<'_>, &x: &u64| {
             if ctx.task == 3 || ctx.task == 4 {
@@ -233,7 +269,7 @@ fn a_record_is_stamped_alike_whether_the_twin_or_the_retry_reports_first() {
     // driver has finalized task 1 — which only the other one can bring about.
     let race = |hold_twin: bool| {
         let finalized = Latch::new();
-        let (records, report) = run_batch_supervised(
+        let (records, report) = run_batch_pinned(
             &inputs,
             |ctx: &TaskCtx<'_>, &x: &u64| {
                 if ctx.task == 1 && ctx.speculative == hold_twin {
@@ -280,7 +316,7 @@ fn a_stream_runs_ahead_of_the_task_being_waited_for() {
     // caller is still waiting for the first result.
     let handoff = Rendezvous::new(2);
     let tasks: Vec<(usize, usize, u64)> = (0..3).map(|i| (i, i % 2, i as u64)).collect();
-    let reports = run_stream_window(
+    let reports = run_stream_pinned(
         &tasks,
         |ctx: &TaskCtx<'_>, &x: &u64| {
             if ctx.task == 0 || ctx.task == 2 {
@@ -288,7 +324,7 @@ fn a_stream_runs_ahead_of_the_task_being_waited_for() {
             }
             EvalOutcome { value: Ok(x), minutes: 5.0 }
         },
-        |_, _| 5.0,
+        5.0,
         &no_nanny_pair(),
         &FaultInjector::none(),
     );
@@ -297,4 +333,27 @@ fn a_stream_runs_ahead_of_the_task_being_waited_for() {
         assert_eq!(r.record.value, Ok(i as u64));
         assert_eq!(r.record.worker, i % 2, "charged to the slot it was taken for");
     }
+}
+
+#[test]
+fn the_one_shot_forms_open_no_more_threads_than_the_machine_has() {
+    // The paper's width: 100 simulated workers, one task each. The report is
+    // the 100-slot one; the records say which pool thread ran each task, and
+    // no index reaches the machine's core count.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(physical_threads(100), cores.min(100));
+    assert_eq!(physical_threads(1), 1);
+    let config = PoolConfig { n_workers: 100, ..no_nanny_pair() };
+    let inputs: Vec<u64> = (0..100).collect();
+    let (records, report) = run_batch_supervised(
+        &inputs,
+        |_: &TaskCtx<'_>, &x: &u64| EvalOutcome { value: Ok(x), minutes: 10.0 },
+        |_, _| 10.0,
+        &config,
+        &FaultInjector::none(),
+        |_, _| {},
+    );
+    assert_eq!(report.busy_minutes, vec![10.0; 100]);
+    assert_eq!(report.makespan_minutes, 10.0);
+    assert!(records.iter().all(|r| r.worker < cores), "a pool thread beyond the machine's cores");
 }

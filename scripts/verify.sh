@@ -9,8 +9,11 @@
 #                                    exists; the fig1 flags README.md /
 #                                    EXPERIMENTS.md use are exactly the ones
 #                                    `fig1 --list-flags` parses (none dead,
-#                                    none undocumented); and every `pub mod`
-#                                    is named by some file besides its lib.rs
+#                                    none undocumented); every `pub mod`
+#                                    is named by some file besides its lib.rs;
+#                                    and the host's core count is read in one
+#                                    place (`available_parallelism` is named
+#                                    once under crates/*/src, in hpc::pool)
 #   6. chaos stress                — the journal crash/resume chaos suites
 #                                    (generational and steady-state) and the
 #                                    latch-forced work-conservation suites
@@ -61,12 +64,27 @@
 #                                    path vs the unfused position graph over
 #                                    random shapes, and the three fused tape
 #                                    ops vs the same chain spelled with
-#                                    unfused taped primitives
+#                                    unfused taped primitives; the EA's sort,
+#                                    crowding, truncation, archive and `tell`
+#                                    vs O(n²) textbook definitions on fronts
+#                                    with ties, duplicates, MAXINT and ±inf;
+#                                    every prefix and bit flip of input.json
+#                                    and lcurve.out through their readers
 #  11. benchmark package           — benchmark/ is its own workspace, so the
 #                                    stages above never compile it: build and
 #                                    test it against this tree (a removed
 #                                    re-export in benchmark/src/adapter.rs
 #                                    fails here), then run its smoke pass
+#  12. results/ are the tree's bits — seconds, no training: both checked-in
+#                                    journals verify undamaged, carry the
+#                                    fingerprint of ExperimentConfig::reduced()
+#                                    in their mode and are finished (`fig1
+#                                    --resume` of each exits 0 and leaves the
+#                                    journal's bytes alone), and everything
+#                                    derived from them — fig2_table2, fig3,
+#                                    table3, and fig1's own levels, reports,
+#                                    status files and counter tracks — comes
+#                                    out byte for byte as checked in
 #
 # Opt-in extras (timing-sensitive, off by default on shared hardware):
 #
@@ -81,19 +99,19 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> [1/11] cargo build --release"
+echo "==> [1/12] cargo build --release"
 cargo build --release --workspace
 
-echo "==> [2/11] cargo test -q"
+echo "==> [2/12] cargo test -q"
 cargo test -q --workspace
 
-echo "==> [3/11] cargo clippy (-D warnings)"
+echo "==> [3/12] cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets --quiet -- -D warnings
 
-echo "==> [4/11] cargo doc --no-deps (RUSTDOCFLAGS=-D warnings)"
+echo "==> [4/12] cargo doc --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
-echo "==> [5/11] doc-sync: EXPERIMENTS.md targets exist"
+echo "==> [5/12] doc-sync: EXPERIMENTS.md targets exist"
 missing=0
 for bin in $(grep -o -- '--bin [a-z0-9_]*' EXPERIMENTS.md | awk '{print $2}' | sort -u); do
     if [[ ! -f "crates/bench/src/bin/${bin}.rs" ]]; then
@@ -154,13 +172,22 @@ for lib in crates/*/src/lib.rs; do
         fi
     done
 done
+# One width rule: the simulated width is configuration, the thread count is
+# hpc::physical_threads — nothing else may ask the host how many cores it has.
+echo "    doc-sync: available_parallelism is read in exactly one place"
+readers="$(grep -rn --include='*.rs' 'available_parallelism' crates/*/src || true)"
+if [[ "$(grep -c . <<<"${readers}")" -ne 1 || "${readers}" != crates/hpc/src/pool.rs:* ]]; then
+    echo "    HOST-DEPENDENT: expected one mention, in crates/hpc/src/pool.rs; found:" >&2
+    echo "${readers}" >&2
+    missing=1
+fi
 if [[ ${missing} -ne 0 ]]; then
     echo "verify: FAILED (doc-sync)" >&2
     exit 1
 fi
 
 CHAOS_STRESS="${CHAOS_STRESS:-3}"
-echo "==> [6/11] chaos stress: ${CHAOS_STRESS}x journal crash/resume suites"
+echo "==> [6/12] chaos stress: ${CHAOS_STRESS}x journal crash/resume suites"
 for i in $(seq 1 "${CHAOS_STRESS}"); do
     echo "    chaos iteration ${i}/${CHAOS_STRESS} (generational)"
     cargo test -q -p dphpo-core --test journal_chaos
@@ -171,31 +198,55 @@ for i in $(seq 1 "${CHAOS_STRESS}"); do
     cargo test -q -p dphpo-core --test work_conservation
 done
 
-echo "==> [7/11] telemetry bit-identity (observed == unobserved artifacts)"
+echo "==> [7/12] telemetry bit-identity (observed == unobserved artifacts)"
 cargo test -q -p dphpo-core --test telemetry_identity
 echo "    campaign observatory identity (status/report/counters across kill+resume)"
 cargo test -q -p dphpo-core --test campaign_report_identity
 
 CHAOS_SEEDS="${CHAOS_SEEDS:-2}"
-echo "==> [8/11] corruption & salvage matrix (CHAOS_SEEDS=${CHAOS_SEEDS})"
+echo "==> [8/12] corruption & salvage matrix (CHAOS_SEEDS=${CHAOS_SEEDS})"
 CHAOS_SEEDS="${CHAOS_SEEDS}" cargo test -q -p dphpo-core --test corruption_matrix
 echo "    frame-format property tests"
 cargo test -q -p dphpo-core --test journal_frames
 echo "    steady-state epoch records: growth guard, boundary kills, compaction"
 cargo test -q -p dphpo-core --test steady_epoch_journal
 
-echo "==> [9/11] profile identity (profiling on/off, kill+resume, both modes)"
+echo "==> [9/12] profile identity (profiling on/off, kill+resume, both modes)"
 cargo test -q -p dphpo-core --test profile_identity
 echo "    profiler property tests"
 cargo test -q -p dphpo-core --test profile_props
 
-echo "==> [10/11] oracle suite (release): finite differences and unfused references"
+echo "==> [10/12] oracle suite (release): finite differences and unfused references"
 cargo test -q --release -p dphpo-dnnp --test oracle
 cargo test -q --release -p dphpo-autograd --test fused_ops
+echo "    EA building blocks vs O(n^2) textbook definitions; input.json / lcurve byte sweeps"
+cargo test -q --release -p dphpo-evo --test definitional_oracles
+cargo test -q --release -p dphpo-dnnp --test input_readers
 
-echo "==> [11/11] benchmark package: tests and smoke pass against this tree"
+echo "==> [11/12] benchmark package: tests and smoke pass against this tree"
 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 bash benchmark/run.sh --smoke
+
+echo "==> [12/12] results/: journals verify, match reduced(), reproduce what is checked in"
+regen="$(mktemp -d)"
+trap 'rm -rf "${regen}"' EXIT
+cp results/experiment.journal.jsonl results/steady_experiment.journal.jsonl "${regen}/"
+for journal in experiment steady_experiment; do
+    target/release/fig1 --verify-journal "${regen}/${journal}.journal.jsonl" >/dev/null
+done
+# The figure binaries first: they refuse an unfinished or stale journal, so
+# the resumes below cannot start training.
+for bin in fig2_table2 fig3 table3; do
+    DPHPO_RESULTS_DIR="${regen}" "target/release/${bin}" >/dev/null
+done
+DPHPO_RESULTS_DIR="${regen}" target/release/fig1 \
+    --resume "${regen}/experiment.journal.jsonl" >/dev/null 2>&1
+DPHPO_RESULTS_DIR="${regen}" target/release/fig1 --steady-state \
+    --resume "${regen}/steady_experiment.journal.jsonl" >/dev/null 2>&1
+for path in "${regen}"/*; do
+    cmp "${path}" "results/$(basename "${path}")"
+done
+echo "    ok: $(ls "${regen}" | wc -l) files reproduced"
 
 if [[ "${BENCH_CHECK:-0}" == "1" ]]; then
     echo "==> [opt-in] perf-history regression check, fresh and checked-in (BENCH_CHECK=1)"
