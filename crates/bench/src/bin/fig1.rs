@@ -124,8 +124,7 @@ fn mode_totals(result: &ExperimentResult) -> ModeTotals {
         wall += r.wall_minutes;
         busy += r.busy_minutes.iter().sum::<f64>();
         idle += r.idle_minutes.iter().sum::<f64>();
-        lost += r.lost_death_minutes.iter().sum::<f64>()
-            + r.lost_speculation_minutes.iter().sum::<f64>();
+        lost += r.lost_death_minutes.iter().sum::<f64>();
         backoff += r.backoff_slot_minutes.iter().sum::<f64>();
     }
     let capacity = wall * result.config.pool.n_workers as f64;
@@ -226,7 +225,7 @@ fn run_mode_comparison(base: &ExperimentConfig) -> String {
     ));
     md.push_str(if s.idle < g.idle {
         "\nA freed slot immediately receives the next bred child instead of waiting for \
-         the generation's stragglers: the difference is barrier wait.\n"
+         the generation's slowest training: the difference is barrier wait.\n"
     } else {
         "\n**Steady-state idle is not below generational idle here.** With a slot per \
          individual a generation is one task per slot, so the barrier costs only the spread \

@@ -181,7 +181,6 @@ fn synthetic_steady_journal(path: &std::path::Path, evals: usize) {
         busy_minutes: workers.clone(),
         idle_minutes: workers.clone(),
         lost_death_minutes: workers.clone(),
-        lost_speculation_minutes: workers.clone(),
         backoff_slot_minutes: workers.clone(),
         ..PoolReport::default()
     };

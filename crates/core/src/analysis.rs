@@ -216,19 +216,19 @@ impl Analysis {
 /// Failure-breakdown table: per-generation supervision counters summed
 /// across runs — how many evaluations diverged, timed out, exhausted their
 /// retries, or were cancelled, plus the scheduler's fault economics (worker
-/// deaths, retries, speculative twins, lost/backoff minutes, makespan).
+/// deaths, retries, lost/backoff minutes, makespan).
 /// Only deterministic [`dphpo_hpc::PoolReport`] fields appear, so the table
 /// is bit-identical across reruns and journal resumes.
 pub fn failure_breakdown_table(result: &ExperimentResult) -> String {
     let n_gens = result.pool_reports.iter().map(|r| r.len()).max().unwrap_or(0);
     let mut out = String::from(
         "gen | diverged | timeout | exhausted | cancelled | deaths | retried | \
-         speculated | spec-deaths | lost-min | backoff-min | makespan-min\n",
+         lost-min | backoff-min | makespan-min\n",
     );
-    let _ = writeln!(out, "{}", "-".repeat(118));
+    let _ = writeln!(out, "{}", "-".repeat(107));
     let mut row = |label: &str, reports: &mut dyn Iterator<Item = &dphpo_hpc::PoolReport>| {
-        let (mut div, mut tmo, mut exh, mut can, mut dth, mut ret, mut spc, mut sdh) =
-            (0usize, 0usize, 0usize, 0usize, 0usize, 0usize, 0usize, 0usize);
+        let (mut div, mut tmo, mut exh, mut can, mut dth, mut ret) =
+            (0usize, 0usize, 0usize, 0usize, 0usize, 0usize);
         let (mut lost, mut back, mut mks) = (0.0f64, 0.0f64, 0.0f64);
         for r in reports {
             div += r.diverged_tasks;
@@ -237,8 +237,6 @@ pub fn failure_breakdown_table(result: &ExperimentResult) -> String {
             can += r.cancelled_tasks;
             dth += r.worker_deaths;
             ret += r.retried_tasks;
-            spc += r.speculated_tasks;
-            sdh += r.speculative_deaths;
             lost += r.lost_minutes;
             back += r.backoff_minutes;
             mks += r.makespan_minutes;
@@ -246,7 +244,7 @@ pub fn failure_breakdown_table(result: &ExperimentResult) -> String {
         let _ = writeln!(
             out,
             "{label:>3} | {div:8} | {tmo:7} | {exh:9} | {can:9} | {dth:6} | {ret:7} | \
-             {spc:10} | {sdh:11} | {lost:8.1} | {back:11.1} | {mks:12.1}",
+             {lost:8.1} | {back:11.1} | {mks:12.1}",
         );
     };
     for g in 0..n_gens {
@@ -424,7 +422,7 @@ mod tests {
         // The smoke experiment injects no faults: every failure counter is 0.
         let totals = table.lines().last().unwrap();
         let cols: Vec<&str> = totals.split('|').map(str::trim).collect();
-        for &c in &cols[1..8] {
+        for &c in &cols[1..7] {
             assert_eq!(c, "0", "expected clean smoke run, got {table}");
         }
     }

@@ -69,20 +69,14 @@ pub struct GenStatus {
     pub idle_minutes: f64,
     /// Σ retry-backoff minutes across worker slots.
     pub backoff_minutes: f64,
-    /// Σ minutes lost to dead primary attempts.
+    /// Σ minutes lost to dead attempts.
     pub lost_death_minutes: f64,
-    /// Σ minutes lost to dying speculative twins.
-    pub lost_speculation_minutes: f64,
     /// Busy share of worker-minutes capacity, percent.
     pub utilization_pct: f64,
-    /// Worker deaths on primary attempts.
+    /// Worker deaths.
     pub deaths: usize,
     /// Tasks retried at least once.
     pub retried: usize,
-    /// Straggler tasks granted a speculative twin.
-    pub speculated: usize,
-    /// Speculative twins killed by the fault plan.
-    pub speculative_deaths: usize,
     /// Terminal diverged / structural failures.
     pub diverged: usize,
     /// Terminal timeouts.
@@ -163,7 +157,6 @@ pub fn generation_row(
     let idle: f64 = report.idle_minutes.iter().sum();
     let backoff: f64 = report.backoff_slot_minutes.iter().sum();
     let lost_death: f64 = report.lost_death_minutes.iter().sum();
-    let lost_spec: f64 = report.lost_speculation_minutes.iter().sum();
     let capacity = report.wall_minutes * report.busy_minutes.len() as f64;
     GenStatus {
         generation: record.generation,
@@ -180,12 +173,9 @@ pub fn generation_row(
         idle_minutes: idle,
         backoff_minutes: backoff,
         lost_death_minutes: lost_death,
-        lost_speculation_minutes: lost_spec,
         utilization_pct: if capacity > 0.0 { busy / capacity * 100.0 } else { 0.0 },
         deaths: report.worker_deaths,
         retried: report.retried_tasks,
-        speculated: report.speculated_tasks,
-        speculative_deaths: report.speculative_deaths,
         diverged: report.diverged_tasks,
         timeout: report.timeout_tasks,
         cancelled: report.cancelled_tasks,
@@ -225,12 +215,9 @@ pub(crate) fn json_of_row(row: &GenStatus) -> Json {
         ("idle_minutes", Json::Number(row.idle_minutes)),
         ("backoff_minutes", Json::Number(row.backoff_minutes)),
         ("lost_death_minutes", Json::Number(row.lost_death_minutes)),
-        ("lost_speculation_minutes", Json::Number(row.lost_speculation_minutes)),
         ("utilization_pct", Json::Number(row.utilization_pct)),
         ("deaths", Json::Number(row.deaths as f64)),
         ("retried", Json::Number(row.retried as f64)),
-        ("speculated", Json::Number(row.speculated as f64)),
-        ("speculative_deaths", Json::Number(row.speculative_deaths as f64)),
         ("diverged", Json::Number(row.diverged as f64)),
         ("timeout", Json::Number(row.timeout as f64)),
         ("cancelled", Json::Number(row.cancelled as f64)),
@@ -366,12 +353,9 @@ pub(crate) fn row_from_json(g: &Json) -> GenStatus {
         idle_minutes: num(g, "idle_minutes"),
         backoff_minutes: num(g, "backoff_minutes"),
         lost_death_minutes: num(g, "lost_death_minutes"),
-        lost_speculation_minutes: num(g, "lost_speculation_minutes"),
         utilization_pct: num(g, "utilization_pct"),
         deaths: num(g, "deaths") as usize,
         retried: num(g, "retried") as usize,
-        speculated: num(g, "speculated") as usize,
-        speculative_deaths: num(g, "speculative_deaths") as usize,
         diverged: num(g, "diverged") as usize,
         timeout: num(g, "timeout") as usize,
         cancelled: num(g, "cancelled") as usize,
@@ -426,9 +410,9 @@ pub fn markdown_report(status: &CampaignStatus) -> String {
     let _ = writeln!(out);
     let _ = writeln!(
         out,
-        "| run | wall min | busy % | idle % | backoff % | lost-death % | lost-spec % |"
+        "| run | wall min | busy % | idle % | backoff % | lost-death % |"
     );
-    let _ = writeln!(out, "|----:|---------:|-------:|-------:|----------:|-------------:|------------:|");
+    let _ = writeln!(out, "|----:|---------:|-------:|-------:|----------:|-------------:|");
     let mut totals = UtilizationTotals::default();
     for r in &status.runs {
         let t = UtilizationTotals::of(&r.generations);
@@ -442,21 +426,19 @@ pub fn markdown_report(status: &CampaignStatus) -> String {
     let _ = writeln!(out);
     let _ = writeln!(
         out,
-        "| run | deaths | retried | speculated | spec-deaths | diverged | timeout | cancelled | exhausted |"
+        "| run | deaths | retried | diverged | timeout | cancelled | exhausted |"
     );
     let _ = writeln!(
         out,
-        "|----:|-------:|--------:|-----------:|------------:|---------:|--------:|----------:|----------:|"
+        "|----:|-------:|--------:|---------:|--------:|----------:|----------:|"
     );
-    let mut all = [0usize; 8];
+    let mut all = [0usize; 6];
     for r in &status.runs {
-        let mut f = [0usize; 8];
+        let mut f = [0usize; 6];
         for row in &r.generations {
             for (slot, v) in [
                 row.deaths,
                 row.retried,
-                row.speculated,
-                row.speculative_deaths,
                 row.diverged,
                 row.timeout,
                 row.cancelled,
@@ -471,14 +453,14 @@ pub fn markdown_report(status: &CampaignStatus) -> String {
         }
         let _ = writeln!(
             out,
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} |",
-            r.run, f[0], f[1], f[2], f[3], f[4], f[5], f[6], f[7]
+            "| {} | {} | {} | {} | {} | {} | {} |",
+            r.run, f[0], f[1], f[2], f[3], f[4], f[5]
         );
     }
     let _ = writeln!(
         out,
-        "| all | {} | {} | {} | {} | {} | {} | {} | {} |",
-        all[0], all[1], all[2], all[3], all[4], all[5], all[6], all[7]
+        "| all | {} | {} | {} | {} | {} | {} |",
+        all[0], all[1], all[2], all[3], all[4], all[5]
     );
     out
 }
@@ -499,7 +481,6 @@ struct UtilizationTotals {
     idle: f64,
     backoff: f64,
     lost_death: f64,
-    lost_spec: f64,
     capacity: f64,
 }
 
@@ -512,14 +493,12 @@ impl UtilizationTotals {
             t.idle += row.idle_minutes;
             t.backoff += row.backoff_minutes;
             t.lost_death += row.lost_death_minutes;
-            t.lost_spec += row.lost_speculation_minutes;
             // Capacity (wall × workers) equals the category sum exactly,
             // by the scheduler's partition invariant.
             t.capacity += row.busy_minutes
                 + row.idle_minutes
                 + row.backoff_minutes
-                + row.lost_death_minutes
-                + row.lost_speculation_minutes;
+                + row.lost_death_minutes;
         }
         t
     }
@@ -530,20 +509,18 @@ impl UtilizationTotals {
         self.idle += other.idle;
         self.backoff += other.backoff;
         self.lost_death += other.lost_death;
-        self.lost_spec += other.lost_spec;
         self.capacity += other.capacity;
     }
 
     fn cells(&self) -> String {
         let pct = |v: f64| if self.capacity > 0.0 { v / self.capacity * 100.0 } else { 0.0 };
         format!(
-            " {:.1} | {:.1} | {:.1} | {:.1} | {:.1} | {:.1} |",
+            " {:.1} | {:.1} | {:.1} | {:.1} | {:.1} |",
             self.wall,
             pct(self.busy),
             pct(self.idle),
             pct(self.backoff),
-            pct(self.lost_death),
-            pct(self.lost_spec)
+            pct(self.lost_death)
         )
     }
 }
@@ -614,7 +591,6 @@ mod tests {
             busy_minutes: vec![makespan, makespan * 0.5],
             idle_minutes: vec![0.0, makespan * 0.5],
             lost_death_minutes: vec![0.0, 0.0],
-            lost_speculation_minutes: vec![0.0, 0.0],
             backoff_slot_minutes: vec![0.0, 0.0],
             per_worker_minutes: vec![makespan, makespan * 0.5],
             ..PoolReport::default()

@@ -220,7 +220,6 @@ impl RunEnv<'_> {
                     ("n_tasks", self.config.pop_size as f64),
                     ("deaths", report.worker_deaths as f64),
                     ("retried", report.retried_tasks as f64),
-                    ("speculated", report.speculated_tasks as f64),
                     ("lost_min", report.lost_minutes),
                     ("wall_min", report.wall_minutes),
                     ("backoff_min", report.backoff_minutes),

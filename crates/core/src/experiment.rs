@@ -34,7 +34,7 @@ use dphpo_evo::nsga2::{GenerationRecord, Nsga2Config, Nsga2State, RunResult};
 use dphpo_evo::{Individual, ParetoArchive};
 use dphpo_hpc::{
     physical_threads, with_pool, CostModel, FaultInjector, FaultPlan, IoSite, PoolConfig, PoolReport,
-    SupervisorConfig, TaskCtx, JOURNAL_APPEND_SITE, STATUS_FSYNC_SITE,
+    TaskCtx, JOURNAL_APPEND_SITE, STATUS_FSYNC_SITE,
 };
 use dphpo_obs::profile::ProfileNode;
 use dphpo_obs::{Recorder, SpanCtx, NOOP};
@@ -113,7 +113,6 @@ impl ExperimentConfig {
                 timeout_minutes: Some(120.0),
                 nanny: false,
                 max_attempts: 3,
-                supervisor: SupervisorConfig::default(),
             },
             fault_probability: 0.002,
             master_seed: 2023,
@@ -145,7 +144,6 @@ impl ExperimentConfig {
                 timeout_minutes: Some(120.0),
                 nanny: false,
                 max_attempts: 3,
-                supervisor: SupervisorConfig::default(),
             },
             fault_probability: 0.002,
             master_seed: 2023,
@@ -184,7 +182,6 @@ impl ExperimentConfig {
                 timeout_minutes: Some(120.0),
                 nanny: false,
                 max_attempts: 3,
-                supervisor: SupervisorConfig::default(),
             },
             fault_probability: 0.0,
             master_seed: 7,

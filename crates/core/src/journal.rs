@@ -509,11 +509,8 @@ fn read_lcurve_row(r: &mut Reader<'_>) -> Result<LcurveRow, JournalError> {
     })
 }
 
-/// Serialise the *deterministic* fields of a pool report. `heartbeats`
-/// depends on physical thread races under speculation and is intentionally
-/// not journaled, so a resumed campaign's reports stay bit-identical to an
-/// uninterrupted run's; `quarantined_workers` (once racy too) stays out with
-/// it, keeping the record format what it was.
+/// Serialise a pool report. `heartbeats` and `quarantined_workers` are
+/// statistics no artifact reads back, and stay out of the record.
 fn report_to_json(r: &PoolReport) -> Json {
     Json::object(vec![
         ("makespan", Json::Number(r.makespan_minutes)),
@@ -524,84 +521,51 @@ fn report_to_json(r: &PoolReport) -> Json {
         ("timeout", Json::Number(r.timeout_tasks as f64)),
         ("cancelled", Json::Number(r.cancelled_tasks as f64)),
         ("exhausted", Json::Number(r.exhausted_tasks as f64)),
-        ("speculated", Json::Number(r.speculated_tasks as f64)),
-        ("spec_deaths", Json::Number(r.speculative_deaths as f64)),
         ("lost_minutes", Json::Number(r.lost_minutes)),
         ("backoff_minutes", Json::Number(r.backoff_minutes)),
         ("busy", numbers(&r.busy_minutes)),
         ("lost_death", numbers(&r.lost_death_minutes)),
-        ("lost_spec", numbers(&r.lost_speculation_minutes)),
         ("backoff_slot", numbers(&r.backoff_slot_minutes)),
         ("idle", numbers(&r.idle_minutes)),
         ("wall", Json::Number(r.wall_minutes)),
     ])
 }
 
-/// Report fields newer than the first v2 journals read as zero / empty
-/// when absent — and, as they always have, when present with a value of
-/// the wrong type (which is still syntax-checked). A number of the right
-/// type in an integer field is held to [`as_uint`] like any other.
-fn lenient<'a, T: Default>(
-    r: &mut Reader<'a>,
-    read: impl FnOnce(&mut Reader<'a>) -> Result<T, JournalError>,
-) -> Result<T, JournalError> {
-    let mut probe = r.clone();
-    match read(&mut probe) {
-        Ok(v) => {
-            *r = probe;
-            Ok(v)
-        }
-        Err(_) => {
-            r.skip()?;
-            Ok(T::default())
-        }
-    }
-}
-
-fn lenient_uint(r: &mut Reader<'_>, key: &str) -> Result<usize, JournalError> {
-    lenient(r, float).and_then(|v| as_uint(v, key))
-}
-
+/// Every field [`report_to_json`] writes is required, in any order.
 fn read_report(r: &mut Reader<'_>) -> Result<PoolReport, JournalError> {
     read_fields!(r {
         "makespan" => makespan = r.f64()?,
         "per_worker" => per_worker = f64s(r)?,
         "deaths" => deaths = uint(r, "deaths")?,
         "retried" => retried = uint(r, "retried")?,
-        "diverged" => diverged = lenient_uint(r, "diverged")?,
-        "timeout" => timeout = lenient_uint(r, "timeout")?,
-        "cancelled" => cancelled = lenient_uint(r, "cancelled")?,
-        "exhausted" => exhausted = lenient_uint(r, "exhausted")?,
-        "speculated" => speculated = lenient_uint(r, "speculated")?,
-        "spec_deaths" => spec_deaths = lenient_uint(r, "spec_deaths")?,
-        "lost_minutes" => lost_minutes = lenient(r, float)?,
-        "backoff_minutes" => backoff_minutes = lenient(r, float)?,
-        "busy" => busy = lenient(r, f64s)?,
-        "lost_death" => lost_death = lenient(r, f64s)?,
-        "lost_spec" => lost_spec = lenient(r, f64s)?,
-        "backoff_slot" => backoff_slot = lenient(r, f64s)?,
-        "idle" => idle = lenient(r, f64s)?,
-        "wall" => wall = lenient(r, float)?,
+        "diverged" => diverged = uint(r, "diverged")?,
+        "timeout" => timeout = uint(r, "timeout")?,
+        "cancelled" => cancelled = uint(r, "cancelled")?,
+        "exhausted" => exhausted = uint(r, "exhausted")?,
+        "lost_minutes" => lost_minutes = r.f64()?,
+        "backoff_minutes" => backoff_minutes = r.f64()?,
+        "busy" => busy = f64s(r)?,
+        "lost_death" => lost_death = f64s(r)?,
+        "backoff_slot" => backoff_slot = f64s(r)?,
+        "idle" => idle = f64s(r)?,
+        "wall" => wall = r.f64()?,
     });
     Ok(PoolReport {
         makespan_minutes: need(makespan, "makespan")?,
         per_worker_minutes: need(per_worker, "per_worker")?,
         worker_deaths: need(deaths, "deaths")?,
         retried_tasks: need(retried, "retried")?,
-        diverged_tasks: diverged.unwrap_or_default(),
-        timeout_tasks: timeout.unwrap_or_default(),
-        cancelled_tasks: cancelled.unwrap_or_default(),
-        exhausted_tasks: exhausted.unwrap_or_default(),
-        speculated_tasks: speculated.unwrap_or_default(),
-        speculative_deaths: spec_deaths.unwrap_or_default(),
-        lost_minutes: lost_minutes.unwrap_or_default(),
-        backoff_minutes: backoff_minutes.unwrap_or_default(),
-        busy_minutes: busy.unwrap_or_default(),
-        lost_death_minutes: lost_death.unwrap_or_default(),
-        lost_speculation_minutes: lost_spec.unwrap_or_default(),
-        backoff_slot_minutes: backoff_slot.unwrap_or_default(),
-        idle_minutes: idle.unwrap_or_default(),
-        wall_minutes: wall.unwrap_or_default(),
+        diverged_tasks: need(diverged, "diverged")?,
+        timeout_tasks: need(timeout, "timeout")?,
+        cancelled_tasks: need(cancelled, "cancelled")?,
+        exhausted_tasks: need(exhausted, "exhausted")?,
+        lost_minutes: need(lost_minutes, "lost_minutes")?,
+        backoff_minutes: need(backoff_minutes, "backoff_minutes")?,
+        busy_minutes: need(busy, "busy")?,
+        lost_death_minutes: need(lost_death, "lost_death")?,
+        backoff_slot_minutes: need(backoff_slot, "backoff_slot")?,
+        idle_minutes: need(idle, "idle")?,
+        wall_minutes: need(wall, "wall")?,
         ..PoolReport::default()
     })
 }
@@ -712,9 +676,9 @@ impl EvalEntry {
             }
             Err(TaskError::Timeout { .. }) => (FaultKind::Timeout, None, Vec::new()),
             Err(TaskError::WorkerFailed) => (FaultKind::Worker, None, Vec::new()),
-            // Cancelled terminals are rare (a task whose only result was an
-            // externally cancelled attempt); Speculated is never terminal
-            // but gets a defensive mapping rather than a panic.
+            // Cancelled terminals are rare (an attempt that saw its pool
+            // shut down); Speculated is reserved and never constructed, and
+            // gets a defensive mapping rather than a panic.
             Err(TaskError::Cancelled) | Err(TaskError::Speculated) => {
                 (FaultKind::Cancelled, None, Vec::new())
             }
@@ -1279,15 +1243,8 @@ pub fn config_fingerprint(config: &ExperimentConfig) -> u64 {
                 ),
                 ("nanny", Json::Bool(config.pool.nanny)),
                 ("max_attempts", Json::Number(config.pool.max_attempts as f64)),
-                ("speculate", Json::Bool(config.pool.supervisor.speculate)),
-                ("straggler_quantile", Json::Number(dphpo_hpc::scheduler::STRAGGLER_QUANTILE)),
-                ("straggler_factor", Json::Number(dphpo_hpc::scheduler::STRAGGLER_FACTOR)),
                 ("backoff_base", Json::Number(dphpo_hpc::scheduler::BACKOFF_BASE_MINUTES)),
                 ("backoff_factor", Json::Number(dphpo_hpc::scheduler::BACKOFF_FACTOR)),
-                (
-                    "quarantine_deaths",
-                    Json::Number(config.pool.supervisor.quarantine_deaths as f64),
-                ),
             ]),
         ),
         ("fault_probability", Json::Number(config.fault_probability)),
@@ -2657,7 +2614,6 @@ mod tests {
                 busy_minutes: vec![70.0, 35.0],
                 idle_minutes: vec![0.0, 35.0],
                 lost_death_minutes: vec![0.0, 0.0],
-                lost_speculation_minutes: vec![0.0, 0.0],
                 backoff_slot_minutes: vec![0.0, 0.0],
                 wall_minutes: 70.0,
                 ..PoolReport::default()
@@ -2875,14 +2831,14 @@ mod tests {
         assert_eq!(config_fingerprint(&base.clone()), f0);
     }
 
-    /// The straggler and backoff constants of `hpc::scheduler` are hashed in:
-    /// editing one fails here instead of silently orphaning every journal.
+    /// The backoff constants of `hpc::scheduler` are hashed in: editing one
+    /// fails here instead of silently orphaning every journal.
     #[test]
     fn smoke_fingerprints_are_the_ones_existing_journals_carry() {
         let smoke = ExperimentConfig::smoke();
-        assert_eq!(config_fingerprint(&smoke), 0x63e0_d080_a569_740b);
+        assert_eq!(config_fingerprint(&smoke), 0x7fd7_6eee_6d42_151d);
         let steady = ExperimentConfig { mode: CampaignMode::SteadyState, ..smoke };
-        assert_eq!(config_fingerprint(&steady), 0x8730_25b2_eec5_40e8);
+        assert_eq!(config_fingerprint(&steady), 0xcf54_d41a_e531_4744);
     }
 
     #[test]
@@ -3030,7 +2986,7 @@ mod tests {
     }
 
     #[test]
-    fn key_order_unknown_keys_and_late_report_fields_read_as_they_always_have() {
+    fn key_order_and_unknown_keys_read_and_every_report_field_is_required() {
         let entry = sample_eval();
         let sorted = entry.to_json().to_compact();
         // `type` first (any order is legal JSON) takes the pass that looks
@@ -3054,23 +3010,30 @@ mod tests {
         ] {
             assert!(typed_record(&payload, false).is_err(), "{payload}");
         }
-        // Report fields newer than the first v2 journals: absent or of the
-        // wrong type reads as zero / empty; a syntax error in one does not.
+        // Report fields, in any order, with unknown keys among them...
         let generation = sample_generation().to_json().to_compact();
-        for (from, to) in [
-            ("\"diverged\":0,", ""),
-            ("\"diverged\":0", "\"diverged\":\"many\""),
-            ("\"busy\":[70]", "\"busy\":[70,null]"),
-            ("\"busy\":[70]", "\"busy\":{\"a\":[]}"),
-            ("\"wall\":0", "\"wall\":[]"),
+        let shuffled = generation.replacen("\"busy\":[70]", "\"later\":[{}],\"busy\":[70]", 1);
+        let ScannedRecord::Generation(back) = typed_record(&shuffled, false).unwrap() else {
+            panic!("a generation record");
+        };
+        assert_eq!(back.to_json().to_compact(), generation);
+        // ...are each required, and a value of the wrong type is an error
+        // that names its field — not a zero.
+        for (from, to, says) in [
+            ("\"diverged\":0,", "", "missing field 'diverged'"),
+            ("\"idle\":[],", "", "missing field 'idle'"),
+            ("\"wall\":0", "\"walls\":0", "missing field 'wall'"),
+            ("\"diverged\":0", "\"diverged\":\"many\"", ""),
+            ("\"diverged\":0", "\"diverged\":1.5", "field 'diverged'"),
+            ("\"busy\":[70]", "\"busy\":[70,null]", ""),
+            ("\"busy\":[70]", "\"busy\":{\"a\":[]}", ""),
+            ("\"wall\":0", "\"wall\":[]", ""),
         ] {
             assert!(generation.contains(from), "{from}");
-            let payload = generation.replacen(from, to, 1);
-            let ScannedRecord::Generation(back) = typed_record(&payload, false).unwrap() else {
-                panic!("a generation record");
-            };
-            assert_eq!(back.report.diverged_tasks, 0);
-            assert_eq!(back.report.busy_minutes.len(), usize::from(!to.contains("busy")));
+            let err = typed_record(&generation.replacen(from, to, 1), false)
+                .err()
+                .unwrap_or_else(|| panic!("{from} -> {to} was read"));
+            assert!(err.to_string().contains(says), "{from} -> {to}: {err}");
         }
         let torn = generation.replacen("\"busy\":[70]", "\"busy\":[70,nul]", 1);
         assert!(typed_record(&torn, false).is_err());

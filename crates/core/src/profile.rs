@@ -24,8 +24,7 @@
 //!       │  └─ eval.failed       count = penalty evals, self = Σ minutes
 //!       ├─ idle                 count = worker slots
 //!       ├─ backoff              count = worker slots
-//!       ├─ lost.death           count = worker slots
-//!       └─ lost.speculation     count = worker slots
+//!       └─ lost.death           count = worker slots
 //! ```
 //!
 //! By the scheduler's partition invariant, a generation's inclusive time is
@@ -55,7 +54,6 @@ pub fn generation_node(record: &GenerationRecord, report: &PoolReport) -> Profil
     let idle = fsum(report.idle_minutes.iter().copied());
     let backoff = fsum(report.backoff_slot_minutes.iter().copied());
     let lost_death = fsum(report.lost_death_minutes.iter().copied());
-    let lost_spec = fsum(report.lost_speculation_minutes.iter().copied());
 
     let mut ok_count = 0u64;
     let mut failed_count = 0u64;
@@ -72,8 +70,7 @@ pub fn generation_node(record: &GenerationRecord, report: &PoolReport) -> Profil
         }
     }
     // Busy self-time is scheduler overhead the evaluations themselves do
-    // not account for (duplicate speculative wins, timeout truncation
-    // residue); it can be negative when attributed minutes exceed the
+    // not account for (timeout truncation residue); it can be negative when attributed minutes exceed the
     // busy partition, which the JSON keeps as a diagnostic.
     let busy_self = fsum([busy, -ok_minutes.value(), -failed_minutes.value()]);
     let busy_node = ProfileNode::branch(
@@ -94,7 +91,6 @@ pub fn generation_node(record: &GenerationRecord, report: &PoolReport) -> Profil
             ProfileNode::leaf("idle", slots, idle),
             ProfileNode::leaf("backoff", slots, backoff),
             ProfileNode::leaf("lost.death", slots, lost_death),
-            ProfileNode::leaf("lost.speculation", slots, lost_spec),
         ],
     )
 }
@@ -217,7 +213,6 @@ mod tests {
             busy_minutes: vec![30.0, 7.0],
             idle_minutes: vec![10.0, 33.0],
             lost_death_minutes: vec![0.0, 0.0],
-            lost_speculation_minutes: vec![0.0, 0.0],
             backoff_slot_minutes: vec![0.0, 0.0],
             per_worker_minutes: vec![30.0, 7.0],
             ..PoolReport::default()

@@ -73,14 +73,14 @@ pub fn evaluate_individual(ctx: &EvalContext, genome: &[f64], seed: u64) -> Eval
 }
 
 /// Deterministic simulated-minutes estimate for a genome's training (the
-/// cost-model *mean* for its cutoff radius — no rng draw), used by the
-/// scheduler for straggler detection and dead-attempt accounting.
+/// cost-model *mean* for its cutoff radius — no rng draw), of which the
+/// scheduler charges a dead attempt a fraction.
 pub fn estimated_minutes(ctx: &EvalContext, genome: &[f64]) -> f64 {
     ctx.cost_model.gpu_minutes_mean(&paper_job(decode(genome).rcut))
 }
 
 /// As [`evaluate_individual`], under scheduler supervision: the training
-/// polls the task's [`CancelToken`](dphpo_hpc::CancelToken) and simulated
+/// polls [`TaskCtx::is_cancelled`] (its pool shutting down) and its simulated
 /// deadline at step boundaries, emits progress heartbeats, and runs the
 /// strict [`Sentinel::supervised`] divergence sentinel — so a sick run
 /// aborts within one check interval instead of burning its full budget.
@@ -192,8 +192,9 @@ fn evaluate_inner(
             let charged = sup.deadline_minutes.unwrap_or(minutes);
             return (failure(charged), Some(abort));
         }
-        // A cancelled attempt's record is discarded by the scheduler (its
-        // twin already won); the pro-rated minutes only label the waste.
+        // An attempt is cancelled only by its pool shutting down, and the
+        // driver that would have read this record has left; the pro-rated
+        // minutes only label the waste.
         Some(abort @ AbortReason::Cancelled { .. }) => {
             return (failure(minutes), Some(abort));
         }

@@ -11,15 +11,14 @@ use std::path::PathBuf;
 use dphpo_core::campaign_report::{counter_trace_json, markdown_report, parse_status, status_json};
 use dphpo_core::experiment::{Campaign, ExperimentConfig, ExperimentError};
 
-/// Small faulty campaign exercising deaths, retries, backoff, and
-/// speculation — every path that feeds the utilization partition.
+/// Small faulty campaign exercising deaths, retries and backoff — every
+/// path that feeds the utilization partition.
 fn config() -> ExperimentConfig {
     let mut config = ExperimentConfig::smoke();
     config.pop_size = 3;
     config.fault_probability = 0.2;
     config.pool.nanny = true;
     config.pool.max_attempts = 2;
-    config.pool.supervisor.speculate = true;
     config.master_seed = 43;
     config
 }
@@ -99,7 +98,7 @@ fn killed_and_resumed_campaign_reproduces_the_observatory_byte_for_byte() {
         .runs
         .iter()
         .flat_map(|r| &r.generations)
-        .map(|g| g.lost_death_minutes + g.lost_speculation_minutes + g.backoff_minutes)
+        .map(|g| g.lost_death_minutes + g.backoff_minutes)
         .sum();
     assert!(lost > 0.0, "fault injection produced no visible losses");
 

@@ -24,9 +24,6 @@ fn chaos_config() -> ExperimentConfig {
     config.fault_probability = 0.2;
     config.pool.nanny = true;
     config.pool.max_attempts = 2;
-    // Speculative re-execution on: resume must stay bit-identical even
-    // when stragglers race their twins and losers are cancelled.
-    config.pool.supervisor.speculate = true;
     config.master_seed = 41;
     config
 }

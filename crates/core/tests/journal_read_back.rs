@@ -7,7 +7,7 @@
 //! first missing `(run, generation)` and left exactly as it was.
 //!
 //! The configurations are the `journal_chaos` / `steady_state_identity`
-//! ones (faults, retries and speculation on), so boundaries carry penalty
+//! ones (faults and retries on), so boundaries carry penalty
 //! individuals as well as clean ones.
 
 use std::path::PathBuf;
@@ -25,7 +25,6 @@ fn chaos_config() -> ExperimentConfig {
     config.fault_probability = 0.2;
     config.pool.nanny = true;
     config.pool.max_attempts = 2;
-    config.pool.supervisor.speculate = true;
     config.master_seed = 41;
     config
 }

@@ -154,13 +154,10 @@ fn wild_report() -> impl Strategy<Value = PoolReport> {
         timeout_tasks: count % 2,
         cancelled_tasks: count / 4,
         exhausted_tasks: count / 5,
-        speculated_tasks: count % 4,
-        speculative_deaths: count / 3,
         lost_minutes: minutes[0],
         backoff_minutes: wall,
         busy_minutes: minutes.clone(),
         lost_death_minutes: minutes.clone(),
-        lost_speculation_minutes: minutes.clone(),
         backoff_slot_minutes: minutes.clone(),
         idle_minutes: minutes,
         wall_minutes: wall.abs(),

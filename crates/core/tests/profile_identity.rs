@@ -15,15 +15,14 @@ use std::path::PathBuf;
 
 use dphpo_core::experiment::{Campaign, CampaignMode, ExperimentConfig, ExperimentError};
 
-/// Small faulty campaign exercising deaths, retries, backoff, and
-/// speculation — every path that feeds the profile's loss leaves.
+/// Small faulty campaign exercising deaths, retries and backoff — every
+/// path that feeds the profile's loss leaves.
 fn config() -> ExperimentConfig {
     let mut config = ExperimentConfig::smoke();
     config.pop_size = 3;
     config.fault_probability = 0.2;
     config.pool.nanny = true;
     config.pool.max_attempts = 2;
-    config.pool.supervisor.speculate = true;
     config.master_seed = 43;
     config
 }

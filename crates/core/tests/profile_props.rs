@@ -1,9 +1,9 @@
 //! Property-based tests for the deterministic profiler (DESIGN.md §14):
 //!
-//! * folding a telemetry snapshot into an attribution tree is independent
-//!   of event interleaving and of which worker lane recorded each event;
+//! * assembling the journal-derived campaign tree, and merging its
+//!   subtrees, is independent of the order the boundaries arrive in;
 //! * `self + Σ children == inclusive` holds **bitwise** for every node of
-//!   both the span-derived and the journal-derived (campaign) trees;
+//!   the campaign tree and of a merge;
 //! * the `.folded` export is always a well-formed collapsed-stack file.
 
 use std::collections::BTreeMap;
@@ -13,34 +13,10 @@ use dphpo_evo::nsga2::GenerationRecord;
 use dphpo_evo::{Fitness, Individual};
 use dphpo_hpc::PoolReport;
 use dphpo_obs::metrics::ExactSum;
-use dphpo_obs::profile::{folded, from_snapshot, ProfileNode};
-use dphpo_obs::{cats, names, Event, MemoryRecorder, Recorder, SpanCtx, When, NO_TASK};
+use dphpo_obs::profile::{folded, merge, ProfileNode};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-const NAMES: [&str; 4] = [names::EVAL, names::TRAIN_STEP, names::GENERATION, names::SCHED_DEATH];
-
-/// One synthetic span event: (run, task slot or NO_TASK, name index, dur).
-fn wild_event() -> impl Strategy<Value = (u32, u32, usize, f64)> {
-    (0i64..3, 0i64..6, 0usize..NAMES.len(), 0.0f64..100.0).prop_map(|(run, task, name, dur)| {
-        let task = if task == 5 { NO_TASK } else { task as u32 };
-        (run as u32, task, name, dur)
-    })
-}
-
-fn record_all(events: &[(u32, u32, usize, f64)], workers: &[Option<u32>]) -> MemoryRecorder {
-    let rec = MemoryRecorder::new();
-    for (&(run, task, name, dur), &worker) in events.iter().zip(workers) {
-        let mut e =
-            Event::instant(NAMES[name], cats::SCHED, SpanCtx::root(1, run).with_task(task, 0));
-        e.dur_min = dur;
-        e.when = When::Sim(0.0);
-        e.worker = worker;
-        rec.record(e);
-    }
-    rec
-}
 
 /// Fisher–Yates with the vendored rng (no `SliceRandom` in the shim).
 fn shuffle<T>(xs: &mut [T], rng: &mut StdRng) {
@@ -103,8 +79,8 @@ fn slot_vec() -> impl Strategy<Value = Vec<f64>> {
 /// clamped to the busy vector's slot count, as in real reports.
 fn wild_boundary() -> impl Strategy<Value = (GenerationRecord, PoolReport)> {
     let pop = prop::collection::vec((0.0f64..200.0, 0.0f64..1.0), 0..6);
-    ((0usize..40, pop), slot_vec(), slot_vec(), slot_vec(), slot_vec()).prop_map(
-        |((generation, pop), busy, idle, death, spec)| {
+    ((0usize..40, pop), slot_vec(), slot_vec(), slot_vec()).prop_map(
+        |((generation, pop), busy, idle, death)| {
             let slots = busy.len();
             let fit = |mut v: Vec<f64>| {
                 v.resize(slots, 0.0);
@@ -119,7 +95,6 @@ fn wild_boundary() -> impl Strategy<Value = (GenerationRecord, PoolReport)> {
                 busy_minutes: busy,
                 idle_minutes: fit(idle),
                 lost_death_minutes: fit(death),
-                lost_speculation_minutes: fit(spec),
                 backoff_slot_minutes: vec![0.0; slots],
                 ..PoolReport::default()
             };
@@ -129,35 +104,34 @@ fn wild_boundary() -> impl Strategy<Value = (GenerationRecord, PoolReport)> {
 }
 
 proptest! {
-    /// Any permutation of the event stream, recorded from any worker
-    /// lanes, folds to the identical attribution tree.
+    /// Boundaries folded in any order — generation rows shuffled within a
+    /// run, subtrees shuffled under a merge — give the identical tree.
     #[test]
-    fn aggregation_is_independent_of_interleaving_and_worker_count(
-        events in prop::collection::vec(wild_event(), 1..40),
+    fn aggregation_is_independent_of_the_order_boundaries_arrive_in(
+        boundaries in prop::collection::vec(wild_boundary(), 1..8),
         seed in 0i64..i64::MAX,
     ) {
-        let baseline = record_all(&events, &vec![None; events.len()]);
-        let reference = from_snapshot(&baseline.snapshot());
+        // Distinct generation indices, as a campaign's are (same-named
+        // siblings keep their insertion order: `branch` sorts, not merges).
+        let rows: Vec<ProfileNode> = boundaries
+            .iter()
+            .enumerate()
+            .map(|(generation, (rec, rep))| {
+                generation_node(&GenerationRecord { generation, ..rec.clone() }, rep)
+            })
+            .collect();
+        let mut shuffled = rows.clone();
+        shuffle(&mut shuffled, &mut StdRng::seed_from_u64(seed as u64));
 
-        let mut rng = StdRng::seed_from_u64(seed as u64);
-        let mut shuffled = events.clone();
-        shuffle(&mut shuffled, &mut rng);
-        let workers: Vec<Option<u32>> =
-            (0..shuffled.len() as u32).map(|i| Some(i % 7)).collect();
-        let permuted = record_all(&shuffled, &workers);
-        prop_assert_eq!(reference, from_snapshot(&permuted.snapshot()));
-    }
+        let reference = campaign_node(&BTreeMap::from([(0, rows.clone()), (1, rows.clone())]));
+        let permuted = campaign_node(&BTreeMap::from([(0, shuffled.clone()), (1, rows.clone())]));
+        prop_assert_eq!(&reference, &permuted);
 
-    /// The branch invariant holds bitwise on every node of a span-derived
-    /// tree, and the folded rendering is well-formed.
-    #[test]
-    fn span_tree_invariant_and_folded_validity(
-        events in prop::collection::vec(wild_event(), 1..60),
-    ) {
-        let rec = record_all(&events, &vec![None; events.len()]);
-        let tree = from_snapshot(&rec.snapshot());
-        assert_invariant(&tree);
-        assert_folded_well_formed(&folded(&tree));
+        let all = merge("all", &rows.iter().collect::<Vec<_>>());
+        prop_assert_eq!(&all, &merge("all", &shuffled.iter().collect::<Vec<_>>()));
+        assert_invariant(&all);
+        prop_assert_eq!(all.count, rows.len() as u64);
+        assert_folded_well_formed(&folded(&all));
     }
 
     /// The branch invariant holds bitwise on every node of the

@@ -15,16 +15,15 @@ use dphpo_core::experiment::{Campaign, ExperimentConfig, ExperimentResult};
 use dphpo_evo::Individual;
 use dphpo_obs::{chrome, export, names, rollup, MemoryRecorder, Recorder};
 
-/// Small campaign with faults, retries, and speculation on, so telemetry
-/// rides along every scheduler path (deaths, backoff, twins) that could
-/// conceivably perturb the run.
+/// Small campaign with faults and retries on, so telemetry rides along
+/// every scheduler path (deaths, backoff) that could conceivably perturb
+/// the run.
 fn config() -> ExperimentConfig {
     let mut config = ExperimentConfig::smoke();
     config.pop_size = 3;
     config.fault_probability = 0.2;
     config.pool.nanny = true;
     config.pool.max_attempts = 2;
-    config.pool.supervisor.speculate = true;
     config.master_seed = 43;
     config
 }

@@ -208,8 +208,8 @@ fn a_kill_with_prefetched_evaluations_in_flight_returns_promptly_and_resumes_ide
 }
 
 /// A small campaign with everything that could make a schedule depend on
-/// who ran what: injected deaths, nanny restarts, retries with backoff and
-/// (generational) speculative twins, on four simulated workers.
+/// who ran what: injected deaths, nanny restarts and retries with backoff,
+/// on four simulated workers.
 fn faulty(mode: CampaignMode) -> ExperimentConfig {
     let mut config = ExperimentConfig::smoke();
     config.mode = mode;
@@ -218,7 +218,6 @@ fn faulty(mode: CampaignMode) -> ExperimentConfig {
     config.fault_probability = 0.2;
     config.pool.nanny = true;
     config.pool.max_attempts = 2;
-    config.pool.supervisor.speculate = mode == CampaignMode::Generational;
     config.master_seed = 41;
     config
 }

@@ -150,8 +150,25 @@ impl TrainConfig {
                 self.rcut_smth, self.rcut
             ));
         }
-        if self.embedding_neurons.is_empty() || self.fitting_neurons.is_empty() {
-            return Err("network sizes must be non-empty".into());
+        // The paper's nets are {25, 50, 100} and {240, 240, 240}; a width or
+        // depth orders of magnitude beyond is a damaged input.json, to be
+        // refused here and not by the allocator.
+        const MAX_LAYERS: usize = 16;
+        const MAX_WIDTH: usize = 4096;
+        for (net, widths) in
+            [("embedding", &self.embedding_neurons), ("fitting", &self.fitting_neurons)]
+        {
+            if widths.is_empty() || widths.len() > MAX_LAYERS {
+                return Err(format!(
+                    "{net} net has {} layers; must have 1 to {MAX_LAYERS}",
+                    widths.len()
+                ));
+            }
+            if let Some(width) = widths.iter().find(|&&w| w == 0 || w > MAX_WIDTH) {
+                return Err(format!(
+                    "{net} net layer width {width} must lie in 1..={MAX_WIDTH}"
+                ));
+            }
         }
         if self.num_steps == 0 || self.n_workers == 0 || self.batch_per_worker == 0 {
             return Err("steps, workers, and batch must be positive".into());

@@ -15,8 +15,8 @@
 //!   checked before every step so the job stops *at* the wall instead of
 //!   being charged for crossing it;
 //! * **external cancellation**: a cheap `is-cancelled` probe (backed by the
-//!   scheduler's `CancelToken`) polled at step boundaries, so a superseded
-//!   speculative attempt stops within one check interval;
+//!   worker pool's shutdown flag) polled at step boundaries, so a training
+//!   whose campaign has left stops within one check interval;
 //! * **progress heartbeats**: periodic `(done, projected)` simulated-minute
 //!   reports the scheduler's supervision loop consumes.
 //!
@@ -46,8 +46,8 @@ pub enum AbortReason {
         /// Simulated minutes consumed when the budget fired.
         sim_minutes: f64,
     },
-    /// The external cancellation probe returned true (e.g. a speculative
-    /// twin already produced this task's result).
+    /// The external cancellation probe returned true (the worker pool is
+    /// shutting down).
     Cancelled {
         /// Step at which cancellation was observed.
         step: usize,

@@ -5,7 +5,7 @@
 
 use rand::Rng;
 
-use dphpo_autograd::{Shape, Tape, Tensor};
+use dphpo_autograd::{Shape, Tape, Tensor, Var};
 use dphpo_md::Dataset;
 
 use std::rc::Rc;
@@ -15,7 +15,7 @@ use crate::descriptor::FrameCache;
 use crate::lcurve::{Lcurve, LcurveRow};
 use crate::loss::PrefactorSchedule;
 use crate::lr::LrSchedule;
-use crate::model::{forward_cached, DnnpModel, ModelParams};
+use crate::model::{forward_cached, DnnpModel, ModelParams, TapedParams};
 use crate::supervise::{AbortReason, Supervision};
 use dphpo_obs::{cats, names, Event, Recorder, When};
 
@@ -79,6 +79,73 @@ fn tile_onehot(onehot: &Tensor, batch: usize) -> Tensor {
     Tensor::matrix(batch * rows, cols, data)
 }
 
+/// One batch's predictions on a tape — parameters registered, the cached
+/// forward pass with forces, per-frame energies: the graph under both the
+/// training loss and a validation pass — plus the tape length at which each
+/// section ended (the phase marks of the step-budget census).
+struct BatchGraph {
+    taped: TapedParams,
+    params_end: usize,
+    descriptor_end: usize,
+    forward_end: usize,
+    force_end: usize,
+    /// Per-frame energies `[B, 1]`.
+    energies: Var,
+    /// Forces `[B·n, 3]`.
+    forces: Var,
+}
+
+fn batch_graph(
+    tape: &Tape,
+    model: &DnnpModel,
+    caches: &[&FrameCache],
+    onehot: &Tensor,
+    frame_ids: &Rc<[usize]>,
+) -> BatchGraph {
+    let taped = model.params.register(tape);
+    let params_end = tape.len();
+    let graph = forward_cached(tape, &taped, &model.config, &model.stats, caches, onehot, true);
+    let force_end = tape.len();
+    BatchGraph {
+        taped,
+        params_end,
+        descriptor_end: graph.descriptor_end,
+        forward_end: graph.forward_end,
+        force_end,
+        energies: tape.scatter_add_rows(graph.atomic, Rc::clone(frame_ids), caches.len()),
+        forces: graph.forces.expect("forces requested"),
+    }
+}
+
+/// The training loss of one batch, `e_weight·Σ ΔE² + f_weight·Σ ‖ΔF‖²`, on
+/// top of its [`BatchGraph`]: the one spelling of the step's graph, built by
+/// the training step and by the census that counts it.
+struct LossGraph {
+    batch: BatchGraph,
+    e_diff: Var,
+    f_diff: Var,
+    loss: Var,
+}
+
+fn loss_graph(
+    tape: &Tape,
+    model: &DnnpModel,
+    caches: &[&FrameCache],
+    onehot: &Tensor,
+    frame_ids: &Rc<[usize]>,
+    (e_ref, f_ref): (Tensor, Tensor),
+    [e_weight, f_weight]: [f64; 2],
+) -> LossGraph {
+    let batch = batch_graph(tape, model, caches, onehot, frame_ids);
+    let e_ref = tape.constant(e_ref);
+    let e_diff = tape.sub(batch.energies, e_ref);
+    let f_ref = tape.constant(f_ref);
+    let f_diff = tape.sub(batch.forces, f_ref);
+    let le = tape.scale(tape.sum_all(tape.square(e_diff)), e_weight);
+    let lf = tape.scale(tape.sum_all(tape.square(f_diff)), f_weight);
+    LossGraph { batch, e_diff, f_diff, loss: tape.add(le, lf) }
+}
+
 /// A fixed set of frames evaluated as one batch graph, used for the
 /// validation RMSE rows (one tape per evaluation instead of one per frame).
 struct PreparedBatch {
@@ -114,21 +181,11 @@ impl PreparedBatch {
     /// to `(energy RMSE per atom, force RMSE)`; the caller resets the tape.
     fn evaluate(&self, model: &DnnpModel) -> (f64, f64) {
         let tape = &self.tape;
-        let taped = model.params.register(tape);
         let caches: Vec<&FrameCache> = self.caches.iter().collect();
-        let graph = forward_cached(
-            tape,
-            &taped,
-            &model.config,
-            &model.stats,
-            &caches,
-            &self.onehot,
-            true,
-        );
+        let graph = batch_graph(tape, model, &caches, &self.onehot, &self.frame_ids);
         let n_frames = self.energies.len();
-        let energies = tape.scatter_add_rows(graph.atomic, Rc::clone(&self.frame_ids), n_frames);
         let n = self.n_atoms as f64;
-        let e_sq: f64 = tape.with_value(energies, |e_pred| {
+        let e_sq: f64 = tape.with_value(graph.energies, |e_pred| {
             e_pred
                 .data()
                 .iter()
@@ -136,7 +193,7 @@ impl PreparedBatch {
                 .map(|(p, r)| ((p - r) / n) * ((p - r) / n))
                 .sum::<f64>()
         }) / n_frames as f64;
-        let f_sq: f64 = tape.with_value(graph.forces.expect("forces requested"), |f_pred| {
+        let f_sq: f64 = tape.with_value(graph.forces, |f_pred| {
             f_pred
                 .data()
                 .iter()
@@ -470,32 +527,17 @@ impl<'a> TrainRun<'a> {
             return Vec::new();
         };
         let batch: Vec<&FrameCache> = indices.iter().map(|&i| &self.train_caches[i]).collect();
-        let (e_ref_t, f_ref_t) =
-            batch_labels(self.train_ds, indices, self.batch_total, self.n_atoms);
-
-        let taped = self.model.params.register(tape);
-        let params_end = tape.len();
-        let graph = forward_cached(
+        let labels = batch_labels(self.train_ds, indices, self.batch_total, self.n_atoms);
+        // The step's own graph; the loss weights only scale values.
+        let LossGraph { batch: marks, .. } = loss_graph(
             tape,
-            &taped,
-            self.config,
-            &self.model.stats,
+            &self.model,
             &batch,
             &self.onehot_batch,
-            true,
+            &self.frame_ids,
+            labels,
+            [1.0, 1.0],
         );
-        let force_end = tape.len();
-        let forces = graph.forces.expect("training requests forces");
-        // Loss section: the same kernels `step` records (values unused).
-        let energies =
-            tape.scatter_add_rows(graph.atomic, Rc::clone(&self.frame_ids), self.batch_total);
-        let e_ref = tape.constant(e_ref_t);
-        let e_diff = tape.sub(energies, e_ref);
-        let f_ref = tape.constant(f_ref_t);
-        let f_diff = tape.sub(forces, f_ref);
-        let le = tape.scale(tape.sum_all(tape.square(e_diff)), 1.0);
-        let lf = tape.scale(tape.sum_all(tape.square(f_diff)), 1.0);
-        let _ = tape.add(le, lf);
         let loss_end = tape.len();
 
         let phase = |name: &'static str, range: std::ops::Range<usize>| PhaseBudget {
@@ -504,11 +546,11 @@ impl<'a> TrainRun<'a> {
             kernels: tape.op_census(range),
         };
         let mut phases = vec![
-            phase("params", 0..params_end),
-            phase("descriptor", params_end..graph.descriptor_end),
-            phase("forward", graph.descriptor_end..graph.forward_end),
-            phase("force", graph.forward_end..force_end),
-            phase("loss", force_end..loss_end),
+            phase("params", 0..marks.params_end),
+            phase("descriptor", marks.params_end..marks.descriptor_end),
+            phase("forward", marks.descriptor_end..marks.forward_end),
+            phase("force", marks.forward_end..marks.force_end),
+            phase("loss", marks.force_end..loss_end),
             // The backward is value-level and Adam updates in place:
             // deliberately node-free (their wall twin is side.phase.*).
             PhaseBudget { phase: "backward", nodes: 0, kernels: Vec::new() },
@@ -593,33 +635,19 @@ impl<'a> TrainRun<'a> {
         // the per-frame caches.
         let indices = &self.step_indices[step];
         let batch: Vec<&FrameCache> = indices.iter().map(|&i| &self.train_caches[i]).collect();
-        let (e_ref_t, f_ref_t) =
-            batch_labels(self.train_ds, indices, self.batch_total, self.n_atoms);
-        let taped = self.model.params.register(tape);
-        let graph = forward_cached(
+        let labels = batch_labels(self.train_ds, indices, self.batch_total, self.n_atoms);
+        // Batch-mean loss: (1/B)·Σ_b [pe·(ΔE_b/N)² + pf·Σ‖ΔF_b‖²/(3N)], over
+        // per-frame energies summed from the per-atom energies.
+        let b = self.batch_total as f64;
+        let LossGraph { batch: BatchGraph { taped, .. }, e_diff, f_diff, loss } = loss_graph(
             tape,
-            &taped,
-            self.config,
-            &self.model.stats,
+            &self.model,
             &batch,
             &self.onehot_batch,
-            true,
+            &self.frame_ids,
+            labels,
+            [pref.pe / (n * n * b), pref.pf / (3.0 * n * b)],
         );
-        let forces = graph.forces.expect("training requests forces");
-
-        // Per-frame energies from the per-atom energies.
-        let energies =
-            tape.scatter_add_rows(graph.atomic, Rc::clone(&self.frame_ids), self.batch_total);
-        let e_ref = tape.constant(e_ref_t);
-        let e_diff = tape.sub(energies, e_ref);
-        let f_ref = tape.constant(f_ref_t);
-        let f_diff = tape.sub(forces, f_ref);
-
-        // Batch-mean loss: (1/B)·Σ_b [pe·(ΔE_b/N)² + pf·Σ‖ΔF_b‖²/(3N)].
-        let b = self.batch_total as f64;
-        let le = tape.scale(tape.sum_all(tape.square(e_diff)), pref.pe / (n * n * b));
-        let lf = tape.scale(tape.sum_all(tape.square(f_diff)), pref.pf / (3.0 * n * b));
-        let loss = tape.add(le, lf);
 
         let loss_value = tape.item(loss);
         self.last_loss = loss_value;
@@ -1030,6 +1058,32 @@ mod tests {
         );
         assert!(snap.events.iter().any(|e| e.name == dphpo_obs::names::LCURVE_ROW));
         assert!(snap.gauges.iter().any(|(n, g)| n == dphpo_obs::names::G_TAPE_NODES && g.max > 0.0));
+    }
+
+    #[test]
+    fn the_step_budget_counts_the_graph_a_real_step_records() {
+        // The census and the step build one `loss_graph`; this is what fails
+        // if either grows a node of its own. A live recorder's tape-node
+        // gauge is the tape length step 0 reached.
+        use dphpo_obs::{MemoryRecorder, Recorder, SpanCtx};
+        let (train_ds, val_ds) = tiny_data(9);
+        let config = TrainConfig { num_steps: 1, ..tiny_config() };
+        let rec = MemoryRecorder::new();
+        let sup = Supervision {
+            recorder: Some(&rec as &dyn Recorder),
+            span: SpanCtx::root(21, 0),
+            ..Supervision::none()
+        };
+        let mut rng = StdRng::seed_from_u64(21);
+        train_supervised(&config, &train_ds, &val_ds, &mut rng, &sup).unwrap();
+        let snap = rec.snapshot();
+        let (_, reached) =
+            snap.gauges.iter().find(|(n, _)| n == dphpo_obs::names::G_TAPE_NODES).unwrap();
+
+        let budget = step_budget(&config, &train_ds, &val_ds).unwrap();
+        let val = budget.phases.iter().find(|p| p.phase == "val").unwrap();
+        assert!(val.nodes > 0 && reached.max > 0.0);
+        assert_eq!((budget.total_nodes() - val.nodes) as f64, reached.max);
     }
 
     #[test]

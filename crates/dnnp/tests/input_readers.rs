@@ -187,6 +187,42 @@ proptest! {
     }
 }
 
+/// `input.json` spells a network shape the reader reads faithfully — 10¹⁸ is
+/// a whole number — so the judgement is `validate`'s: a zero-width, absurdly
+/// wide or absurdly deep net is refused by name, before the trainer (which
+/// validates first) sizes a single weight matrix for it.
+#[test]
+fn an_input_json_asking_for_an_absurd_network_is_refused_not_allocated() {
+    use dphpo_md::generate::{generate_dataset, GenConfig};
+    let mut rng = StdRng::seed_from_u64(5);
+    let doc = wild_config(&mut rng).to_input_json();
+    assert!(read_input(&doc.to_compact()).unwrap().validate().is_ok());
+    let dataset = generate_dataset(&GenConfig { n_frames: 2, ..GenConfig::tiny() }, &mut rng);
+
+    let widths = |ws: &[f64]| Json::Array(ws.iter().map(|&w| Json::Number(w)).collect());
+    for (net, key, says) in [("descriptor", "embedding", "embedding net"), ("fitting_net", "fitting", "fitting net")] {
+        for (neuron, complaint) in [
+            (widths(&[240.0, 1e18]), "width 1000000000000000000"),
+            (widths(&[240.0, 4097.0]), "width 4097"),
+            (widths(&[0.0, 240.0]), "width 0"),
+            (widths(&[]), "has 0 layers"),
+            (widths(&[8.0; 17]), "has 17 layers"),
+        ] {
+            let damaged = edited(&doc, &["model", net, "neuron"], Some(&neuron));
+            let config = read_input(&damaged.to_compact()).unwrap();
+            let err = config.validate().unwrap_err();
+            assert!(err.contains(says) && err.contains(complaint), "{key} {neuron:?}: {err}");
+            let refused = dphpo_dnnp::train(&config, &dataset, &dataset, &mut rng).err();
+            assert_eq!(refused.as_ref(), Some(&err), "{key} {neuron:?}");
+        }
+    }
+    // The paper's own shapes, and the bounds themselves, pass.
+    for ok in [widths(&[25.0, 50.0, 100.0]), widths(&[4096.0; 16])] {
+        let doc = edited(&doc, &["model", "fitting_net", "neuron"], Some(&ok));
+        assert!(read_input(&doc.to_compact()).unwrap().validate().is_ok());
+    }
+}
+
 /// A curve with rows of every magnitude the trainer writes.
 fn wild_curve(rng: &mut StdRng) -> Lcurve {
     let mut curve = Lcurve::new();

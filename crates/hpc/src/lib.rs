@@ -32,8 +32,8 @@
 //! ```
 //!
 //! One pool, two schedulers: [`with_pool`] opens the threads;
-//! [`Pool::run_batch`] runs a generation's batch on them (cancel tokens,
-//! deadlines, straggler twins, a write-ahead completion hook, telemetry),
+//! [`Pool::run_batch`] runs a generation's batch on them (deadlines, retry
+//! chains, a write-ahead completion hook, telemetry),
 //! and [`Pool::stream`] feeds a steady-state campaign through them — same
 //! supervision and accounting, no generation barrier, tasks submitted the
 //! moment they exist and taken when the simulated clock asks. [`run_batch`],
@@ -43,8 +43,8 @@
 //! classification (timeouts charge the limit, structured faults map onto
 //! [`TaskError`]) and space retries by one [`scheduler::backoff_minutes`],
 //! so the two campaign modes cannot drift apart on what a failure is or
-//! costs. The straggler rule and the backoff are constants of [`scheduler`];
-//! [`SupervisorConfig`] holds only the two switches campaigns set.
+//! costs. The backoff and the quarantine threshold are constants of
+//! [`scheduler`]; [`PoolConfig`] holds the four values campaigns set.
 
 #![warn(missing_docs)]
 
@@ -63,8 +63,8 @@ pub use faultplan::{
 };
 pub use pool::{physical_threads, with_pool, Pool};
 pub use scheduler::{
-    run_batch, run_batch_supervised, CancelToken, EvalFault, EvalOutcome, FaultInjector,
-    PoolConfig, PoolReport, SupervisorConfig, TaskCtx, TaskError, TaskRecord, SPECULATIVE_ATTEMPT,
+    run_batch, run_batch_supervised, EvalFault, EvalOutcome, FaultInjector, PoolConfig,
+    PoolReport, TaskCtx, TaskError, TaskRecord,
 };
 pub use stream::{run_stream_window, Stream, StreamSlots, StreamSlotsState, StreamTaskReport};
 pub use trace::{Span, Timeline};

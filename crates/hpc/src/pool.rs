@@ -22,16 +22,14 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use crossbeam::channel::{self, Receiver, Sender};
 
-use crate::scheduler::{CancelToken, EvalOutcome, TaskCtx};
+use crate::scheduler::{EvalOutcome, TaskCtx};
 
 /// One attempt of one task, as handed to a pool thread.
 pub(crate) struct Job<J> {
     pub task: usize,
     pub attempt: u32,
-    pub speculative: bool,
     pub deadline_minutes: Option<f64>,
     pub input: J,
-    pub cancel: Option<CancelToken>,
 }
 
 /// What became of a [`Job`].
@@ -40,15 +38,11 @@ pub(crate) enum JobResult<T> {
     Done(EvalOutcome<T>),
     /// The evaluation panicked — a worker death, by contract.
     Panicked,
-    /// Never started: a speculative twin whose task already had its result,
-    /// or any job reached after the pool began shutting down.
-    Skipped,
 }
 
 /// A finished [`Job`], identified as the driver queued it.
 pub(crate) struct Completion<T> {
     pub task: usize,
-    pub speculative: bool,
     /// Index of the pool thread that ran it.
     pub worker: usize,
     pub result: JobResult<T>,
@@ -68,7 +62,8 @@ pub struct Pool<'p, J, T> {
 }
 
 impl<J, T> Pool<'_, J, T> {
-    /// Queue a job. Every queued job produces exactly one [`Completion`].
+    /// Queue a job. Every queued job produces exactly one [`Completion`]
+    /// while this handle lives.
     pub(crate) fn dispatch(&self, job: Job<J>) {
         self.jobs.send(job).unwrap_or_else(|_| panic!("pool threads outlive the pool handle"));
     }
@@ -88,7 +83,7 @@ impl<J, T> Pool<'_, J, T> {
 
 impl<J, T> Drop for Pool<'_, J, T> {
     /// Shut down: running evaluations see [`TaskCtx::is_cancelled`] at their
-    /// next check, queued jobs are skipped, and the threads exit when the
+    /// next check, queued jobs are dropped unrun, and the threads exit when the
     /// FIFO (whose sender drops with this handle) is empty — so a driver
     /// that leaves early (an interrupted campaign, an unwinding panic) waits
     /// for one check interval, not for the work it had queued.
@@ -153,32 +148,22 @@ fn work<J, T, F>(
 ) where
     F: Fn(&TaskCtx<'_>, &J) -> EvalOutcome<T>,
 {
-    while let Ok(Job { task, attempt, speculative, deadline_minutes, input, cancel }) = jobs.recv()
-    {
-        let superseded = speculative && cancel.as_ref().is_some_and(CancelToken::is_cancelled);
-        let result = if superseded || stop.load(Ordering::SeqCst) {
-            JobResult::Skipped
-        } else {
-            // A statistic, published by nothing but its own value.
-            let beat = |_done: f64, _projected: f64| {
-                heartbeats.fetch_add(1, Ordering::Relaxed);
-            };
-            let ctx = TaskCtx {
-                task,
-                attempt,
-                speculative,
-                deadline_minutes,
-                cancel: cancel.as_ref(),
-                stop: Some(stop),
-                beat: Some(&beat),
-            };
-            match catch_unwind(AssertUnwindSafe(|| eval(&ctx, &input))) {
-                Ok(outcome) => JobResult::Done(outcome),
-                Err(_) => JobResult::Panicked,
-            }
+    while let Ok(Job { task, attempt, deadline_minutes, input }) = jobs.recv() {
+        // Shutting down: the handle — the only receiver — is gone, so what
+        // is still queued is dropped unrun.
+        if stop.load(Ordering::SeqCst) {
+            continue;
+        }
+        // A statistic, published by nothing but its own value.
+        let beat = |_done: f64, _projected: f64| {
+            heartbeats.fetch_add(1, Ordering::Relaxed);
         };
-        // The only receiver is the pool handle; once it is gone nobody is
-        // waiting for this result.
-        let _ = done.send(Completion { task, speculative, worker, result });
+        let ctx = TaskCtx { task, attempt, deadline_minutes, stop: Some(stop), beat: Some(&beat) };
+        let result = match catch_unwind(AssertUnwindSafe(|| eval(&ctx, &input))) {
+            Ok(outcome) => JobResult::Done(outcome),
+            Err(_) => JobResult::Panicked,
+        };
+        // Once the handle is gone nobody is waiting for this result.
+        let _ = done.send(Completion { task, worker, result });
     }
 }

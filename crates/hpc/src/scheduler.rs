@@ -13,11 +13,11 @@
 //!
 //! The threads of a [`Pool`](crate::pool) only evaluate; everything about
 //! the simulated cluster is decided here, on the driver thread. A batch
-//! keeps its queue in dequeue order — primaries in task order, then
-//! speculative twins, then retries as their deaths are processed — and asks
-//! the fault plan about each attempt as it dequeues it: an attempt the plan
-//! kills never reaches a thread (its death, lost minutes, retry and backoff
-//! are booked on the spot), every other attempt is dispatched to the pool.
+//! keeps its queue in dequeue order — first attempts in task order, then
+//! retries as their deaths are processed — and asks the fault plan about
+//! each attempt as it dequeues it: an attempt the plan kills never reaches a
+//! thread (its death, lost minutes, retry and backoff are booked on the
+//! spot), every other attempt is dispatched to the pool.
 //! `alive` counts the simulated worker slots still in service. Without
 //! nannies each death retires a slot; once none is left nothing dequeued
 //! afterwards starts — attempts already dispatched are recorded when they
@@ -27,45 +27,37 @@
 //! which thread got where first.
 //!
 //! On top of the plain pool, [`run_batch_supervised`] adds the supervision
-//! loop the ROADMAP's production-scale north star asks for:
+//! loop:
 //!
-//! * every attempt gets a [`TaskCtx`] carrying a cooperative [`CancelToken`]
-//!   and the deadline budget, so a supervised evaluation can stop *at* the
-//!   wall (and a superseded attempt stops within one check interval)
-//!   instead of being discovered dead afterwards;
-//! * **straggler detection**: tasks whose cost-model estimate exceeds a
-//!   quantile rule over the batch get a **speculative twin** enqueued on the
-//!   spare capacity — first result wins, the loser's token is cancelled;
+//! * every attempt gets a [`TaskCtx`] carrying the deadline budget, so a
+//!   supervised evaluation can stop *at* the wall instead of being
+//!   discovered dead afterwards. Nothing cancels a running attempt but the
+//!   pool shutting down ([`TaskCtx::is_cancelled`]): a task has one attempt
+//!   queued or running at a time, so there is never a loser to stop;
 //! * **retry with deterministic exponential backoff** and per-slot worker
-//!   health scoring that **quarantines** a slot after repeated deaths
-//!   (never the last surviving slot);
+//!   health scoring that **quarantines** a slot after
+//!   [`QUARANTINE_DEATHS`] deaths (never the last surviving slot);
 //! * dead attempts charge their **partial simulated minutes** (a
 //!   deterministic fraction of the task's estimate), so
 //!   [`PoolReport::makespan_minutes`] reflects lost node time the way the
 //!   real Summit allocation would.
 //!
-//! Every supervision decision — fault placement, death fractions, straggler
-//! sets, backoff amounts, which slot a death lands on — is a pure function
-//! of `(seed, batch key, task, attempt)` and the deterministic estimates,
-//! never of real-time thread interleavings, so the crash/resume journal
-//! contract (see `dphpo-core`) keeps holding with supervision enabled. The
-//! one report field that may vary with physical scheduling is
-//! [`PoolReport::heartbeats`] under speculation, which is why the journal
-//! does not serialize it (nor, for format stability,
-//! [`PoolReport::quarantined_workers`]).
+//! The idle tail behind a generation barrier has one remedy, and it is not
+//! here: the asynchronous steady-state campaign ([`Pool::stream`]).
+//!
+//! Every supervision decision — fault placement, death fractions, backoff
+//! amounts, which slot a death lands on — is a pure function of `(seed,
+//! batch key, task, attempt)` and the deterministic estimates, never of
+//! real-time thread interleavings, so the crash/resume journal contract (see
+//! `dphpo-core`) keeps holding with supervision enabled, and every field of
+//! a [`PoolReport`] is deterministic.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
 use dphpo_obs::{cats, names, Event, Recorder, SpanCtx, NOOP};
 
 use crate::pool::{physical_threads, with_pool, Completion, Job, JobResult, Pool};
-
-/// The synthetic attempt number used for a task's speculative twin in fault
-/// decisions, chosen far outside the primary range `1..=max_attempts` so a
-/// twin's death roll never collides with a primary attempt's.
-pub const SPECULATIVE_ATTEMPT: u32 = 1 << 16;
 
 /// Why a task produced no value.
 #[derive(Clone, Debug, PartialEq)]
@@ -88,13 +80,11 @@ pub enum TaskError {
         /// The offending loss value (may be non-finite).
         loss: f64,
     },
-    /// The evaluation observed its [`CancelToken`] and stopped. Only a
-    /// task whose *sole* attempt was externally cancelled ends this way.
+    /// The evaluation observed [`TaskCtx::is_cancelled`] — its pool
+    /// shutting down under it — and stopped.
     Cancelled,
-    /// The attempt's result was superseded by its speculative twin (or the
-    /// twin by its primary). Never a task's *terminal* error — the winning
-    /// result is the record; this variant classifies the discarded loser.
-    /// Its batch-level footprint is [`PoolReport::speculated_tasks`].
+    /// Reserved: nothing constructs it. `benchmark/src/layers.rs` matches on
+    /// it by name, so the variant stays until that package is next edited.
     Speculated,
 }
 
@@ -113,7 +103,7 @@ pub enum EvalFault {
     /// The simulated-clock deadline budget ran out mid-evaluation; the
     /// scheduler charges the timeout limit, as the wall would have.
     Deadline,
-    /// The evaluation observed its [`CancelToken`] and aborted.
+    /// The evaluation observed [`TaskCtx::is_cancelled`] and aborted.
     Cancelled,
 }
 
@@ -125,46 +115,19 @@ pub struct EvalOutcome<T> {
     pub minutes: f64,
 }
 
-/// Cooperative cancellation flag shared between the scheduler and one
-/// attempt's evaluation. Cancelling is a one-way latch; the evaluation
-/// polls [`CancelToken::is_cancelled`] at step boundaries and aborts with
-/// [`EvalFault::Cancelled`] when it flips.
-#[derive(Clone, Debug, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// A fresh, uncancelled token.
-    pub fn new() -> Self {
-        CancelToken::default()
-    }
-
-    /// Latch the token; every clone observes the cancellation.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::SeqCst);
-    }
-
-    /// True once [`CancelToken::cancel`] has been called on any clone.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
-    }
-}
-
 /// Per-attempt context handed to a supervised evaluation function.
 ///
 /// Carries the attempt's identity (for replay short-circuits and logging),
-/// the cooperative cancellation token, the deadline budget, and a progress
-/// heartbeat the scheduler's supervision loop consumes.
+/// the deadline budget, the pool's shutdown flag, and a progress heartbeat
+/// the scheduler's supervision loop counts.
 pub struct TaskCtx<'a> {
     /// Task index within the batch.
     pub task: usize,
-    /// Attempt number (1 = first try; [`SPECULATIVE_ATTEMPT`] for a twin).
+    /// Attempt number (1 = first try).
     pub attempt: u32,
-    /// True for a speculative twin of a straggler task.
-    pub speculative: bool,
     /// Simulated-minutes budget for this attempt (the pool's per-task
     /// timeout), for the evaluation to enforce cooperatively.
     pub deadline_minutes: Option<f64>,
-    pub(crate) cancel: Option<&'a CancelToken>,
     /// The pool's shutdown flag: set when its driver leaves, so whatever is
     /// still running stops at its next check.
     pub(crate) stop: Option<&'a AtomicBool>,
@@ -178,9 +141,7 @@ impl TaskCtx<'static> {
         TaskCtx {
             task,
             attempt: 1,
-            speculative: false,
             deadline_minutes: None,
-            cancel: None,
             stop: None,
             beat: None,
         }
@@ -188,11 +149,10 @@ impl TaskCtx<'static> {
 }
 
 impl<'a> TaskCtx<'a> {
-    /// True once the scheduler has cancelled this attempt (e.g. its twin
-    /// already produced the task's result) or its pool is shutting down.
+    /// True once this attempt's pool is shutting down — the only thing that
+    /// ever cancels a running attempt.
     pub fn is_cancelled(&self) -> bool {
-        self.cancel.is_some_and(CancelToken::is_cancelled)
-            || self.stop.is_some_and(|stop| stop.load(Ordering::SeqCst))
+        self.stop.is_some_and(|stop| stop.load(Ordering::SeqCst))
     }
 
     /// Report simulated progress: `done` minutes consumed of a `projected`
@@ -219,11 +179,6 @@ pub struct TaskRecord<T> {
     pub attempts: u32,
 }
 
-/// Quantile of a batch's estimated minutes (nearest-rank over the sorted
-/// estimates) that is the straggler baseline.
-pub const STRAGGLER_QUANTILE: f64 = 0.75;
-/// A task is a straggler when its estimate exceeds this × the baseline.
-pub const STRAGGLER_FACTOR: f64 = 1.5;
 /// Simulated minutes of backoff before the first retry of a task.
 pub const BACKOFF_BASE_MINUTES: f64 = 1.0;
 /// Multiplier applied to the backoff for each further retry.
@@ -235,26 +190,13 @@ pub fn backoff_minutes(retry: u32) -> f64 {
     BACKOFF_BASE_MINUTES * BACKOFF_FACTOR.powi(retry as i32 - 1)
 }
 
-/// Supervision-loop switches. The straggler rule and the backoff are the
-/// constants above — no campaign, preset or benchmark ever ran with other
-/// values, and the journal fingerprint pins them.
-#[derive(Clone, Copy, Debug)]
-pub struct SupervisorConfig {
-    /// Launch speculative twins for straggler tasks (needs ≥ 2 workers).
-    pub speculate: bool,
-    /// With nannies, quarantine (permanently retire) a worker slot after
-    /// this many deaths — unless it is the last surviving slot. 0 disables
-    /// quarantining.
-    pub quarantine_deaths: u32,
-}
+/// With nannies, a worker slot is quarantined (permanently retired) after
+/// this many deaths — unless it is the last surviving slot.
+pub const QUARANTINE_DEATHS: u32 = 3;
 
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        SupervisorConfig { speculate: false, quarantine_deaths: 3 }
-    }
-}
-
-/// Pool configuration.
+/// Pool configuration: everything about the scheduler a campaign can ask
+/// for. The backoff and the quarantine threshold are the constants above —
+/// no campaign, preset or benchmark ever ran with other values.
 #[derive(Clone, Copy, Debug)]
 pub struct PoolConfig {
     /// Number of workers (the paper: one per allocated node, 100).
@@ -265,8 +207,6 @@ pub struct PoolConfig {
     pub nanny: bool,
     /// Maximum attempts per task before giving up.
     pub max_attempts: u32,
-    /// Supervision-loop knobs (speculation off by default).
-    pub supervisor: SupervisorConfig,
 }
 
 impl Default for PoolConfig {
@@ -276,7 +216,6 @@ impl Default for PoolConfig {
             timeout_minutes: Some(120.0),
             nanny: false,
             max_attempts: 3,
-            supervisor: SupervisorConfig::default(),
         }
     }
 }
@@ -401,20 +340,19 @@ impl FaultInjector {
 
 /// Per-run statistics.
 ///
-/// Every field except (under speculation) [`PoolReport::heartbeats`] is a
-/// deterministic function of the batch inputs, the fault plan, and the pool
-/// configuration. The journal carries neither that field nor
-/// [`PoolReport::quarantined_workers`].
+/// Every field is a deterministic function of the batch inputs, the fault
+/// plan, and the pool configuration. The journal carries neither
+/// [`PoolReport::heartbeats`] nor [`PoolReport::quarantined_workers`].
 #[derive(Clone, Debug, Default)]
 pub struct PoolReport {
     /// Simulated makespan: the longest per-worker busy time in minutes
     /// (what the batch job's wall clock would have shown), including the
-    /// partial minutes dead and speculative attempts burned.
+    /// partial minutes dead attempts burned.
     pub makespan_minutes: f64,
     /// Simulated busy minutes per worker slot.
     pub per_worker_minutes: Vec<f64>,
-    /// Worker deaths observed on primary attempts (speculative twins are
-    /// accounted analytically in [`PoolReport::speculative_deaths`]).
+    /// Worker deaths: attempts the fault plan killed, plus evaluations that
+    /// panicked.
     pub worker_deaths: usize,
     /// Tasks that were retried at least once.
     pub retried_tasks: usize,
@@ -428,14 +366,8 @@ pub struct PoolReport {
     /// Tasks whose terminal record is [`TaskError::WorkerFailed`]
     /// (exhausted retries or pool death).
     pub exhausted_tasks: usize,
-    /// Straggler tasks that were granted a speculative twin.
-    pub speculated_tasks: usize,
-    /// Speculative twins whose fault roll killed their worker (accounted at
-    /// launch from the fault plan, so the count is deterministic even when
-    /// a twin is skipped because its primary finished first).
-    pub speculative_deaths: usize,
     /// Simulated minutes burned by attempts that produced no result: dead
-    /// primaries' partial minutes plus dying twins' partial minutes.
+    /// attempts' partial minutes.
     pub lost_minutes: f64,
     /// Total simulated backoff delay inserted before retries
     /// ([`backoff_minutes`] per retry). Idle waiting, not busy time —
@@ -444,10 +376,8 @@ pub struct PoolReport {
     /// Simulated busy minutes per worker slot that produced a result
     /// (successful evaluations plus structural failures, which still ran).
     pub busy_minutes: Vec<f64>,
-    /// Simulated minutes per worker slot burned by dead primary attempts.
+    /// Simulated minutes per worker slot burned by dead attempts.
     pub lost_death_minutes: Vec<f64>,
-    /// Simulated minutes per worker slot burned by dying speculative twins.
-    pub lost_speculation_minutes: Vec<f64>,
     /// Simulated retry-backoff minutes list-scheduled onto each worker slot
     /// (idle waiting before a requeue, not busy time).
     pub backoff_slot_minutes: Vec<f64>,
@@ -458,15 +388,12 @@ pub struct PoolReport {
     /// per-worker `charged + backoff` time. Equals
     /// [`PoolReport::makespan_minutes`] whenever no retry backoff was
     /// charged, and is never smaller. Per worker slot,
-    /// `busy + lost_death + lost_speculation + backoff + idle` partitions
-    /// this value exactly.
+    /// `busy + lost_death + backoff + idle` partitions this value exactly.
     pub wall_minutes: f64,
     /// Simulated worker slots permanently retired by health scoring (live
     /// slots absorb deaths round-robin). Not journaled.
     pub quarantined_workers: usize,
-    /// Progress heartbeats counted over the batch. Deterministic without
-    /// speculation; under speculation a skipped twin emits none — excluded
-    /// from the journal.
+    /// Progress heartbeats counted over the batch. Not journaled.
     pub heartbeats: usize,
 }
 
@@ -540,12 +467,11 @@ where
 /// journal appended here has every finished evaluation on disk even if the
 /// driver dies before the batch (or the campaign) completes.
 ///
-/// `eval` receives a [`TaskCtx`] (cancel token, deadline budget, heartbeat)
+/// `eval` receives a [`TaskCtx`] (deadline budget, shutdown flag, heartbeat)
 /// and should poll [`TaskCtx::is_cancelled`] at step boundaries.
 /// `estimate(task, &input)` returns the task's deterministic simulated-
-/// minutes estimate, which drives straggler detection and the partial
-/// minutes charged for dead attempts. Panics inside `eval` are caught and
-/// treated as worker deaths.
+/// minutes estimate, of which a dead attempt is charged a fraction. Panics
+/// inside `eval` are caught and treated as worker deaths.
 pub fn run_batch_supervised<I, T, F, E, H>(
     inputs: &[I],
     eval: F,
@@ -623,9 +549,7 @@ impl SimulatedWorkers {
         };
         self.next = slot + 1;
         self.deaths[slot] += 1;
-        let quarantine_deaths = config.supervisor.quarantine_deaths;
-        let quarantine =
-            quarantine_deaths > 0 && self.deaths[slot] >= quarantine_deaths && self.alive > 1;
+        let quarantine = self.deaths[slot] >= QUARANTINE_DEATHS && self.alive > 1;
         if !config.nanny || quarantine {
             self.retired[slot] = true;
             self.alive -= 1;
@@ -645,35 +569,24 @@ struct Batch<'a, T, H> {
     span: SpanCtx,
     on_complete: H,
     estimates: Vec<f64>,
-    /// The simulated queue, in dequeue order: `(task, attempt, speculative)`.
-    /// Primaries in task order, then twins, then retries as their deaths are
-    /// processed — the order a Dask scheduler's FIFO would hold them in.
-    fifo: VecDeque<(usize, u32, bool)>,
+    /// The simulated queue, in dequeue order: `(task, attempt)`. First
+    /// attempts in task order, then retries as their deaths are processed —
+    /// the order a Dask scheduler's FIFO would hold them in. A task has at
+    /// most one attempt queued or in flight.
+    fifo: VecDeque<(usize, u32)>,
     workers: SimulatedWorkers,
-    primary_tokens: Vec<CancelToken>,
-    twin_tokens: HashMap<usize, CancelToken>,
     records: Vec<Option<TaskRecord<T>>>,
     report: PoolReport,
-    /// Attempts of each task's primary chain the driver has dequeued (run or
-    /// killed by the fault plan there) — the chain's current attempt number.
-    /// Counted at dequeue, not at completion: the fault plan's deaths are all
-    /// settled before the first completion is received, so the count a
-    /// record is stamped with does not depend on whether a twin or a retry
-    /// reported first.
+    /// The attempt of each task the driver dequeued last (run, or killed by
+    /// the fault plan there); 0 for a task that never started.
     attempts: Vec<u32>,
     retried: Vec<bool>,
     lost_per_task: Vec<f64>,
     backoff_per_task: Vec<f64>,
-    /// A task's primary retry chain stays open until a primary attempt
-    /// completes (superseded or not) or its retries are exhausted. Draining
-    /// every chain — not just every record — is what keeps death counts and
-    /// lost-minute charges independent of which twin won a race.
-    open_chains: usize,
 }
 
 impl<T, H: FnMut(usize, &TaskRecord<T>)> Batch<'_, T, H> {
-    /// Store a task's terminal record, cancel whatever of it is still
-    /// queued or running, and fire the completion hook.
+    /// Store a task's terminal record and fire the completion hook.
     fn finalize(&mut self, task: usize, value: Result<T, TaskError>, minutes: f64, worker: usize) {
         match &value {
             Err(TaskError::Failed(_)) | Err(TaskError::Diverged { .. }) => {
@@ -685,31 +598,14 @@ impl<T, H: FnMut(usize, &TaskRecord<T>)> Batch<'_, T, H> {
             Err(TaskError::Speculated) | Ok(_) => {}
         }
         let record = TaskRecord { value, minutes, worker, attempts: self.attempts[task] };
-        let record = self.records[task].insert(record);
-        self.primary_tokens[task].cancel();
-        if let Some(tok) = self.twin_tokens.get(&task) {
-            tok.cancel();
-        }
-        (self.on_complete)(task, record);
+        (self.on_complete)(task, self.records[task].insert(record));
     }
 
-    /// An attempt returned an outcome.
-    fn done(&mut self, task: usize, speculative: bool, outcome: EvalOutcome<T>, worker: usize) {
-        if !speculative {
-            self.open_chains -= 1;
-        }
-        // If the counterpart already produced this task's record, the
-        // classification for this discarded result is `Speculated`.
-        if self.records[task].is_none() {
-            let (value, minutes) = classify(outcome, self.config.timeout_minutes);
-            self.finalize(task, value, minutes, worker);
-        }
-    }
-
-    /// A primary attempt's worker died — the fault plan killed it at
-    /// dequeue, or the evaluation panicked. Charges the loss, then retries
-    /// the task at the back of the queue or, out of attempts, fails it.
-    fn death(&mut self, task: usize, attempt: u32, panicked: bool) {
+    /// An attempt's worker died — the fault plan killed it at dequeue, or
+    /// the evaluation panicked. Charges the loss, then retries the task at
+    /// the back of the queue or, out of attempts, fails it.
+    fn death(&mut self, task: usize, panicked: bool) {
+        let attempt = self.attempts[task];
         let worker = self.workers.absorb_death(self.config);
         self.report.worker_deaths += 1;
         // A fault-injected death burned a deterministic fraction of the
@@ -732,36 +628,29 @@ impl<T, H: FnMut(usize, &TaskRecord<T>)> Batch<'_, T, H> {
             ev.args = vec![("lost_min", lost), ("panicked", if panicked { 1.0 } else { 0.0 })];
             self.obs.record(ev);
         }
-        if self.attempts[task] < self.config.max_attempts {
-            if !self.retried[task] {
-                self.retried[task] = true;
-                self.report.retried_tasks += 1;
-            }
-            let backoff = backoff_minutes(self.attempts[task]);
-            self.report.backoff_minutes += backoff;
-            self.backoff_per_task[task] += backoff;
-            if self.obs_on {
-                self.obs.counter_add(names::C_RETRIES, 1);
-                self.obs.observe(names::H_BACKOFF_MIN, backoff);
-                let mut ev = Event::instant(
-                    names::SCHED_BACKOFF,
-                    cats::SCHED,
-                    self.span.with_task(task as u32, self.attempts[task] + 1),
-                );
-                ev.args = vec![("backoff_min", backoff)];
-                self.obs.record(ev);
-            }
-            // Requeue even when a twin already finalized the task: the
-            // retry chain must replay identically in every interleaving
-            // (the cancelled token makes the superseded attempt abort
-            // within one check interval, so the extra work is negligible).
-            self.fifo.push_back((task, self.attempts[task] + 1, false));
-        } else {
-            self.open_chains -= 1;
-            if self.records[task].is_none() {
-                self.finalize(task, Err(TaskError::WorkerFailed), self.lost_per_task[task], worker);
-            }
+        if attempt >= self.config.max_attempts {
+            self.finalize(task, Err(TaskError::WorkerFailed), self.lost_per_task[task], worker);
+            return;
         }
+        if !self.retried[task] {
+            self.retried[task] = true;
+            self.report.retried_tasks += 1;
+        }
+        let backoff = backoff_minutes(attempt);
+        self.report.backoff_minutes += backoff;
+        self.backoff_per_task[task] += backoff;
+        if self.obs_on {
+            self.obs.counter_add(names::C_RETRIES, 1);
+            self.obs.observe(names::H_BACKOFF_MIN, backoff);
+            let mut ev = Event::instant(
+                names::SCHED_BACKOFF,
+                cats::SCHED,
+                self.span.with_task(task as u32, attempt + 1),
+            );
+            ev.args = vec![("backoff_min", backoff)];
+            self.obs.record(ev);
+        }
+        self.fifo.push_back((task, attempt + 1));
     }
 }
 
@@ -770,14 +659,14 @@ impl<J: Clone, T> Pool<'_, J, T> {
     /// supervision (see [`run_batch_supervised`] for the contract of
     /// `estimate` and `on_complete`), records in input order.
     ///
-    /// The driver emits supervision events (batch submission, twin launches,
-    /// worker deaths, backoff) and counters under `span` — the caller's
-    /// `(seed, run, gen)` context; per-task subspans derive from it. With the
-    /// default [`NoopRecorder`](dphpo_obs::NoopRecorder) every instrumentation
-    /// site is a single `enabled()` branch, and nothing about scheduling
-    /// changes: every supervision decision is taken on the driver thread, so
-    /// the records, the report, and the fault replay contract are
-    /// bit-identical with telemetry on or off.
+    /// The driver emits supervision events (batch submission, worker deaths,
+    /// backoff) and counters under `span` — the caller's `(seed, run, gen)`
+    /// context; per-task subspans derive from it. With the default
+    /// [`NoopRecorder`](dphpo_obs::NoopRecorder) every instrumentation site
+    /// is a single `enabled()` branch, and nothing about scheduling changes:
+    /// every supervision decision is taken on the driver thread, so the
+    /// records, the report, and the fault replay contract are bit-identical
+    /// with telemetry on or off.
     ///
     /// The batch returns once every job it queued has come back, so the pool
     /// is free for the next batch.
@@ -798,13 +687,10 @@ impl<J: Clone, T> Pool<'_, J, T> {
     {
         assert!(config.n_workers > 0, "pool needs at least one worker");
         assert!(config.max_attempts > 0, "max_attempts must be positive");
-        let sup = config.supervisor;
         let n = inputs.len();
         if n == 0 {
             return (Vec::new(), PoolReport::default());
         }
-
-        let estimates: Vec<f64> = (0..n).map(|i| estimate(i, &inputs[i]).max(0.0)).collect();
 
         // Telemetry is driver-side only, and the disabled path is one
         // branch per site.
@@ -823,60 +709,16 @@ impl<J: Clone, T> Pool<'_, J, T> {
             obs_on,
             span,
             on_complete,
-            fifo: (0..n).map(|task| (task, 1, false)).collect(),
+            estimates: (0..n).map(|i| estimate(i, &inputs[i]).max(0.0)).collect(),
+            fifo: (0..n).map(|task| (task, 1)).collect(),
             workers: SimulatedWorkers::new(config.n_workers),
-            primary_tokens: (0..n).map(|_| CancelToken::new()).collect(),
-            twin_tokens: HashMap::new(),
             records: (0..n).map(|_| None).collect(),
             report: PoolReport::default(),
             attempts: vec![0; n],
             retried: vec![false; n],
             lost_per_task: vec![0.0; n],
             backoff_per_task: vec![0.0; n],
-            open_chains: n,
-            estimates,
         };
-
-        // Straggler detection is structural: the set is computed once from the
-        // deterministic estimates (quantile baseline × factor), never from racy
-        // heartbeat timing. Twins go to the back of the queue — primaries are
-        // never starved — and are capped at the spare slot count. A twin's
-        // death is accounted *here*, from the fault plan, because whether the
-        // twin physically runs depends on whether its primary finished first.
-        if sup.speculate && n > 1 && config.n_workers > 1 {
-            let mut sorted = batch.estimates.clone();
-            sorted.sort_by(|a, b| a.partial_cmp(b).expect("estimates are finite"));
-            let baseline = sorted[((n - 1) as f64 * STRAGGLER_QUANTILE).round() as usize];
-            let threshold = baseline * STRAGGLER_FACTOR;
-            let mut budget = config.n_workers - 1;
-            for task in 0..n {
-                let est = batch.estimates[task];
-                if budget == 0 {
-                    break;
-                }
-                if est > threshold {
-                    budget -= 1;
-                    batch.report.speculated_tasks += 1;
-                    if obs_on {
-                        obs.counter_add(names::C_SPECULATED, 1);
-                        let mut ev = Event::instant(
-                            names::SCHED_TWIN,
-                            cats::SCHED,
-                            span.with_task(task as u32, SPECULATIVE_ATTEMPT),
-                        );
-                        ev.args = vec![("estimate_min", est)];
-                        obs.record(ev);
-                    }
-                    if faults.task_kills_worker(task, SPECULATIVE_ATTEMPT) {
-                        batch.report.speculative_deaths += 1;
-                        batch.report.lost_minutes +=
-                            faults.death_fraction(task, SPECULATIVE_ATTEMPT) * est;
-                    }
-                    batch.twin_tokens.insert(task, CancelToken::new());
-                    batch.fifo.push_back((task, SPECULATIVE_ATTEMPT, true));
-                }
-            }
-        }
 
         let heartbeats_before = self.heartbeats();
         let mut in_flight = 0usize;
@@ -886,63 +728,41 @@ impl<J: Clone, T> Pool<'_, J, T> {
             // never reaches a thread, and everything behind a death that
             // leaves no worker alive never starts.
             while batch.workers.alive > 0 {
-                let Some((task, attempt, speculative)) = batch.fifo.pop_front() else { break };
-                let dies = faults.task_kills_worker(task, attempt);
-                if !speculative {
-                    batch.attempts[task] = attempt;
-                }
-                let cancel = if speculative {
-                    // Twins are sandboxed: a dying twin never takes a slot
-                    // down (its loss is accounted at launch), a superseded
-                    // one is skipped by the pool, and its result only
-                    // matters if it beats the primary.
-                    if dies {
-                        continue;
-                    }
-                    batch.twin_tokens[&task].clone()
-                } else if dies {
-                    batch.death(task, attempt, false);
+                let Some((task, attempt)) = batch.fifo.pop_front() else { break };
+                batch.attempts[task] = attempt;
+                if faults.task_kills_worker(task, attempt) {
+                    batch.death(task, false);
                     continue;
-                } else {
-                    batch.primary_tokens[task].clone()
-                };
+                }
                 self.dispatch(Job {
                     task,
                     attempt,
-                    speculative,
                     deadline_minutes: config.timeout_minutes,
                     input: inputs[task].clone(),
-                    cancel: Some(cancel),
                 });
                 in_flight += 1;
             }
-            // Done when every chain closed. With the pool dead, attempts
-            // already on a thread are still recorded; what never started
-            // fails below.
-            if batch.open_chains == 0 || in_flight == 0 {
+            // Done when nothing is on a thread: the queue is then empty, or
+            // the pool is dead and what never started fails below.
+            if in_flight == 0 {
                 break;
             }
-            let Completion { task, speculative, worker, result } = self.recv();
+            let Completion { task, worker, result } = self.recv();
             in_flight -= 1;
             match result {
-                JobResult::Done(outcome) => batch.done(task, speculative, outcome, worker),
+                JobResult::Done(outcome) => {
+                    let (value, minutes) = classify(outcome, config.timeout_minutes);
+                    batch.finalize(task, value, minutes, worker);
+                }
                 // A panicking evaluation is a worker death (the documented
                 // contract) — not a silent hang.
-                JobResult::Panicked if !speculative => batch.death(task, batch.attempts[task], true),
-                JobResult::Panicked | JobResult::Skipped => {}
+                JobResult::Panicked => batch.death(task, true),
             }
-        }
-        // Superseded attempts and twins still queued or running: their
-        // tokens are cancelled, so this is one check interval at most.
-        for _ in 0..in_flight {
-            self.recv();
         }
 
         let Batch {
             mut on_complete,
-            estimates,
             workers,
-            twin_tokens,
             records,
             mut report,
             attempts,
@@ -985,14 +805,13 @@ impl<J: Clone, T> Pool<'_, J, T> {
         // scheduling the charged minutes onto the worker slots: each charge goes
         // to the simulated-least-loaded worker, exactly how a Dask worker pool
         // with one task per node drains a queue. Charges are applied in a fixed
-        // order (final records, then per-task retry losses, then dying twins)
-        // so the makespan is deterministic. Each charge is also tagged with its
-        // utilization category (busy / lost-to-death / lost-to-speculation) so
-        // the per-worker partition invariant holds by construction.
+        // order (final records, then per-task retry losses) so the makespan is
+        // deterministic. Each charge is also tagged with its utilization
+        // category (busy / lost-to-death) so the per-worker partition
+        // invariant holds by construction.
         let mut per_worker = vec![0.0f64; config.n_workers];
         let mut busy = vec![0.0f64; config.n_workers];
         let mut lost_death = vec![0.0f64; config.n_workers];
-        let mut lost_spec = vec![0.0f64; config.n_workers];
         let mut assign = |minutes: f64, category: &mut [f64]| {
             let (slot, _) = per_worker
                 .iter()
@@ -1016,15 +835,6 @@ impl<J: Clone, T> Pool<'_, J, T> {
             let already_charged = matches!(record.value, Err(TaskError::WorkerFailed));
             if !already_charged && lost_per_task[task] > 0.0 {
                 assign(lost_per_task[task], &mut lost_death);
-            }
-        }
-        if sup.speculate {
-            for (task, &est) in estimates.iter().enumerate() {
-                if twin_tokens.contains_key(&task)
-                    && faults.task_kills_worker(task, SPECULATIVE_ATTEMPT)
-                {
-                    assign(faults.death_fraction(task, SPECULATIVE_ATTEMPT) * est, &mut lost_spec);
-                }
             }
         }
         report.makespan_minutes = per_worker.iter().copied().fold(0.0, f64::max);
@@ -1058,7 +868,6 @@ impl<J: Clone, T> Pool<'_, J, T> {
         report.per_worker_minutes = per_worker;
         report.busy_minutes = busy;
         report.lost_death_minutes = lost_death;
-        report.lost_speculation_minutes = lost_spec;
         report.backoff_slot_minutes = backoff_slot;
         if obs_on {
             let busy_total: f64 = report.busy_minutes.iter().sum();
@@ -1091,7 +900,6 @@ mod tests {
         }
         assert_eq!(report.worker_deaths, 0);
         assert_eq!(report.lost_minutes, 0.0);
-        assert_eq!(report.speculated_tasks, 0);
         // 20 ten-minute tasks over 4 workers → 50 simulated minutes.
         assert!((report.makespan_minutes - 50.0).abs() < 1e-9);
     }
@@ -1221,7 +1029,6 @@ mod tests {
             n_workers: 1,
             nanny: true,
             max_attempts: 2,
-            supervisor: SupervisorConfig { quarantine_deaths: 0, ..SupervisorConfig::default() },
             ..PoolConfig::default()
         };
         // Certain-death injector: the task can never complete.
@@ -1252,8 +1059,7 @@ mod tests {
             assert!(ctx.attempt > 3, "attempt {} dies", ctx.attempt);
             EvalOutcome { value: Ok::<u64, EvalFault>(x), minutes: 5.0 }
         };
-        let supervisor = SupervisorConfig { quarantine_deaths: 0, ..SupervisorConfig::default() };
-        let config = PoolConfig { n_workers: 1, nanny: true, max_attempts: 4, supervisor, ..PoolConfig::default() };
+        let config = PoolConfig { n_workers: 1, nanny: true, max_attempts: 4, ..PoolConfig::default() };
         let faults = FaultInjector::none();
         let (records, report) =
             run_batch_supervised(&[9u64], eval, |_, _| 5.0, &config, &faults, |_, _| {});
@@ -1300,106 +1106,16 @@ mod tests {
     #[test]
     fn repeated_deaths_quarantine_a_worker_slot() {
         let inputs = vec![0u64];
-        let config = PoolConfig {
-            n_workers: 2,
-            nanny: true,
-            max_attempts: 3,
-            supervisor: SupervisorConfig { quarantine_deaths: 1, ..SupervisorConfig::default() },
-            ..PoolConfig::default()
-        };
+        // Deaths land round-robin, so both slots reach QUARANTINE_DEATHS:
+        // the one that gets there first retires, and the survivor never
+        // does (it is the last slot alive).
+        let max_attempts = 2 * QUARANTINE_DEATHS;
+        let config = PoolConfig { n_workers: 2, nanny: true, max_attempts, ..PoolConfig::default() };
         let faults = FaultInjector::new(0.999, 3);
         let (records, report) = run_batch(&inputs, quick_eval(1.0), &config, &faults);
         assert_eq!(records[0].value, Err(TaskError::WorkerFailed));
-        assert_eq!(report.worker_deaths, 3);
-        // Exactly one slot retires: whichever worker absorbed the first
-        // death quarantines, and the survivor is never retired (it is the
-        // last slot alive).
+        assert_eq!(report.worker_deaths, max_attempts as usize);
         assert_eq!(report.quarantined_workers, 1);
-    }
-
-    #[test]
-    fn stragglers_get_speculative_twins() {
-        // One 100-minute straggler among 10-minute tasks: the 0.75-quantile
-        // baseline is 10, threshold 15, so only task 0 is speculated.
-        let estimates = [100.0, 10.0, 10.0, 10.0, 10.0];
-        let inputs: Vec<u64> = (0..5).collect();
-        let eval = move |ctx: &TaskCtx<'_>, &x: &u64| EvalOutcome {
-            value: Ok::<u64, EvalFault>(x * 2),
-            minutes: estimates[ctx.task],
-        };
-        let config = PoolConfig {
-            n_workers: 4,
-            supervisor: SupervisorConfig { speculate: true, ..SupervisorConfig::default() },
-            ..PoolConfig::default()
-        };
-        let (records, report) = run_batch_supervised(
-            &inputs,
-            eval,
-            |task, _| estimates[task],
-            &config,
-            &FaultInjector::none(),
-            |_, _| {},
-        );
-        assert_eq!(report.speculated_tasks, 1);
-        assert_eq!(report.speculative_deaths, 0);
-        for (i, r) in records.iter().enumerate() {
-            assert_eq!(*r.value.as_ref().unwrap(), (i as u64) * 2, "twin and primary agree");
-        }
-        // Whichever copy won, exactly one result per task is charged.
-        let charged: f64 = records.iter().map(|r| r.minutes).sum();
-        assert!((charged - 140.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn speculation_decisions_are_deterministic_under_faults() {
-        // Same batch twice: the deterministic report fields must agree
-        // bit-for-bit even with faults, twins, retries, and backoff live.
-        // Sorted estimates put the 0.75-quantile baseline at 12 (threshold
-        // 18), so the 80- and 95-minute tasks are the stragglers.
-        let estimates = [80.0, 10.0, 12.0, 9.0, 11.0, 95.0, 10.0, 9.0];
-        let inputs: Vec<u64> = (0..8).collect();
-        let run = || {
-            let eval = move |ctx: &TaskCtx<'_>, &x: &u64| EvalOutcome {
-                value: Ok::<u64, EvalFault>(x + 1),
-                minutes: estimates[ctx.task],
-            };
-            let config = PoolConfig {
-                n_workers: 3,
-                nanny: true,
-                max_attempts: 3,
-                supervisor: SupervisorConfig { speculate: true, quarantine_deaths: 0 },
-                ..PoolConfig::default()
-            };
-            let faults = FaultInjector::new(0.3, 1234);
-            faults.set_batch_key(5);
-            run_batch_supervised(
-                &inputs,
-                eval,
-                |task, _| estimates[task],
-                &config,
-                &faults,
-                |_, _| {},
-            )
-        };
-        let (rec_a, rep_a) = run();
-        let (rec_b, rep_b) = run();
-        for (a, b) in rec_a.iter().zip(&rec_b) {
-            assert_eq!(a.value, b.value);
-            assert_eq!(a.minutes, b.minutes);
-        }
-        assert_eq!(rep_a.worker_deaths, rep_b.worker_deaths);
-        assert_eq!(rep_a.retried_tasks, rep_b.retried_tasks);
-        assert_eq!(rep_a.speculated_tasks, rep_b.speculated_tasks);
-        assert_eq!(rep_a.speculative_deaths, rep_b.speculative_deaths);
-        assert_eq!(rep_a.lost_minutes, rep_b.lost_minutes);
-        assert_eq!(rep_a.backoff_minutes, rep_b.backoff_minutes);
-        assert_eq!(rep_a.makespan_minutes, rep_b.makespan_minutes);
-        assert_eq!(rep_a.wall_minutes, rep_b.wall_minutes);
-        assert_eq!(rep_a.busy_minutes, rep_b.busy_minutes);
-        assert_eq!(rep_a.lost_death_minutes, rep_b.lost_death_minutes);
-        assert_eq!(rep_a.lost_speculation_minutes, rep_b.lost_speculation_minutes);
-        assert_eq!(rep_a.backoff_slot_minutes, rep_b.backoff_slot_minutes);
-        assert_eq!(rep_a.idle_minutes, rep_b.idle_minutes);
     }
 
     #[test]
@@ -1418,19 +1134,12 @@ mod tests {
             &FaultInjector::none(),
             |_, _| {},
         );
-        // No speculation: every task beats exactly twice, and per-producer
-        // channel FIFO guarantees each beat precedes its task's Done.
+        // Every task beats exactly twice.
         assert_eq!(report.heartbeats, 8);
     }
 
     #[test]
-    fn cancel_token_latches_for_every_clone() {
-        let token = CancelToken::new();
-        let twin = token.clone();
-        assert!(!twin.is_cancelled());
-        token.cancel();
-        assert!(twin.is_cancelled());
-        // A detached context has no token and is never cancelled.
+    fn a_detached_context_is_never_cancelled() {
         let ctx = TaskCtx::detached(3);
         assert!(!ctx.is_cancelled());
         assert_eq!(ctx.task, 3);

@@ -32,9 +32,7 @@
 //! and retries with exponential backoff all behave identically, charged to
 //! the slot the task occupies. A stream slot is an accounting cursor, not a
 //! worker that can die, so a chain always runs to its result or to
-//! `max_attempts`. Speculative twins are deliberately absent — they exist to
-//! shave the generational barrier's straggler tail, and a steady-state
-//! campaign has no barrier to shave.
+//! `max_attempts`.
 
 use std::collections::HashMap;
 
@@ -208,10 +206,8 @@ impl<J: Clone, T> Stream<'_, J, T> {
         self.pool.dispatch(Job {
             task,
             attempt: chain.attempt,
-            speculative: false,
             deadline_minutes: self.config.timeout_minutes,
             input: chain.input.clone(),
-            cancel: None,
         });
         self.running.insert(task, chain);
     }
@@ -240,7 +236,6 @@ impl<J: Clone, T> Stream<'_, J, T> {
                     }
                     None => self.launch(faults, finished, chain),
                 },
-                JobResult::Skipped => unreachable!("a live pool skips no stream task"),
             }
         }
     }
@@ -353,13 +348,10 @@ impl StreamSlots {
             timeout_tasks: s.timeout - s.baseline_timeout,
             cancelled_tasks: s.cancelled - s.baseline_cancelled,
             exhausted_tasks: s.exhausted - s.baseline_exhausted,
-            speculated_tasks: 0,
-            speculative_deaths: 0,
             lost_minutes: lost.iter().sum(),
             backoff_minutes: backoff.iter().sum(),
             busy_minutes: busy,
             lost_death_minutes: lost,
-            lost_speculation_minutes: vec![0.0; n],
             backoff_slot_minutes: backoff,
             idle_minutes: idle,
             wall_minutes: wall,
@@ -437,16 +429,9 @@ pub struct StreamSlotsState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::SupervisorConfig;
 
     fn config(n_workers: usize) -> PoolConfig {
-        PoolConfig {
-            n_workers,
-            timeout_minutes: Some(100.0),
-            nanny: false,
-            max_attempts: 3,
-            supervisor: SupervisorConfig::default(),
-        }
+        PoolConfig { n_workers, timeout_minutes: Some(100.0), nanny: false, max_attempts: 3 }
     }
 
     #[test]

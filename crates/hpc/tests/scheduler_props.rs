@@ -1,14 +1,14 @@
 //! Property tests over the supervised scheduler's fault interleavings:
-//! for any pool shape, death probability, retry budget, nanny mode, and
-//! speculation setting, the batch must terminate with exactly one terminal
-//! record per task, fire the completion hook exactly once per task, and
+//! for any pool shape, death probability, retry budget and nanny mode, the
+//! batch must terminate with exactly one terminal record per task, fire the
+//! completion hook exactly once per task, and
 //! never exceed the retry budget — even when the whole pool dies. And the
 //! batch and stream schedulers must turn the same evaluation outcome into
 //! the same terminal record.
 
 use dphpo_hpc::{
     run_batch_supervised, run_stream_window, EvalFault, EvalOutcome, FaultInjector, PoolConfig,
-    SupervisorConfig, TaskCtx, TaskError, TaskRecord,
+    TaskCtx, TaskError, TaskRecord,
 };
 use proptest::prelude::*;
 
@@ -26,8 +26,8 @@ fn eval(_ctx: &TaskCtx<'_>, &input: &u64) -> EvalOutcome<u64> {
     }
 }
 
-/// Cost estimates with a deliberate heavy tail, so the straggler rule has
-/// something to speculate on in most generated batches.
+/// Cost estimates with a deliberate heavy tail, so dead attempts charge
+/// very different partial minutes across a batch.
 fn estimate(task: usize, _: &u64) -> f64 {
     if task.is_multiple_of(7) {
         90.0
@@ -46,18 +46,16 @@ proptest! {
         death_permille in 0usize..1000,
         max_attempts_raw in 1usize..5,
         nanny_bit in 0usize..2,
-        speculate_bit in 0usize..2,
         fault_seed in 0i64..64,
     ) {
         let max_attempts = max_attempts_raw as u32;
-        let (nanny, speculate) = (nanny_bit == 1, speculate_bit == 1);
+        let nanny = nanny_bit == 1;
         let inputs: Vec<u64> = (0..n_tasks as u64).collect();
         let config = PoolConfig {
             n_workers,
             timeout_minutes: Some(120.0),
             nanny,
             max_attempts,
-            supervisor: SupervisorConfig { speculate, ..SupervisorConfig::default() },
         };
         let faults = FaultInjector::new(death_permille as f64 / 1000.0, fault_seed as u64);
 
@@ -99,7 +97,7 @@ proptest! {
                     prop_assert!(record.minutes > 0.0);
                 }
                 Err(TaskError::Speculated) => {
-                    prop_assert!(false, "Speculated is never a terminal record");
+                    prop_assert!(false, "the reserved variant is never a record");
                 }
                 Err(_) => errors += 1,
             }
@@ -116,10 +114,6 @@ proptest! {
         prop_assert!(report.makespan_minutes >= 0.0);
         prop_assert!(report.lost_minutes >= 0.0);
         prop_assert!(report.backoff_minutes >= 0.0);
-        if !speculate {
-            prop_assert_eq!(report.speculated_tasks, 0);
-            prop_assert_eq!(report.speculative_deaths, 0);
-        }
         if death_permille == 0 {
             prop_assert_eq!(report.worker_deaths, 0);
             prop_assert_eq!(report.exhausted_tasks, 0);
@@ -141,7 +135,6 @@ proptest! {
             timeout_minutes: Some(120.0),
             nanny: true,
             max_attempts,
-            supervisor: SupervisorConfig { speculate: true, ..SupervisorConfig::default() },
         };
         let run = || {
             let faults = FaultInjector::new(death_permille as f64 / 1000.0, fault_seed as u64);
@@ -157,8 +150,6 @@ proptest! {
         prop_assert_eq!(a_report.makespan_minutes, b_report.makespan_minutes);
         prop_assert_eq!(a_report.worker_deaths, b_report.worker_deaths);
         prop_assert_eq!(a_report.retried_tasks, b_report.retried_tasks);
-        prop_assert_eq!(a_report.speculated_tasks, b_report.speculated_tasks);
-        prop_assert_eq!(a_report.speculative_deaths, b_report.speculative_deaths);
         prop_assert_eq!(a_report.lost_minutes, b_report.lost_minutes);
         prop_assert_eq!(a_report.backoff_minutes, b_report.backoff_minutes);
     }
@@ -167,10 +158,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Utilization accounting invariant: for every worker slot, the five
-    /// categories (busy, lost-to-death, lost-to-speculation, backoff, idle)
-    /// exactly partition the backoff-inclusive wall clock — across any
-    /// fault plan, retry budget, nanny mode, and speculation setting.
+    /// Utilization accounting invariant: for every worker slot, the four
+    /// categories (busy, lost-to-death, backoff, idle) exactly partition the
+    /// backoff-inclusive wall clock — across any fault plan, retry budget
+    /// and nanny mode.
     #[test]
     fn utilization_categories_partition_the_wall_clock(
         n_workers in 1usize..6,
@@ -178,7 +169,6 @@ proptest! {
         death_permille in 0usize..1000,
         max_attempts_raw in 1usize..5,
         nanny_bit in 0usize..2,
-        speculate_bit in 0usize..2,
         fault_seed in 0i64..64,
     ) {
         let inputs: Vec<u64> = (0..n_tasks as u64).collect();
@@ -187,10 +177,6 @@ proptest! {
             timeout_minutes: Some(120.0),
             nanny: nanny_bit == 1,
             max_attempts: max_attempts_raw as u32,
-            supervisor: SupervisorConfig {
-                speculate: speculate_bit == 1,
-                ..SupervisorConfig::default()
-            },
         };
         let faults = FaultInjector::new(death_permille as f64 / 1000.0, fault_seed as u64);
         let (_, report) = run_batch_supervised(
@@ -210,27 +196,25 @@ proptest! {
         for w in 0..slots {
             let busy = report.busy_minutes[w];
             let death = report.lost_death_minutes[w];
-            let spec = report.lost_speculation_minutes[w];
             let backoff = report.backoff_slot_minutes[w];
             let idle = report.idle_minutes[w];
-            for v in [busy, death, spec, backoff, idle] {
+            for v in [busy, death, backoff, idle] {
                 prop_assert!(v >= -tol, "negative category on worker {}: {}", w, v);
             }
             // Charged categories partition the charged per-worker time...
             prop_assert!(
-                (busy + death + spec - report.per_worker_minutes[w]).abs() <= tol,
+                (busy + death - report.per_worker_minutes[w]).abs() <= tol,
                 "worker {} charged partition broken", w
             );
-            // ...and all five partition the wall clock exactly.
+            // ...and all four partition the wall clock exactly.
             prop_assert!(
-                (busy + death + spec + backoff + idle - report.wall_minutes).abs() <= tol,
-                "worker {}: {} + {} + {} + {} + {} != wall {}",
-                w, busy, death, spec, backoff, idle, report.wall_minutes
+                (busy + death + backoff + idle - report.wall_minutes).abs() <= tol,
+                "worker {}: {} + {} + {} + {} != wall {}",
+                w, busy, death, backoff, idle, report.wall_minutes
             );
         }
         // Cross-checks against the batch-level aggregates.
-        let lost: f64 = report.lost_death_minutes.iter().sum::<f64>()
-            + report.lost_speculation_minutes.iter().sum::<f64>();
+        let lost: f64 = report.lost_death_minutes.iter().sum();
         prop_assert!((lost - report.lost_minutes).abs() <= tol);
         let backoff_total: f64 = report.backoff_slot_minutes.iter().sum();
         prop_assert!((backoff_total - report.backoff_minutes).abs() <= tol);
@@ -262,8 +246,8 @@ fn one_task_both_ways(
 /// The two schedulers share one classification (timeouts charge the limit,
 /// structured faults map onto `TaskError`) and the same death accounting,
 /// so for the same outcome they must agree on value, minutes and attempts.
-/// Speculation is off (the stream scheduler has no twins) and nannies are
-/// on, so a death never retires the batch side's worker mid-chain.
+/// Nannies are on, so a death never retires the batch side's worker
+/// mid-chain.
 #[test]
 fn batch_and_stream_schedulers_classify_alike() {
     let pool = |timeout_minutes| PoolConfig {
@@ -271,7 +255,6 @@ fn batch_and_stream_schedulers_classify_alike() {
         timeout_minutes,
         nanny: true,
         max_attempts: 3,
-        supervisor: SupervisorConfig::default(),
     };
     type Eval = fn(&TaskCtx<'_>, &u64) -> EvalOutcome<u64>;
     /// `(name, timeout, eval, expected value, expected minutes, expected attempts)`.

@@ -9,13 +9,13 @@
 //! worker — where the one-shot wrappers would take the machine's count
 //! ([`physical_threads`]). Looped by `scripts/verify.sh` stage 6.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 use dphpo_hpc::{
     physical_threads, run_batch_supervised, with_pool, EvalOutcome, FaultInjector, PoolConfig,
-    PoolReport, StreamTaskReport, SupervisorConfig, TaskCtx, TaskError, TaskRecord,
+    PoolReport, StreamTaskReport, TaskCtx, TaskError, TaskRecord,
 };
 use dphpo_obs::{SpanCtx, NOOP};
 
@@ -114,26 +114,16 @@ fn run_stream_pinned<T: Send>(
 }
 
 fn no_nanny_pair() -> PoolConfig {
-    PoolConfig {
-        n_workers: 2,
-        timeout_minutes: Some(120.0),
-        nanny: false,
-        max_attempts: 3,
-        supervisor: SupervisorConfig::default(),
-    }
+    PoolConfig { n_workers: 2, timeout_minutes: Some(120.0), nanny: false, max_attempts: 3 }
 }
 
 /// The `(task, attempt)` pairs the plan kills among eight tasks, read off
-/// through the public API: with nannies on, quarantine off and a roomy pool,
-/// a task that needed `k` attempts lost exactly its first `k − 1`.
+/// through the public API: with nannies on and a roomy pool (no slot of
+/// eight collects three deaths), a task that needed `k` attempts lost
+/// exactly its first `k − 1`.
 fn killed_attempts(faults: &FaultInjector) -> Vec<(usize, u32)> {
     let inputs: Vec<u64> = (0..8).collect();
-    let probe = PoolConfig {
-        n_workers: 8,
-        nanny: true,
-        supervisor: SupervisorConfig { quarantine_deaths: 0, ..SupervisorConfig::default() },
-        ..no_nanny_pair()
-    };
+    let probe = PoolConfig { n_workers: 8, nanny: true, ..no_nanny_pair() };
     let (records, _) = run_batch_supervised(
         &inputs,
         |_: &TaskCtx<'_>, &x: &u64| EvalOutcome { value: Ok(x), minutes: 1.0 },
@@ -251,62 +241,72 @@ fn the_last_death_fails_what_is_dequeued_after_it_and_nothing_in_flight() {
 }
 
 #[test]
-fn a_record_is_stamped_alike_whether_the_twin_or_the_retry_reports_first() {
-    // Task 1 is the batch's straggler, so it gets a speculative twin; the
-    // plan kills its first attempt (and nothing else, the twin included), so
-    // its retry and its twin are in flight together.
-    let faults = || FaultInjector::new(0.15, 83);
-    assert_eq!(killed_attempts(&faults()), vec![(1, 1)]);
-    let config = PoolConfig {
-        n_workers: 3,
-        nanny: true,
-        supervisor: SupervisorConfig { speculate: true, ..SupervisorConfig::default() },
-        ..no_nanny_pair()
+fn nothing_cancels_an_attempt_but_its_pool_shutting_down() {
+    // Fault-plan deaths, a panic that is retried and one that exhausts its
+    // task, under both schedulers: every evaluation polls `is_cancelled` on
+    // the way in and on the way out, and none ever sees it set. A task has
+    // one attempt queued or running at a time, so there is no loser to stop —
+    // which is why an attempt carries no cancel token of its own.
+    let faults = || FaultInjector::new(0.15, 221);
+    assert_eq!(killed_attempts(&faults()), vec![(1, 1), (5, 1)]);
+    let (polls, cancelled) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let poll = |ctx: &TaskCtx<'_>| {
+        polls.fetch_add(1, Ordering::SeqCst);
+        cancelled.fetch_add(usize::from(ctx.is_cancelled()), Ordering::SeqCst);
     };
+    let eval = |ctx: &TaskCtx<'_>, &x: &u64| {
+        poll(ctx);
+        assert!(!(x == 3 && ctx.attempt == 1), "task 3 panics once");
+        assert!(x != 6, "task 6 panics on every attempt");
+        poll(ctx);
+        EvalOutcome { value: Ok(x), minutes: 10.0 }
+    };
+    let config = PoolConfig { nanny: true, ..no_nanny_pair() };
     let inputs: Vec<u64> = (0..8).collect();
-
-    // Whichever of the two is `held` stays inside its evaluation until the
-    // driver has finalized task 1 — which only the other one can bring about.
-    let race = |hold_twin: bool| {
-        let finalized = Latch::new();
-        let (records, report) = run_batch_pinned(
-            &inputs,
-            |ctx: &TaskCtx<'_>, &x: &u64| {
-                if ctx.task == 1 && ctx.speculative == hold_twin {
-                    finalized.wait();
-                }
-                EvalOutcome { value: Ok(x * 3), minutes: if ctx.task == 1 { 40.0 } else { 10.0 } }
-            },
-            |task, _| if task == 1 { 40.0 } else { 10.0 },
-            &config,
-            &faults(),
-            |task, _| {
-                if task == 1 {
-                    finalized.open();
-                }
-            },
-        );
-        assert!(!finalized.timed_out.load(Ordering::SeqCst), "task 1 was never finalized");
-        assert_eq!(report.speculated_tasks, 1, "task 1 should have a twin");
-        assert_eq!(report.speculative_deaths, 0, "the plan should spare the twin");
-        assert_eq!(report.worker_deaths, 1);
-        (records, report)
-    };
-    let (retry_first, retry_report) = race(true);
-    let (twin_first, twin_report) = race(false);
-
-    // Two attempts of the primary chain had been dequeued when either
-    // result arrived: that, not who reported, is what the record says.
-    assert_eq!(retry_first[1].attempts, 2);
-    for (task, (a, b)) in retry_first.iter().zip(&twin_first).enumerate() {
-        assert_eq!(a.attempts, b.attempts, "task {task}: attempts");
-        assert_eq!(a.value, b.value, "task {task}: value");
-        assert_eq!(a.minutes, b.minutes, "task {task}: minutes");
+    let (records, report) =
+        run_batch_pinned(&inputs, eval, |_, _| 10.0, &config, &faults(), |_, _| {});
+    let tasks: Vec<(usize, usize, u64)> = (0..8).map(|i| (i, i % 2, i as u64)).collect();
+    let window = run_stream_pinned(&tasks, eval, 10.0, &config, &faults());
+    for (task, (batch, stream)) in records.iter().zip(&window).enumerate() {
+        let expected = if task == 6 { Err(TaskError::WorkerFailed) } else { Ok(task as u64) };
+        assert_eq!(batch.value, expected, "task {task} (batch)");
+        assert_eq!(stream.record.value, expected, "task {task} (stream)");
+        let attempts = match task {
+            1 | 3 | 5 => 2,
+            6 => 3,
+            _ => 1,
+        };
+        assert_eq!((batch.attempts, stream.record.attempts), (attempts, attempts), "task {task}");
     }
-    assert_eq!(retry_report.makespan_minutes, twin_report.makespan_minutes);
-    assert_eq!(retry_report.lost_minutes, twin_report.lost_minutes);
-    assert_eq!(retry_report.backoff_minutes, twin_report.backoff_minutes);
-    assert_eq!(retry_report.retried_tasks, twin_report.retried_tasks);
+    // Two by the plan, one retried panic, three panics of the exhausted task.
+    assert_eq!(report.worker_deaths, 6);
+    assert_eq!((report.retried_tasks, report.exhausted_tasks), (4, 1));
+    // Per scheduler: seven tasks poll twice on their surviving attempt, and
+    // the four panicking attempts poll once.
+    assert_eq!(polls.load(Ordering::SeqCst), 2 * (7 * 2 + 4));
+    assert_eq!(cancelled.load(Ordering::SeqCst), 0, "an attempt saw a live pool cancel it");
+
+    // The shutdown flag is the one thing that does: an evaluation still
+    // running when its driver leaves sees it at its next check.
+    let (started, saw_shutdown) = (Latch::new(), AtomicBool::new(false));
+    with_pool(
+        1,
+        |ctx: &TaskCtx<'_>, _: &u64| {
+            started.open();
+            let deadline = std::time::Instant::now() + PATIENCE;
+            while !ctx.is_cancelled() && std::time::Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            saw_shutdown.store(ctx.is_cancelled(), Ordering::SeqCst);
+            EvalOutcome { value: Ok(0u64), minutes: 1.0 }
+        },
+        |pool| {
+            pool.stream(&config).submit(&FaultInjector::none(), 0, 0u64, 1.0);
+            started.wait();
+        },
+    );
+    assert!(!started.timed_out.load(Ordering::SeqCst), "the evaluation never started");
+    assert!(saw_shutdown.load(Ordering::SeqCst), "a dropped pool did not cancel what it ran");
 }
 
 #[test]

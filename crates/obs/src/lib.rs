@@ -67,8 +67,6 @@ pub mod names {
     pub const SCHED_DEATH: &str = "sched.death";
     /// Instant: retry backoff charged before re-queueing a task.
     pub const SCHED_BACKOFF: &str = "sched.backoff";
-    /// Instant: a speculative twin was launched for a straggler.
-    pub const SCHED_TWIN: &str = "sched.twin";
     /// Instant: per-generation Pareto-front quality summary (hypervolume,
     /// cardinality, spread, archive churn) emitted at the generation
     /// boundary after the archive absorbs the population.
@@ -82,8 +80,6 @@ pub mod names {
     pub const C_DEATHS: &str = "sched.deaths";
     /// Counter: task retries after a death.
     pub const C_RETRIES: &str = "sched.retries";
-    /// Counter: speculative twins launched.
-    pub const C_SPECULATED: &str = "sched.speculated";
     /// Counter: heartbeats received by the pool driver.
     pub const C_HEARTBEATS: &str = "sched.heartbeats";
     /// Counter: EA generations evaluated.
@@ -107,7 +103,8 @@ pub mod names {
     pub const G_TAPE_NODES: &str = "tape.nodes";
     /// Gauge: `Tape` pooled buffer count after reset (high-water tracks peak).
     pub const G_TAPE_POOLED: &str = "tape.pooled_buffers";
-    /// Gauge (side channel): workers quarantined — racy under speculation.
+    /// Gauge (side channel): workers quarantined — not journaled, so kept
+    /// out of the deterministic exports a resumed campaign must reproduce.
     pub const G_QUARANTINED: &str = "side.quarantined_workers";
     /// Gauge: archive hypervolume against the campaign reference point,
     /// refreshed at each generation boundary (high-water tracks the best).

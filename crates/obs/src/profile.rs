@@ -1,7 +1,7 @@
-//! Deterministic profiler: fold telemetry into a self-time attribution tree.
+//! Deterministic profiler: the self-time attribution tree and its renderings.
 //!
 //! A [`ProfileNode`] carries inclusive time, self time, and a call count
-//! per span name, on the **simulated** clock (cost-model minutes) — the
+//! per phase name, on the **simulated** clock (cost-model minutes) — the
 //! wall-clock twin of each phase rides the `side.*` histograms and never
 //! enters these artifacts. Two invariants make the tree a deterministic
 //! export:
@@ -12,20 +12,18 @@
 //!   node regardless of how the tree was assembled or merged.
 //! * Children are keyed and ordered by name (lexicographic), so the tree —
 //!   and the `.folded` / markdown renderings derived from it — is
-//!   independent of event interleaving and worker count.
+//!   independent of the order it was assembled in.
 //!
-//! Self time of a span-derived node is *observed* duration minus children
-//! (`fsum(dur, -child inclusives)`), which can be slightly negative when a
-//! parent span under-reports its children; the JSON keeps the signed value
-//! (it is diagnostic), the `.folded` export clamps at zero because
+//! The trees are built from journaled boundaries (`dphpo-core`'s `profile`
+//! module), never from the live event stream. A node's self time is what its
+//! children do not account for, and can be slightly negative; the JSON keeps
+//! the signed value (it is diagnostic), the `.folded` export drops it because
 //! collapsed-stack counts are unsigned.
 
 use std::collections::BTreeMap;
 
 use crate::chrome::US_PER_MIN;
 use crate::metrics::ExactSum;
-use crate::names::{EVAL, GENERATION, SIDE_PREFIX};
-use crate::recorder::{TelemetrySnapshot, NO_TASK};
 
 /// Schema tag written into `profile.json`.
 pub const PROFILE_SCHEMA: &str = "dphpo-profile-v1";
@@ -33,13 +31,13 @@ pub const PROFILE_SCHEMA: &str = "dphpo-profile-v1";
 /// One node of the attribution tree.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ProfileNode {
-    /// Span (or synthetic phase) name; frame label in the `.folded` export.
+    /// Phase name; frame label in the `.folded` export.
     pub name: String,
-    /// Number of spans/events folded into this node (0 for purely
+    /// Number of evaluations or slots folded into this node (0 for purely
     /// structural intermediate nodes).
     pub count: u64,
-    /// Simulated minutes attributed to this node itself (may be negative
-    /// for span-derived nodes; see the module docs).
+    /// Simulated minutes attributed to this node itself (may be negative;
+    /// see the module docs).
     pub self_min: f64,
     /// `fsum(self_min, children inclusive_min)` — exact by construction.
     pub inclusive_min: f64,
@@ -90,79 +88,6 @@ pub fn merge(name: &str, nodes: &[&ProfileNode]) -> ProfileNode {
     }
     let children = by_name.into_iter().map(|(k, group)| merge(k, &group)).collect();
     ProfileNode::branch(name, count, self_sum.value(), children)
-}
-
-/// Accumulator used while folding events: durations are collected as exact
-/// sums per path and finalized into [`ProfileNode`]s at the end.
-#[derive(Default)]
-struct Raw {
-    count: u64,
-    dur: ExactSum,
-    children: BTreeMap<String, Raw>,
-}
-
-impl Raw {
-    fn descend(&mut self, path: &[String]) -> &mut Raw {
-        let mut node = self;
-        for frame in path {
-            node = node.children.entry(frame.clone()).or_default();
-        }
-        node
-    }
-
-    fn finalize(self, name: String) -> ProfileNode {
-        let children: Vec<ProfileNode> =
-            self.children.into_iter().map(|(n, raw)| raw.finalize(n)).collect();
-        // Structural nodes (count 0) were never observed as spans: they own
-        // no time of their own. Observed nodes attribute dur − children.
-        let self_min = if self.count == 0 {
-            0.0
-        } else {
-            let mut s = self.dur;
-            for c in &children {
-                s.add(-c.inclusive_min);
-            }
-            s.value()
-        };
-        ProfileNode::branch(name, self.count, self_min, children)
-    }
-}
-
-/// Stack path of an event inside the attribution tree. The hierarchy is
-/// structural — run / generation / eval / leaf — rather than temporal, so
-/// it is a pure function of each event's [`crate::SpanCtx`] coordinates and
-/// needs no begin/end pairing.
-fn event_path(run: u32, task: u32, name: &str) -> Vec<String> {
-    let run_frame = format!("run{run}");
-    if name == GENERATION {
-        return vec![run_frame, GENERATION.to_string()];
-    }
-    if task != NO_TASK {
-        if name == EVAL {
-            return vec![run_frame, GENERATION.to_string(), EVAL.to_string()];
-        }
-        return vec![run_frame, GENERATION.to_string(), EVAL.to_string(), name.to_string()];
-    }
-    vec![run_frame, GENERATION.to_string(), name.to_string()]
-}
-
-/// Fold a telemetry snapshot into an attribution tree rooted at
-/// `"campaign"`. `side.*` events are skipped (they are wall-clock / racy by
-/// contract); instants contribute call counts only. The result is
-/// independent of event interleaving and worker count because paths derive
-/// from span coordinates and aggregation is keyed by name.
-pub fn from_snapshot(snap: &TelemetrySnapshot) -> ProfileNode {
-    let mut root = Raw::default(); // structural root: count 0, no own time
-    for e in &snap.events {
-        if e.name.starts_with(SIDE_PREFIX) {
-            continue;
-        }
-        let path = event_path(e.ctx.run, e.ctx.task, e.name);
-        let node = root.descend(&path);
-        node.count += 1;
-        node.dur.add(e.dur_min);
-    }
-    root.finalize("campaign".to_string())
 }
 
 /// Sanitize a frame name for the collapsed-stack format: the separator is
@@ -227,18 +152,24 @@ pub fn markdown_table(root: &ProfileNode) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{Event, MemoryRecorder, Recorder, SpanCtx, When};
-    use crate::{cats, names};
 
-    fn span(run: u32, task: u32, name: &'static str, dur: f64) -> Event {
-        let mut e = Event::instant(name, cats::SCHED, SpanCtx::root(1, run).with_task(task, 0));
-        e.dur_min = dur;
-        e.when = When::Sim(0.0);
-        e
+    /// `campaign → run0 → gen0 → {busy → {eval.ok, eval.failed}, idle}`,
+    /// with `busy` owning less than its children report.
+    fn sample() -> ProfileNode {
+        let busy = ProfileNode::branch(
+            "busy",
+            2,
+            -0.5,
+            vec![ProfileNode::leaf("eval.ok", 3, 7.5), ProfileNode::leaf("eval.failed", 1, 2.0)],
+        );
+        let generation =
+            ProfileNode::branch("gen0", 1, 0.0, vec![ProfileNode::leaf("idle", 2, 1.0), busy]);
+        let run = ProfileNode::branch("run0", 0, 0.0, vec![generation]);
+        ProfileNode::branch("campaign", 0, 0.0, vec![run])
     }
 
     #[test]
-    fn invariant_holds_for_every_node() {
+    fn invariant_holds_for_every_node_and_children_sort_by_name() {
         fn check(node: &ProfileNode) {
             let mut s = ExactSum::default();
             s.add(node.self_min);
@@ -247,61 +178,20 @@ mod tests {
                 check(c);
             }
             assert_eq!(s.value().to_bits(), node.inclusive_min.to_bits(), "node {}", node.name);
+            assert!(node.children.windows(2).all(|w| w[0].name <= w[1].name), "node {}", node.name);
         }
-        let r = MemoryRecorder::new();
-        r.record(span(0, 3, names::EVAL, 7.5));
-        r.record(span(0, 3, names::TRAIN_STEP, 0.25));
-        r.record(span(0, NO_TASK, names::GENERATION, 9.0));
-        r.record(span(1, 0, names::EVAL, 2.0));
-        let tree = from_snapshot(&r.snapshot());
+        let tree = sample();
         check(&tree);
-        assert_eq!(tree.name, "campaign");
-        assert_eq!(tree.size(), 8);
-    }
-
-    #[test]
-    fn aggregation_is_independent_of_recording_order() {
-        let events =
-            [span(0, 0, names::EVAL, 1.0), span(0, 1, names::EVAL, 2.0), span(0, 0, names::TRAIN_STEP, 0.5)];
-        let fwd = MemoryRecorder::new();
-        for e in &events {
-            fwd.record(e.clone());
-        }
-        let rev = MemoryRecorder::new();
-        for e in events.iter().rev() {
-            let mut e = e.clone();
-            e.worker = Some(7); // different worker lane must not matter
-            rev.record(e);
-        }
-        assert_eq!(from_snapshot(&fwd.snapshot()), from_snapshot(&rev.snapshot()));
-    }
-
-    #[test]
-    fn self_time_subtracts_children_and_side_events_are_skipped() {
-        let r = MemoryRecorder::new();
-        r.record(span(0, NO_TASK, names::GENERATION, 10.0));
-        r.record(span(0, 0, names::EVAL, 4.0));
-        r.record(span(0, 0, names::TRAIN_STEP, 1.5));
-        r.record(span(0, NO_TASK, names::JOURNAL_APPEND, 99.0)); // side.* — ignored
-        let tree = from_snapshot(&r.snapshot());
+        assert_eq!(tree.size(), 7);
         assert_eq!(tree.inclusive_min, 10.0);
         let generation = &tree.children[0].children[0];
-        assert_eq!(generation.name, "generation");
-        assert_eq!(generation.self_min, 6.0); // 10 − eval's 4
-        let eval = &generation.children[0];
-        assert_eq!(eval.name, "eval");
-        assert_eq!(eval.self_min, 2.5); // 4 − train.step's 1.5
-        assert_eq!(eval.children[0].name, "train.step");
-        assert!(!folded(&tree).contains("journal"));
+        assert_eq!(generation.children[0].name, "busy");
+        assert_eq!(generation.children[0].children[0].name, "eval.failed");
     }
 
     #[test]
     fn folded_lines_are_valid_collapsed_stacks() {
-        let r = MemoryRecorder::new();
-        r.record(span(0, NO_TASK, names::GENERATION, 3.0));
-        r.record(span(0, 2, names::EVAL, 1.0));
-        let out = folded(&from_snapshot(&r.snapshot()));
-        assert!(!out.is_empty());
+        let out = folded(&sample());
         for line in out.lines() {
             let (stack, count) = line.rsplit_once(' ').expect("count separator");
             assert!(count.parse::<u64>().expect("u64 count") > 0);
@@ -310,7 +200,10 @@ mod tests {
                 assert!(!frame.contains(' '));
             }
         }
-        assert!(out.contains("campaign;run0;generation;eval 60000000\n"));
+        assert!(out.contains("campaign;run0;gen0;idle 60000000\n"));
+        // Zero and negative self times have no line.
+        assert!(!out.contains("busy -") && !out.contains("gen0 "), "{out}");
+        assert_eq!(out.lines().count(), 3);
     }
 
     #[test]
@@ -323,6 +216,7 @@ mod tests {
         assert_eq!(m.children[0].count, 3);
         assert_eq!(m.children[0].inclusive_min, 7.0);
         assert_eq!(m.inclusive_min, 7.0);
+        assert_eq!(m, merge("all", &[&b, &a]));
     }
 
     #[test]

@@ -35,8 +35,7 @@ pub struct SpanCtx {
     pub gen: u32,
     /// Task (population slot) index within the generation, or [`NO_TASK`].
     pub task: u32,
-    /// Attempt number (0-based; speculative twins carry the scheduler's
-    /// speculative attempt bit).
+    /// Attempt number, as the scheduler counts it (1 = first try).
     pub attempt: u32,
 }
 

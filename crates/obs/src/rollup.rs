@@ -13,7 +13,6 @@ struct GenRow {
     minutes: f64,
     deaths: u64,
     retries: u64,
-    speculated: u64,
     lost_min: f64,
     hypervolume: Option<f64>,
 }
@@ -43,7 +42,6 @@ pub fn generation_rollup(snap: &TelemetrySnapshot) -> String {
                 row.makespan_min = e.dur_min;
                 row.deaths = arg(e, "deaths").unwrap_or(0.0) as u64;
                 row.retries = arg(e, "retried").unwrap_or(0.0) as u64;
-                row.speculated = arg(e, "speculated").unwrap_or(0.0) as u64;
                 row.lost_min = arg(e, "lost_min").unwrap_or(0.0);
             }
             n if n == names::FRONT => {
@@ -56,7 +54,7 @@ pub fn generation_rollup(snap: &TelemetrySnapshot) -> String {
     let mut out = String::new();
     out.push_str("telemetry rollup (simulated clock)\n");
     out.push_str(
-        "run gen   ok fail    steps  makespan_min  busy_min  deaths retries spec  lost_min  hypervolume\n",
+        "run gen   ok fail    steps  makespan_min  busy_min  deaths retries  lost_min  hypervolume\n",
     );
     for ((run, g), r) in &rows {
         let hv = match r.hypervolume {
@@ -64,7 +62,7 @@ pub fn generation_rollup(snap: &TelemetrySnapshot) -> String {
             None => format!("{:>11}", "-"),
         };
         out.push_str(&format!(
-            "{:>3} {:>3} {:>4} {:>4} {:>8}      {:>8.1}  {:>8.1}  {:>6} {:>7} {:>4}  {:>8.1}  {}\n",
+            "{:>3} {:>3} {:>4} {:>4} {:>8}      {:>8.1}  {:>8.1}  {:>6} {:>7}  {:>8.1}  {}\n",
             run,
             g,
             r.evals_ok,
@@ -74,7 +72,6 @@ pub fn generation_rollup(snap: &TelemetrySnapshot) -> String {
             r.minutes,
             r.deaths,
             r.retries,
-            r.speculated,
             r.lost_min,
             hv
         ));
@@ -121,7 +118,7 @@ mod tests {
             when: When::Sim(0.0),
             dur_min: 100.0,
             worker: None,
-            args: vec![("deaths", 1.0), ("retried", 1.0), ("speculated", 0.0), ("lost_min", 12.5)],
+            args: vec![("deaths", 1.0), ("retried", 1.0), ("lost_min", 12.5)],
         });
         for (task, ok) in [(0u32, 1.0), (1, 0.0)] {
             r.record(Event {

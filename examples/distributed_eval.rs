@@ -9,7 +9,6 @@
 
 use dphpo::hpc::{
     paper_job, run_batch, Allocation, CostModel, EvalOutcome, FaultInjector, PoolConfig,
-    SupervisorConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -36,7 +35,6 @@ fn main() {
         timeout_minutes: Some(120.0),
         nanny: false, // the paper found it best to disable Dask nannies
         max_attempts: 3,
-        supervisor: SupervisorConfig::default(),
     };
     let faults = FaultInjector::new(0.02, 42); // 2 % worker deaths per task
 

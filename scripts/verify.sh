@@ -11,9 +11,13 @@
 #                                    `fig1 --list-flags` parses (none dead,
 #                                    none undocumented); every `pub mod`
 #                                    is named by some file besides its lib.rs;
-#                                    and the host's core count is read in one
+#                                    the host's core count is read in one
 #                                    place (`available_parallelism` is named
-#                                    once under crates/*/src, in hpc::pool)
+#                                    once under crates/*/src, in hpc::pool);
+#                                    and the options census (fig1 flags,
+#                                    `env::var` reads under crates/*/src, pub
+#                                    fields of ExperimentConfig + PoolConfig)
+#                                    is the line DESIGN.md §3.7 states
 #   6. chaos stress                — the journal crash/resume chaos suites
 #                                    (generational and steady-state) and the
 #                                    latch-forced work-conservation suites
@@ -179,6 +183,28 @@ readers="$(grep -rn --include='*.rs' 'available_parallelism' crates/*/src || tru
 if [[ "$(grep -c . <<<"${readers}")" -ne 1 || "${readers}" != crates/hpc/src/pool.rs:* ]]; then
     echo "    HOST-DEPENDENT: expected one mention, in crates/hpc/src/pool.rs; found:" >&2
     echo "${readers}" >&2
+    missing=1
+fi
+# Options census: what a user can set without editing source. DESIGN.md §3.7
+# states the count; a knob added (or removed) without that line moving fails.
+echo "    doc-sync: options census == the line DESIGN.md states"
+pub_fields() { # pub fields of `pub struct $2` in $1
+    awk -v open="^pub struct $2 \\{" '
+        $0 ~ open { on = 1; next }
+        on && /^}/ { exit }
+        on && /^    pub [a-z_0-9]+:/ { n++ }
+        END { print n + 0 }' "$1"
+}
+n_flags="$(grep -c . <<<"${known_flags}")"
+n_env="$(grep -rn --include='*.rs' 'env::var' crates/*/src | grep -c . || true)"
+n_experiment="$(pub_fields crates/core/src/experiment.rs ExperimentConfig)"
+n_pool="$(pub_fields crates/hpc/src/scheduler.rs PoolConfig)"
+census="fig1 flags ${n_flags} + env vars ${n_env} + ExperimentConfig fields ${n_experiment}"
+census+=" + PoolConfig fields ${n_pool} = $((n_flags + n_env + n_experiment + n_pool))"
+echo "    ${census}"
+if ! grep -qxF "${census}" DESIGN.md; then
+    echo "    UNDOCUMENTED OPTION: DESIGN.md does not state this census; it states:" >&2
+    grep -n '^fig1 flags [0-9]' DESIGN.md >&2 || echo "    (no census line)" >&2
     missing=1
 fi
 if [[ ${missing} -ne 0 ]]; then
