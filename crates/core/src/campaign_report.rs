@@ -1,6 +1,6 @@
 //! Campaign observatory: a deterministic, resumable status surface.
 //!
-//! Every generation boundary distils two stories into one `CampaignStatus`
+//! Every generation boundary distils two stories into one [`GenStatus`]
 //! row — *search quality* (Pareto-archive hypervolume, cardinality, spread,
 //! and dominance churn) and *resource efficiency* (the scheduler's
 //! busy/idle/backoff/lost utilization partition) — and rewrites
@@ -9,6 +9,11 @@
 //! and scheduler report), so a killed-and-resumed campaign reproduces the
 //! status file, the end-of-run report, and the Chrome counter tracks
 //! byte-for-byte (see DESIGN.md §11 for the determinism contract).
+//!
+//! The row and the status document are declared once, field by field with
+//! their keys, through the journal's record codec: the same declaration
+//! writes the file, reads it back strictly in [`parse_status`], and carries
+//! the row inside every steady-state `epoch` record.
 //!
 //! The hypervolume convention: objectives are minimised `(energy RMSE
 //! eV/atom, force RMSE eV/Å)` and the fixed reference point is
@@ -20,14 +25,15 @@ use std::fs;
 use std::io::Write as _;
 use std::path::Path;
 
-use dphpo_dnnp::Json;
 use dphpo_evo::nsga2::GenerationRecord;
 use dphpo_evo::{front_stats_2d, ArchiveChurn, FrontStats, ParetoArchive};
 use dphpo_hpc::PoolReport;
 use dphpo_obs::chrome::{render, TraceEvent, US_PER_MIN};
 use dphpo_obs::cats;
+use dphpo_obs::json::Reader;
 
 use crate::experiment::ExperimentConfig;
+use crate::journal::record;
 
 /// Schema tag written into `campaign_status.json`.
 pub const STATUS_SCHEMA: &str = "dphpo-campaign-status-v1";
@@ -37,78 +43,85 @@ pub const STATUS_SCHEMA: &str = "dphpo-campaign-status-v1";
 /// outliers.
 pub const REFERENCE_POINT: (f64, f64) = (0.03, 0.6);
 
-/// One generation boundary's observatory row: search quality plus the
-/// utilization partition, every field a deterministic function of the
-/// journaled generation record and scheduler report.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct GenStatus {
-    /// Generation index (0 = the random initial generation).
-    pub generation: usize,
-    /// Evaluations submitted this generation (population size).
-    pub evaluations: usize,
-    /// Evaluations that came back as MAXINT penalties.
-    pub failures: usize,
-    /// Archive hypervolume against [`REFERENCE_POINT`] after this
-    /// generation's population was absorbed.
-    pub hypervolume: f64,
-    /// Archive cardinality at the boundary.
-    pub cardinality: usize,
-    /// Front spread (gap uniformity; 0 = perfectly uniform).
-    pub spread: f64,
-    /// Dominance churn: individuals admitted to the archive.
-    pub added: usize,
-    /// Dominance churn: archive members evicted by admissions.
-    pub evicted: usize,
-    /// Scheduler makespan of this generation's batch, minutes.
-    pub makespan_minutes: f64,
-    /// Backoff-inclusive wall clock of the batch, minutes.
-    pub wall_minutes: f64,
-    /// Σ busy minutes across worker slots.
-    pub busy_minutes: f64,
-    /// Σ idle minutes across worker slots.
-    pub idle_minutes: f64,
-    /// Σ retry-backoff minutes across worker slots.
-    pub backoff_minutes: f64,
-    /// Σ minutes lost to dead attempts.
-    pub lost_death_minutes: f64,
-    /// Busy share of worker-minutes capacity, percent.
-    pub utilization_pct: f64,
-    /// Worker deaths.
-    pub deaths: usize,
-    /// Tasks retried at least once.
-    pub retried: usize,
-    /// Terminal diverged / structural failures.
-    pub diverged: usize,
-    /// Terminal timeouts.
-    pub timeout: usize,
-    /// Terminal cancellations.
-    pub cancelled: usize,
-    /// Tasks that exhausted their retry budget.
-    pub exhausted: usize,
+record! {
+    /// One generation boundary's observatory row: search quality plus the
+    /// utilization partition, every field a deterministic function of the
+    /// journaled generation record and scheduler report. `campaign_status.json`
+    /// carries it, and so does every steady-state `epoch` record.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct GenStatus {
+        /// Generation index (0 = the random initial generation).
+        "generation" => pub generation: usize,
+        /// Evaluations submitted this generation (population size).
+        "evaluations" => pub evaluations: usize,
+        /// Evaluations that came back as MAXINT penalties.
+        "failures" => pub failures: usize,
+        /// Archive hypervolume against [`REFERENCE_POINT`] after this
+        /// generation's population was absorbed.
+        "hypervolume" => pub hypervolume: f64,
+        /// Archive cardinality at the boundary.
+        "cardinality" => pub cardinality: usize,
+        /// Front spread (gap uniformity; 0 = perfectly uniform).
+        "spread" => pub spread: f64,
+        /// Dominance churn: individuals admitted to the archive.
+        "added" => pub added: usize,
+        /// Dominance churn: archive members evicted by admissions.
+        "evicted" => pub evicted: usize,
+        /// Scheduler makespan of this generation's batch, minutes.
+        "makespan_minutes" => pub makespan_minutes: f64,
+        /// Backoff-inclusive wall clock of the batch, minutes.
+        "wall_minutes" => pub wall_minutes: f64,
+        /// Σ busy minutes across worker slots.
+        "busy_minutes" => pub busy_minutes: f64,
+        /// Σ idle minutes across worker slots.
+        "idle_minutes" => pub idle_minutes: f64,
+        /// Σ retry-backoff minutes across worker slots.
+        "backoff_minutes" => pub backoff_minutes: f64,
+        /// Σ minutes lost to dead attempts.
+        "lost_death_minutes" => pub lost_death_minutes: f64,
+        /// Busy share of worker-minutes capacity, percent.
+        "utilization_pct" => pub utilization_pct: f64,
+        /// Worker deaths.
+        "deaths" => pub deaths: usize,
+        /// Tasks retried at least once.
+        "retried" => pub retried: usize,
+        /// Terminal diverged / structural failures.
+        "diverged" => pub diverged: usize,
+        /// Terminal timeouts.
+        "timeout" => pub timeout: usize,
+        /// Terminal cancellations.
+        "cancelled" => pub cancelled: usize,
+        /// Tasks that exhausted their retry budget.
+        "exhausted" => pub exhausted: usize,
+    }
 }
 
-/// One run's status rows, oldest generation first.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct RunStatus {
-    /// Run index (Chrome-trace process id).
-    pub run: usize,
-    /// Rows for the generation boundaries reached so far.
-    pub generations: Vec<GenStatus>,
+record! {
+    /// One run's status rows, oldest generation first.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct RunStatus {
+        /// Run index (Chrome-trace process id).
+        "run" => pub run: usize,
+        /// Rows for the generation boundaries reached so far.
+        "generations" => pub generations: Vec<GenStatus>,
+    }
 }
 
-/// The whole campaign's live status: configuration echo plus per-run rows.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct CampaignStatus {
-    /// Independent EA deployments configured.
-    pub n_runs: usize,
-    /// Population size per generation.
-    pub pop_size: usize,
-    /// EA steps after the random initial generation.
-    pub generations: usize,
-    /// Hypervolume reference point `(energy, force)`.
-    pub reference: (f64, f64),
-    /// Per-run rows (a run appears once its first boundary lands).
-    pub runs: Vec<RunStatus>,
+record! {
+    /// The whole campaign's live status: configuration echo plus per-run rows.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct CampaignStatus, "schema" = STATUS_SCHEMA {
+        /// Independent EA deployments configured.
+        "n_runs" => pub n_runs: usize,
+        /// Population size per generation.
+        "pop_size" => pub pop_size: usize,
+        /// EA steps after the random initial generation.
+        "generations" => pub generations: usize,
+        /// Hypervolume reference point `(energy, force)`.
+        "reference_point" => pub reference: (f64, f64),
+        /// Per-run rows (a run appears once its first boundary lands).
+        "runs" => pub runs: Vec<RunStatus>,
+    }
 }
 
 impl CampaignStatus {
@@ -199,60 +212,10 @@ pub fn replay_rows(records: &[GenerationRecord], reports: &[PoolReport]) -> Vec<
         .collect()
 }
 
-pub(crate) fn json_of_row(row: &GenStatus) -> Json {
-    Json::object(vec![
-        ("generation", Json::Number(row.generation as f64)),
-        ("evaluations", Json::Number(row.evaluations as f64)),
-        ("failures", Json::Number(row.failures as f64)),
-        ("hypervolume", Json::Number(row.hypervolume)),
-        ("cardinality", Json::Number(row.cardinality as f64)),
-        ("spread", Json::Number(row.spread)),
-        ("added", Json::Number(row.added as f64)),
-        ("evicted", Json::Number(row.evicted as f64)),
-        ("makespan_minutes", Json::Number(row.makespan_minutes)),
-        ("wall_minutes", Json::Number(row.wall_minutes)),
-        ("busy_minutes", Json::Number(row.busy_minutes)),
-        ("idle_minutes", Json::Number(row.idle_minutes)),
-        ("backoff_minutes", Json::Number(row.backoff_minutes)),
-        ("lost_death_minutes", Json::Number(row.lost_death_minutes)),
-        ("utilization_pct", Json::Number(row.utilization_pct)),
-        ("deaths", Json::Number(row.deaths as f64)),
-        ("retried", Json::Number(row.retried as f64)),
-        ("diverged", Json::Number(row.diverged as f64)),
-        ("timeout", Json::Number(row.timeout as f64)),
-        ("cancelled", Json::Number(row.cancelled as f64)),
-        ("exhausted", Json::Number(row.exhausted as f64)),
-    ])
-}
-
 /// Render the status as deterministic pretty JSON (sorted keys, shortest
 /// round-trip numbers, trailing newline).
 pub fn status_json(status: &CampaignStatus) -> String {
-    let runs: Vec<Json> = status
-        .runs
-        .iter()
-        .map(|r| {
-            Json::object(vec![
-                ("run", Json::Number(r.run as f64)),
-                ("generations", Json::Array(r.generations.iter().map(json_of_row).collect())),
-            ])
-        })
-        .collect();
-    let doc = Json::object(vec![
-        ("schema", Json::String(STATUS_SCHEMA.into())),
-        ("n_runs", Json::Number(status.n_runs as f64)),
-        ("pop_size", Json::Number(status.pop_size as f64)),
-        ("generations", Json::Number(status.generations as f64)),
-        (
-            "reference_point",
-            Json::Array(vec![
-                Json::Number(status.reference.0),
-                Json::Number(status.reference.1),
-            ]),
-        ),
-        ("runs", Json::Array(runs)),
-    ]);
-    format!("{doc}\n")
+    format!("{}\n", status.to_json())
 }
 
 /// Rewrite `path` atomically and durably: the new contents land in a
@@ -294,73 +257,15 @@ fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
 }
 
 /// Parse a `campaign_status.json` document back into a [`CampaignStatus`]
-/// (used by tooling; the campaign itself never reads the file back).
+/// (used by tooling; the campaign itself never reads the file back). As
+/// strict as the journal: a wrong `schema`, a malformed `reference_point`, or
+/// a field that is missing, negative, fractional or of the wrong type is an
+/// error naming its key.
 pub fn parse_status(text: &str) -> Result<CampaignStatus, String> {
-    let doc = Json::parse(text).map_err(|e| format!("{e:?}"))?;
-    let schema = doc.get("schema").and_then(Json::as_str).unwrap_or_default();
-    if schema != STATUS_SCHEMA {
-        return Err(format!("unexpected status schema '{schema}'"));
-    }
-    let num = num_field;
-    let reference = match doc.get("reference_point") {
-        Some(Json::Array(items)) if items.len() == 2 => (
-            items[0].as_f64().unwrap_or(REFERENCE_POINT.0),
-            items[1].as_f64().unwrap_or(REFERENCE_POINT.1),
-        ),
-        _ => REFERENCE_POINT,
-    };
-    let mut status = CampaignStatus {
-        n_runs: num(&doc, "n_runs") as usize,
-        pop_size: num(&doc, "pop_size") as usize,
-        generations: num(&doc, "generations") as usize,
-        reference,
-        runs: Vec::new(),
-    };
-    if let Some(Json::Array(runs)) = doc.get("runs") {
-        for r in runs {
-            let mut rows = Vec::new();
-            if let Some(Json::Array(gens)) = r.get("generations") {
-                for g in gens {
-                    rows.push(row_from_json(g));
-                }
-            }
-            status.runs.push(RunStatus { run: num(r, "run") as usize, generations: rows });
-        }
-    }
+    let mut r = Reader::new(text);
+    let status = CampaignStatus::read(&mut r).map_err(|e| e.message)?;
+    r.end().map_err(|e| e.to_string())?;
     Ok(status)
-}
-
-fn num_field(j: &Json, k: &str) -> f64 {
-    j.get(k).and_then(Json::as_f64).unwrap_or(0.0)
-}
-
-/// Parse one [`json_of_row`] object back into a [`GenStatus`]. Missing
-/// fields read as zero, matching [`parse_status`]'s tolerance.
-pub(crate) fn row_from_json(g: &Json) -> GenStatus {
-    let num = num_field;
-    GenStatus {
-        generation: num(g, "generation") as usize,
-        evaluations: num(g, "evaluations") as usize,
-        failures: num(g, "failures") as usize,
-        hypervolume: num(g, "hypervolume"),
-        cardinality: num(g, "cardinality") as usize,
-        spread: num(g, "spread"),
-        added: num(g, "added") as usize,
-        evicted: num(g, "evicted") as usize,
-        makespan_minutes: num(g, "makespan_minutes"),
-        wall_minutes: num(g, "wall_minutes"),
-        busy_minutes: num(g, "busy_minutes"),
-        idle_minutes: num(g, "idle_minutes"),
-        backoff_minutes: num(g, "backoff_minutes"),
-        lost_death_minutes: num(g, "lost_death_minutes"),
-        utilization_pct: num(g, "utilization_pct"),
-        deaths: num(g, "deaths") as usize,
-        retried: num(g, "retried") as usize,
-        diverged: num(g, "diverged") as usize,
-        timeout: num(g, "timeout") as usize,
-        cancelled: num(g, "cancelled") as usize,
-        exhausted: num(g, "exhausted") as usize,
-    }
 }
 
 /// The end-of-run report: hypervolume trajectory, utilization table, and

@@ -5,10 +5,10 @@
 //! flags, `lcurve.out` tail) and every generation boundary (population, RNG
 //! stream state, mutation σ, Pareto archive, scheduler report) is appended
 //! *before* the campaign moves on — one framed record per line, flushed per
-//! record, via the in-repo [`Json`] codec. If the driver dies mid-campaign,
-//! `resume` replays the journaled records instead of retraining, re-submits
-//! only the missing tasks to the worker pool, and continues to a result
-//! **bit-identical** to an uninterrupted run.
+//! record. If the driver dies mid-campaign, `resume` replays the journaled
+//! records instead of retraining, re-submits only the missing tasks to the
+//! worker pool, and continues to a result **bit-identical** to an
+//! uninterrupted run.
 //!
 //! # Framing (format v2)
 //!
@@ -21,94 +21,71 @@
 //! `seq` is a monotonic frame sequence number (the header is frame 0),
 //! `len` the payload's byte length, and `crc` the CRC-32 (IEEE) of the
 //! payload bytes. Readers therefore detect corruption *anywhere* in the
-//! file — a flipped bit, a truncated middle, an overwritten region — not
-//! just a torn tail. [`Journal::load`] refuses a damaged file; [`salvage`]
-//! truncates it at the first bad frame, quarantines the trailing bytes to
-//! `<journal>.quarantine`, and leaves a journal that resumes
+//! file, not just a torn tail. [`Journal::load`] refuses a damaged file;
+//! [`salvage`] truncates it at the first bad frame, quarantines the trailing
+//! bytes to `<journal>.quarantine`, and leaves a journal that resumes
 //! deterministically from the last intact record. Unframed v1 journals
-//! (plain JSONL) are refused with an error naming the unsupported version —
-//! never read as damaged v2.
+//! (plain JSONL) are refused with an error naming the unsupported version.
 //!
-//! # Reading
+//! # Records
 //!
-//! [`Journal::load`], [`verify`], [`salvage`] and [`compact`] share one
-//! single-pass scan of the file buffer. Each frame's prefix, sequence
-//! number, length and CRC (slice-by-8) are checked; its payload — borrowed
-//! from the buffer, never copied — is then decoded straight out of a
-//! [`dphpo_dnnp::json::Reader`] into the record's struct, with no [`Json`]
-//! tree in between, and every field of every record is validated: a record
-//! that is well-framed but semantically wrong is corruption at its frame's
-//! offset for all four readers alike. Values the writer can never emit —
-//! a number literal that overflows to infinity, a counter that is not a
-//! non-negative integer, a repeated key — are rejected, not coerced
-//! (DESIGN.md §13.6). The `to_json` writers define the format; the decoders
-//! are held to them by re-rendering every frame of the checked-in journals
-//! byte for byte (`tests/journal_roundtrip.rs`).
+//! Each persisted record — `header`, `eval`, `generation`, `epoch`,
+//! `snapshot`, the values nested in them, and the status row
+//! `crate::campaign_report` shares with the status file — is declared once,
+//! as a table of `"key" => field: encoding` lines (the `record!` macro), and
+//! both the writer's [`Json`] and the decoder come from that table.
+//! [`Journal::load`], [`verify`], [`salvage`] and [`compact`] share one scan
+//! of the file buffer; each payload, borrowed from the buffer, is decoded
+//! straight out of a [`Reader`] into its struct with no tree in between, and
+//! every field is validated: a record that is well-framed but semantically
+//! wrong is corruption at its frame's offset for all four alike. Values the
+//! writer can never emit — a number that overflows to infinity, a counter
+//! that is not a non-negative integer, a key repeated or missing — are
+//! rejected, not coerced (DESIGN.md §13.6).
 //!
 //! Steady-state campaigns append two more record kinds. An **epoch** record
 //! ([`EpochEntry`]) is written once, the moment an epoch closes: the epoch's
-//! population, its scheduler report and its published status row — the
-//! steady-state counterpart of a `generation` record. A **snapshot**
-//! ([`SnapshotEntry`]) is written at epoch-window boundaries and carries only
-//! live state (population, mutation σ, pending queue, archive, slot cursors,
-//! the partial-epoch accumulators); the cumulative per-epoch history a resume
-//! also needs is *not* repeated in it — [`Journal::load`] folds it back from
-//! the run's epoch records — so a journal grows by O(1) per epoch. Resume
-//! restores the latest snapshot and replays only the arrival suffix after
-//! it — O(window) work instead of O(campaign); [`compact`] rewrites a
-//! journal down to the epoch records, that snapshot and that suffix.
-//! (Generational journals need neither: every generation boundary already
-//! *is* a self-contained snapshot.)
-//!
-//! The boundary records of a finished journal are also the campaign's only
-//! persisted result: [`Journal::run_results`] rebuilds every run's history
-//! from them, in either mode, for the figure binaries (DESIGN.md §7.4).
+//! population, its scheduler report and its published status row. A
+//! **snapshot** ([`SnapshotEntry`]) is written at epoch-window boundaries and
+//! carries only live state; the per-epoch history a resume also needs is
+//! folded back from the run's epoch records by [`Journal::load`], so a
+//! journal grows by O(1) per epoch. Resume restores the latest snapshot and
+//! replays only the arrival suffix after it; [`compact`] rewrites a journal
+//! down to the epoch records, that snapshot and that suffix. (Generational
+//! journals need neither: every generation boundary *is* a snapshot.) The
+//! boundary records of a finished journal are also the campaign's only
+//! persisted result: [`Journal::run_results`] rebuilds every run from them.
 //!
 //! # Determinism contract
 //!
 //! The resumed campaign equals the uninterrupted one because every source
-//! of randomness is restored or re-derived exactly (see DESIGN.md §7 for
-//! the field-by-field schema):
-//!
-//! 1. **EA stream** — each generation boundary stores the xoshiro256++
-//!    state ([`rand::rngs::StdRng::state`]); resume rebuilds the generator
-//!    with `from_state` so offspring of the next generation are
-//!    regenerated bit-identically.
-//! 2. **Training seeds** — per-evaluation seeds are pure functions of
-//!    `(run seed, generation × population + slot)`
-//!    ([`crate::workflow::derive_seed`]), independent of scheduling order.
-//! 3. **Fault decisions** — worker deaths hash `(seed, generation, task,
-//!    attempt)` ([`dphpo_hpc::FaultInjector`]), so an interrupted and an
-//!    uninterrupted campaign see the same fault pattern.
-//! 4. **Replay** — journaled evaluations are matched by `(run, generation,
-//!    slot)` *and* a bit-exact genome comparison; a hit short-circuits
-//!    training and returns the journaled outcome verbatim.
-//! 5. **Steady-state campaigns** additionally journal each evaluation's
-//!    `arrival` index — the position at which the population consumed it.
-//!    All steady-state RNG draws are keyed off `(run seed, arrival)`, so
-//!    the journaled arrival order fully determines population and archive
-//!    bytes regardless of live thread interleaving (DESIGN.md §12).
-//!
-//! Journals additionally carry a fingerprint of the campaign configuration
-//! ([`config_fingerprint`]); resuming under a changed configuration is
-//! rejected rather than silently producing a chimera.
+//! of randomness is restored or re-derived exactly (DESIGN.md §7.2, §12):
+//! each boundary stores the EA stream's xoshiro256++ state; training seeds
+//! ([`crate::workflow::derive_seed`]) and worker deaths
+//! ([`dphpo_hpc::FaultInjector`]) are pure functions of position; replay
+//! matches a journaled evaluation by `(run, generation, slot)` *and* a
+//! bit-exact genome; and steady-state evaluations carry their `arrival`
+//! index, off which every steady-state RNG draw is keyed. The header's
+//! fingerprint of the configuration ([`config_fingerprint`]) makes resuming
+//! under a changed configuration an error rather than a chimera.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::{self, Write as _};
 use std::fs::{File, OpenOptions};
 use std::io::{Seek as _, SeekFrom, Write as _};
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
-use dphpo_dnnp::json::{JsonError, Reader};
-use dphpo_dnnp::{Json, LcurveRow};
+use dphpo_dnnp::LcurveRow;
 use dphpo_evo::nsga2::{GenerationRecord, RunResult};
 use dphpo_evo::{Fitness, Id, Individual};
 use dphpo_hpc::faultplan::{IoFault, IoSite, JOURNAL_APPEND_SITE};
 use dphpo_hpc::{EvalFault, EvalOutcome, PoolReport, StreamSlotsState, TaskError, TaskRecord};
+use dphpo_obs::json::{Json, JsonError, Reader};
 
-use crate::campaign_report::{json_of_row, row_from_json, GenStatus};
+use crate::campaign_report::GenStatus;
 use crate::experiment::{CampaignMode, ExperimentConfig};
 use crate::workflow::EvalRecord;
 
@@ -128,6 +105,11 @@ pub struct JournalError {
 impl JournalError {
     pub(crate) fn new(message: impl Into<String>) -> Self {
         JournalError { message: message.into() }
+    }
+
+    /// The error, as met in the value of a record's member `key`.
+    pub(crate) fn within(self, key: &str) -> Self {
+        JournalError::new(format!("field '{key}': {}", self.message))
     }
 }
 
@@ -280,294 +262,530 @@ pub fn parse_frame(body: &str, expected_seq: u64) -> Result<&str, JournalError> 
 }
 
 // ---------------------------------------------------------------------------
-// Low-level JSON helpers
+// The record codec: every persisted record is declared once
 // ---------------------------------------------------------------------------
 
-fn hex_u64(v: u64) -> Json {
-    Json::String(format!("{v:#018x}"))
-}
-
-fn numbers(xs: &[f64]) -> Json {
-    Json::Array(xs.iter().copied().map(Json::Number).collect())
-}
-
-/// Crowding distances on front boundaries are `+inf` (and a diverged loss
-/// may be `NaN`), which JSON cannot express as number literals — encode
-/// non-finite values as strings.
-fn json_of_f64_or_inf(v: f64) -> Json {
-    if v.is_finite() {
-        Json::Number(v)
-    } else if v.is_nan() {
-        Json::String("nan".into())
-    } else if v > 0.0 {
-        Json::String("inf".into())
-    } else {
-        Json::String("-inf".into())
+/// How one persisted value is spelled, both ways: the writer's [`Json`], and
+/// a strict decoder that pulls the value straight out of a [`Reader`] over
+/// the frame's payload — no [`Json`] tree is built on the read side. The
+/// leaf encodings are implemented below; a record (a JSON object) is
+/// declared with [`record!`].
+pub(crate) trait Codec {
+    /// The value written and read back.
+    type Value;
+    /// Whether a record may lack the member; it then keeps the record's
+    /// blank value. The `null`-able members are optional.
+    const OPTIONAL: bool = false;
+    /// Render `value`.
+    fn write(value: &Self::Value) -> Json;
+    /// Whether the writer leaves the member out of the record altogether.
+    fn omitted(_: &Self::Value) -> bool {
+        false
     }
+    /// Decode the value of member `key`. (The record holding the member
+    /// puts the key in front of any error; a value names it only where the
+    /// key is the message, as for a refused [`Inline`] member.)
+    fn read(r: &mut Reader<'_>, key: &str) -> Result<Self::Value, JournalError>;
 }
 
-// Decoding: records are pulled field by field out of a [`Reader`] over the
-// frame's payload, straight into their structs — no `Json` tree is built.
+/// Declare a record, in one of two forms. A struct of this crate is defined
+/// inside the macro, each field with its key — `"key" => field: Type`, plus
+/// `as Codec` where the field's type is not its encoding — and decoding
+/// starts from its `Default`. Any other type, or one that flattens a nested
+/// struct, gets a table: the type, the blank value decoding starts from, and
+/// one `"key" => field: Codec` line per member, where `field` may be a path
+/// (`record.generation`). Either form may name a discriminator member
+/// (`"type" = "eval"`), which also gives the type a public `to_json` and
+/// `read`, and a `check` the decoded value must pass.
+///
+/// Both directions come from the one declaration. [`Codec::write`] renders
+/// every member not [`Codec::omitted`] (in sorted key order, by
+/// [`Json::object`]); [`Codec::read`] takes the members in any order,
+/// syntax-checks and skips unknown keys, and refuses a member met twice or a
+/// required one missing, naming its key.
+macro_rules! record {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $ty:ident $(, $tag:literal = $kind:tt)? $(, check = $check:path)? {
+            $($(#[$doc:meta])* $key:literal => $fvis:vis $field:ident: $fty:ty $(as $codec:ty)?,)*
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $ty {
+            $($(#[$doc])* $fvis $field: $fty,)*
+        }
 
-/// Decode one JSON object into `Option` locals: each `"key" => var = expr`
-/// arm reads the value of `key` with `expr`. A known key met twice is an
-/// error (the writer never repeats one); unknown keys are syntax-checked
-/// and skipped.
-macro_rules! read_fields {
-    ($r:ident { $($key:literal => $var:ident = $read:expr,)* }) => {
-        $(let mut $var = None;)*
-        $r.begin_object()?;
-        while let Some(key) = $r.next_key()? {
-            match &*key {
-                $($key => {
-                    if $var.replace($read).is_some() {
-                        return Err(JournalError::new(concat!("duplicate key '", $key, "'")));
-                    }
+        $crate::journal::record!($ty, $ty::default, $($tag = $kind,)? $(check = $check,)? {
+            $($key => $field: $crate::journal::record!(@codec $fty $(as $codec)?),)*
+        });
+    };
+    (@codec $fty:ty) => { $fty };
+    (@codec $fty:ty as $codec:ty) => { $codec };
+    ($ty:ty, $blank:expr, $($tag:literal = $kind:expr,)? $(check = $check:expr,)? {
+        $($key:literal => $($field:ident).+: $codec:ty,)*
+    }) => {
+        $(
+            impl $ty {
+                /// The record as it is written.
+                pub fn to_json(&self) -> ::dphpo_obs::json::Json {
+                    <Self as $crate::journal::Codec>::write(self)
+                }
+
+                /// Decode the record; its discriminator must name it.
+                pub fn read(
+                    r: &mut ::dphpo_obs::json::Reader<'_>,
+                ) -> Result<Self, $crate::journal::JournalError> {
+                    <Self as $crate::journal::Codec>::read(r, $kind)
+                }
+            }
+        )?
+
+        impl $crate::journal::Codec for $ty {
+            type Value = $ty;
+
+            fn write(v: &$ty) -> ::dphpo_obs::json::Json {
+                use ::dphpo_obs::json::Json;
+                let mut members = Vec::with_capacity([$($tag,)? $($key),*].len());
+                $(members.push(($tag, Json::String($kind.into())));)?
+                $(if !<$codec as $crate::journal::Codec>::omitted(&v.$($field).+) {
+                    members.push(($key, <$codec as $crate::journal::Codec>::write(&v.$($field).+)));
                 })*
-                _ => $r.skip()?,
+                Json::object(members)
+            }
+
+            fn read(
+                r: &mut ::dphpo_obs::json::Reader<'_>,
+                _: &str,
+            ) -> Result<$ty, $crate::journal::JournalError> {
+                use $crate::journal::{bit, Codec, JournalError};
+                const KEYS: &[&str] = &[$($tag,)? $($key),*];
+                const REQUIRED: u64 = $(bit(KEYS, $tag) |)? 0
+                    $(| if <$codec as Codec>::OPTIONAL { 0 } else { bit(KEYS, $key) })*;
+                let mut v: $ty = ($blank)();
+                let mut seen = 0;
+                r.begin_object()?;
+                while let Some(member) = r.next_key()? {
+                    let flag = match &*member {
+                        $($tag => match r.str()? {
+                            tag if tag == $kind => const { bit(KEYS, $tag) },
+                            tag => return Err(JournalError::new(format!(
+                                "{} '{tag}' where '{}' was expected", $tag, $kind
+                            ))),
+                        })?
+                        $($key => {
+                            v.$($field).+ = <$codec as Codec>::read(r, $key)
+                                .map_err(|e| e.within($key))?;
+                            const { bit(KEYS, $key) }
+                        })*
+                        _ => r.skip().map(|()| 0)?,
+                    };
+                    if seen & flag != 0 {
+                        return Err(JournalError::new(format!("duplicate key '{member}'")));
+                    }
+                    seen |= flag;
+                }
+                // The first required member not seen, if any (a mask with
+                // no bit set has 64 trailing zeros: no key).
+                if let Some(missing) = KEYS.get((REQUIRED & !seen).trailing_zeros() as usize) {
+                    return Err(JournalError::new(format!("missing field '{missing}'")));
+                }
+                $($check(&v)?;)?
+                Ok(v)
             }
         }
     };
 }
+pub(crate) use record;
 
-fn need<T>(field: Option<T>, key: &str) -> Result<T, JournalError> {
-    field.ok_or_else(|| JournalError::new(format!("missing field '{key}'")))
+/// A declared key's flag in a record decoder's seen-mask: bit `i` for the
+/// `i`-th of the record's keys. Evaluated at compile time, where a key the
+/// record does not declare fails the build. (Keys are lowercase ASCII, so
+/// the case-blind comparison is exact.)
+pub(crate) const fn bit(keys: &[&str], key: &str) -> u64 {
+    let mut i = 0;
+    while !keys[i].eq_ignore_ascii_case(key) {
+        i += 1;
+    }
+    1 << i
 }
 
 /// The writer emits counters and indices as integers; anything else in
 /// their place (`-1`, `1.5`, `1e30`) is damage, not a value to coerce.
-fn as_uint(v: f64, key: &str) -> Result<usize, JournalError> {
+fn as_uint(v: f64) -> Result<usize, JournalError> {
     const MAX_EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
     if (0.0..=MAX_EXACT).contains(&v) && v.fract() == 0.0 {
         Ok(v as usize)
     } else {
-        Err(JournalError::new(format!("field '{key}' is not a non-negative integer: {v}")))
+        Err(JournalError::new(format!("not a non-negative integer: {v}")))
     }
 }
 
-fn float(r: &mut Reader<'_>) -> Result<f64, JournalError> {
-    Ok(r.f64()?)
-}
-
-fn uint(r: &mut Reader<'_>, key: &str) -> Result<usize, JournalError> {
-    as_uint(float(r)?, key)
-}
-
-fn hex(r: &mut Reader<'_>, key: &str) -> Result<u64, JournalError> {
-    let s = r.str()?;
-    let digits = s
-        .strip_prefix("0x")
-        .ok_or_else(|| JournalError::new(format!("field '{key}' is not 0x-prefixed: {s}")))?;
-    u64::from_str_radix(digits, 16)
-        .map_err(|_| JournalError::new(format!("field '{key}' is not hex: {s}")))
-}
-
-/// The inverse of [`json_of_f64_or_inf`].
-fn f64_or_inf(r: &mut Reader<'_>, key: &str) -> Result<f64, JournalError> {
-    if r.peek() != Some(b'"') {
-        return float(r);
+/// A counter or index: a non-negative integer no larger than 2^53.
+impl Codec for usize {
+    type Value = usize;
+    fn write(v: &usize) -> Json {
+        Json::Number(*v as f64)
     }
-    match &*r.str()? {
-        "inf" => Ok(f64::INFINITY),
-        "-inf" => Ok(f64::NEG_INFINITY),
-        "nan" => Ok(f64::NAN),
-        other => Err(JournalError::new(format!("field '{key}' is not a float: \"{other}\""))),
+    fn read(r: &mut Reader<'_>, _: &str) -> Result<usize, JournalError> {
+        as_uint(r.f64()?)
     }
 }
 
-fn nullable<'a, T>(
-    r: &mut Reader<'a>,
-    read: impl FnOnce(&mut Reader<'a>) -> Result<T, JournalError>,
-) -> Result<Option<T>, JournalError> {
-    if r.null()? {
-        Ok(None)
-    } else {
-        read(r).map(Some)
+/// A counter that must also fit a `u32` (scheduler attempts).
+impl Codec for u32 {
+    type Value = u32;
+    fn write(v: &u32) -> Json {
+        Json::Number(f64::from(*v))
+    }
+    fn read(r: &mut Reader<'_>, key: &str) -> Result<u32, JournalError> {
+        u32::try_from(usize::read(r, key)?).map_err(|_| JournalError::new("more than u32::MAX"))
     }
 }
 
-fn list<'a, T>(
-    r: &mut Reader<'a>,
-    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, JournalError>,
-) -> Result<Vec<T>, JournalError> {
-    // Most journaled lists fit: a genome is 7 long, objectives 2, an
-    // lcurve tail 3 rows of 6 — and growing into 8 costs a reallocation.
-    let mut out = Vec::with_capacity(8);
-    r.begin_array()?;
-    while r.next_element()? {
-        out.push(item(r)?);
+/// A 64-bit word — seed, id, hash, RNG word — as a `0x`-prefixed hex
+/// string: a JSON double cannot hold one.
+impl Codec for u64 {
+    type Value = u64;
+    fn write(v: &u64) -> Json {
+        Json::String(format!("{v:#018x}"))
     }
-    Ok(out)
-}
-
-fn f64s(r: &mut Reader<'_>) -> Result<Vec<f64>, JournalError> {
-    list(r, float)
-}
-
-/// The record's `type` member: must name the record being decoded.
-fn tag(r: &mut Reader<'_>, want: &str) -> Result<(), JournalError> {
-    let got = r.str()?;
-    if got == want {
-        Ok(())
-    } else {
-        Err(JournalError::new(format!("record type '{got}' where '{want}' was expected")))
+    fn read(r: &mut Reader<'_>, _: &str) -> Result<u64, JournalError> {
+        let s = r.str()?;
+        s.strip_prefix("0x")
+            .and_then(|digits| u64::from_str_radix(digits, 16).ok())
+            .ok_or_else(|| JournalError::new(format!("not 0x-prefixed hex: {s}")))
     }
 }
 
-// ---------------------------------------------------------------------------
-// Serde for the domain types (also exercised by the round-trip tests)
-// ---------------------------------------------------------------------------
+/// A finite number. (A JSON number is never NaN and the reader refuses
+/// literals that overflow to infinity, so every value read is finite.)
+impl Codec for f64 {
+    type Value = f64;
+    fn write(v: &f64) -> Json {
+        Json::Number(*v)
+    }
+    fn read(r: &mut Reader<'_>, _: &str) -> Result<f64, JournalError> {
+        Ok(r.f64()?)
+    }
+}
 
-/// Serialise a fitness vector (objectives only; `MAXINT` penalties are
-/// large finite numbers and round-trip exactly).
+/// A number that may be non-finite — the `+inf` crowding distance of a
+/// front boundary, a diverged loss — spelled `"inf"`, `"-inf"` or `"nan"`
+/// when it is, since JSON has no literal for one.
+struct MaybeInf;
+
+impl Codec for MaybeInf {
+    type Value = f64;
+    fn write(v: &f64) -> Json {
+        if v.is_finite() {
+            Json::Number(*v)
+        } else {
+            Json::String(v.to_string().to_lowercase())
+        }
+    }
+    fn read(r: &mut Reader<'_>, _: &str) -> Result<f64, JournalError> {
+        if r.peek() != Some(b'"') {
+            return Ok(r.f64()?);
+        }
+        match &*r.str()? {
+            "inf" => Ok(f64::INFINITY),
+            "-inf" => Ok(f64::NEG_INFINITY),
+            "nan" => Ok(f64::NAN),
+            other => Err(JournalError::new(format!("not a float: \"{other}\""))),
+        }
+    }
+}
+
+/// `null`, or a value.
+impl<C: Codec> Codec for Option<C> {
+    type Value = Option<C::Value>;
+    const OPTIONAL: bool = true;
+    fn write(v: &Option<C::Value>) -> Json {
+        v.as_ref().map_or(Json::Null, C::write)
+    }
+    fn read(r: &mut Reader<'_>, key: &str) -> Result<Option<C::Value>, JournalError> {
+        if r.null()? {
+            Ok(None)
+        } else {
+            C::read(r, key).map(Some)
+        }
+    }
+}
+
+/// An [`Option`] the writer leaves out when it is `None`: an eval's
+/// `arrival`, which generational evaluations do not have, so their bytes
+/// are the same as before the key existed.
+struct Omitted<C>(PhantomData<C>);
+
+impl<C: Codec> Codec for Omitted<C> {
+    type Value = Option<C::Value>;
+    const OPTIONAL: bool = true;
+    fn write(v: &Option<C::Value>) -> Json {
+        Option::<C>::write(v)
+    }
+    fn omitted(v: &Option<C::Value>) -> bool {
+        v.is_none()
+    }
+    fn read(r: &mut Reader<'_>, key: &str) -> Result<Option<C::Value>, JournalError> {
+        Option::<C>::read(r, key)
+    }
+}
+
+/// A list of values of one encoding.
+impl<C: Codec> Codec for Vec<C> {
+    type Value = Vec<C::Value>;
+    fn write(items: &Vec<C::Value>) -> Json {
+        list::<C>(items)
+    }
+    fn read(r: &mut Reader<'_>, key: &str) -> Result<Vec<C::Value>, JournalError> {
+        // Most journaled lists fit: a genome is 7 long, objectives 2, an
+        // lcurve tail 3 rows of 6 — and growing into 8 costs a reallocation.
+        let mut out = Vec::with_capacity(8);
+        r.begin_array()?;
+        while r.next_element()? {
+            out.push(C::read(r, key)?);
+        }
+        Ok(out)
+    }
+}
+
+fn list<C: Codec>(items: &[C::Value]) -> Json {
+    Json::Array(items.iter().map(C::write).collect())
+}
+
+/// A list of exactly `N` values.
+fn array<C: Codec, const N: usize>(
+    r: &mut Reader<'_>,
+    key: &str,
+) -> Result<[C::Value; N], JournalError> {
+    Vec::<C>::read(r, key)?
+        .try_into()
+        .map_err(|_| JournalError::new(format!("not a {N}-element array")))
+}
+
+/// A non-domination rank: `null` while unranked (`usize::MAX`).
+struct Rank;
+
+impl Codec for Rank {
+    type Value = usize;
+    const OPTIONAL: bool = true;
+    fn write(v: &usize) -> Json {
+        Option::<usize>::write(&Some(*v).filter(|&rank| rank != usize::MAX))
+    }
+    fn read(r: &mut Reader<'_>, key: &str) -> Result<usize, JournalError> {
+        Ok(Option::<usize>::read(r, key)?.unwrap_or(usize::MAX))
+    }
+}
+
+/// An individual's id. A restored id is registered with [`Id::advance_past`]
+/// so freshly allocated ids never collide with it.
+impl Codec for Id {
+    type Value = Id;
+    fn write(id: &Id) -> Json {
+        u64::write(&id.raw())
+    }
+    fn read(r: &mut Reader<'_>, key: &str) -> Result<Id, JournalError> {
+        let raw = u64::read(r, key)?;
+        Id::advance_past(raw);
+        Ok(Id::from_raw(raw))
+    }
+}
+
+/// A fitness vector (objectives only; `MAXINT` penalties are large finite
+/// numbers and round-trip exactly).
+impl Codec for Fitness {
+    type Value = Fitness;
+    fn write(f: &Fitness) -> Json {
+        list::<f64>(f.values())
+    }
+    fn read(r: &mut Reader<'_>, key: &str) -> Result<Fitness, JournalError> {
+        Vec::<f64>::read(r, key).map(Fitness::new)
+    }
+}
+
+/// A xoshiro256++ state: four hex words, not all zero.
+impl Codec for [u64; 4] {
+    type Value = [u64; 4];
+    fn write(state: &[u64; 4]) -> Json {
+        list::<u64>(state)
+    }
+    fn read(r: &mut Reader<'_>, key: &str) -> Result<[u64; 4], JournalError> {
+        let state = array::<u64, 4>(r, key)?;
+        if state.iter().all(|&w| w == 0) {
+            return Err(JournalError::new("all-zero rng state"));
+        }
+        Ok(state)
+    }
+}
+
+/// An `lcurve.out` row: `[step, rmse_e_val, rmse_e_trn, rmse_f_val,
+/// rmse_f_trn, lr]`.
+impl Codec for LcurveRow {
+    type Value = LcurveRow;
+    fn write(row: &LcurveRow) -> Json {
+        let LcurveRow { step, rmse_e_val, rmse_e_trn, rmse_f_val, rmse_f_trn, lr } = *row;
+        list::<f64>(&[step as f64, rmse_e_val, rmse_e_trn, rmse_f_val, rmse_f_trn, lr])
+    }
+    fn read(r: &mut Reader<'_>, key: &str) -> Result<LcurveRow, JournalError> {
+        let [step, rmse_e_val, rmse_e_trn, rmse_f_val, rmse_f_trn, lr] = array::<f64, 6>(r, key)?;
+        let step = as_uint(step)?;
+        Ok(LcurveRow { step, rmse_e_val, rmse_e_trn, rmse_f_val, rmse_f_trn, lr })
+    }
+}
+
+/// One `[submission, individual]` pair of a snapshot's resubmission queue.
+impl Codec for (usize, Individual) {
+    type Value = (usize, Individual);
+    fn write((submission, ind): &(usize, Individual)) -> Json {
+        Json::Array(vec![usize::write(submission), Individual::write(ind)])
+    }
+    fn read(r: &mut Reader<'_>, key: &str) -> Result<(usize, Individual), JournalError> {
+        let shape = || JournalError::new("pending entry must be a [submission, individual] pair");
+        r.begin_array()?;
+        r.next_element()?.then_some(()).ok_or_else(shape)?;
+        let submission = usize::read(r, key).map_err(|e| e.within("pending submission"))?;
+        r.next_element()?.then_some(()).ok_or_else(shape)?;
+        let individual = Individual::read(r, key)?;
+        match r.next_element()? {
+            false => Ok((submission, individual)),
+            true => Err(shape()),
+        }
+    }
+}
+
+/// Archive churn within an epoch: `[offered, added, evicted]`.
+impl Codec for (usize, usize, usize) {
+    type Value = (usize, usize, usize);
+    fn write(&(offered, added, evicted): &(usize, usize, usize)) -> Json {
+        list::<usize>(&[offered, added, evicted])
+    }
+    fn read(r: &mut Reader<'_>, key: &str) -> Result<(usize, usize, usize), JournalError> {
+        let [offered, added, evicted] = array::<usize, 3>(r, key)?;
+        Ok((offered, added, evicted))
+    }
+}
+
+/// A pair of finite numbers: the status file's hypervolume reference point.
+impl Codec for (f64, f64) {
+    type Value = (f64, f64);
+    fn write(&(first, second): &(f64, f64)) -> Json {
+        list::<f64>(&[first, second])
+    }
+    fn read(r: &mut Reader<'_>, key: &str) -> Result<(f64, f64), JournalError> {
+        let [first, second] = array::<f64, 2>(r, key)?;
+        Ok((first, second))
+    }
+}
+
+/// A member that a snapshot of an older build carried — every closed epoch
+/// inline — and this one never writes. Reading one as if the arrays were
+/// merely absent would resume from an empty history, so it is refused by
+/// name instead.
+struct Inline<T>(PhantomData<T>);
+
+impl<T> Codec for Inline<T> {
+    type Value = Vec<T>;
+    const OPTIONAL: bool = true;
+    fn write(_: &Vec<T>) -> Json {
+        Json::Null
+    }
+    fn omitted(_: &Vec<T>) -> bool {
+        true
+    }
+    fn read(_: &mut Reader<'_>, key: &str) -> Result<Vec<T>, JournalError> {
+        Err(JournalError::new(format!(
+            "snapshot carries inline '{key}': it was written by an older build, before epochs \
+             were journaled as records of their own"
+        )))
+    }
+}
+
+// An individual: identity, genome, evaluation state, and the sort metadata
+// (rank / crowding distance) that selection derived.
+record!(Individual, blank_individual, {
+    "id" => id: Id,
+    "genome" => genome: Vec<f64>,
+    "fitness" => fitness: Option<Fitness>,
+    "rank" => rank: Rank,
+    "distance" => distance: MaybeInf,
+    "minutes" => eval_minutes: Option<f64>,
+});
+
+fn blank_individual() -> Individual {
+    let (genome, fitness, distance, eval_minutes) = Default::default();
+    Individual { id: Id::from_raw(0), genome, fitness, rank: usize::MAX, distance, eval_minutes }
+}
+
+// A scheduler report. `heartbeats` and `quarantined_workers` are statistics
+// no artifact reads back, and stay out of the record.
+record!(PoolReport, PoolReport::default, {
+    "makespan" => makespan_minutes: f64,
+    "per_worker" => per_worker_minutes: Vec<f64>,
+    "deaths" => worker_deaths: usize,
+    "retried" => retried_tasks: usize,
+    "diverged" => diverged_tasks: usize,
+    "timeout" => timeout_tasks: usize,
+    "cancelled" => cancelled_tasks: usize,
+    "exhausted" => exhausted_tasks: usize,
+    "lost_minutes" => lost_minutes: f64,
+    "backoff_minutes" => backoff_minutes: f64,
+    "busy" => busy_minutes: Vec<f64>,
+    "lost_death" => lost_death_minutes: Vec<f64>,
+    "backoff_slot" => backoff_slot_minutes: Vec<f64>,
+    "idle" => idle_minutes: Vec<f64>,
+    "wall" => wall_minutes: f64,
+});
+
+// A steady run's slot accountant: cursors, tallies and the epoch baseline.
+record!(StreamSlotsState, StreamSlotsState::default, {
+    "busy" => busy: Vec<f64>,
+    "lost" => lost: Vec<f64>,
+    "backoff" => backoff: Vec<f64>,
+    "deaths" => deaths: usize,
+    "retried" => retried: usize,
+    "diverged" => diverged: usize,
+    "timeout" => timeout: usize,
+    "cancelled" => cancelled: usize,
+    "exhausted" => exhausted: usize,
+    "base_busy" => baseline_busy: Vec<f64>,
+    "base_lost" => baseline_lost: Vec<f64>,
+    "base_backoff" => baseline_backoff: Vec<f64>,
+    "base_deaths" => baseline_deaths: usize,
+    "base_retried" => baseline_retried: usize,
+    "base_diverged" => baseline_diverged: usize,
+    "base_timeout" => baseline_timeout: usize,
+    "base_cancelled" => baseline_cancelled: usize,
+    "base_exhausted" => baseline_exhausted: usize,
+});
+
+/// Serialise a fitness vector.
 pub fn fitness_to_json(f: &Fitness) -> Json {
-    numbers(f.values())
+    Fitness::write(f)
 }
 
-/// Decode a fitness vector. (A JSON number is never NaN and the reader
-/// refuses literals that overflow to infinity, so every value is finite.)
+/// Decode a fitness vector.
 pub fn read_fitness(r: &mut Reader<'_>) -> Result<Fitness, JournalError> {
-    f64s(r).map(Fitness::new)
+    Fitness::read(r, "fitness")
 }
 
-/// Serialise an individual: identity, genome, evaluation state, and the
-/// sort metadata (rank / crowding distance) that selection derived.
+/// Serialise an individual.
 pub fn individual_to_json(ind: &Individual) -> Json {
-    Json::object(vec![
-        ("id", hex_u64(ind.id.raw())),
-        ("genome", numbers(&ind.genome)),
-        (
-            "fitness",
-            match &ind.fitness {
-                Some(f) => fitness_to_json(f),
-                None => Json::Null,
-            },
-        ),
-        (
-            "rank",
-            if ind.rank == usize::MAX { Json::Null } else { Json::Number(ind.rank as f64) },
-        ),
-        ("distance", json_of_f64_or_inf(ind.distance)),
-        ("minutes", ind.eval_minutes.map_or(Json::Null, Json::Number)),
-    ])
+    Individual::write(ind)
 }
 
-/// Decode an individual. The restored id is registered with
-/// [`Id::advance_past`] so freshly allocated ids never collide with it.
+/// Decode an individual (its id is registered with [`Id::advance_past`]).
 pub fn read_individual(r: &mut Reader<'_>) -> Result<Individual, JournalError> {
-    read_fields!(r {
-        "id" => id = hex(r, "id")?,
-        "genome" => genome = f64s(r)?,
-        "fitness" => fitness = nullable(r, read_fitness)?,
-        "rank" => rank = nullable(r, |r| uint(r, "rank"))?,
-        "distance" => distance = f64_or_inf(r, "distance")?,
-        "minutes" => minutes = nullable(r, float)?,
-    });
-    let raw = need(id, "id")?;
-    Id::advance_past(raw);
-    Ok(Individual {
-        id: Id::from_raw(raw),
-        genome: need(genome, "genome")?,
-        fitness: fitness.flatten(),
-        rank: rank.flatten().unwrap_or(usize::MAX),
-        distance: need(distance, "distance")?,
-        eval_minutes: minutes.flatten(),
-    })
+    Individual::read(r, "individual")
 }
 
 /// Serialise a xoshiro256++ state snapshot as four hex words.
 pub fn rng_state_to_json(state: [u64; 4]) -> Json {
-    Json::Array(state.iter().map(|&w| hex_u64(w)).collect())
+    <[u64; 4]>::write(&state)
 }
 
 /// Decode a [`rng_state_to_json`] snapshot.
 pub fn read_rng_state(r: &mut Reader<'_>) -> Result<[u64; 4], JournalError> {
-    let state: [u64; 4] = list(r, |r| hex(r, "rng word"))?
-        .try_into()
-        .map_err(|_| JournalError::new("rng state must be a 4-element array"))?;
-    if state.iter().all(|&w| w == 0) {
-        return Err(JournalError::new("all-zero rng state"));
-    }
-    Ok(state)
-}
-
-fn lcurve_row_to_json(r: &LcurveRow) -> Json {
-    numbers(&[r.step as f64, r.rmse_e_val, r.rmse_e_trn, r.rmse_f_val, r.rmse_f_trn, r.lr])
-}
-
-fn read_lcurve_row(r: &mut Reader<'_>) -> Result<LcurveRow, JournalError> {
-    let [step, rmse_e_val, rmse_e_trn, rmse_f_val, rmse_f_trn, lr]: [f64; 6] = f64s(r)?
-        .try_into()
-        .map_err(|_| JournalError::new("lcurve row must be a 6-element array"))?;
-    Ok(LcurveRow {
-        step: as_uint(step, "lcurve step")?,
-        rmse_e_val,
-        rmse_e_trn,
-        rmse_f_val,
-        rmse_f_trn,
-        lr,
-    })
-}
-
-/// Serialise a pool report. `heartbeats` and `quarantined_workers` are
-/// statistics no artifact reads back, and stay out of the record.
-fn report_to_json(r: &PoolReport) -> Json {
-    Json::object(vec![
-        ("makespan", Json::Number(r.makespan_minutes)),
-        ("per_worker", numbers(&r.per_worker_minutes)),
-        ("deaths", Json::Number(r.worker_deaths as f64)),
-        ("retried", Json::Number(r.retried_tasks as f64)),
-        ("diverged", Json::Number(r.diverged_tasks as f64)),
-        ("timeout", Json::Number(r.timeout_tasks as f64)),
-        ("cancelled", Json::Number(r.cancelled_tasks as f64)),
-        ("exhausted", Json::Number(r.exhausted_tasks as f64)),
-        ("lost_minutes", Json::Number(r.lost_minutes)),
-        ("backoff_minutes", Json::Number(r.backoff_minutes)),
-        ("busy", numbers(&r.busy_minutes)),
-        ("lost_death", numbers(&r.lost_death_minutes)),
-        ("backoff_slot", numbers(&r.backoff_slot_minutes)),
-        ("idle", numbers(&r.idle_minutes)),
-        ("wall", Json::Number(r.wall_minutes)),
-    ])
-}
-
-/// Every field [`report_to_json`] writes is required, in any order.
-fn read_report(r: &mut Reader<'_>) -> Result<PoolReport, JournalError> {
-    read_fields!(r {
-        "makespan" => makespan = r.f64()?,
-        "per_worker" => per_worker = f64s(r)?,
-        "deaths" => deaths = uint(r, "deaths")?,
-        "retried" => retried = uint(r, "retried")?,
-        "diverged" => diverged = uint(r, "diverged")?,
-        "timeout" => timeout = uint(r, "timeout")?,
-        "cancelled" => cancelled = uint(r, "cancelled")?,
-        "exhausted" => exhausted = uint(r, "exhausted")?,
-        "lost_minutes" => lost_minutes = r.f64()?,
-        "backoff_minutes" => backoff_minutes = r.f64()?,
-        "busy" => busy = f64s(r)?,
-        "lost_death" => lost_death = f64s(r)?,
-        "backoff_slot" => backoff_slot = f64s(r)?,
-        "idle" => idle = f64s(r)?,
-        "wall" => wall = r.f64()?,
-    });
-    Ok(PoolReport {
-        makespan_minutes: need(makespan, "makespan")?,
-        per_worker_minutes: need(per_worker, "per_worker")?,
-        worker_deaths: need(deaths, "deaths")?,
-        retried_tasks: need(retried, "retried")?,
-        diverged_tasks: need(diverged, "diverged")?,
-        timeout_tasks: need(timeout, "timeout")?,
-        cancelled_tasks: need(cancelled, "cancelled")?,
-        exhausted_tasks: need(exhausted, "exhausted")?,
-        lost_minutes: need(lost_minutes, "lost_minutes")?,
-        backoff_minutes: need(backoff_minutes, "backoff_minutes")?,
-        busy_minutes: need(busy, "busy")?,
-        lost_death_minutes: need(lost_death, "lost_death")?,
-        backoff_slot_minutes: need(backoff_slot, "backoff_slot")?,
-        idle_minutes: need(idle, "idle")?,
-        wall_minutes: need(wall, "wall")?,
-        ..PoolReport::default()
-    })
+    <[u64; 4]>::read(r, "rng")
 }
 
 // ---------------------------------------------------------------------------
@@ -575,9 +793,10 @@ fn read_report(r: &mut Reader<'_>) -> Result<PoolReport, JournalError> {
 // ---------------------------------------------------------------------------
 
 /// How a journaled evaluation ended.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FaultKind {
     /// Training completed and produced a finite fitness.
+    #[default]
     None,
     /// Training diverged or the configuration was invalid (MAXINT).
     Diverged,
@@ -590,6 +809,14 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
+    const ALL: [FaultKind; 5] = [
+        FaultKind::None,
+        FaultKind::Diverged,
+        FaultKind::Timeout,
+        FaultKind::Worker,
+        FaultKind::Cancelled,
+    ];
+
     fn name(self) -> &'static str {
         match self {
             FaultKind::None => "none",
@@ -599,55 +826,59 @@ impl FaultKind {
             FaultKind::Cancelled => "cancelled",
         }
     }
+}
 
-    fn parse(s: &str) -> Result<Self, JournalError> {
-        match s {
-            "none" => Ok(FaultKind::None),
-            "diverged" => Ok(FaultKind::Diverged),
-            "timeout" => Ok(FaultKind::Timeout),
-            "worker" => Ok(FaultKind::Worker),
-            "cancelled" => Ok(FaultKind::Cancelled),
-            _ => Err(JournalError::new(format!("unknown fault kind '{s}'"))),
-        }
+/// A fault kind, by its name.
+impl Codec for FaultKind {
+    type Value = FaultKind;
+    fn write(kind: &FaultKind) -> Json {
+        Json::String(kind.name().into())
+    }
+    fn read(r: &mut Reader<'_>, _: &str) -> Result<FaultKind, JournalError> {
+        let name = r.str()?;
+        let kind = FaultKind::ALL.into_iter().find(|kind| kind.name() == name);
+        kind.ok_or_else(|| JournalError::new(format!("unknown fault kind '{name}'")))
     }
 }
 
-/// One completed evaluation, as journaled the moment the scheduler
-/// finalised it.
-#[derive(Clone, Debug)]
-pub struct EvalEntry {
-    /// Experiment run index.
-    pub run: usize,
-    /// Generation whose batch contained the task.
-    pub gen: usize,
-    /// Slot (task index) within the generation's batch.
-    pub slot: usize,
-    /// Derived training seed (informational; replay never retrains).
-    pub seed: u64,
-    /// The evaluated genome, bit-exact.
-    pub genome: Vec<f64>,
-    /// How the evaluation ended.
-    pub fault: FaultKind,
-    /// For [`FaultKind::Diverged`] with a structured sentinel abort: the
-    /// training step at which divergence was detected.
-    pub fault_step: Option<usize>,
-    /// For [`FaultKind::Diverged`] with a structured sentinel abort: the
-    /// offending loss (may be non-finite).
-    pub fault_loss: Option<f64>,
-    /// Objective values — present iff `fault == FaultKind::None`.
-    pub objectives: Option<Vec<f64>>,
-    /// Simulated minutes charged (timeouts charge the full limit).
-    pub minutes: f64,
-    /// Scheduler attempts consumed (1 = no retries).
-    pub attempts: u32,
-    /// Tail of the training curve (empty on failure).
-    pub lcurve_tail: Vec<LcurveRow>,
-    /// Steady-state arrival index this evaluation was consumed at — the
-    /// journaled arrival order that fully determines population and archive
-    /// bytes (DESIGN.md §12). `None` for generational entries, whose order
-    /// is already fixed by `(gen, slot)`; the key is omitted from the JSON
-    /// encoding so generational journal bytes are unchanged.
-    pub arrival: Option<usize>,
+record! {
+    /// One completed evaluation, as journaled the moment the scheduler
+    /// finalised it.
+    #[derive(Clone, Debug, Default)]
+    pub struct EvalEntry, "type" = "eval", check = EvalEntry::check {
+        /// Experiment run index.
+        "run" => pub run: usize,
+        /// Generation whose batch contained the task.
+        "gen" => pub gen: usize,
+        /// Slot (task index) within the generation's batch.
+        "slot" => pub slot: usize,
+        /// Derived training seed (informational; replay never retrains).
+        "seed" => pub seed: u64,
+        /// The evaluated genome, bit-exact.
+        "genome" => pub genome: Vec<f64>,
+        /// How the evaluation ended.
+        "fault" => pub fault: FaultKind,
+        /// For [`FaultKind::Diverged`] with a structured sentinel abort: the
+        /// training step at which divergence was detected.
+        "fault_step" => pub fault_step: Option<usize>,
+        /// For [`FaultKind::Diverged`] with a structured sentinel abort: the
+        /// offending loss (may be non-finite).
+        "fault_loss" => pub fault_loss: Option<f64> as Option<MaybeInf>,
+        /// Objective values — present iff `fault == FaultKind::None`.
+        "objectives" => pub objectives: Option<Vec<f64>>,
+        /// Simulated minutes charged (timeouts charge the full limit).
+        "minutes" => pub minutes: f64,
+        /// Scheduler attempts consumed (1 = no retries).
+        "attempts" => pub attempts: u32,
+        /// Tail of the training curve (empty on failure).
+        "lcurve_tail" => pub lcurve_tail: Vec<LcurveRow>,
+        /// Steady-state arrival index this evaluation was consumed at — the
+        /// journaled arrival order that fully determines population and archive
+        /// bytes (DESIGN.md §12). `None` for generational entries, whose order
+        /// is already fixed by `(gen, slot)`; the key is omitted from the JSON
+        /// encoding so generational journal bytes are unchanged.
+        "arrival" => pub arrival: Option<usize> as Omitted<usize>,
+    }
 }
 
 impl EvalEntry {
@@ -731,92 +962,17 @@ impl EvalEntry {
         EvalOutcome { value: Err(fault), minutes: self.minutes }
     }
 
-    /// The record as journaled (the writer's byte order is this tree's
-    /// sorted keys).
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("type", Json::String("eval".into())),
-            ("run", Json::Number(self.run as f64)),
-            ("gen", Json::Number(self.gen as f64)),
-            ("slot", Json::Number(self.slot as f64)),
-            ("seed", hex_u64(self.seed)),
-            ("genome", numbers(&self.genome)),
-            ("fault", Json::String(self.fault.name().into())),
-            (
-                "fault_step",
-                self.fault_step.map_or(Json::Null, |s| Json::Number(s as f64)),
-            ),
-            (
-                "fault_loss",
-                self.fault_loss.map_or(Json::Null, json_of_f64_or_inf),
-            ),
-            (
-                "objectives",
-                match &self.objectives {
-                    Some(o) => numbers(o),
-                    None => Json::Null,
-                },
-            ),
-            ("minutes", Json::Number(self.minutes)),
-            ("attempts", Json::Number(self.attempts as f64)),
-            (
-                "lcurve_tail",
-                Json::Array(self.lcurve_tail.iter().map(lcurve_row_to_json).collect()),
-            ),
-        ];
-        // Generational entries omit the key entirely (not `null`) so their
-        // journal bytes predate-and-postdate this field identically.
-        if let Some(arrival) = self.arrival {
-            fields.push(("arrival", Json::Number(arrival as f64)));
-        }
-        Json::object(fields)
-    }
-
-    /// Decode an `eval` record.
-    pub fn read(r: &mut Reader<'_>) -> Result<Self, JournalError> {
-        read_fields!(r {
-            "type" => kind = tag(r, "eval")?,
-            "run" => run = uint(r, "run")?,
-            "gen" => gen = uint(r, "gen")?,
-            "slot" => slot = uint(r, "slot")?,
-            "seed" => seed = hex(r, "seed")?,
-            "genome" => genome = f64s(r)?,
-            "fault" => fault = FaultKind::parse(&r.str()?)?,
-            "fault_step" => fault_step = nullable(r, |r| uint(r, "fault_step"))?,
-            "fault_loss" => fault_loss = nullable(r, |r| f64_or_inf(r, "fault_loss"))?,
-            "objectives" => objectives = nullable(r, f64s)?,
-            "minutes" => minutes = r.f64()?,
-            "attempts" => attempts = uint(r, "attempts")?,
-            "lcurve_tail" => lcurve_tail = list(r, read_lcurve_row)?,
-            "arrival" => arrival = nullable(r, |r| uint(r, "arrival"))?,
-        });
-        need(kind, "type")?;
-        let fault = need(fault, "fault")?;
-        let objectives = objectives.flatten();
-        if fault == FaultKind::None && objectives.is_none() {
+    /// A success must carry its objectives.
+    fn check(&self) -> Result<(), JournalError> {
+        if self.fault == FaultKind::None && self.objectives.is_none() {
             return Err(JournalError::new("successful eval entry without objectives"));
         }
-        Ok(EvalEntry {
-            run: need(run, "run")?,
-            gen: need(gen, "gen")?,
-            slot: need(slot, "slot")?,
-            seed: need(seed, "seed")?,
-            genome: need(genome, "genome")?,
-            fault,
-            fault_step: fault_step.flatten(),
-            fault_loss: fault_loss.flatten(),
-            objectives,
-            minutes: need(minutes, "minutes")?,
-            attempts: u32::try_from(need(attempts, "attempts")?)
-                .map_err(|_| JournalError::new("field 'attempts' exceeds u32"))?,
-            lcurve_tail: need(lcurve_tail, "lcurve_tail")?,
-            arrival: arrival.flatten(),
-        })
+        Ok(())
     }
 }
 
 /// One generation boundary: everything needed to restore the EA mid-run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct GenEntry {
     /// Experiment run index.
     pub run: usize,
@@ -835,59 +991,17 @@ pub struct GenEntry {
     pub report: PoolReport,
 }
 
-impl GenEntry {
-    /// The record as journaled.
-    pub fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("type", Json::String("generation".into())),
-            ("run", Json::Number(self.run as f64)),
-            ("gen", Json::Number(self.record.generation as f64)),
-            ("failures", Json::Number(self.record.failures as f64)),
-            ("evaluations", Json::Number(self.evaluations as f64)),
-            ("std", numbers(&self.std)),
-            ("rng", rng_state_to_json(self.rng_state)),
-            (
-                "population",
-                Json::Array(self.record.population.iter().map(individual_to_json).collect()),
-            ),
-            (
-                "archive",
-                Json::Array(self.archive.iter().map(individual_to_json).collect()),
-            ),
-            ("report", report_to_json(&self.report)),
-        ])
-    }
-
-    /// Decode a `generation` record.
-    pub fn read(r: &mut Reader<'_>) -> Result<Self, JournalError> {
-        read_fields!(r {
-            "type" => kind = tag(r, "generation")?,
-            "run" => run = uint(r, "run")?,
-            "gen" => generation = uint(r, "gen")?,
-            "failures" => failures = uint(r, "failures")?,
-            "evaluations" => evaluations = uint(r, "evaluations")?,
-            "std" => std = f64s(r)?,
-            "rng" => rng_state = read_rng_state(r)?,
-            "population" => population = list(r, read_individual)?,
-            "archive" => archive = list(r, read_individual)?,
-            "report" => report = read_report(r)?,
-        });
-        need(kind, "type")?;
-        Ok(GenEntry {
-            run: need(run, "run")?,
-            record: GenerationRecord {
-                generation: need(generation, "gen")?,
-                failures: need(failures, "failures")?,
-                population: need(population, "population")?,
-            },
-            std: need(std, "std")?,
-            evaluations: need(evaluations, "evaluations")?,
-            rng_state: need(rng_state, "rng")?,
-            archive: need(archive, "archive")?,
-            report: need(report, "report")?,
-        })
-    }
-}
+record!(GenEntry, GenEntry::default, "type" = "generation", {
+    "run" => run: usize,
+    "gen" => record.generation: usize,
+    "failures" => record.failures: usize,
+    "evaluations" => evaluations: usize,
+    "std" => std: Vec<f64>,
+    "rng" => rng_state: [u64; 4],
+    "population" => record.population: Vec<Individual>,
+    "archive" => archive: Vec<Individual>,
+    "report" => report: PoolReport,
+});
 
 /// One closed steady-state epoch, journaled the moment it closes — the
 /// steady-state counterpart of a [`GenEntry`], minus what a steady run has
@@ -896,7 +1010,7 @@ impl GenEntry {
 /// per `(run, epoch)`: a resumed driver that re-closes a journaled epoch
 /// while replaying the arrival suffix skips it, as it skips journaled
 /// evaluations.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct EpochEntry {
     /// Experiment run index.
     pub run: usize,
@@ -909,300 +1023,66 @@ pub struct EpochEntry {
     pub status: GenStatus,
 }
 
-impl EpochEntry {
-    /// The record as journaled.
-    pub fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("type", Json::String("epoch".into())),
-            ("run", Json::Number(self.run as f64)),
-            ("gen", Json::Number(self.record.generation as f64)),
-            ("failures", Json::Number(self.record.failures as f64)),
-            (
-                "population",
-                Json::Array(self.record.population.iter().map(individual_to_json).collect()),
-            ),
-            ("report", report_to_json(&self.report)),
-            ("status", json_of_row(&self.status)),
-        ])
-    }
+record!(EpochEntry, EpochEntry::default, "type" = "epoch", {
+    "run" => run: usize,
+    "gen" => record.generation: usize,
+    "failures" => record.failures: usize,
+    "population" => record.population: Vec<Individual>,
+    "report" => report: PoolReport,
+    "status" => status: GenStatus,
+});
 
-    /// Decode an `epoch` record.
-    pub fn read(r: &mut Reader<'_>) -> Result<Self, JournalError> {
-        read_fields!(r {
-            "type" => kind = tag(r, "epoch")?,
-            "run" => run = uint(r, "run")?,
-            "gen" => generation = uint(r, "gen")?,
-            "failures" => failures = uint(r, "failures")?,
-            "population" => population = list(r, read_individual)?,
-            "report" => report = read_report(r)?,
-            "status" => status = read_status_row(r)?,
-        });
-        need(kind, "type")?;
-        Ok(EpochEntry {
-            run: need(run, "run")?,
-            record: GenerationRecord {
-                generation: need(generation, "gen")?,
-                failures: need(failures, "failures")?,
-                population: need(population, "population")?,
-            },
-            report: need(report, "report")?,
-            status: need(status, "status")?,
-        })
+record! {
+    /// One steady-state snapshot: the driver's live state at an epoch-window
+    /// boundary, from which a resume restores it without replaying the arrivals
+    /// before — O(window) instead of O(campaign). Together with the run's
+    /// [`EpochEntry`] records it is self-contained: the evaluation records
+    /// *before* the last snapshot are dead weight ([`compact`] drops them).
+    ///
+    /// Steady-state RNG needs no words here: every draw is a pure function of
+    /// `(run seed, arrival index)` (DESIGN.md §12), both of which the snapshot
+    /// carries. A snapshot can land mid-epoch (window boundaries are arrival
+    /// counts, not epoch boundaries), hence the partial per-epoch accumulators.
+    ///
+    /// `history`, `epoch_reports` and `status_rows` — one element per epoch
+    /// closed before the snapshot — are **not** part of the journaled record:
+    /// each epoch is journaled once, as its own [`EpochEntry`], and
+    /// [`Journal::load`] folds the first `arrivals / pop_size` of the run's into
+    /// these fields. [`SnapshotEntry::to_json`] ignores them and
+    /// [`SnapshotEntry::read`] leaves them empty.
+    #[derive(Clone, Debug, Default)]
+    pub struct SnapshotEntry, "type" = "snapshot" {
+        /// Experiment run index.
+        "run" => pub run: usize,
+        /// Arrivals consumed when the snapshot was taken (also its key).
+        "arrivals" => pub arrivals: usize,
+        /// Submissions issued so far (arrivals + in-flight + queued).
+        "submitted" => pub submitted: usize,
+        /// Mutation σ at the snapshot point.
+        "std" => pub std: Vec<f64>,
+        /// The steady population.
+        "population" => pub population: Vec<Individual>,
+        /// Bred-but-not-consumed individuals, with their submission indices —
+        /// the resubmission queue, in order.
+        "pending" => pub pending: Vec<(usize, Individual)>,
+        /// Pareto-archive members.
+        "archive" => pub archive: Vec<Individual>,
+        /// The slot accountant (cursors, loss/backoff tallies, epoch baseline).
+        "slots" => pub slots: StreamSlotsState,
+        /// Completed epoch records so far (folded in by [`Journal::load`]).
+        "history" => pub history: Vec<GenerationRecord> as Inline<GenerationRecord>,
+        /// Completed epochs' scheduler reports (folded in by [`Journal::load`]).
+        "epoch_reports" => pub epoch_reports: Vec<PoolReport> as Inline<PoolReport>,
+        /// MAXINT failures within the current (partial) epoch.
+        "epoch_failures" => pub epoch_failures: usize,
+        /// Archive churn within the current epoch: `(offered, added, evicted)`.
+        "epoch_churn" => pub epoch_churn: (usize, usize, usize),
+        /// Simulated-clock offset of the current epoch's start, minutes.
+        "epoch_sim_offset" => pub epoch_sim_offset: f64,
+        /// Status rows published for completed epochs (folded in by
+        /// [`Journal::load`]).
+        "status_rows" => pub status_rows: Vec<GenStatus> as Inline<GenStatus>,
     }
-}
-
-fn slots_state_to_json(s: &StreamSlotsState) -> Json {
-    Json::object(vec![
-        ("busy", numbers(&s.busy)),
-        ("lost", numbers(&s.lost)),
-        ("backoff", numbers(&s.backoff)),
-        ("deaths", Json::Number(s.deaths as f64)),
-        ("retried", Json::Number(s.retried as f64)),
-        ("diverged", Json::Number(s.diverged as f64)),
-        ("timeout", Json::Number(s.timeout as f64)),
-        ("cancelled", Json::Number(s.cancelled as f64)),
-        ("exhausted", Json::Number(s.exhausted as f64)),
-        ("base_busy", numbers(&s.baseline_busy)),
-        ("base_lost", numbers(&s.baseline_lost)),
-        ("base_backoff", numbers(&s.baseline_backoff)),
-        ("base_deaths", Json::Number(s.baseline_deaths as f64)),
-        ("base_retried", Json::Number(s.baseline_retried as f64)),
-        ("base_diverged", Json::Number(s.baseline_diverged as f64)),
-        ("base_timeout", Json::Number(s.baseline_timeout as f64)),
-        ("base_cancelled", Json::Number(s.baseline_cancelled as f64)),
-        ("base_exhausted", Json::Number(s.baseline_exhausted as f64)),
-    ])
-}
-
-fn read_slots_state(r: &mut Reader<'_>) -> Result<StreamSlotsState, JournalError> {
-    read_fields!(r {
-        "busy" => busy = f64s(r)?,
-        "lost" => lost = f64s(r)?,
-        "backoff" => backoff = f64s(r)?,
-        "deaths" => deaths = uint(r, "deaths")?,
-        "retried" => retried = uint(r, "retried")?,
-        "diverged" => diverged = uint(r, "diverged")?,
-        "timeout" => timeout = uint(r, "timeout")?,
-        "cancelled" => cancelled = uint(r, "cancelled")?,
-        "exhausted" => exhausted = uint(r, "exhausted")?,
-        "base_busy" => base_busy = f64s(r)?,
-        "base_lost" => base_lost = f64s(r)?,
-        "base_backoff" => base_backoff = f64s(r)?,
-        "base_deaths" => base_deaths = uint(r, "base_deaths")?,
-        "base_retried" => base_retried = uint(r, "base_retried")?,
-        "base_diverged" => base_diverged = uint(r, "base_diverged")?,
-        "base_timeout" => base_timeout = uint(r, "base_timeout")?,
-        "base_cancelled" => base_cancelled = uint(r, "base_cancelled")?,
-        "base_exhausted" => base_exhausted = uint(r, "base_exhausted")?,
-    });
-    Ok(StreamSlotsState {
-        busy: need(busy, "busy")?,
-        lost: need(lost, "lost")?,
-        backoff: need(backoff, "backoff")?,
-        deaths: need(deaths, "deaths")?,
-        retried: need(retried, "retried")?,
-        diverged: need(diverged, "diverged")?,
-        timeout: need(timeout, "timeout")?,
-        cancelled: need(cancelled, "cancelled")?,
-        exhausted: need(exhausted, "exhausted")?,
-        baseline_busy: need(base_busy, "base_busy")?,
-        baseline_lost: need(base_lost, "base_lost")?,
-        baseline_backoff: need(base_backoff, "base_backoff")?,
-        baseline_deaths: need(base_deaths, "base_deaths")?,
-        baseline_retried: need(base_retried, "base_retried")?,
-        baseline_diverged: need(base_diverged, "base_diverged")?,
-        baseline_timeout: need(base_timeout, "base_timeout")?,
-        baseline_cancelled: need(base_cancelled, "base_cancelled")?,
-        baseline_exhausted: need(base_exhausted, "base_exhausted")?,
-    })
-}
-
-/// One steady-state snapshot: the driver's live state at an epoch-window
-/// boundary, from which a resume restores it without replaying the arrivals
-/// before — O(window) instead of O(campaign). Together with the run's
-/// [`EpochEntry`] records it is self-contained: the evaluation records
-/// *before* the last snapshot are dead weight ([`compact`] drops them).
-///
-/// Steady-state RNG needs no words here: every draw is a pure function of
-/// `(run seed, arrival index)` (DESIGN.md §12), both of which the snapshot
-/// carries. A snapshot can land mid-epoch (window boundaries are arrival
-/// counts, not epoch boundaries), hence the partial per-epoch accumulators.
-///
-/// `history`, `epoch_reports` and `status_rows` — one element per epoch
-/// closed before the snapshot — are **not** part of the journaled record:
-/// each epoch is journaled once, as its own [`EpochEntry`], and
-/// [`Journal::load`] folds the first `arrivals / pop_size` of the run's into
-/// these fields. [`SnapshotEntry::to_json`] ignores them and
-/// [`SnapshotEntry::read`] leaves them empty.
-#[derive(Clone, Debug)]
-pub struct SnapshotEntry {
-    /// Experiment run index.
-    pub run: usize,
-    /// Arrivals consumed when the snapshot was taken (also its key).
-    pub arrivals: usize,
-    /// Submissions issued so far (arrivals + in-flight + queued).
-    pub submitted: usize,
-    /// Mutation σ at the snapshot point.
-    pub std: Vec<f64>,
-    /// The steady population.
-    pub population: Vec<Individual>,
-    /// Bred-but-not-consumed individuals, with their submission indices —
-    /// the resubmission queue, in order.
-    pub pending: Vec<(usize, Individual)>,
-    /// Pareto-archive members.
-    pub archive: Vec<Individual>,
-    /// The slot accountant (cursors, loss/backoff tallies, epoch baseline).
-    pub slots: StreamSlotsState,
-    /// Completed epoch records so far (folded in by [`Journal::load`]).
-    pub history: Vec<GenerationRecord>,
-    /// Completed epochs' scheduler reports (folded in by [`Journal::load`]).
-    pub epoch_reports: Vec<PoolReport>,
-    /// MAXINT failures within the current (partial) epoch.
-    pub epoch_failures: usize,
-    /// Archive churn within the current epoch: `(offered, added, evicted)`.
-    pub epoch_churn: (usize, usize, usize),
-    /// Simulated-clock offset of the current epoch's start, minutes.
-    pub epoch_sim_offset: f64,
-    /// Status rows published for completed epochs (folded in by
-    /// [`Journal::load`]).
-    pub status_rows: Vec<GenStatus>,
-}
-
-/// Snapshots of an older build repeated every closed epoch inline, under
-/// these keys. Reading one as if the arrays were merely absent would resume
-/// from an empty history, so it is refused by name instead.
-fn inline_epochs(key: &str) -> Result<(), JournalError> {
-    Err(JournalError::new(format!(
-        "snapshot carries inline '{key}': it was written by an older build, before epochs \
-         were journaled as records of their own"
-    )))
-}
-
-impl SnapshotEntry {
-    /// The record as journaled: live state only (see the type's docs).
-    pub fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("type", Json::String("snapshot".into())),
-            ("run", Json::Number(self.run as f64)),
-            ("arrivals", Json::Number(self.arrivals as f64)),
-            ("submitted", Json::Number(self.submitted as f64)),
-            ("std", numbers(&self.std)),
-            (
-                "population",
-                Json::Array(self.population.iter().map(individual_to_json).collect()),
-            ),
-            (
-                "pending",
-                Json::Array(
-                    self.pending
-                        .iter()
-                        .map(|(submission, ind)| {
-                            Json::Array(vec![
-                                Json::Number(*submission as f64),
-                                individual_to_json(ind),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "archive",
-                Json::Array(self.archive.iter().map(individual_to_json).collect()),
-            ),
-            ("slots", slots_state_to_json(&self.slots)),
-            ("epoch_failures", Json::Number(self.epoch_failures as f64)),
-            (
-                "epoch_churn",
-                numbers(&[
-                    self.epoch_churn.0 as f64,
-                    self.epoch_churn.1 as f64,
-                    self.epoch_churn.2 as f64,
-                ]),
-            ),
-            ("epoch_sim_offset", Json::Number(self.epoch_sim_offset)),
-        ])
-    }
-
-    /// Decode a `snapshot` record.
-    pub fn read(r: &mut Reader<'_>) -> Result<Self, JournalError> {
-        read_fields!(r {
-            "type" => kind = tag(r, "snapshot")?,
-            "run" => run = uint(r, "run")?,
-            "arrivals" => arrivals = uint(r, "arrivals")?,
-            "submitted" => submitted = uint(r, "submitted")?,
-            "std" => std = f64s(r)?,
-            "population" => population = list(r, read_individual)?,
-            "pending" => pending = list(r, read_pending)?,
-            "archive" => archive = list(r, read_individual)?,
-            "slots" => slots = read_slots_state(r)?,
-            "epoch_failures" => epoch_failures = uint(r, "epoch_failures")?,
-            "epoch_churn" => epoch_churn = f64s(r)?,
-            "epoch_sim_offset" => epoch_sim_offset = r.f64()?,
-            "history" => _history = inline_epochs("history")?,
-            "epoch_reports" => _epoch_reports = inline_epochs("epoch_reports")?,
-            "status_rows" => _status_rows = inline_epochs("status_rows")?,
-        });
-        need(kind, "type")?;
-        let [offered, added, evicted]: [f64; 3] = need(epoch_churn, "epoch_churn")?
-            .try_into()
-            .map_err(|_| JournalError::new("epoch_churn must be a 3-element array"))?;
-        Ok(SnapshotEntry {
-            run: need(run, "run")?,
-            arrivals: need(arrivals, "arrivals")?,
-            submitted: need(submitted, "submitted")?,
-            std: need(std, "std")?,
-            population: need(population, "population")?,
-            pending: need(pending, "pending")?,
-            archive: need(archive, "archive")?,
-            slots: need(slots, "slots")?,
-            history: Vec::new(),
-            epoch_reports: Vec::new(),
-            epoch_failures: need(epoch_failures, "epoch_failures")?,
-            epoch_churn: (
-                as_uint(offered, "epoch_churn")?,
-                as_uint(added, "epoch_churn")?,
-                as_uint(evicted, "epoch_churn")?,
-            ),
-            epoch_sim_offset: need(epoch_sim_offset, "epoch_sim_offset")?,
-            status_rows: Vec::new(),
-        })
-    }
-}
-
-/// One `[submission, individual]` pair of a snapshot's resubmission queue.
-fn read_pending(r: &mut Reader<'_>) -> Result<(usize, Individual), JournalError> {
-    let shape = || JournalError::new("pending entry must be a [submission, individual] pair");
-    r.begin_array()?;
-    if !r.next_element()? {
-        return Err(shape());
-    }
-    let submission = uint(r, "pending submission")?;
-    if !r.next_element()? {
-        return Err(shape());
-    }
-    let individual = read_individual(r)?;
-    if r.next_element()? {
-        return Err(shape());
-    }
-    Ok((submission, individual))
-}
-
-/// A status row shares its decoder with the status file
-/// ([`row_from_json`], tolerant by design), so it goes through a small
-/// tree — built here member by member so that a repeated key is still an
-/// error, as everywhere else in a record.
-fn read_status_row(r: &mut Reader<'_>) -> Result<GenStatus, JournalError> {
-    if r.peek() != Some(b'{') {
-        return Ok(row_from_json(&r.value()?));
-    }
-    let mut row = BTreeMap::new();
-    r.begin_object()?;
-    while let Some(key) = r.next_key()? {
-        if row.insert(key.into_owned(), r.value()?).is_some() {
-            return Err(JournalError::new("duplicate key in a status row"));
-        }
-    }
-    Ok(row_from_json(&Json::Object(row)))
 }
 
 // ---------------------------------------------------------------------------
@@ -1218,7 +1098,7 @@ pub fn config_fingerprint(config: &ExperimentConfig) -> u64 {
         ("n_runs", Json::Number(config.n_runs as f64)),
         ("pop_size", Json::Number(config.pop_size as f64)),
         ("generations", Json::Number(config.generations as f64)),
-        ("train", hex_u64(config.base_train_config.config_hash())),
+        ("train", u64::write(&config.base_train_config.config_hash())),
         (
             "gen",
             Json::object(vec![
@@ -1232,7 +1112,7 @@ pub fn config_fingerprint(config: &ExperimentConfig) -> u64 {
                 ("n_frames", Json::Number(g.n_frames as f64)),
             ]),
         ),
-        ("noise", numbers(&[config.label_noise.0, config.label_noise.1])),
+        ("noise", list::<f64>(&[config.label_noise.0, config.label_noise.1])),
         (
             "pool",
             Json::object(vec![
@@ -1248,7 +1128,7 @@ pub fn config_fingerprint(config: &ExperimentConfig) -> u64 {
             ]),
         ),
         ("fault_probability", Json::Number(config.fault_probability)),
-        ("master_seed", hex_u64(config.master_seed)),
+        ("master_seed", u64::write(&config.master_seed)),
     ];
     // The campaign mode changes every downstream byte (arrival-keyed RNG vs
     // generation-keyed RNG), so steady-state journals must never resume a
@@ -1261,16 +1141,40 @@ pub fn config_fingerprint(config: &ExperimentConfig) -> u64 {
     Json::object(fields).stable_hash()
 }
 
+record! {
+    /// The first record of every journal: the format version, the campaign's
+    /// fingerprint and its shape.
+    #[derive(Default)]
+    struct Header, "type" = "header", check = Header::supported {
+        "version" => version: usize,
+        "config" => fingerprint: u64,
+        "n_runs" => n_runs: usize,
+        "pop_size" => pop_size: usize,
+        "generations" => generations: usize,
+        "master_seed" => master_seed: u64,
+    }
+}
+
+impl Header {
+    /// This build reads only format version [`JOURNAL_VERSION`].
+    fn supported(&self) -> Result<(), JournalError> {
+        match self.version as u64 {
+            JOURNAL_VERSION => Ok(()),
+            v => Err(JournalError::new(format!("version {v} != supported {JOURNAL_VERSION}"))),
+        }
+    }
+}
+
 fn header_json(config: &ExperimentConfig) -> Json {
-    Json::object(vec![
-        ("type", Json::String("header".into())),
-        ("version", Json::Number(JOURNAL_VERSION as f64)),
-        ("config", hex_u64(config_fingerprint(config))),
-        ("n_runs", Json::Number(config.n_runs as f64)),
-        ("pop_size", Json::Number(config.pop_size as f64)),
-        ("generations", Json::Number(config.generations as f64)),
-        ("master_seed", hex_u64(config.master_seed)),
-    ])
+    let header = Header {
+        version: JOURNAL_VERSION as usize,
+        fingerprint: config_fingerprint(config),
+        n_runs: config.n_runs,
+        pop_size: config.pop_size,
+        generations: config.generations,
+        master_seed: config.master_seed,
+    };
+    header.to_json()
 }
 
 // ---------------------------------------------------------------------------
@@ -1446,7 +1350,7 @@ pub struct JournalSink {
 
 /// A decoded record, typed.
 enum ScannedRecord {
-    Header { fingerprint: u64, n_runs: usize, pop_size: usize, generations: usize },
+    Header(Header),
     Eval(EvalEntry),
     Generation(GenEntry),
     Epoch(EpochEntry),
@@ -1519,7 +1423,7 @@ fn scan_text<'a>(
 fn typed_record(payload: &str, first: bool) -> Result<ScannedRecord, JournalError> {
     let mut r = Reader::new(payload);
     let record = match &*record_type(payload)? {
-        "header" if first => read_header(&mut r)?,
+        "header" if first => ScannedRecord::Header(Header::read(&mut r)?),
         "header" => return Err(JournalError::new("header record after the first frame")),
         "eval" => ScannedRecord::Eval(EvalEntry::read(&mut r)?),
         "generation" => ScannedRecord::Generation(GenEntry::read(&mut r)?),
@@ -1560,30 +1464,6 @@ fn record_type(payload: &str) -> Result<std::borrow::Cow<'_, str>, JournalError>
         }
     }
     kind.ok_or_else(|| JournalError::new("record without a 'type'"))
-}
-
-fn read_header(r: &mut Reader<'_>) -> Result<ScannedRecord, JournalError> {
-    read_fields!(r {
-        "type" => kind = tag(r, "header")?,
-        "version" => version = uint(r, "version")?,
-        "config" => config = hex(r, "config")?,
-        "n_runs" => n_runs = uint(r, "n_runs")?,
-        "pop_size" => pop_size = uint(r, "pop_size")?,
-        "generations" => generations = uint(r, "generations")?,
-    });
-    need(kind, "type")?;
-    let version = need(version, "version")? as u64;
-    if version != JOURNAL_VERSION {
-        return Err(JournalError::new(format!(
-            "journal version {version} != supported {JOURNAL_VERSION}"
-        )));
-    }
-    Ok(ScannedRecord::Header {
-        fingerprint: need(config, "config")?,
-        n_runs: need(n_runs, "n_runs")?,
-        pop_size: need(pop_size, "pop_size")?,
-        generations: need(generations, "generations")?,
-    })
 }
 
 /// Read a file as UTF-8 text plus the offset of the first invalid byte, if
@@ -1640,38 +1520,21 @@ impl Journal {
             )));
         }
         let text = std::str::from_utf8(&bytes).expect("checked above");
-        let mut journal = Journal {
-            config_fingerprint: 0,
-            n_runs: 0,
-            pop_size: 0,
-            n_generations: 0,
-            evals: HashMap::new(),
-            generations: BTreeMap::new(),
-            epochs: BTreeMap::new(),
-            snapshots: BTreeMap::new(),
-            valid_len: 0,
-            frames: 0,
-        };
-        let mut has_header = false;
+        let (mut header, mut evals, mut generations) = (None, HashMap::new(), BTreeMap::new());
+        let (mut epochs, mut snapshots) = (BTreeMap::new(), BTreeMap::new());
         let end = scan_text(text, |frame| match frame.record {
-            ScannedRecord::Header { fingerprint, n_runs, pop_size, generations } => {
-                journal.config_fingerprint = fingerprint;
-                journal.n_runs = n_runs;
-                journal.pop_size = pop_size;
-                journal.n_generations = generations;
-                has_header = true;
-            }
+            ScannedRecord::Header(record) => header = Some(record),
             ScannedRecord::Eval(entry) => {
-                journal.evals.insert((entry.run, entry.gen, entry.slot), entry);
+                evals.insert((entry.run, entry.gen, entry.slot), entry);
             }
             ScannedRecord::Generation(entry) => {
-                journal.generations.insert((entry.run, entry.record.generation), entry);
+                generations.insert((entry.run, entry.record.generation), entry);
             }
             ScannedRecord::Epoch(entry) => {
-                journal.epochs.insert((entry.run, entry.record.generation), entry);
+                epochs.insert((entry.run, entry.record.generation), entry);
             }
             ScannedRecord::Snapshot(entry) => {
-                journal.snapshots.insert((entry.run, entry.arrivals), entry);
+                snapshots.insert((entry.run, entry.arrivals), entry);
             }
         })?;
         if let Some((offset, reason)) = &end.first_bad {
@@ -1681,20 +1544,17 @@ impl Journal {
                 path.display()
             )));
         }
-        if !has_header {
-            return Err(JournalError::new("journal has no header record"));
-        }
-        let pop_size = journal.pop_size;
+        let header = header.ok_or_else(|| JournalError::new("journal has no header record"))?;
         // Fold: a snapshot taken after `arrivals` arrivals stands on the
         // `arrivals / pop_size` epochs closed before it, each journaled once
         // as its own record (always ahead of the snapshot in the file).
-        for (&(run, arrivals), snapshot) in &mut journal.snapshots {
-            let closed = arrivals.checked_div(pop_size).ok_or_else(|| {
+        for (&(run, arrivals), snapshot) in &mut snapshots {
+            let closed = arrivals.checked_div(header.pop_size).ok_or_else(|| {
                 JournalError::new("snapshot in a journal whose header says pop_size 0")
             })?;
             let stands_on = (0..closed)
                 .map(|epoch| {
-                    journal.epochs.get(&(run, epoch)).ok_or_else(|| {
+                    epochs.get(&(run, epoch)).ok_or_else(|| {
                         JournalError::new(format!(
                             "{}: the snapshot of run {run} at {arrivals} arrivals stands on \
                              {closed} closed epochs, but the journal has no boundary record for \
@@ -1708,9 +1568,18 @@ impl Journal {
             snapshot.epoch_reports = stands_on.iter().map(|e| e.report.clone()).collect();
             snapshot.status_rows = stands_on.iter().map(|e| e.status.clone()).collect();
         }
-        journal.valid_len = end.valid_len;
-        journal.frames = end.frames;
-        Ok(journal)
+        Ok(Journal {
+            config_fingerprint: header.fingerprint,
+            n_runs: header.n_runs,
+            pop_size: header.pop_size,
+            n_generations: header.generations,
+            evals,
+            generations,
+            epochs,
+            snapshots,
+            valid_len: end.valid_len,
+            frames: end.frames,
+        })
     }
 
     /// The latest journaled snapshot of one run, if any.
@@ -1906,7 +1775,7 @@ pub fn verify(path: &Path) -> Result<VerifyReport, JournalError> {
     let text = std::str::from_utf8(&bytes[..text_len]).expect("prefix is valid UTF-8");
     let (mut evals, mut generations, mut snapshots, mut last_snapshot) = (0, 0, 0, None);
     let scan = scan_text(text, |frame| match frame.record {
-        ScannedRecord::Header { .. } => {}
+        ScannedRecord::Header(_) => {}
         ScannedRecord::Eval(_) => evals += 1,
         ScannedRecord::Generation(_) | ScannedRecord::Epoch(_) => generations += 1,
         ScannedRecord::Snapshot(s) => {
@@ -1964,7 +1833,7 @@ pub fn compact(path: &Path) -> Result<CompactReport, JournalError> {
     let mut frames: Vec<(Key, &str)> = Vec::new();
     let scan = scan_text(&text, |frame| {
         let key = match &frame.record {
-            ScannedRecord::Header { .. } => Key::Header,
+            ScannedRecord::Header(_) => Key::Header,
             ScannedRecord::Eval(e) => {
                 Key::Eval { run: e.run, gen: e.gen, slot: e.slot, arrival: e.arrival }
             }
@@ -2143,7 +2012,7 @@ mod tests {
         let back = reread(&rng_state_to_json(state), read_rng_state).unwrap();
         assert_eq!(back, state);
         assert!(reread(&rng_state_to_json([1, 2, 3, 4]), read_rng_state).is_ok());
-        let zero = Json::Array((0..4).map(|_| hex_u64(0)).collect());
+        let zero = rng_state_to_json([0; 4]);
         assert!(reread(&zero, read_rng_state).is_err());
     }
 
@@ -2925,7 +2794,7 @@ mod tests {
         }
         // (record, what the writer wrote, what a damaged file says instead,
         //  what the error must name)
-        let cases: [(&str, &str, &str, &str); 31] = [
+        let cases: [(&str, &str, &str, &str); 35] = [
             // (a) A literal that overflows f64 is not an infinity.
             (&eval, "\"minutes\":0.1", "\"minutes\":1e999", "out of range"),
             (&eval, "\"genome\":[1,2]", "\"genome\":[1,-1e999]", "out of range"),
@@ -2950,6 +2819,11 @@ mod tests {
             (&snapshot, "\"pending\":[[9,", "\"pending\":[[9.5,", "'pending submission'"),
             (&epoch, "\"gen\":3", "\"gen\":3.5", "'gen'"),
             (&epoch, "\"deaths\":4", "\"deaths\":-4", "'deaths'"),
+            // ...and so is every field of an epoch's status row.
+            (&epoch, "\"status\":{", "\"status\":5,\"later\":{", "'status'"),
+            (&epoch, "\"hypervolume\":0.005,", "", "missing field 'hypervolume'"),
+            (&epoch, "\"deaths\":0", "\"deaths\":-4", "'deaths'"),
+            (&epoch, "\"evicted\":0", "\"evicted\":0.5", "'evicted'"),
             // (c) No key twice — at any level of a record.
             (&eval, "\"run\":0", "\"run\":0,\"run\":0", "duplicate key 'run'"),
             (&eval, ",\"type\":\"eval\"", ",\"type\":\"eval\",\"type\":\"eval\"", "key 'type'"),

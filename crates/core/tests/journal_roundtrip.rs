@@ -186,19 +186,35 @@ fn wild_generation() -> impl Strategy<Value = GenEntry> {
 }
 
 /// Epoch boundary records: a generation record, its scheduler report and
-/// its status row.
+/// its status row — every field of the row drawn on its own, so a key read
+/// into the wrong field shows.
 fn wild_epoch() -> impl Strategy<Value = EpochEntry> {
-    (0usize..5, wild_generation_record(), wild_report(), (wild_f64(), 0usize..900)).prop_map(
-        |(run, record, report, (hypervolume, evaluations))| EpochEntry {
+    let row = (prop::collection::vec(0usize..900, 12), prop::collection::vec(wild_f64(), 9));
+    (0usize..5, wild_generation_record(), wild_report(), row).prop_map(
+        |(run, record, report, (n, x))| EpochEntry {
             run,
             status: GenStatus {
-                generation: record.generation,
-                evaluations,
-                failures: record.failures,
-                hypervolume: hypervolume.abs(),
-                makespan_minutes: report.makespan_minutes,
-                deaths: report.worker_deaths,
-                ..GenStatus::default()
+                generation: n[0],
+                evaluations: n[1],
+                failures: n[2],
+                cardinality: n[3],
+                added: n[4],
+                evicted: n[5],
+                deaths: n[6],
+                retried: n[7],
+                diverged: n[8],
+                timeout: n[9],
+                cancelled: n[10],
+                exhausted: n[11],
+                hypervolume: x[0],
+                spread: x[1],
+                makespan_minutes: x[2],
+                wall_minutes: x[3],
+                busy_minutes: x[4],
+                idle_minutes: x[5],
+                backoff_minutes: x[6],
+                lost_death_minutes: x[7],
+                utilization_pct: x[8],
             },
             record,
             report,
@@ -206,9 +222,10 @@ fn wild_epoch() -> impl Strategy<Value = EpochEntry> {
     )
 }
 
-/// Snapshots with an empty or a populated resubmission queue (`pending`).
-/// The per-epoch history is not part of the journaled record (`load` folds
-/// it in from the epoch records), so it is left empty here.
+/// Snapshots with an empty or a populated resubmission queue (`pending`), and
+/// every field of the slot accountant drawn on its own. The per-epoch
+/// history is not part of the journaled record (`load` folds it in from the
+/// epoch records), so it is left empty here.
 fn wild_snapshot() -> impl Strategy<Value = SnapshotEntry> {
     let people = (
         prop::collection::vec(wild_individual(), 0..3),
@@ -217,13 +234,14 @@ fn wild_snapshot() -> impl Strategy<Value = SnapshotEntry> {
     );
     let counts = (0usize..5, 0usize..900, 0usize..900, 0usize..7);
     let churn = (0usize..9, 0usize..9, 0usize..9);
-    (counts, wild_vec(7), people, churn, (wild_vec(2), wild_f64())).prop_map(
+    let slots = (prop::collection::vec(wild_vec(2), 6), prop::collection::vec(0usize..900, 12));
+    (counts, wild_vec(7), people, churn, (slots, wild_f64())).prop_map(
         |(
             (run, arrivals, submitted, epoch_failures),
             std,
             (population, pending, archive),
             epoch_churn,
-            (slot_minutes, epoch_sim_offset),
+            ((minutes, n), epoch_sim_offset),
         )| SnapshotEntry {
             run,
             arrivals,
@@ -233,24 +251,24 @@ fn wild_snapshot() -> impl Strategy<Value = SnapshotEntry> {
             pending,
             archive,
             slots: StreamSlotsState {
-                busy: slot_minutes.clone(),
-                lost: slot_minutes.clone(),
-                backoff: slot_minutes.clone(),
-                deaths: epoch_churn.0,
-                retried: epoch_churn.1,
-                diverged: epoch_churn.2,
-                timeout: epoch_failures,
-                cancelled: run,
-                exhausted: 1,
-                baseline_busy: slot_minutes.clone(),
-                baseline_lost: slot_minutes.clone(),
-                baseline_backoff: slot_minutes,
-                baseline_deaths: epoch_churn.2,
-                baseline_retried: epoch_churn.0,
-                baseline_diverged: epoch_churn.1,
-                baseline_timeout: 2,
-                baseline_cancelled: 0,
-                baseline_exhausted: 3,
+                busy: minutes[0].clone(),
+                lost: minutes[1].clone(),
+                backoff: minutes[2].clone(),
+                deaths: n[0],
+                retried: n[1],
+                diverged: n[2],
+                timeout: n[3],
+                cancelled: n[4],
+                exhausted: n[5],
+                baseline_busy: minutes[3].clone(),
+                baseline_lost: minutes[4].clone(),
+                baseline_backoff: minutes[5].clone(),
+                baseline_deaths: n[6],
+                baseline_retried: n[7],
+                baseline_diverged: n[8],
+                baseline_timeout: n[9],
+                baseline_cancelled: n[10],
+                baseline_exhausted: n[11],
             },
             history: Vec::new(),
             epoch_reports: Vec::new(),

@@ -24,7 +24,6 @@ pub mod activation;
 pub mod config;
 pub mod deploy;
 pub mod descriptor;
-pub mod json;
 pub mod lcurve;
 pub mod loss;
 pub mod lr;
@@ -37,6 +36,7 @@ pub use config::{LrScaling, TrainConfig};
 pub use descriptor::{
     switching_scalar, switching_scalar_deriv, DescriptorStats, FrameCache, FramePairs,
 };
+pub use dphpo_obs::json;
 pub use json::Json;
 pub use lcurve::{Lcurve, LcurveRow};
 pub use model::{forward_cached, forward_frame, DnnpModel};

@@ -75,7 +75,7 @@ impl Nsga2Config {
 }
 
 /// One generation's population snapshot.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct GenerationRecord {
     /// Generation number; 0 is the random initial population.
     pub generation: usize,

@@ -5,7 +5,7 @@
 //! simulated-clock placement. Timestamps are simulated minutes scaled to
 //! microseconds, so one trace minute renders as one real-looking minute.
 
-use crate::json::{escape, fmt_num};
+use crate::json::Json;
 use crate::names;
 use crate::recorder::{TelemetrySnapshot, When, NO_TASK};
 use std::collections::BTreeMap;
@@ -83,16 +83,16 @@ impl TraceEvent {
     fn to_json(&self) -> String {
         let mut s = String::with_capacity(128);
         s.push('{');
-        s.push_str(&format!("\"name\":\"{}\"", escape(&self.name)));
+        s.push_str(&format!("\"name\":{}", Json::String(self.name.clone())));
         if !self.cat.is_empty() {
-            s.push_str(&format!(",\"cat\":\"{}\"", escape(&self.cat)));
+            s.push_str(&format!(",\"cat\":{}", Json::String(self.cat.clone())));
         }
         s.push_str(&format!(",\"ph\":\"{}\"", self.ph));
         if self.ph != 'M' {
-            s.push_str(&format!(",\"ts\":{}", fmt_num(self.ts_us)));
+            s.push_str(&format!(",\"ts\":{}", Json::Number(self.ts_us)));
         }
         if self.ph == 'X' {
-            s.push_str(&format!(",\"dur\":{}", fmt_num(self.dur_us)));
+            s.push_str(&format!(",\"dur\":{}", Json::Number(self.dur_us)));
         }
         if self.ph == 'i' {
             // Instant scope: thread-local tick.
@@ -105,10 +105,11 @@ impl TraceEvent {
                 if i > 0 {
                     s.push(',');
                 }
-                match v {
-                    Arg::Num(n) => s.push_str(&format!("\"{}\":{}", escape(k), fmt_num(*n))),
-                    Arg::Str(t) => s.push_str(&format!("\"{}\":\"{}\"", escape(k), escape(t))),
-                }
+                let value = match v {
+                    Arg::Num(n) => Json::Number(*n),
+                    Arg::Str(t) => Json::String(t.clone()),
+                };
+                s.push_str(&format!("{}:{value}", Json::String(k.clone())));
             }
             s.push('}');
         }

@@ -1,15 +1,15 @@
 //! JSONL export: one line per event, followed by one line per metric.
 
-use crate::json::{escape, fmt_num};
+use crate::json::Json;
 use crate::names::SIDE_PREFIX;
 use crate::recorder::{Event, TelemetrySnapshot, When, NO_TASK};
 
 fn event_line(e: &Event) -> String {
     let mut s = String::with_capacity(160);
     s.push_str(&format!(
-        "{{\"type\":\"event\",\"name\":\"{}\",\"cat\":\"{}\",\"id\":\"{:#018x}\",\"run\":{},\"gen\":{}",
-        escape(e.name),
-        escape(e.cat),
+        "{{\"type\":\"event\",\"name\":{},\"cat\":{},\"id\":\"{:#018x}\",\"run\":{},\"gen\":{}",
+        Json::String(e.name.into()),
+        Json::String(e.cat.into()),
         e.span_id(),
         e.ctx.run,
         e.ctx.gen
@@ -21,12 +21,14 @@ fn event_line(e: &Event) -> String {
         s.push_str(&format!(",\"step\":{step}"));
     }
     match e.when {
-        When::Sim(t) => s.push_str(&format!(",\"when\":\"sim\",\"t_min\":{}", fmt_num(t))),
-        When::InTask(t) => s.push_str(&format!(",\"when\":\"in_task\",\"t_min\":{}", fmt_num(t))),
+        When::Sim(t) => s.push_str(&format!(",\"when\":\"sim\",\"t_min\":{}", Json::Number(t))),
+        When::InTask(t) => {
+            s.push_str(&format!(",\"when\":\"in_task\",\"t_min\":{}", Json::Number(t)))
+        }
         When::Unplaced => s.push_str(",\"when\":\"unplaced\""),
     }
     if e.dur_min > 0.0 {
-        s.push_str(&format!(",\"dur_min\":{}", fmt_num(e.dur_min)));
+        s.push_str(&format!(",\"dur_min\":{}", Json::Number(e.dur_min)));
     }
     if let Some(w) = e.worker {
         s.push_str(&format!(",\"worker\":{w}"));
@@ -37,7 +39,7 @@ fn event_line(e: &Event) -> String {
             if i > 0 {
                 s.push(',');
             }
-            s.push_str(&format!("\"{}\":{}", escape(k), fmt_num(*v)));
+            s.push_str(&format!("{}:{}", Json::String((*k).into()), Json::Number(*v)));
         }
         s.push('}');
     }
@@ -66,16 +68,16 @@ pub fn events_jsonl(snap: &TelemetrySnapshot) -> String {
         if name.starts_with(SIDE_PREFIX) {
             continue;
         }
-        out.push_str(&format!("{{\"type\":\"counter\",\"name\":\"{}\",\"value\":{v}}}\n", escape(name)));
+        out.push_str(&counter_line(name, *v));
     }
     for (name, g) in &snap.gauges {
         if name.starts_with(SIDE_PREFIX) {
             continue;
         }
         out.push_str(&format!(
-            "{{\"type\":\"gauge\",\"name\":\"{}\",\"max\":{}}}\n",
-            escape(name),
-            fmt_num(g.max)
+            "{{\"type\":\"gauge\",\"name\":{},\"max\":{}}}\n",
+            Json::String(name.clone()),
+            Json::Number(g.max)
         ));
     }
     for (name, h) in &snap.histograms {
@@ -87,16 +89,20 @@ pub fn events_jsonl(snap: &TelemetrySnapshot) -> String {
     out
 }
 
+fn counter_line(name: &str, value: u64) -> String {
+    format!("{{\"type\":\"counter\",\"name\":{},\"value\":{value}}}\n", Json::String(name.into()))
+}
+
 fn hist_line(name: &str, h: &crate::metrics::HistogramSnapshot) -> String {
     let buckets: Vec<String> =
-        h.buckets.iter().map(|(lo, c)| format!("[{},{c}]", fmt_num(*lo))).collect();
+        h.buckets.iter().map(|(lo, c)| format!("[{},{c}]", Json::Number(*lo))).collect();
     format!(
-        "{{\"type\":\"hist\",\"name\":\"{}\",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[{}]}}\n",
-        escape(name),
+        "{{\"type\":\"hist\",\"name\":{},\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[{}]}}\n",
+        Json::String(name.into()),
         h.count,
-        fmt_num(h.sum),
-        fmt_num(h.min),
-        fmt_num(h.max),
+        Json::Number(h.sum),
+        Json::Number(h.min),
+        Json::Number(h.max),
         buckets.join(",")
     )
 }
@@ -122,29 +128,29 @@ pub fn side_channel_jsonl(snap: &TelemetrySnapshot) -> String {
     for (e, wall) in snap.events.iter().zip(&snap.wall_us) {
         if let Some(us) = wall {
             out.push_str(&format!(
-                "{{\"type\":\"wall\",\"id\":\"{:#018x}\",\"name\":\"{}\",\"wall_us\":{us}}}\n",
+                "{{\"type\":\"wall\",\"id\":\"{:#018x}\",\"name\":{},\"wall_us\":{us}}}\n",
                 e.span_id(),
-                escape(e.name)
+                Json::String(e.name.into())
             ));
         }
     }
     for (name, v) in &snap.counters {
         if name.starts_with(SIDE_PREFIX) {
-            out.push_str(&format!("{{\"type\":\"counter\",\"name\":\"{}\",\"value\":{v}}}\n", escape(name)));
+            out.push_str(&counter_line(name, *v));
         }
     }
     for (name, g) in &snap.gauges {
         // `side.*` gauges appear nowhere else, so theirs is the whole line;
         // the others' `max` is in the deterministic export.
         let max = if name.starts_with(SIDE_PREFIX) {
-            format!(",\"max\":{}", fmt_num(g.max))
+            format!(",\"max\":{}", Json::Number(g.max))
         } else {
             String::new()
         };
         out.push_str(&format!(
-            "{{\"type\":\"gauge\",\"name\":\"{}\",\"last\":{}{max}}}\n",
-            escape(name),
-            fmt_num(g.last)
+            "{{\"type\":\"gauge\",\"name\":{},\"last\":{}{max}}}\n",
+            Json::String(name.clone()),
+            Json::Number(g.last)
         ));
     }
     for (name, h) in &snap.histograms {
@@ -165,19 +171,19 @@ pub fn side_channel_jsonl(snap: &TelemetrySnapshot) -> String {
     }
     for (name, (count, first, last)) in &stamps {
         out.push_str(&format!(
-            "{{\"type\":\"summary\",\"kind\":\"wall_stamps\",\"name\":\"{}\",\"count\":{count},\"first_us\":{first},\"last_us\":{last}}}\n",
-            escape(name)
+            "{{\"type\":\"summary\",\"kind\":\"wall_stamps\",\"name\":{},\"count\":{count},\"first_us\":{first},\"last_us\":{last}}}\n",
+            Json::String((*name).into())
         ));
     }
     for (name, h) in &snap.histograms {
         if name.starts_with(SIDE_PREFIX) {
             out.push_str(&format!(
-                "{{\"type\":\"summary\",\"kind\":\"hist\",\"name\":\"{}\",\"count\":{},\"total\":{},\"p50\":{},\"p99\":{}}}\n",
-                escape(name),
+                "{{\"type\":\"summary\",\"kind\":\"hist\",\"name\":{},\"count\":{},\"total\":{},\"p50\":{},\"p99\":{}}}\n",
+                Json::String(name.clone()),
                 h.count,
-                fmt_num(h.sum),
-                fmt_num(h.quantile(0.5)),
-                fmt_num(h.quantile(0.99))
+                Json::Number(h.sum),
+                Json::Number(h.quantile(0.5)),
+                Json::Number(h.quantile(0.99))
             ));
         }
     }

@@ -19,18 +19,19 @@
 //! Exporters: [`chrome::from_snapshot`] + [`chrome::render`] produce Chrome
 //! `trace_event` JSON loadable in Perfetto, [`export::events_jsonl`] a line
 //! oriented event/metric log, and [`rollup::generation_rollup`] a text table
-//! appended to the fig1 report.
+//! appended to the fig1 report. Both JSON exporters write their numbers and
+//! strings through [`json`], the repository's one JSON codec, which lives
+//! here because this crate is the leaf every other layer depends on.
 
 #![warn(missing_docs)]
 
 pub mod chrome;
 pub mod export;
+pub mod json;
 pub mod metrics;
 pub mod profile;
 pub mod recorder;
 pub mod rollup;
-
-mod json;
 
 pub use metrics::{GaugeValue, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
 pub use recorder::{

@@ -9,7 +9,7 @@
 //! * `inclusive == fsum(self, children inclusives)` **bitwise**, enforced
 //!   by construction: [`ProfileNode::branch`] computes the inclusive total
 //!   with the exact (Shewchuk) accumulator, so the identity holds for every
-//!   node regardless of how the tree was assembled or merged.
+//!   node regardless of how the tree was assembled.
 //! * Children are keyed and ordered by name (lexicographic), so the tree —
 //!   and the `.folded` / markdown renderings derived from it — is
 //!   independent of the order it was assembled in.
@@ -19,8 +19,6 @@
 //! children do not account for, and can be slightly negative; the JSON keeps
 //! the signed value (it is diagnostic), the `.folded` export drops it because
 //! collapsed-stack counts are unsigned.
-
-use std::collections::BTreeMap;
 
 use crate::chrome::US_PER_MIN;
 use crate::metrics::ExactSum;
@@ -72,22 +70,6 @@ impl ProfileNode {
     pub fn size(&self) -> usize {
         1 + self.children.iter().map(ProfileNode::size).sum::<usize>()
     }
-}
-
-/// Merge same-named subtrees: counts add, self times fold exactly, and
-/// children are merged recursively by name.
-pub fn merge(name: &str, nodes: &[&ProfileNode]) -> ProfileNode {
-    let count = nodes.iter().map(|n| n.count).sum();
-    let mut self_sum = ExactSum::default();
-    let mut by_name: BTreeMap<&str, Vec<&ProfileNode>> = BTreeMap::new();
-    for n in nodes {
-        self_sum.add(n.self_min);
-        for c in &n.children {
-            by_name.entry(&c.name).or_default().push(c);
-        }
-    }
-    let children = by_name.into_iter().map(|(k, group)| merge(k, &group)).collect();
-    ProfileNode::branch(name, count, self_sum.value(), children)
 }
 
 /// Sanitize a frame name for the collapsed-stack format: the separator is
@@ -204,19 +186,6 @@ mod tests {
         // Zero and negative self times have no line.
         assert!(!out.contains("busy -") && !out.contains("gen0 "), "{out}");
         assert_eq!(out.lines().count(), 3);
-    }
-
-    #[test]
-    fn merge_folds_same_named_children_exactly() {
-        let a = ProfileNode::branch("gen0", 1, 0.0, vec![ProfileNode::leaf("busy", 2, 3.0)]);
-        let b = ProfileNode::branch("gen1", 1, 0.0, vec![ProfileNode::leaf("busy", 1, 4.0)]);
-        let m = merge("all", &[&a, &b]);
-        assert_eq!(m.count, 2);
-        assert_eq!(m.children.len(), 1);
-        assert_eq!(m.children[0].count, 3);
-        assert_eq!(m.children[0].inclusive_min, 7.0);
-        assert_eq!(m.inclusive_min, 7.0);
-        assert_eq!(m, merge("all", &[&b, &a]));
     }
 
     #[test]

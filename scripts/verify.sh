@@ -17,7 +17,11 @@
 #                                    and the options census (fig1 flags,
 #                                    `env::var` reads under crates/*/src, pub
 #                                    fields of ExperimentConfig + PoolConfig)
-#                                    is the line DESIGN.md §3.7 states
+#                                    is the line DESIGN.md §3.7 states; and
+#                                    every key a `record!` declaration in
+#                                    core::journal / core::campaign_report
+#                                    names is documented in DESIGN.md §7.1
+#                                    or §13
 #   6. chaos stress                — the journal crash/resume chaos suites
 #                                    (generational and steady-state) and the
 #                                    latch-forced work-conservation suites
@@ -72,8 +76,9 @@
 #                                    crowding, truncation, archive and `tell`
 #                                    vs O(n²) textbook definitions on fronts
 #                                    with ties, duplicates, MAXINT and ±inf;
-#                                    every prefix and bit flip of input.json
-#                                    and lcurve.out through their readers
+#                                    every prefix and bit flip of input.json,
+#                                    lcurve.out and campaign_status.json
+#                                    through their readers
 #  11. benchmark package           — benchmark/ is its own workspace, so the
 #                                    stages above never compile it: build and
 #                                    test it against this tree (a removed
@@ -207,6 +212,30 @@ if ! grep -qxF "${census}" DESIGN.md; then
     grep -n '^fig1 flags [0-9]' DESIGN.md >&2 || echo "    (no census line)" >&2
     missing=1
 fi
+# Persisted keys: each record is declared once (`record!` in journal.rs and
+# campaign_report.rs), so its keys are enumerable; every one must be named,
+# in backticks, in the schema sections DESIGN.md §7.1 and §13.
+echo "    doc-sync: every declared record key is in DESIGN.md §7.1 / §13"
+declared_keys="$(awk '/^record!/ { on = 1 }
+    on { line = $0
+         while (match(line, /"[a-z_]+" (=>|= )/)) {
+             key = substr(line, RSTART + 1, RLENGTH); sub(/".*/, "", key); print key
+             line = substr(line, RSTART + RLENGTH) } }
+    on && /^}\)?;?$/ { on = 0 }' crates/core/src/journal.rs crates/core/src/campaign_report.rs \
+    | sort -u)"
+if [[ -z "${declared_keys}" ]]; then
+    echo "    NO KEYS: found no record! declaration to check" >&2
+    missing=1
+fi
+schema_docs="$(awk '/^### 7\.1 /{on=1} /^### 7\.2 /{on=0} /^## 13\. /{on=1} /^## 14\. /{on=0} on' \
+    DESIGN.md)"
+for key in ${declared_keys}; do
+    if ! grep -qF -- "\`${key}\`" <<<"${schema_docs}"; then
+        echo "    UNDOCUMENTED KEY: DESIGN.md §7.1 / §13 never names \`${key}\`" >&2
+        missing=1
+    fi
+done
+echo "    checked $(grep -c . <<<"${declared_keys}") declared keys"
 if [[ ${missing} -ne 0 ]]; then
     echo "verify: FAILED (doc-sync)" >&2
     exit 1
@@ -245,9 +274,10 @@ cargo test -q -p dphpo-core --test profile_props
 echo "==> [10/12] oracle suite (release): finite differences and unfused references"
 cargo test -q --release -p dphpo-dnnp --test oracle
 cargo test -q --release -p dphpo-autograd --test fused_ops
-echo "    EA building blocks vs O(n^2) textbook definitions; input.json / lcurve byte sweeps"
+echo "    EA building blocks vs O(n^2) textbook definitions; input.json / lcurve / status byte sweeps"
 cargo test -q --release -p dphpo-evo --test definitional_oracles
 cargo test -q --release -p dphpo-dnnp --test input_readers
+cargo test -q --release -p dphpo-core --test status_reader
 
 echo "==> [11/12] benchmark package: tests and smoke pass against this tree"
 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
