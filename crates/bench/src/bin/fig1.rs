@@ -1,7 +1,8 @@
 //! Regenerates **Figure 1**: energy-vs-force loss level plots per
 //! generation over the five independent EA runs, plus the §3.1/§3.2
-//! accounting (total trainings, failures per generation, grid-search
-//! comparison).
+//! accounting (total trainings, grid-search comparison, total failures and
+//! failures in the final generation; the per-generation breakdown is in
+//! `campaign_report.md`).
 //!
 //! This is the binary that *runs the experiment*. Pass `--smoke` for a fast
 //! test-scale run.
@@ -33,16 +34,18 @@
 //!
 //! * **always**, next to the journal and as pure functions of it (so a
 //!   killed-and-resumed campaign ends with the same bytes): the live
-//!   `campaign_status.json`, rewritten atomically at every boundary,
-//!   `campaign_report.md`, `campaign_counters.trace.json` (Perfetto counter
-//!   tracks on the simulated clock), `fig1_levels.csv`, `fig1_report.txt`;
+//!   `campaign_status.json`, rewritten atomically at every boundary, and
+//!   everything rendered from its rows — `campaign_report.md` (every
+//!   per-generation table), `campaign_counters.trace.json` (Perfetto counter
+//!   tracks on the simulated clock) — plus `fig1_levels.csv` and
+//!   `fig1_report.txt`;
 //! * **with `--observe <dir>`**, in `<dir>` (created before the journal is):
 //!   a live wall-clock recorder's `trace.json` (Chrome `trace_event`),
 //!   `events.jsonl` and `events.side.jsonl`, and the deterministic
 //!   profiler's `profile.json` / `profile.folded`, rewritten at every
-//!   boundary; the telemetry rollup, the "where the microsecond goes"
-//!   attribution table and the tape step budget are appended to the reports.
-//!   Observing changes no other byte (DESIGN.md §14).
+//!   boundary; the "where the microsecond goes" attribution table and the
+//!   tape step budget are appended to `campaign_report.md`. Observing
+//!   changes no other byte (DESIGN.md §14).
 //!
 //! An artifact that cannot be written is reported, the rest are still
 //! written, and the process exits 1 — after the campaign, whose journal is
@@ -54,10 +57,10 @@ use std::sync::Arc;
 use dphpo_bench::harness::{
     self, exit_if_writes_failed, experiment_scale, run_and_report, write_artifact, write_file,
 };
-use dphpo_core::analysis::{ascii_level_plot, failure_breakdown_table, level_plot_csv};
-use dphpo_core::campaign_report::{counter_trace_json, markdown_report, REFERENCE_POINT};
+use dphpo_core::analysis::{ascii_level_plot, level_plot_csv};
+use dphpo_core::campaign_report::{counter_trace_json, markdown_report, SlotTotals, REFERENCE_POINT};
 use dphpo_core::experiment::{Campaign, CampaignMode, ExperimentConfig, ExperimentResult};
-use dphpo_obs::{chrome, export, rollup, MemoryRecorder, Recorder};
+use dphpo_obs::{chrome, export, MemoryRecorder, Recorder};
 
 /// Every flag `fig1` understands: `(name, takes a path argument, help)`.
 /// `--list-flags` prints the names one per line; `scripts/verify.sh` holds
@@ -69,7 +72,7 @@ const FLAGS: &[(&str, bool, &str)] = &[
     ("--steady-state", false, "asynchronous steady-state campaign (steady_* artifacts)"),
     ("--compare-modes", false, "run both campaign modes at the same scale and seed, write results/mode_comparison.md, exit"),
     ("--resume", true, "replay a write-ahead journal and continue bit-identically"),
-    ("--observe", true, "attach the wall-clock recorder and the profiler: trace.json, events.jsonl, events.side.jsonl, profile.json, profile.folded in a directory, rollup and attribution tables in the reports"),
+    ("--observe", true, "attach the wall-clock recorder and the profiler: trace.json, events.jsonl, events.side.jsonl, profile.json, profile.folded in a directory, attribution tables in the campaign report"),
     ("--verify-journal", true, "offline journal integrity check (frames, last snapshot, first corrupt offset); exit nonzero on damage"),
     ("--compact", true, "rewrite a journal to its boundary records plus what no boundary covers yet (steady-state: the last snapshot and the arrival suffix; generational: the unfinished generation)"),
     ("--list-flags", false, "print every known flag, one per line, and exit"),
@@ -105,48 +108,18 @@ fn parse_flags() -> Vec<(&'static str, Option<PathBuf>)> {
     passed
 }
 
-/// Simulated-clock totals of one campaign, summed over every run and every
-/// generation/epoch of its pool reports.
-struct ModeTotals {
-    evaluations: usize,
-    wall: f64,
-    busy: f64,
-    idle: f64,
-    lost: f64,
-    backoff: f64,
-    utilization: f64,
-    hypervolume: f64,
-}
-
-fn mode_totals(result: &ExperimentResult) -> ModeTotals {
-    let (mut wall, mut busy, mut idle, mut lost, mut backoff) = (0.0, 0.0, 0.0, 0.0, 0.0);
-    for r in result.pool_reports.iter().flatten() {
-        wall += r.wall_minutes;
-        busy += r.busy_minutes.iter().sum::<f64>();
-        idle += r.idle_minutes.iter().sum::<f64>();
-        lost += r.lost_death_minutes.iter().sum::<f64>();
-        backoff += r.backoff_slot_minutes.iter().sum::<f64>();
-    }
-    let capacity = wall * result.config.pool.n_workers as f64;
+/// Mean over runs of the archive hypervolume at each run's last boundary.
+fn mean_final_hypervolume(result: &ExperimentResult) -> f64 {
     let finals: Vec<f64> = result
         .status
         .runs
         .iter()
         .filter_map(|r| r.generations.last().map(|g| g.hypervolume))
         .collect();
-    ModeTotals {
-        evaluations: result.total_evaluations(),
-        wall,
-        busy,
-        idle,
-        lost,
-        backoff,
-        utilization: if capacity > 0.0 { busy / capacity * 100.0 } else { 0.0 },
-        hypervolume: if finals.is_empty() {
-            0.0
-        } else {
-            finals.iter().sum::<f64>() / finals.len() as f64
-        },
+    if finals.is_empty() {
+        0.0
+    } else {
+        finals.iter().sum::<f64>() / finals.len() as f64
     }
 }
 
@@ -172,8 +145,8 @@ fn run_mode_comparison(base: &ExperimentConfig) -> String {
     eprintln!("-- steady-state campaign --");
     let steady_result = run_and_report(Campaign::new(&steady_cfg));
 
-    let g = mode_totals(&gen_result);
-    let s = mode_totals(&steady_result);
+    let g = SlotTotals::of(gen_result.status.rows());
+    let s = SlotTotals::of(steady_result.status.rows());
 
     let mut md = String::new();
     md.push_str("# Campaign-mode comparison: generational barrier vs steady-state\n\n");
@@ -186,7 +159,7 @@ fn run_mode_comparison(base: &ExperimentConfig) -> String {
         gen_cfg.n_runs,
         gen_cfg.pop_size,
         gen_cfg.generations + 1,
-        g.evaluations,
+        gen_result.total_evaluations(),
         gen_cfg.pool.n_workers,
         gen_cfg.master_seed,
         gen_cfg.fault_probability,
@@ -197,10 +170,18 @@ fn run_mode_comparison(base: &ExperimentConfig) -> String {
         "| mode | trainings | wall (min) | busy (min) | idle (min) | lost (min) | backoff (min) | utilization | mean final hypervolume |\n\
          |---|---|---|---|---|---|---|---|---|\n",
     );
-    for (name, t) in [("generational", &g), ("steady-state", &s)] {
+    let modes = [("generational", &gen_result, &g), ("steady-state", &steady_result, &s)];
+    for (name, result, t) in modes {
         md.push_str(&format!(
             "| {name} | {} | {:.1} | {:.1} | {:.1} | {:.1} | {:.1} | {:.1}% | {:.4e} |\n",
-            t.evaluations, t.wall, t.busy, t.idle, t.lost, t.backoff, t.utilization, t.hypervolume,
+            result.total_evaluations(),
+            t.wall,
+            t.busy,
+            t.idle,
+            t.lost_death,
+            t.backoff,
+            t.pct(t.busy),
+            mean_final_hypervolume(result),
         ));
     }
     // The numbers as the reports have them, whichever way they point; the
@@ -220,8 +201,8 @@ fn run_mode_comparison(base: &ExperimentConfig) -> String {
         s.wall,
         g.wall,
         change(s.wall, g.wall),
-        s.utilization,
-        g.utilization,
+        s.pct(s.busy),
+        g.pct(g.busy),
     ));
     md.push_str(if s.idle < g.idle {
         "\nA freed slot immediately receives the next bred child instead of waiting for \
@@ -320,7 +301,7 @@ fn main() {
     // generational artifacts every other figure binary consumes are never
     // overwritten by a steady campaign.
     let prefix = if steady { "steady_" } else { "" };
-    let row_label = if steady { "epoch" } else { "generation" };
+    let row_label = config.mode.row_label();
 
     // Refused before the journal header is written: a campaign that cannot
     // leave what it was asked to observe should not start.
@@ -394,99 +375,44 @@ fn main() {
         "brute-force grid at 10 points/parameter would need 10^7 = 10,000,000 trainings\n",
     );
 
-    // §3.2: failure accounting ("25 failed trainings spread across all five
-    // jobs ... none in the last generation").
-    report.push_str(&format!("\nfailed trainings per {row_label} (all runs):\n"));
-    let failures = result.failures_per_generation();
-    for (generation, count) in failures.iter().enumerate() {
-        report.push_str(&format!("  {row_label} {generation}: {count}\n"));
-    }
+    // §3.2: "25 failed trainings spread across all five jobs ... none in the
+    // last generation". Per generation, with why each failed and what the
+    // faults cost the scheduler, it is the campaign report's breakdown.
+    let final_rows =
+        result.status.runs.iter().filter_map(|r| r.generations.get(config.generations));
     report.push_str(&format!(
         "total failures: {}; failures in final {row_label}: {}\n",
-        failures.iter().sum::<usize>(),
-        failures.last().copied().unwrap_or(0)
+        result.status.rows().map(|row| row.failures).sum::<usize>(),
+        final_rows.map(|row| row.failures).sum::<usize>()
     ));
-
-    // Supervision breakdown: why evaluations failed (divergence sentinel,
-    // deadline, exhausted retries, cancellation) and what the faults cost
-    // the scheduler, per generation across all runs.
-    report.push_str("\nfailure breakdown (scheduler supervision, all runs):\n");
-    report.push_str(&failure_breakdown_table(&result));
-
-    // Search quality per generation: archive hypervolume against the fixed
-    // reference point (the level-plot axis limits), one column per run.
-    report.push_str(&format!(
-        "\narchive hypervolume per {row_label} (reference point: {} eV/atom, {} eV/AA):\n",
-        REFERENCE_POINT.0, REFERENCE_POINT.1
-    ));
-    report.push_str("gen |");
-    for run in &result.status.runs {
-        report.push_str(&format!("    run {} |", run.run));
-    }
-    report.push_str("      mean\n");
-    for generation in 0..=config.generations {
-        report.push_str(&format!("{generation:>3} |"));
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for run in &result.status.runs {
-            match run.generations.get(generation) {
-                Some(row) => {
-                    report.push_str(&format!(" {:>8.3e} |", row.hypervolume));
-                    sum += row.hypervolume;
-                    n += 1;
-                }
-                None => report.push_str(&format!(" {:>8} |", "-")),
-            }
-        }
-        let mean = if n > 0 { sum / n as f64 } else { 0.0 };
-        report.push_str(&format!(" {mean:>8.3e}\n"));
-    }
-
-    // Steady-state campaigns exist to keep the pool saturated, so their
-    // report carries the measured slot accounting (simulated clock).
-    if steady {
-        let t = mode_totals(&result);
-        report.push_str(&format!(
-            "\nslot accounting ({} slots, simulated minutes, all runs):\n  \
-             wall {:.1}  busy {:.1}  idle {:.1}  lost {:.1}  backoff {:.1}  utilization {:.1}%\n",
-            config.pool.n_workers, t.wall, t.busy, t.idle, t.lost, t.backoff, t.utilization,
-        ));
-    }
 
     // The end-of-run campaign report and the status-derived Chrome counter
     // tracks (hypervolume, queue depth, utilization % on the simulated clock).
-    let mut md = markdown_report(&result.status);
+    let mut md = markdown_report(&result.status, config.mode);
     write_artifact(
         &format!("{prefix}campaign_counters.trace.json"),
         &counter_trace_json(&result.status),
     );
 
     // `--observe <dir>`: the recorder's deterministic snapshot feeds the
-    // Chrome trace, the event log and a per-generation rollup; wall-clock
-    // stamps go to the side-channel file so the deterministic exports stay
-    // bit-identical across runs. Report sections land after everything an
-    // unobserved campaign writes, so observing only ever appends.
+    // Chrome trace and the event log; wall-clock stamps go to the
+    // side-channel file so the deterministic exports stay bit-identical
+    // across runs. The attribution sections land after everything an
+    // unobserved campaign report holds, so observing only ever appends.
     if let Some((dir, rec)) = &observe {
         let snap = rec.snapshot();
         write_file(&dir.join("trace.json"), &chrome::trace_json(&snap));
         write_file(&dir.join("events.jsonl"), &export::events_jsonl(&snap));
         write_file(&dir.join("events.side.jsonl"), &export::side_channel_jsonl(&snap));
-        report.push_str(&format!("\ntelemetry rollup (per {row_label}, all runs):\n"));
-        report.push_str(&rollup::generation_rollup(&snap));
 
         let tree = dphpo_core::profile::campaign_profile(&result);
         let (train, val) = dphpo_core::experiment::build_dataset(&config);
         let budget = dphpo_dnnp::step_budget(&config.base_train_config, &train, &val)
             .expect("the campaign took the same census for profile.json");
-        let (attribution, budget) = (dphpo_obs::profile::markdown_table(&tree), budget.markdown());
-        report.push_str("\nwhere the microsecond goes (sim-clock attribution):\n");
-        report.push_str(&attribution);
-        report.push_str("\nstep budget (tape nodes per phase, base configuration):\n");
-        report.push_str(&budget);
         md.push_str("\n## Where the microsecond goes\n\n");
-        md.push_str(&attribution);
+        md.push_str(&dphpo_obs::profile::markdown_table(&tree));
         md.push_str("\n## Step budget\n\n");
-        md.push_str(&budget);
+        md.push_str(&budget.markdown());
     }
     write_artifact(&format!("{prefix}campaign_report.md"), &md);
 

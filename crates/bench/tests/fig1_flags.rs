@@ -120,9 +120,9 @@ fn perf_report_history_without_a_path_is_a_usage_error() {
     assert!(stderr.contains("usage: perf_report"), "{stderr}");
 }
 
-/// `--observe <dir>` adds five files in `<dir>` and appended report sections,
-/// every other byte equal — in both campaign modes, and again when resuming
-/// the finished journal (which trains nothing).
+/// `--observe <dir>` adds five files in `<dir>` and sections appended to
+/// the campaign report, every other byte equal — in both campaign modes, and
+/// again when resuming the finished journal (which trains nothing).
 #[test]
 fn observing_a_campaign_only_ever_adds_to_what_it_always_writes() {
     for (mode, prefix) in [(vec![], ""), (vec!["--steady-state"], "steady_")] {
@@ -142,17 +142,16 @@ fn observing_a_campaign_only_ever_adds_to_what_it_always_writes() {
         let same = [
             "experiment.journal.jsonl",
             "fig1_levels.csv",
+            "fig1_report.txt",
             "campaign_status.json",
             "campaign_counters.trace.json",
         ];
         for name in same {
             assert_eq!(read(&plain, name), read(&seen, name), "{mode:?}: {name} differs");
         }
-        for name in ["campaign_report.md", "fig1_report.txt"] {
-            let (off, on) = (read(&plain, name), read(&seen, name));
-            assert!(on.len() > off.len() && on.starts_with(&off), "{mode:?}: {name}");
-            assert!(on[off.len()..].contains("here the microsecond goes"), "{mode:?}: {name}");
-        }
+        let (off, on) = (read(&plain, "campaign_report.md"), read(&seen, "campaign_report.md"));
+        assert!(on.len() > off.len() && on.starts_with(&off), "{mode:?}: campaign_report.md");
+        assert!(on[off.len()..].contains("here the microsecond goes"), "{mode:?}: campaign_report.md");
         for name in ["trace.json", "events.jsonl", "events.side.jsonl", "profile.json", "profile.folded"] {
             assert!(observed.join(name).metadata().is_ok_and(|m| m.len() > 0), "{mode:?}: {name}");
         }

@@ -213,48 +213,6 @@ impl Analysis {
     }
 }
 
-/// Failure-breakdown table: per-generation supervision counters summed
-/// across runs — how many evaluations diverged, timed out, exhausted their
-/// retries, or were cancelled, plus the scheduler's fault economics (worker
-/// deaths, retries, lost/backoff minutes, makespan).
-/// Only deterministic [`dphpo_hpc::PoolReport`] fields appear, so the table
-/// is bit-identical across reruns and journal resumes.
-pub fn failure_breakdown_table(result: &ExperimentResult) -> String {
-    let n_gens = result.pool_reports.iter().map(|r| r.len()).max().unwrap_or(0);
-    let mut out = String::from(
-        "gen | diverged | timeout | exhausted | cancelled | deaths | retried | \
-         lost-min | backoff-min | makespan-min\n",
-    );
-    let _ = writeln!(out, "{}", "-".repeat(107));
-    let mut row = |label: &str, reports: &mut dyn Iterator<Item = &dphpo_hpc::PoolReport>| {
-        let (mut div, mut tmo, mut exh, mut can, mut dth, mut ret) =
-            (0usize, 0usize, 0usize, 0usize, 0usize, 0usize);
-        let (mut lost, mut back, mut mks) = (0.0f64, 0.0f64, 0.0f64);
-        for r in reports {
-            div += r.diverged_tasks;
-            tmo += r.timeout_tasks;
-            exh += r.exhausted_tasks;
-            can += r.cancelled_tasks;
-            dth += r.worker_deaths;
-            ret += r.retried_tasks;
-            lost += r.lost_minutes;
-            back += r.backoff_minutes;
-            mks += r.makespan_minutes;
-        }
-        let _ = writeln!(
-            out,
-            "{label:>3} | {div:8} | {tmo:7} | {exh:9} | {can:9} | {dth:6} | {ret:7} | \
-             {lost:8.1} | {back:11.1} | {mks:12.1}",
-        );
-    };
-    for g in 0..n_gens {
-        let label = format!("{g}");
-        row(&label, &mut result.pool_reports.iter().filter_map(|run| run.get(g)));
-    }
-    row("all", &mut result.pool_reports.iter().flatten());
-    out
-}
-
 /// Fig. 1 export: per-generation `(run, generation, energy, force, failed)`
 /// rows for every individual of every generation of every run.
 pub fn level_plot_csv(result: &ExperimentResult) -> String {
@@ -409,22 +367,6 @@ mod tests {
         let plot = ascii_level_plot(&points, 0.1, 0.01, 20, 10);
         assert!(plot.contains("2 outliers culled"), "{plot}");
         assert!(plot.contains('o') || plot.contains('·'));
-    }
-
-    #[test]
-    fn failure_breakdown_has_one_row_per_generation_plus_totals() {
-        let (result, _) = smoke_analysis();
-        let table = failure_breakdown_table(&result);
-        let n_gens = result.pool_reports.iter().map(|r| r.len()).max().unwrap();
-        // Header + separator + one row per generation + the totals row.
-        assert_eq!(table.lines().count(), 2 + n_gens + 1, "{table}");
-        assert!(table.lines().last().unwrap().starts_with("all"), "{table}");
-        // The smoke experiment injects no faults: every failure counter is 0.
-        let totals = table.lines().last().unwrap();
-        let cols: Vec<&str> = totals.split('|').map(str::trim).collect();
-        for &c in &cols[1..7] {
-            assert_eq!(c, "0", "expected clean smoke run, got {table}");
-        }
     }
 
     #[test]

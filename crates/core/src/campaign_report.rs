@@ -8,7 +8,11 @@
 //! the write-ahead journal already persists (each generation's population
 //! and scheduler report), so a killed-and-resumed campaign reproduces the
 //! status file, the end-of-run report, and the Chrome counter tracks
-//! byte-for-byte (see DESIGN.md §11 for the determinism contract).
+//! byte-for-byte (see DESIGN.md §11 for the determinism contract). That is
+//! why this module renders every per-generation table and counter track a
+//! campaign leaves behind, and nothing renders them from the live event
+//! stream: a resumed campaign never re-emits its replayed generations'
+//! events.
 //!
 //! The row and the status document are declared once, field by field with
 //! their keys, through the journal's record codec: the same declaration
@@ -32,7 +36,7 @@ use dphpo_obs::chrome::{render, TraceEvent, US_PER_MIN};
 use dphpo_obs::cats;
 use dphpo_obs::json::Reader;
 
-use crate::experiment::ExperimentConfig;
+use crate::experiment::{CampaignMode, ExperimentConfig};
 use crate::journal::record;
 
 /// Schema tag written into `campaign_status.json`.
@@ -144,6 +148,11 @@ impl CampaignStatus {
             self.runs.push(RunStatus { run, generations: rows });
             self.runs.sort_by_key(|r| r.run);
         }
+    }
+
+    /// Every row of every run, run by run.
+    pub fn rows(&self) -> impl Iterator<Item = &GenStatus> {
+        self.runs.iter().flat_map(|r| &r.generations)
     }
 
     /// Append one boundary row to a run.
@@ -269,15 +278,18 @@ pub fn parse_status(text: &str) -> Result<CampaignStatus, String> {
 }
 
 /// The end-of-run report: hypervolume trajectory, utilization table, and
-/// failure breakdown in markdown — every byte a function of the status.
-pub fn markdown_report(status: &CampaignStatus) -> String {
+/// failure breakdown in markdown — every byte a function of the status. A
+/// row is a generation or, in a steady-state campaign (`mode`), an epoch,
+/// and is labelled so.
+pub fn markdown_report(status: &CampaignStatus, mode: CampaignMode) -> String {
     use std::fmt::Write as _;
+    let label = mode.row_label();
     let mut out = String::new();
     let _ = writeln!(out, "# Campaign report");
     let _ = writeln!(out);
     let _ = writeln!(
         out,
-        "{} runs × population {} × {} generations (+1 random); hypervolume \
+        "{} runs × population {} × {} {label}s (+1 random); hypervolume \
          reference point (energy, force) = ({}, {}).",
         status.n_runs,
         status.pop_size,
@@ -289,7 +301,7 @@ pub fn markdown_report(status: &CampaignStatus) -> String {
 
     let _ = writeln!(out, "## Hypervolume trajectory");
     let _ = writeln!(out);
-    let _ = writeln!(out, "| gen | {}mean |", header_cells(status));
+    let _ = writeln!(out, "| {label} | {}mean |", header_cells(status));
     let _ = writeln!(out, "|----:|{}-----:|", "-----:|".repeat(status.runs.len()));
     let max_gens = status.runs.iter().map(|r| r.generations.len()).max().unwrap_or(0);
     for g in 0..max_gens {
@@ -318,56 +330,57 @@ pub fn markdown_report(status: &CampaignStatus) -> String {
         "| run | wall min | busy % | idle % | backoff % | lost-death % |"
     );
     let _ = writeln!(out, "|----:|---------:|-------:|-------:|----------:|-------------:|");
-    let mut totals = UtilizationTotals::default();
     for r in &status.runs {
-        let t = UtilizationTotals::of(&r.generations);
-        let _ = writeln!(out, "| {} |{}", r.run, t.cells());
-        totals.absorb(&t);
+        let _ = writeln!(out, "| {} |{}", r.run, SlotTotals::of(&r.generations).cells());
     }
-    let _ = writeln!(out, "| all |{}", totals.cells());
+    let _ = writeln!(out, "| all |{}", SlotTotals::of(status.rows()).cells());
     let _ = writeln!(out);
 
     let _ = writeln!(out, "## Failure breakdown");
     let _ = writeln!(out);
+    let _ = writeln!(out, "Per {label}, summed over runs; minutes are simulated.");
+    let _ = writeln!(out);
     let _ = writeln!(
         out,
-        "| run | deaths | retried | diverged | timeout | cancelled | exhausted |"
+        "| {label} | failures | diverged | timeout | exhausted | cancelled | deaths | retried \
+         | lost min | backoff min | makespan min |"
     );
-    let _ = writeln!(
-        out,
-        "|----:|-------:|--------:|---------:|--------:|----------:|----------:|"
-    );
-    let mut all = [0usize; 6];
-    for r in &status.runs {
-        let mut f = [0usize; 6];
-        for row in &r.generations {
-            for (slot, v) in [
-                row.deaths,
-                row.retried,
-                row.diverged,
-                row.timeout,
-                row.cancelled,
-                row.exhausted,
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                f[slot] += v;
-                all[slot] += v;
-            }
-        }
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} | {} | {} | {} | {} |",
-            r.run, f[0], f[1], f[2], f[3], f[4], f[5]
-        );
+    let _ = writeln!(out, "|----:|{}", "-----:|".repeat(10));
+    for g in 0..max_gens {
+        let rows = status.runs.iter().filter_map(|r| r.generations.get(g));
+        let _ = writeln!(out, "| {g} |{}", failure_cells(rows));
     }
-    let _ = writeln!(
-        out,
-        "| all | {} | {} | {} | {} | {} | {} |",
-        all[0], all[1], all[2], all[3], all[4], all[5]
-    );
+    let _ = writeln!(out, "| all |{}", failure_cells(status.rows()));
     out
+}
+
+/// One failure-breakdown row: the failure and supervision counters and the
+/// lost / backoff / makespan minutes of `rows`, summed.
+fn failure_cells<'a>(rows: impl IntoIterator<Item = &'a GenStatus>) -> String {
+    use std::fmt::Write as _;
+    let (mut counts, mut minutes) = ([0usize; 7], [0.0f64; 3]);
+    for row in rows {
+        let c = [
+            row.failures,
+            row.diverged,
+            row.timeout,
+            row.exhausted,
+            row.cancelled,
+            row.deaths,
+            row.retried,
+        ];
+        let m = [row.lost_death_minutes, row.backoff_minutes, row.makespan_minutes];
+        counts.iter_mut().zip(c).for_each(|(sum, v)| *sum += v);
+        minutes.iter_mut().zip(m).for_each(|(sum, v)| *sum += v);
+    }
+    let mut cells = String::new();
+    for c in counts {
+        let _ = write!(cells, " {c} |");
+    }
+    for m in minutes {
+        let _ = write!(cells, " {m:.1} |");
+    }
+    cells
 }
 
 fn header_cells(status: &CampaignStatus) -> String {
@@ -379,19 +392,29 @@ fn header_cells(status: &CampaignStatus) -> String {
     s
 }
 
-#[derive(Default)]
-struct UtilizationTotals {
-    wall: f64,
-    busy: f64,
-    idle: f64,
-    backoff: f64,
-    lost_death: f64,
-    capacity: f64,
+/// Simulated slot-minutes summed over status rows: one line of the report's
+/// utilization table, and one mode of `fig1 --compare-modes`.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SlotTotals {
+    /// Σ backoff-inclusive wall clock.
+    pub wall: f64,
+    /// Σ busy minutes.
+    pub busy: f64,
+    /// Σ idle minutes.
+    pub idle: f64,
+    /// Σ retry-backoff minutes.
+    pub backoff: f64,
+    /// Σ minutes lost to dead attempts.
+    pub lost_death: f64,
+    /// Σ worker-minutes capacity (wall × workers, which the four categories
+    /// partition exactly).
+    pub capacity: f64,
 }
 
-impl UtilizationTotals {
-    fn of(rows: &[GenStatus]) -> Self {
-        let mut t = UtilizationTotals::default();
+impl SlotTotals {
+    /// The totals of `rows`, summed in order.
+    pub fn of<'a>(rows: impl IntoIterator<Item = &'a GenStatus>) -> Self {
+        let mut t = SlotTotals::default();
         for row in rows {
             t.wall += row.wall_minutes;
             t.busy += row.busy_minutes;
@@ -408,24 +431,19 @@ impl UtilizationTotals {
         t
     }
 
-    fn absorb(&mut self, other: &UtilizationTotals) {
-        self.wall += other.wall;
-        self.busy += other.busy;
-        self.idle += other.idle;
-        self.backoff += other.backoff;
-        self.lost_death += other.lost_death;
-        self.capacity += other.capacity;
+    /// `minutes` as a percentage of the capacity (0 when there is none).
+    pub fn pct(&self, minutes: f64) -> f64 {
+        if self.capacity > 0.0 { minutes / self.capacity * 100.0 } else { 0.0 }
     }
 
     fn cells(&self) -> String {
-        let pct = |v: f64| if self.capacity > 0.0 { v / self.capacity * 100.0 } else { 0.0 };
         format!(
             " {:.1} | {:.1} | {:.1} | {:.1} | {:.1} |",
             self.wall,
-            pct(self.busy),
-            pct(self.idle),
-            pct(self.backoff),
-            pct(self.lost_death)
+            self.pct(self.busy),
+            self.pct(self.idle),
+            self.pct(self.backoff),
+            self.pct(self.lost_death)
         )
     }
 }
@@ -558,13 +576,17 @@ mod tests {
 
     #[test]
     fn markdown_report_contains_all_sections() {
-        let text = markdown_report(&sample_status());
+        let text = markdown_report(&sample_status(), CampaignMode::Generational);
         assert!(text.contains("## Hypervolume trajectory"));
         assert!(text.contains("## Utilization"));
         assert!(text.contains("## Failure breakdown"));
         assert!(text.contains("| all |"));
         // The utilization percentages partition to 100 for run 0.
         assert!(text.contains("75.0"), "busy share missing: {text}");
+        assert!(text.contains("× 1 generations (+1 random)") && text.contains("| generation |"));
+        // A steady-state report is the same tables with its rows called epochs.
+        let steady = markdown_report(&sample_status(), CampaignMode::SteadyState);
+        assert_eq!(steady.replace("epoch", "generation"), text);
     }
 
     #[test]

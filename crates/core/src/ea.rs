@@ -24,9 +24,7 @@ use std::sync::Arc;
 use dphpo_dnnp::AbortReason;
 use dphpo_evo::nsga2::{BatchEvaluator, EvalResult, GenerationRecord};
 use dphpo_evo::{ArchiveChurn, Fitness};
-use dphpo_hpc::{
-    EvalFault, EvalOutcome, FaultInjector, Pool, PoolReport, TaskCtx, TaskRecord, Timeline,
-};
+use dphpo_hpc::{EvalFault, EvalOutcome, FaultInjector, Pool, PoolReport, TaskCtx, TaskRecord};
 use dphpo_obs::{cats, names, Event, Recorder, SpanCtx, When};
 
 use crate::campaign_report::GenStatus;
@@ -300,7 +298,7 @@ impl BatchEvaluator for SummitEvaluator<'_> {
             .enumerate()
             .map(|(i, genome)| env.job((gen_idx, i), genome, seeds[i], base_span))
             .collect();
-        let (records, report) = env.pool.run_batch(
+        let (records, mut report) = env.pool.run_batch(
             &jobs,
             |_, job: &Arc<EvalJob>| estimated_minutes(&env.ctx, &job.genome),
             &env.config.pool,
@@ -323,30 +321,27 @@ impl BatchEvaluator for SummitEvaluator<'_> {
             obs,
             base_span,
         );
+        // Worker lanes are the batch's own list schedule; the placements are
+        // not journaled, so the kept report is what a resume rebuilds.
+        let placements = std::mem::take(&mut report.placements);
         if obs.enabled() {
-            // Worker-lane placement: list-scheduling reconstruction charged
-            // from the records' minutes — fault-free it reproduces the
-            // scheduler's makespan exactly.
-            let timeline = Timeline::reconstruct(&records, env.config.pool.n_workers);
-            for (w, spans) in timeline.timelines.iter().enumerate() {
-                for s in spans {
-                    let rec = &records[s.task];
-                    obs.observe(names::H_EVAL_MINUTES, rec.minutes);
-                    obs.record(Event {
-                        name: names::EVAL,
-                        cat: cats::SCHED,
-                        ctx: base_span.with_task(s.task as u32, rec.attempts),
-                        step: None,
-                        when: When::Sim(sim_offset + s.start),
-                        dur_min: s.end - s.start,
-                        worker: Some(w as u32),
-                        args: vec![
-                            ("ok", if s.ok { 1.0 } else { 0.0 }),
-                            ("minutes", rec.minutes),
-                            ("attempts", rec.attempts as f64),
-                        ],
-                    });
-                }
+            for (task, (rec, &(slot, start))) in records.iter().zip(&placements).enumerate() {
+                let end = start + rec.minutes;
+                obs.observe(names::H_EVAL_MINUTES, rec.minutes);
+                obs.record(Event {
+                    name: names::EVAL,
+                    cat: cats::SCHED,
+                    ctx: base_span.with_task(task as u32, rec.attempts),
+                    step: None,
+                    when: When::Sim(sim_offset + start),
+                    dur_min: end - start,
+                    worker: Some(slot as u32),
+                    args: vec![
+                        ("ok", if rec.value.is_ok() { 1.0 } else { 0.0 }),
+                        ("minutes", rec.minutes),
+                        ("attempts", rec.attempts as f64),
+                    ],
+                });
             }
         }
         self.reports.push(report);

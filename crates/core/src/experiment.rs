@@ -61,6 +61,17 @@ pub enum CampaignMode {
     SteadyState,
 }
 
+impl CampaignMode {
+    /// What one boundary of this mode — one status row — is called in the
+    /// reports: a `generation`, or a steady-state `epoch`.
+    pub fn row_label(self) -> &'static str {
+        match self {
+            CampaignMode::Generational => "generation",
+            CampaignMode::SteadyState => "epoch",
+        }
+    }
+}
+
 /// Full experiment configuration.
 #[derive(Clone, Debug)]
 pub struct ExperimentConfig {
@@ -212,18 +223,6 @@ impl ExperimentResult {
     /// 7-generation runs of population 100).
     pub fn total_evaluations(&self) -> usize {
         self.runs.iter().map(|r| r.evaluations).sum()
-    }
-
-    /// Failures (MAXINT evaluations) per generation, summed across runs.
-    pub fn failures_per_generation(&self) -> Vec<usize> {
-        let gens = self.config.generations + 1;
-        let mut out = vec![0usize; gens];
-        for run in &self.runs {
-            for record in &run.history {
-                out[record.generation] += record.failures;
-            }
-        }
-        out
     }
 }
 
@@ -439,7 +438,7 @@ impl StatusSink {
 ///     .status_file("campaign_status.json")
 ///     .run(None)
 ///     .unwrap();
-/// println!("{}", dphpo_core::campaign_report::markdown_report(&result.status));
+/// println!("{}", dphpo_core::campaign_report::markdown_report(&result.status, config.mode));
 /// ```
 pub struct Campaign<'a> {
     config: &'a ExperimentConfig,
@@ -907,7 +906,6 @@ mod tests {
                 assert!(record.population.iter().all(|i| i.fitness.is_some()));
             }
         }
-        assert_eq!(result.failures_per_generation().len(), 2);
         assert_eq!(result.archives.len(), 2);
         assert!(result.archives.iter().all(|a| !a.is_empty()));
     }

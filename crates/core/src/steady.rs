@@ -56,8 +56,9 @@
 //! generational schedule at equal evaluation budget), snapshot the
 //! population into a [`GenerationRecord`], slice the continuous slot
 //! accounting into a per-epoch [`PoolReport`], and publish an observatory
-//! row — so the status surface and telemetry rollups are keyed by arrival
-//! window and comparable, column for column, with a generational campaign.
+//! row — so the status surface and the reports rendered from it are keyed
+//! by arrival window and comparable, column for column, with a generational
+//! campaign.
 //! The three are journaled together, once, as the epoch's boundary record
 //! ([`EpochEntry`]) the moment the closing arrival has been processed —
 //! mid-window, like the evaluation records around it and for the same

@@ -44,7 +44,7 @@ fn killed_and_resumed_campaign_reproduces_the_observatory_byte_for_byte() {
     let status_bytes_a = std::fs::read_to_string(&status_a).unwrap();
     // The file on disk is exactly the in-memory status, rendered.
     assert_eq!(status_bytes_a, status_json(&result_a.status));
-    let report_a = markdown_report(&result_a.status);
+    let report_a = markdown_report(&result_a.status, config.mode);
     let tracks_a = counter_trace_json(&result_a.status);
 
     // Chaos run: the driver dies after 5 completed tasks, mid-campaign.
@@ -80,7 +80,7 @@ fn killed_and_resumed_campaign_reproduces_the_observatory_byte_for_byte() {
         .expect("resumed campaign");
     let status_bytes_b = std::fs::read_to_string(&status_b).unwrap();
     assert_eq!(status_bytes_a, status_bytes_b, "campaign_status.json differs after resume");
-    assert_eq!(report_a, markdown_report(&result_b.status), "markdown report differs");
+    assert_eq!(report_a, markdown_report(&result_b.status, config.mode), "markdown report differs");
     assert_eq!(tracks_a, counter_trace_json(&result_b.status), "counter tracks differ");
     assert_eq!(rows(&result_b.status), full_rows);
 

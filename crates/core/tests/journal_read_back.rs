@@ -3,8 +3,10 @@
 //! campaign held in memory when it ended — every field, every `f64` bit,
 //! infinite crowding distances included — in both campaign modes; the
 //! analysis the paper's figures are built from cannot tell the two apart;
-//! and a journal whose campaign was killed, at any task, is refused with the
-//! first missing `(run, generation)` and left exactly as it was.
+//! the campaign report's failure breakdown is the journal's boundary records
+//! summed per row; and a journal whose campaign was killed, at any task, is
+//! refused with the first missing `(run, generation)` and left exactly as it
+//! was.
 //!
 //! The configurations are the `journal_chaos` / `steady_state_identity`
 //! ones (faults and retries on), so boundaries carry penalty
@@ -16,7 +18,8 @@ use dphpo_core::analysis::{analyze, level_plot_csv};
 use dphpo_core::experiment::{Campaign, CampaignMode, ExperimentConfig, ExperimentResult};
 use dphpo_core::journal::Journal;
 use dphpo_core::CampaignStatus;
-use dphpo_evo::nsga2::RunResult;
+use dphpo_evo::nsga2::{GenerationRecord, RunResult};
+use dphpo_hpc::PoolReport;
 
 /// The `journal_chaos` campaign: 2 runs × 3 individuals × 2 generations.
 fn chaos_config() -> ExperimentConfig {
@@ -133,7 +136,82 @@ fn a_finished_journal_reads_back_the_runs_the_campaign_held_bit_for_bit() {
             "{mode}"
         );
         assert_eq!(level_plot_csv(&rebuilt), level_plot_csv(&held), "{mode}");
-        assert_eq!(rebuilt.failures_per_generation(), held.failures_per_generation(), "{mode}");
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// The campaign report's failure breakdown cells for a set of journaled
+/// boundaries: `failures` from the generation records, every other column
+/// from the scheduler reports, summed in the order given.
+fn breakdown_cells(boundaries: &[(&GenerationRecord, &PoolReport)]) -> Vec<String> {
+    let count = |f: &dyn Fn(&GenerationRecord, &PoolReport) -> usize| -> String {
+        boundaries.iter().map(|(g, r)| f(g, r)).sum::<usize>().to_string()
+    };
+    let minutes = |f: &dyn Fn(&PoolReport) -> f64| -> String {
+        format!("{:.1}", boundaries.iter().fold(0.0, |sum, (_, r)| sum + f(r)))
+    };
+    vec![
+        count(&|g, _| g.failures),
+        count(&|_, r| r.diverged_tasks),
+        count(&|_, r| r.timeout_tasks),
+        count(&|_, r| r.exhausted_tasks),
+        count(&|_, r| r.cancelled_tasks),
+        count(&|_, r| r.worker_deaths),
+        count(&|_, r| r.retried_tasks),
+        minutes(&|r| r.lost_death_minutes.iter().sum()),
+        minutes(&|r| r.backoff_slot_minutes.iter().sum()),
+        minutes(&|r| r.makespan_minutes),
+    ]
+}
+
+#[test]
+fn the_reports_failure_breakdown_is_the_journal_folded_per_row() {
+    for mode in [CampaignMode::Generational, CampaignMode::SteadyState] {
+        // Half the attempts die, two attempts each: deaths, retries, and
+        // trainings that fail for good.
+        let mut config = ExperimentConfig::smoke();
+        config.mode = mode;
+        config.fault_probability = 0.4;
+        config.pool.nanny = true;
+        config.pool.max_attempts = 2;
+        config.master_seed = 41;
+        let path = scratch(&format!("{mode:?}-breakdown.jsonl"));
+        let result = Campaign::new(&config).journal(&path).run(None).expect("campaign");
+        let journal = Journal::load(&path).expect("load");
+        let boundaries: Vec<(usize, (&GenerationRecord, &PoolReport))> = match mode {
+            CampaignMode::Generational => {
+                journal.generations.iter().map(|(&(_, g), e)| (g, (&e.record, &e.report))).collect()
+            }
+            CampaignMode::SteadyState => {
+                journal.epochs.iter().map(|(&(_, g), e)| (g, (&e.record, &e.report))).collect()
+            }
+        };
+        let all: Vec<_> = boundaries.iter().map(|&(_, b)| b).collect();
+        let totals = breakdown_cells(&all);
+        for (column, what) in [(0, "failed training"), (5, "death"), (6, "retry")] {
+            assert_ne!(totals[column], "0", "{mode:?}: the fault plan produced no {what}");
+        }
+
+        let report = dphpo_core::markdown_report(&result.status, mode);
+        let table = report.split("## Failure breakdown").nth(1).expect("breakdown section");
+        let rows: Vec<Vec<&str>> = table
+            .lines()
+            .map(|line| line.split('|').map(str::trim).filter(|cell| !cell.is_empty()).collect::<Vec<_>>())
+            .filter(|cells| cells.first().is_some_and(|c| *c == "all" || c.parse::<usize>().is_ok()))
+            .collect();
+        assert_eq!(rows.len(), config.generations + 2, "{mode:?}: one row per boundary, then all");
+        for (g, row) in rows.iter().enumerate().take(config.generations + 1) {
+            let at_g: Vec<_> = boundaries.iter().filter(|&&(b, _)| b == g).map(|&(_, b)| b).collect();
+            assert_eq!(row[0], g.to_string(), "{mode:?}");
+            assert_eq!(row[1..], breakdown_cells(&at_g)[..], "{mode:?}: row {g}");
+        }
+        let last = rows.last().unwrap();
+        assert_eq!(last[0], "all", "{mode:?}");
+        assert_eq!(last[1..], totals[..], "{mode:?}: the all row");
+        for column in 1..=7 {
+            let sum: usize = rows[..rows.len() - 1].iter().map(|r| r[column].parse::<usize>().unwrap()).sum();
+            assert_eq!(last[column], sum.to_string(), "{mode:?}: column {column} of the all row");
+        }
         let _ = std::fs::remove_file(&path);
     }
 }

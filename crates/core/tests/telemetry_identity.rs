@@ -13,7 +13,7 @@ use std::sync::Arc;
 use dphpo_core::analysis::{analyze, level_plot_csv};
 use dphpo_core::experiment::{Campaign, ExperimentConfig, ExperimentResult};
 use dphpo_evo::Individual;
-use dphpo_obs::{chrome, export, names, rollup, MemoryRecorder, Recorder};
+use dphpo_obs::{chrome, export, names, MemoryRecorder, Recorder};
 
 /// Small campaign with faults and retries on, so telemetry rides along
 /// every scheduler path (deaths, backoff) that could conceivably perturb
@@ -136,10 +136,10 @@ fn deterministic_exports_are_identical_across_observed_runs() {
             .expect("observed run");
         let _ = std::fs::remove_file(&journal);
         let snap = recorder.snapshot();
-        (export::events_jsonl(&snap), chrome::trace_json(&snap), rollup::generation_rollup(&snap))
+        (export::events_jsonl(&snap), chrome::trace_json(&snap))
     };
-    let (events_a, trace_a, rollup_a) = export_of("a");
-    let (events_b, trace_b, rollup_b) = export_of("b");
+    let (events_a, trace_a) = export_of("a");
+    let (events_b, trace_b) = export_of("b");
     // Span ids are derived from (seed, run, gen, task, attempt, step) and
     // timestamps from the simulated clock, so the deterministic exports are
     // byte-identical run to run — only the wall-clock side channel differs.
@@ -148,7 +148,6 @@ fn deterministic_exports_are_identical_across_observed_runs() {
     }
     assert_eq!(events_a, events_b);
     assert_eq!(trace_a, trace_b);
-    assert_eq!(rollup_a, rollup_b);
     // The trace is Perfetto-shaped: worker lanes named, eval spans present.
     assert!(trace_a.starts_with("{\"displayTimeUnit\""));
     assert!(trace_a.contains("thread_name"));

@@ -231,7 +231,7 @@ fn artifacts(dir: &Path, result: &ExperimentResult) -> Vec<(String, Vec<u8>)> {
         .map(|path| (path.file_name().unwrap().to_string_lossy().into_owned(), std::fs::read(&path).unwrap()))
         .collect();
     files.sort();
-    let report = dphpo_core::campaign_report::markdown_report(&result.status);
+    let report = dphpo_core::campaign_report::markdown_report(&result.status, result.config.mode);
     files.push(("campaign_report.md".to_string(), report.into_bytes()));
     files
 }
@@ -332,7 +332,7 @@ fn a_paper_width_schedule_runs_on_the_threads_the_machine_has() {
             // The schedule is the 100-node one whatever carried it.
             assert!(result.pool_reports[0].iter().all(|r| r.busy_minutes.len() == 100));
             let threads_seen = census.0.lock().unwrap().len();
-            (dphpo_core::campaign_report::markdown_report(&result.status), threads_seen)
+            (dphpo_core::campaign_report::markdown_report(&result.status, result.config.mode), threads_seen)
         };
         let (on_two, seen) = run(Some(2));
         assert!((1..=2).contains(&seen), "{mode:?}: pinned to 2 threads, {seen} trained");

@@ -45,6 +45,12 @@
 //! so the two campaign modes cannot drift apart on what a failure is or
 //! costs. The backoff and the quarantine threshold are constants of
 //! [`scheduler`]; [`PoolConfig`] holds the four values campaigns set.
+//!
+//! A batch's simulated clock is one list schedule: [`Pool::run_batch`]
+//! charges each terminal record, in task order, to the least-loaded slot,
+//! and that schedule is the makespan, the utilization partition and — as
+//! [`PoolReport::placements`] — the worker lane a trace draws each
+//! evaluation on.
 
 #![warn(missing_docs)]
 
@@ -54,7 +60,6 @@ pub mod faultplan;
 pub mod pool;
 pub mod scheduler;
 pub mod stream;
-pub mod trace;
 
 pub use cluster::{Allocation, NodeSpec};
 pub use cost::{paper_job, CostModel, TrainingJob};
@@ -67,4 +72,3 @@ pub use scheduler::{
     PoolReport, TaskCtx, TaskError, TaskRecord,
 };
 pub use stream::{run_stream_window, Stream, StreamSlots, StreamSlotsState, StreamTaskReport};
-pub use trace::{Span, Timeline};

@@ -342,7 +342,8 @@ impl FaultInjector {
 ///
 /// Every field is a deterministic function of the batch inputs, the fault
 /// plan, and the pool configuration. The journal carries neither
-/// [`PoolReport::heartbeats`] nor [`PoolReport::quarantined_workers`].
+/// [`PoolReport::heartbeats`], [`PoolReport::quarantined_workers`] nor
+/// [`PoolReport::placements`].
 #[derive(Clone, Debug, Default)]
 pub struct PoolReport {
     /// Simulated makespan: the longest per-worker busy time in minutes
@@ -395,6 +396,10 @@ pub struct PoolReport {
     pub quarantined_workers: usize,
     /// Progress heartbeats counted over the batch. Not journaled.
     pub heartbeats: usize,
+    /// Where each task's terminal record sits on the batch's list schedule,
+    /// in task order: `(slot, start minute)`. The worker lanes of a trace.
+    /// Not journaled; empty in a steady-state epoch report.
+    pub placements: Vec<(usize, f64)>,
 }
 
 /// How a completed attempt's outcome becomes its terminal record, shared by
@@ -808,28 +813,33 @@ impl<J: Clone, T> Pool<'_, J, T> {
         // order (final records, then per-task retry losses) so the makespan is
         // deterministic. Each charge is also tagged with its utilization
         // category (busy / lost-to-death) so the per-worker partition
-        // invariant holds by construction.
+        // invariant holds by construction. Where a final record lands is
+        // its placement: the lane and start a trace draws it at.
         let mut per_worker = vec![0.0f64; config.n_workers];
         let mut busy = vec![0.0f64; config.n_workers];
         let mut lost_death = vec![0.0f64; config.n_workers];
         let mut assign = |minutes: f64, category: &mut [f64]| {
-            let (slot, _) = per_worker
+            let (slot, &start) = per_worker
                 .iter()
                 .enumerate()
                 .min_by(|a, b| a.1.partial_cmp(b.1).expect("busy minutes are finite"))
                 .expect("at least one worker");
             per_worker[slot] += minutes;
             category[slot] += minutes;
+            (slot, start)
         };
-        for record in &results {
-            // An exhausted task's record carries its dead attempts' lost
-            // minutes; every other terminal record represents real compute.
-            if matches!(record.value, Err(TaskError::WorkerFailed)) {
-                assign(record.minutes, &mut lost_death);
-            } else {
-                assign(record.minutes, &mut busy);
-            }
-        }
+        report.placements = results
+            .iter()
+            .map(|record| {
+                // An exhausted task's record carries its dead attempts' lost
+                // minutes; every other terminal record represents real compute.
+                if matches!(record.value, Err(TaskError::WorkerFailed)) {
+                    assign(record.minutes, &mut lost_death)
+                } else {
+                    assign(record.minutes, &mut busy)
+                }
+            })
+            .collect();
         for (task, record) in results.iter().enumerate() {
             // Exhausted tasks already carry their lost minutes as the record.
             let already_charged = matches!(record.value, Err(TaskError::WorkerFailed));
@@ -1156,6 +1166,33 @@ mod tests {
         let (_, r_narrow) = run_batch(&inputs, quick_eval(10.0), &narrow, &FaultInjector::none());
         assert!((r_wide.makespan_minutes - 10.0).abs() < 1e-9);
         assert!((r_narrow.makespan_minutes - 50.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn every_record_is_placed_back_to_back_on_a_least_loaded_slot() {
+        let inputs: Vec<u64> = (0..24).collect();
+        let eval = |task: usize, &x: &u64| EvalOutcome { value: Ok(x), minutes: 5.0 + (task % 7) as f64 };
+        let config = PoolConfig { n_workers: 4, nanny: true, max_attempts: 2, ..PoolConfig::default() };
+        // Deaths, retries and an exhausted task: every terminal record, the
+        // exhausted one included, is placed slot by slot in task order.
+        let (records, report) = run_batch(&inputs, eval, &config, &FaultInjector::new(0.3, 11));
+        assert!(report.worker_deaths > 0 && report.retried_tasks > 0 && report.exhausted_tasks > 0);
+        assert_eq!(report.placements.len(), records.len());
+        let mut clock = vec![0.0f64; config.n_workers];
+        for (task, (record, &(slot, start))) in records.iter().zip(&report.placements).enumerate() {
+            assert!(slot < config.n_workers, "task {task} placed on slot {slot}");
+            assert_eq!(start, clock[slot], "task {task}: slot {slot} is not back to back");
+            assert_eq!(start, clock.iter().copied().fold(f64::INFINITY, f64::min));
+            clock[slot] += record.minutes;
+        }
+        // Fault-free, the latest span end is the makespan.
+        let (records, report) = run_batch(&inputs, eval, &config, &FaultInjector::none());
+        let end = records
+            .iter()
+            .zip(&report.placements)
+            .map(|(record, &(_, start))| start + record.minutes)
+            .fold(0.0, f64::max);
+        assert_eq!(end, report.makespan_minutes);
     }
 
     #[test]

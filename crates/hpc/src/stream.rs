@@ -357,6 +357,7 @@ impl StreamSlots {
             wall_minutes: wall,
             quarantined_workers: 0,
             heartbeats: 0,
+            placements: Vec::new(),
         };
         s.baseline_busy.clone_from(&s.busy);
         s.baseline_lost.clone_from(&s.lost);

@@ -23,14 +23,14 @@ pub enum Arg {
 }
 
 /// One Chrome `trace_event`. `ph` is `'X'` (complete span), `'i'` (instant),
-/// or `'M'` (metadata, e.g. thread names).
+/// `'C'` (counter sample), or `'M'` (metadata, e.g. thread names).
 #[derive(Clone, Debug)]
 pub struct TraceEvent {
     /// Display name.
     pub name: String,
     /// Comma-separated categories.
     pub cat: String,
-    /// Phase: `'X'`, `'i'`, or `'M'`.
+    /// Phase: `'X'`, `'i'`, `'C'`, or `'M'`.
     pub ph: char,
     /// Timestamp in microseconds (simulated clock).
     pub ts_us: f64,
@@ -142,11 +142,14 @@ struct Placement {
 /// Convert a deterministic snapshot into Chrome trace events.
 ///
 /// `eval` spans carry absolute simulated start times and worker lanes (the
-/// EA driver derives them from the `Timeline` reconstruction); everything
-/// the trainer emitted is task-relative and is nested under its eval span
-/// here. Events whose task was never placed (e.g. bookkeeping for replayed
-/// evaluations) fall back to the driver lane at the generation span's
-/// start; `side.*` events are excluded entirely.
+/// EA driver takes them from the batch's own list schedule,
+/// `PoolReport::placements`); everything the trainer emitted is
+/// task-relative and is nested under its eval span here. Events whose task
+/// was never placed (e.g. bookkeeping for replayed evaluations) fall back to
+/// the driver lane at the generation span's start; `side.*` events are
+/// excluded entirely. The trace has spans and instants only: counter tracks
+/// come from the status rows (`dphpo_core::campaign_report::counter_tracks`),
+/// which a resumed campaign rebuilds for its replayed generations too.
 pub fn from_snapshot(snap: &TelemetrySnapshot) -> Vec<TraceEvent> {
     let mut placements: BTreeMap<(u32, u32, u32), Placement> = BTreeMap::new();
     let mut gen_starts: BTreeMap<(u32, u32), f64> = BTreeMap::new();
@@ -204,24 +207,6 @@ pub fn from_snapshot(snap: &TelemetrySnapshot) -> Vec<TraceEvent> {
             ev.args.push(((*k).to_string(), arg));
         }
         out.push(ev);
-        // Counter tracks: selected event args become 'C' samples so
-        // Perfetto plots search progress and resource efficiency alongside
-        // the span lanes. Emitted inline, so sample order follows the
-        // deterministic snapshot order.
-        let counters: &[(&str, &str)] = if e.name == names::GENERATION {
-            &[("n_tasks", "queue depth"), ("util_busy_pct", "utilization %")]
-        } else if e.name == names::FRONT {
-            &[("hypervolume", "hypervolume")]
-        } else {
-            &[]
-        };
-        for (key, track) in counters {
-            if let Some(&(_, value)) = e.args.iter().find(|(k, _)| k == key) {
-                if value.is_finite() {
-                    out.push(TraceEvent::counter(track, e.cat, pid, ts_us, value));
-                }
-            }
-        }
     }
 
     let mut meta: Vec<TraceEvent> = lanes
@@ -311,36 +296,6 @@ mod tests {
         assert!(doc.contains("\"ts\":120000000"));
         assert!(doc.contains("\"dur\":180000000"));
         assert_eq!(doc.matches('{').count(), doc.matches('}').count());
-    }
-
-    #[test]
-    fn generation_and_front_events_emit_counter_samples() {
-        let generation = Event {
-            name: names::GENERATION,
-            cat: cats::EA,
-            ctx: SpanCtx::root(1, 0).with_gen(2),
-            step: None,
-            when: When::Sim(5.0),
-            dur_min: 10.0,
-            worker: None,
-            args: vec![("n_tasks", 4.0), ("util_busy_pct", 87.5)],
-        };
-        let mut front = Event::instant(names::FRONT, cats::EA, SpanCtx::root(1, 0).with_gen(2));
-        front.when = When::Sim(15.0);
-        front.args = vec![("hypervolume", 0.0125)];
-        let snap = TelemetrySnapshot { events: vec![generation, front], ..Default::default() };
-        let events = from_snapshot(&snap);
-        let counters: Vec<_> = events.iter().filter(|e| e.ph == 'C').collect();
-        let names: Vec<&str> = counters.iter().map(|e| e.name.as_str()).collect();
-        assert_eq!(names, vec!["queue depth", "utilization %", "hypervolume"]);
-        for c in &counters {
-            assert_eq!(c.tid, 0, "counter tracks live on the driver lane");
-            assert!(matches!(c.args[0], (ref k, Arg::Num(_)) if k == "value"));
-        }
-        assert_eq!(counters[2].ts_us, 15.0 * US_PER_MIN);
-        let doc = render(&events);
-        assert!(doc.contains("\"ph\":\"C\""));
-        assert!(doc.contains("\"name\":\"hypervolume\""));
     }
 
     #[test]

@@ -17,11 +17,14 @@
 //!   one branch.
 //!
 //! Exporters: [`chrome::from_snapshot`] + [`chrome::render`] produce Chrome
-//! `trace_event` JSON loadable in Perfetto, [`export::events_jsonl`] a line
-//! oriented event/metric log, and [`rollup::generation_rollup`] a text table
-//! appended to the fig1 report. Both JSON exporters write their numbers and
-//! strings through [`json`], the repository's one JSON codec, which lives
-//! here because this crate is the leaf every other layer depends on.
+//! `trace_event` JSON loadable in Perfetto, and [`export::events_jsonl`] a
+//! line oriented event/metric log. Both write their numbers and strings
+//! through [`json`], the repository's one JSON codec, which lives here
+//! because this crate is the leaf every other layer depends on. Tables and
+//! counter tracks are not exported from the event stream: a resumed
+//! campaign never re-emits the events of its replayed generations, so those
+//! are rendered from the journal-derived status rows instead
+//! (`dphpo_core::campaign_report`).
 
 #![warn(missing_docs)]
 
@@ -31,7 +34,6 @@ pub mod json;
 pub mod metrics;
 pub mod profile;
 pub mod recorder;
-pub mod rollup;
 
 pub use metrics::{GaugeValue, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
 pub use recorder::{
@@ -41,7 +43,7 @@ pub use recorder::{
 /// Canonical event, counter, gauge, and histogram names.
 ///
 /// Instrumentation sites across the workspace use these constants so the
-/// exporters and the rollup never drift out of sync with the producers.
+/// exporters never drift out of sync with the producers.
 /// Names prefixed `side.` are **non-deterministic side channels** (wall
 /// clock readings, racy scheduler state) and are excluded from the
 /// deterministic exports; see `DESIGN.md` §9.

@@ -32,9 +32,12 @@
 #                                    out racy supervision interleavings
 #   7. telemetry identity          — a faulty campaign run with a live
 #                                    recorder must produce byte-identical
-#                                    artifacts to one run without, and
-#                                    deterministic exports across re-runs;
-#                                    plus the campaign observatory: the live
+#                                    artifacts to one run without, and its
+#                                    two deterministic exports (event log,
+#                                    Chrome trace) must be byte-identical
+#                                    across re-runs; plus the campaign
+#                                    observatory, the one renderer of tables
+#                                    and counter tracks: the live
 #                                    campaign_status.json, the end-of-run
 #                                    report, and the Chrome counter tracks
 #                                    must be byte-identical across re-runs
