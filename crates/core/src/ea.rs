@@ -28,6 +28,7 @@ use dphpo_hpc::{EvalFault, EvalOutcome, FaultInjector, Pool, PoolReport, TaskCtx
 use dphpo_obs::{cats, names, Event, Recorder, SpanCtx, When};
 
 use crate::campaign_report::GenStatus;
+use crate::chaos::DriverLife;
 use crate::experiment::{ExperimentConfig, ExperimentError, StatusSink};
 use crate::journal::{EvalEntry, FaultKind, JournalSink};
 use crate::workflow::{
@@ -54,8 +55,10 @@ pub(crate) struct RunEnv<'a> {
     pub seed: u64,
     /// Dataset, base training configuration and cost model.
     pub ctx: Arc<EvalContext>,
-    /// Worker-death injection plus the chaos-mode driver lifetime.
+    /// Worker-death injection (the scheduler's decision).
     pub faults: FaultInjector,
+    /// The campaign driver's life, shared by every run.
+    pub life: &'a DriverLife,
     /// Write-ahead journal handle and replay map (`None`: unjournaled).
     pub journal: Option<JournalSink>,
     /// Telemetry recorder ([`dphpo_obs::NOOP`] when none is attached).
@@ -139,11 +142,6 @@ impl RunEnv<'_> {
         Arc::new(EvalJob { genome: genome.to_vec(), seed, span, replayed })
     }
 
-    /// The error a dead (chaos-killed) driver returns.
-    pub(crate) fn interrupted(&self) -> ExperimentError {
-        ExperimentError::Interrupted { completed_tasks: self.faults.completed_tasks() }
-    }
-
     /// The journal entry for a finalised task at `key` — `None` when there
     /// is nothing to journal: the campaign is unjournaled, or the task was
     /// replayed from the journal in the first place.
@@ -182,7 +180,7 @@ impl RunEnv<'_> {
                     self.obs.record(ev);
                 }
             }
-            Err(_) => self.faults.declare_dead(),
+            Err(_) => self.life.die(),
         }
     }
 
@@ -307,13 +305,12 @@ impl BatchEvaluator for SummitEvaluator<'_> {
                 let entry = env.fresh_entry((gen_idx, slot), seeds[slot], &genomes[slot], task);
                 buffered.borrow_mut().insert(slot, entry);
                 // Release (and journal) the contiguous slot prefix. Each
-                // release counts one completion against the (chaos-mode)
-                // driver lifetime; a dead driver loses the record — exactly
-                // the crash the journal protects against.
+                // release is one completion of the driver's life; a dead
+                // driver loses the record — exactly the crash the journal
+                // protects against.
                 while let Some(item) = buffered.borrow_mut().remove(&next_release.get()) {
                     next_release.set(next_release.get() + 1);
-                    let driver_alive = env.faults.note_task_completion();
-                    if let (true, Some(entry)) = (driver_alive, item) {
+                    if let (true, Some(entry)) = (env.life.complete(), item) {
                         env.journal_eval(&entry);
                     }
                 }
@@ -387,6 +384,7 @@ mod tests {
         f: impl FnOnce(&mut SummitEvaluator<'_>) -> R,
     ) -> R {
         let mut status = StatusSink::new(&Campaign::new(&fixture.0), None);
+        let life = DriverLife::new(None);
         dphpo_hpc::with_pool(
             fixture.0.pool.n_workers,
             |tc: &TaskCtx<'_>, job: &Arc<EvalJob>| evaluate_job(&fixture.1, &NOOP, tc, job),
@@ -397,6 +395,7 @@ mod tests {
                     seed,
                     ctx: Arc::clone(&fixture.1),
                     faults,
+                    life: &life,
                     journal: None,
                     obs: &NOOP,
                     base_span: SpanCtx::root(seed, 0),

@@ -33,8 +33,7 @@ use dphpo_dnnp::{StepBudget, TrainConfig};
 use dphpo_evo::nsga2::{GenerationRecord, Nsga2Config, Nsga2State, RunResult};
 use dphpo_evo::{Individual, ParetoArchive};
 use dphpo_hpc::{
-    physical_threads, with_pool, CostModel, FaultInjector, FaultPlan, IoSite, PoolConfig, PoolReport,
-    TaskCtx, JOURNAL_APPEND_SITE, STATUS_FSYNC_SITE,
+    physical_threads, with_pool, CostModel, FaultInjector, PoolConfig, PoolReport, TaskCtx,
 };
 use dphpo_obs::profile::ProfileNode;
 use dphpo_obs::{Recorder, SpanCtx, NOOP};
@@ -42,6 +41,9 @@ use dphpo_md::generate::{generate_dataset, GenConfig};
 use dphpo_md::Dataset;
 
 use crate::campaign_report::{self, CampaignStatus, GenStatus};
+use crate::chaos::{
+    DriverLife, FaultPlan, IoSite, JOURNAL_APPEND_SITE, PROFILE_FSYNC_SITE, STATUS_FSYNC_SITE,
+};
 use crate::ea::{evaluate_job, EvalJob, RunEnv, SummitEvaluator};
 use crate::journal::{GenEntry, Journal, JournalError, JournalSink, JournalWriter};
 use crate::representation::DeepMDRepresentation;
@@ -236,7 +238,9 @@ pub enum ExperimentError {
     /// The (simulated) driver was killed mid-campaign — the crash the
     /// write-ahead journal exists for. Resume with [`Campaign::resume`].
     Interrupted {
-        /// Tasks the driver had journaled when it died.
+        /// Task completions the driver recorded before it died, over the
+        /// whole campaign: exactly `k` when [`Campaign::kill_after`]`(k)`
+        /// killed it.
         completed_tasks: u64,
     },
     /// Journal I/O or validation failure (corrupt file, stale config, …).
@@ -309,10 +313,12 @@ pub(crate) struct StatusSink {
     /// write, fsyncs, rename). A fired fault skips the rewrite: the file
     /// keeps its previous content, exactly what a failed atomic replace
     /// leaves behind — and the next boundary's flush rewrites it whole.
-    io: IoSite,
+    status_io: IoSite,
     /// Directory for `profile.json` / `profile.folded`; `None` leaves the
     /// profiler off (and skips all profile bookkeeping).
     profile_dir: Option<PathBuf>,
+    /// The profile rewrite's own fault site, with the status site's rule.
+    profile_io: IoSite,
     /// Per-run generation attribution nodes, keyed by run index — the
     /// journal-derived tree the profile artifacts are rendered from.
     profile_runs: BTreeMap<usize, Vec<ProfileNode>>,
@@ -327,15 +333,13 @@ impl StatusSink {
     /// The sink `campaign` asked for; `step_budget` is required exactly when
     /// it has a profile directory.
     pub(crate) fn new(campaign: &Campaign<'_>, step_budget: Option<StepBudget>) -> Self {
-        let io = match &campaign.fault_plan {
-            Some(plan) => IoSite::new(Arc::clone(plan), STATUS_FSYNC_SITE),
-            None => IoSite::disabled(STATUS_FSYNC_SITE),
-        };
+        let plan = campaign.fault_plan.as_ref();
         StatusSink {
             status: CampaignStatus::new(campaign.config),
             path: campaign.status_path.clone(),
-            io,
+            status_io: IoSite::new(plan, STATUS_FSYNC_SITE),
             profile_dir: campaign.profile_dir.clone(),
+            profile_io: IoSite::new(plan, PROFILE_FSYNC_SITE),
             profile_runs: BTreeMap::new(),
             step_budget,
             restored_unflushed: false,
@@ -394,14 +398,11 @@ impl StatusSink {
     }
 
     /// Rewrite the profile artifacts and the status file. An *injected*
-    /// fault swallows the status rewrite (the on-disk file is stale but
-    /// intact, and the next boundary rewrites it whole); a real I/O error
-    /// ends the campaign with [`ExperimentError::Artifact`].
-    ///
-    /// Profile artifacts rewrite first, *outside* the fault-injection site:
-    /// profiling on vs off must not shift the status site's occurrence
-    /// sequence, and a swallowed status rewrite still leaves fresh profile
-    /// artifacts (both are whole-file rewrites at every boundary anyway).
+    /// fault swallows that artifact's rewrite (the on-disk file is stale but
+    /// intact, and the next boundary — or a resume — rewrites it whole); a
+    /// real I/O error ends the campaign with [`ExperimentError::Artifact`].
+    /// Each artifact has its own site, so profiling on vs off does not shift
+    /// the status site's occurrence sequence.
     pub(crate) fn flush(&mut self) -> Result<(), ExperimentError> {
         self.restored_unflushed = false;
         let failed = |path: &PathBuf, e: std::io::Error| ExperimentError::Artifact {
@@ -409,12 +410,14 @@ impl StatusSink {
             message: e.to_string(),
         };
         if let Some(dir) = &self.profile_dir {
-            let root = crate::profile::campaign_node(&self.profile_runs);
-            crate::profile::write_profile_atomic(dir, &root, self.step_budget.as_ref())
-                .map_err(|e| failed(dir, e))?;
+            if self.profile_io.next().is_none() {
+                let root = crate::profile::campaign_node(&self.profile_runs);
+                crate::profile::write_profile_atomic(dir, &root, self.step_budget.as_ref())
+                    .map_err(|e| failed(dir, e))?;
+            }
         }
         let Some(path) = &self.path else { return Ok(()) };
-        if self.io.next().is_some() {
+        if self.status_io.next().is_some() {
             return Ok(());
         }
         campaign_report::write_status_atomic(path, &self.status).map_err(|e| failed(path, e))
@@ -447,7 +450,7 @@ pub struct Campaign<'a> {
     kill_after_tasks: Option<u64>,
     resume: bool,
     recorder: Option<Arc<dyn Recorder>>,
-    fault_plan: Option<Arc<FaultPlan>>,
+    fault_plan: Option<FaultPlan>,
     profile_dir: Option<PathBuf>,
     physical_threads: Option<usize>,
 }
@@ -493,12 +496,13 @@ impl<'a> Campaign<'a> {
         self
     }
 
-    /// Chaos mode: kill the (simulated) driver after this many task
-    /// completions counted by this process (a resumed campaign counts the
-    /// replayed completions of its unfinished generation too). Records past
-    /// that point are lost, [`Campaign::run`] returns
-    /// [`ExperimentError::Interrupted`], and the journal on disk is exactly
-    /// what a real crash would leave.
+    /// Chaos mode, and the one way to kill the driver: it dies after this
+    /// many task completions counted by this process over the whole campaign
+    /// (a resumed campaign counts the replayed completions of its unfinished
+    /// generation too). Records past that point are lost, [`Campaign::run`]
+    /// returns [`ExperimentError::Interrupted`] naming the completions the
+    /// driver recorded, and the journal on disk is exactly what a real crash
+    /// would leave.
     pub fn kill_after(mut self, tasks: u64) -> Self {
         self.kill_after_tasks = Some(tasks);
         self
@@ -525,12 +529,12 @@ impl<'a> Campaign<'a> {
         self
     }
 
-    /// Attach a deterministic fault plan (see [`dphpo_hpc::faultplan`]):
-    /// scripted or seeded I/O faults at the journal-append and status-
-    /// rewrite sites, plus an optional driver kill. Every decision is a
-    /// pure function of `(chaos_seed, site, occurrence)`, so a chaos run is
-    /// exactly reproducible from its plan.
-    pub fn fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
+    /// Attach a deterministic I/O fault plan (see [`crate::chaos`]):
+    /// scripted or seeded faults at the journal-append, status-rewrite and
+    /// profile-rewrite sites. Every decision is a pure function of
+    /// `(chaos_seed, site, occurrence)`, so a chaos run is exactly
+    /// reproducible from its plan.
+    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self
     }
@@ -611,16 +615,12 @@ impl<'a> Campaign<'a> {
             None => None,
         };
 
-        // The fault plan's driver kill composes with (and loses to) an
-        // explicit kill budget; its I/O faults attach to the journal writer
-        // and the status sink at their named sites.
-        let mut kill_budget = self
-            .kill_after_tasks
-            .or_else(|| self.fault_plan.as_ref().and_then(|p| p.driver_kill()));
         if let (Some(writer), Some(plan)) = (&mut writer, &self.fault_plan) {
-            writer.set_io_site(IoSite::new(Arc::clone(plan), JOURNAL_APPEND_SITE));
+            writer.set_io_site(IoSite::new(Some(plan), JOURNAL_APPEND_SITE));
         }
         let writer = writer.map(|w| Rc::new(RefCell::new(w)));
+        // One life for the whole campaign: its kill budget spans runs.
+        let life = DriverLife::new(self.kill_after_tasks);
 
         let ctx = Arc::new(EvalContext {
             base_config: config.base_train_config.clone(),
@@ -675,10 +675,6 @@ impl<'a> Campaign<'a> {
                         other => other,
                     };
                     let seed = config.master_seed + run_idx as u64;
-                    let mut faults = FaultInjector::new(config.fault_probability, seed ^ 0xfa_17);
-                    if let Some(k) = kill_budget {
-                        faults = faults.with_driver_kill(k);
-                    }
                     let journal = writer.as_ref().map(|writer| {
                         let since = steady_snap.as_ref().map_or(0, |snap| snap.arrivals);
                         let replay = resume_from
@@ -695,14 +691,15 @@ impl<'a> Campaign<'a> {
                         run: run_idx,
                         seed,
                         ctx: Arc::clone(&ctx),
-                        faults,
+                        faults: FaultInjector::new(config.fault_probability, seed ^ 0xfa_17),
+                        life: &life,
                         journal,
                         obs,
                         base_span: SpanCtx::root(seed, run_idx as u32),
                         status: &mut status,
                         pool,
                     };
-                    let (result, reports, archive, completed) = match config.mode {
+                    let (result, reports, archive) = match config.mode {
                         CampaignMode::Generational => {
                             drive_run(env, &nsga2, restored, &mut progress)?
                         }
@@ -713,12 +710,6 @@ impl<'a> Campaign<'a> {
                             &mut progress,
                         )?,
                     };
-                    // The kill budget spans the whole campaign: tasks this
-                    // run consumed bring the next run's driver that much
-                    // closer to its death.
-                    if let Some(k) = kill_budget.as_mut() {
-                        *k -= completed.min(*k);
-                    }
                     runs.push(result);
                     pool_reports.push(reports);
                     archives.push(archive);
@@ -781,8 +772,8 @@ fn finish_generation(
     let record = state.history.last().expect("a completed generation has a record");
     let churn = archive.offer_all_counted(&record.population);
     let env = &mut evaluator.env;
-    if !env.faults.driver_alive() {
-        return Err(env.interrupted());
+    if !env.life.alive() {
+        return Err(env.life.interrupted());
     }
     let (report, earlier) =
         evaluator.reports.split_last().expect("every evaluated batch pushed its report");
@@ -800,8 +791,8 @@ fn finish_generation(
             // A boundary that failed to reach disk is a crash at this
             // boundary: the driver dies, and resume re-derives the
             // generation from its (durable) evaluation records.
-            env.faults.declare_dead();
-            return Err(env.interrupted());
+            env.life.die();
+            return Err(env.life.interrupted());
         }
     }
     // This generation's batch started where the earlier batches' makespans
@@ -819,7 +810,7 @@ fn drive_run(
     nsga2: &Nsga2Config,
     restored: Option<RestorePoint>,
     progress: &mut Option<&mut dyn FnMut(usize, usize)>,
-) -> Result<(RunResult, Vec<PoolReport>, ParetoArchive, u64), ExperimentError> {
+) -> Result<(RunResult, Vec<PoolReport>, ParetoArchive), ExperimentError> {
     let (run_idx, seed, generations) = (env.run, env.seed, env.config.generations);
     // This run is live: what the finished ones before it restored reaches the
     // disk first, in one rewrite.
@@ -871,8 +862,7 @@ fn drive_run(
     if let Some(cb) = progress.as_deref_mut() {
         cb(run_idx, generations);
     }
-    let completed = evaluator.env.faults.completed_tasks();
-    Ok((state.into_result(), evaluator.reports, archive, completed))
+    Ok((state.into_result(), evaluator.reports, archive))
 }
 
 #[cfg(test)]

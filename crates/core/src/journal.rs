@@ -81,11 +81,11 @@ use std::rc::Rc;
 use dphpo_dnnp::LcurveRow;
 use dphpo_evo::nsga2::{GenerationRecord, RunResult};
 use dphpo_evo::{Fitness, Id, Individual};
-use dphpo_hpc::faultplan::{IoFault, IoSite, JOURNAL_APPEND_SITE};
 use dphpo_hpc::{EvalFault, EvalOutcome, PoolReport, StreamSlotsState, TaskError, TaskRecord};
 use dphpo_obs::json::{Json, JsonError, Reader};
 
 use crate::campaign_report::GenStatus;
+use crate::chaos::{IoFault, IoSite, JOURNAL_APPEND_SITE};
 use crate::experiment::{CampaignMode, ExperimentConfig};
 use crate::workflow::EvalRecord;
 
@@ -1185,8 +1185,8 @@ fn header_json(config: &ExperimentConfig) -> Json {
 /// the "write-ahead" property: once a record is appended, a driver crash
 /// cannot lose it.
 ///
-/// Appends are fallible: real I/O errors and injected [`IoFault`]s (via
-/// [`JournalWriter::set_io_site`]) surface as `Err`, and the writer does
+/// Appends are fallible: real I/O errors and injected [`IoFault`]s (a
+/// campaign's [`FaultPlan`](crate::chaos::FaultPlan)) surface as `Err`, and the writer does
 /// **not** advance its offset or sequence counter on failure. A driver
 /// receiving `Err` must stop journaling and crash out (it may have left a
 /// torn frame behind); [`salvage`] + resume recovers.
@@ -1216,7 +1216,7 @@ impl JournalWriter {
             file,
             offset: 0,
             seq: 0,
-            io: IoSite::disabled(JOURNAL_APPEND_SITE),
+            io: IoSite::new(None, JOURNAL_APPEND_SITE),
             payload: String::new(),
             line: String::new(),
         };
@@ -1225,7 +1225,7 @@ impl JournalWriter {
     }
 
     /// Attach a fault-injection site consulted before every append.
-    pub fn set_io_site(&mut self, io: IoSite) {
+    pub(crate) fn set_io_site(&mut self, io: IoSite) {
         self.io = io;
     }
 
@@ -1245,7 +1245,7 @@ impl JournalWriter {
             file,
             offset: journal.valid_len,
             seq: journal.frames,
-            io: IoSite::disabled(JOURNAL_APPEND_SITE),
+            io: IoSite::new(None, JOURNAL_APPEND_SITE),
             payload: String::new(),
             line: String::new(),
         })
@@ -2271,8 +2271,10 @@ mod tests {
 
     #[test]
     fn injected_faults_fail_appends_per_kind_and_salvage_recovers() {
-        use dphpo_hpc::faultplan::FaultPlan;
-        use std::sync::Arc;
+        use crate::chaos::FaultPlan;
+        let site = |fault| {
+            IoSite::new(Some(&FaultPlan::new(3).script(JOURNAL_APPEND_SITE, 0, fault)), JOURNAL_APPEND_SITE)
+        };
         let config = ExperimentConfig::smoke();
         let dir =
             std::env::temp_dir().join(format!("dphpo-journal-fault-{}", std::process::id()));
@@ -2286,9 +2288,7 @@ mod tests {
             let mut writer = JournalWriter::create(&path, &config).unwrap();
             writer.append_eval(&entry).unwrap();
             let clean_len = std::fs::metadata(&path).unwrap().len();
-            let plan =
-                Arc::new(FaultPlan::new(3).script(JOURNAL_APPEND_SITE, 0, IoFault::ShortWrite));
-            writer.set_io_site(IoSite::new(plan, JOURNAL_APPEND_SITE));
+            writer.set_io_site(site(IoFault::ShortWrite));
             assert!(writer.append_eval(&entry).is_err());
             clean_len
         };
@@ -2306,8 +2306,7 @@ mod tests {
             let path = dir.join(format!("{fault}.jsonl"));
             let mut writer = JournalWriter::create(&path, &config).unwrap();
             let before = std::fs::metadata(&path).unwrap().len();
-            let plan = Arc::new(FaultPlan::new(3).script(JOURNAL_APPEND_SITE, 0, fault));
-            writer.set_io_site(IoSite::new(plan, JOURNAL_APPEND_SITE));
+            writer.set_io_site(site(fault));
             assert!(writer.append_eval(&entry).is_err());
             drop(writer);
             assert_eq!(std::fs::metadata(&path).unwrap().len(), before);
@@ -2318,8 +2317,7 @@ mod tests {
         // but the append still errors.
         let path = dir.join("fsync.jsonl");
         let mut writer = JournalWriter::create(&path, &config).unwrap();
-        let plan = Arc::new(FaultPlan::new(3).script(JOURNAL_APPEND_SITE, 0, IoFault::FsyncFail));
-        writer.set_io_site(IoSite::new(plan, JOURNAL_APPEND_SITE));
+        writer.set_io_site(site(IoFault::FsyncFail));
         assert!(writer.append_eval(&entry).is_err());
         drop(writer);
         let journal = Journal::load(&path).unwrap();

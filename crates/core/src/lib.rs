@@ -15,6 +15,9 @@
 //!   through [`Campaign`] (the only entry point) in either campaign mode:
 //!   the paper's generational barrier or the asynchronous steady-state
 //!   loop in [`mod@steady`] (DESIGN.md §12).
+//! * [`chaos`] — the driver's own death ([`Campaign::kill_after`]) and the
+//!   I/O fault plan of its durable writers; worker deaths are
+//!   `dphpo-hpc`'s.
 //! * [`analysis`] — Pareto frontier, chemical-accuracy filtering, and the
 //!   exports behind every figure and table of the evaluation section.
 //!
@@ -33,6 +36,7 @@
 
 pub mod analysis;
 pub mod campaign_report;
+pub mod chaos;
 pub mod decode;
 pub mod ea;
 pub mod journal;

@@ -111,14 +111,13 @@ fn submit(
 /// generational `drive_run`, over the same [`RunEnv`] — same dataset, pool
 /// shape, fault injector, journal/replay and status surfaces; only the
 /// scheduling differs. Returns the run result, one [`PoolReport`] per
-/// epoch, the Pareto archive, and the completed-task count (for the chaos
-/// kill budget).
+/// epoch, and the Pareto archive.
 pub(crate) fn drive_steady_run(
     mut env: RunEnv<'_>,
     nsga2: &Nsga2Config,
     restored: Option<SnapshotEntry>,
     progress: &mut Option<&mut dyn FnMut(usize, usize)>,
-) -> Result<(RunResult, Vec<PoolReport>, ParetoArchive, u64), ExperimentError> {
+) -> Result<(RunResult, Vec<PoolReport>, ParetoArchive), ExperimentError> {
     let (config, run_idx, seed) = (env.config, env.run, env.seed);
     let budget = config.pop_size * (config.generations + 1);
     // One fault-decision domain for the whole run: deaths hash
@@ -257,11 +256,10 @@ pub(crate) fn drive_steady_run(
             let ind = &window_inds[i];
             let report = &reports[i];
             let arrival_idx = steady.arrivals();
-            // Count the completion against the (chaos-mode) driver
-            // lifetime; a dead driver loses every later arrival — exactly
-            // the crash the journal protects against.
-            let driver_alive = env.faults.note_task_completion();
-            if driver_alive {
+            // One completion of the driver's life; a dead driver loses
+            // every later arrival — exactly the crash the journal protects
+            // against.
+            if env.life.complete() {
                 let train_seed = derive_seed(seed, submission as u64);
                 let key = (0, submission);
                 if let Some(mut entry) =
@@ -274,13 +272,13 @@ pub(crate) fn drive_steady_run(
                     env.journal_eval(&entry);
                 }
             }
-            // `driver_alive` (the note's return) gated the append above —
-            // "the k-th completion reached disk"; `faults.driver_alive()`
-            // decides whether the driver survives to *process* it. The gap
-            // between the two is exactly the crash-at-arrival-k semantics
-            // the chaos tests kill at every index of.
-            if !env.faults.driver_alive() {
-                return Err(env.interrupted());
+            // `complete()` gated the append above — "the k-th completion
+            // reached disk"; `alive()` decides whether the driver survives
+            // to *process* it. The gap between the two is exactly the
+            // crash-at-arrival-k semantics the chaos tests kill at every
+            // index of.
+            if !env.life.alive() {
+                return Err(env.life.interrupted());
             }
 
             let mut evaluated = window_inds[i].clone();
@@ -352,11 +350,11 @@ pub(crate) fn drive_steady_run(
                 // if a previous process has not journaled it already.
                 if let Some(sink) = &env.journal {
                     if epoch >= sink.epochs
-                        && env.faults.driver_alive()
+                        && env.life.alive()
                         && sink.writer.borrow_mut().append_epoch(&boundary).is_err()
                     {
-                        env.faults.declare_dead();
-                        return Err(env.interrupted());
+                        env.life.die();
+                        return Err(env.life.interrupted());
                     }
                 }
                 let EpochEntry { record, report, status, .. } = boundary;
@@ -385,7 +383,7 @@ pub(crate) fn drive_steady_run(
         if let Some(sink) = &env.journal {
             let arrived = steady.arrivals();
             let due = (arrived / snap_every) * snap_every;
-            if due > snapped_through && arrived > 0 && env.faults.driver_alive() {
+            if due > snapped_through && arrived > 0 && env.life.alive() {
                 let snap = SnapshotEntry {
                     run: run_idx,
                     arrivals: arrived,
@@ -403,8 +401,8 @@ pub(crate) fn drive_steady_run(
                     status_rows: Vec::new(),
                 };
                 if sink.writer.borrow_mut().append_snapshot(&snap).is_err() {
-                    env.faults.declare_dead();
-                    return Err(env.interrupted());
+                    env.life.die();
+                    return Err(env.life.interrupted());
                 }
                 snapped_through = due;
             }
@@ -412,6 +410,5 @@ pub(crate) fn drive_steady_run(
     }
 
     assert_eq!(steady.arrivals(), budget, "every submitted task must arrive exactly once");
-    let completed = env.faults.completed_tasks();
-    Ok((RunResult { history, evaluations: budget }, epoch_reports, archive, completed))
+    Ok((RunResult { history, evaluations: budget }, epoch_reports, archive))
 }

@@ -3,18 +3,20 @@
 //! truncations — then salvage and resume, and assert the recovered
 //! campaign reproduces the undamaged one byte-for-byte. A seeded
 //! fault-plan sweep (`CHAOS_SEEDS`) injects random I/O faults mid-run and
-//! asserts a clean resume restores identity; a scripted fsync fault at the
-//! status-file site asserts the status surface self-heals.
+//! asserts a clean resume restores identity; scripted fsync faults at the
+//! status and profile sites assert those artifacts self-heal, and that a
+//! resume restores one lost at the last boundary.
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
+use dphpo_core::chaos::{
+    FaultPlan, IoFault, JOURNAL_APPEND_SITE, PROFILE_FSYNC_SITE, STATUS_FSYNC_SITE,
+};
 use dphpo_core::experiment::{
     Campaign, CampaignMode, ExperimentConfig, ExperimentError, ExperimentResult,
 };
 use dphpo_core::{compact, salvage, verify, Journal};
 use dphpo_evo::Individual;
-use dphpo_hpc::{FaultPlan, IoFault, JOURNAL_APPEND_SITE, STATUS_FSYNC_SITE};
 
 /// Generational chaos campaign: 2 runs × 3 individuals × 2 generations.
 fn generational_config() -> ExperimentConfig {
@@ -262,7 +264,7 @@ fn seeded_io_fault_sweep_recovers_in_both_campaign_modes() {
             let status_path = scratch(&format!("{tag}-status.json"));
             let _ = std::fs::remove_file(&path);
             let _ = std::fs::remove_file(&status_path);
-            let plan = Arc::new(FaultPlan::new(seed).io_rate(0.08));
+            let plan = FaultPlan::new(seed).io_rate(0.08);
             match Campaign::new(&config)
                 .journal(&path)
                 .status_file(&status_path)
@@ -305,7 +307,7 @@ fn a_failed_status_fsync_self_heals_by_the_final_flush() {
         let reference = reference_for(&config, &format!("fsync-{tag}"));
         let path = scratch(&format!("fsync-{tag}.jsonl"));
         let status_path = scratch(&format!("fsync-{tag}-status.json"));
-        let plan = Arc::new(FaultPlan::new(3).script(STATUS_FSYNC_SITE, 1, IoFault::FsyncFail));
+        let plan = FaultPlan::new(3).script(STATUS_FSYNC_SITE, 1, IoFault::FsyncFail);
         let result = Campaign::new(&config)
             .journal(&path)
             .status_file(&status_path)
@@ -323,6 +325,56 @@ fn a_failed_status_fsync_self_heals_by_the_final_flush() {
     }
 }
 
+/// The profile rewrite has its own fault site with the status site's rule,
+/// and an artifact rewrite lost at the *last* boundary stays lost for the
+/// rest of that process — nothing rewrites it again. The journal is the
+/// source of truth: it never notices, and a resume of the finished journal,
+/// which trains nothing, rewrites the stale artifact from it byte for byte.
+#[test]
+fn a_lost_artifact_rewrite_heals_by_the_next_flush_or_by_a_resume() {
+    for (tag, config) in [("gen", generational_config()), ("steady", steady_config())] {
+        let last = (config.n_runs * (config.generations + 1)) as u64 - 1;
+        let files = |name: &str| {
+            let dir = scratch(&format!("lost-{tag}-{name}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            dir
+        };
+        let campaign = |dir: &Path| {
+            Campaign::new(&config)
+                .journal(dir.join("journal.jsonl"))
+                .status_file(dir.join("campaign_status.json"))
+                .profile_dir(dir)
+        };
+        let read = |dir: &Path| {
+            ["journal.jsonl", "campaign_status.json", "profile.json", "profile.folded"]
+                .map(|name| std::fs::read(dir.join(name)).unwrap())
+        };
+        let reference = files("reference");
+        let want_canon = canon(&campaign(&reference).run(None).expect("reference campaign"));
+        let want = read(&reference);
+        for (site, occurrence, stale) in
+            [(PROFILE_FSYNC_SITE, 1, 2), (STATUS_FSYNC_SITE, last, 1), (PROFILE_FSYNC_SITE, last, 2)]
+        {
+            let case = format!("{tag} {site}@{occurrence}");
+            let dir = files(&format!("{site}-{occurrence}"));
+            let plan = FaultPlan::new(3).script(site, occurrence, IoFault::FsyncFail);
+            let result = campaign(&dir).fault_plan(plan).run(None);
+            let result = result.unwrap_or_else(|e| panic!("{case}: an artifact fault ended the campaign: {e}"));
+            assert_eq!(canon(&result), want_canon, "{case}: result diverged");
+            let got = read(&dir);
+            assert_eq!(got[0], want[0], "{case}: the journal noticed an artifact fault");
+            if occurrence == last {
+                assert_ne!(got[stale], want[stale], "{case}: the last rewrite was not lost");
+                campaign(&dir).resume().run(None).expect("resume of a finished journal");
+            }
+            assert_eq!(read(&dir), want, "{case}: artifacts differ from the unfaulted run's");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        let _ = std::fs::remove_dir_all(&reference);
+    }
+}
+
 /// A scripted journal-append fault still interrupts (the journal is the
 /// source of truth; its faults are fatal by design) — asserted here for
 /// the status site's sibling so the two sites' contracts stay distinct.
@@ -330,7 +382,7 @@ fn a_failed_status_fsync_self_heals_by_the_final_flush() {
 fn a_failed_journal_append_is_fatal_by_design() {
     let config = generational_config();
     let path = scratch("fatal-append.jsonl");
-    let plan = Arc::new(FaultPlan::new(3).script(JOURNAL_APPEND_SITE, 1, IoFault::IoError));
+    let plan = FaultPlan::new(3).script(JOURNAL_APPEND_SITE, 1, IoFault::IoError);
     match Campaign::new(&config).journal(&path).fault_plan(plan).run(None) {
         Err(ExperimentError::Interrupted { .. }) => {}
         Err(other) => panic!("journal faults must interrupt, got {other}"),

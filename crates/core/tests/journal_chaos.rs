@@ -8,12 +8,11 @@
 //! still resumes byte-identically.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use dphpo_core::analysis::{analyze, level_plot_csv};
+use dphpo_core::chaos::{FaultPlan, IoFault, JOURNAL_APPEND_SITE};
 use dphpo_core::experiment::{Campaign, ExperimentConfig, ExperimentError, ExperimentResult};
 use dphpo_evo::Individual;
-use dphpo_hpc::{FaultPlan, IoFault, JOURNAL_APPEND_SITE};
 
 /// Tiny campaign with faults and retries switched on, so replay covers
 /// successful, penalised, and retried evaluations: 2 runs × 3 individuals
@@ -107,10 +106,10 @@ fn resume_is_bit_identical_after_killing_the_driver_at_every_task() {
         let path = scratch(&format!("kill-{kill_after}.jsonl"));
         let outcome = Campaign::new(&config).journal(&path).kill_after(kill_after).run(None);
         match outcome {
-            // `completed_tasks` is the dying run's local count; the kill
-            // budget spans runs, so only the error kind is asserted here.
+            // One life spans the campaign: the driver recorded exactly its
+            // budget, whichever run it died in.
             Err(ExperimentError::Interrupted { completed_tasks }) => {
-                assert!(completed_tasks <= total_tasks);
+                assert_eq!(completed_tasks, kill_after);
             }
             Err(other) => panic!("kill_after={kill_after}: unexpected error {other}"),
             Ok(_) => panic!("kill_after={kill_after} within {total_tasks} tasks must interrupt"),
@@ -145,21 +144,21 @@ fn scripted_io_faults_interrupt_and_a_clean_resume_restores_byte_identity() {
     let reference_canon = canon(&reference);
     let reference_journal_bytes = std::fs::read(&reference_path).unwrap();
 
-    // One scripted fault per kind at the journal-append site, plus a
-    // plan-driven driver kill. Each interrupts the campaign; a *clean*
+    // One scripted fault per kind at the journal-append site (a driver kill
+    // is `kill_after`, swept above). Each interrupts the campaign; a *clean*
     // resume (no plan — per-process occurrence counters restart, so
     // re-arming the same script would re-fire the same fault forever)
     // must land on the uninterrupted journal byte-for-byte.
-    let cases: Vec<(&str, FaultPlan)> = vec![
-        ("short-write", FaultPlan::new(7).script(JOURNAL_APPEND_SITE, 4, IoFault::ShortWrite)),
-        ("io-error", FaultPlan::new(7).script(JOURNAL_APPEND_SITE, 1, IoFault::IoError)),
-        ("disk-full", FaultPlan::new(7).script(JOURNAL_APPEND_SITE, 7, IoFault::DiskFull)),
-        ("fsync-fail", FaultPlan::new(7).script(JOURNAL_APPEND_SITE, 10, IoFault::FsyncFail)),
-        ("driver-kill", FaultPlan::new(7).kill_driver_at(5)),
+    let cases = [
+        ("short-write", 4, IoFault::ShortWrite),
+        ("io-error", 1, IoFault::IoError),
+        ("disk-full", 7, IoFault::DiskFull),
+        ("fsync-fail", 10, IoFault::FsyncFail),
     ];
-    for (tag, plan) in cases {
+    for (tag, occurrence, fault) in cases {
         let path = scratch(&format!("fault-{tag}.jsonl"));
-        match Campaign::new(&config).journal(&path).fault_plan(Arc::new(plan)).run(None) {
+        let plan = FaultPlan::new(7).script(JOURNAL_APPEND_SITE, occurrence, fault);
+        match Campaign::new(&config).journal(&path).fault_plan(plan).run(None) {
             Err(ExperimentError::Interrupted { .. }) => {}
             Err(other) => panic!("{tag}: unexpected error {other}"),
             Ok(_) => panic!("{tag}: scripted fault must interrupt the campaign"),

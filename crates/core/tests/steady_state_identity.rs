@@ -119,7 +119,7 @@ fn steady_resume_is_byte_identical_after_killing_at_every_arrival() {
         let path = scratch(&format!("kill-{kill_after}.jsonl"));
         match Campaign::new(&config).journal(&path).kill_after(kill_after).run(None) {
             Err(ExperimentError::Interrupted { completed_tasks }) => {
-                assert!(completed_tasks <= total_tasks);
+                assert_eq!(completed_tasks, kill_after);
             }
             Err(other) => panic!("kill_after={kill_after}: unexpected error {other}"),
             Ok(_) => panic!("kill_after={kill_after} within {total_tasks} tasks must interrupt"),

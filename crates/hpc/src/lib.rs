@@ -7,6 +7,10 @@
 //! faults), and — with Dask nannies disabled, as the paper recommends —
 //! reassigns orphaned tasks to surviving workers.
 //!
+//! Worker deaths are the one fault this crate decides ([`FaultInjector`]);
+//! the campaign driver's own death and the I/O faults of its journal and
+//! status writers are `dphpo-core`'s.
+//!
 //! Evaluations genuinely run in parallel, on the threads of a [`Pool`] that
 //! lives as long as the campaign; the *cluster* is simulated: which worker a
 //! fault kills, nannies, quarantine, retry chains and the runtime accounting
@@ -56,16 +60,12 @@
 
 pub mod cluster;
 pub mod cost;
-pub mod faultplan;
 pub mod pool;
 pub mod scheduler;
 pub mod stream;
 
 pub use cluster::{Allocation, NodeSpec};
 pub use cost::{paper_job, CostModel, TrainingJob};
-pub use faultplan::{
-    FaultPlan, IoFault, IoSite, JOURNAL_APPEND_SITE, STATUS_FSYNC_SITE,
-};
 pub use pool::{physical_threads, with_pool, Pool};
 pub use scheduler::{
     run_batch, run_batch_supervised, EvalFault, EvalOutcome, FaultInjector, PoolConfig,

@@ -6,7 +6,7 @@
 //! restarts it, quarantine, the pool dying, retry chains, the simulated
 //! clock — is decided on the driver thread by the batch scheduler
 //! ([`Pool::run_batch`]) or the stream scheduler ([`Pool::stream`]). A pool
-//! thread never sees the fault plan: it takes the next job off one FIFO,
+//! thread never sees the fault injector: it takes the next job off one FIFO,
 //! runs the evaluation under `catch_unwind`, and sends the outcome (or "it
 //! panicked") back. So a simulated worker death costs no real thread, and a
 //! thread is idle only when the FIFO is empty.

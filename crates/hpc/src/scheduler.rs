@@ -14,8 +14,8 @@
 //! The threads of a [`Pool`](crate::pool) only evaluate; everything about
 //! the simulated cluster is decided here, on the driver thread. A batch
 //! keeps its queue in dequeue order — first attempts in task order, then
-//! retries as their deaths are processed — and asks the fault plan about
-//! each attempt as it dequeues it: an attempt the plan kills never reaches a
+//! retries as their deaths are processed — and asks the [`FaultInjector`]
+//! about each attempt as it dequeues it: an attempt it kills never reaches a
 //! thread (its death, lost minutes, retry and backoff are booked on the
 //! spot), every other attempt is dispatched to the pool.
 //! `alive` counts the simulated worker slots still in service. Without
@@ -55,7 +55,7 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use dphpo_obs::{cats, names, Event, Recorder, SpanCtx, NOOP};
+use dphpo_obs::{cats, names, splitmix64, Event, Recorder, SpanCtx, NOOP};
 
 use crate::pool::{physical_threads, with_pool, Completion, Job, JobResult, Pool};
 
@@ -220,7 +220,14 @@ impl Default for PoolConfig {
     }
 }
 
-/// Worker-death injection, plus the chaos hooks used by crash-safety tests.
+/// Salt of the worker-death decision. Every journal ever written replays
+/// these draws, so it never changes.
+const DEATH_SALT: u64 = 0x005e_ed0f_da7a;
+
+/// Salt of the death-fraction draw, independent of the decision itself.
+const FRACTION_SALT: u64 = 0xdead_c057;
+
+/// Worker-death injection: the one fault the scheduler decides.
 ///
 /// Each task execution kills its worker with probability
 /// `death_probability` (before completing the task). Decisions are **pure
@@ -230,46 +237,24 @@ impl Default for PoolConfig {
 /// a resumed experiment replay a journal and land bit-identically on the
 /// uninterrupted run's result (see `dphpo-core`'s journal module).
 ///
-/// The *driver-kill* chaos mode ([`FaultInjector::with_driver_kill`])
-/// simulates the failure the paper's Dask deployment cannot survive: the
-/// EA driver itself dying mid-campaign. After `k` completed-task
-/// notifications, [`FaultInjector::note_task_completion`] starts returning
-/// `false` ("this record was lost") and [`FaultInjector::driver_alive`]
-/// reports the driver as dead, which the journaling experiment loop turns
-/// into an orderly simulated crash.
+/// The campaign driver's own death and the I/O faults of its writers are not
+/// the scheduler's to decide: they belong to `dphpo-core`'s `chaos` module.
 pub struct FaultInjector {
     death_probability: f64,
     seed: u64,
     batch_key: AtomicU64,
-    kill_after: Option<u64>,
-    completed: AtomicU64,
-    force_dead: AtomicBool,
 }
 
 impl FaultInjector {
-    /// A fault plan; `death_probability` of 0 disables faults.
+    /// An injector; `death_probability` of 0 disables faults.
     pub fn new(death_probability: f64, seed: u64) -> Self {
         assert!((0.0..1.0).contains(&death_probability));
-        FaultInjector {
-            death_probability,
-            seed,
-            batch_key: AtomicU64::new(0),
-            kill_after: None,
-            completed: AtomicU64::new(0),
-            force_dead: AtomicBool::new(false),
-        }
+        FaultInjector { death_probability, seed, batch_key: AtomicU64::new(0) }
     }
 
     /// No faults.
     pub fn none() -> Self {
         FaultInjector::new(0.0, 0)
-    }
-
-    /// Chaos mode: the *driver* (not a worker) dies after `after_tasks`
-    /// completed-task notifications. Deterministic by construction.
-    pub fn with_driver_kill(mut self, after_tasks: u64) -> Self {
-        self.kill_after = Some(after_tasks);
-        self
     }
 
     /// Set the key that namespaces this batch's fault decisions. Callers
@@ -281,51 +266,10 @@ impl FaultInjector {
         self.batch_key.store(key, Ordering::Relaxed);
     }
 
-    /// Record one completed task. Returns `true` while the driver is still
-    /// alive (the completion "reached disk"), `false` once the configured
-    /// kill point has been passed.
-    pub fn note_task_completion(&self) -> bool {
-        let n = self.completed.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.force_dead.load(Ordering::Relaxed) {
-            return false;
-        }
-        match self.kill_after {
-            Some(k) => n <= k,
-            None => true,
-        }
-    }
-
-    /// Completed-task notifications seen so far (all batches).
-    pub fn completed_tasks(&self) -> u64 {
-        self.completed.load(Ordering::Relaxed)
-    }
-
-    /// False once the driver-kill threshold has been crossed or the driver
-    /// has been declared dead outright.
-    pub fn driver_alive(&self) -> bool {
-        if self.force_dead.load(Ordering::Relaxed) {
-            return false;
-        }
-        match self.kill_after {
-            Some(k) => self.completed.load(Ordering::Relaxed) < k,
-            None => true,
-        }
-    }
-
-    /// Declare the driver dead immediately — the reaction to an injected
-    /// (or real) I/O failure on the durability path: a driver that cannot
-    /// journal must stop, not keep computing unrecoverable state.
-    pub fn declare_dead(&self) {
-        self.force_dead.store(true, Ordering::Relaxed);
-    }
-
+    /// Whether this attempt kills its worker: a pure hash of `(seed, batch
+    /// key, task, attempt)` below the death probability.
     pub(crate) fn task_kills_worker(&self, task: usize, attempt: u32) -> bool {
-        if self.death_probability == 0.0 {
-            return false;
-        }
-        let batch_key = self.batch_key.load(Ordering::Relaxed);
-        crate::faultplan::worker_death_unit(self.seed, batch_key, task, attempt)
-            < self.death_probability
+        self.death_probability > 0.0 && self.unit(DEATH_SALT, task, attempt) < self.death_probability
     }
 
     /// How far through its estimated runtime an attempt got before its
@@ -333,8 +277,17 @@ impl FaultInjector {
     /// `(seed, batch key, task, attempt)` under a different salt than the
     /// death decision itself, so the two are independent.
     pub(crate) fn death_fraction(&self, task: usize, attempt: u32) -> f64 {
+        self.unit(FRACTION_SALT, task, attempt)
+    }
+
+    /// The uniform `[0, 1)` draw of `(seed, batch key, task, attempt)` in
+    /// the domain `salt`.
+    fn unit(&self, salt: u64, task: usize, attempt: u32) -> f64 {
         let batch_key = self.batch_key.load(Ordering::Relaxed);
-        crate::faultplan::death_fraction_unit(self.seed, batch_key, task, attempt)
+        let mut z = splitmix64(self.seed ^ salt.wrapping_mul(batch_key));
+        z = splitmix64(z ^ (task as u64));
+        z = splitmix64(z ^ ((attempt as u64) << 32));
+        (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 }
 
@@ -352,7 +305,7 @@ pub struct PoolReport {
     pub makespan_minutes: f64,
     /// Simulated busy minutes per worker slot.
     pub per_worker_minutes: Vec<f64>,
-    /// Worker deaths: attempts the fault plan killed, plus evaluations that
+    /// Worker deaths: attempts the fault injector killed, plus evaluations that
     /// panicked.
     pub worker_deaths: usize,
     /// Tasks that were retried at least once.
@@ -516,7 +469,7 @@ where
 
 /// The simulated side of the worker pool: which of the `n_workers` slots
 /// are still in service. Physical pool threads never die; a death — the
-/// fault plan's or a panicking evaluation's — is absorbed here.
+/// fault injector's or a panicking evaluation's — is absorbed here.
 ///
 /// Without nannies every death retires a slot, and a pool with no slot left
 /// is dead: nothing dequeued after that point starts. With nannies a dead
@@ -583,7 +536,7 @@ struct Batch<'a, T, H> {
     records: Vec<Option<TaskRecord<T>>>,
     report: PoolReport,
     /// The attempt of each task the driver dequeued last (run, or killed by
-    /// the fault plan there); 0 for a task that never started.
+    /// the fault injector there); 0 for a task that never started.
     attempts: Vec<u32>,
     retried: Vec<bool>,
     lost_per_task: Vec<f64>,
@@ -606,7 +559,7 @@ impl<T, H: FnMut(usize, &TaskRecord<T>)> Batch<'_, T, H> {
         (self.on_complete)(task, self.records[task].insert(record));
     }
 
-    /// An attempt's worker died — the fault plan killed it at dequeue, or
+    /// An attempt's worker died — the fault injector killed it at dequeue, or
     /// the evaluation panicked. Charges the loss, then retries the task at
     /// the back of the queue or, out of attempts, fails it.
     fn death(&mut self, task: usize, panicked: bool) {
@@ -729,7 +682,7 @@ impl<J: Clone, T> Pool<'_, J, T> {
         let mut in_flight = 0usize;
         loop {
             // Dequeue in order while a simulated worker is left to dequeue.
-            // The fault plan speaks here, on the driver: an attempt it kills
+            // The fault injector speaks here, on the driver: an attempt it kills
             // never reaches a thread, and everything behind a death that
             // leaves no worker alive never starts.
             while batch.workers.alive > 0 {
@@ -1193,6 +1146,25 @@ mod tests {
             .map(|(record, &(_, start))| start + record.minutes)
             .fold(0.0, f64::max);
         assert_eq!(end, report.makespan_minutes);
+    }
+
+    #[test]
+    fn worker_death_draws_are_the_ones_every_journal_replays() {
+        // Resume re-derives every death from these hashes, so they are
+        // pinned to the values journals were written with.
+        let faults = FaultInjector::new(0.37, 0xabcdef);
+        faults.set_batch_key(5);
+        let killed: Vec<(usize, u32)> = (0..12)
+            .flat_map(|task| (1..=3).map(move |attempt| (task, attempt)))
+            .filter(|&(task, attempt)| faults.task_kills_worker(task, attempt))
+            .collect();
+        assert_eq!(
+            killed,
+            [(1, 1), (2, 1), (3, 1), (5, 3), (6, 2), (7, 1), (9, 2), (10, 1), (10, 2), (11, 1), (11, 3)]
+        );
+        let fraction_bits = [(0, 1), (3, 2), (11, 3)].map(|(t, a)| faults.death_fraction(t, a).to_bits());
+        assert_eq!(fraction_bits, [0x3fe9bc6fe14856bf, 0x3feb91d1f0dcd888, 0x3fc1113d538b685c]);
+        assert!(!FaultInjector::none().task_kills_worker(1, 1));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! submissions in order, never waiting for each other. The driver then only
 //! [takes](Stream::take) finished results, in the order its simulated clock
 //! dictates. This look-ahead cannot change a result: a task's retry chain is
-//! a pure function of `(task, input, fault plan)` and does not know which
+//! a pure function of `(task, input, fault injector)` and does not know which
 //! slot it will be charged to, so *when* it physically ran is invisible.
 //!
 //! Determinism works exactly as in a batch: pool threads race in real
@@ -23,7 +23,7 @@
 //! [`StreamSlots`] keeps one monotone cursor per slot and a task's
 //! completion time is its slot's cursor plus the minutes its retry chain
 //! charged. The resulting arrival order is a pure function of the campaign
-//! configuration and the fault plan, never of thread interleaving; the
+//! configuration and the fault injector, never of thread interleaving; the
 //! caller (`dphpo-core`'s steady-state driver) journals it as each
 //! evaluation's `arrival` index.
 //!
@@ -176,7 +176,7 @@ impl<'a, J: Clone, T> Pool<'a, J, T> {
 impl<J: Clone, T> Stream<'_, J, T> {
     /// Hand `task` to the pool now. `estimate` is its deterministic
     /// simulated-minutes estimate (dead attempts charge a fraction of it).
-    /// Attempts the fault plan kills are settled right here — a pure
+    /// Attempts the fault injector kills are settled right here — a pure
     /// function of `(seed, batch key, task, attempt)` — and never reach a
     /// thread; the first attempt that survives is queued.
     pub fn submit(&mut self, faults: &FaultInjector, task: usize, input: J, estimate: f64) {
@@ -192,7 +192,7 @@ impl<J: Clone, T> Stream<'_, J, T> {
     }
 
     /// Queue the chain's current attempt, first walking past every attempt
-    /// the fault plan kills.
+    /// the fault injector kills.
     fn launch(&mut self, faults: &FaultInjector, task: usize, mut chain: Chain<J>) {
         while faults.task_kills_worker(task, chain.attempt) {
             // A fault-injected death burned a deterministic fraction of the
@@ -484,7 +484,7 @@ mod tests {
         };
         let a = run();
         let b = run();
-        assert!(a.iter().any(|r| r.deaths > 0), "fault plan produced no deaths");
+        assert!(a.iter().any(|r| r.deaths > 0), "fault injector produced no deaths");
         for (x, y) in a.iter().zip(b.iter()) {
             assert_eq!(x.deaths, y.deaths);
             assert_eq!(x.record.attempts, y.record.attempts);

@@ -37,7 +37,8 @@ pub mod recorder;
 
 pub use metrics::{GaugeValue, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
 pub use recorder::{
-    Event, MemoryRecorder, NoopRecorder, Recorder, SpanCtx, TelemetrySnapshot, When, NOOP, NO_TASK,
+    splitmix64, Event, MemoryRecorder, NoopRecorder, Recorder, SpanCtx, TelemetrySnapshot, When,
+    NOOP, NO_TASK,
 };
 
 /// Canonical event, counter, gauge, and histogram names.

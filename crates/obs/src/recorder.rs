@@ -10,9 +10,10 @@ use crate::metrics::{GaugeValue, Histogram, HistogramSnapshot};
 /// (generation spans, batch submissions).
 pub const NO_TASK: u32 = u32::MAX;
 
-/// splitmix64 — the same mixer the scheduler's fault injector uses, copied
-/// here so this crate stays a leaf.
-fn splitmix64(mut x: u64) -> u64 {
+/// The SplitMix64 finalizer: span ids here, worker-death draws in
+/// `dphpo-hpc` and I/O fault draws in `dphpo-core` all hash through it. It
+/// lives in this crate because every layer depends on it.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = x;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
