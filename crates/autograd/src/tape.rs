@@ -426,8 +426,6 @@ pub struct Tape {
     meter: Cell<bool>,
     /// Stats since the last [`Tape::take_alloc_stats`] call.
     meter_window: Cell<TapeAllocStats>,
-    /// Stats since metering was enabled.
-    meter_total: Cell<TapeAllocStats>,
     /// Bytes currently leased out (leases minus recycles, saturating: the
     /// pool also absorbs caller-donated buffers it never leased).
     live_bytes: Cell<u64>,
@@ -539,11 +537,10 @@ impl Tape {
     }
 
     /// Enable or disable allocation metering. Idempotent; enabling starts
-    /// both the window and the cumulative totals from zero.
+    /// the window from zero.
     pub fn set_alloc_metering(&self, on: bool) {
         if on && !self.meter.get() {
             self.meter_window.set(TapeAllocStats::default());
-            self.meter_total.set(TapeAllocStats::default());
             self.live_bytes.set(0);
         }
         self.meter.set(on);
@@ -552,11 +549,6 @@ impl Tape {
     /// Whether allocation metering is currently enabled.
     pub fn alloc_metering(&self) -> bool {
         self.meter.get()
-    }
-
-    /// Cumulative allocation stats since metering was enabled.
-    pub fn alloc_stats(&self) -> TapeAllocStats {
-        self.meter_total.get()
     }
 
     /// Allocation stats since the previous `take_alloc_stats` call, and
@@ -583,20 +575,18 @@ impl Tape {
         let bytes = (class * std::mem::size_of::<f64>()) as u64;
         let live = self.live_bytes.get() + bytes;
         self.live_bytes.set(live);
-        for cell in [&self.meter_window, &self.meter_total] {
-            let mut s = cell.get();
-            s.leases += 1;
-            if hit {
-                s.pool_hits += 1;
-            } else {
-                s.pool_misses += 1;
-                s.fresh_bytes += bytes;
-            }
-            if live > s.leased_bytes_hw {
-                s.leased_bytes_hw = live;
-            }
-            cell.set(s);
+        let mut s = self.meter_window.get();
+        s.leases += 1;
+        if hit {
+            s.pool_hits += 1;
+        } else {
+            s.pool_misses += 1;
+            s.fresh_bytes += bytes;
         }
+        if live > s.leased_bytes_hw {
+            s.leased_bytes_hw = live;
+        }
+        self.meter_window.set(s);
     }
 
     /// Number of buffers currently available in the recycle pool (test and
@@ -1041,21 +1031,6 @@ impl Tape {
         self.unary(Unary::Sigmoid, a)
     }
 
-    /// Softplus `ln(1+e^x)`.
-    pub fn softplus(&self, a: Var) -> Var {
-        self.unary(Unary::Softplus, a)
-    }
-
-    /// Rectified linear unit.
-    pub fn relu(&self, a: Var) -> Var {
-        self.unary(Unary::Relu, a)
-    }
-
-    /// ReLU clipped at 6.
-    pub fn relu6(&self, a: Var) -> Var {
-        self.unary(Unary::Relu6, a)
-    }
-
     /// Elementwise exponential.
     pub fn exp(&self, a: Var) -> Var {
         self.unary(Unary::Exp, a)
@@ -1128,7 +1103,7 @@ impl Tape {
     }
 
     /// Replicate a scalar into an arbitrary shape.
-    pub fn broadcast_scalar(&self, a: Var, shape: Shape) -> Var {
+    fn broadcast_scalar(&self, a: Var, shape: Shape) -> Var {
         let value = {
             let v = self.nodes.borrow()[a.idx].value.item();
             let mut out = self.alloc(shape.len());
@@ -1207,7 +1182,7 @@ impl Tape {
     }
 
     /// A zero constant with the same shape as `a`.
-    pub fn zeros_like(&self, a: Var) -> Var {
+    fn zeros_like(&self, a: Var) -> Var {
         let shape = self.shape(a);
         let value = self.alloc_zeroed(shape.len()).into_tensor(shape);
         self.constant(value)
@@ -2409,9 +2384,6 @@ mod tests {
         let warm = t.take_alloc_stats();
         assert_eq!(warm.pool_misses, 0, "warm pass runs allocation-free");
         assert_eq!(warm.pool_hits, cold.leases);
-        let total = t.alloc_stats();
-        assert_eq!(total.leases, cold.leases + warm.leases);
-        assert_eq!(total.fresh_bytes, cold.fresh_bytes);
     }
 
     #[test]

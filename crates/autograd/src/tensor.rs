@@ -164,12 +164,6 @@ impl Tensor {
         Arc::try_unwrap(self.data).unwrap_or_else(|shared| (*shared).clone())
     }
 
-    /// Consume into the backing vector only when this tensor is the sole
-    /// owner — used by the tape's buffer pool to recycle allocations.
-    pub fn try_unique_data(self) -> Option<Vec<f64>> {
-        Arc::try_unwrap(self.data).ok()
-    }
-
     /// Build a tensor around an already-shared buffer without reallocating.
     /// Panics on length mismatch.
     pub(crate) fn from_shared(shape: Shape, data: Arc<Vec<f64>>) -> Self {
@@ -219,7 +213,7 @@ impl Tensor {
     }
 
     /// Elementwise binary map; shapes must match exactly.
-    pub fn zip_map(&self, other: &Tensor, f: impl Fn(f64, f64) -> f64) -> Tensor {
+    fn zip_map(&self, other: &Tensor, f: impl Fn(f64, f64) -> f64) -> Tensor {
         assert_eq!(self.shape, other.shape, "zip_map shape mismatch {} vs {}", self.shape, other.shape);
         let data = self
             .data
@@ -258,22 +252,6 @@ impl Tensor {
     /// Add `c` to every element.
     pub fn add_scalar(&self, c: f64) -> Tensor {
         self.map(|a| a + c)
-    }
-
-    /// In-place `self += other`, used for adjoint accumulation.
-    pub fn add_assign(&mut self, other: &Tensor) {
-        assert_eq!(self.shape, other.shape, "add_assign shape mismatch");
-        for (a, &b) in self.data_mut().iter_mut().zip(other.data.iter()) {
-            *a += b;
-        }
-    }
-
-    /// In-place `self += c * other` (axpy).
-    pub fn axpy(&mut self, c: f64, other: &Tensor) {
-        assert_eq!(self.shape, other.shape, "axpy shape mismatch");
-        for (a, &b) in self.data_mut().iter_mut().zip(other.data.iter()) {
-            *a += c * b;
-        }
     }
 
     /// Sum of all elements.
@@ -538,15 +516,6 @@ mod tests {
     }
 
     #[test]
-    fn add_assign_and_axpy() {
-        let mut a = Tensor::vector(&[1.0, 1.0]);
-        a.add_assign(&Tensor::vector(&[2.0, 3.0]));
-        assert_eq!(a.data(), &[3.0, 4.0]);
-        a.axpy(0.5, &Tensor::vector(&[2.0, 2.0]));
-        assert_eq!(a.data(), &[4.0, 5.0]);
-    }
-
-    #[test]
     fn clone_shares_and_mutation_unshares() {
         let a = Tensor::vector(&[1.0, 2.0]);
         let mut b = a.clone();
@@ -556,16 +525,6 @@ mod tests {
         b.data_mut()[0] = 9.0;
         assert_eq!(a.data(), &[1.0, 2.0]);
         assert_eq!(b.data(), &[9.0, 2.0]);
-    }
-
-    #[test]
-    fn unique_data_recovery() {
-        let a = Tensor::vector(&[1.0, 2.0]);
-        let b = a.clone();
-        // Shared: recovery fails.
-        assert!(a.try_unique_data().is_none());
-        // Unique again: recovery succeeds.
-        assert_eq!(b.try_unique_data(), Some(vec![1.0, 2.0]));
     }
 
     #[test]

@@ -85,7 +85,7 @@ fn main() {
     let mut lost = [0usize; 2];
     for rate in [0.0, 0.02, 0.05, 0.10, 0.20] {
         for nanny in [false, true] {
-            let config = PoolConfig { n_workers: 10, nanny, max_attempts: 5, ..PoolConfig::default() };
+            let config = PoolConfig { n_workers: 10, nanny, max_attempts: 5 };
             let faults = FaultInjector::new(rate, 11);
             let (records, pool_report) = run_batch(
                 &inputs,

@@ -74,7 +74,7 @@ const FLAGS: &[(&str, bool, &str)] = &[
     ("--resume", true, "replay a write-ahead journal and continue bit-identically"),
     ("--observe", true, "attach the wall-clock recorder and the profiler: trace.json, events.jsonl, events.side.jsonl, profile.json, profile.folded in a directory, attribution tables in the campaign report"),
     ("--verify-journal", true, "offline journal integrity check (frames, last snapshot, first corrupt offset); exit nonzero on damage"),
-    ("--compact", true, "rewrite a journal to its boundary records plus what no boundary covers yet (steady-state: the last snapshot and the arrival suffix; generational: the unfinished generation)"),
+    ("--compact", true, "salvage a damaged journal (bytes after its valid prefix to <journal>.quarantine), then rewrite it to its boundary records plus what no boundary covers yet (steady-state: the last snapshot and the arrival suffix; generational: the unfinished generation)"),
     ("--list-flags", false, "print every known flag, one per line, and exit"),
 ];
 
@@ -258,7 +258,7 @@ fn main() {
         println!("valid bytes:    {} of {}", report.valid_len, report.total_len);
         match report.first_corrupt_offset {
             Some(offset) => {
-                println!("DAMAGED: first corrupt frame at byte {offset} (run salvage)");
+                println!("DAMAGED: first corrupt frame at byte {offset} (run fig1 --compact)");
                 std::process::exit(1);
             }
             None => println!("integrity:      ok"),
@@ -267,14 +267,26 @@ fn main() {
     }
     if let Some(path) = path_arg("--compact") {
         match dphpo_core::journal::compact(&path) {
-            Ok(report) => println!(
-                "compacted {}: {} -> {} frames, {} -> {} bytes",
-                path.display(),
-                report.frames_before,
-                report.frames_after,
-                report.bytes_before,
-                report.bytes_after,
-            ),
+            Ok(report) => {
+                let salvage = &report.salvage;
+                if salvage.quarantined_bytes > 0 {
+                    println!(
+                        "salvaged {}: {} bytes after byte {} quarantined to {}",
+                        path.display(),
+                        salvage.quarantined_bytes,
+                        salvage.valid_len,
+                        salvage.quarantine_path.display(),
+                    );
+                }
+                println!(
+                    "compacted {}: {} -> {} frames, {} -> {} bytes",
+                    path.display(),
+                    report.frames_before,
+                    report.frames_after,
+                    report.bytes_before,
+                    report.bytes_after,
+                );
+            }
             Err(e) => {
                 eprintln!("fig1: cannot compact {}: {e}", path.display());
                 std::process::exit(1);

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use dphpo_core::experiment::{Campaign, ExperimentConfig, ExperimentResult};
 use dphpo_core::journal::Journal;
 use dphpo_dnnp::TrainConfig;
-use dphpo_md::generate::{generate_dataset, GenConfig};
+use dphpo_md::generate::{generate_dataset, GenConfig, LABEL_NOISE};
 use dphpo_md::Dataset;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -202,7 +202,7 @@ pub fn reference_system() -> (Dataset, Dataset) {
     let mut rng = StdRng::seed_from_u64(6);
     let gen = GenConfig { n_frames: 24, ..GenConfig::reduced() };
     let mut ds = generate_dataset(&gen, &mut rng);
-    ds.add_label_noise(0.0005, 0.03, &mut rng);
+    ds.add_label_noise(LABEL_NOISE.0, LABEL_NOISE.1, &mut rng);
     ds.split(0.25, &mut rng)
 }
 

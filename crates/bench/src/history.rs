@@ -22,10 +22,10 @@ use std::path::Path;
 use dphpo_dnnp::json::Json;
 
 /// Schema tag of each `BENCH_history.jsonl` line.
-pub const HISTORY_SCHEMA: &str = "dphpo-bench-history-v1";
+const HISTORY_SCHEMA: &str = "dphpo-bench-history-v1";
 
 /// Timing rows regress when they exceed the history median by this factor.
-pub const REGRESSION_FACTOR: f64 = 1.15;
+const REGRESSION_FACTOR: f64 = 1.15;
 
 /// One appended snapshot: its kind (schema family), the exact snapshot
 /// schema it came from, and the flattened numeric rows.
@@ -42,7 +42,7 @@ pub struct HistoryEntry {
 
 /// Schema family of a snapshot schema tag: strip the `dphpo-` prefix and a
 /// trailing `-vN` version. `dphpo-hotpath-v2` → `hotpath`.
-pub fn kind_of(schema: &str) -> String {
+fn kind_of(schema: &str) -> String {
     let s = schema.strip_prefix("dphpo-").unwrap_or(schema);
     match s.rfind("-v") {
         Some(i) if s[i + 2..].chars().all(|c| c.is_ascii_digit()) && i + 2 < s.len() => {
@@ -99,7 +99,7 @@ pub fn entry_from_snapshot(doc: &Json) -> Result<HistoryEntry, String> {
 }
 
 /// Render one entry as its (compact, single-line) JSONL record.
-pub fn entry_line(entry: &HistoryEntry) -> String {
+fn entry_line(entry: &HistoryEntry) -> String {
     let rows: Vec<(&str, Json)> =
         entry.rows.iter().map(|(k, v)| (k.as_str(), Json::Number(*v))).collect();
     Json::object(vec![
@@ -113,7 +113,7 @@ pub fn entry_line(entry: &HistoryEntry) -> String {
 
 /// Parse one history line back into an entry. Lines with a different
 /// history schema are an error (the file is versioned as a whole).
-pub fn parse_line(line: &str) -> Result<HistoryEntry, String> {
+fn parse_line(line: &str) -> Result<HistoryEntry, String> {
     let doc = Json::parse(line).map_err(|e| format!("{e:?}"))?;
     let schema = doc.get("schema").and_then(Json::as_str).unwrap_or_default();
     if schema != HISTORY_SCHEMA {
@@ -166,7 +166,7 @@ pub fn append(path: &Path, entry: &HistoryEntry) -> Result<(), String> {
 pub enum Verdict {
     /// Timing row within the gate.
     Ok,
-    /// Timing row more than [`REGRESSION_FACTOR`] above the history median.
+    /// Timing row more than 15% above the history median.
     Regression,
     /// Row with no history to compare against.
     New,
@@ -208,7 +208,7 @@ pub struct RowDiff {
 /// when any dotted segment is nanosecond-shaped — `*_ns`, `ns_*`, or an
 /// interior `_ns_` (covers `ns_per_step`, `matmul_64x64_ns`,
 /// `noop_block_ns_per_step`) — or ends in `_us` (`train_run_new_us`).
-pub fn is_timing(key: &str) -> bool {
+fn is_timing(key: &str) -> bool {
     key.split('.').any(|seg| {
         seg.ends_with("_ns")
             || seg.ends_with("_us")

@@ -40,7 +40,7 @@ use crate::experiment::{CampaignMode, ExperimentConfig};
 use crate::journal::record;
 
 /// Schema tag written into `campaign_status.json`.
-pub const STATUS_SCHEMA: &str = "dphpo-campaign-status-v1";
+const STATUS_SCHEMA: &str = "dphpo-campaign-status-v1";
 
 /// Fixed hypervolume reference point `(energy RMSE eV/atom, force RMSE
 /// eV/Å)` — the fig1 level-plot axis limits, beyond which the paper culls

@@ -437,12 +437,7 @@ mod tests {
 
     #[test]
     fn worker_faults_become_penalties_or_retries() {
-        let fixture = fixture(PoolConfig {
-            n_workers: 2,
-            nanny: true,
-            max_attempts: 1,
-            ..PoolConfig::default()
-        });
+        let fixture = fixture(PoolConfig { n_workers: 2, nanny: true, max_attempts: 1 });
         let genomes: Vec<Vec<f64>> = (0..12).map(|_| genomes()[0].clone()).collect();
         let results = with_evaluator(&fixture, FaultInjector::new(0.5, 3), 10, 0, |evaluator| {
             evaluator.evaluate(&genomes)

@@ -38,7 +38,7 @@ use dphpo_hpc::{
 use dphpo_obs::profile::ProfileNode;
 use dphpo_obs::{Recorder, SpanCtx, NOOP};
 use dphpo_md::generate::{generate_dataset, GenConfig};
-use dphpo_md::Dataset;
+use dphpo_md::{Dataset, LABEL_NOISE};
 
 use crate::campaign_report::{self, CampaignStatus, GenStatus};
 use crate::chaos::{
@@ -87,11 +87,8 @@ pub struct ExperimentConfig {
     pub base_train_config: TrainConfig,
     /// Synthetic-FPMD dataset generation parameters.
     pub gen_config: GenConfig,
-    /// DFT-noise-floor label noise: energy (eV/atom), force (eV/Å).
-    pub label_noise: (f64, f64),
     /// The simulated allocation: `n_workers` Summit nodes (never a thread
-    /// count — see [`Campaign::physical_threads`]), timeout, nannies,
-    /// retries.
+    /// count — see [`Campaign::physical_threads`]), nannies, retries.
     pub pool: PoolConfig,
     /// Per-task worker-death probability (hardware faults).
     pub fault_probability: f64,
@@ -120,10 +117,8 @@ impl ExperimentConfig {
             generations: 6,
             base_train_config: TrainConfig::paper_scale(),
             gen_config: GenConfig::paper_scale(),
-            label_noise: (0.0005, 0.03),
             pool: PoolConfig {
                 n_workers: 100,
-                timeout_minutes: Some(120.0),
                 nanny: false,
                 max_attempts: 3,
             },
@@ -151,10 +146,8 @@ impl ExperimentConfig {
                 ..TrainConfig::default()
             },
             gen_config: GenConfig::reduced(),
-            label_noise: (0.0005, 0.03),
             pool: PoolConfig {
                 n_workers: POP_SIZE,
-                timeout_minutes: Some(120.0),
                 nanny: false,
                 max_attempts: 3,
             },
@@ -189,10 +182,8 @@ impl ExperimentConfig {
                 sample_every: 4,
                 ..GenConfig::tiny()
             },
-            label_noise: (0.0005, 0.03),
             pool: PoolConfig {
                 n_workers: 2,
-                timeout_minutes: Some(120.0),
                 nanny: false,
                 max_attempts: 3,
             },
@@ -283,7 +274,7 @@ impl From<JournalError> for ExperimentError {
 pub fn build_dataset(config: &ExperimentConfig) -> (Arc<Dataset>, Arc<Dataset>) {
     let mut rng = StdRng::seed_from_u64(config.master_seed ^ 0x0da7_a5e7);
     let mut dataset = generate_dataset(&config.gen_config, &mut rng);
-    dataset.add_label_noise(config.label_noise.0, config.label_noise.1, &mut rng);
+    dataset.add_label_noise(LABEL_NOISE.0, LABEL_NOISE.1, &mut rng);
     let (train, val) = dataset.split(0.25, &mut rng);
     // Scan the pair geometry here, once per dataset, rather than inside
     // whichever evaluation happens to ask first.
@@ -876,7 +867,6 @@ mod tests {
         assert_eq!(c.pop_size, 100);
         assert_eq!(c.generations, 6);
         assert_eq!(c.pool.n_workers, 100);
-        assert_eq!(c.pool.timeout_minutes, Some(120.0));
         assert!(!c.pool.nanny, "the paper disables nannies");
         // 5 runs × 100 × (1 random + 6 EA) generations = 3500 trainings.
         let total = c.n_runs * c.pop_size * (c.generations + 1);

@@ -24,7 +24,8 @@
 //! file, not just a torn tail. [`Journal::load`] refuses a damaged file;
 //! [`salvage`] truncates it at the first bad frame, quarantines the trailing
 //! bytes to `<journal>.quarantine`, and leaves a journal that resumes
-//! deterministically from the last intact record. Unframed v1 journals
+//! deterministically from the last intact record; [`compact`] (`fig1
+//! --compact`) does the same before it rewrites. Unframed v1 journals
 //! (plain JSONL) are refused with an error naming the unsupported version.
 //!
 //! # Records
@@ -66,7 +67,7 @@
 //! matches a journaled evaluation by `(run, generation, slot)` *and* a
 //! bit-exact genome; and steady-state evaluations carry their `arrival`
 //! index, off which every steady-state RNG draw is keyed. The header's
-//! fingerprint of the configuration ([`config_fingerprint`]) makes resuming
+//! fingerprint of the configuration (`config_fingerprint`) makes resuming
 //! under a changed configuration an error rather than a chimera.
 
 use std::cell::RefCell;
@@ -81,7 +82,9 @@ use std::rc::Rc;
 use dphpo_dnnp::LcurveRow;
 use dphpo_evo::nsga2::{GenerationRecord, RunResult};
 use dphpo_evo::{Fitness, Id, Individual};
+use dphpo_hpc::scheduler::{BACKOFF_BASE_MINUTES, BACKOFF_FACTOR, TIMEOUT_MINUTES};
 use dphpo_hpc::{EvalFault, EvalOutcome, PoolReport, StreamSlotsState, TaskError, TaskRecord};
+use dphpo_md::LABEL_NOISE;
 use dphpo_obs::json::{Json, JsonError, Reader};
 
 use crate::campaign_report::GenStatus;
@@ -191,7 +194,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// Byte length of the v2 frame prefix:
 /// `"J2 "` + 8 hex (seq) + `" "` + 8 hex (len) + `" "` + 8 hex (crc) + `" "`.
-pub const FRAME_PREFIX_LEN: usize = 30;
+const FRAME_PREFIX_LEN: usize = 30;
 
 /// Append one framed journal line to `out`. The payload must be
 /// newline-free (compact JSON always is).
@@ -577,17 +580,15 @@ impl Codec for Rank {
     }
 }
 
-/// An individual's id. A restored id is registered with [`Id::advance_past`]
-/// so freshly allocated ids never collide with it.
+/// An individual's id. Journaled ids are stable ids, whose top bit keeps
+/// them out of the process-local [`Id::fresh`] range.
 impl Codec for Id {
     type Value = Id;
     fn write(id: &Id) -> Json {
         u64::write(&id.raw())
     }
     fn read(r: &mut Reader<'_>, key: &str) -> Result<Id, JournalError> {
-        let raw = u64::read(r, key)?;
-        Id::advance_past(raw);
-        Ok(Id::from_raw(raw))
+        Ok(Id::from_raw(u64::read(r, key)?))
     }
 }
 
@@ -716,7 +717,7 @@ fn blank_individual() -> Individual {
     Individual { id: Id::from_raw(0), genome, fitness, rank: usize::MAX, distance, eval_minutes }
 }
 
-// A scheduler report. `heartbeats` and `quarantined_workers` are statistics
+// A scheduler report. `quarantined_workers` and `placements` are statistics
 // no artifact reads back, and stay out of the record.
 record!(PoolReport, PoolReport::default, {
     "makespan" => makespan_minutes: f64,
@@ -773,7 +774,7 @@ pub fn individual_to_json(ind: &Individual) -> Json {
     Individual::write(ind)
 }
 
-/// Decode an individual (its id is registered with [`Id::advance_past`]).
+/// Decode an individual.
 pub fn read_individual(r: &mut Reader<'_>) -> Result<Individual, JournalError> {
     Individual::read(r, "individual")
 }
@@ -1092,7 +1093,7 @@ record! {
 /// A stable fingerprint of everything that determines a campaign's result.
 /// Stored in the journal header; resume refuses a journal whose fingerprint
 /// differs from the configuration it is asked to continue.
-pub fn config_fingerprint(config: &ExperimentConfig) -> u64 {
+fn config_fingerprint(config: &ExperimentConfig) -> u64 {
     let g = &config.gen_config;
     let mut fields = vec![
         ("n_runs", Json::Number(config.n_runs as f64)),
@@ -1112,19 +1113,16 @@ pub fn config_fingerprint(config: &ExperimentConfig) -> u64 {
                 ("n_frames", Json::Number(g.n_frames as f64)),
             ]),
         ),
-        ("noise", list::<f64>(&[config.label_noise.0, config.label_noise.1])),
+        ("noise", list::<f64>(&[LABEL_NOISE.0, LABEL_NOISE.1])),
         (
             "pool",
             Json::object(vec![
                 ("n_workers", Json::Number(config.pool.n_workers as f64)),
-                (
-                    "timeout",
-                    config.pool.timeout_minutes.map_or(Json::Null, Json::Number),
-                ),
+                ("timeout", Json::Number(TIMEOUT_MINUTES)),
                 ("nanny", Json::Bool(config.pool.nanny)),
                 ("max_attempts", Json::Number(config.pool.max_attempts as f64)),
-                ("backoff_base", Json::Number(dphpo_hpc::scheduler::BACKOFF_BASE_MINUTES)),
-                ("backoff_factor", Json::Number(dphpo_hpc::scheduler::BACKOFF_FACTOR)),
+                ("backoff_base", Json::Number(BACKOFF_BASE_MINUTES)),
+                ("backoff_factor", Json::Number(BACKOFF_FACTOR)),
             ]),
         ),
         ("fault_probability", Json::Number(config.fault_probability)),
@@ -1481,7 +1479,7 @@ fn read_text_prefix(path: &Path) -> Result<(Vec<u8>, usize, Option<u64>), Journa
 /// A parsed journal: header metadata plus every valid record, with the
 /// byte length of the valid prefix (a torn final frame from a crash is
 /// tolerated and measured off; any *other* damage makes `load` fail —
-/// run [`salvage`] to truncate and quarantine it).
+/// [`salvage`] or [`compact`] quarantines it).
 #[derive(Debug)]
 pub struct Journal {
     /// Configuration fingerprint from the header.
@@ -1515,7 +1513,7 @@ impl Journal {
         let (bytes, _, utf8_bad) = read_text_prefix(path)?;
         if let Some(offset) = utf8_bad {
             return Err(JournalError::new(format!(
-                "{}: invalid UTF-8 at byte {offset} — run salvage to quarantine the damage",
+                "{}: invalid UTF-8 at byte {offset} — run `fig1 --compact` to salvage it",
                 path.display()
             )));
         }
@@ -1539,8 +1537,8 @@ impl Journal {
         })?;
         if let Some((offset, reason)) = &end.first_bad {
             return Err(JournalError::new(format!(
-                "{}: corrupt record at byte {offset}: {reason} — run salvage to truncate \
-                 and quarantine",
+                "{}: corrupt record at byte {offset}: {reason} — run `fig1 --compact` to \
+                 salvage it",
                 path.display()
             )));
         }
@@ -1712,6 +1710,18 @@ pub fn salvage(path: &Path) -> Result<SalvageReport, JournalError> {
     let (bytes, text_len, utf8_bad) = read_text_prefix(path)?;
     let text = std::str::from_utf8(&bytes[..text_len]).expect("prefix is valid UTF-8");
     let scan = scan_text(text, drop)?;
+    quarantine_tail(path, &bytes, &scan, utf8_bad)
+}
+
+/// [`salvage`]'s repair, given the file's bytes and their scan: move every
+/// byte after the valid prefix to `<journal>.quarantine` and truncate the
+/// journal there.
+fn quarantine_tail(
+    path: &Path,
+    bytes: &[u8],
+    scan: &ScanEnd,
+    utf8_bad: Option<u64>,
+) -> Result<SalvageReport, JournalError> {
     let quarantine_path = PathBuf::from(format!("{}.quarantine", path.display()));
     let quarantined = &bytes[scan.valid_len as usize..];
     if !quarantined.is_empty() {
@@ -1731,7 +1741,7 @@ pub fn salvage(path: &Path) -> Result<SalvageReport, JournalError> {
         frames_kept: scan.frames,
         valid_len: scan.valid_len,
         quarantined_bytes: quarantined.len() as u64,
-        first_bad_offset: scan.first_bad.map(|(offset, _)| offset).or(utf8_bad),
+        first_bad_offset: scan.first_bad.as_ref().map(|&(offset, _)| offset).or(utf8_bad),
         quarantine_path,
     })
 }
@@ -1806,6 +1816,8 @@ pub struct CompactReport {
     pub bytes_before: u64,
     /// File bytes after.
     pub bytes_after: u64,
+    /// The salvage that ran first (nothing quarantined on a clean file).
+    pub salvage: SalvageReport,
 }
 
 /// Rewrite a journal down to what resume actually replays, atomically
@@ -1817,10 +1829,12 @@ pub struct CompactReport {
 /// last boundary; steady-state, the last snapshot and the arrival suffix at
 /// or after it. Original payload bytes are re-emitted verbatim under fresh
 /// frame sequence numbers, so nothing drifts through re-serialisation.
-/// Refuses damaged files (salvage first) and torn tails are dropped.
+/// A damaged file is salvaged first, from the same scan: everything after
+/// its valid prefix goes to `<journal>.quarantine` exactly as [`salvage`]
+/// moves it, and the prefix is compacted.
 pub fn compact(path: &Path) -> Result<CompactReport, JournalError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| JournalError::new(format!("cannot read {}: {e}", path.display())))?;
+    let (bytes, text_len, utf8_bad) = read_text_prefix(path)?;
+    let text = std::str::from_utf8(&bytes[..text_len]).expect("prefix is valid UTF-8");
     // All compaction needs of a record is its kind and ordering keys; the
     // decoded record itself is dropped as soon as the scan has checked it.
     enum Key {
@@ -1831,7 +1845,7 @@ pub fn compact(path: &Path) -> Result<CompactReport, JournalError> {
         Snapshot { run: usize, arrivals: usize },
     }
     let mut frames: Vec<(Key, &str)> = Vec::new();
-    let scan = scan_text(&text, |frame| {
+    let scan = scan_text(text, |frame| {
         let key = match &frame.record {
             ScannedRecord::Header(_) => Key::Header,
             ScannedRecord::Eval(e) => {
@@ -1845,12 +1859,7 @@ pub fn compact(path: &Path) -> Result<CompactReport, JournalError> {
         };
         frames.push((key, frame.payload));
     })?;
-    if let Some((offset, reason)) = &scan.first_bad {
-        return Err(JournalError::new(format!(
-            "cannot compact {}: corrupt record at byte {offset}: {reason} — salvage first",
-            path.display()
-        )));
-    }
+    let salvage = quarantine_tail(path, &bytes, &scan, utf8_bad)?;
     let header = match frames.first() {
         Some((Key::Header, payload)) => *payload,
         _ => return Err(JournalError::new("journal has no header record")),
@@ -1944,8 +1953,9 @@ pub fn compact(path: &Path) -> Result<CompactReport, JournalError> {
     Ok(CompactReport {
         frames_before: scan.frames,
         frames_after: kept.len() as u64,
-        bytes_before: text.len() as u64,
+        bytes_before: bytes.len() as u64,
         bytes_after: content.len() as u64,
+        salvage,
     })
 }
 
@@ -2698,8 +2708,9 @@ mod tests {
         assert_eq!(config_fingerprint(&base.clone()), f0);
     }
 
-    /// The backoff constants of `hpc::scheduler` are hashed in: editing one
-    /// fails here instead of silently orphaning every journal.
+    /// The timeout and backoff constants of `hpc::scheduler` and the label
+    /// noise of `md` are hashed in: editing one fails here instead of
+    /// silently orphaning every journal.
     #[test]
     fn smoke_fingerprints_are_the_ones_existing_journals_carry() {
         let smoke = ExperimentConfig::smoke();

@@ -50,7 +50,7 @@ pub mod workflow;
 pub use analysis::{analyze, analyze_with_thresholds, Analysis, SolutionRecord, CHEM_ACC_ENERGY, CHEM_ACC_FORCE};
 pub use campaign_report::{
     counter_trace_json, markdown_report, status_json, CampaignStatus, GenStatus, RunStatus,
-    REFERENCE_POINT, STATUS_SCHEMA,
+    REFERENCE_POINT,
 };
 pub use decode::{decode, DecodedGenome};
 pub use experiment::{
@@ -58,7 +58,7 @@ pub use experiment::{
 };
 pub use journal::{
     compact, crc32, frame_line, parse_frame, salvage, verify, CompactReport, EpochEntry, Journal,
-    JournalError, JournalWriter, SalvageReport, SnapshotEntry, VerifyReport, FRAME_PREFIX_LEN,
+    JournalError, JournalWriter, SalvageReport, SnapshotEntry, VerifyReport,
 };
 pub use representation::DeepMDRepresentation;
 pub use workflow::{

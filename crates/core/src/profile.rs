@@ -96,7 +96,7 @@ pub fn generation_node(record: &GenerationRecord, report: &PoolReport) -> Profil
 }
 
 /// One run's subtree: a structural `run{r}` node over its generation nodes.
-pub fn run_node(run: usize, rows: Vec<ProfileNode>) -> ProfileNode {
+fn run_node(run: usize, rows: Vec<ProfileNode>) -> ProfileNode {
     ProfileNode::branch(format!("run{run}"), 0, 0.0, rows)
 }
 
@@ -158,7 +158,7 @@ fn budget_json(budget: &StepBudget) -> Json {
 /// tree on the simulated clock, plus the per-phase tape-node step budget
 /// when one was computed. Deterministic pretty JSON — same tree, same
 /// bytes.
-pub fn profile_json(root: &ProfileNode, budget: Option<&StepBudget>) -> String {
+fn profile_json(root: &ProfileNode, budget: Option<&StepBudget>) -> String {
     let mut fields = vec![
         ("schema", Json::String(PROFILE_SCHEMA.into())),
         ("clock", Json::String("sim_minutes".into())),

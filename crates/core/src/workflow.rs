@@ -81,9 +81,9 @@ pub fn estimated_minutes(ctx: &EvalContext, genome: &[f64]) -> f64 {
 
 /// As [`evaluate_individual`], under scheduler supervision: the training
 /// polls [`TaskCtx::is_cancelled`] (its pool shutting down) and its simulated
-/// deadline at step boundaries, emits progress heartbeats, and runs the
-/// strict [`Sentinel::supervised`] divergence sentinel — so a sick run
-/// aborts within one check interval instead of burning its full budget.
+/// deadline at step boundaries, and runs the strict [`Sentinel::supervised`]
+/// divergence sentinel — so a sick run aborts within one check interval
+/// instead of burning its full budget.
 /// `obs` is the telemetry recorder and `span` the identity
 /// `(seed, run, gen, task, attempt)` the trainer emits events under.
 ///
@@ -102,17 +102,15 @@ pub fn evaluate_individual_observed(
     let mean_minutes = estimated_minutes(ctx, genome);
     let num_steps = ctx.base_config.num_steps.max(1);
     let cancelled = || task.is_cancelled();
-    let beat = |done: f64, projected: f64| task.heartbeat(done, projected);
     let sup = Supervision {
         cancelled: Some(&cancelled),
         deadline_minutes: task.deadline_minutes,
         minutes_per_step: mean_minutes / num_steps as f64,
-        heartbeat: Some(&beat),
-        heartbeat_every: (num_steps / 8).max(1),
         check_every: 1,
         sentinel: Sentinel::supervised(),
         recorder: Some(obs),
         span,
+        ..Supervision::none()
     };
     evaluate_inner(ctx, genome, seed, &sup)
 }
@@ -251,7 +249,7 @@ pub fn derive_seed(base: u64, index: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dphpo_md::generate::{generate_dataset, GenConfig};
+    use dphpo_md::generate::{generate_dataset, GenConfig, LABEL_NOISE};
     use dphpo_obs::NOOP;
 
     fn tiny_ctx(workdir: Option<PathBuf>) -> EvalContext {
@@ -261,7 +259,7 @@ mod tests {
         gen.box_len = 9.0;
         gen.n_frames = 8;
         let mut ds = generate_dataset(&gen, &mut rng);
-        ds.add_label_noise(0.0005, 0.03, &mut rng);
+        ds.add_label_noise(LABEL_NOISE.0, LABEL_NOISE.1, &mut rng);
         let (train_ds, val_ds) = ds.split(0.25, &mut rng);
         EvalContext {
             base_config: TrainConfig {

@@ -1,7 +1,8 @@
 //! Corruption-and-salvage matrix (DESIGN.md §13): damage a finished
 //! journal at systematically chosen byte offsets — single-byte flips and
-//! truncations — then salvage and resume, and assert the recovered
-//! campaign reproduces the undamaged one byte-for-byte. A seeded
+//! truncations — then salvage (or compact, which salvages first) and
+//! resume, and assert the recovered campaign reproduces the undamaged one
+//! byte-for-byte. A seeded
 //! fault-plan sweep (`CHAOS_SEEDS`) injects random I/O faults mid-run and
 //! asserts a clean resume restores identity; scripted fsync faults at the
 //! status and profile sites assert those artifacts self-heal, and that a
@@ -15,7 +16,7 @@ use dphpo_core::chaos::{
 use dphpo_core::experiment::{
     Campaign, CampaignMode, ExperimentConfig, ExperimentError, ExperimentResult,
 };
-use dphpo_core::{compact, salvage, verify, Journal};
+use dphpo_core::{compact, markdown_report, salvage, verify, Journal};
 use dphpo_evo::Individual;
 
 /// Generational chaos campaign: 2 runs × 3 individuals × 2 generations.
@@ -84,11 +85,12 @@ fn canon(result: &ExperimentResult) -> String {
 }
 
 /// Reference artifacts for one campaign mode: result canon plus the exact
-/// journal and status bytes an undamaged campaign writes.
+/// journal, status and report bytes an undamaged campaign writes.
 struct Reference {
     canon: String,
     journal: Vec<u8>,
     status: Vec<u8>,
+    report: String,
 }
 
 fn reference_for(config: &ExperimentConfig, tag: &str) -> Reference {
@@ -103,6 +105,7 @@ fn reference_for(config: &ExperimentConfig, tag: &str) -> Reference {
         canon: canon(&result),
         journal: std::fs::read(&journal_path).unwrap(),
         status: std::fs::read(&status_path).unwrap(),
+        report: markdown_report(&result.status, config.mode),
     }
 }
 
@@ -146,6 +149,41 @@ fn assert_recovered(config: &ExperimentConfig, reference: &Reference, damaged: &
         std::fs::read(&status_path).unwrap(),
         reference.status,
         "{tag}: status bytes diverged"
+    );
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(format!("{}.quarantine", path.display()));
+    let _ = std::fs::remove_file(&status_path);
+}
+
+/// The same recovery through `compact` instead of `salvage`: it quarantines
+/// the damage from its own scan, so the resumed campaign reproduces the
+/// undamaged result, status and report bytes (its journal is the compacted
+/// one, so not the journal's). A journal whose header is damaged is
+/// salvaged down to nothing and has no header to compact: it starts over.
+fn assert_compacted_recovers(
+    config: &ExperimentConfig,
+    reference: &Reference,
+    damaged: &[u8],
+    tag: &str,
+) {
+    let path = scratch(&format!("{tag}.jsonl"));
+    let status_path = scratch(&format!("{tag}-status.json"));
+    std::fs::write(&path, damaged).unwrap();
+    let _ = std::fs::remove_file(&status_path);
+    if let Err(e) = compact(&path) {
+        assert_eq!(verify(&path).unwrap().frames, 0, "{tag}: compact failed: {e}");
+    }
+    let recovered = complete_from(config, &path, &status_path, tag);
+    assert_eq!(canon(&recovered), reference.canon, "{tag}: recovered campaign diverged");
+    assert_eq!(
+        std::fs::read(&status_path).unwrap(),
+        reference.status,
+        "{tag}: status bytes diverged"
+    );
+    assert_eq!(
+        markdown_report(&recovered.status, config.mode),
+        reference.report,
+        "{tag}: report bytes diverged"
     );
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(format!("{}.quarantine", path.display()));
@@ -224,7 +262,8 @@ fn salvage_recovers_a_clean_prefix_across_byte_offsets() {
 /// Full recovery at `CORRUPT_STRIDE`-stepped offsets (default 211): flip
 /// or truncate, salvage, resume (or restart when the header itself died),
 /// and require the recovered journal, status file, and results to be
-/// byte-identical to the undamaged campaign's.
+/// byte-identical to the undamaged campaign's; then the same damage again,
+/// repaired by `compact` instead of `salvage`.
 #[test]
 fn flip_and_truncate_then_salvage_then_resume_is_byte_identical() {
     let stride = env_usize("CORRUPT_STRIDE", 211).max(1);
@@ -243,6 +282,10 @@ fn flip_and_truncate_then_salvage_then_resume_is_byte_identical() {
                 &bytes[..offset],
                 &format!("matrix-{tag}-trunc-{offset}"),
             );
+            let flip = format!("matrix-{tag}-compact-flip-{offset}");
+            assert_compacted_recovers(&config, &reference, &flipped, &flip);
+            let trunc = format!("matrix-{tag}-compact-trunc-{offset}");
+            assert_compacted_recovers(&config, &reference, &bytes[..offset], &trunc);
         }
     }
 }

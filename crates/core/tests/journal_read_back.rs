@@ -6,19 +6,20 @@
 //! the campaign report's failure breakdown is the journal's boundary records
 //! summed per row; and a journal whose campaign was killed, at any task, is
 //! refused with the first missing `(run, generation)` and left exactly as it
-//! was.
+//! was. Reading a journal leaves the process-local id counter alone.
 //!
 //! The configurations are the `journal_chaos` / `steady_state_identity`
 //! ones (faults and retries on), so boundaries carry penalty
 //! individuals as well as clean ones.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use dphpo_core::analysis::{analyze, level_plot_csv};
 use dphpo_core::experiment::{Campaign, CampaignMode, ExperimentConfig, ExperimentResult};
 use dphpo_core::journal::Journal;
 use dphpo_core::CampaignStatus;
 use dphpo_evo::nsga2::{GenerationRecord, RunResult};
+use dphpo_evo::Id;
 use dphpo_hpc::PoolReport;
 
 /// The `journal_chaos` campaign: 2 runs × 3 individuals × 2 generations.
@@ -249,5 +250,23 @@ fn a_journal_killed_at_any_task_is_refused_with_the_first_missing_boundary() {
             );
             let _ = std::fs::remove_file(&path);
         }
+    }
+}
+
+/// Journaled ids are stable ids with the top bit set; loading them must not
+/// drag [`Id::fresh`] up into that range, which it reserves for them.
+#[test]
+fn loading_a_journal_keeps_fresh_ids_below_the_stable_range() {
+    let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    for name in ["experiment.journal.jsonl", "steady_experiment.journal.jsonl"] {
+        let journal = Journal::load(&results.join(name)).expect("checked-in journal");
+        let mut ids = (journal.generations.values().map(|g| &g.record))
+            .chain(journal.epochs.values().map(|e| &e.record))
+            .flat_map(|record| &record.population)
+            .map(|individual| individual.id.raw())
+            .peekable();
+        assert!(ids.peek().is_some() && ids.all(|id| id >> 63 == 1), "{name}");
+        let fresh = Id::fresh().raw();
+        assert!(fresh < 1 << 63, "{name}: Id::fresh() returned {fresh:#x}");
     }
 }

@@ -59,11 +59,11 @@ pub enum AbortReason {
 pub struct Sentinel {
     /// Absolute loss ceiling; values beyond it are irrecoverable even when
     /// still finite.
-    pub loss_limit: f64,
+    loss_limit: f64,
     /// Relative ceiling: abort once the loss exceeds
     /// `explosion_factor ×` the first step's loss. `INFINITY` disables the
     /// relative check (the plain, pre-supervision behaviour).
-    pub explosion_factor: f64,
+    explosion_factor: f64,
 }
 
 impl Default for Sentinel {

@@ -112,16 +112,9 @@ impl Id {
     }
 
     /// Rebuild an id from its raw value — used when restoring individuals
-    /// from a journal. Call [`Id::advance_past`] afterwards so freshly
-    /// allocated ids cannot collide with restored ones.
+    /// from a journal.
     pub fn from_raw(raw: u64) -> Self {
         Id(raw)
-    }
-
-    /// Advance the process-wide id counter past `raw`, ensuring every
-    /// subsequent [`Id::fresh`] exceeds it. Idempotent and monotone.
-    pub fn advance_past(raw: u64) {
-        NEXT_ID.fetch_max(raw.saturating_add(1), Ordering::Relaxed);
     }
 }
 
@@ -233,17 +226,6 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn nan_rejected() {
         let _ = Fitness::new(vec![f64::NAN, 1.0]);
-    }
-
-    #[test]
-    fn restored_ids_never_collide_with_fresh_ones() {
-        let restored = Id::from_raw(5_000_000);
-        Id::advance_past(restored.raw());
-        let fresh = Id::fresh();
-        assert!(fresh.raw() > restored.raw());
-        // Idempotent: advancing past an older id changes nothing.
-        Id::advance_past(1);
-        assert!(Id::fresh().raw() > fresh.raw());
     }
 
     #[test]

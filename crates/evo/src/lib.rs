@@ -9,7 +9,7 @@
 //! per-generation mutation-σ annealing, and the steady-state (asynchronous)
 //! insertion machinery in [`steady`] used by barrier-free campaigns.
 //!
-//! The library is deliberately general: [`problems`] ships ZDT/DTLZ
+//! The library is deliberately general: [`problems`] ships ZDT
 //! benchmarks so the optimizer can be validated independently of the DNNP
 //! hyperparameter workload built on top of it in `dphpo-core`.
 //!
@@ -60,8 +60,7 @@ pub use mo::{
 };
 pub use archive::{ArchiveChurn, ParetoArchive};
 pub use metrics::{
-    front_stats_2d, hypervolume, igd, spread_2d, zdt1_reference_front, zdt2_reference_front,
-    FrontStats,
+    front_stats_2d, hypervolume, zdt1_reference_front, zdt2_reference_front, FrontStats,
 };
 pub use nsga2::{
     run_nsga2, BatchEvaluator, EvalResult, GenerationRecord, Nsga2Config, Nsga2State, RunResult,

@@ -1,36 +1,11 @@
-//! Multi-objective quality metrics beyond hypervolume: inverted
-//! generational distance (IGD) against a reference front, front spread,
-//! and analytic reference fronts for the ZDT problems — used to validate
-//! the optimizer quantitatively.
-
-use crate::individual::Fitness;
-
-/// Inverted generational distance: mean Euclidean distance from each
-/// reference-front point to its nearest obtained point (lower is better).
-pub fn igd(obtained: &[Vec<f64>], reference: &[Vec<f64>]) -> f64 {
-    assert!(!reference.is_empty(), "empty reference front");
-    if obtained.is_empty() {
-        return f64::INFINITY;
-    }
-    let dist = |a: &[f64], b: &[f64]| -> f64 {
-        a.iter().zip(b.iter()).map(|(x, y)| (x - y) * (x - y)).sum::<f64>().sqrt()
-    };
-    reference
-        .iter()
-        .map(|r| {
-            obtained
-                .iter()
-                .map(|o| dist(r, o))
-                .fold(f64::MAX, f64::min)
-        })
-        .sum::<f64>()
-        / reference.len() as f64
-}
+//! Multi-objective quality metrics beyond hypervolume: front spread and
+//! analytic reference fronts for the ZDT problems — used to validate the
+//! optimizer quantitatively.
 
 /// Spread (Δ-style): standard deviation of consecutive gap lengths along a
 /// bi-objective front sorted by the first objective, normalised by the mean
 /// gap. 0 = perfectly uniform spacing.
-pub fn spread_2d(front: &[(f64, f64)]) -> f64 {
+fn spread_2d(front: &[(f64, f64)]) -> f64 {
     if front.len() < 3 {
         return 0.0;
     }
@@ -142,7 +117,8 @@ pub struct FrontStats {
     pub cardinality: usize,
     /// Exact 2-D hypervolume against the campaign reference point.
     pub hypervolume: f64,
-    /// Gap-uniformity spread (see [`spread_2d`]); 0 = perfectly uniform.
+    /// Gap-uniformity spread: the standard deviation of consecutive gap
+    /// lengths over their mean; 0 = perfectly uniform.
     pub spread: f64,
 }
 
@@ -158,50 +134,9 @@ pub fn front_stats_2d(front: &[(f64, f64)], reference: (f64, f64)) -> FrontStats
     }
 }
 
-/// Objective vectors of the non-penalty members of a population slice.
-pub fn objective_vectors(fitnesses: &[&Fitness]) -> Vec<Vec<f64>> {
-    fitnesses
-        .iter()
-        .filter(|f| !f.is_penalty())
-        .map(|f| f.values().to_vec())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn igd_zero_when_fronts_match() {
-        let reference = zdt1_reference_front(20);
-        assert_eq!(igd(&reference, &reference), 0.0);
-    }
-
-    #[test]
-    fn igd_decreases_as_points_approach_front() {
-        let reference = zdt1_reference_front(30);
-        let far: Vec<Vec<f64>> = reference.iter().map(|p| vec![p[0], p[1] + 1.0]).collect();
-        let near: Vec<Vec<f64>> = reference.iter().map(|p| vec![p[0], p[1] + 0.1]).collect();
-        assert!(igd(&near, &reference) < igd(&far, &reference));
-        // Each reference point has its shifted twin at distance exactly
-        // 0.1, so the nearest-point distance is bounded by (and close to)
-        // that.
-        let near_igd = igd(&near, &reference);
-        assert!(near_igd <= 0.1 + 1e-9 && near_igd > 0.03, "igd {near_igd}");
-    }
-
-    #[test]
-    fn igd_of_empty_set_is_infinite() {
-        assert!(igd(&[], &zdt1_reference_front(5)).is_infinite());
-    }
-
-    #[test]
-    fn igd_penalises_partial_coverage() {
-        // Covering only half the front leaves the rest at a distance.
-        let reference = zdt1_reference_front(40);
-        let half: Vec<Vec<f64>> = reference[..20].to_vec();
-        assert!(igd(&half, &reference) > 0.01);
-    }
 
     #[test]
     fn spread_uniform_vs_clustered() {
@@ -273,16 +208,5 @@ mod tests {
         assert_eq!(stats.cardinality, 2);
         assert!(stats.hypervolume > 0.0);
         assert_eq!(stats.spread, 0.0, "two points have no gap variance");
-    }
-
-    #[test]
-    fn objective_vectors_skip_penalties() {
-        let fits = [Fitness::new(vec![0.1, 0.2]),
-            Fitness::penalty(2),
-            Fitness::new(vec![0.3, 0.4])];
-        let refs: Vec<&Fitness> = fits.iter().collect();
-        let vecs = objective_vectors(&refs);
-        assert_eq!(vecs.len(), 2);
-        assert_eq!(vecs[1], vec![0.3, 0.4]);
     }
 }

@@ -1,6 +1,5 @@
-//! Classic multi-objective benchmark problems (ZDT, DTLZ) used to validate
-//! the NSGA-II implementation independently of the DNNP workload, plus a
-//! sphere function for single-objective sanity checks.
+//! Classic multi-objective benchmark problems (ZDT) used to validate the
+//! NSGA-II implementation independently of the DNNP workload.
 
 /// A real-valued vector optimisation problem (all objectives minimised).
 pub struct Problem {
@@ -66,22 +65,6 @@ fn zdt3_eval(x: &[f64]) -> Vec<f64> {
     ]
 }
 
-fn dtlz2_eval(x: &[f64]) -> Vec<f64> {
-    // 3-objective DTLZ2 with k = dims - 2 distance variables.
-    let m = 3;
-    let k_start = m - 1;
-    let g: f64 = x[k_start..].iter().map(|&v| (v - 0.5) * (v - 0.5)).sum();
-    let half_pi = std::f64::consts::FRAC_PI_2;
-    let f1 = (1.0 + g) * (x[0] * half_pi).cos() * (x[1] * half_pi).cos();
-    let f2 = (1.0 + g) * (x[0] * half_pi).cos() * (x[1] * half_pi).sin();
-    let f3 = (1.0 + g) * (x[0] * half_pi).sin();
-    vec![f1, f2, f3]
-}
-
-fn sphere_eval(x: &[f64]) -> Vec<f64> {
-    vec![x.iter().map(|&v| v * v).sum()]
-}
-
 /// ZDT1: convex Pareto front `f2 = 1 - √f1` at `g = 1`.
 pub fn zdt1() -> Problem {
     Problem { name: "ZDT1", dims: 30, objectives: 2, bounds: vec![(0.0, 1.0); 30], eval: zdt1_eval }
@@ -95,24 +78,6 @@ pub fn zdt2() -> Problem {
 /// ZDT3: disconnected Pareto front.
 pub fn zdt3() -> Problem {
     Problem { name: "ZDT3", dims: 30, objectives: 2, bounds: vec![(0.0, 1.0); 30], eval: zdt3_eval }
-}
-
-/// DTLZ2 with three objectives; Pareto front is the unit-sphere octant.
-pub fn dtlz2() -> Problem {
-    Problem { name: "DTLZ2", dims: 12, objectives: 3, bounds: vec![(0.0, 1.0); 12], eval: dtlz2_eval }
-}
-
-/// Sphere function, single objective, minimum 0 at the origin.
-pub fn sphere(dims: usize) -> Problem {
-    assert!(dims > 0 && dims <= 64, "sphere dims out of supported range");
-    // Leaked bounds are fine: problems are created a handful of times.
-    Problem {
-        name: "sphere",
-        dims,
-        objectives: 1,
-        bounds: vec![(-5.0, 5.0); dims],
-        eval: sphere_eval,
-    }
 }
 
 #[cfg(test)]
@@ -162,24 +127,6 @@ mod tests {
         let f_on = p.evaluate(&on);
         let f_off = p.evaluate(&off);
         assert!(f_on[1] < f_off[1], "tail variables must worsen f2");
-    }
-
-    #[test]
-    fn dtlz2_on_front_is_unit_sphere() {
-        let p = dtlz2();
-        let mut x = vec![0.5; 12];
-        x[0] = 0.3;
-        x[1] = 0.7;
-        let f = p.evaluate(&x);
-        let norm: f64 = f.iter().map(|v| v * v).sum::<f64>();
-        assert!((norm - 1.0).abs() < 1e-9, "norm² {norm}");
-    }
-
-    #[test]
-    fn sphere_minimum_at_origin() {
-        let p = sphere(4);
-        assert_eq!(p.evaluate(&[0.0; 4])[0], 0.0);
-        assert!(p.evaluate(&[1.0, 0.0, 0.0, 0.0])[0] > 0.0);
     }
 
     #[test]

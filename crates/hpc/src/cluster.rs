@@ -12,7 +12,7 @@ pub struct NodeSpec {
 
 impl NodeSpec {
     /// Summit's AC922 node: 6 GPUs, 42 usable cores.
-    pub fn summit() -> Self {
+    fn summit() -> Self {
         NodeSpec { gpus: 6, cores: 42 }
     }
 }
@@ -34,11 +34,6 @@ impl Allocation {
     /// The paper's allocation: 100 Summit nodes, 12 h walltime.
     pub fn paper() -> Self {
         Allocation { n_nodes: 100, node: NodeSpec::summit(), walltime_minutes: 12.0 * 60.0 }
-    }
-
-    /// Total GPUs in the allocation.
-    pub fn total_gpus(&self) -> usize {
-        self.n_nodes * self.node.gpus
     }
 
     /// Rough upper bound on how many sequential evaluation rounds of
@@ -66,7 +61,6 @@ mod tests {
     fn paper_allocation_supports_seven_generations() {
         let a = Allocation::paper();
         assert_eq!(a.n_nodes, 100);
-        assert_eq!(a.total_gpus(), 600);
         // With ≤80-minute trainings and a 2 h cap, 7 generations
         // (initial + 6) of one-per-node evaluations fit in 12 h.
         assert!(a.rounds_within_walltime(80.0) >= 7);

@@ -39,13 +39,13 @@ impl TrainingJob {
 #[derive(Clone, Copy, Debug)]
 pub struct CostModel {
     /// Minutes per abstract work unit on a 6-GPU node.
-    pub minutes_per_unit: f64,
+    minutes_per_unit: f64,
     /// CPU-node slowdown factor (paper §2.1.2: ≈65×).
-    pub cpu_slowdown: f64,
+    cpu_slowdown: f64,
     /// Relative runtime jitter (σ of the multiplicative noise).
-    pub noise_frac: f64,
+    noise_frac: f64,
     /// Per-job fixed overhead in minutes (startup, data staging).
-    pub overhead_minutes: f64,
+    overhead_minutes: f64,
 }
 
 impl Default for CostModel {
@@ -67,7 +67,7 @@ impl CostModel {
     /// Abstract work units for a job: steps × batch × atoms × per-atom cost,
     /// where the per-atom cost splits into neighbor-proportional descriptor
     /// work and fixed fitting-net work.
-    pub fn work_units(&self, job: &TrainingJob) -> f64 {
+    fn work_units(&self, job: &TrainingJob) -> f64 {
         let per_atom = job.neighbors() + 50.0;
         job.steps as f64 * job.batch_total as f64 * job.n_atoms as f64 * per_atom
     }

@@ -47,8 +47,9 @@
 //! classification (timeouts charge the limit, structured faults map onto
 //! [`TaskError`]) and space retries by one [`scheduler::backoff_minutes`],
 //! so the two campaign modes cannot drift apart on what a failure is or
-//! costs. The backoff and the quarantine threshold are constants of
-//! [`scheduler`]; [`PoolConfig`] holds the four values campaigns set.
+//! costs. The timeout, the backoff and the quarantine threshold are
+//! constants of [`scheduler`]; [`PoolConfig`] holds the three values
+//! campaigns set.
 //!
 //! A batch's simulated clock is one list schedule: [`Pool::run_batch`]
 //! charges each terminal record, in task order, to the least-loaded slot,

@@ -18,17 +18,16 @@
 //! results).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use crossbeam::channel::{self, Receiver, Sender};
 
-use crate::scheduler::{EvalOutcome, TaskCtx};
+use crate::scheduler::{EvalOutcome, TaskCtx, TIMEOUT_MINUTES};
 
 /// One attempt of one task, as handed to a pool thread.
 pub(crate) struct Job<J> {
     pub task: usize,
     pub attempt: u32,
-    pub deadline_minutes: Option<f64>,
     pub input: J,
 }
 
@@ -58,7 +57,6 @@ pub struct Pool<'p, J, T> {
     jobs: Sender<Job<J>>,
     done: Receiver<Completion<T>>,
     stop: &'p AtomicBool,
-    heartbeats: &'p AtomicUsize,
 }
 
 impl<J, T> Pool<'_, J, T> {
@@ -71,13 +69,6 @@ impl<J, T> Pool<'_, J, T> {
     /// Block for the next completion, in the order jobs finish.
     pub(crate) fn recv(&self) -> Completion<T> {
         self.done.recv().expect("pool threads outlive the pool handle")
-    }
-
-    /// Progress heartbeats counted since the pool opened. Evaluations bump
-    /// one shared counter; a scheduler reads it once per batch instead of
-    /// being woken once per beat.
-    pub(crate) fn heartbeats(&self) -> usize {
-        self.heartbeats.load(Ordering::Relaxed)
     }
 }
 
@@ -124,15 +115,14 @@ where
     let (jobs, job_rx) = channel::unbounded::<Job<J>>();
     let (done_tx, done) = channel::unbounded::<Completion<T>>();
     let stop = AtomicBool::new(false);
-    let heartbeats = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for worker in 0..n_threads {
             let (job_rx, done_tx) = (job_rx.clone(), done_tx.clone());
-            let (eval, stop, heartbeats) = (&eval, &stop, &heartbeats);
-            scope.spawn(move || work(worker, &job_rx, &done_tx, eval, stop, heartbeats));
+            let (eval, stop) = (&eval, &stop);
+            scope.spawn(move || work(worker, &job_rx, &done_tx, eval, stop));
         }
         drop((job_rx, done_tx));
-        let pool = Pool { jobs, done, stop: &stop, heartbeats: &heartbeats };
+        let pool = Pool { jobs, done, stop: &stop };
         body(&pool)
     })
 }
@@ -144,21 +134,21 @@ fn work<J, T, F>(
     done: &Sender<Completion<T>>,
     eval: &F,
     stop: &AtomicBool,
-    heartbeats: &AtomicUsize,
 ) where
     F: Fn(&TaskCtx<'_>, &J) -> EvalOutcome<T>,
 {
-    while let Ok(Job { task, attempt, deadline_minutes, input }) = jobs.recv() {
+    while let Ok(Job { task, attempt, input }) = jobs.recv() {
         // Shutting down: the handle — the only receiver — is gone, so what
         // is still queued is dropped unrun.
         if stop.load(Ordering::SeqCst) {
             continue;
         }
-        // A statistic, published by nothing but its own value.
-        let beat = |_done: f64, _projected: f64| {
-            heartbeats.fetch_add(1, Ordering::Relaxed);
+        let ctx = TaskCtx {
+            task,
+            attempt,
+            deadline_minutes: Some(TIMEOUT_MINUTES),
+            stop: Some(stop),
         };
-        let ctx = TaskCtx { task, attempt, deadline_minutes, stop: Some(stop), beat: Some(&beat) };
         let result = match catch_unwind(AssertUnwindSafe(|| eval(&ctx, &input))) {
             Ok(outcome) => JobResult::Done(outcome),
             Err(_) => JobResult::Panicked,

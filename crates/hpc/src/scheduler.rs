@@ -118,20 +118,19 @@ pub struct EvalOutcome<T> {
 /// Per-attempt context handed to a supervised evaluation function.
 ///
 /// Carries the attempt's identity (for replay short-circuits and logging),
-/// the deadline budget, the pool's shutdown flag, and a progress heartbeat
-/// the scheduler's supervision loop counts.
+/// the deadline budget and the pool's shutdown flag.
 pub struct TaskCtx<'a> {
     /// Task index within the batch.
     pub task: usize,
     /// Attempt number (1 = first try).
     pub attempt: u32,
-    /// Simulated-minutes budget for this attempt (the pool's per-task
-    /// timeout), for the evaluation to enforce cooperatively.
+    /// Simulated-minutes budget for this attempt, for the evaluation to
+    /// enforce cooperatively: [`TIMEOUT_MINUTES`] on a pool thread, `None`
+    /// when detached.
     pub deadline_minutes: Option<f64>,
     /// The pool's shutdown flag: set when its driver leaves, so whatever is
     /// still running stops at its next check.
     pub(crate) stop: Option<&'a AtomicBool>,
-    pub(crate) beat: Option<&'a (dyn Fn(f64, f64) + 'a)>,
 }
 
 impl TaskCtx<'static> {
@@ -143,7 +142,6 @@ impl TaskCtx<'static> {
             attempt: 1,
             deadline_minutes: None,
             stop: None,
-            beat: None,
         }
     }
 }
@@ -155,13 +153,10 @@ impl<'a> TaskCtx<'a> {
         self.stop.is_some_and(|stop| stop.load(Ordering::SeqCst))
     }
 
-    /// Report simulated progress: `done` minutes consumed of a `projected`
-    /// total. A no-op without a scheduler attached.
-    pub fn heartbeat(&self, done: f64, projected: f64) {
-        if let Some(beat) = self.beat {
-            beat(done, projected);
-        }
-    }
+    /// Reserved: a no-op that nothing reads. `benchmark/src/mirror.rs`
+    /// wires it into its trainings, so it stays until that package is next
+    /// edited.
+    pub fn heartbeat(&self, _done: f64, _projected: f64) {}
 }
 
 /// Final per-task record returned by [`run_batch`].
@@ -179,6 +174,11 @@ pub struct TaskRecord<T> {
     pub attempts: u32,
 }
 
+/// The per-task simulated-runtime limit in minutes: the paper's 2-hour
+/// `subprocess` timeout. An attempt that runs past it is a
+/// [`TaskError::Timeout`] charged exactly this much.
+pub const TIMEOUT_MINUTES: f64 = 120.0;
+
 /// Simulated minutes of backoff before the first retry of a task.
 pub const BACKOFF_BASE_MINUTES: f64 = 1.0;
 /// Multiplier applied to the backoff for each further retry.
@@ -195,14 +195,13 @@ pub fn backoff_minutes(retry: u32) -> f64 {
 pub const QUARANTINE_DEATHS: u32 = 3;
 
 /// Pool configuration: everything about the scheduler a campaign can ask
-/// for. The backoff and the quarantine threshold are the constants above —
-/// no campaign, preset or benchmark ever ran with other values.
+/// for. The timeout, the backoff and the quarantine threshold are the
+/// constants above — no campaign, preset or benchmark ever ran with other
+/// values.
 #[derive(Clone, Copy, Debug)]
 pub struct PoolConfig {
     /// Number of workers (the paper: one per allocated node, 100).
     pub n_workers: usize,
-    /// Per-task simulated-runtime limit in minutes (the paper: 120).
-    pub timeout_minutes: Option<f64>,
     /// Restart dead workers (Dask nannies). The paper disables them.
     pub nanny: bool,
     /// Maximum attempts per task before giving up.
@@ -213,7 +212,6 @@ impl Default for PoolConfig {
     fn default() -> Self {
         PoolConfig {
             n_workers: 4,
-            timeout_minutes: Some(120.0),
             nanny: false,
             max_attempts: 3,
         }
@@ -295,8 +293,7 @@ impl FaultInjector {
 ///
 /// Every field is a deterministic function of the batch inputs, the fault
 /// plan, and the pool configuration. The journal carries neither
-/// [`PoolReport::heartbeats`], [`PoolReport::quarantined_workers`] nor
-/// [`PoolReport::placements`].
+/// [`PoolReport::quarantined_workers`] nor [`PoolReport::placements`].
 #[derive(Clone, Debug, Default)]
 pub struct PoolReport {
     /// Simulated makespan: the longest per-worker busy time in minutes
@@ -347,8 +344,6 @@ pub struct PoolReport {
     /// Simulated worker slots permanently retired by health scoring (live
     /// slots absorb deaths round-robin). Not journaled.
     pub quarantined_workers: usize,
-    /// Progress heartbeats counted over the batch. Not journaled.
-    pub heartbeats: usize,
     /// Where each task's terminal record sits on the batch's list schedule,
     /// in task order: `(slot, start minute)`. The worker lanes of a trace.
     /// Not journaled; empty in a steady-state epoch report.
@@ -357,31 +352,22 @@ pub struct PoolReport {
 
 /// How a completed attempt's outcome becomes its terminal record, shared by
 /// the batch driver and the stream scheduler so both campaign modes classify
-/// and charge alike: a simulated runtime over the limit is a
+/// and charge alike: a simulated runtime over [`TIMEOUT_MINUTES`] is a
 /// [`TaskError::Timeout`] charged the limit (the real job would have been
 /// killed at the wall); otherwise a structured [`EvalFault`] maps onto its
 /// [`TaskError`] and the evaluation's own minutes are charged.
-pub(crate) fn classify<T>(
-    outcome: EvalOutcome<T>,
-    timeout_minutes: Option<f64>,
-) -> (Result<T, TaskError>, f64) {
-    let minutes = outcome.minutes;
-    match timeout_minutes {
-        Some(limit) if minutes > limit => {
-            (Err(TaskError::Timeout { limit_minutes: limit }), limit)
-        }
-        _ => {
-            let value = outcome.value.map_err(|fault| match fault {
-                EvalFault::Failed(reason) => TaskError::Failed(reason),
-                EvalFault::Diverged { step, loss } => TaskError::Diverged { step, loss },
-                EvalFault::Deadline => TaskError::Timeout {
-                    limit_minutes: timeout_minutes.unwrap_or(minutes),
-                },
-                EvalFault::Cancelled => TaskError::Cancelled,
-            });
-            (value, minutes)
-        }
+pub(crate) fn classify<T>(outcome: EvalOutcome<T>) -> (Result<T, TaskError>, f64) {
+    let timeout = TaskError::Timeout { limit_minutes: TIMEOUT_MINUTES };
+    if outcome.minutes > TIMEOUT_MINUTES {
+        return (Err(timeout), TIMEOUT_MINUTES);
     }
+    let value = outcome.value.map_err(|fault| match fault {
+        EvalFault::Failed(reason) => TaskError::Failed(reason),
+        EvalFault::Diverged { step, loss } => TaskError::Diverged { step, loss },
+        EvalFault::Deadline => timeout,
+        EvalFault::Cancelled => TaskError::Cancelled,
+    });
+    (value, outcome.minutes)
 }
 
 /// Evaluate every input in parallel on a simulated worker pool.
@@ -402,11 +388,10 @@ where
     // Without a supervised evaluation there is no per-task cost estimate;
     // use the timeout limit (the most a live attempt could burn) so dead
     // attempts still charge nonzero partial minutes.
-    let flat = config.timeout_minutes.unwrap_or(0.0);
     run_batch_supervised(
         inputs,
         |ctx: &TaskCtx<'_>, input: &I| eval(ctx.task, input),
-        |_, _| flat,
+        |_, _| TIMEOUT_MINUTES,
         config,
         faults,
         |_, _: &TaskRecord<T>| {},
@@ -425,7 +410,7 @@ where
 /// journal appended here has every finished evaluation on disk even if the
 /// driver dies before the batch (or the campaign) completes.
 ///
-/// `eval` receives a [`TaskCtx`] (deadline budget, shutdown flag, heartbeat)
+/// `eval` receives a [`TaskCtx`] (deadline budget, shutdown flag)
 /// and should poll [`TaskCtx::is_cancelled`] at step boundaries.
 /// `estimate(task, &input)` returns the task's deterministic simulated-
 /// minutes estimate, of which a dead attempt is charged a fraction. Panics
@@ -678,7 +663,6 @@ impl<J: Clone, T> Pool<'_, J, T> {
             backoff_per_task: vec![0.0; n],
         };
 
-        let heartbeats_before = self.heartbeats();
         let mut in_flight = 0usize;
         loop {
             // Dequeue in order while a simulated worker is left to dequeue.
@@ -692,12 +676,7 @@ impl<J: Clone, T> Pool<'_, J, T> {
                     batch.death(task, false);
                     continue;
                 }
-                self.dispatch(Job {
-                    task,
-                    attempt,
-                    deadline_minutes: config.timeout_minutes,
-                    input: inputs[task].clone(),
-                });
+                self.dispatch(Job { task, attempt, input: inputs[task].clone() });
                 in_flight += 1;
             }
             // Done when nothing is on a thread: the queue is then empty, or
@@ -709,7 +688,7 @@ impl<J: Clone, T> Pool<'_, J, T> {
             in_flight -= 1;
             match result {
                 JobResult::Done(outcome) => {
-                    let (value, minutes) = classify(outcome, config.timeout_minutes);
+                    let (value, minutes) = classify(outcome);
                     batch.finalize(task, value, minutes, worker);
                 }
                 // A panicking evaluation is a worker death (the documented
@@ -748,11 +727,7 @@ impl<J: Clone, T> Pool<'_, J, T> {
             })
             .collect();
         report.quarantined_workers = workers.quarantined;
-        report.heartbeats = self.heartbeats() - heartbeats_before;
         if obs_on {
-            if report.heartbeats > 0 {
-                obs.counter_add(names::C_HEARTBEATS, report.heartbeats as u64);
-            }
             // Not journaled; the `side.` prefix keeps it out of the
             // deterministic exports.
             obs.gauge_set(names::G_QUARANTINED, report.quarantined_workers as f64);
@@ -874,7 +849,7 @@ mod tests {
             value: Ok(x),
             minutes: if task == 1 { 150.0 } else { 60.0 },
         };
-        let config = PoolConfig { n_workers: 2, timeout_minutes: Some(120.0), ..PoolConfig::default() };
+        let config = PoolConfig { n_workers: 2, ..PoolConfig::default() };
         let (records, report) = run_batch(&inputs, eval, &config, &FaultInjector::none());
         assert!(records[0].value.is_ok());
         assert_eq!(
@@ -941,12 +916,11 @@ mod tests {
             value: Err(EvalFault::Deadline),
             minutes: 120.0,
         };
-        let config = PoolConfig { timeout_minutes: Some(120.0), ..PoolConfig::default() };
         let (records, report) = run_batch_supervised(
             &inputs,
             eval,
             |_, _| 120.0,
-            &config,
+            &PoolConfig::default(),
             &FaultInjector::none(),
             |_, _| {},
         );
@@ -958,7 +932,7 @@ mod tests {
     #[test]
     fn worker_deaths_trigger_reassignment_without_nannies() {
         let inputs: Vec<u64> = (0..30).collect();
-        let config = PoolConfig { n_workers: 8, nanny: false, max_attempts: 30, ..PoolConfig::default() };
+        let config = PoolConfig { n_workers: 8, nanny: false, max_attempts: 30 };
         let faults = FaultInjector::new(0.10, 42);
         let (records, report) = run_batch(&inputs, quick_eval(5.0), &config, &faults);
         // With 10 % per-task deaths over 30 tasks, some deaths are certain
@@ -977,7 +951,7 @@ mod tests {
     #[test]
     fn nannies_restart_workers() {
         let inputs: Vec<u64> = (0..40).collect();
-        let config = PoolConfig { n_workers: 2, nanny: true, max_attempts: 50, ..PoolConfig::default() };
+        let config = PoolConfig { n_workers: 2, nanny: true, max_attempts: 50 };
         let faults = FaultInjector::new(0.2, 7);
         let (records, report) = run_batch(&inputs, quick_eval(1.0), &config, &faults);
         assert!(report.worker_deaths > 0);
@@ -992,7 +966,6 @@ mod tests {
             n_workers: 1,
             nanny: true,
             max_attempts: 2,
-            ..PoolConfig::default()
         };
         // Certain-death injector: the task can never complete.
         let faults = FaultInjector::new(0.999, 3);
@@ -1022,7 +995,7 @@ mod tests {
             assert!(ctx.attempt > 3, "attempt {} dies", ctx.attempt);
             EvalOutcome { value: Ok::<u64, EvalFault>(x), minutes: 5.0 }
         };
-        let config = PoolConfig { n_workers: 1, nanny: true, max_attempts: 4, ..PoolConfig::default() };
+        let config = PoolConfig { n_workers: 1, nanny: true, max_attempts: 4 };
         let faults = FaultInjector::none();
         let (records, report) =
             run_batch_supervised(&[9u64], eval, |_, _| 5.0, &config, &faults, |_, _| {});
@@ -1045,7 +1018,7 @@ mod tests {
             }
             EvalOutcome { value: Ok::<u64, EvalFault>(x * 2), minutes: 5.0 }
         };
-        let config = PoolConfig { n_workers: 2, nanny: true, max_attempts: 2, ..PoolConfig::default() };
+        let config = PoolConfig { n_workers: 2, nanny: true, max_attempts: 2 };
         let (records, report) = run_batch(&inputs, eval, &config, &FaultInjector::none());
         assert!(records[0].value.is_ok());
         assert!(records[2].value.is_ok());
@@ -1060,7 +1033,7 @@ mod tests {
     fn panicking_eval_without_nanny_still_terminates() {
         let inputs = vec![0u64];
         let eval = |_: usize, _: &u64| -> EvalOutcome<u64> { panic!("boom") };
-        let config = PoolConfig { n_workers: 1, nanny: false, max_attempts: 3, ..PoolConfig::default() };
+        let config = PoolConfig { n_workers: 1, nanny: false, max_attempts: 3 };
         let (records, report) = run_batch(&inputs, eval, &config, &FaultInjector::none());
         assert_eq!(records[0].value, Err(TaskError::WorkerFailed));
         assert_eq!(report.worker_deaths, 1);
@@ -1073,7 +1046,7 @@ mod tests {
         // the one that gets there first retires, and the survivor never
         // does (it is the last slot alive).
         let max_attempts = 2 * QUARANTINE_DEATHS;
-        let config = PoolConfig { n_workers: 2, nanny: true, max_attempts, ..PoolConfig::default() };
+        let config = PoolConfig { n_workers: 2, nanny: true, max_attempts };
         let faults = FaultInjector::new(0.999, 3);
         let (records, report) = run_batch(&inputs, quick_eval(1.0), &config, &faults);
         assert_eq!(records[0].value, Err(TaskError::WorkerFailed));
@@ -1082,31 +1055,10 @@ mod tests {
     }
 
     #[test]
-    fn heartbeats_reach_the_supervision_loop() {
-        let inputs: Vec<u64> = (0..4).collect();
-        let eval = |ctx: &TaskCtx<'_>, &x: &u64| {
-            ctx.heartbeat(1.0, 10.0);
-            ctx.heartbeat(5.0, 10.0);
-            EvalOutcome { value: Ok::<u64, EvalFault>(x), minutes: 10.0 }
-        };
-        let (_, report) = run_batch_supervised(
-            &inputs,
-            eval,
-            |_, _| 10.0,
-            &PoolConfig::default(),
-            &FaultInjector::none(),
-            |_, _| {},
-        );
-        // Every task beats exactly twice.
-        assert_eq!(report.heartbeats, 8);
-    }
-
-    #[test]
     fn a_detached_context_is_never_cancelled() {
         let ctx = TaskCtx::detached(3);
         assert!(!ctx.is_cancelled());
         assert_eq!(ctx.task, 3);
-        ctx.heartbeat(1.0, 2.0); // no-op without a scheduler
     }
 
     #[test]
@@ -1125,7 +1077,7 @@ mod tests {
     fn every_record_is_placed_back_to_back_on_a_least_loaded_slot() {
         let inputs: Vec<u64> = (0..24).collect();
         let eval = |task: usize, &x: &u64| EvalOutcome { value: Ok(x), minutes: 5.0 + (task % 7) as f64 };
-        let config = PoolConfig { n_workers: 4, nanny: true, max_attempts: 2, ..PoolConfig::default() };
+        let config = PoolConfig { n_workers: 4, nanny: true, max_attempts: 2 };
         // Deaths, retries and an exhausted task: every terminal record, the
         // exhausted one included, is placed slot by slot in task order.
         let (records, report) = run_batch(&inputs, eval, &config, &FaultInjector::new(0.3, 11));

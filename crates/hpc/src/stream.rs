@@ -165,8 +165,8 @@ pub struct Stream<'a, J, T> {
 }
 
 impl<'a, J: Clone, T> Pool<'a, J, T> {
-    /// Start streaming tasks through this pool under `config`'s deadline,
-    /// retry budget and backoff.
+    /// Start streaming tasks through this pool under `config`'s retry
+    /// budget.
     pub fn stream(&'a self, config: &PoolConfig) -> Stream<'a, J, T> {
         assert!(config.max_attempts > 0, "max_attempts must be positive");
         Stream { pool: self, config: *config, running: HashMap::new(), finished: HashMap::new() }
@@ -203,12 +203,7 @@ impl<J: Clone, T> Stream<'_, J, T> {
                 return;
             }
         }
-        self.pool.dispatch(Job {
-            task,
-            attempt: chain.attempt,
-            deadline_minutes: self.config.timeout_minutes,
-            input: chain.input.clone(),
-        });
+        self.pool.dispatch(Job { task, attempt: chain.attempt, input: chain.input.clone() });
         self.running.insert(task, chain);
     }
 
@@ -226,7 +221,7 @@ impl<J: Clone, T> Stream<'_, J, T> {
             let mut chain = self.running.remove(&finished).expect("completion of a running chain");
             match result {
                 JobResult::Done(outcome) => {
-                    let (value, minutes) = classify(outcome, self.config.timeout_minutes);
+                    let (value, minutes) = classify(outcome);
                     self.finished.insert(finished, chain.finish(value, minutes));
                 }
                 // A panicking evaluation writes off the whole estimate.
@@ -265,7 +260,7 @@ impl StreamSlots {
     }
 
     /// Number of worker slots.
-    pub fn n_slots(&self) -> usize {
+    fn n_slots(&self) -> usize {
         self.0.busy.len()
     }
 
@@ -356,7 +351,6 @@ impl StreamSlots {
             idle_minutes: idle,
             wall_minutes: wall,
             quarantined_workers: 0,
-            heartbeats: 0,
             placements: Vec::new(),
         };
         s.baseline_busy.clone_from(&s.busy);
@@ -430,9 +424,10 @@ pub struct StreamSlotsState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::TIMEOUT_MINUTES;
 
     fn config(n_workers: usize) -> PoolConfig {
-        PoolConfig { n_workers, timeout_minutes: Some(100.0), nanny: false, max_attempts: 3 }
+        PoolConfig { n_workers, nanny: false, max_attempts: 3 }
     }
 
     #[test]
@@ -464,7 +459,7 @@ mod tests {
             &FaultInjector::none(),
         );
         assert!(matches!(reports[0].record.value, Err(TaskError::Timeout { .. })));
-        assert_eq!(reports[0].record.minutes, 100.0);
+        assert_eq!(reports[0].record.minutes, TIMEOUT_MINUTES);
     }
 
     #[test]

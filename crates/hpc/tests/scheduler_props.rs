@@ -53,7 +53,6 @@ proptest! {
         let inputs: Vec<u64> = (0..n_tasks as u64).collect();
         let config = PoolConfig {
             n_workers,
-            timeout_minutes: Some(120.0),
             nanny,
             max_attempts,
         };
@@ -132,7 +131,6 @@ proptest! {
         let inputs: Vec<u64> = (0..9).collect();
         let config = PoolConfig {
             n_workers,
-            timeout_minutes: Some(120.0),
             nanny: true,
             max_attempts,
         };
@@ -174,7 +172,6 @@ proptest! {
         let inputs: Vec<u64> = (0..n_tasks as u64).collect();
         let config = PoolConfig {
             n_workers,
-            timeout_minutes: Some(120.0),
             nanny: nanny_bit == 1,
             max_attempts: max_attempts_raw as u32,
         };
@@ -250,19 +247,13 @@ fn one_task_both_ways(
 /// mid-chain.
 #[test]
 fn batch_and_stream_schedulers_classify_alike() {
-    let pool = |timeout_minutes| PoolConfig {
-        n_workers: 2,
-        timeout_minutes,
-        nanny: true,
-        max_attempts: 3,
-    };
+    let pool = PoolConfig { n_workers: 2, nanny: true, max_attempts: 3 };
     type Eval = fn(&TaskCtx<'_>, &u64) -> EvalOutcome<u64>;
-    /// `(name, timeout, eval, expected value, expected minutes, expected attempts)`.
-    type Case = (&'static str, Option<f64>, Eval, Result<u64, TaskError>, f64, u32);
-    let cases: [Case; 9] = [
+    /// `(name, eval, expected value, expected minutes, expected attempts)`.
+    type Case = (&'static str, Eval, Result<u64, TaskError>, f64, u32);
+    let cases: [Case; 8] = [
         (
             "ok under the limit",
-            Some(120.0),
             |_, &x| EvalOutcome { value: Ok(x), minutes: 60.0 },
             Ok(7),
             60.0,
@@ -270,23 +261,13 @@ fn batch_and_stream_schedulers_classify_alike() {
         ),
         (
             "ok over the limit",
-            Some(120.0),
             |_, &x| EvalOutcome { value: Ok(x), minutes: 150.0 },
             Err(TaskError::Timeout { limit_minutes: 120.0 }),
             120.0,
             1,
         ),
         (
-            "ok without a limit",
-            None,
-            |_, &x| EvalOutcome { value: Ok(x), minutes: 150.0 },
-            Ok(7),
-            150.0,
-            1,
-        ),
-        (
             "failed",
-            Some(120.0),
             |_, _| EvalOutcome { value: Err(EvalFault::Failed("bad".into())), minutes: 3.0 },
             Err(TaskError::Failed("bad".into())),
             3.0,
@@ -294,7 +275,6 @@ fn batch_and_stream_schedulers_classify_alike() {
         ),
         (
             "diverged",
-            Some(120.0),
             |_, _| EvalOutcome {
                 value: Err(EvalFault::Diverged { step: 9, loss: 1e30 }),
                 minutes: 4.0,
@@ -304,24 +284,21 @@ fn batch_and_stream_schedulers_classify_alike() {
             1,
         ),
         (
-            "deadline under a configured limit",
-            Some(120.0),
+            "deadline at the limit",
             |_, _| EvalOutcome { value: Err(EvalFault::Deadline), minutes: 120.0 },
             Err(TaskError::Timeout { limit_minutes: 120.0 }),
             120.0,
             1,
         ),
         (
-            "deadline without a configured limit",
-            None,
+            "deadline before the limit",
             |_, _| EvalOutcome { value: Err(EvalFault::Deadline), minutes: 77.0 },
-            Err(TaskError::Timeout { limit_minutes: 77.0 }),
+            Err(TaskError::Timeout { limit_minutes: 120.0 }),
             77.0,
             1,
         ),
         (
             "cancelled",
-            Some(120.0),
             |_, _| EvalOutcome { value: Err(EvalFault::Cancelled), minutes: 5.0 },
             Err(TaskError::Cancelled),
             5.0,
@@ -331,15 +308,14 @@ fn batch_and_stream_schedulers_classify_alike() {
         // 40-minute estimate, on every one of the three attempts.
         (
             "panicking eval",
-            Some(120.0),
             |_, _| panic!("evaluation blew up"),
             Err(TaskError::WorkerFailed),
             120.0,
             3,
         ),
     ];
-    for (name, timeout, eval, value, minutes, attempts) in cases {
-        let (batch, stream) = one_task_both_ways(eval, &pool(timeout), FaultInjector::none);
+    for (name, eval, value, minutes, attempts) in cases {
+        let (batch, stream) = one_task_both_ways(eval, &pool, FaultInjector::none);
         for (side, record) in [("batch", &batch), ("stream", &stream)] {
             assert_eq!(record.value, value, "{name} ({side})");
             assert_eq!(record.minutes, minutes, "{name} ({side})");
@@ -354,7 +330,7 @@ fn batch_and_stream_schedulers_classify_alike() {
     let (mut retried, mut exhausted) = (0, 0);
     for seed in 0..64 {
         let (batch, stream) =
-            one_task_both_ways(ok, &pool(Some(120.0)), || FaultInjector::new(0.6, seed));
+            one_task_both_ways(ok, &pool, || FaultInjector::new(0.6, seed));
         assert_eq!(batch.value, stream.value, "seed {seed}");
         assert_eq!(batch.minutes, stream.minutes, "seed {seed}");
         assert_eq!(batch.attempts, stream.attempts, "seed {seed}");
@@ -374,7 +350,7 @@ fn batch_and_stream_schedulers_classify_alike() {
     // attempt and fails the task there; a stream slot is an accounting
     // cursor, not a thread that can die, so its chain always runs to
     // `max_attempts`. Same classification, different attempts and minutes.
-    let no_nanny = PoolConfig { n_workers: 1, nanny: false, ..pool(Some(120.0)) };
+    let no_nanny = PoolConfig { n_workers: 1, nanny: false, ..pool };
     let (batch, stream) = one_task_both_ways(ok, &no_nanny, || FaultInjector::new(0.999, 3));
     assert_eq!(batch.value, Err(TaskError::WorkerFailed));
     assert_eq!(stream.value, Err(TaskError::WorkerFailed));

@@ -114,7 +114,7 @@ fn run_stream_pinned<T: Send>(
 }
 
 fn no_nanny_pair() -> PoolConfig {
-    PoolConfig { n_workers: 2, timeout_minutes: Some(120.0), nanny: false, max_attempts: 3 }
+    PoolConfig { n_workers: 2, nanny: false, max_attempts: 3 }
 }
 
 /// The `(task, attempt)` pairs the plan kills among eight tasks, read off

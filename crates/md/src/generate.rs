@@ -13,6 +13,11 @@ use crate::integrate::{langevin_step, MdState};
 use crate::neighbors::PairTable;
 use crate::potential::{shuffled_composition, MeltPotential, Species};
 
+/// The DFT noise floor every dataset is labelled at, `(energy, force)`:
+/// σ = 5·10⁻⁴ eV/atom on energies and 0.03 eV/Å per force component — the
+/// paper's observed validation floor (see [`Dataset::add_label_noise`]).
+pub const LABEL_NOISE: (f64, f64) = (0.0005, 0.03);
+
 /// One labelled configuration: positions with reference energy and forces.
 #[derive(Clone, Debug)]
 pub struct Frame {
@@ -42,7 +47,7 @@ pub struct Frames {
 
 impl Frames {
     /// The frames as a plain vector (the table, if any, is dropped).
-    pub fn into_vec(self) -> Vec<Frame> {
+    fn into_vec(self) -> Vec<Frame> {
         self.items
     }
 }
@@ -162,8 +167,8 @@ impl Dataset {
 
     /// Add Gaussian label noise modelling the DFT convergence/noise floor:
     /// `sigma_e_per_atom` (eV/atom) on energies, `sigma_f` (eV/Å) per force
-    /// component. This pins the best achievable validation RMSE near the
-    /// paper's observed floor (≈0.03 eV/Å force, ≈5·10⁻⁴ eV/atom energy).
+    /// component. At [`LABEL_NOISE`] this pins the best achievable
+    /// validation RMSE near the paper's observed floor.
     pub fn add_label_noise<R: Rng + ?Sized>(
         &mut self,
         sigma_e_per_atom: f64,

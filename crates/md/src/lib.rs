@@ -35,8 +35,8 @@ pub mod neighbors;
 pub mod potential;
 
 pub use cell::Cell;
-pub use generate::{generate_dataset, Dataset, Frame, Frames, GenConfig};
+pub use generate::{generate_dataset, Dataset, Frame, Frames, GenConfig, LABEL_NOISE};
 pub use integrate::MdState;
 pub use neighbors::{pairs_brute_force, pairs_cell_list, Pair, PairTable};
 pub use analysis::{mean_squared_displacement, partial_rdf, Rdf};
-pub use potential::{melt_composition, shuffled_composition, MeltPotential, Species, COULOMB_EV_A, KB_EV};
+pub use potential::{melt_composition, shuffled_composition, MeltPotential, Species, KB_EV};

@@ -172,17 +172,17 @@ pub fn pairs_cell_list(cell: &Cell, positions: &[[f64; 3]], rcut: f64) -> Vec<Pa
     pairs
 }
 
-/// Sorted copy of a pair list for order-insensitive comparisons.
-pub fn sorted_pairs(mut pairs: Vec<Pair>) -> Vec<Pair> {
-    pairs.sort_unstable_by_key(|a| (a.i, a.j));
-    pairs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Sorted copy of a pair list for order-insensitive comparisons.
+    fn sorted_pairs(mut pairs: Vec<Pair>) -> Vec<Pair> {
+        pairs.sort_unstable_by_key(|a| (a.i, a.j));
+        pairs
+    }
 
     fn random_positions(n: usize, l: f64, seed: u64) -> Vec<[f64; 3]> {
         let mut rng = StdRng::seed_from_u64(seed);

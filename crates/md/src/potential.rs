@@ -19,7 +19,7 @@
 use crate::cell::Cell;
 
 /// Coulomb constant in eV·Å per elementary-charge².
-pub const COULOMB_EV_A: f64 = 14.399_645;
+const COULOMB_EV_A: f64 = 14.399_645;
 
 /// Boltzmann constant in eV/K.
 pub const KB_EV: f64 = 8.617_333e-5;
@@ -64,7 +64,7 @@ impl Species {
     }
 
     /// Repulsion prefactor contribution (combined geometrically per pair).
-    pub fn softness(&self) -> f64 {
+    fn softness(&self) -> f64 {
         match self {
             Species::Al => 6.0,
             Species::K => 2.0,
@@ -80,9 +80,6 @@ impl Species {
             Species::Cl => 2,
         }
     }
-
-    /// Number of species in the system.
-    pub const COUNT: usize = 3;
 
     /// All species, ordered by [`Species::index`].
     pub const ALL: [Species; 3] = [Species::Al, Species::K, Species::Cl];
@@ -152,7 +149,7 @@ impl MeltPotential {
     }
 
     /// Pair energy at separation `r`.
-    pub fn pair_energy(&self, a: Species, b: Species, r: f64) -> f64 {
+    fn pair_energy(&self, a: Species, b: Species, r: f64) -> f64 {
         let (sigma, bij) = self.pair_params(a, b);
         let rep = bij * ((sigma - r) / self.rho).exp();
         let coul = COULOMB_EV_A * self.qq(a, b) / r * (-r / self.lambda).exp();
@@ -160,7 +157,7 @@ impl MeltPotential {
     }
 
     /// Derivative dU/dr of the pair energy.
-    pub fn pair_force_mag(&self, a: Species, b: Species, r: f64) -> f64 {
+    fn pair_force_mag(&self, a: Species, b: Species, r: f64) -> f64 {
         let (sigma, bij) = self.pair_params(a, b);
         let d_rep = -bij / self.rho * ((sigma - r) / self.rho).exp();
         let qq = COULOMB_EV_A * self.qq(a, b);

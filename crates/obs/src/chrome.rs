@@ -150,7 +150,7 @@ struct Placement {
 /// excluded entirely. The trace has spans and instants only: counter tracks
 /// come from the status rows (`dphpo_core::campaign_report::counter_tracks`),
 /// which a resumed campaign rebuilds for its replayed generations too.
-pub fn from_snapshot(snap: &TelemetrySnapshot) -> Vec<TraceEvent> {
+fn from_snapshot(snap: &TelemetrySnapshot) -> Vec<TraceEvent> {
     let mut placements: BTreeMap<(u32, u32, u32), Placement> = BTreeMap::new();
     let mut gen_starts: BTreeMap<(u32, u32), f64> = BTreeMap::new();
     for e in &snap.events {
@@ -224,7 +224,8 @@ pub fn from_snapshot(snap: &TelemetrySnapshot) -> Vec<TraceEvent> {
     meta
 }
 
-/// Convenience: full pipeline from snapshot to a Perfetto-loadable document.
+/// The full pipeline from snapshot to a Perfetto-loadable document: the
+/// snapshot's spans and instants as trace events, rendered by [`render`].
 pub fn trace_json(snap: &TelemetrySnapshot) -> String {
     render(&from_snapshot(snap))
 }

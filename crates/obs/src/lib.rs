@@ -16,8 +16,8 @@
 //!   every hook is an empty default method, so the disabled hot path costs
 //!   one branch.
 //!
-//! Exporters: [`chrome::from_snapshot`] + [`chrome::render`] produce Chrome
-//! `trace_event` JSON loadable in Perfetto, and [`export::events_jsonl`] a
+//! Exporters: [`chrome::trace_json`] produces Chrome `trace_event` JSON
+//! loadable in Perfetto, and [`export::events_jsonl`] a
 //! line oriented event/metric log. Both write their numbers and strings
 //! through [`json`], the repository's one JSON codec, which lives here
 //! because this crate is the leaf every other layer depends on. Tables and
@@ -35,7 +35,7 @@ pub mod metrics;
 pub mod profile;
 pub mod recorder;
 
-pub use metrics::{GaugeValue, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
+pub use metrics::{GaugeValue, Histogram, HistogramSnapshot};
 pub use recorder::{
     splitmix64, Event, MemoryRecorder, NoopRecorder, Recorder, SpanCtx, TelemetrySnapshot, When,
     NOOP, NO_TASK,
@@ -84,8 +84,6 @@ pub mod names {
     pub const C_DEATHS: &str = "sched.deaths";
     /// Counter: task retries after a death.
     pub const C_RETRIES: &str = "sched.retries";
-    /// Counter: heartbeats received by the pool driver.
-    pub const C_HEARTBEATS: &str = "sched.heartbeats";
     /// Counter: EA generations evaluated.
     pub const C_GENERATIONS: &str = "ea.generations";
     /// Counter: journal records appended.

@@ -7,7 +7,7 @@
 //! non-finite) land in bucket 0 and are still counted in `count`/`min`/`max`.
 
 /// Number of histogram buckets (exponents -32..=31, clamped at the ends).
-pub const HISTOGRAM_BUCKETS: usize = 64;
+const HISTOGRAM_BUCKETS: usize = 64;
 
 /// Exponent offset: bucket index = biased exponent − 1023 + 32, clamped.
 const EXP_OFFSET: i64 = 32;
@@ -127,7 +127,7 @@ impl Default for Histogram {
 impl Histogram {
     /// Bucket index for a value: `floor(log2(v))` clamped to the fixed
     /// range, read straight from the exponent bits.
-    pub fn bucket_of(v: f64) -> usize {
+    fn bucket_of(v: f64) -> usize {
         if !v.is_finite() || v <= 0.0 {
             return 0;
         }
@@ -136,7 +136,7 @@ impl Histogram {
     }
 
     /// Inclusive lower bound of bucket `i` (`2^(i-32)`).
-    pub fn bucket_lower_bound(i: usize) -> f64 {
+    fn bucket_lower_bound(i: usize) -> f64 {
         let exp = i as i64 - EXP_OFFSET;
         f64::from_bits(((exp + 1023) as u64) << 52)
     }

@@ -32,7 +32,6 @@ fn main() {
 
     let pool = PoolConfig {
         n_workers: allocation.n_nodes,
-        timeout_minutes: Some(120.0),
         nanny: false, // the paper found it best to disable Dask nannies
         max_attempts: 3,
     };

@@ -8,7 +8,7 @@
 //! ```
 
 use dphpo::dnnp::{train, Activation, LrScaling, TrainConfig};
-use dphpo::md::generate::{generate_dataset, GenConfig};
+use dphpo::md::generate::{generate_dataset, GenConfig, LABEL_NOISE};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -16,7 +16,7 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(9);
     let gen = GenConfig { n_frames: 80, ..GenConfig::reduced() };
     let mut dataset = generate_dataset(&gen, &mut rng);
-    dataset.add_label_noise(0.0005, 0.03, &mut rng);
+    dataset.add_label_noise(LABEL_NOISE.0, LABEL_NOISE.1, &mut rng);
     let (train_ds, val_ds) = dataset.split(0.25, &mut rng);
 
     let config = TrainConfig {

@@ -10,7 +10,9 @@
 #                                    EXPERIMENTS.md use are exactly the ones
 #                                    `fig1 --list-flags` parses (none dead,
 #                                    none undocumented); every `pub mod`
-#                                    is named by some file besides its lib.rs;
+#                                    is named by some file besides its lib.rs,
+#                                    and every `pub fn` / `pub const` by some
+#                                    file besides its own and its lib.rs;
 #                                    the host's core count is read in one
 #                                    place (`available_parallelism` is named
 #                                    once under crates/*/src, in hpc::pool);
@@ -180,6 +182,23 @@ for lib in crates/*/src/lib.rs; do
         if [[ -z "$(grep "^crates/${crate}/" <<<"${users}" \
             || xargs -r grep -l "dphpo_${crate}\b" <<<"${users}" || true)" ]]; then
             echo "    UNREACHED: ${crate}::${m} is named by nothing but its own lib.rs" >&2
+            missing=1
+        fi
+    done
+done
+# The same rule one level down: every `pub fn` / `pub const` must be named by
+# some .rs file other than its own file and its crate's lib.rs, or it is
+# private (or `#[cfg(test)]`) or gone. Same allowlist, file by file.
+echo "    doc-sync: every pub fn / pub const is named outside its own file and lib.rs"
+for file in $(find crates -path '*/src/*' -name '*.rs' | sort); do
+    crate="${file#crates/}" && crate="${crate%%/*}"
+    [[ " md::analysis dnnp::deploy " == *" ${crate}::$(basename "${file}" .rs) "* ]] && continue
+    for item in $(sed -nE 's/^ *pub (const )?(unsafe )?(fn|const) ([A-Za-z_][A-Za-z0-9_]*).*/\4/p' \
+        "${file}" | sort -u); do
+        users="$(grep -rlw --include='*.rs' -- "${item}" crates benchmark/src examples tests src \
+            | grep -vxF -e "${file}" -e "crates/${crate}/src/lib.rs" || true)"
+        if [[ -z "${users}" ]]; then
+            echo "    UNREACHED: ${file}: pub ${item} is named by nothing but its own file" >&2
             missing=1
         fi
     done

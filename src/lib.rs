@@ -7,7 +7,7 @@
 //!
 //! * [`autograd`] — tensors + reverse-mode AD with double backward;
 //! * [`evo`] — the evolutionary-algorithm library (NSGA-II, sorting,
-//!   crowding, hypervolume, ZDT/DTLZ validation problems);
+//!   crowding, hypervolume, ZDT validation problems);
 //! * [`md`] — the synthetic first-principles MD dataset substrate
 //!   (molten-salt reference potential, Langevin dynamics);
 //! * [`dnnp`] — the DeepPot-SE-style potential trainer (DeePMD substitute);

@@ -4,7 +4,7 @@
 //! exactly equivalent to the position-differentiated graph.
 
 use dphpo::dnnp::{train, Activation, LrScaling, TrainConfig};
-use dphpo::md::generate::{generate_dataset, GenConfig};
+use dphpo::md::generate::{generate_dataset, GenConfig, LABEL_NOISE};
 use dphpo::md::Dataset;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -20,7 +20,7 @@ fn dataset(seed: u64) -> (Dataset, Dataset) {
         ..GenConfig::tiny()
     };
     let mut ds = generate_dataset(&gen, &mut rng);
-    ds.add_label_noise(0.0005, 0.03, &mut rng);
+    ds.add_label_noise(LABEL_NOISE.0, LABEL_NOISE.1, &mut rng);
     ds.split(0.25, &mut rng)
 }
 

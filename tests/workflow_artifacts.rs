@@ -10,7 +10,7 @@ use dphpo::core::workflow::{derive_seed, evaluate_individual, EvalContext};
 use dphpo::core::{decode, DeepMDRepresentation};
 use dphpo::dnnp::{Json, TrainConfig};
 use dphpo::hpc::CostModel;
-use dphpo::md::generate::{generate_dataset, GenConfig};
+use dphpo::md::generate::{generate_dataset, GenConfig, LABEL_NOISE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -25,7 +25,7 @@ fn tiny_ctx() -> EvalContext {
         ..GenConfig::tiny()
     };
     let mut ds = generate_dataset(&gen, &mut rng);
-    ds.add_label_noise(0.0005, 0.03, &mut rng);
+    ds.add_label_noise(LABEL_NOISE.0, LABEL_NOISE.1, &mut rng);
     let (train_ds, val_ds) = ds.split(0.25, &mut rng);
     EvalContext {
         base_config: TrainConfig {
