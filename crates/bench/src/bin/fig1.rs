@@ -39,13 +39,14 @@
 //!   per-generation table), `campaign_counters.trace.json` (Perfetto counter
 //!   tracks on the simulated clock) — plus `fig1_levels.csv` and
 //!   `fig1_report.txt`;
-//! * **with `--observe <dir>`**, in `<dir>` (created before the journal is):
-//!   a live wall-clock recorder's `trace.json` (Chrome `trace_event`),
+//! * **with `--observe <dir>`**, in `<dir>` (created, and the base
+//!   configuration's tape step budget taken, before the journal is): a live
+//!   wall-clock recorder's `trace.json` (Chrome `trace_event`),
 //!   `events.jsonl` and `events.side.jsonl`, and the deterministic
-//!   profiler's `profile.json` / `profile.folded`, rewritten at every
-//!   boundary; the "where the microsecond goes" attribution table and the
-//!   tape step budget are appended to `campaign_report.md`. Observing
-//!   changes no other byte (DESIGN.md §14).
+//!   profiler's `profile.json` / `profile.folded`, rendered from the status
+//!   rows at every boundary; the "where the microsecond goes" attribution
+//!   table (the same rendering) and the step budget are appended to
+//!   `campaign_report.md`. Observing changes no other byte (DESIGN.md §14).
 //!
 //! An artifact that cannot be written is reported, the rest are still
 //! written, and the process exits 1 — after the campaign, whose journal is
@@ -58,7 +59,9 @@ use dphpo_bench::harness::{
     self, exit_if_writes_failed, experiment_scale, run_and_report, write_artifact, write_file,
 };
 use dphpo_core::analysis::{ascii_level_plot, level_plot_csv};
-use dphpo_core::campaign_report::{counter_trace_json, markdown_report, SlotTotals, REFERENCE_POINT};
+use dphpo_core::campaign_report::{
+    campaign_profile, counter_trace_json, markdown_report, SlotTotals, REFERENCE_POINT,
+};
 use dphpo_core::experiment::{Campaign, CampaignMode, ExperimentConfig, ExperimentResult};
 use dphpo_obs::{chrome, export, MemoryRecorder, Recorder};
 
@@ -89,9 +92,11 @@ fn usage_error(problem: &str) -> ! {
 }
 
 /// The command line, checked against [`FLAGS`]: every flag passed, with its
-/// path when it takes one. A `--flag` this binary does not understand, or a
-/// path flag without its path, is a usage error — a typo'd flag silently
-/// running the full campaign is the failure mode this prevents.
+/// path when it takes one. A `--flag` this binary does not understand, a
+/// path flag without its path, a flag given twice, or a flag next to one
+/// that would ignore it is a usage error — a flag silently doing nothing is
+/// the failure mode this prevents. `--list-flags`, `--verify-journal` and
+/// `--compact` stand alone; `--compare-modes` takes `--smoke` only.
 fn parse_flags() -> Vec<(&'static str, Option<PathBuf>)> {
     let mut args = std::env::args().skip(1).peekable();
     let mut passed = Vec::new();
@@ -104,6 +109,21 @@ fn parse_flags() -> Vec<(&'static str, Option<PathBuf>)> {
             None => usage_error(&format!("`{arg}` requires a path argument")),
         });
         passed.push((name, path));
+    }
+    for (i, &(name, _)) in passed.iter().enumerate() {
+        if passed[..i].iter().any(|(earlier, _)| *earlier == name) {
+            usage_error(&format!("`{name}` given twice"));
+        }
+        let companions: &[&str] = match name {
+            "--list-flags" | "--verify-journal" | "--compact" => &[],
+            "--compare-modes" => &["--smoke"],
+            _ => continue,
+        };
+        if let Some((other, _)) =
+            passed.iter().find(|(other, _)| *other != name && !companions.contains(other))
+        {
+            usage_error(&format!("`{name}` cannot be combined with `{other}`"));
+        }
     }
     passed
 }
@@ -322,7 +342,13 @@ fn main() {
             eprintln!("fig1: cannot create the --observe directory {}: {e}", dir.display());
             std::process::exit(1);
         }
-        (dir, Arc::new(MemoryRecorder::with_wall_clock()))
+        let (train, val) = dphpo_core::experiment::build_dataset(&config);
+        let budget = dphpo_dnnp::step_budget(&config.base_train_config, &train, &val)
+            .unwrap_or_else(|e| {
+                eprintln!("fig1: cannot take the step budget of the base configuration: {e}");
+                std::process::exit(1);
+            });
+        (dir, Arc::new(MemoryRecorder::with_wall_clock()), budget)
     });
     let total = config.n_runs * config.pop_size * (config.generations + 1);
     println!(
@@ -336,7 +362,7 @@ fn main() {
         if steady { " [steady-state]" } else { "" },
     );
     let mut campaign = harness::campaign(&config, prefix, path_arg("--resume"));
-    if let Some((dir, rec)) = &observe {
+    if let Some((dir, rec, _)) = &observe {
         println!("observing into {}", dir.display());
         campaign = campaign.recorder(Arc::clone(rec) as Arc<dyn Recorder>).profile_dir(dir);
     }
@@ -411,18 +437,14 @@ fn main() {
     // side-channel file so the deterministic exports stay bit-identical
     // across runs. The attribution sections land after everything an
     // unobserved campaign report holds, so observing only ever appends.
-    if let Some((dir, rec)) = &observe {
+    if let Some((dir, rec, budget)) = &observe {
         let snap = rec.snapshot();
         write_file(&dir.join("trace.json"), &chrome::trace_json(&snap));
         write_file(&dir.join("events.jsonl"), &export::events_jsonl(&snap));
         write_file(&dir.join("events.side.jsonl"), &export::side_channel_jsonl(&snap));
 
-        let tree = dphpo_core::profile::campaign_profile(&result);
-        let (train, val) = dphpo_core::experiment::build_dataset(&config);
-        let budget = dphpo_dnnp::step_budget(&config.base_train_config, &train, &val)
-            .expect("the campaign took the same census for profile.json");
         md.push_str("\n## Where the microsecond goes\n\n");
-        md.push_str(&dphpo_obs::profile::markdown_table(&tree));
+        md.push_str(&dphpo_obs::profile::markdown_table(&campaign_profile(&result.status)));
         md.push_str("\n## Step budget\n\n");
         md.push_str(&budget.markdown());
     }

@@ -1,10 +1,11 @@
 //! Command-line tests for the artifact binaries: `fig1 --list-flags` is
 //! the contract `scripts/verify.sh` holds the docs to, so the registry must
-//! stay exact; an unknown flag (the five `--observe` replaced included) or a
-//! path flag without its path must be rejected loudly (exit 2 with the
-//! known-flag list) instead of panicking or silently running a full
-//! campaign; `--observe <dir>` only ever adds to what a campaign always
-//! writes; an unwritable artifact is exit 1, not silence; and the binaries
+//! stay exact; an unknown flag (the five `--observe` replaced included), a
+//! path flag without its path, a repeated flag, or a flag next to one that
+//! would ignore it must be rejected loudly (exit 2 with the known-flag list)
+//! instead of panicking or silently running a full campaign;
+//! `--observe <dir>` only ever adds to what a campaign always writes; an
+//! unwritable artifact is exit 1, not silence; and the binaries
 //! that read the campaign back from its journal must refuse one they cannot
 //! use — unfinished, corrupt, or written under another configuration —
 //! (exit 1, the journal error, the resume line) without touching it.
@@ -86,6 +87,51 @@ fn fig1_rejects_unknown_flags_before_running_anything() {
 fn fig1_rejects_unknown_flags_even_next_to_known_ones() {
     let out = run(env!("CARGO_BIN_EXE_fig1"), &["--smoke", "--obsreve", "dir"]);
     assert_eq!(out.status.code(), Some(2), "typo'd --observe must exit 2");
+}
+
+/// Flags that would silently ignore each other are refused before anything
+/// is created: the maintenance and listing flags stand alone,
+/// `--compare-modes` takes `--smoke` only, and no flag repeats.
+#[test]
+fn fig1_refuses_flags_that_would_be_ignored() {
+    let dir = scratch_dir("conflicts");
+    let at = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (journal, observed) = (at("experiment.journal.jsonl"), at("observed"));
+    // (command line, the flag refused, the flag it cannot be combined with —
+    // `None` when it is given twice)
+    let table: [(Vec<&str>, &str, Option<&str>); 13] = [
+        (vec!["--compare-modes", "--resume", &journal], "--compare-modes", Some("--resume")),
+        (vec!["--compare-modes", "--observe", &observed], "--compare-modes", Some("--observe")),
+        (vec!["--steady-state", "--compare-modes"], "--compare-modes", Some("--steady-state")),
+        (vec!["--verify-journal", &journal, "--compact", &journal], "--verify-journal", Some("--compact")),
+        (vec!["--compact", &journal, "--observe", &observed], "--compact", Some("--observe")),
+        (vec!["--verify-journal", &journal, "--observe", &observed], "--verify-journal", Some("--observe")),
+        (vec!["--smoke", "--verify-journal", &journal], "--verify-journal", Some("--smoke")),
+        (vec!["--compact", &journal, "--steady-state"], "--compact", Some("--steady-state")),
+        (vec!["--list-flags", "--smoke"], "--list-flags", Some("--smoke")),
+        (vec!["--smoke", "--smoke"], "--smoke", None),
+        (vec!["--smoke", "--compare-modes", "--compare-modes"], "--compare-modes", None),
+        (vec!["--resume", &journal, "--resume", &journal], "--resume", None),
+        (vec!["--smoke", "--observe", &observed, "--observe", &journal], "--observe", None),
+    ];
+    for (args, flag, other) in table {
+        let out = Command::new(env!("CARGO_BIN_EXE_fig1"))
+            .args(&args)
+            .env("DPHPO_RESULTS_DIR", &dir)
+            .output()
+            .expect("spawn fig1");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2: {stderr}");
+        let problem = match other {
+            Some(other) => format!("`{flag}` cannot be combined with `{other}`"),
+            None => format!("`{flag}` given twice"),
+        };
+        assert!(stderr.contains(&problem), "{args:?}: {stderr}");
+        assert!(stderr.contains("known flags:"), "{args:?}: usage must follow: {stderr}");
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
+        assert!(left.is_empty(), "{args:?} created {left:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -19,6 +19,24 @@
 //! writes the file, reads it back strictly in [`parse_status`], and carries
 //! the row inside every steady-state `epoch` record.
 //!
+//! The sim-clock attribution tree behind `profile.json` / `profile.folded`
+//! and the report's "where the microsecond goes" table is one more rendering
+//! of the rows ([`campaign_profile`]):
+//!
+//! ```text
+//! campaign                      count 0
+//! └─ run{r}                     count 0
+//!    └─ gen{g}                  count 1, self 0 — inclusive = slot capacity
+//!       ├─ backoff              count = retried,     self = backoff_minutes
+//!       ├─ busy                 count = evaluations, self = busy_minutes
+//!       ├─ idle                 count 0,             self = idle_minutes
+//!       └─ lost.death           count = deaths,      self = lost_death_minutes
+//! ```
+//!
+//! A steady-state epoch is a `gen{g}` node too. By the scheduler's partition
+//! invariant a boundary's four leaves sum to its `wall × slots`
+//! worker-minutes.
+//!
 //! The hypervolume convention: objectives are minimised `(energy RMSE
 //! eV/atom, force RMSE eV/Å)` and the fixed reference point is
 //! [`REFERENCE_POINT`] — the same `(0.03, 0.6)` box the fig1 level plots
@@ -34,7 +52,8 @@ use dphpo_evo::{front_stats_2d, ArchiveChurn, FrontStats, ParetoArchive};
 use dphpo_hpc::PoolReport;
 use dphpo_obs::chrome::{render, TraceEvent, US_PER_MIN};
 use dphpo_obs::cats;
-use dphpo_obs::json::Reader;
+use dphpo_obs::json::{Json, Reader};
+use dphpo_obs::profile::{folded, ProfileNode, PROFILE_SCHEMA};
 
 use crate::experiment::{CampaignMode, ExperimentConfig};
 use crate::journal::record;
@@ -237,10 +256,10 @@ pub fn write_status_atomic(path: &Path, status: &CampaignStatus) -> std::io::Res
     write_atomic(path, &status_json(status))
 }
 
-/// The atomic-rewrite primitive behind [`write_status_atomic`] (and the
-/// profile artifacts): write-and-fsync a `<name>.tmp` sibling, fsync the
-/// parent directory, rename over the target, fsync the directory again.
-pub(crate) fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
+/// The atomic-rewrite primitive behind [`write_status_atomic`] and
+/// [`write_profile_atomic`]: write-and-fsync a `<name>.tmp` sibling, fsync
+/// the parent directory, rename over the target, fsync the directory again.
+fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
     let mut tmp_name = path.as_os_str().to_os_string();
     tmp_name.push(".tmp");
     let tmp = std::path::PathBuf::from(tmp_name);
@@ -263,6 +282,56 @@ fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
         _ => std::path::PathBuf::from("."),
     };
     fs::File::open(parent)?.sync_all()
+}
+
+/// The attribution tree of `status` on the simulated clock (the shape is in
+/// the module docs): each `gen{g}` node partitions its row's slot capacity
+/// into the row's busy, idle, backoff and lost-death minutes, bit for bit.
+pub fn campaign_profile(status: &CampaignStatus) -> ProfileNode {
+    let runs = status.runs.iter().map(|r| {
+        let gens = r.generations.iter().map(|row| {
+            let leaves = vec![
+                ProfileNode::leaf("busy", row.evaluations as u64, row.busy_minutes),
+                ProfileNode::leaf("idle", 0, row.idle_minutes),
+                ProfileNode::leaf("backoff", row.retried as u64, row.backoff_minutes),
+                ProfileNode::leaf("lost.death", row.deaths as u64, row.lost_death_minutes),
+            ];
+            ProfileNode::branch(format!("gen{}", row.generation), 1, 0.0, leaves)
+        });
+        ProfileNode::branch(format!("run{}", r.run), 0, 0.0, gens.collect())
+    });
+    ProfileNode::branch("campaign", 0, 0.0, runs.collect())
+}
+
+fn node_json(node: &ProfileNode) -> Json {
+    Json::object(vec![
+        ("name", Json::String(node.name.clone())),
+        ("count", Json::Number(node.count as f64)),
+        ("self_min", Json::Number(node.self_min)),
+        ("inclusive_min", Json::Number(node.inclusive_min)),
+        ("children", Json::Array(node.children.iter().map(node_json).collect())),
+    ])
+}
+
+/// The profile document (schema [`PROFILE_SCHEMA`]): the tree as
+/// deterministic pretty JSON — same tree, same bytes.
+fn profile_json(root: &ProfileNode) -> String {
+    let fields = vec![
+        ("schema", Json::String(PROFILE_SCHEMA.into())),
+        ("clock", Json::String("sim_minutes".into())),
+        ("root", node_json(root)),
+    ];
+    format!("{}\n", Json::object(fields))
+}
+
+/// Rewrite `profile.json` and `profile.folded` in `dir` from `status`, each
+/// atomically (like `campaign_status.json`): a crash leaves either the
+/// previous or the new artifacts, never torn ones.
+pub(crate) fn write_profile_atomic(dir: &Path, status: &CampaignStatus) -> std::io::Result<()> {
+    let root = campaign_profile(status);
+    fs::create_dir_all(dir)?;
+    write_atomic(&dir.join("profile.json"), &profile_json(&root))?;
+    write_atomic(&dir.join("profile.folded"), &folded(&root))
 }
 
 /// Parse a `campaign_status.json` document back into a [`CampaignStatus`]
@@ -571,6 +640,69 @@ mod tests {
         write_status_atomic(&path, &status).unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), status_json(&status));
         assert!(!path.with_extension("json.tmp").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn campaign_profile_renders_each_row_as_four_leaves() {
+        let mut status = sample_status();
+        let row = &mut status.runs[0].generations[1];
+        (row.retried, row.deaths, row.backoff_minutes, row.lost_death_minutes) = (2, 1, 3.0, 5.0);
+        let root = campaign_profile(&status);
+        assert_eq!((root.name.as_str(), root.count, root.size()), ("campaign", 0, 12));
+        let run = &root.children[0];
+        assert_eq!((run.name.as_str(), run.count), ("run0", 0));
+        let leaves = |g: &ProfileNode| {
+            g.children
+                .iter()
+                .map(|c| (c.name.clone(), c.count, c.self_min, c.children.len()))
+                .collect::<Vec<_>>()
+        };
+        let (gen0, gen1) = (&run.children[0], &run.children[1]);
+        assert_eq!((gen0.name.as_str(), gen0.count, gen0.self_min), ("gen0", 1, 0.0));
+        let want = |evaluations, busy, idle, retried, backoff, deaths, lost| {
+            vec![
+                ("backoff".to_string(), retried, backoff, 0),
+                ("busy".to_string(), evaluations, busy, 0),
+                ("idle".to_string(), 0, idle, 0),
+                ("lost.death".to_string(), deaths, lost, 0),
+            ]
+        };
+        assert_eq!(leaves(gen0), want(2, 150.0, 50.0, 0, 0.0, 0, 0.0));
+        assert_eq!(leaves(gen1), want(1, 120.0, 40.0, 2, 3.0, 1, 5.0));
+        // A generation's inclusive time is its slot capacity: wall × slots.
+        assert_eq!((gen0.inclusive_min, root.inclusive_min), (200.0, 368.0));
+    }
+
+    #[test]
+    fn profile_json_is_deterministic_and_schema_tagged() {
+        let status = sample_status();
+        let root = campaign_profile(&status);
+        let text = profile_json(&root);
+        assert!(text.contains("\"schema\": \"dphpo-profile-v1\""));
+        assert!(text.contains("\"clock\": \"sim_minutes\""));
+        // Same rows, same bytes — also after the rows' own round trip.
+        let reread = parse_status(&status_json(&status)).unwrap();
+        assert_eq!(text, profile_json(&campaign_profile(&reread)));
+        let out = folded(&root);
+        assert!(out.contains("campaign;run0;gen0;busy 9000000000\n"), "{out}");
+        let table = dphpo_obs::profile::markdown_table(&root);
+        assert!(table.contains("| · · gen0 | 1 | 200.0000 | 0.0000 | 0.00% |"), "{table}");
+    }
+
+    #[test]
+    fn atomic_profile_write_leaves_both_artifacts() {
+        let dir = std::env::temp_dir().join(format!("dphpo_profile_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let status = sample_status();
+        write_profile_atomic(&dir, &status).unwrap();
+        write_profile_atomic(&dir, &status).unwrap();
+        let read = |name: &str| std::fs::read_to_string(dir.join(name)).unwrap();
+        let root = campaign_profile(&status);
+        assert_eq!(read("profile.json"), profile_json(&root));
+        assert_eq!(read("profile.folded"), folded(&root));
+        assert!(!dir.join("profile.json.tmp").exists());
+        assert!(!dir.join("profile.folded.tmp").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dphpo_dnnp::AbortReason;
-use dphpo_evo::nsga2::{BatchEvaluator, EvalResult, GenerationRecord};
+use dphpo_evo::nsga2::{BatchEvaluator, EvalResult};
 use dphpo_evo::{ArchiveChurn, Fitness};
 use dphpo_hpc::{EvalFault, EvalOutcome, FaultInjector, Pool, PoolReport, TaskCtx, TaskRecord};
 use dphpo_obs::{cats, names, Event, Recorder, SpanCtx, When};
@@ -185,16 +185,15 @@ impl RunEnv<'_> {
     }
 
     /// Publish one generation (or steady-state epoch) boundary, after the
-    /// archive absorbed `record`'s population; `row` is its status row
+    /// archive absorbed its population; `row` is its status row
     /// ([`crate::campaign_report::generation_row`]). Emits the `generation`
     /// span over `[sim_offset, sim_offset + makespan]` on the campaign's
     /// simulated clock, the `ea.front` instant at its end with the archive's
     /// hypervolume / cardinality / spread and dominance churn (plus the
-    /// matching gauges and counters), then the profile row, the status row,
-    /// and the atomic rewrite of both artifacts.
+    /// matching gauges and counters), then the status row and the atomic
+    /// rewrite of the artifacts rendered from the rows.
     pub(crate) fn publish_boundary(
         &mut self,
-        record: &GenerationRecord,
         row: GenStatus,
         churn: ArchiveChurn,
         report: &PoolReport,
@@ -203,7 +202,7 @@ impl RunEnv<'_> {
         let obs = self.obs;
         if obs.enabled() {
             obs.counter_add(names::C_GENERATIONS, 1);
-            let span = self.base_span.with_gen(record.generation as u32);
+            let span = self.base_span.with_gen(row.generation as u32);
             obs.record(Event {
                 name: names::GENERATION,
                 cat: cats::EA,
@@ -239,7 +238,6 @@ impl RunEnv<'_> {
             obs.counter_add(names::C_ARCHIVE_ADDED, churn.added as u64);
             obs.counter_add(names::C_ARCHIVE_EVICTED, churn.evicted as u64);
         }
-        self.status.push_profile_row(self.run, record, report);
         self.status.status.push_row(self.run, row);
         self.status.flush()
     }
@@ -383,7 +381,7 @@ mod tests {
         generation: u64,
         f: impl FnOnce(&mut SummitEvaluator<'_>) -> R,
     ) -> R {
-        let mut status = StatusSink::new(&Campaign::new(&fixture.0), None);
+        let mut status = StatusSink::new(&Campaign::new(&fixture.0));
         let life = DriverLife::new(None);
         dphpo_hpc::with_pool(
             fixture.0.pool.n_workers,

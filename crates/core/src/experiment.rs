@@ -20,7 +20,7 @@
 //! that no campaign byte depends on.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
@@ -29,13 +29,12 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use dphpo_dnnp::{StepBudget, TrainConfig};
-use dphpo_evo::nsga2::{GenerationRecord, Nsga2Config, Nsga2State, RunResult};
+use dphpo_dnnp::TrainConfig;
+use dphpo_evo::nsga2::{Nsga2Config, Nsga2State, RunResult};
 use dphpo_evo::{Individual, ParetoArchive};
 use dphpo_hpc::{
     physical_threads, with_pool, CostModel, FaultInjector, PoolConfig, PoolReport, TaskCtx,
 };
-use dphpo_obs::profile::ProfileNode;
 use dphpo_obs::{Recorder, SpanCtx, NOOP};
 use dphpo_md::generate::{generate_dataset, GenConfig};
 use dphpo_md::{Dataset, LABEL_NOISE};
@@ -236,8 +235,8 @@ pub enum ExperimentError {
     },
     /// Journal I/O or validation failure (corrupt file, stale config, …).
     Journal(JournalError),
-    /// A status or profile artifact could not be produced or rewritten. The
-    /// journal is unaffected: it verifies clean and the campaign resumes.
+    /// A status or profile artifact could not be rewritten. The journal is
+    /// unaffected: it verifies clean and the campaign resumes.
     Artifact {
         /// The file (or directory) that could not be written.
         path: PathBuf,
@@ -296,7 +295,8 @@ fn nsga2_config_for(config: &ExperimentConfig) -> Nsga2Config {
 
 /// The live status surface: accumulates observatory rows and (when a path
 /// is configured) rewrites `campaign_status.json` atomically at every
-/// generation (or steady-state epoch) boundary.
+/// generation (or steady-state epoch) boundary — and, with a profile
+/// directory, the profile artifacts rendered from the same rows.
 pub(crate) struct StatusSink {
     pub(crate) status: CampaignStatus,
     path: Option<PathBuf>,
@@ -306,24 +306,17 @@ pub(crate) struct StatusSink {
     /// leaves behind — and the next boundary's flush rewrites it whole.
     status_io: IoSite,
     /// Directory for `profile.json` / `profile.folded`; `None` leaves the
-    /// profiler off (and skips all profile bookkeeping).
+    /// profiler off.
     profile_dir: Option<PathBuf>,
     /// The profile rewrite's own fault site, with the status site's rule.
     profile_io: IoSite,
-    /// Per-run generation attribution nodes, keyed by run index — the
-    /// journal-derived tree the profile artifacts are rendered from.
-    profile_runs: BTreeMap<usize, Vec<ProfileNode>>,
-    /// The base configuration's per-phase tape-node census, embedded in
-    /// `profile.json` (computed once per campaign when profiling is on).
-    step_budget: Option<StepBudget>,
     /// A run was restored from the journal since the last rewrite.
     restored_unflushed: bool,
 }
 
 impl StatusSink {
-    /// The sink `campaign` asked for; `step_budget` is required exactly when
-    /// it has a profile directory.
-    pub(crate) fn new(campaign: &Campaign<'_>, step_budget: Option<StepBudget>) -> Self {
+    /// The sink `campaign` asked for.
+    pub(crate) fn new(campaign: &Campaign<'_>) -> Self {
         let plan = campaign.fault_plan.as_ref();
         StatusSink {
             status: CampaignStatus::new(campaign.config),
@@ -331,51 +324,18 @@ impl StatusSink {
             status_io: IoSite::new(plan, STATUS_FSYNC_SITE),
             profile_dir: campaign.profile_dir.clone(),
             profile_io: IoSite::new(plan, PROFILE_FSYNC_SITE),
-            profile_runs: BTreeMap::new(),
-            step_budget,
             restored_unflushed: false,
         }
     }
 
-    /// Append one boundary's attribution node (no-op with profiling off).
-    pub(crate) fn push_profile_row(
-        &mut self,
-        run: usize,
-        record: &GenerationRecord,
-        report: &PoolReport,
-    ) {
-        if self.profile_dir.is_none() {
-            return;
-        }
-        self.profile_runs
-            .entry(run)
-            .or_default()
-            .push(crate::profile::generation_node(record, report));
-    }
-
-    /// Install one run's journaled rows and attribution nodes — bit-identical
-    /// to what the original driver published live, so a resumed campaign's
-    /// artifacts match the uninterrupted run's bytes. Nothing is rewritten
-    /// here: a resume that restores five finished runs owes the disk one
-    /// rewrite ([`StatusSink::flush_restored`]), not five.
-    pub(crate) fn restore_run(
-        &mut self,
-        run: usize,
-        rows: Vec<GenStatus>,
-        records: &[GenerationRecord],
-        reports: &[PoolReport],
-    ) {
+    /// Install one run's journaled rows — bit-identical to what the original
+    /// driver published live, so a resumed campaign's artifacts match the
+    /// uninterrupted run's bytes. Nothing is rewritten here: a resume that
+    /// restores five finished runs owes the disk one rewrite
+    /// ([`StatusSink::flush_restored`]), not five.
+    pub(crate) fn restore_run(&mut self, run: usize, rows: Vec<GenStatus>) {
         self.status.set_run(run, rows);
         self.restored_unflushed = true;
-        if self.profile_dir.is_none() {
-            return;
-        }
-        let nodes = records
-            .iter()
-            .zip(reports)
-            .map(|(record, report)| crate::profile::generation_node(record, report))
-            .collect();
-        self.profile_runs.insert(run, nodes);
     }
 
     /// [`StatusSink::flush`] if a restored run has not reached the disk yet:
@@ -402,8 +362,7 @@ impl StatusSink {
         };
         if let Some(dir) = &self.profile_dir {
             if self.profile_io.next().is_none() {
-                let root = crate::profile::campaign_node(&self.profile_runs);
-                crate::profile::write_profile_atomic(dir, &root, self.step_budget.as_ref())
+                campaign_report::write_profile_atomic(dir, &self.status)
                     .map_err(|e| failed(dir, e))?;
             }
         }
@@ -465,10 +424,10 @@ impl<'a> Campaign<'a> {
     /// Enable the deterministic profiler: rewrite `profile.json` (schema
     /// [`dphpo_obs::profile::PROFILE_SCHEMA`]) and `profile.folded` in
     /// `dir` atomically at every generation (or steady-state epoch)
-    /// boundary. Both artifacts are pure functions of journaled data, so
-    /// profiling on vs off leaves every other campaign artifact
-    /// byte-identical, and the profile itself is byte-identical under
-    /// kill+resume (DESIGN.md §14).
+    /// boundary. Both render the status rows
+    /// ([`campaign_report::campaign_profile`]), so profiling on vs off
+    /// leaves every other campaign artifact byte-identical, and the profile
+    /// itself is byte-identical under kill+resume (DESIGN.md §14).
     pub fn profile_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.profile_dir = Some(dir.into());
         self
@@ -594,18 +553,6 @@ impl<'a> Campaign<'a> {
         let (train, val) = build_dataset(config);
         let nsga2 = nsga2_config_for(config);
 
-        // The step budget is a deterministic census of the base
-        // configuration's tape (node counts depend only on shapes), computed
-        // once per campaign and embedded in every profile.json rewrite.
-        let step_budget = match &self.profile_dir {
-            Some(dir) => Some(
-                dphpo_dnnp::step_budget(&config.base_train_config, &train, &val).map_err(
-                    |message| ExperimentError::Artifact { path: dir.clone(), message },
-                )?,
-            ),
-            None => None,
-        };
-
         if let (Some(writer), Some(plan)) = (&mut writer, &self.fault_plan) {
             writer.set_io_site(IoSite::new(Some(plan), JOURNAL_APPEND_SITE));
         }
@@ -621,7 +568,7 @@ impl<'a> Campaign<'a> {
             workdir: None,
         });
         let obs: &dyn Recorder = self.recorder.as_deref().unwrap_or(&NOOP);
-        let mut status = StatusSink::new(&self, step_budget);
+        let mut status = StatusSink::new(&self);
         // The campaign's worker threads: opened once, fed by every batch and
         // every steady-state submission of every run, shut down (cancelling
         // whatever an interrupted driver left queued or running) and joined
@@ -657,7 +604,7 @@ impl<'a> Campaign<'a> {
                         Some(point) if point.state.generation >= config.generations => {
                             let rows =
                                 campaign_report::replay_rows(&point.state.history, &point.reports);
-                            status.restore_run(run_idx, rows, &point.state.history, &point.reports);
+                            status.restore_run(run_idx, rows);
                             runs.push(point.state.into_result());
                             pool_reports.push(point.reports);
                             archives.push(point.archive);
@@ -790,7 +737,7 @@ fn finish_generation(
     // end on the campaign's simulated clock.
     let sim_offset: f64 = earlier.iter().map(|r| r.makespan_minutes).sum();
     let row = campaign_report::generation_row(record, archive, churn, report);
-    env.publish_boundary(record, row, churn, report, sim_offset)
+    env.publish_boundary(row, churn, report, sim_offset)
 }
 
 /// Drive one generational EA run to completion — fresh or restored. Plain,
@@ -809,7 +756,7 @@ fn drive_run(
     let (state, mut rng, mut archive, generation, reports) = match restored {
         Some(point) => {
             let rows = campaign_report::replay_rows(&point.state.history, &point.reports);
-            env.status.restore_run(run_idx, rows, &point.state.history, &point.reports);
+            env.status.restore_run(run_idx, rows);
             let next = point.state.generation as u64 + 1;
             let rng = StdRng::from_state(point.rng_state);
             (Some(point.state), rng, point.archive, next, point.reports)

@@ -41,7 +41,6 @@ pub mod decode;
 pub mod ea;
 pub mod journal;
 pub mod experiment;
-pub mod profile;
 pub mod representation;
 pub mod steady;
 pub mod template;

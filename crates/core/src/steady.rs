@@ -153,12 +153,7 @@ pub(crate) fn drive_steady_run(
     ): (VecDeque<(usize, Individual)>, _, _, _, _, Vec<GenerationRecord>, Vec<PoolReport>, _, _, _, _) =
         match restored {
             Some(snap) => {
-                env.status.restore_run(
-                    run_idx,
-                    snap.status_rows.clone(),
-                    &snap.history,
-                    &snap.epoch_reports,
-                );
+                env.status.restore_run(run_idx, snap.status_rows.clone());
                 (
                     snap.pending.into_iter().collect(),
                     snap.submitted,
@@ -358,7 +353,7 @@ pub(crate) fn drive_steady_run(
                     }
                 }
                 let EpochEntry { record, report, status, .. } = boundary;
-                env.publish_boundary(&record, status, epoch_churn, &report, epoch_sim_offset)?;
+                env.publish_boundary(status, epoch_churn, &report, epoch_sim_offset)?;
                 epoch_sim_offset += report.makespan_minutes;
                 history.push(record);
                 epoch_reports.push(report);

@@ -302,14 +302,15 @@ fn unwritable_status_and_profile_artifacts_end_the_campaign_without_hurting_the_
     Campaign::new(&config).journal(&path).resume().run(None).expect("resume");
     assert_eq!(std::fs::read(&path).unwrap(), std::fs::read(&reference_path).unwrap());
 
-    // A base configuration the step-budget census rejects: profiling fails
-    // up front, structurally, instead of panicking.
-    let mut invalid = config.clone();
-    invalid.base_train_config.num_steps = 0;
-    match Campaign::new(&invalid).profile_dir(dir.join("profile")).run(None) {
+    // A profile directory that cannot exist (its parent is a file): the
+    // first boundary's profile rewrite fails for real, structurally,
+    // instead of panicking.
+    let blocker = dir.join("a-file");
+    std::fs::write(&blocker, "not a directory").unwrap();
+    match Campaign::new(&config).profile_dir(blocker.join("profile")).run(None) {
         Err(ExperimentError::Artifact { .. }) => {}
         Err(other) => panic!("expected an artifact error, got {other}"),
-        Ok(_) => panic!("an impossible step-budget census must end the campaign"),
+        Ok(_) => panic!("an unwritable profile directory must end the campaign"),
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

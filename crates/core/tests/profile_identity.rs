@@ -9,11 +9,15 @@
 //!   must be byte-identical across kill+resume and across independent
 //!   re-runs, in both generational and steady-state mode;
 //! * `profile.folded` must be well-formed collapsed stacks (inferno /
-//!   speedscope-loadable): `frame;frame;... <integer µs>` per line.
+//!   speedscope-loadable): `frame;frame;... <integer µs>` per line;
+//! * the tree is the status rows: every boundary's `gen{g}` node holds the
+//!   row's four slot-minute categories as leaves, bit for bit.
 
 use std::path::PathBuf;
 
+use dphpo_core::campaign_report::parse_status;
 use dphpo_core::experiment::{Campaign, CampaignMode, ExperimentConfig, ExperimentError};
+use dphpo_obs::json::Json;
 
 /// Small faulty campaign exercising deaths, retries and backoff — every
 /// path that feeds the profile's loss leaves.
@@ -107,7 +111,6 @@ fn profiling_on_leaves_campaign_artifacts_byte_identical() {
     let json = read(&profile_b.join("profile.json"));
     assert!(json.contains("\"schema\": \"dphpo-profile-v1\""), "missing schema tag");
     assert!(json.contains("\"clock\": \"sim_minutes\""));
-    assert!(json.contains("\"step_budget\""), "profile.json missing the step-budget table");
     assert!(json.contains("\"name\": \"campaign\""));
     let folded = read(&profile_b.join("profile.folded"));
     assert_folded_well_formed(&folded);
@@ -257,5 +260,70 @@ fn steady_campaign_profile_is_identical_across_kill_resume() {
     }
     for d in [&profile_a, &profile_b] {
         let _ = std::fs::remove_dir_all(d);
+    }
+}
+
+/// The child of a `profile.json` node named `name`.
+fn child<'a>(node: &'a Json, name: &str) -> &'a Json {
+    let Some(Json::Array(children)) = node.get("children") else {
+        panic!("the parent of {name} has no children array")
+    };
+    children
+        .iter()
+        .find(|c| c.get("name").and_then(Json::as_str) == Some(name))
+        .unwrap_or_else(|| panic!("profile.json has no node {name}"))
+}
+
+fn child_count(node: &Json) -> usize {
+    match node.get("children") {
+        Some(Json::Array(children)) => children.len(),
+        _ => panic!("node without a children array"),
+    }
+}
+
+/// One profiled campaign per faulty configuration: per run and boundary,
+/// `gen{g}`'s `busy` / `idle` / `backoff` / `lost.death` are leaves whose
+/// `self_min` is the status row's minutes bit for bit, and the tree has a
+/// node for every row and no other.
+#[test]
+fn the_profile_is_the_status_rows_in_both_modes() {
+    for (tag, config) in [("gen", config()), ("steady", steady_config())] {
+        let status_path = scratch(&format!("{tag}_rows_status.json"));
+        let dir = scratch(&format!("{tag}_rows_artifacts"));
+        Campaign::new(&config)
+            .status_file(&status_path)
+            .profile_dir(&dir)
+            .run(None)
+            .expect("profiled campaign");
+        let status = parse_status(&read(&status_path)).expect("campaign_status.json");
+        let profile = Json::parse(&read(&dir.join("profile.json"))).expect("profile.json");
+        let root = profile.get("root").expect("profile.json has a root");
+        assert_eq!(child_count(root), status.runs.len(), "{tag}: run nodes");
+        for run in &status.runs {
+            let run_node = child(root, &format!("run{}", run.run));
+            assert_eq!(child_count(run_node), run.generations.len(), "{tag}: run {}", run.run);
+            for row in &run.generations {
+                let at = format!("{tag}: run {}, gen {}", run.run, row.generation);
+                let gen = child(run_node, &format!("gen{}", row.generation));
+                assert_eq!(child_count(gen), 4, "{at}");
+                for (name, minutes) in [
+                    ("busy", row.busy_minutes),
+                    ("idle", row.idle_minutes),
+                    ("backoff", row.backoff_minutes),
+                    ("lost.death", row.lost_death_minutes),
+                ] {
+                    let leaf = child(gen, name);
+                    assert_eq!(child_count(leaf), 0, "{at}, {name} is not a leaf");
+                    let self_min = leaf.get("self_min").and_then(Json::as_f64);
+                    assert_eq!(
+                        self_min.map(f64::to_bits),
+                        Some(minutes.to_bits()),
+                        "{at}, {name}: self_min {self_min:?} vs the row's {minutes}"
+                    );
+                }
+            }
+        }
+        let _ = std::fs::remove_file(&status_path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

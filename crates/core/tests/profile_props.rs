@@ -1,17 +1,13 @@
-//! Property-based tests for the deterministic profiler (DESIGN.md §14):
+//! Property-based tests for the deterministic profiler (DESIGN.md §14),
+//! over random status rows:
 //!
-//! * assembling the journal-derived campaign tree is independent of the
-//!   order the boundaries arrive in;
+//! * the campaign tree is independent of the order the rows arrive in;
 //! * `self + Σ children == inclusive` holds **bitwise** for every node of
 //!   the campaign tree;
 //! * the `.folded` export is always a well-formed collapsed-stack file.
 
-use std::collections::BTreeMap;
-
-use dphpo_core::profile::{campaign_node, generation_node};
-use dphpo_evo::nsga2::GenerationRecord;
-use dphpo_evo::{Fitness, Individual};
-use dphpo_hpc::PoolReport;
+use dphpo_core::campaign_report::campaign_profile;
+use dphpo_core::{CampaignStatus, GenStatus, RunStatus};
 use dphpo_obs::metrics::ExactSum;
 use dphpo_obs::profile::{folded, ProfileNode};
 use proptest::prelude::*;
@@ -64,87 +60,65 @@ fn assert_folded_well_formed(text: &str) {
     }
 }
 
-fn individual(minutes: f64, penalty: bool) -> Individual {
-    let mut ind = Individual::new(vec![0.0]);
-    ind.fitness = Some(if penalty { Fitness::penalty(2) } else { Fitness::new(vec![0.1, 0.2]) });
-    ind.eval_minutes = Some(minutes);
-    ind
-}
-
-fn slot_vec() -> impl Strategy<Value = Vec<f64>> {
-    prop::collection::vec(0.0f64..500.0, 1..5)
-}
-
-/// A random (record, report) boundary pair; all slot partitions are
-/// clamped to the busy vector's slot count, as in real reports.
-fn wild_boundary() -> impl Strategy<Value = (GenerationRecord, PoolReport)> {
-    let pop = prop::collection::vec((0.0f64..200.0, 0.0f64..1.0), 0..6);
-    ((0usize..40, pop), slot_vec(), slot_vec(), slot_vec()).prop_map(
-        |((generation, pop), busy, idle, death)| {
-            let slots = busy.len();
-            let fit = |mut v: Vec<f64>| {
-                v.resize(slots, 0.0);
-                v
-            };
-            let record = GenerationRecord {
+/// A random status row: the counts and the four slot-minute categories the
+/// tree reads (the vendored shim's tuples stop at five, hence the nesting).
+fn wild_row() -> impl Strategy<Value = GenStatus> {
+    let counts = (0usize..40, 0usize..100, 0usize..10, 0usize..10);
+    let minutes = (0.0f64..5000.0, 0.0f64..5000.0, 0.0f64..500.0, 0.0f64..500.0);
+    (counts, minutes).prop_map(
+        |((generation, evaluations, retried, deaths), (busy, idle, backoff, lost_death))| {
+            GenStatus {
                 generation,
-                population: pop.into_iter().map(|(m, p)| individual(m, p < 0.5)).collect(),
-                failures: 0,
-            };
-            let report = PoolReport {
+                evaluations,
+                retried,
+                deaths,
                 busy_minutes: busy,
-                idle_minutes: fit(idle),
-                lost_death_minutes: fit(death),
-                backoff_slot_minutes: vec![0.0; slots],
-                ..PoolReport::default()
-            };
-            (record, report)
+                idle_minutes: idle,
+                backoff_minutes: backoff,
+                lost_death_minutes: lost_death,
+                ..GenStatus::default()
+            }
         },
     )
 }
 
+fn status(runs: Vec<RunStatus>) -> CampaignStatus {
+    CampaignStatus { runs, ..CampaignStatus::default() }
+}
+
 proptest! {
-    /// Boundaries folded in any order — generation rows shuffled within a
-    /// run — give the identical tree.
+    /// Rows in any order — shuffled within a run, runs listed in reverse —
+    /// give the identical tree.
     #[test]
-    fn aggregation_is_independent_of_the_order_boundaries_arrive_in(
-        boundaries in prop::collection::vec(wild_boundary(), 1..8),
+    fn aggregation_is_independent_of_the_order_rows_arrive_in(
+        rows in prop::collection::vec(wild_row(), 1..8),
         seed in 0i64..i64::MAX,
     ) {
         // Distinct generation indices, as a campaign's are (same-named
         // siblings keep their insertion order: `branch` sorts, not merges).
-        let rows: Vec<ProfileNode> = boundaries
-            .iter()
+        let rows: Vec<GenStatus> = rows
+            .into_iter()
             .enumerate()
-            .map(|(generation, (rec, rep))| {
-                generation_node(&GenerationRecord { generation, ..rec.clone() }, rep)
-            })
+            .map(|(generation, row)| GenStatus { generation, ..row })
             .collect();
         let mut shuffled = rows.clone();
         shuffle(&mut shuffled, &mut StdRng::seed_from_u64(seed as u64));
 
-        let reference = campaign_node(&BTreeMap::from([(0, rows.clone()), (1, rows.clone())]));
-        let permuted = campaign_node(&BTreeMap::from([(0, shuffled), (1, rows.clone())]));
-        prop_assert_eq!(&reference, &permuted);
+        let run = |run, generations| RunStatus { run, generations };
+        let reference = status(vec![run(0, rows.clone()), run(1, rows.clone())]);
+        let permuted = status(vec![run(1, rows), run(0, shuffled)]);
+        prop_assert_eq!(campaign_profile(&reference), campaign_profile(&permuted));
     }
 
-    /// The branch invariant holds bitwise on every node of the
-    /// journal-derived campaign tree, whatever the boundary data, and its
-    /// folded rendering is well-formed.
+    /// The branch invariant holds bitwise on every node of the campaign
+    /// tree, whatever the rows, and its folded rendering is well-formed.
     #[test]
     fn campaign_tree_invariant_and_folded_validity(
-        boundaries in prop::collection::vec(wild_boundary(), 1..6),
+        rows in prop::collection::vec(wild_row(), 1..6),
         n_runs in 1usize..3,
     ) {
-        let mut runs = BTreeMap::new();
-        for run in 0..n_runs {
-            let rows: Vec<ProfileNode> = boundaries
-                .iter()
-                .map(|(rec, rep)| generation_node(rec, rep))
-                .collect();
-            runs.insert(run, rows);
-        }
-        let root = campaign_node(&runs);
+        let runs = (0..n_runs).map(|run| RunStatus { run, generations: rows.clone() }).collect();
+        let root = campaign_profile(&status(runs));
         assert_invariant(&root);
         assert_folded_well_formed(&folded(&root));
     }

@@ -9,7 +9,9 @@
 //!   pass, so `Tape::grad_values` and the second-order sweep are not in the
 //!   oracle;
 //! * fused energies and forces vs [`forward_frame`], the position graph
-//!   built from unfused taped primitives, over random shapes.
+//!   built from unfused taped primitives, over random shapes;
+//! * energy invariance and force equivariance under the 48 symmetries of
+//!   the cubic cell, against the unmoved frame's own prediction.
 //!
 //! Run in `--release` by `scripts/verify.sh` stage 10 (the finite
 //! differences evaluate a few thousand graphs).
@@ -77,6 +79,72 @@ fn forces_are_minus_the_energy_gradient_for_all_activation_pairs() {
         }
     }
     assert_eq!(checked, 3 * 25 * 4);
+}
+
+/// The 48 signed axis permutations of the cube, as `(perm, signs)`: the
+/// map `v'[i] = signs[i] · v[perm[i]]`.
+fn cubic_group() -> Vec<([usize; 3], [f64; 3])> {
+    let perms = [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];
+    let signs = |bits: usize| std::array::from_fn(|i| if bits >> i & 1 == 1 { -1.0 } else { 1.0 });
+    perms.into_iter().flat_map(|perm| (0..8).map(move |bits| (perm, signs(bits)))).collect()
+}
+
+#[test]
+fn energy_is_invariant_and_forces_rotate_under_the_cubic_group() {
+    // Each signed axis permutation maps the cubic cell onto itself, so it is
+    // an exact symmetry of the periodic frame: rotated (or reflected) and
+    // re-wrapped into [0, L), the frame has the same energy, and each
+    // atom's force is the rotated force. The oracle is the unmoved frame's
+    // prediction; cutoffs stay below half of `tiny`'s 11 Å box.
+    let dataset = tiny_dataset(61, 1);
+    let box_len = GenConfig::tiny().box_len;
+    let positions = &dataset.frames[0].positions;
+    let group = cubic_group();
+    assert_eq!(group.len(), 48);
+    let mut rng = StdRng::seed_from_u64(62);
+    let close = |got: f64, want: f64| (got - want).abs() <= FUSED_VS_GRAPH_TOL * (1.0 + want.abs());
+    let mut checked = 0usize;
+    for desc in Activation::ALL {
+        for fit in Activation::ALL {
+            let config = TrainConfig {
+                rcut: 5.0,
+                rcut_smth: 2.0,
+                desc_activation: desc,
+                fitting_activation: fit,
+                embedding_neurons: vec![5, 3],
+                fitting_neurons: vec![6, 5],
+                ..TrainConfig::default()
+            };
+            let model = DnnpModel::new(config, &dataset, &mut rng).unwrap();
+            type Predict<'m> = &'m dyn Fn(&[[f64; 3]]) -> (f64, Vec<[f64; 3]>);
+            let paths: [(&str, Predict<'_>); 2] = [
+                ("predict", &|p| model.predict(p)),
+                ("predict_cached", &|p| model.predict_cached(&model.build_cache(p))),
+            ];
+            for (path, predict) in paths {
+                let (e_ref, f_ref) = predict(positions);
+                for &(perm, signs) in &group {
+                    let rotate = |v: &[f64; 3]| -> [f64; 3] {
+                        std::array::from_fn(|i| signs[i] * v[perm[i]])
+                    };
+                    let moved: Vec<[f64; 3]> =
+                        positions.iter().map(|p| rotate(p).map(|x| x.rem_euclid(box_len))).collect();
+                    let (e, forces) = predict(&moved);
+                    let at = format!("{}/{} {path} {perm:?} {signs:?}", desc.name(), fit.name());
+                    assert!(close(e, e_ref), "{at}: energy {e} vs {e_ref}");
+                    for (atom, (f, f0)) in forces.iter().zip(&f_ref).enumerate() {
+                        let want = rotate(f0);
+                        assert!(
+                            (0..3).all(|k| close(f[k], want[k])),
+                            "{at} atom {atom}: force {f:?} vs rotated {want:?}"
+                        );
+                    }
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(checked, 25 * 2 * 48);
 }
 
 /// Energy+force loss of `model` on `caches`, as the trainer spells it

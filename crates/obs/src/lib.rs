@@ -20,11 +20,11 @@
 //! loadable in Perfetto, and [`export::events_jsonl`] a
 //! line oriented event/metric log. Both write their numbers and strings
 //! through [`json`], the repository's one JSON codec, which lives here
-//! because this crate is the leaf every other layer depends on. Tables and
-//! counter tracks are not exported from the event stream: a resumed
-//! campaign never re-emits the events of its replayed generations, so those
-//! are rendered from the journal-derived status rows instead
-//! (`dphpo_core::campaign_report`).
+//! because this crate is the leaf every other layer depends on. Tables,
+//! counter tracks and the [`profile`] attribution tree are not built from
+//! the event stream: a resumed campaign never re-emits the events of its
+//! replayed generations, so those are rendered from the journal-derived
+//! status rows instead (`dphpo_core::campaign_report`).
 
 #![warn(missing_docs)]
 

@@ -14,11 +14,11 @@
 //!   and the `.folded` / markdown renderings derived from it — is
 //!   independent of the order it was assembled in.
 //!
-//! The trees are built from journaled boundaries (`dphpo-core`'s `profile`
-//! module), never from the live event stream. A node's self time is what its
-//! children do not account for, and can be slightly negative; the JSON keeps
-//! the signed value (it is diagnostic), the `.folded` export drops it because
-//! collapsed-stack counts are unsigned.
+//! The campaign tree is rendered from the journal-derived status rows
+//! (`dphpo_core::campaign_report::campaign_profile`), never from the live
+//! event stream. A node's self time is what its children do not account for;
+//! a negative one is kept signed in the JSON and dropped by the `.folded`
+//! export, because collapsed-stack counts are unsigned.
 
 use crate::chrome::US_PER_MIN;
 use crate::metrics::ExactSum;

@@ -60,18 +60,22 @@
 #                                    byte-identically, compact + resume
 #                                    reproduces the populations
 #   9. profile identity            — profiling on/off leaves every campaign
-#                                    artifact byte-identical, and the
-#                                    profile artifacts themselves are
-#                                    byte-identical across kill+resume and
-#                                    re-runs (both campaign modes); plus the
-#                                    profiler property tests (aggregation
-#                                    order-independence, the exact
+#                                    artifact byte-identical, the profile
+#                                    artifacts themselves are byte-identical
+#                                    across kill+resume and re-runs, and
+#                                    profile.json's leaves are the status
+#                                    rows' minutes bit for bit (both campaign
+#                                    modes); plus the profiler property tests
+#                                    over random status rows (order
+#                                    independence, the exact
 #                                    self+children==inclusive invariant,
 #                                    folded-format validity)
 #  10. oracle suite (--release)    — checks against references that do not
 #                                    run the code under test: whole-model
 #                                    forces vs finite differences of the
 #                                    energy (5×5 activations × cutoffs),
+#                                    energy invariance and force rotation
+#                                    under the cubic cell's 48 symmetries,
 #                                    training-loss parameter gradients vs
 #                                    finite differences, the fused batch
 #                                    path vs the unfused position graph over
@@ -98,7 +102,13 @@
 #                                    derived from them — fig2_table2, fig3,
 #                                    table3, and fig1's own levels, reports,
 #                                    status files and counter tracks — comes
-#                                    out byte for byte as checked in
+#                                    out byte for byte as checked in; then
+#                                    both are resumed again with --observe
+#                                    into a fresh directory: profile.json and
+#                                    profile.folded are non-empty, and every
+#                                    other file equals results/ except the
+#                                    two campaign reports, which must begin
+#                                    with the checked-in bytes
 #
 # Opt-in extras (timing-sensitive, off by default on shared hardware):
 #
@@ -325,6 +335,33 @@ for path in "${regen}"/*; do
     cmp "${path}" "results/$(basename "${path}")"
 done
 echo "    ok: $(ls "${regen}" | wc -l) files reproduced"
+# Observed a second time, into a fresh directory: the profile artifacts
+# render the journaled rows, and observing changes no other byte — the
+# campaign reports only gain their appended attribution sections.
+observed="$(mktemp -d)"
+trap 'rm -rf "${regen}" "${observed}"' EXIT
+mkdir "${observed}/results"
+cp results/experiment.journal.jsonl results/steady_experiment.journal.jsonl "${observed}/results/"
+for prefix in "" steady_; do
+    DPHPO_RESULTS_DIR="${observed}/results" target/release/fig1 ${prefix:+--steady-state} \
+        --resume "${observed}/results/${prefix}experiment.journal.jsonl" \
+        --observe "${observed}/${prefix}observe" >/dev/null 2>&1
+    for name in profile.json profile.folded; do
+        if [[ ! -s "${observed}/${prefix}observe/${name}" ]]; then
+            echo "    EMPTY: fig1 --observe left no ${prefix}observe/${name}" >&2
+            exit 1
+        fi
+    done
+done
+for path in "${observed}/results"/*; do
+    name="$(basename "${path}")"
+    if [[ "${name}" == *campaign_report.md ]]; then
+        cmp -n "$(stat -c %s "results/${name}")" "${path}" "results/${name}"
+    else
+        cmp "${path}" "results/${name}"
+    fi
+done
+echo "    ok: observed again, $(ls "${observed}/results" | wc -l) files as checked in"
 
 if [[ "${BENCH_CHECK:-0}" == "1" ]]; then
     echo "==> [opt-in] perf-history regression check, fresh and checked-in (BENCH_CHECK=1)"
