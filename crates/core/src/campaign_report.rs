@@ -276,7 +276,7 @@ fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
 /// Fsync the directory containing `path`, making directory-entry changes
 /// (a new file, a rename) durable. A bare relative path has an empty
 /// parent, which means the current directory.
-fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+pub(crate) fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
     let parent = match path.parent() {
         Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
         _ => std::path::PathBuf::from("."),

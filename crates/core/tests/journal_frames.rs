@@ -1,7 +1,8 @@
 //! Property tests for the v2 journal frame format (DESIGN.md §13): any
 //! printable payload round-trips through a frame; **every** single-bit
-//! flip of **every** byte of a frame is detected by the parser; and
-//! salvage never keeps a record at or past the first corrupted byte.
+//! flip of **every** byte of a frame is detected by the parser; salvage
+//! never keeps a record at or past the first corrupted byte; and a second
+//! salvage appends to the quarantine rather than replacing it.
 
 use std::path::PathBuf;
 
@@ -40,6 +41,28 @@ fn synthetic_journal(path: &PathBuf, n: usize, g0: f64, g1: f64, minutes: f64) -
         writer.append_eval(&entry).expect("append");
     }
     std::fs::read(path).expect("read back")
+}
+
+/// A second salvage appends to the quarantine: the bytes the first one
+/// moved there are still there, in front of the second tail.
+#[test]
+fn a_second_salvage_keeps_the_first_ones_quarantined_bytes() {
+    let path = scratch("salvage-twice.jsonl");
+    let quarantine = PathBuf::from(format!("{}.quarantine", path.display()));
+    let _ = std::fs::remove_file(&quarantine);
+    let clean = synthetic_journal(&path, 3, 1.0, 2.0, 30.0);
+    let (tail_one, tail_two) = (b"GARBAGE-ONE\n", b"GARBAGE-TWO\n");
+    let mut damaged = clean.clone();
+    for tail in [tail_one, tail_two] {
+        damaged.extend_from_slice(tail);
+        std::fs::write(&path, &damaged).unwrap();
+        let report = salvage(&path).expect("salvage");
+        assert_eq!(report.quarantined_bytes as usize, tail.len());
+        assert_eq!(std::fs::read(&path).unwrap(), clean, "salvage restores the clean journal");
+        damaged = clean.clone();
+    }
+    assert_eq!(std::fs::read(&quarantine).unwrap(), [&tail_one[..], &tail_two[..]].concat());
+    let _ = std::fs::remove_file(&quarantine);
 }
 
 proptest! {

@@ -119,13 +119,32 @@ fn snapshots_stay_flat_and_every_epoch_is_journaled_exactly_once() {
             );
         }
     }
-    // The in-memory snapshots are still cumulative.
-    let loaded = Journal::load(&journal).unwrap();
-    for ((_, arrivals), snapshot) in &loaded.snapshots {
+    // The snapshot resume restores is cumulative: every snapshot, loaded
+    // from the journal that ends on it, carries the epochs closed before it.
+    let text = std::fs::read_to_string(&journal).unwrap();
+    let prefix = scratch("growth-prefix.jsonl");
+    let mut end = text.find('\n').unwrap() + 1;
+    for (kind, run, arrivals, bytes) in &records {
+        end += bytes;
+        if kind != "snapshot" {
+            continue;
+        }
+        std::fs::write(&prefix, &text[..end]).unwrap();
+        let loaded = Journal::load(&prefix).unwrap();
+        let snapshot = loaded.last_snapshot_for(*run).unwrap();
         let closed = arrivals / config.pop_size;
-        assert_eq!(snapshot.history.len(), closed);
+        assert_eq!(snapshot.arrivals, *arrivals);
+        assert_eq!(snapshot.history.len(), closed, "run {run} at {arrivals}");
         assert_eq!(snapshot.epoch_reports.len(), closed);
         assert_eq!(snapshot.status_rows.len(), closed);
+    }
+    // Every earlier snapshot carries live state only.
+    let loaded = Journal::load(&journal).unwrap();
+    for ((run, arrivals), snapshot) in &loaded.snapshots {
+        if loaded.last_snapshot_for(*run).unwrap().arrivals != *arrivals {
+            assert!(snapshot.history.is_empty(), "run {run} at {arrivals}");
+            assert!(snapshot.epoch_reports.is_empty() && snapshot.status_rows.is_empty());
+        }
     }
     let report = verify(&journal).unwrap();
     assert_eq!(report.generations as usize, config.n_runs * epochs);

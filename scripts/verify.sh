@@ -58,7 +58,12 @@
 #                                    one boundary record per (run, epoch),
 #                                    kills around every epoch close resume
 #                                    byte-identically, compact + resume
-#                                    reproduces the populations
+#                                    reproduces the populations; the chunked
+#                                    reader: a scan in 1..=8 chunks equals
+#                                    the sequential one on clean and damaged
+#                                    journals (and load / verify / salvage /
+#                                    compact agree with it); and a second
+#                                    salvage appends to the quarantine
 #   9. profile identity            — profiling on/off leaves every campaign
 #                                    artifact byte-identical, the profile
 #                                    artifacts themselves are byte-identical
@@ -297,6 +302,12 @@ echo "    frame-format property tests"
 cargo test -q -p dphpo-core --test journal_frames
 echo "    steady-state epoch records: growth guard, boundary kills, compaction"
 cargo test -q -p dphpo-core --test steady_epoch_journal
+echo "    chunked reader == sequential reader; a second salvage keeps the first's quarantine"
+# By name, and a renamed test fails here instead of matching nothing.
+cargo test -q -p dphpo-core --lib -- --exact \
+    journal::tests::chunked_scan_equals_the_sequential_scan | grep "ok. 1 passed" >/dev/null
+cargo test -q -p dphpo-core --test journal_frames -- --exact \
+    a_second_salvage_keeps_the_first_ones_quarantined_bytes | grep "ok. 1 passed" >/dev/null
 
 echo "==> [9/12] profile identity (profiling on/off, kill+resume, both modes)"
 cargo test -q -p dphpo-core --test profile_identity
