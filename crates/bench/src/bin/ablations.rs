@@ -15,8 +15,8 @@ use dphpo_evo::problems::zdt1;
 use dphpo_evo::{
     fast_nondominated_sort, hypervolume_2d, pareto_front, rank_ordinal_sort, Fitness,
 };
-use dphpo_hpc::scheduler::QUARANTINE_DEATHS;
-use dphpo_hpc::{run_batch, EvalOutcome, FaultInjector, PoolConfig};
+use dphpo_hpc::scheduler::{QUARANTINE_DEATHS, TIMEOUT_MINUTES};
+use dphpo_hpc::{run_batch_supervised, EvalOutcome, FaultInjector, PoolConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -87,11 +87,13 @@ fn main() {
         for nanny in [false, true] {
             let config = PoolConfig { n_workers: 10, nanny, max_attempts: 5 };
             let faults = FaultInjector::new(rate, 11);
-            let (records, pool_report) = run_batch(
+            let (records, pool_report) = run_batch_supervised(
                 &inputs,
                 |_, &x| EvalOutcome { value: Ok(x), minutes: 70.0 },
+                |_, _| TIMEOUT_MINUTES,
                 &config,
                 &faults,
+                |_, _| {},
             );
             let completed = records.iter().filter(|r| r.value.is_ok()).count();
             lost[usize::from(nanny)] += inputs.len() - completed;

@@ -33,7 +33,7 @@ use dphpo_dnnp::{
 };
 use dphpo_evo::nsga2::GenerationRecord;
 use dphpo_evo::{Fitness, Individual};
-use dphpo_hpc::{PoolReport, StreamSlotsState};
+use dphpo_hpc::{PoolReport, SlotTally, StreamSlotsState};
 use dphpo_md::Dataset;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -234,15 +234,13 @@ fn synthetic_steady_journal(path: &std::path::Path, evals: usize) {
                 },
             };
             writer.append_epoch(&boundary).expect("append epoch");
-            let slots = StreamSlotsState {
+            let tally = SlotTally {
                 busy: workers.clone(),
                 lost: workers.clone(),
                 backoff: workers.clone(),
-                baseline_busy: workers.clone(),
-                baseline_lost: workers.clone(),
-                baseline_backoff: workers.clone(),
-                ..StreamSlotsState::default()
+                ..SlotTally::default()
             };
+            let slots = StreamSlotsState { now: tally.clone(), baseline: tally };
             let snapshot = SnapshotEntry {
                 run: 0,
                 arrivals: arrival + 1,

@@ -256,10 +256,11 @@ pub fn write_status_atomic(path: &Path, status: &CampaignStatus) -> std::io::Res
     write_atomic(path, &status_json(status))
 }
 
-/// The atomic-rewrite primitive behind [`write_status_atomic`] and
-/// [`write_profile_atomic`]: write-and-fsync a `<name>.tmp` sibling, fsync
-/// the parent directory, rename over the target, fsync the directory again.
-fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
+/// The atomic-rewrite primitive behind [`write_status_atomic`],
+/// [`write_profile_atomic`] and `journal::compact`: write-and-fsync a
+/// `<name>.tmp` sibling, fsync the parent directory, rename over the target,
+/// fsync the directory again.
+pub(crate) fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
     let mut tmp_name = path.as_os_str().to_os_string();
     tmp_name.push(".tmp");
     let tmp = std::path::PathBuf::from(tmp_name);

@@ -89,7 +89,7 @@ use dphpo_hpc::{EvalFault, EvalOutcome, PoolReport, StreamSlotsState, TaskError,
 use dphpo_md::LABEL_NOISE;
 use dphpo_obs::json::{Json, JsonError, Reader};
 
-use crate::campaign_report::{sync_parent_dir, GenStatus};
+use crate::campaign_report::{sync_parent_dir, write_atomic, GenStatus};
 use crate::chaos::{IoFault, IoSite, JOURNAL_APPEND_SITE};
 use crate::experiment::{CampaignMode, ExperimentConfig};
 use crate::workflow::EvalRecord;
@@ -739,26 +739,26 @@ record!(PoolReport, PoolReport::default, {
     "wall" => wall_minutes: f64,
 });
 
-// A steady run's slot accountant: cursors, tallies and the epoch baseline.
+// A steady run's slot accountant: the live tally and the epoch baseline.
 record!(StreamSlotsState, StreamSlotsState::default, {
-    "busy" => busy: Vec<f64>,
-    "lost" => lost: Vec<f64>,
-    "backoff" => backoff: Vec<f64>,
-    "deaths" => deaths: usize,
-    "retried" => retried: usize,
-    "diverged" => diverged: usize,
-    "timeout" => timeout: usize,
-    "cancelled" => cancelled: usize,
-    "exhausted" => exhausted: usize,
-    "base_busy" => baseline_busy: Vec<f64>,
-    "base_lost" => baseline_lost: Vec<f64>,
-    "base_backoff" => baseline_backoff: Vec<f64>,
-    "base_deaths" => baseline_deaths: usize,
-    "base_retried" => baseline_retried: usize,
-    "base_diverged" => baseline_diverged: usize,
-    "base_timeout" => baseline_timeout: usize,
-    "base_cancelled" => baseline_cancelled: usize,
-    "base_exhausted" => baseline_exhausted: usize,
+    "busy" => now.busy: Vec<f64>,
+    "lost" => now.lost: Vec<f64>,
+    "backoff" => now.backoff: Vec<f64>,
+    "deaths" => now.counts.deaths: usize,
+    "retried" => now.counts.retried: usize,
+    "diverged" => now.counts.diverged: usize,
+    "timeout" => now.counts.timeout: usize,
+    "cancelled" => now.counts.cancelled: usize,
+    "exhausted" => now.counts.exhausted: usize,
+    "base_busy" => baseline.busy: Vec<f64>,
+    "base_lost" => baseline.lost: Vec<f64>,
+    "base_backoff" => baseline.backoff: Vec<f64>,
+    "base_deaths" => baseline.counts.deaths: usize,
+    "base_retried" => baseline.counts.retried: usize,
+    "base_diverged" => baseline.counts.diverged: usize,
+    "base_timeout" => baseline.counts.timeout: usize,
+    "base_cancelled" => baseline.counts.cancelled: usize,
+    "base_exhausted" => baseline.counts.exhausted: usize,
 });
 
 /// Serialise a fitness vector.
@@ -1181,9 +1181,12 @@ fn header_json(config: &ExperimentConfig) -> Json {
 // Writer
 // ---------------------------------------------------------------------------
 
-/// Appends framed journal records, flushing each line before returning —
-/// the "write-ahead" property: once a record is appended, a driver crash
-/// cannot lose it.
+/// Appends framed journal records, each handed to the operating system in
+/// one `write_all` before the append returns — the "write-ahead" property:
+/// once a record is appended, a crash of the driver process cannot lose it.
+/// Appends are not fsynced, so a power loss can lose a suffix of the
+/// journal; [`salvage`] + resume retrain what it held. What fsyncs is the
+/// status and profile rewrites, [`salvage`] and [`compact`].
 ///
 /// Appends are fallible: real I/O errors and injected [`IoFault`]s (a
 /// campaign's [`FaultPlan`](crate::chaos::FaultPlan)) surface as `Err`, and the writer does
@@ -1254,8 +1257,9 @@ impl JournalWriter {
     /// Append one framed record, returning the byte offset it was written
     /// at. On failure (real or injected) the offset and sequence number do
     /// not advance; the file may hold a torn frame (short write) or a
-    /// complete frame of uncertain durability (fsync failure) — both are
-    /// exactly the states [`salvage`] and the torn-tail reader tolerate.
+    /// complete frame whose append reported failure (an injected fsync
+    /// failure) — both are exactly the states [`salvage`] and the torn-tail
+    /// reader tolerate.
     fn append(&mut self, record: &Json) -> Result<u64, JournalError> {
         self.payload.clear();
         record.write_compact(&mut self.payload);
@@ -1267,23 +1271,20 @@ impl JournalWriter {
                 // Half the frame reaches the file, then the write fails: a
                 // torn tail with no trailing newline.
                 let cut = line.len() / 2;
-                let _ = self
-                    .file
-                    .write_all(&line.as_bytes()[..cut])
-                    .and_then(|()| self.file.flush());
+                let _ = self.file.write_all(&line.as_bytes()[..cut]);
                 return Err(JournalError::new(format!(
                     "injected short write at journal offset {}",
                     self.offset
                 )));
             }
             Some(IoFault::FsyncFail) => {
-                // The frame itself reaches the file but the durability
-                // barrier fails: the record may or may not survive. Here it
-                // does (the pessimistic case for resume, which must replay
-                // it and still land byte-identical).
+                // The frame itself reaches the file but the append reports
+                // failure — a lost acknowledgement, since an append is never
+                // fsynced. The record survives (the pessimistic case for
+                // resume, which must replay it and still land
+                // byte-identical).
                 self.file
                     .write_all(line.as_bytes())
-                    .and_then(|()| self.file.flush())
                     .map_err(|e| JournalError::new(format!("journal append failed: {e}")))?;
                 return Err(JournalError::new(format!(
                     "injected fsync failure at journal offset {}",
@@ -1301,7 +1302,6 @@ impl JournalWriter {
         }
         self.file
             .write_all(line.as_bytes())
-            .and_then(|()| self.file.flush())
             .map_err(|e| JournalError::new(format!("journal append failed: {e}")))?;
         let at = self.offset;
         self.offset += line.len() as u64;
@@ -2088,15 +2088,7 @@ pub fn compact(path: &Path) -> Result<CompactReport, JournalError> {
     for (seq, payload) in kept.iter().enumerate() {
         push_frame(&mut content, seq as u64, payload);
     }
-    let tmp = path.with_extension("compact.tmp");
-    {
-        let mut f = File::create(&tmp)
-            .map_err(|e| JournalError::new(format!("cannot create {}: {e}", tmp.display())))?;
-        f.write_all(content.as_bytes())
-            .and_then(|()| f.sync_all())
-            .map_err(|e| JournalError::new(format!("cannot write compacted journal: {e}")))?;
-    }
-    std::fs::rename(&tmp, path)
+    write_atomic(path, &content)
         .map_err(|e| JournalError::new(format!("cannot install compacted journal: {e}")))?;
     Ok(CompactReport {
         frames_before: scan.frames,
@@ -2110,6 +2102,7 @@ pub fn compact(path: &Path) -> Result<CompactReport, JournalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dphpo_hpc::{SlotTally, TaskCounts};
 
     /// Decode what `json` renders to the way the scan does: through text.
     fn reread<T>(
@@ -2596,24 +2589,18 @@ mod tests {
             pending: vec![(9, Individual::new(vec![3.0, 4.0]))],
             archive: vec![evaluated(vec![5.0, 6.0], vec![0.02, 0.1])],
             slots: StreamSlotsState {
-                busy: vec![10.0, 12.5],
-                lost: vec![0.0, 1.5],
-                backoff: vec![0.5, 0.0],
-                deaths: 1,
-                retried: 1,
-                diverged: 0,
-                timeout: 1,
-                cancelled: 0,
-                exhausted: 0,
-                baseline_busy: vec![5.0, 6.0],
-                baseline_lost: vec![0.0, 0.0],
-                baseline_backoff: vec![0.0, 0.0],
-                baseline_deaths: 0,
-                baseline_retried: 0,
-                baseline_diverged: 0,
-                baseline_timeout: 1,
-                baseline_cancelled: 0,
-                baseline_exhausted: 0,
+                now: SlotTally {
+                    busy: vec![10.0, 12.5],
+                    lost: vec![0.0, 1.5],
+                    backoff: vec![0.5, 0.0],
+                    counts: TaskCounts { deaths: 1, retried: 1, timeout: 1, ..TaskCounts::default() },
+                },
+                baseline: SlotTally {
+                    busy: vec![5.0, 6.0],
+                    lost: vec![0.0, 0.0],
+                    backoff: vec![0.0, 0.0],
+                    counts: TaskCounts { timeout: 1, ..TaskCounts::default() },
+                },
             },
             history: Vec::new(),
             epoch_reports: Vec::new(),

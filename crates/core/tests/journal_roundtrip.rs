@@ -17,7 +17,7 @@ use dphpo_dnnp::json::Reader;
 use dphpo_dnnp::{Json, LcurveRow};
 use dphpo_evo::nsga2::GenerationRecord;
 use dphpo_evo::{Fitness, Individual};
-use dphpo_hpc::{PoolReport, StreamSlotsState};
+use dphpo_hpc::{PoolReport, SlotTally, StreamSlotsState, TaskCounts};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -251,24 +251,32 @@ fn wild_snapshot() -> impl Strategy<Value = SnapshotEntry> {
             pending,
             archive,
             slots: StreamSlotsState {
-                busy: minutes[0].clone(),
-                lost: minutes[1].clone(),
-                backoff: minutes[2].clone(),
-                deaths: n[0],
-                retried: n[1],
-                diverged: n[2],
-                timeout: n[3],
-                cancelled: n[4],
-                exhausted: n[5],
-                baseline_busy: minutes[3].clone(),
-                baseline_lost: minutes[4].clone(),
-                baseline_backoff: minutes[5].clone(),
-                baseline_deaths: n[6],
-                baseline_retried: n[7],
-                baseline_diverged: n[8],
-                baseline_timeout: n[9],
-                baseline_cancelled: n[10],
-                baseline_exhausted: n[11],
+                now: SlotTally {
+                    busy: minutes[0].clone(),
+                    lost: minutes[1].clone(),
+                    backoff: minutes[2].clone(),
+                    counts: TaskCounts {
+                        deaths: n[0],
+                        retried: n[1],
+                        diverged: n[2],
+                        timeout: n[3],
+                        cancelled: n[4],
+                        exhausted: n[5],
+                    },
+                },
+                baseline: SlotTally {
+                    busy: minutes[3].clone(),
+                    lost: minutes[4].clone(),
+                    backoff: minutes[5].clone(),
+                    counts: TaskCounts {
+                        deaths: n[6],
+                        retried: n[7],
+                        diverged: n[8],
+                        timeout: n[9],
+                        cancelled: n[10],
+                        exhausted: n[11],
+                    },
+                },
             },
             history: Vec::new(),
             epoch_reports: Vec::new(),

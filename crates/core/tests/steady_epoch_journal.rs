@@ -206,6 +206,13 @@ fn compaction_keeps_the_boundary_records_and_resume_reproduces_the_populations()
 
     let report = compact(&journal).expect("compact");
     assert!(report.frames_after < report.frames_before);
+    // The compacted journal is installed by a rename: nothing is left beside it.
+    let leftovers: Vec<String> = std::fs::read_dir(journal.parent().unwrap())
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("compact.") && name != "compact.jsonl")
+        .collect();
+    assert!(leftovers.is_empty(), "compaction left {leftovers:?} behind");
     let compacted = Journal::load(&journal).expect("a compacted journal loads");
     assert_eq!(compacted.epochs.len(), config.n_runs * (config.generations + 1));
     assert_eq!(compacted.snapshots.len(), config.n_runs);

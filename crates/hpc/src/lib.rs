@@ -22,14 +22,17 @@
 //! the same on two cores as on a hundred.
 //!
 //! ```
-//! use dphpo_hpc::scheduler::{run_batch, EvalOutcome, FaultInjector, PoolConfig};
+//! use dphpo_hpc::scheduler::TIMEOUT_MINUTES;
+//! use dphpo_hpc::{run_batch_supervised, EvalOutcome, FaultInjector, PoolConfig};
 //!
 //! let inputs = vec![1u64, 2, 3];
-//! let (records, report) = run_batch(
+//! let (records, report) = run_batch_supervised(
 //!     &inputs,
 //!     |_, &x| EvalOutcome { value: Ok(x * x), minutes: 70.0 },
+//!     |_, _| TIMEOUT_MINUTES,
 //!     &PoolConfig { n_workers: 3, ..PoolConfig::default() },
 //!     &FaultInjector::none(),
+//!     |_, _| {},
 //! );
 //! assert_eq!(*records[2].value.as_ref().unwrap(), 9);
 //! assert_eq!(report.makespan_minutes, 70.0);
@@ -40,16 +43,17 @@
 //! chains, a write-ahead completion hook, telemetry),
 //! and [`Pool::stream`] feeds a steady-state campaign through them — same
 //! supervision and accounting, no generation barrier, tasks submitted the
-//! moment they exist and taken when the simulated clock asks. [`run_batch`],
+//! moment they exist and taken when the simulated clock asks.
 //! [`run_batch_supervised`] and [`run_stream_window`] are the one-shot
-//! forms: the same code on a pool opened for the call. Both schedulers turn
-//! an evaluation outcome into a task record through one shared
-//! classification (timeouts charge the limit, structured faults map onto
-//! [`TaskError`]) and space retries by one [`scheduler::backoff_minutes`],
-//! so the two campaign modes cannot drift apart on what a failure is or
-//! costs. The timeout, the backoff and the quarantine threshold are
-//! constants of [`scheduler`]; [`PoolConfig`] holds the three values
-//! campaigns set.
+//! forms: the same code on a pool opened for the call. Both schedulers keep
+//! one retry chain per task (attempt, deaths, lost minutes, backoff by
+//! [`scheduler::backoff_minutes`]), classify an outcome into a record one
+//! way (timeouts charge the limit, structured faults map onto
+//! [`TaskError`]), tally it into [`TaskCounts`] by one rule and charge it
+//! by one (an exhausted record's minutes are its lost minutes), so the two
+//! campaign modes cannot drift apart on what a failure is or costs. The
+//! timeout, the backoff and the quarantine threshold are constants of
+//! [`scheduler`]; [`PoolConfig`] holds the three values campaigns set.
 //!
 //! A batch's simulated clock is one list schedule: [`Pool::run_batch`]
 //! charges each terminal record, in task order, to the least-loaded slot,
@@ -69,7 +73,9 @@ pub use cluster::{Allocation, NodeSpec};
 pub use cost::{paper_job, CostModel, TrainingJob};
 pub use pool::{physical_threads, with_pool, Pool};
 pub use scheduler::{
-    run_batch, run_batch_supervised, EvalFault, EvalOutcome, FaultInjector, PoolConfig,
-    PoolReport, TaskCtx, TaskError, TaskRecord,
+    run_batch_supervised, EvalFault, EvalOutcome, FaultInjector, PoolConfig, PoolReport,
+    TaskCounts, TaskCtx, TaskError, TaskRecord,
 };
-pub use stream::{run_stream_window, Stream, StreamSlots, StreamSlotsState, StreamTaskReport};
+pub use stream::{
+    run_stream_window, SlotTally, Stream, StreamSlots, StreamSlotsState, StreamTaskReport,
+};

@@ -26,8 +26,9 @@
 //! or idles because a *simulated* worker died, and no decision depends on
 //! which thread got where first.
 //!
-//! On top of the plain pool, [`run_batch_supervised`] adds the supervision
-//! loop:
+//! On top of the plain pool, [`Pool::run_batch`] adds the supervision loop
+//! ([`run_batch_supervised`] is its one-shot form, on a pool opened for the
+//! call):
 //!
 //! * every attempt gets a [`TaskCtx`] carrying the deadline budget, so a
 //!   supervised evaluation can stop *at* the wall instead of being
@@ -43,7 +44,9 @@
 //!   real Summit allocation would.
 //!
 //! The idle tail behind a generation barrier has one remedy, and it is not
-//! here: the asynchronous steady-state campaign ([`Pool::stream`]).
+//! here: the asynchronous steady-state campaign ([`Pool::stream`]), which
+//! keeps the same per-task retry chain and tallies and charges its records
+//! by the same rules.
 //!
 //! Every supervision decision — fault placement, death fractions, backoff
 //! amounts, which slot a death lands on — is a pure function of `(seed,
@@ -159,7 +162,7 @@ impl<'a> TaskCtx<'a> {
     pub fn heartbeat(&self, _done: f64, _projected: f64) {}
 }
 
-/// Final per-task record returned by [`run_batch`].
+/// Final per-task record returned by [`Pool::run_batch`].
 #[derive(Clone, Debug)]
 pub struct TaskRecord<T> {
     /// Value or the error that ended the task.
@@ -370,38 +373,115 @@ pub(crate) fn classify<T>(outcome: EvalOutcome<T>) -> (Result<T, TaskError>, f64
     (value, outcome.minutes)
 }
 
-/// Evaluate every input in parallel on a simulated worker pool.
-///
-/// `eval` receives `(task_index, &input)` and returns a value plus its
-/// simulated runtime. Panics inside `eval` are treated as worker deaths.
-pub fn run_batch<I, T, F>(
-    inputs: &[I],
-    eval: F,
-    config: &PoolConfig,
-    faults: &FaultInjector,
-) -> (Vec<TaskRecord<T>>, PoolReport)
-where
-    I: Sync,
-    T: Send,
-    F: Fn(usize, &I) -> EvalOutcome<T> + Sync,
-{
-    // Without a supervised evaluation there is no per-task cost estimate;
-    // use the timeout limit (the most a live attempt could burn) so dead
-    // attempts still charge nonzero partial minutes.
-    run_batch_supervised(
-        inputs,
-        |ctx: &TaskCtx<'_>, input: &I| eval(ctx.task, input),
-        |_, _| TIMEOUT_MINUTES,
-        config,
-        faults,
-        |_, _: &TaskRecord<T>| {},
-    )
+/// The charging rule of a terminal record, shared by both schedulers: an
+/// exhausted record's minutes *are* its chain's `lost` minutes (`None`: the
+/// record itself is time lost to deaths); any other record ran, its minutes
+/// are busy, and its chain's `lost` minutes come beside them (`Some`).
+pub(crate) fn lost_beside<T>(record: &TaskRecord<T>, lost: f64) -> Option<f64> {
+    (!matches!(record.value, Err(TaskError::WorkerFailed))).then_some(lost)
 }
 
-/// As [`run_batch`], with supervised evaluations, a per-task cost estimate
-/// and a task-completion hook: the one-shot, unobserved form of
-/// [`Pool::run_batch`] — it opens a pool for the call, where a campaign
-/// opens one for its whole life.
+/// How a scheduler's tasks ended and the worker deaths their chains
+/// absorbed: the counters of a [`PoolReport`], tallied by one rule under
+/// both schedulers.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct TaskCounts {
+    /// Worker deaths.
+    pub deaths: usize,
+    /// Tasks that queued at least one retry.
+    pub retried: usize,
+    /// Failed or diverged tasks.
+    pub diverged: usize,
+    /// Timed-out tasks.
+    pub timeout: usize,
+    /// Cancelled tasks.
+    pub cancelled: usize,
+    /// Tasks that exhausted their attempts or lost the pool.
+    pub exhausted: usize,
+}
+
+impl TaskCounts {
+    /// Count one task's terminal record, the deaths its chain absorbed and
+    /// whether it queued a retry (reached an attempt past the first).
+    pub(crate) fn count<T>(&mut self, value: &Result<T, TaskError>, deaths: usize, retried: bool) {
+        self.deaths += deaths;
+        self.retried += usize::from(retried);
+        match value {
+            Err(TaskError::Failed(_) | TaskError::Diverged { .. }) => self.diverged += 1,
+            Err(TaskError::Timeout { .. }) => self.timeout += 1,
+            Err(TaskError::Cancelled) => self.cancelled += 1,
+            Err(TaskError::WorkerFailed) => self.exhausted += 1,
+            Err(TaskError::Speculated) | Ok(_) => {}
+        }
+    }
+
+    /// A report whose counters are what was counted since `base`, and
+    /// nothing else.
+    pub(crate) fn report_since(&self, base: &TaskCounts) -> PoolReport {
+        PoolReport {
+            worker_deaths: self.deaths - base.deaths,
+            retried_tasks: self.retried - base.retried,
+            diverged_tasks: self.diverged - base.diverged,
+            timeout_tasks: self.timeout - base.timeout,
+            cancelled_tasks: self.cancelled - base.cancelled,
+            exhausted_tasks: self.exhausted - base.exhausted,
+            ..PoolReport::default()
+        }
+    }
+}
+
+/// One task's supervised retry chain, as far as it has got: the per-task
+/// bookkeeping both schedulers keep, advanced by its deaths.
+pub(crate) struct Chain {
+    /// The task's simulated-minutes estimate, of which a dead attempt is
+    /// charged a fraction.
+    estimate: f64,
+    /// The attempt now queued or running (1 = first try).
+    pub(crate) attempt: u32,
+    /// Worker deaths the chain absorbed.
+    pub(crate) deaths: usize,
+    /// Simulated minutes its dead attempts burned.
+    pub(crate) lost: f64,
+    /// Retry-backoff minutes inserted before its re-attempts.
+    pub(crate) backoff: f64,
+}
+
+impl Chain {
+    pub(crate) fn new(estimate: f64) -> Self {
+        Chain { estimate: estimate.max(0.0), attempt: 1, deaths: 0, lost: 0.0, backoff: 0.0 }
+    }
+
+    /// The current attempt's worker died. A fault-injected death burned a
+    /// deterministic fraction of the estimate; a panic gives no progress
+    /// information, so the full estimate is written off. Returns the minutes
+    /// lost and — unless that was the last attempt — the backoff before the
+    /// next one, which the chain has moved on to.
+    pub(crate) fn die(
+        &mut self,
+        faults: &FaultInjector,
+        task: usize,
+        panicked: bool,
+        max_attempts: u32,
+    ) -> (f64, Option<f64>) {
+        let lost = if panicked {
+            self.estimate
+        } else {
+            faults.death_fraction(task, self.attempt) * self.estimate
+        };
+        self.deaths += 1;
+        self.lost += lost;
+        if self.attempt >= max_attempts {
+            return (lost, None);
+        }
+        let backoff = backoff_minutes(self.attempt);
+        self.backoff += backoff;
+        self.attempt += 1;
+        (lost, Some(backoff))
+    }
+}
+
+/// [`Pool::run_batch`] on a pool opened for the call, unobserved: its
+/// one-shot form (a campaign opens one pool for its whole life).
 ///
 /// `on_complete(task, record)` fires on the scheduler (calling) thread the
 /// moment a task reaches its final record — success, evaluation failure,
@@ -511,56 +591,38 @@ struct Batch<'a, T, H> {
     obs_on: bool,
     span: SpanCtx,
     on_complete: H,
-    estimates: Vec<f64>,
-    /// The simulated queue, in dequeue order: `(task, attempt)`. First
-    /// attempts in task order, then retries as their deaths are processed —
-    /// the order a Dask scheduler's FIFO would hold them in. A task has at
-    /// most one attempt queued or in flight.
-    fifo: VecDeque<(usize, u32)>,
+    /// The simulated queue, in dequeue order: tasks whose chain's current
+    /// attempt waits. First attempts in task order, then retries as their
+    /// deaths are processed — the order a Dask scheduler's FIFO would hold
+    /// them in. A task has at most one attempt queued or in flight.
+    fifo: VecDeque<usize>,
     workers: SimulatedWorkers,
+    chains: Vec<Chain>,
     records: Vec<Option<TaskRecord<T>>>,
-    report: PoolReport,
-    /// The attempt of each task the driver dequeued last (run, or killed by
-    /// the fault injector there); 0 for a task that never started.
-    attempts: Vec<u32>,
-    retried: Vec<bool>,
-    lost_per_task: Vec<f64>,
-    backoff_per_task: Vec<f64>,
+    counts: TaskCounts,
+    /// Minutes lost to deaths and waited in backoff, summed in death order.
+    lost_minutes: f64,
+    backoff_minutes: f64,
 }
 
 impl<T, H: FnMut(usize, &TaskRecord<T>)> Batch<'_, T, H> {
     /// Store a task's terminal record and fire the completion hook.
-    fn finalize(&mut self, task: usize, value: Result<T, TaskError>, minutes: f64, worker: usize) {
-        match &value {
-            Err(TaskError::Failed(_)) | Err(TaskError::Diverged { .. }) => {
-                self.report.diverged_tasks += 1;
-            }
-            Err(TaskError::Timeout { .. }) => self.report.timeout_tasks += 1,
-            Err(TaskError::Cancelled) => self.report.cancelled_tasks += 1,
-            Err(TaskError::WorkerFailed) => self.report.exhausted_tasks += 1,
-            Err(TaskError::Speculated) | Ok(_) => {}
-        }
-        let record = TaskRecord { value, minutes, worker, attempts: self.attempts[task] };
+    fn finalize(&mut self, task: usize, record: TaskRecord<T>) {
+        let chain = &self.chains[task];
+        self.counts.count(&record.value, chain.deaths, chain.attempt > 1);
         (self.on_complete)(task, self.records[task].insert(record));
     }
 
     /// An attempt's worker died — the fault injector killed it at dequeue, or
-    /// the evaluation panicked. Charges the loss, then retries the task at
-    /// the back of the queue or, out of attempts, fails it.
+    /// the evaluation panicked. A simulated worker absorbs the death, then
+    /// the task is retried at the back of the queue or, out of attempts,
+    /// failed.
     fn death(&mut self, task: usize, panicked: bool) {
-        let attempt = self.attempts[task];
         let worker = self.workers.absorb_death(self.config);
-        self.report.worker_deaths += 1;
-        // A fault-injected death burned a deterministic fraction of the
-        // task's estimate; a panic gives no progress information, so the
-        // full estimate is written off.
-        let lost = if panicked {
-            self.estimates[task]
-        } else {
-            self.faults.death_fraction(task, attempt) * self.estimates[task]
-        };
-        self.report.lost_minutes += lost;
-        self.lost_per_task[task] += lost;
+        let chain = &mut self.chains[task];
+        let attempt = chain.attempt;
+        let (lost, retry) = chain.die(self.faults, task, panicked, self.config.max_attempts);
+        self.lost_minutes += lost;
         if self.obs_on {
             self.obs.counter_add(names::C_DEATHS, 1);
             let mut ev = Event::instant(
@@ -571,17 +633,12 @@ impl<T, H: FnMut(usize, &TaskRecord<T>)> Batch<'_, T, H> {
             ev.args = vec![("lost_min", lost), ("panicked", if panicked { 1.0 } else { 0.0 })];
             self.obs.record(ev);
         }
-        if attempt >= self.config.max_attempts {
-            self.finalize(task, Err(TaskError::WorkerFailed), self.lost_per_task[task], worker);
+        let Some(backoff) = retry else {
+            let (value, minutes) = (Err(TaskError::WorkerFailed), self.chains[task].lost);
+            self.finalize(task, TaskRecord { value, minutes, worker, attempts: attempt });
             return;
-        }
-        if !self.retried[task] {
-            self.retried[task] = true;
-            self.report.retried_tasks += 1;
-        }
-        let backoff = backoff_minutes(attempt);
-        self.report.backoff_minutes += backoff;
-        self.backoff_per_task[task] += backoff;
+        };
+        self.backoff_minutes += backoff;
         if self.obs_on {
             self.obs.counter_add(names::C_RETRIES, 1);
             self.obs.observe(names::H_BACKOFF_MIN, backoff);
@@ -593,7 +650,7 @@ impl<T, H: FnMut(usize, &TaskRecord<T>)> Batch<'_, T, H> {
             ev.args = vec![("backoff_min", backoff)];
             self.obs.record(ev);
         }
-        self.fifo.push_back((task, attempt + 1));
+        self.fifo.push_back(task);
     }
 }
 
@@ -652,15 +709,13 @@ impl<J: Clone, T> Pool<'_, J, T> {
             obs_on,
             span,
             on_complete,
-            estimates: (0..n).map(|i| estimate(i, &inputs[i]).max(0.0)).collect(),
-            fifo: (0..n).map(|task| (task, 1)).collect(),
+            fifo: (0..n).collect(),
             workers: SimulatedWorkers::new(config.n_workers),
+            chains: (0..n).map(|i| Chain::new(estimate(i, &inputs[i]))).collect(),
             records: (0..n).map(|_| None).collect(),
-            report: PoolReport::default(),
-            attempts: vec![0; n],
-            retried: vec![false; n],
-            lost_per_task: vec![0.0; n],
-            backoff_per_task: vec![0.0; n],
+            counts: TaskCounts::default(),
+            lost_minutes: 0.0,
+            backoff_minutes: 0.0,
         };
 
         let mut in_flight = 0usize;
@@ -670,8 +725,8 @@ impl<J: Clone, T> Pool<'_, J, T> {
             // never reaches a thread, and everything behind a death that
             // leaves no worker alive never starts.
             while batch.workers.alive > 0 {
-                let Some((task, attempt)) = batch.fifo.pop_front() else { break };
-                batch.attempts[task] = attempt;
+                let Some(task) = batch.fifo.pop_front() else { break };
+                let attempt = batch.chains[task].attempt;
                 if faults.task_kills_worker(task, attempt) {
                     batch.death(task, false);
                     continue;
@@ -689,7 +744,8 @@ impl<J: Clone, T> Pool<'_, J, T> {
             match result {
                 JobResult::Done(outcome) => {
                     let (value, minutes) = classify(outcome);
-                    batch.finalize(task, value, minutes, worker);
+                    let attempts = batch.chains[task].attempt;
+                    batch.finalize(task, TaskRecord { value, minutes, worker, attempts });
                 }
                 // A panicking evaluation is a worker death (the documented
                 // contract) — not a silent hang.
@@ -697,36 +753,26 @@ impl<J: Clone, T> Pool<'_, J, T> {
             }
         }
 
-        let Batch {
-            mut on_complete,
-            workers,
-            records,
-            mut report,
-            attempts,
-            lost_per_task,
-            backoff_per_task,
-            ..
-        } = batch;
         // If every worker died with work outstanding, fail the rest (a
-        // retry re-queued onto a dead pool ends here too).
-        let results: Vec<TaskRecord<T>> = records
-            .into_iter()
-            .enumerate()
-            .map(|(task, record)| {
-                record.unwrap_or_else(|| {
-                    report.exhausted_tasks += 1;
-                    let orphan = TaskRecord {
-                        value: Err(TaskError::WorkerFailed),
-                        minutes: lost_per_task[task],
-                        worker: usize::MAX,
-                        attempts: attempts[task],
-                    };
-                    on_complete(task, &orphan);
-                    orphan
-                })
-            })
-            .collect();
-        report.quarantined_workers = workers.quarantined;
+        // retry re-queued onto a dead pool ends here too). An orphan's
+        // current attempt never ran: its record counts the one before.
+        for task in 0..n {
+            if batch.records[task].is_none() {
+                let chain = &batch.chains[task];
+                let (value, minutes) = (Err(TaskError::WorkerFailed), chain.lost);
+                let (worker, attempts) = (usize::MAX, chain.attempt - 1);
+                batch.finalize(task, TaskRecord { value, minutes, worker, attempts });
+            }
+        }
+        let Batch { workers, chains, records, counts, lost_minutes, backoff_minutes, .. } = batch;
+        let results: Vec<TaskRecord<T>> =
+            records.into_iter().map(|record| record.expect("every task ends")).collect();
+        let mut report = PoolReport {
+            lost_minutes,
+            backoff_minutes,
+            quarantined_workers: workers.quarantined,
+            ..counts.report_since(&TaskCounts::default())
+        };
         if obs_on {
             // Not journaled; the `side.` prefix keeps it out of the
             // deterministic exports.
@@ -758,21 +804,15 @@ impl<J: Clone, T> Pool<'_, J, T> {
         };
         report.placements = results
             .iter()
-            .map(|record| {
-                // An exhausted task's record carries its dead attempts' lost
-                // minutes; every other terminal record represents real compute.
-                if matches!(record.value, Err(TaskError::WorkerFailed)) {
-                    assign(record.minutes, &mut lost_death)
-                } else {
-                    assign(record.minutes, &mut busy)
-                }
+            .zip(&chains)
+            .map(|(record, chain)| match lost_beside(record, chain.lost) {
+                Some(_) => assign(record.minutes, &mut busy),
+                None => assign(record.minutes, &mut lost_death),
             })
             .collect();
-        for (task, record) in results.iter().enumerate() {
-            // Exhausted tasks already carry their lost minutes as the record.
-            let already_charged = matches!(record.value, Err(TaskError::WorkerFailed));
-            if !already_charged && lost_per_task[task] > 0.0 {
-                assign(lost_per_task[task], &mut lost_death);
+        for (record, chain) in results.iter().zip(&chains) {
+            if let Some(lost) = lost_beside(record, chain.lost).filter(|&lost| lost > 0.0) {
+                assign(lost, &mut lost_death);
             }
         }
         report.makespan_minutes = per_worker.iter().copied().fold(0.0, f64::max);
@@ -782,7 +822,7 @@ impl<J: Clone, T> Pool<'_, J, T> {
         // charged-plus-backoff total, yielding a deterministic backoff-
         // inclusive wall clock.
         let mut backoff_slot = vec![0.0f64; config.n_workers];
-        for &minutes in backoff_per_task.iter().filter(|&&m| m > 0.0) {
+        for minutes in chains.iter().map(|chain| chain.backoff).filter(|&m| m > 0.0) {
             let (slot, _) = per_worker
                 .iter()
                 .zip(&backoff_slot)
@@ -821,7 +861,7 @@ impl<J: Clone, T> Pool<'_, J, T> {
 mod tests {
     use super::*;
 
-    fn quick_eval(minutes: f64) -> impl Fn(usize, &u64) -> EvalOutcome<u64> + Sync {
+    fn quick_eval(minutes: f64) -> impl Fn(&TaskCtx<'_>, &u64) -> EvalOutcome<u64> + Sync {
         move |_, &x| EvalOutcome { value: Ok(x * 2), minutes }
     }
 
@@ -829,7 +869,10 @@ mod tests {
     fn all_tasks_complete_without_faults() {
         let inputs: Vec<u64> = (0..20).collect();
         let config = PoolConfig { n_workers: 4, ..PoolConfig::default() };
-        let (records, report) = run_batch(&inputs, quick_eval(10.0), &config, &FaultInjector::none());
+        let (records, report) = run_batch_supervised(
+            &inputs, quick_eval(10.0), |_, _| TIMEOUT_MINUTES,
+            &config, &FaultInjector::none(), |_, _| {},
+        );
         assert_eq!(records.len(), 20);
         for (i, r) in records.iter().enumerate() {
             assert_eq!(*r.value.as_ref().unwrap(), (i as u64) * 2);
@@ -845,12 +888,14 @@ mod tests {
     #[test]
     fn timeout_is_enforced_on_simulated_minutes() {
         let inputs = vec![1u64, 2, 3];
-        let eval = |task: usize, &x: &u64| EvalOutcome {
+        let eval = |ctx: &TaskCtx<'_>, &x: &u64| EvalOutcome {
             value: Ok(x),
-            minutes: if task == 1 { 150.0 } else { 60.0 },
+            minutes: if ctx.task == 1 { 150.0 } else { 60.0 },
         };
         let config = PoolConfig { n_workers: 2, ..PoolConfig::default() };
-        let (records, report) = run_batch(&inputs, eval, &config, &FaultInjector::none());
+        let (records, report) = run_batch_supervised(
+            &inputs, eval, |_, _| TIMEOUT_MINUTES, &config, &FaultInjector::none(), |_, _| {},
+        );
         assert!(records[0].value.is_ok());
         assert_eq!(
             records[1].value,
@@ -865,16 +910,18 @@ mod tests {
     #[test]
     fn evaluation_failures_are_reported() {
         let inputs = vec![0u64, 1];
-        let eval = |task: usize, _: &u64| EvalOutcome {
-            value: if task == 0 {
+        let eval = |ctx: &TaskCtx<'_>, _: &u64| EvalOutcome {
+            value: if ctx.task == 0 {
                 Err(EvalFault::Failed("diverged".to_string()))
             } else {
                 Ok(7u64)
             },
             minutes: 5.0,
         };
-        let (records, report) =
-            run_batch(&inputs, eval, &PoolConfig::default(), &FaultInjector::none());
+        let (records, report) = run_batch_supervised(
+            &inputs, eval, |_, _| TIMEOUT_MINUTES,
+            &PoolConfig::default(), &FaultInjector::none(), |_, _| {},
+        );
         assert_eq!(records[0].value, Err(TaskError::Failed("diverged".into())));
         assert_eq!(*records[1].value.as_ref().unwrap(), 7);
         assert_eq!(report.diverged_tasks, 1);
@@ -934,7 +981,9 @@ mod tests {
         let inputs: Vec<u64> = (0..30).collect();
         let config = PoolConfig { n_workers: 8, nanny: false, max_attempts: 30 };
         let faults = FaultInjector::new(0.10, 42);
-        let (records, report) = run_batch(&inputs, quick_eval(5.0), &config, &faults);
+        let (records, report) = run_batch_supervised(
+            &inputs, quick_eval(5.0), |_, _| TIMEOUT_MINUTES, &config, &faults, |_, _| {},
+        );
         // With 10 % per-task deaths over 30 tasks, some deaths are certain
         // under this seed.
         assert!(report.worker_deaths > 0, "seed produced no deaths");
@@ -953,7 +1002,9 @@ mod tests {
         let inputs: Vec<u64> = (0..40).collect();
         let config = PoolConfig { n_workers: 2, nanny: true, max_attempts: 50 };
         let faults = FaultInjector::new(0.2, 7);
-        let (records, report) = run_batch(&inputs, quick_eval(1.0), &config, &faults);
+        let (records, report) = run_batch_supervised(
+            &inputs, quick_eval(1.0), |_, _| TIMEOUT_MINUTES, &config, &faults, |_, _| {},
+        );
         assert!(report.worker_deaths > 0);
         // With nannies, workers always come back, so everything finishes.
         assert!(records.iter().all(|r| r.value.is_ok()));
@@ -969,7 +1020,9 @@ mod tests {
         };
         // Certain-death injector: the task can never complete.
         let faults = FaultInjector::new(0.999, 3);
-        let (records, report) = run_batch(&inputs, quick_eval(1.0), &config, &faults);
+        let (records, report) = run_batch_supervised(
+            &inputs, quick_eval(1.0), |_, _| TIMEOUT_MINUTES, &config, &faults, |_, _| {},
+        );
         assert_eq!(records[0].value, Err(TaskError::WorkerFailed));
         assert_eq!(records[0].attempts, 2);
         assert_eq!(report.worker_deaths, 2);
@@ -1012,14 +1065,16 @@ mod tests {
         // Regression: without catch_unwind the panicked task never reported
         // back and the driver spun on recv_timeout forever.
         let inputs = vec![0u64, 1, 2];
-        let eval = |task: usize, &x: &u64| {
-            if task == 1 {
+        let eval = |ctx: &TaskCtx<'_>, &x: &u64| {
+            if ctx.task == 1 {
                 panic!("evaluation blew up");
             }
             EvalOutcome { value: Ok::<u64, EvalFault>(x * 2), minutes: 5.0 }
         };
         let config = PoolConfig { n_workers: 2, nanny: true, max_attempts: 2 };
-        let (records, report) = run_batch(&inputs, eval, &config, &FaultInjector::none());
+        let (records, report) = run_batch_supervised(
+            &inputs, eval, |_, _| TIMEOUT_MINUTES, &config, &FaultInjector::none(), |_, _| {},
+        );
         assert!(records[0].value.is_ok());
         assert!(records[2].value.is_ok());
         // The panicking task dies on every attempt and exhausts retries.
@@ -1032,9 +1087,11 @@ mod tests {
     #[test]
     fn panicking_eval_without_nanny_still_terminates() {
         let inputs = vec![0u64];
-        let eval = |_: usize, _: &u64| -> EvalOutcome<u64> { panic!("boom") };
+        let eval = |_: &TaskCtx<'_>, _: &u64| -> EvalOutcome<u64> { panic!("boom") };
         let config = PoolConfig { n_workers: 1, nanny: false, max_attempts: 3 };
-        let (records, report) = run_batch(&inputs, eval, &config, &FaultInjector::none());
+        let (records, report) = run_batch_supervised(
+            &inputs, eval, |_, _| TIMEOUT_MINUTES, &config, &FaultInjector::none(), |_, _| {},
+        );
         assert_eq!(records[0].value, Err(TaskError::WorkerFailed));
         assert_eq!(report.worker_deaths, 1);
     }
@@ -1048,7 +1105,9 @@ mod tests {
         let max_attempts = 2 * QUARANTINE_DEATHS;
         let config = PoolConfig { n_workers: 2, nanny: true, max_attempts };
         let faults = FaultInjector::new(0.999, 3);
-        let (records, report) = run_batch(&inputs, quick_eval(1.0), &config, &faults);
+        let (records, report) = run_batch_supervised(
+            &inputs, quick_eval(1.0), |_, _| TIMEOUT_MINUTES, &config, &faults, |_, _| {},
+        );
         assert_eq!(records[0].value, Err(TaskError::WorkerFailed));
         assert_eq!(report.worker_deaths, max_attempts as usize);
         assert_eq!(report.quarantined_workers, 1);
@@ -1067,8 +1126,14 @@ mod tests {
         let inputs: Vec<u64> = (0..5).collect();
         let wide = PoolConfig { n_workers: 5, ..PoolConfig::default() };
         let narrow = PoolConfig { n_workers: 1, ..PoolConfig::default() };
-        let (_, r_wide) = run_batch(&inputs, quick_eval(10.0), &wide, &FaultInjector::none());
-        let (_, r_narrow) = run_batch(&inputs, quick_eval(10.0), &narrow, &FaultInjector::none());
+        let (_, r_wide) = run_batch_supervised(
+            &inputs, quick_eval(10.0), |_, _| TIMEOUT_MINUTES,
+            &wide, &FaultInjector::none(), |_, _| {},
+        );
+        let (_, r_narrow) = run_batch_supervised(
+            &inputs, quick_eval(10.0), |_, _| TIMEOUT_MINUTES,
+            &narrow, &FaultInjector::none(), |_, _| {},
+        );
         assert!((r_wide.makespan_minutes - 10.0).abs() < 1e-9);
         assert!((r_narrow.makespan_minutes - 50.0).abs() < 1e-9);
     }
@@ -1076,11 +1141,16 @@ mod tests {
     #[test]
     fn every_record_is_placed_back_to_back_on_a_least_loaded_slot() {
         let inputs: Vec<u64> = (0..24).collect();
-        let eval = |task: usize, &x: &u64| EvalOutcome { value: Ok(x), minutes: 5.0 + (task % 7) as f64 };
+        let eval = |ctx: &TaskCtx<'_>, &x: &u64| EvalOutcome {
+            value: Ok(x),
+            minutes: 5.0 + (ctx.task % 7) as f64,
+        };
         let config = PoolConfig { n_workers: 4, nanny: true, max_attempts: 2 };
         // Deaths, retries and an exhausted task: every terminal record, the
         // exhausted one included, is placed slot by slot in task order.
-        let (records, report) = run_batch(&inputs, eval, &config, &FaultInjector::new(0.3, 11));
+        let (records, report) = run_batch_supervised(
+            &inputs, eval, |_, _| TIMEOUT_MINUTES, &config, &FaultInjector::new(0.3, 11), |_, _| {},
+        );
         assert!(report.worker_deaths > 0 && report.retried_tasks > 0 && report.exhausted_tasks > 0);
         assert_eq!(report.placements.len(), records.len());
         let mut clock = vec![0.0f64; config.n_workers];
@@ -1091,7 +1161,9 @@ mod tests {
             clock[slot] += record.minutes;
         }
         // Fault-free, the latest span end is the makespan.
-        let (records, report) = run_batch(&inputs, eval, &config, &FaultInjector::none());
+        let (records, report) = run_batch_supervised(
+            &inputs, eval, |_, _| TIMEOUT_MINUTES, &config, &FaultInjector::none(), |_, _| {},
+        );
         let end = records
             .iter()
             .zip(&report.placements)
@@ -1122,8 +1194,10 @@ mod tests {
     #[test]
     fn empty_input_is_fine() {
         let inputs: Vec<u64> = vec![];
-        let (records, report) =
-            run_batch(&inputs, quick_eval(1.0), &PoolConfig::default(), &FaultInjector::none());
+        let (records, report) = run_batch_supervised(
+            &inputs, quick_eval(1.0), |_, _| TIMEOUT_MINUTES,
+            &PoolConfig::default(), &FaultInjector::none(), |_, _| {},
+        );
         assert!(records.is_empty());
         assert_eq!(report.makespan_minutes, 0.0);
     }

@@ -38,8 +38,8 @@ use std::collections::HashMap;
 
 use crate::pool::{physical_threads, with_pool, Completion, Job, JobResult, Pool};
 use crate::scheduler::{
-    backoff_minutes, classify, EvalOutcome, FaultInjector, PoolConfig, PoolReport, TaskCtx,
-    TaskError, TaskRecord,
+    classify, lost_beside, Chain, EvalOutcome, FaultInjector, PoolConfig, PoolReport, TaskCounts,
+    TaskCtx, TaskError, TaskRecord,
 };
 
 /// Terminal outcome of one stream task, with the charge breakdown the
@@ -47,7 +47,8 @@ use crate::scheduler::{
 /// in aggregate).
 #[derive(Debug)]
 pub struct StreamTaskReport<T> {
-    /// Terminal record, classified exactly as `run_batch` classifies it.
+    /// Terminal record, classified exactly as [`Pool::run_batch`] classifies
+    /// it.
     /// For an exhausted task ([`TaskError::WorkerFailed`]) `minutes` is the
     /// total lost minutes, mirroring the batch scheduler's convention.
     pub record: TaskRecord<T>,
@@ -55,22 +56,28 @@ pub struct StreamTaskReport<T> {
     /// minutes; a panicking evaluation writes off the full estimate).
     pub lost_minutes: f64,
     /// Retry-backoff minutes inserted before re-attempts
-    /// ([`backoff_minutes`] per retry, as in the batch scheduler).
+    /// ([`backoff_minutes`](crate::scheduler::backoff_minutes) per retry, as in
+    /// the batch scheduler).
     pub backoff_minutes: f64,
     /// Worker deaths this task's retry chain absorbed.
     pub deaths: usize,
 }
 
 impl<T> StreamTaskReport<T> {
+    /// A finished chain's report (its slot is filled in when it is taken).
+    fn new(chain: &Chain, value: Result<T, TaskError>, minutes: f64) -> Self {
+        StreamTaskReport {
+            record: TaskRecord { value, minutes, worker: usize::MAX, attempts: chain.attempt },
+            lost_minutes: chain.lost,
+            backoff_minutes: chain.backoff,
+            deaths: chain.deaths,
+        }
+    }
+
     /// Compute-minutes this task occupies its slot for (busy or lost —
     /// excluding backoff, which is idle waiting charged separately).
     pub fn charged_minutes(&self) -> f64 {
-        if matches!(self.record.value, Err(TaskError::WorkerFailed)) {
-            // The exhausted record's minutes *are* the lost minutes.
-            self.record.minutes
-        } else {
-            self.record.minutes + self.lost_minutes
-        }
+        self.record.minutes + lost_beside(&self.record, self.lost_minutes).unwrap_or(0.0)
     }
 }
 
@@ -114,43 +121,6 @@ where
     )
 }
 
-/// One task's supervised retry chain, as far as it has got.
-struct Chain<J> {
-    input: J,
-    estimate: f64,
-    /// The attempt now queued or running (1 = first try).
-    attempt: u32,
-    deaths: usize,
-    lost: f64,
-    backoff: f64,
-}
-
-impl<J> Chain<J> {
-    /// One worker death that burned `lost` simulated minutes. Returns the
-    /// exhausted chain's report when no attempt is left, or moves on to the
-    /// next attempt behind its backoff.
-    fn die<T>(&mut self, lost: f64, config: &PoolConfig) -> Option<StreamTaskReport<T>> {
-        self.deaths += 1;
-        self.lost += lost;
-        if self.attempt >= config.max_attempts {
-            return Some(self.finish(Err(TaskError::WorkerFailed), self.lost));
-        }
-        self.backoff += backoff_minutes(self.attempt);
-        self.attempt += 1;
-        None
-    }
-
-    /// The chain's report (its slot is filled in when it is taken).
-    fn finish<T>(&self, value: Result<T, TaskError>, minutes: f64) -> StreamTaskReport<T> {
-        StreamTaskReport {
-            record: TaskRecord { value, minutes, worker: usize::MAX, attempts: self.attempt },
-            lost_minutes: self.lost,
-            backoff_minutes: self.backoff,
-            deaths: self.deaths,
-        }
-    }
-}
-
 /// A steady-state campaign's view of its [`Pool`]: tasks go in the moment
 /// they exist, results come out when the driver's simulated clock asks for
 /// them. Every submitted task must be taken before the pool is used for
@@ -158,8 +128,9 @@ impl<J> Chain<J> {
 pub struct Stream<'a, J, T> {
     pool: &'a Pool<'a, J, T>,
     config: PoolConfig,
-    /// Chains with an attempt queued or running on the pool.
-    running: HashMap<usize, Chain<J>>,
+    /// Chains with an attempt queued or running on the pool, with their
+    /// input.
+    running: HashMap<usize, (J, Chain)>,
     /// Finished chains not yet taken.
     finished: HashMap<usize, StreamTaskReport<T>>,
 }
@@ -180,31 +151,34 @@ impl<J: Clone, T> Stream<'_, J, T> {
     /// function of `(seed, batch key, task, attempt)` — and never reach a
     /// thread; the first attempt that survives is queued.
     pub fn submit(&mut self, faults: &FaultInjector, task: usize, input: J, estimate: f64) {
-        let chain = Chain {
-            input,
-            estimate: estimate.max(0.0),
-            attempt: 1,
-            deaths: 0,
-            lost: 0.0,
-            backoff: 0.0,
-        };
-        self.launch(faults, task, chain);
+        self.launch(faults, task, input, Chain::new(estimate));
     }
 
-    /// Queue the chain's current attempt, first walking past every attempt
-    /// the fault injector kills.
-    fn launch(&mut self, faults: &FaultInjector, task: usize, mut chain: Chain<J>) {
-        while faults.task_kills_worker(task, chain.attempt) {
-            // A fault-injected death burned a deterministic fraction of the
-            // estimate — identical to the batch scheduler's accounting.
-            let lost = faults.death_fraction(task, chain.attempt) * chain.estimate;
-            if let Some(report) = chain.die(lost, &self.config) {
-                self.finished.insert(task, report);
-                return;
-            }
+    /// Queue the chain's current attempt, unless the fault injector kills
+    /// it.
+    fn launch(&mut self, faults: &FaultInjector, task: usize, input: J, chain: Chain) {
+        if faults.task_kills_worker(task, chain.attempt) {
+            return self.die(faults, task, input, chain, false);
         }
-        self.pool.dispatch(Job { task, attempt: chain.attempt, input: chain.input.clone() });
-        self.running.insert(task, chain);
+        self.pool.dispatch(Job { task, attempt: chain.attempt, input: input.clone() });
+        self.running.insert(task, (input, chain));
+    }
+
+    /// The chain's current attempt died: launch the next one or, out of
+    /// attempts, finish the chain as exhausted.
+    fn die(
+        &mut self,
+        faults: &FaultInjector,
+        task: usize,
+        input: J,
+        mut chain: Chain,
+        panicked: bool,
+    ) {
+        if chain.die(faults, task, panicked, self.config.max_attempts).1.is_some() {
+            return self.launch(faults, task, input, chain);
+        }
+        let report = StreamTaskReport::new(&chain, Err(TaskError::WorkerFailed), chain.lost);
+        self.finished.insert(task, report);
     }
 
     /// Block until `task`'s chain has finished and return its report,
@@ -218,19 +192,14 @@ impl<J: Clone, T> Stream<'_, J, T> {
             }
             assert!(self.running.contains_key(&task), "task {task} was never submitted");
             let Completion { task: finished, result, .. } = self.pool.recv();
-            let mut chain = self.running.remove(&finished).expect("completion of a running chain");
+            let (input, chain) =
+                self.running.remove(&finished).expect("completion of a running chain");
             match result {
                 JobResult::Done(outcome) => {
                     let (value, minutes) = classify(outcome);
-                    self.finished.insert(finished, chain.finish(value, minutes));
+                    self.finished.insert(finished, StreamTaskReport::new(&chain, value, minutes));
                 }
-                // A panicking evaluation writes off the whole estimate.
-                JobResult::Panicked => match chain.die(chain.estimate, &self.config) {
-                    Some(report) => {
-                        self.finished.insert(finished, report);
-                    }
-                    None => self.launch(faults, finished, chain),
-                },
+                JobResult::Panicked => self.die(faults, finished, input, chain, true),
             }
         }
     }
@@ -239,41 +208,34 @@ impl<J: Clone, T> Stream<'_, J, T> {
 /// The simulated clock of a steady-state run: one monotone cursor per
 /// worker slot, advanced as tasks are charged to it. No list-scheduling
 /// reconstruction is needed — slot assignment is explicit and continuous,
-/// so the cursor *is* the slot's simulated wall clock. The `baseline_*`
-/// half of the state is the copy taken at the last epoch boundary, so
-/// [`StreamSlots::epoch_report`] can report deltas.
+/// so the cursor *is* the slot's simulated wall clock. The state keeps the
+/// live tally and its copy at the last epoch boundary, so
+/// [`StreamSlots::epoch_report`] reports the difference.
 pub struct StreamSlots(StreamSlotsState);
 
 impl StreamSlots {
     /// Fresh accounting for `n_workers` slots, all at simulated time zero.
     pub fn new(n_workers: usize) -> Self {
-        let zeros = || vec![0.0; n_workers];
-        StreamSlots::from_state(StreamSlotsState {
-            busy: zeros(),
-            lost: zeros(),
-            backoff: zeros(),
-            baseline_busy: zeros(),
-            baseline_lost: zeros(),
-            baseline_backoff: zeros(),
-            ..StreamSlotsState::default()
-        })
-    }
-
-    /// Number of worker slots.
-    fn n_slots(&self) -> usize {
-        self.0.busy.len()
+        let zeros = SlotTally {
+            busy: vec![0.0; n_workers],
+            lost: vec![0.0; n_workers],
+            backoff: vec![0.0; n_workers],
+            counts: TaskCounts::default(),
+        };
+        StreamSlots::from_state(StreamSlotsState { now: zeros.clone(), baseline: zeros })
     }
 
     /// A slot's simulated clock: everything charged to it so far.
     pub fn cursor(&self, slot: usize) -> f64 {
-        self.0.busy[slot] + self.0.lost[slot] + self.0.backoff[slot]
+        let now = &self.0.now;
+        now.busy[slot] + now.lost[slot] + now.backoff[slot]
     }
 
     /// Slot indices ordered by who frees up first — ascending cursor, ties
     /// broken by slot index. This is the deterministic submission order:
     /// the front of the pending queue goes to `free_order()[0]`, and so on.
     pub fn free_order(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.n_slots()).collect();
+        let mut order: Vec<usize> = (0..self.0.now.busy.len()).collect();
         order.sort_by(|&a, &b| {
             self.cursor(a)
                 .partial_cmp(&self.cursor(b))
@@ -288,81 +250,50 @@ impl StreamSlots {
     /// (together with the slot index as tie-break) defines the campaign's
     /// arrival order.
     pub fn charge<T>(&mut self, slot: usize, report: &StreamTaskReport<T>) -> f64 {
-        let s = &mut self.0;
-        match &report.record.value {
-            // The exhausted record's minutes *are* the lost minutes.
-            Err(TaskError::WorkerFailed) => {
-                s.lost[slot] += report.record.minutes;
-                s.exhausted += 1;
+        let now = &mut self.0.now;
+        match lost_beside(&report.record, report.lost_minutes) {
+            Some(lost) => {
+                now.busy[slot] += report.record.minutes;
+                now.lost[slot] += lost;
             }
-            value => {
-                s.busy[slot] += report.record.minutes;
-                s.lost[slot] += report.lost_minutes;
-                match value {
-                    Err(TaskError::Failed(_)) | Err(TaskError::Diverged { .. }) => s.diverged += 1,
-                    Err(TaskError::Timeout { .. }) => s.timeout += 1,
-                    Err(TaskError::Cancelled) => s.cancelled += 1,
-                    Err(TaskError::WorkerFailed) | Err(TaskError::Speculated) | Ok(_) => {}
-                }
-            }
+            None => now.lost[slot] += report.record.minutes,
         }
-        s.backoff[slot] += report.backoff_minutes;
-        s.deaths += report.deaths;
-        if report.deaths > 0 {
-            s.retried += 1;
-        }
+        now.backoff[slot] += report.backoff_minutes;
+        now.counts.count(&report.record.value, report.deaths, report.record.attempts > 1);
         self.cursor(slot)
     }
 
     /// Close an epoch (one population's worth of arrivals) and report it in
-    /// batch-report shape, from the per-slot deltas since the previous
-    /// boundary: `wall_minutes` is the largest slot delta, and each slot's
-    /// idle is its shortfall against that — within-epoch imbalance only,
-    /// since a saturated stream has no barrier to wait on. The per-slot
+    /// batch-report shape, from the tally since the previous boundary:
+    /// `wall_minutes` is the largest slot delta, and each slot's idle is its
+    /// shortfall against that — within-epoch imbalance only, since a
+    /// saturated stream has no barrier to wait on. The per-slot
     /// `busy + lost + backoff + idle = wall` partition holds exactly.
     pub fn epoch_report(&mut self) -> PoolReport {
-        let s = &mut self.0;
-        let n = s.busy.len();
-        let d = |now: &[f64], then: &[f64]| -> Vec<f64> {
-            (0..n).map(|slot| now[slot] - then[slot]).collect()
+        let StreamSlotsState { now, baseline } = &mut self.0;
+        let since = |now: &[f64], then: &[f64]| -> Vec<f64> {
+            now.iter().zip(then).map(|(now, then)| now - then).collect()
         };
-        let busy = d(&s.busy, &s.baseline_busy);
-        let lost = d(&s.lost, &s.baseline_lost);
-        let backoff = d(&s.backoff, &s.baseline_backoff);
-        let per_worker: Vec<f64> = (0..n).map(|slot| busy[slot] + lost[slot]).collect();
-        let totals: Vec<f64> = (0..n).map(|slot| per_worker[slot] + backoff[slot]).collect();
-        let wall = totals.iter().cloned().fold(0.0f64, f64::max);
-        let makespan = per_worker.iter().cloned().fold(0.0f64, f64::max);
-        let idle: Vec<f64> = totals.iter().map(|&t| wall - t).collect();
-        let report = PoolReport {
-            makespan_minutes: makespan,
+        let busy = since(&now.busy, &baseline.busy);
+        let lost = since(&now.lost, &baseline.lost);
+        let backoff = since(&now.backoff, &baseline.backoff);
+        let counts = now.counts.report_since(&baseline.counts);
+        baseline.clone_from(now);
+        let per_worker: Vec<f64> = busy.iter().zip(&lost).map(|(b, l)| b + l).collect();
+        let totals: Vec<f64> = per_worker.iter().zip(&backoff).map(|(c, w)| c + w).collect();
+        let wall = totals.iter().copied().fold(0.0f64, f64::max);
+        PoolReport {
+            makespan_minutes: per_worker.iter().copied().fold(0.0f64, f64::max),
             per_worker_minutes: per_worker,
-            worker_deaths: s.deaths - s.baseline_deaths,
-            retried_tasks: s.retried - s.baseline_retried,
-            diverged_tasks: s.diverged - s.baseline_diverged,
-            timeout_tasks: s.timeout - s.baseline_timeout,
-            cancelled_tasks: s.cancelled - s.baseline_cancelled,
-            exhausted_tasks: s.exhausted - s.baseline_exhausted,
             lost_minutes: lost.iter().sum(),
             backoff_minutes: backoff.iter().sum(),
             busy_minutes: busy,
             lost_death_minutes: lost,
             backoff_slot_minutes: backoff,
-            idle_minutes: idle,
+            idle_minutes: totals.iter().map(|&t| wall - t).collect(),
             wall_minutes: wall,
-            quarantined_workers: 0,
-            placements: Vec::new(),
-        };
-        s.baseline_busy.clone_from(&s.busy);
-        s.baseline_lost.clone_from(&s.lost);
-        s.baseline_backoff.clone_from(&s.backoff);
-        s.baseline_deaths = s.deaths;
-        s.baseline_retried = s.retried;
-        s.baseline_diverged = s.diverged;
-        s.baseline_timeout = s.timeout;
-        s.baseline_cancelled = s.cancelled;
-        s.baseline_exhausted = s.exhausted;
-        report
+            ..counts
+        }
     }
 
     /// The full accounting state as a plain-data snapshot, for embedding in
@@ -374,51 +305,31 @@ impl StreamSlots {
 
     /// Rebuild an accountant from a [`StreamSlotsState`] snapshot.
     pub fn from_state(state: StreamSlotsState) -> Self {
-        assert!(!state.busy.is_empty(), "stream needs at least one worker slot");
+        assert!(!state.now.busy.is_empty(), "stream needs at least one worker slot");
         StreamSlots(state)
     }
 }
 
-/// Plain-data snapshot of a [`StreamSlots`] accountant: every cursor and
-/// counter, plus the epoch baseline, flattened for serialization.
+/// What a steady run has charged: per-slot minutes and the task counts.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct StreamSlotsState {
+pub struct SlotTally {
     /// Per-slot productive minutes.
     pub busy: Vec<f64>,
     /// Per-slot minutes lost to worker deaths.
     pub lost: Vec<f64>,
     /// Per-slot retry-backoff minutes.
     pub backoff: Vec<f64>,
-    /// Worker deaths charged so far.
-    pub deaths: usize,
-    /// Tasks that needed at least one retry.
-    pub retried: usize,
-    /// Diverged/failed tasks.
-    pub diverged: usize,
-    /// Timed-out tasks.
-    pub timeout: usize,
-    /// Cancelled tasks.
-    pub cancelled: usize,
-    /// Tasks that exhausted their retry budget.
-    pub exhausted: usize,
-    /// Epoch-baseline per-slot productive minutes.
-    pub baseline_busy: Vec<f64>,
-    /// Epoch-baseline per-slot death-loss minutes.
-    pub baseline_lost: Vec<f64>,
-    /// Epoch-baseline per-slot backoff minutes.
-    pub baseline_backoff: Vec<f64>,
-    /// Epoch-baseline worker deaths.
-    pub baseline_deaths: usize,
-    /// Epoch-baseline retried tasks.
-    pub baseline_retried: usize,
-    /// Epoch-baseline diverged tasks.
-    pub baseline_diverged: usize,
-    /// Epoch-baseline timed-out tasks.
-    pub baseline_timeout: usize,
-    /// Epoch-baseline cancelled tasks.
-    pub baseline_cancelled: usize,
-    /// Epoch-baseline exhausted tasks.
-    pub baseline_exhausted: usize,
+    /// How the charged tasks ended.
+    pub counts: TaskCounts,
+}
+
+/// Plain-data snapshot of a [`StreamSlots`] accountant, for serialization.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct StreamSlotsState {
+    /// Everything charged so far.
+    pub now: SlotTally,
+    /// The tally at the last epoch boundary.
+    pub baseline: SlotTally,
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 
 use dphpo_hpc::{
     run_batch_supervised, run_stream_window, EvalFault, EvalOutcome, FaultInjector, PoolConfig,
-    TaskCtx, TaskError, TaskRecord,
+    PoolReport, StreamSlots, TaskCtx, TaskError, TaskRecord,
 };
 use proptest::prelude::*;
 
@@ -356,4 +356,35 @@ fn batch_and_stream_schedulers_classify_alike() {
     assert_eq!(stream.value, Err(TaskError::WorkerFailed));
     assert_eq!((batch.attempts, stream.attempts), (1, 3));
     assert!(batch.minutes < stream.minutes);
+}
+
+/// The two schedulers tally a chain alike. One task whose every attempt is
+/// killed, under retry budgets of one to three attempts: the batch report and
+/// the epoch report of a stream slot charged with the same task agree on
+/// deaths, retried and exhausted tasks, lost minutes and backoff. A task
+/// counts as retried once a retry is queued, so a one-attempt budget
+/// retries nothing under either scheduler.
+#[test]
+fn batch_and_stream_schedulers_tally_alike() {
+    const ESTIMATE: f64 = 40.0;
+    let ok: fn(&TaskCtx<'_>, &u64) -> EvalOutcome<u64> =
+        |_, &x| EvalOutcome { value: Ok(x), minutes: 60.0 };
+    let tally = |r: &PoolReport| {
+        (r.worker_deaths, r.retried_tasks, r.exhausted_tasks, r.lost_minutes, r.backoff_minutes)
+    };
+    for max_attempts in 1..=3u32 {
+        let config = PoolConfig { n_workers: 2, nanny: true, max_attempts };
+        let faults = || FaultInjector::new(0.999, 3);
+        let (_, batch) =
+            run_batch_supervised(&[7u64], ok, |_, _| ESTIMATE, &config, &faults(), |_, _| {});
+        let window =
+            run_stream_window(&[(0usize, 0usize, 7u64)], ok, |_, _| ESTIMATE, &config, &faults());
+        let mut slots = StreamSlots::new(config.n_workers);
+        slots.charge(0, &window[0]);
+        let stream = slots.epoch_report();
+        assert_eq!(tally(&batch), tally(&stream), "max_attempts {max_attempts}");
+        assert_eq!(batch.worker_deaths, max_attempts as usize);
+        assert_eq!(batch.retried_tasks, usize::from(max_attempts > 1));
+        assert_eq!(batch.exhausted_tasks, 1);
+    }
 }

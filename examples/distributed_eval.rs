@@ -7,8 +7,10 @@
 //! cargo run --release --example distributed_eval
 //! ```
 
+use dphpo::hpc::scheduler::TIMEOUT_MINUTES;
 use dphpo::hpc::{
-    paper_job, run_batch, Allocation, CostModel, EvalOutcome, FaultInjector, PoolConfig,
+    paper_job, run_batch_supervised, Allocation, CostModel, EvalOutcome, FaultInjector,
+    PoolConfig, TaskCtx,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -37,9 +39,10 @@ fn main() {
     };
     let faults = FaultInjector::new(0.02, 42); // 2 % worker deaths per task
 
-    let (records, report) = run_batch(
+    let (records, report) = run_batch_supervised(
         &tasks,
-        |i, &rcut| {
+        |ctx: &TaskCtx<'_>, &rcut| {
+            let i = ctx.task;
             let mut rng = StdRng::seed_from_u64(i as u64);
             let mut minutes = cost.gpu_minutes(&paper_job(rcut), &mut rng);
             if i % 37 == 5 {
@@ -49,8 +52,10 @@ fn main() {
             let fitness = (rng.random_range(0.0..0.01), rng.random_range(0.0..0.1));
             EvalOutcome { value: Ok(fitness), minutes }
         },
+        |_, _| TIMEOUT_MINUTES,
         &pool,
         &faults,
+        |_, _| {},
     );
 
     let ok = records.iter().filter(|r| r.value.is_ok()).count();
