@@ -49,8 +49,9 @@
 //!   `campaign_report.md`. Observing changes no other byte (DESIGN.md §14).
 //!
 //! An artifact that cannot be written is reported, the rest are still
-//! written, and the process exits 1 — after the campaign, whose journal is
-//! already durable.
+//! written, and the process exits 1 — after the campaign, whose journal
+//! already holds every record (appended, not fsynced: it survives a crash
+//! of this process, not a power loss).
 
 use std::path::PathBuf;
 use std::sync::Arc;

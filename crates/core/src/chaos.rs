@@ -1,5 +1,5 @@
 //! The campaign driver's chaos: its own death and the I/O faults of its
-//! durable writers — the two failures the write-ahead journal exists for —
+//! file writers — the two failures the write-ahead journal exists for —
 //! as deterministic, schedulable plans in the spirit of deterministic
 //! simulation testing.
 //!
@@ -157,7 +157,7 @@ impl IoSite {
 
 /// The simulated driver's life: it dies after `kill_after` task completions
 /// ([`Campaign::kill_after`]; never, without a budget) or the moment a
-/// durable write fails. One per campaign, shared by every run's driver on
+/// journal append fails. One per campaign, shared by every run's driver on
 /// the driver thread, so the budget spans runs by construction.
 ///
 /// [`Campaign::kill_after`]: crate::experiment::Campaign::kill_after
@@ -187,7 +187,7 @@ impl DriverLife {
         alive
     }
 
-    /// A durable write failed: the driver dies now.
+    /// A journal append failed: the driver dies now.
     pub(crate) fn die(&self) {
         self.dead.set(true);
     }

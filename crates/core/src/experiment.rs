@@ -728,7 +728,9 @@ fn finish_generation(
         if sink.writer.borrow_mut().append_generation(&entry).is_err() {
             // A boundary that failed to reach disk is a crash at this
             // boundary: the driver dies, and resume re-derives the
-            // generation from its (durable) evaluation records.
+            // generation from its journaled evaluation records. Those
+            // survive a driver crash, not a power loss: appends are never
+            // fsynced.
             env.life.die();
             return Err(env.life.interrupted());
         }

@@ -1507,7 +1507,7 @@ fn scan_chunk<'a, T>(
     let mut mapped = Vec::new();
     for line in text.split_inclusive('\n') {
         let Some(body) = line.strip_suffix('\n') else {
-            // Torn tail: the frame never became durable. Tolerated.
+            // Torn tail: the frame was never written whole. Tolerated.
             break;
         };
         let seq = base + end.frames;

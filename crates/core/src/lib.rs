@@ -16,7 +16,7 @@
 //!   the paper's generational barrier or the asynchronous steady-state
 //!   loop in [`mod@steady`] (DESIGN.md §12).
 //! * [`chaos`] — the driver's own death ([`Campaign::kill_after`]) and the
-//!   I/O fault plan of its durable writers; worker deaths are
+//!   I/O fault plan of its file writers; worker deaths are
 //!   `dphpo-hpc`'s.
 //! * [`analysis`] — Pareto frontier, chemical-accuracy filtering, and the
 //!   exports behind every figure and table of the evaluation section.

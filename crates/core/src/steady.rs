@@ -13,10 +13,13 @@
 //! # The journaled arrival order
 //!
 //! Determinism cannot come from physical completion order — that is a
-//! thread race. It comes from the **arrival order**: completions are
-//! processed in ascending order of their *simulated* completion time (slot
-//! cursor + charged minutes, ties broken by slot index), which is a pure
-//! function of the campaign configuration. Each evaluation's journal record
+//! thread race. It comes from the **arrival order**, a pure function of the
+//! campaign configuration: the driver works in windows (below), and within
+//! a window completions are processed in ascending order of their
+//! *simulated* completion time (slot cursor + charged minutes, ties broken
+//! by slot index). Across windows the order is the window order, not
+//! completion order: a task of the next window can complete before the
+//! previous window's last arrival. Each evaluation's journal record
 //! carries its `arrival` index, and every RNG draw after initialisation is
 //! keyed off `(run seed ^ SALT, arrival)` — never off wall-clock order — so
 //! `--resume` replays the journaled order byte-identically regardless of
@@ -29,15 +32,21 @@
 //! order), charges those tasks, then processes the arrivals in
 //! simulated-completion order. This is not a barrier in the simulated
 //! schedule: each slot's next task starts at that slot's own cursor, and a
-//! child bred at arrival *k* lands on the *k*-th freed slot. When the pool
+//! child bred at arrival *k* lands on the *k*-th freed slot. It is still
+//! not the event-driven steady-state schedule, at any width. When the pool
 //! is as wide as the population (`n_workers == pop_size`, as in `reduced()`)
-//! that is the event-driven steady-state schedule: every child starts once
-//! the arrival that bred it has completed (`tests/steady_schedule.rs`). At
-//! other widths it is not — a window can start a child on a slot whose
-//! cursor lies before the completion that bred it. Over `smoke()` (3 runs, 4 epochs, no
-//! faults), per run: 13–16 of 16 children start early at pop 4 / W 12 (up
-//! to 73.9 simulated minutes), 22–25 of 32 at pop 8 / W 12, 1–4 of 48 at
-//! pop 12 / W 5 and 0–2 of 12 at pop 3 / W 2.
+//! start times are causal: every child starts once the arrival that bred it
+//! has completed (`tests/steady_schedule.rs`). At other widths a window can
+//! start a child on a slot whose cursor lies before the completion that
+//! bred it. And at every width the order in which arrivals are told to the
+//! population is not their completion order. Over `smoke()` (3 runs, 4
+//! epochs, no faults), per run, arrivals that complete before the arrival
+//! told just before them: 3–4 of 20 at pop 4 / W 4, 4 of 60 at pop 12 /
+//! W 12, 9–11 at pop 12 / W 5, 8–18 at pop 12 / W 2, 3 of 20 at pop 4 /
+//! W 12. Children that start before they are bred: 13–16 of 16 at pop 4 /
+//! W 12, 1–4 of 48 at pop 12 / W 5, none at pop 12 / W 2 or at
+//! `pop_size == n_workers`. At pop 4 / W 12 the epoch-closing completion
+//! times also go backwards 1–2 times per run.
 //!
 //! It is not a barrier for the real threads either. Every individual is
 //! handed to the campaign's worker pool ([`dphpo_hpc::Stream::submit`]) the
@@ -269,7 +278,7 @@ pub(crate) fn drive_steady_run(
                     entry.arrival = Some(arrival_idx);
                     // A failed append kills the driver: the arrival (and
                     // everything after it) is lost, and resume replays up
-                    // to the durable prefix.
+                    // to the journaled prefix.
                     env.journal_eval(&entry);
                 }
             }

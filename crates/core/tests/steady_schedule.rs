@@ -45,10 +45,11 @@ fn children_started_before_they_were_bred(pop_size: usize, n_workers: usize) -> 
     (early, checked)
 }
 
-/// The windowed refill reproduces the event-driven schedule when the pool
-/// is as wide as the population: every child starts once the arrival that
-/// bred it has completed. (At other widths it does not; DESIGN.md §12.2
-/// has the measurements.)
+/// When the pool is as wide as the population, the windowed refill's start
+/// times are causal: every child starts once the arrival that bred it has
+/// completed. (At other widths they are not, and at no width is the order
+/// arrivals are told in their completion order; DESIGN.md §12.2 has the
+/// measurements.)
 #[test]
 fn at_population_width_no_child_starts_before_it_is_bred() {
     let (early, checked) = children_started_before_they_were_bred(4, 4);

@@ -59,9 +59,7 @@ pub use mo::{
     pareto_front, rank_ordinal_sort, Fronts,
 };
 pub use archive::{ArchiveChurn, ParetoArchive};
-pub use metrics::{
-    front_stats_2d, hypervolume, zdt1_reference_front, zdt2_reference_front, FrontStats,
-};
+pub use metrics::{front_stats_2d, zdt1_reference_front, zdt2_reference_front, FrontStats};
 pub use nsga2::{
     run_nsga2, BatchEvaluator, EvalResult, GenerationRecord, Nsga2Config, Nsga2State, RunResult,
 };

@@ -270,12 +270,25 @@ pub fn pareto_front(fitnesses: &[&Fitness]) -> Vec<usize> {
     fronts.as_slice().first().cloned().unwrap_or_default()
 }
 
-/// Exact 2-D hypervolume dominated by `front` with respect to `reference`
-/// (both objectives minimised; points outside the reference box contribute
-/// their clipped area only).
+/// Exact 2-D hypervolume dominated by `front` with respect to `reference`,
+/// both objectives minimised. Points with a coordinate at or beyond the
+/// reference (or NaN) are discarded: they dominate nothing inside the
+/// reference box. The sweep visits points in a total order, so the result
+/// is a pure function of the multiset of points, independent of input
+/// order and safe to compare byte for byte across runs.
 pub fn hypervolume_2d(front: &[(f64, f64)], reference: (f64, f64)) -> f64 {
-    let inside = front.iter().copied().filter(|&(a, b)| a < reference.0 && b < reference.1);
-    crate::metrics::sweep_2d(inside.collect(), reference)
+    let mut pts: Vec<(f64, f64)> =
+        front.iter().copied().filter(|&(a, b)| a < reference.0 && b < reference.1).collect();
+    pts.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
+    let mut hv = 0.0;
+    let mut best_f2 = reference.1;
+    for (f1, f2) in pts {
+        if f2 < best_f2 {
+            hv += (reference.0 - f1) * (best_f2 - f2);
+            best_f2 = f2;
+        }
+    }
+    hv
 }
 
 #[cfg(test)]

@@ -247,8 +247,10 @@ impl StreamSlots {
 
     /// Charge a completed task to its slot and return the simulated time at
     /// which the slot frees up again — the task's completion time, which
-    /// (together with the slot index as tie-break) defines the campaign's
-    /// arrival order.
+    /// (together with the slot index as tie-break) orders the arrivals
+    /// within one window of the steady-state driver. Across windows the
+    /// driver keeps window order, so the campaign's arrival order is not
+    /// completion order.
     pub fn charge<T>(&mut self, slot: usize, report: &StreamTaskReport<T>) -> f64 {
         let now = &mut self.0.now;
         match lost_beside(&report.record, report.lost_minutes) {

@@ -1,128 +1,21 @@
 #!/usr/bin/env bash
-# Tier-1 verification (ROADMAP.md) plus the documentation and lint gates:
+# Tier-1 verification (ROADMAP.md) plus the documentation and lint gates.
+# Each stage's checks are described where the stage runs, below.
 #
-#   1. cargo build --release       — the whole workspace compiles
-#   2. cargo test -q               — every test passes
-#   3. cargo clippy                — lints clean with warnings DENIED
-#   4. cargo doc --no-deps         — rustdoc builds with warnings DENIED
-#   5. doc-sync                    — every `--bin` named in EXPERIMENTS.md
-#                                    exists; the fig1 flags README.md /
-#                                    EXPERIMENTS.md use are exactly the ones
-#                                    `fig1 --list-flags` parses (none dead,
-#                                    none undocumented); every `pub mod`
-#                                    is named by some file besides its lib.rs,
-#                                    and every `pub fn` / `pub const` by some
-#                                    file besides its own and its lib.rs;
-#                                    the host's core count is read in one
-#                                    place (`available_parallelism` is named
-#                                    once under crates/*/src, in hpc::pool);
-#                                    and the options census (fig1 flags,
-#                                    `env::var` reads under crates/*/src, pub
-#                                    fields of ExperimentConfig + PoolConfig)
-#                                    is the line DESIGN.md §3.7 states; and
-#                                    every key a `record!` declaration in
-#                                    core::journal / core::campaign_report
-#                                    names is documented in DESIGN.md §7.1
-#                                    or §13
-#   6. chaos stress                — the journal crash/resume chaos suites
-#                                    (generational and steady-state) and the
-#                                    latch-forced work-conservation suites
-#                                    (a simulated death costs no real thread;
-#                                    steady-state look-ahead; a kill with
-#                                    prefetched work in flight), looped
-#                                    CHAOS_STRESS times (default 3) to shake
-#                                    out racy supervision interleavings
-#   7. telemetry identity          — a faulty campaign run with a live
-#                                    recorder must produce byte-identical
-#                                    artifacts to one run without, and its
-#                                    two deterministic exports (event log,
-#                                    Chrome trace) must be byte-identical
-#                                    across re-runs; plus the campaign
-#                                    observatory, the one renderer of tables
-#                                    and counter tracks: the live
-#                                    campaign_status.json, the end-of-run
-#                                    report, and the Chrome counter tracks
-#                                    must be byte-identical across re-runs
-#                                    and across a chaos kill/resume
-#   8. corruption & salvage matrix — flip/truncate a finished journal
-#                                    across byte offsets in both campaign
-#                                    modes, salvage, resume, and demand
-#                                    byte-identity with the undamaged run;
-#                                    frame-format property tests; plus a
-#                                    seeded fault-plan sweep (CHAOS_SEEDS
-#                                    io-fault seeds per mode, default 2;
-#                                    CORRUPT_STRIDE / SALVAGE_STRIDE tighten
-#                                    the offset grid, 1 = exhaustive); and
-#                                    the steady journal's growth guard:
-#                                    snapshots stay flat over seven epochs,
-#                                    one boundary record per (run, epoch),
-#                                    kills around every epoch close resume
-#                                    byte-identically, compact + resume
-#                                    reproduces the populations; the chunked
-#                                    reader: a scan in 1..=8 chunks equals
-#                                    the sequential one on clean and damaged
-#                                    journals (and load / verify / salvage /
-#                                    compact agree with it); and a second
-#                                    salvage appends to the quarantine
-#   9. profile identity            — profiling on/off leaves every campaign
-#                                    artifact byte-identical, the profile
-#                                    artifacts themselves are byte-identical
-#                                    across kill+resume and re-runs, and
-#                                    profile.json's leaves are the status
-#                                    rows' minutes bit for bit (both campaign
-#                                    modes); plus the profiler property tests
-#                                    over random status rows (order
-#                                    independence, the exact
-#                                    self+children==inclusive invariant,
-#                                    folded-format validity)
-#  10. oracle suite (--release)    — checks against references that do not
-#                                    run the code under test: whole-model
-#                                    forces vs finite differences of the
-#                                    energy (5×5 activations × cutoffs),
-#                                    energy invariance and force rotation
-#                                    under the cubic cell's 48 symmetries,
-#                                    training-loss parameter gradients vs
-#                                    finite differences, the fused batch
-#                                    path vs the unfused position graph over
-#                                    random shapes, and the three fused tape
-#                                    ops vs the same chain spelled with
-#                                    unfused taped primitives; the EA's sort,
-#                                    crowding, truncation, archive and `tell`
-#                                    vs O(n²) textbook definitions on fronts
-#                                    with ties, duplicates, MAXINT and ±inf;
-#                                    every prefix and bit flip of input.json,
-#                                    lcurve.out and campaign_status.json
-#                                    through their readers
-#  11. benchmark package           — benchmark/ is its own workspace, so the
-#                                    stages above never compile it: build and
-#                                    test it against this tree (a removed
-#                                    re-export in benchmark/src/adapter.rs
-#                                    fails here), then run its smoke pass
-#  12. results/ are the tree's bits — seconds, no training: both checked-in
-#                                    journals verify undamaged, carry the
-#                                    fingerprint of ExperimentConfig::reduced()
-#                                    in their mode and are finished (`fig1
-#                                    --resume` of each exits 0 and leaves the
-#                                    journal's bytes alone), and everything
-#                                    derived from them — fig2_table2, fig3,
-#                                    table3, and fig1's own levels, reports,
-#                                    status files and counter tracks — comes
-#                                    out byte for byte as checked in; then
-#                                    both are resumed again with --observe
-#                                    into a fresh directory: profile.json and
-#                                    profile.folded are non-empty, and every
-#                                    other file equals results/ except the
-#                                    two campaign reports, which must begin
-#                                    with the checked-in bytes
+#   1. release build of the whole workspace
+#   2. every test of the workspace
+#   3. clippy, warnings denied
+#   4. rustdoc, warnings denied
+#   5. doc-sync: the docs cite only what exists, and code is reachable
+#   6. chaos stress: kill/resume and latch suites, CHAOS_STRESS times (3)
+#   7. telemetry and campaign-observatory byte identity
+#   8. corruption, salvage and fault-plan sweeps (CHAOS_SEEDS, default 2)
+#   9. profile identity and profiler properties
+#  10. oracle suite (release): references that do not run the code under test
+#  11. the benchmark/ package: its tests and smoke pass against this tree
+#  12. results/ reproduce byte for byte from the checked-in journals
 #
-# Opt-in extras (timing-sensitive, off by default on shared hardware):
-#
-#   BENCH_CHECK=1                  — perf_report --check must find no timing
-#                                    row more than 15% over its
-#                                    BENCH_history.jsonl median, in a fresh
-#                                    quick hot-path measurement
-#                                    (bench_baseline.sh --check) or in the
-#                                    checked-in snapshots (perf_history.sh)
+# Opt-in: BENCH_CHECK=1 adds the perf-history regression check (timing).
 #
 # Run from anywhere; exits non-zero on the first failure.
 set -euo pipefail
@@ -140,16 +33,61 @@ cargo clippy --workspace --all-targets --quiet -- -D warnings
 echo "==> [4/12] cargo doc --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
-echo "==> [5/12] doc-sync: EXPERIMENTS.md targets exist"
+echo "==> [5/12] doc-sync: EXPERIMENTS.md and DESIGN.md targets exist"
 missing=0
-for bin in $(grep -o -- '--bin [a-z0-9_]*' EXPERIMENTS.md | awk '{print $2}' | sort -u); do
+for bin in $(grep -ho -- '--bin [a-z0-9_]*' EXPERIMENTS.md DESIGN.md | awk '{print $2}' | sort -u); do
     if [[ ! -f "crates/bench/src/bin/${bin}.rs" ]]; then
-        echo "    MISSING: EXPERIMENTS.md references --bin ${bin}" >&2
+        echo "    MISSING: EXPERIMENTS.md or DESIGN.md references --bin ${bin}" >&2
         missing=1
     else
         echo "    ok: --bin ${bin}"
     fi
 done
+# DESIGN.md's other citations resolve too: every backticked file path exists
+# (from the root, or from crates/); every backticked `suite::test` (a test
+# file's stem, or `module::tests::`) names some `fn`; and every backticked
+# dotted name in a metric namespace (the first segments of obs's dotted
+# literals) is a string literal under crates/*/src or a BENCH_history.jsonl
+# row key, or with `.*` a prefix of one.
+echo "    doc-sync: DESIGN.md cites only paths, tests and metrics that exist"
+n_cited=0
+cited="$(grep -o '`[^`]*`' DESIGN.md | tr -d '`' | sort -u)"
+for path in $(grep -E '^[A-Za-z0-9_.-]*/[A-Za-z0-9_./-]*\.[A-Za-z0-9]+(:[0-9]+([–-][0-9]+)?)?$' \
+    <<<"${cited}" | sed -E 's/:[0-9–-]+$//' | sort -u); do
+    n_cited=$((n_cited + 1))
+    if [[ ! -e "${path}" && ! -e "crates/${path}" ]]; then
+        echo "    MISSING: DESIGN.md cites the path ${path}" >&2
+        missing=1
+    fi
+done
+suites=" $(ls crates/*/tests/*.rs tests/*.rs benchmark/tests/*.rs | xargs -n1 basename \
+    | sed 's/\.rs$//' | tr '\n' ' ')"
+for test in $(grep -E '^[a-z_0-9]+::(tests::)?[a-z_0-9]+$' <<<"${cited}"); do
+    suite="${test%%::*}"
+    [[ "${test}" == *::tests::* || "${suites}" == *" ${suite} "* ]] || continue
+    n_cited=$((n_cited + 1))
+    if ! grep -rqE --include='*.rs' "fn ${test##*::}\b" crates tests benchmark/src benchmark/tests; then
+        echo "    MISSING: DESIGN.md cites the test ${test}" >&2
+        missing=1
+    fi
+done
+namespaces="$(grep -oE '"[a-z_0-9]+\.[a-z_0-9.]+"' crates/obs/src/lib.rs | tr -d '"' | cut -d. -f1 \
+    | sort -u | paste -sd'|')"
+literals="$( (grep -rhoE --include='*.rs' '"[a-z_0-9]+(\.[a-z_0-9]+)+"' crates/*/src | tr -d '"'
+    grep -oE '"[a-z_0-9.]+":' BENCH_history.jsonl | tr -d '":') | sort -u)"
+for metric in $(grep -E "^(${namespaces})\.[a-z_0-9.]*[a-z_0-9*]$" <<<"${cited}" \
+    | grep -vE '\.(rs|md|json|jsonl|sh)$'); do
+    n_cited=$((n_cited + 1))
+    if [[ "${metric}" == *.\* ]]; then
+        awk -v p="${metric%\*}" 'index($0, p) == 1 { found = 1 } END { exit !found }' \
+            <<<"${literals}" && continue
+    elif grep -qxF -- "${metric}" <<<"${literals}"; then
+        continue
+    fi
+    echo "    MISSING: DESIGN.md cites the metric ${metric}" >&2
+    missing=1
+done
+echo "    checked ${n_cited} DESIGN.md citations"
 # Every fig1 flag the docs mention must be one the binary parses, and every
 # flag it parses must be documented. Flags are harvested from lines that
 # invoke fig1 (command lines and `fig1 --flag` inline references), so prose
