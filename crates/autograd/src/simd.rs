@@ -28,7 +28,7 @@
 //!   (a `±0.0` contribution never flips a `+0.0`-initialised
 //!   accumulator), but `0.0 × NaN/∞` now propagates `NaN` where the
 //!   skipping kernels silently dropped it. Training data is guarded
-//!   finite by the divergence sentinels, so campaign artifacts are
+//!   finite by the divergence sentinel, so campaign artifacts are
 //!   byte-identical across the switch.
 
 /// Widest column tile: 16 doubles = two AVX-512 registers (four AVX2).

@@ -3,18 +3,16 @@
 //! 1. σ-annealing (×0.85/generation) on vs off;
 //! 2. MAXINT penalty vs silently culling failed evaluations;
 //! 3. worker-failure-rate sensitivity of the evaluation pool, with and
-//!    without nannies;
-//! 4. Deb vs rank-ordinal sorting inside the full NSGA-II loop.
+//!    without nannies.
 //!
 //! All run on synthetic objectives (ZDT1 / synthetic tasks) so the whole
-//! suite finishes in seconds.
+//! suite finishes in seconds, and every line of the report is a pure
+//! function of its seeds. The sort-algorithm comparison is `sort_speedup`'s.
 
 use dphpo_bench::harness::{exit_if_writes_failed, write_artifact};
 use dphpo_evo::nsga2::{run_nsga2, EvalResult, Nsga2Config};
 use dphpo_evo::problems::zdt1;
-use dphpo_evo::{
-    fast_nondominated_sort, hypervolume_2d, pareto_front, rank_ordinal_sort, Fitness,
-};
+use dphpo_evo::{hypervolume_2d, pareto_front, Fitness};
 use dphpo_hpc::scheduler::{QUARANTINE_DEATHS, TIMEOUT_MINUTES};
 use dphpo_hpc::{run_batch_supervised, EvalOutcome, FaultInjector, PoolConfig};
 use rand::rngs::StdRng;
@@ -110,36 +108,9 @@ fn main() {
     report.push_str(&format!(
         "  (nannies off: a death retires its worker for good, and once all 10 are gone what is still\n   \
          queued fails - {} of 500 tasks lost over the five rates; nannies on: a dead worker restarts,\n   \
-         a slot retiring only after {QUARANTINE_DEATHS} deaths - {} lost, paid for in retried attempts)\n\n",
+         a slot retiring only after {QUARANTINE_DEATHS} deaths - {} lost, paid for in retried attempts)\n",
         lost[0], lost[1]
     ));
-
-    // 4. Sorting algorithm inside the loop (wall time of the sort stage).
-    report.push_str("ablation 4: sort algorithm on merged pools of the paper's size\n");
-    let mut rng = StdRng::seed_from_u64(3);
-    for n in [200usize, 2000] {
-        let fits: Vec<Fitness> = (0..n)
-            .map(|_| Fitness::new(vec![rng.random_range(0.0..1.0), rng.random_range(0.0..1.0)]))
-            .collect();
-        let refs: Vec<&Fitness> = fits.iter().collect();
-        let reps = 200;
-        let t = std::time::Instant::now();
-        for _ in 0..reps {
-            let _ = fast_nondominated_sort(&refs);
-        }
-        let deb = t.elapsed().as_secs_f64() / reps as f64;
-        let t = std::time::Instant::now();
-        for _ in 0..reps {
-            let _ = rank_ordinal_sort(&refs);
-        }
-        let rank = t.elapsed().as_secs_f64() / reps as f64;
-        report.push_str(&format!(
-            "  N={n:<5} deb {:.3} ms  rank {:.3} ms  ({:.1}x)\n",
-            deb * 1e3,
-            rank * 1e3,
-            deb / rank
-        ));
-    }
 
     print!("{report}");
     write_artifact("ablations.txt", &report);

@@ -6,10 +6,8 @@
 
 use std::time::Instant;
 
-use dphpo_core::experiment::build_dataset;
 use dphpo_core::workflow::{evaluate_individual, EvalContext};
 use dphpo_core::ExperimentConfig;
-use dphpo_hpc::CostModel;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -24,15 +22,8 @@ fn main() {
     }
     let start_lr: f64 = args.get(3).map_or(5e-3, |s| s.parse().expect("start_lr is a number"));
 
-    let (train, val) = build_dataset(&config);
-    let n_atoms = train.n_atoms();
-    let ctx = EvalContext {
-        base_config: config.base_train_config.clone(),
-        train,
-        val,
-        cost_model: CostModel::default(),
-        workdir: None,
-    };
+    let ctx = EvalContext::new(&config);
+    let n_atoms = ctx.train.n_atoms();
 
     // genome: [start_lr, stop_lr, rcut, rcut_smth, scale, desc_act, fit_act]
     // acts: 0 relu, 1 relu6, 2 softplus, 3 sigmoid, 4 tanh

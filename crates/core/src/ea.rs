@@ -354,21 +354,14 @@ impl BatchEvaluator for SummitEvaluator<'_> {
 mod tests {
     use super::*;
     use crate::experiment::Campaign;
-    use dphpo_hpc::{CostModel, PoolConfig};
+    use dphpo_hpc::PoolConfig;
     use dphpo_obs::{MemoryRecorder, NOOP};
 
     /// The smoke configuration with `pool` swapped in, and its shared
     /// evaluation context.
     fn fixture(pool: PoolConfig) -> (ExperimentConfig, Arc<EvalContext>) {
         let config = ExperimentConfig { pool, ..ExperimentConfig::smoke() };
-        let (train, val) = crate::experiment::build_dataset(&config);
-        let ctx = Arc::new(EvalContext {
-            base_config: config.base_train_config.clone(),
-            train,
-            val,
-            cost_model: CostModel::default(),
-            workdir: None,
-        });
+        let ctx = Arc::new(EvalContext::new(&config));
         (config, ctx)
     }
 

@@ -32,9 +32,7 @@ use rand::SeedableRng;
 use dphpo_dnnp::TrainConfig;
 use dphpo_evo::nsga2::{Nsga2Config, Nsga2State, RunResult};
 use dphpo_evo::{Individual, ParetoArchive};
-use dphpo_hpc::{
-    physical_threads, with_pool, CostModel, FaultInjector, PoolConfig, PoolReport, TaskCtx,
-};
+use dphpo_hpc::{physical_threads, with_pool, FaultInjector, PoolConfig, PoolReport, TaskCtx};
 use dphpo_obs::{Recorder, SpanCtx, NOOP};
 use dphpo_md::generate::{generate_dataset, GenConfig};
 use dphpo_md::{Dataset, LABEL_NOISE};
@@ -550,7 +548,7 @@ impl<'a> Campaign<'a> {
         let config = self.config;
         self.validate()?;
         let (mut writer, resume_from) = self.open_journal()?;
-        let (train, val) = build_dataset(config);
+        let ctx = Arc::new(EvalContext::new(config));
         let nsga2 = nsga2_config_for(config);
 
         if let (Some(writer), Some(plan)) = (&mut writer, &self.fault_plan) {
@@ -560,13 +558,6 @@ impl<'a> Campaign<'a> {
         // One life for the whole campaign: its kill budget spans runs.
         let life = DriverLife::new(self.kill_after_tasks);
 
-        let ctx = Arc::new(EvalContext {
-            base_config: config.base_train_config.clone(),
-            train,
-            val,
-            cost_model: CostModel::default(),
-            workdir: None,
-        });
         let obs: &dyn Recorder = self.recorder.as_deref().unwrap_or(&NOOP);
         let mut status = StatusSink::new(&self);
         // The campaign's worker threads: opened once, fed by every batch and

@@ -855,7 +855,9 @@ record! {
         "gen" => pub gen: usize,
         /// Slot (task index) within the generation's batch.
         "slot" => pub slot: usize,
-        /// Derived training seed (informational; replay never retrains).
+        /// Derived training seed. Replay never retrains, but
+        /// `evaluate_individual(ctx, genome, seed)` under the journal's
+        /// configuration reproduces this record bit for bit.
         "seed" => pub seed: u64,
         /// The evaluated genome, bit-exact.
         "genome" => pub genome: Vec<f64>,

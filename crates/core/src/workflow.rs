@@ -20,14 +20,15 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use dphpo_dnnp::{
-    train_supervised, AbortReason, Json, Lcurve, LcurveRow, Sentinel, Supervision, TrainConfig,
+    train_supervised, AbortReason, Json, Lcurve, LcurveRow, Supervision, TrainConfig,
 };
-use dphpo_obs::{Recorder, SpanCtx};
+use dphpo_obs::{Recorder, SpanCtx, NOOP};
 use dphpo_evo::{Fitness, Id};
 use dphpo_hpc::{paper_job, CostModel, TaskCtx};
 use dphpo_md::Dataset;
 
 use crate::decode::decode;
+use crate::experiment::{build_dataset, ExperimentConfig};
 use crate::template::{substitute, template_vars, INPUT_TEMPLATE};
 
 /// Shared, read-only context for all evaluations of an experiment.
@@ -43,6 +44,21 @@ pub struct EvalContext {
     /// When set, each evaluation materialises a UUID-named run directory
     /// with `input.json` and `lcurve.out` under this root.
     pub workdir: Option<PathBuf>,
+}
+
+impl EvalContext {
+    /// The context a campaign of `config` evaluates in: its dataset, its
+    /// base training settings, the default cost model, no run directories.
+    pub fn new(config: &ExperimentConfig) -> Self {
+        let (train, val) = build_dataset(config);
+        Self {
+            base_config: config.base_train_config.clone(),
+            train,
+            val,
+            cost_model: CostModel::default(),
+            workdir: None,
+        }
+    }
 }
 
 /// Everything learned from evaluating one individual.
@@ -67,9 +83,12 @@ pub struct EvalRecord {
 /// Number of trailing `lcurve.out` rows carried in each [`EvalRecord`].
 pub const LCURVE_TAIL_ROWS: usize = 3;
 
-/// Evaluate one genome. `seed` individualises weight init and runtime noise.
+/// Evaluate one genome exactly as a campaign's worker does, outside any
+/// scheduler: the record a journal holds for `(genome, seed)` is what this
+/// returns. `seed` individualises weight init and runtime noise.
 pub fn evaluate_individual(ctx: &EvalContext, genome: &[f64], seed: u64) -> EvalRecord {
-    evaluate_inner(ctx, genome, seed, &Supervision::none()).0
+    let task = TaskCtx::detached(0);
+    evaluate_individual_observed(ctx, genome, seed, &task, &NOOP, SpanCtx::default()).0
 }
 
 /// Deterministic simulated-minutes estimate for a genome's training (the
@@ -79,18 +98,18 @@ pub fn estimated_minutes(ctx: &EvalContext, genome: &[f64]) -> f64 {
     ctx.cost_model.gpu_minutes_mean(&paper_job(decode(genome).rcut))
 }
 
-/// As [`evaluate_individual`], under scheduler supervision: the training
-/// polls [`TaskCtx::is_cancelled`] (its pool shutting down) and its simulated
-/// deadline at step boundaries, and runs the strict [`Sentinel::supervised`]
-/// divergence sentinel — so a sick run aborts within one check interval
-/// instead of burning its full budget.
+/// The campaign's evaluation of one genome, under its task's supervision:
+/// the training polls [`TaskCtx::is_cancelled`] (its pool shutting down) and
+/// the task's simulated deadline at step boundaries, and runs the
+/// divergence sentinel every step — so a sick run aborts within one check
+/// interval instead of burning its full budget.
 /// `obs` is the telemetry recorder and `span` the identity
 /// `(seed, run, gen, task, attempt)` the trainer emits events under.
 ///
 /// Returns the record plus the structured [`AbortReason`] when the run was
 /// terminated early. Neither the supervision probes nor recording consume
-/// randomness, so a run that completes produces bit-identical weights to
-/// the unsupervised path (and the no-op recorder branches once per step).
+/// randomness, so a run that completes trains the same weights whatever the
+/// task context or recorder (and the no-op recorder branches once per step).
 pub fn evaluate_individual_observed(
     ctx: &EvalContext,
     genome: &[f64],
@@ -106,21 +125,10 @@ pub fn evaluate_individual_observed(
         cancelled: Some(&cancelled),
         deadline_minutes: task.deadline_minutes,
         minutes_per_step: mean_minutes / num_steps as f64,
-        check_every: 1,
-        sentinel: Sentinel::supervised(),
         recorder: Some(obs),
         span,
         ..Supervision::none()
     };
-    evaluate_inner(ctx, genome, seed, &sup)
-}
-
-fn evaluate_inner(
-    ctx: &EvalContext,
-    genome: &[f64],
-    seed: u64,
-    sup: &Supervision<'_>,
-) -> (EvalRecord, Option<AbortReason>) {
     let decoded = decode(genome);
     let mut rng = StdRng::seed_from_u64(seed);
 
@@ -167,8 +175,8 @@ fn evaluate_inner(
         Err(_) => return (failure(0.1), None),
     };
 
-    // Step 4: train (under whatever supervision the caller attached).
-    let report = match train_supervised(&config, &ctx.train, &ctx.val, &mut rng, sup) {
+    // Step 4: train.
+    let report = match train_supervised(&config, &ctx.train, &ctx.val, &mut rng, &sup) {
         Ok(r) => r,
         Err(_) => return (failure(0.1), None),
     };
@@ -250,7 +258,6 @@ pub fn derive_seed(base: u64, index: u64) -> u64 {
 mod tests {
     use super::*;
     use dphpo_md::generate::{generate_dataset, GenConfig, LABEL_NOISE};
-    use dphpo_obs::NOOP;
 
     fn tiny_ctx(workdir: Option<PathBuf>) -> EvalContext {
         let mut rng = StdRng::seed_from_u64(1);
@@ -375,23 +382,6 @@ mod tests {
         // Pro-rated runtime shows the early abort: a couple of steps of a
         // 20-step run, nowhere near the full training cost.
         assert!(record.minutes < 10.0, "aborted run charged {} min", record.minutes);
-    }
-
-    #[test]
-    fn supervised_path_matches_unsupervised_on_healthy_genomes() {
-        let ctx = tiny_ctx(None);
-        let plain = evaluate_individual(&ctx, &good_genome(), 42);
-        let (supervised, abort) = evaluate_individual_observed(
-            &ctx,
-            &good_genome(),
-            42,
-            &TaskCtx::detached(0),
-            &NOOP,
-            SpanCtx::default(),
-        );
-        assert!(abort.is_none());
-        assert_eq!(plain.fitness, supervised.fitness);
-        assert_eq!(plain.minutes, supervised.minutes);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Cooperative training supervision: deadline budgets, external
-//! cancellation, and divergence sentinels checked at step boundaries.
+//! cancellation, and the divergence sentinel, checked at step boundaries.
 //!
 //! The paper's campaign only *discovers* sick trainings after paying for
 //! them in full — a diverged run burns its whole 2-hour allocation before
@@ -8,8 +8,8 @@
 //! this module gives the trainer the hooks to do it:
 //!
 //! * a **divergence sentinel** ([`Sentinel`]): abort as soon as the loss
-//!   goes non-finite, crosses an absolute ceiling, or explodes past a
-//!   configurable factor of its initial value;
+//!   goes non-finite, crosses an absolute ceiling, or explodes past 10⁶×
+//!   its initial value — one policy, on every training;
 //! * a **deadline budget**: the scheduler's simulated per-task limit,
 //!   converted to a steps budget via the cost model's minutes-per-step,
 //!   checked before every step so the job stops *at* the wall instead of
@@ -17,13 +17,13 @@
 //! * **external cancellation**: a cheap `is-cancelled` probe (backed by the
 //!   worker pool's shutdown flag) polled at step boundaries, so a training
 //!   whose campaign has left stops within one check interval;
-//! * **progress heartbeats**: periodic `(done, projected)` simulated-minute
-//!   reports the scheduler's supervision loop consumes.
+//! * **progress heartbeats**: an optional `(done, projected)`
+//!   simulated-minute callback; no scheduler reads one.
 //!
-//! All hooks are optional; [`Supervision::none`] reproduces the plain
-//! training loop bit-for-bit (the step-boundary checks consume no
-//! randomness, so the rng stream — and therefore every trained weight —
-//! is untouched by supervision).
+//! Every hook but the sentinel is optional, and [`Supervision::none`]
+//! attaches none of them. The step-boundary checks consume no randomness,
+//! so the rng stream — and therefore every trained weight — is untouched by
+//! supervision.
 
 use crate::trainer::DIVERGENCE_LOSS_LIMIT;
 use dphpo_obs::{Recorder, SpanCtx};
@@ -61,22 +61,14 @@ pub struct Sentinel {
     /// still finite.
     loss_limit: f64,
     /// Relative ceiling: abort once the loss exceeds
-    /// `explosion_factor ×` the first step's loss. `INFINITY` disables the
-    /// relative check (the plain, pre-supervision behaviour).
+    /// `explosion_factor ×` the first step's loss.
     explosion_factor: f64,
 }
 
-impl Default for Sentinel {
-    fn default() -> Self {
-        // Absolute check only — identical to the historical trainer.
-        Sentinel { loss_limit: DIVERGENCE_LOSS_LIMIT, explosion_factor: f64::INFINITY }
-    }
-}
-
 impl Sentinel {
-    /// The supervised-runtime sentinel: absolute ceiling plus a 10⁶×
-    /// explosion factor relative to the initial loss, catching runaway
-    /// trainings several steps before they reach the absolute limit.
+    /// The one divergence policy: absolute ceiling plus a 10⁶× explosion
+    /// factor relative to the initial loss, catching runaway trainings
+    /// several steps before they reach the absolute limit.
     pub fn supervised() -> Self {
         Sentinel { loss_limit: DIVERGENCE_LOSS_LIMIT, explosion_factor: 1e6 }
     }
@@ -133,7 +125,8 @@ pub struct Supervision<'a> {
 }
 
 impl Supervision<'static> {
-    /// No supervision: plain training (the historical behaviour).
+    /// No hooks: no deadline, no cancellation, no heartbeat, no recorder —
+    /// only the divergence sentinel every training runs.
     pub fn none() -> Self {
         Supervision {
             cancelled: None,
@@ -142,7 +135,7 @@ impl Supervision<'static> {
             heartbeat: None,
             heartbeat_every: 0,
             check_every: 1,
-            sentinel: Sentinel::default(),
+            sentinel: Sentinel::supervised(),
             recorder: None,
             span: SpanCtx::default(),
         }
@@ -179,15 +172,6 @@ impl<'a> Supervision<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_sentinel_matches_legacy_thresholds() {
-        let s = Sentinel::default();
-        assert!(!s.fires(1e11, Some(1e-3)), "legacy sentinel has no relative check");
-        assert!(s.fires(1e13, Some(1e-3)));
-        assert!(s.fires(f64::NAN, None));
-        assert!(s.fires(f64::INFINITY, None));
-    }
 
     #[test]
     fn supervised_sentinel_adds_relative_explosion_check() {

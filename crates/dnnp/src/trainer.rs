@@ -314,7 +314,8 @@ pub struct TrainReport {
 /// absolute ceiling of [`crate::supervise::Sentinel`]).
 pub const DIVERGENCE_LOSS_LIMIT: f64 = 1e12;
 
-/// Train a model on `train`, validating against `val`.
+/// Train a model on `train`, validating against `val`, under the one
+/// divergence sentinel and no other supervision.
 pub fn train<R: Rng + ?Sized>(
     config: &TrainConfig,
     train_ds: &Dataset,
@@ -923,14 +924,17 @@ mod tests {
 
     #[test]
     fn explosion_sentinel_fires_before_the_absolute_ceiling() {
-        // A loss that explodes relative to its starting value but has not
-        // yet crossed 1e12 is caught only by the supervised sentinel.
-        let healthy = Sentinel::default();
-        let strict = Sentinel::supervised();
+        // A loss that explodes relative to its starting value fires long
+        // before it crosses the 1e12 ceiling; without a usable initial loss
+        // only the ceiling and non-finiteness fire.
+        let sentinel = Supervision::none().sentinel;
         let initial = Some(1e-2);
-        let exploded = 1e5; // 1e7x the initial loss, far below 1e12
-        assert!(!healthy.fires(exploded, initial));
-        assert!(strict.fires(exploded, initial));
+        assert!(sentinel.fires(1e5, initial), "1e7x the initial loss, far below 1e12");
+        assert!(!sentinel.fires(1e3, initial), "1e5x the initial loss is still training");
+        assert!(!sentinel.fires(1e11, None));
+        assert!(sentinel.fires(1e13, None));
+        assert!(sentinel.fires(f64::NAN, None));
+        assert!(sentinel.fires(f64::INFINITY, None));
     }
 
     #[test]

@@ -13,7 +13,8 @@
 #   9. profile identity and profiler properties
 #  10. oracle suite (release): references that do not run the code under test
 #  11. the benchmark/ package: its tests and smoke pass against this tree
-#  12. results/ reproduce byte for byte from the checked-in journals
+#  12. results/ reproduce byte for byte from the checked-in journals, and
+#      the seeded ablations from scratch
 #
 # Opt-in: BENCH_CHECK=1 adds the perf-history regression check (timing).
 #
@@ -264,7 +265,7 @@ echo "==> [11/12] benchmark package: tests and smoke pass against this tree"
 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 bash benchmark/run.sh --smoke
 
-echo "==> [12/12] results/: journals verify, match reduced(), reproduce what is checked in"
+echo "==> [12/12] results/: journals verify, match reduced(), reproduce what is checked in; ablations regenerate"
 regen="$(mktemp -d)"
 trap 'rm -rf "${regen}"' EXIT
 cp results/experiment.journal.jsonl results/steady_experiment.journal.jsonl "${regen}/"
@@ -272,8 +273,9 @@ for journal in experiment steady_experiment; do
     target/release/fig1 --verify-journal "${regen}/${journal}.journal.jsonl" >/dev/null
 done
 # The figure binaries first: they refuse an unfinished or stale journal, so
-# the resumes below cannot start training.
-for bin in fig2_table2 fig3 table3; do
+# the resumes below cannot start training. `ablations` reads no journal; its
+# seeded synthetic runs take a few seconds.
+for bin in fig2_table2 fig3 table3 ablations; do
     DPHPO_RESULTS_DIR="${regen}" "target/release/${bin}" >/dev/null
 done
 DPHPO_RESULTS_DIR="${regen}" target/release/fig1 \
