@@ -70,77 +70,46 @@ pub enum Unary {
 }
 
 impl Unary {
-    fn eval(self, x: f64) -> f64 {
+    /// Apply the nonlinearity across a slice in place — the one definition
+    /// of every variant's arithmetic. `exp`, tanh, sigmoid and softplus run
+    /// on one branch-free polynomial lane kernel ([`crate::simd`], error vs
+    /// libm below 5e-16, pinned by `bulk_{exp,tanh,sigmoid,softplus}
+    /// _matches_libm`), whose lane blocks and one-lane tail share code, so
+    /// an element's bits do not depend on the slice it sits in. The match is
+    /// hoisted so the other loops vectorize.
+    pub(crate) fn eval_slice(self, out: &mut [f64]) {
+        macro_rules! map {
+            (|$x:ident| $e:expr) => {{
+                for o in out.iter_mut() {
+                    let $x = *o;
+                    *o = $e;
+                }
+            }};
+        }
         match self {
-            // tanh as (e^{2x}-1)/(e^{2x}+1): one exp instead of libm's
-            // tanh, ~2× faster, with absolute error ≤ 2.3e-16 across the
-            // full range (the infinity guard covers e^{2x} overflow).
-            Unary::Tanh => {
-                let e = (2.0 * x).exp();
-                if e.is_infinite() {
-                    1.0
-                } else {
-                    (e - 1.0) / (e + 1.0)
-                }
-            }
-            Unary::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-            // Numerically stable softplus: max(x, 0) + ln(1 + e^{-|x|}).
-            Unary::Softplus => x.max(0.0) + (-x.abs()).exp().ln_1p(),
-            Unary::Relu => x.max(0.0),
-            Unary::Relu6 => x.clamp(0.0, 6.0),
-            Unary::Exp => x.exp(),
-            Unary::Sqrt => x.sqrt(),
-            Unary::Recip => 1.0 / x,
-            Unary::Square => x * x,
-            Unary::OneMinusSquare => -(x * x) + 1.0,
-            Unary::Step => {
-                if x > 0.0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            Unary::Clamp01 => x.clamp(0.0, 1.0),
+            Unary::Tanh => crate::simd::tanh_slice(out),
+            Unary::Sigmoid => crate::simd::sigmoid_slice(out),
+            Unary::Softplus => crate::simd::softplus_slice(out),
+            Unary::Exp => crate::simd::exp_slice(out),
+            Unary::Relu => map!(|x| x.max(0.0)),
+            Unary::Relu6 => map!(|x| x.clamp(0.0, 6.0)),
+            Unary::Sqrt => map!(|x| x.sqrt()),
+            Unary::Recip => map!(|x| 1.0 / x),
+            Unary::Square => map!(|x| x * x),
+            Unary::OneMinusSquare => map!(|x| -(x * x) + 1.0),
+            Unary::Step => map!(|x| if x > 0.0 { 1.0 } else { 0.0 }),
+            Unary::Clamp01 => map!(|x| x.clamp(0.0, 1.0)),
         }
     }
 
-    /// Apply the nonlinearity across a slice in place. `Tanh` runs as a
-    /// branch-free polynomial lane kernel ([`crate::simd::tanh_slice`],
-    /// absolute error vs libm below 5e-16, pinned by
-    /// `bulk_tanh_matches_libm`); the clamps and the squares are hoisted
-    /// loops; the rest — sigmoid, softplus and `exp` through libm — fall
-    /// back to the scalar path.
-    pub(crate) fn eval_slice(self, out: &mut [f64]) {
-        match self {
-            Unary::Tanh => crate::simd::tanh_slice(out),
-            // The match is hoisted so these loops vectorize; per-element
-            // arithmetic is `eval`'s.
-            Unary::Relu => {
-                for o in out.iter_mut() {
-                    *o = o.max(0.0);
-                }
-            }
-            Unary::Relu6 => {
-                for o in out.iter_mut() {
-                    *o = o.clamp(0.0, 6.0);
-                }
-            }
-            Unary::Square => {
-                for o in out.iter_mut() {
-                    *o = *o * *o;
-                }
-            }
-            Unary::OneMinusSquare => {
-                for o in out.iter_mut() {
-                    *o = -(*o * *o) + 1.0;
-                }
-            }
-            _ => {
-                for o in out.iter_mut() {
-                    *o = self.eval(*o);
-                }
-            }
+    /// `out = e^{−y}` through the bulk `exp` kernel — bitwise the taped
+    /// `exp(neg(y))` chain the softplus derivative spells.
+    fn exp_neg_slice(y: &[f64], out: &mut [f64]) {
+        debug_assert_eq!(y.len(), out.len());
+        for (o, &yv) in out.iter_mut().zip(y) {
+            *o = -yv;
         }
+        crate::simd::exp_slice(out);
     }
 
     /// `out = act'(a)` expressed from the activation *output* `y = act(a)`
@@ -160,8 +129,12 @@ impl Unary {
         match self {
             Unary::Tanh => sweep!(|y| -(y * y) + 1.0),
             Unary::Sigmoid => sweep!(|y| y * (-y + 1.0)),
-            // Negate-then-exp, like the taped `exp(neg(y))` chain.
-            Unary::Softplus => sweep!(|y| (-((-y).exp())) + 1.0),
+            Unary::Softplus => {
+                Unary::exp_neg_slice(y, out);
+                for o in out.iter_mut() {
+                    *o = -*o + 1.0;
+                }
+            }
             Unary::Relu => sweep!(|y| if y > 0.0 { 1.0 } else { 0.0 }),
             Unary::Relu6 => sweep!(|y| {
                 let s1 = if y > 0.0 { 1.0 } else { 0.0 };
@@ -176,9 +149,10 @@ impl Unary {
     /// elementwise: `r = tb ∘ d` and `a = hb ∘ d + (tb ∘ t) ∘ φ'`, where
     /// `d = act' = φ(y)` is the stashed derivative and `φ'` its derivative
     /// **along the output** `y` (so `act'' = φ'·act'`), each spelled as
-    /// [`Unary::back_y_slice`] spells it: tanh `−2y`, sigmoid `1 − 2y` (the
-    /// product-rule pair), softplus `e^{−y}` (`φ = 1 − e^{−y}`), zero for
-    /// the step-derivative activations.
+    /// [`Unary::back_y_slice`] spells it — tanh `−2y`, sigmoid `1 − 2y` (the
+    /// product-rule pair), zero for the step-derivative activations — except
+    /// softplus: `φ = 1 − e^{−y}`, so `φ' = e^{−y} = 1 − d`, read from the
+    /// stash instead of a second `exp`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn sweep_slice(
         self,
@@ -204,7 +178,7 @@ impl Unary {
         match self {
             Unary::Tanh => sweep!(|c, y, d| c * (y * -2.0)),
             Unary::Sigmoid => sweep!(|c, y, d| (c * ((-y) + 1.0)) + (-(c * y))),
-            Unary::Softplus => sweep!(|c, y, d| -((-c) * (-y).exp())),
+            Unary::Softplus => sweep!(|c, _y, d| c * (-d + 1.0)),
             Unary::Relu | Unary::Relu6 => {
                 for ((((a, r), &hv), &tv), &dv) in
                     a.iter_mut().zip(r.iter_mut()).zip(hb).zip(tb).zip(d)
@@ -243,7 +217,13 @@ impl Unary {
         match self {
             Unary::Tanh => sweep!(|t, y| t * (y * -2.0)),
             Unary::Sigmoid => sweep!(|t, y| (t * ((-y) + 1.0)) + (-(t * y))),
-            Unary::Softplus => sweep!(|t, y| -((-t) * (-y).exp())),
+            Unary::Softplus => {
+                Unary::exp_neg_slice(y, out);
+                for ((o, &gv), &hv) in out.iter_mut().zip(g).zip(gg) {
+                    let t = gv * hv;
+                    *o = -((-t) * *o);
+                }
+            }
             Unary::Relu | Unary::Relu6 => return false,
             _ => panic!("affine fusion only supports MLP activations, got {self:?}"),
         }
@@ -1319,7 +1299,14 @@ impl Tape {
         match k {
             Unary::Tanh => sweep!(|_x, y| -(y * y) + 1.0),
             Unary::Sigmoid => sweep!(|_x, y| y * (-y + 1.0)),
-            Unary::Softplus => sweep!(|x, _y| Unary::Sigmoid.eval(x)),
+            // softplus' = σ(x), bulk like the taped `sigmoid(x)` node.
+            Unary::Softplus => {
+                out.copy_from_slice(xv.data());
+                Unary::Sigmoid.eval_slice(&mut out);
+                for (o, &gv) in out.iter_mut().zip(g.data()) {
+                    *o *= gv;
+                }
+            }
             Unary::Relu => sweep!(|x, _y| if x > 0.0 { 1.0 } else { 0.0 }),
             Unary::Relu6 => sweep!(|x, _y| {
                 let s1 = if x > 0.0 { 1.0 } else { 0.0 };
@@ -2195,6 +2182,52 @@ mod tests {
         assert!(nan[0].is_nan());
         assert_eq!(ys[xs.iter().position(|&x| x == 1e6).unwrap()], 1.0);
         assert_eq!(ys[xs.iter().position(|&x| x.is_infinite() && x < 0.0).unwrap()], -1.0);
+    }
+
+    /// Holds a bulk kernel to its libm spelling over a dense sweep of
+    /// [−745, 710] and the edge cases: ≤ 5e-16 relative where libm's result
+    /// is normal, ≤ 2⁻¹⁰²¹ absolute where it is subnormal or zero, equal
+    /// where it is infinite, and NaN for NaN.
+    fn assert_bulk_matches_libm(kind: Unary, libm: impl Fn(f64) -> f64) {
+        let mut xs: Vec<f64> = (0..=1_455_000).map(|i| -745.0 + i as f64 * 0.001).collect();
+        xs.extend([
+            0.0, -0.0, 1e-300, -1e-300, -708.0, 709.0, 709.8, 710.0,
+            f64::INFINITY, f64::NEG_INFINITY,
+        ]);
+        let mut ys = xs.clone();
+        kind.eval_slice(&mut ys);
+        for (&x, &y) in xs.iter().zip(&ys) {
+            let want = libm(x);
+            let ok = if want.is_infinite() {
+                y == want
+            } else if want.abs() >= f64::MIN_POSITIVE {
+                ((y - want) / want).abs() <= 5e-16
+            } else {
+                (y - want).abs() <= 2f64.powi(-1021)
+            };
+            assert!(ok, "{kind:?}({x}): slice {y} vs libm {want}");
+        }
+        let mut nan = [f64::NAN];
+        kind.eval_slice(&mut nan);
+        assert!(nan[0].is_nan(), "{kind:?}(NaN) = {}", nan[0]);
+    }
+
+    #[test]
+    fn bulk_exp_matches_libm() {
+        assert_bulk_matches_libm(Unary::Exp, f64::exp);
+        let mut over = [710.0, 709.8, f64::INFINITY, f64::NEG_INFINITY];
+        Unary::Exp.eval_slice(&mut over);
+        assert_eq!(over, [f64::INFINITY, f64::INFINITY, f64::INFINITY, 0.0]);
+    }
+
+    #[test]
+    fn bulk_sigmoid_matches_libm() {
+        assert_bulk_matches_libm(Unary::Sigmoid, |x| 1.0 / (1.0 + (-x).exp()));
+    }
+
+    #[test]
+    fn bulk_softplus_matches_libm() {
+        assert_bulk_matches_libm(Unary::Softplus, |x| x.max(0.0) + (-x.abs()).exp().ln_1p());
     }
 
     #[test]

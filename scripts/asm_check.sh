@@ -11,8 +11,9 @@
 #      appearing in a matmul kernel means the contract was broken.
 #
 # Checked families — simd.rs: mm_tile (plain matmul; mm_nt packs into the
-# same tiles), mm_tn_tile (transposed-A matmul), tanh_block (bulk
-# activation); fused.rs: the pair-stream kernels embed_pool
+# same tiles), mm_tn_tile (transposed-A matmul), and the bulk activations
+# on the one polynomial `exp` core: exp_block, tanh_block, sigmoid_block,
+# softplus_block; fused.rs: the pair-stream kernels embed_pool
 # (embedding → pool), embed_sens (per-pair sensitivity) and embed_back (the
 # second-order reverse sweep), whose lane blocks must vectorize too.
 set -euo pipefail
@@ -63,7 +64,10 @@ check_family() {
 
 check_family "mm_tile" no-fma
 check_family "mm_tn_tile" no-fma
+check_family "exp_block" fma-ok
 check_family "tanh_block" fma-ok
+check_family "sigmoid_block" fma-ok
+check_family "softplus_block" fma-ok
 # Anchored on the module so the tape methods of the same names stay out.
 check_family "fused[0-9]*embed_pool" no-fma
 check_family "fused[0-9]*embed_sens" no-fma
