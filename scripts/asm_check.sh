@@ -14,8 +14,10 @@
 # same tiles), mm_tn_tile (transposed-A matmul), and the bulk activations
 # on the one polynomial `exp` core: exp_block, tanh_block, sigmoid_block,
 # softplus_block; fused.rs: the pair-stream kernels embed_pool
-# (embedding → pool), embed_sens (per-pair sensitivity) and embed_back (the
-# second-order reverse sweep), whose lane blocks must vectorize too.
+# (embedding → pool), embed_sens (per-pair sensitivity; the pattern also
+# takes embed_sens_gbar) and embed_back (the second-order reverse sweep, the
+# fold of a mirror lane's seeds inlined), whose lane blocks must vectorize
+# too.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
